@@ -9,6 +9,14 @@
 //! fig7 table8`. Indexes are cached under `--root` (default
 //! `target/kbtim-exp`), so reruns only pay query time. See DESIGN.md for
 //! the experiment ↔ module map and EXPERIMENTS.md for recorded results.
+//!
+//! Reading the RR-vs-IRR comparisons (fig5–fig7, table6): *RR sets
+//! loaded* is the paper's quantity and is exact — `θ^Q` for RR, the
+//! distinct sets the loaded partitions touch for IRR. Wall time and
+//! I/O, however, price what `kbtim` actually does to answer: both
+//! algorithms read inverted lists only and never fetch the RR-set
+//! payloads (`rr` / `rr_off` / `irp`) the paper's loaders read, so the
+//! time gap between them is narrower than the sets-loaded gap.
 
 use kbtim_bench::table::{fmt_bytes, fmt_duration, TextTable};
 use kbtim_bench::{ExpContext, ExpScale};

@@ -48,13 +48,22 @@
 //!
 //! [`evaluations`] lists how many times each armed point was reached and
 //! how many times it fired; [`reset`] disarms everything and clears the
-//! books (tests use it for isolation).
+//! books.
+//!
+//! # Test isolation
+//!
+//! The registry is process-global and `cargo test` runs a binary's
+//! tests on parallel threads, so a test that arms a point would fail
+//! its siblings. A test that arms holds [`exclusive`] for its whole
+//! body; every other test in a binary that arms anywhere holds
+//! [`shared`]. Both are RAII [`Lease`]s on one registry-wide lock.
 
 #![deny(missing_docs)]
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 /// What an armed failpoint does when it fires.
@@ -313,6 +322,43 @@ pub fn reset() {
     ARMED.store(0, Ordering::Release);
 }
 
+/// A lease on the process-global registry (see [`exclusive`] and
+/// [`shared`]); released on drop.
+pub struct Lease(LeaseSide);
+
+enum LeaseSide {
+    Exclusive { _held: RwLockWriteGuard<'static, ()> },
+    Shared { _held: RwLockReadGuard<'static, ()> },
+}
+
+static LEASES: RwLock<()> = RwLock::new(());
+
+/// Take the registry for a test that arms failpoints: waits until no
+/// other lease is out, then [`reset`]s. Dropping the lease resets
+/// again — also when the test panics — before any waiting lease is
+/// granted, so armed points never leak into another test.
+pub fn exclusive() -> Lease {
+    let _held = LEASES.write().unwrap_or_else(PoisonError::into_inner);
+    reset();
+    Lease(LeaseSide::Exclusive { _held })
+}
+
+/// Take the shared side for a fault-free test that lives in a binary
+/// where some other test arms: any number of shared leases coexist, and
+/// none coexists with an [`exclusive`] one. Do not nest leases on one
+/// thread.
+pub fn shared() -> Lease {
+    Lease(LeaseSide::Shared { _held: LEASES.read().unwrap_or_else(PoisonError::into_inner) })
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        if let LeaseSide::Exclusive { .. } = self.0 {
+            reset();
+        }
+    }
+}
+
 /// Set the deterministic draw seed (also `KBTIM_FAULT_SEED` at startup).
 /// Existing points keep their evaluation counters.
 pub fn set_seed(seed: u64) {
@@ -348,27 +394,17 @@ pub fn fires(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    // The registry is process-global; tests touching it serialize.
-    static GATE: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn disarmed_inject_is_pass() {
-        let _g = lock();
-        reset();
+        let _lease = exclusive();
         assert!(!inject("nothing.armed"));
         assert!(!any_armed());
     }
 
     #[test]
     fn err_action_fires_and_counts() {
-        let _g = lock();
-        reset();
+        let _lease = exclusive();
         arm("t.err", "err").unwrap();
         assert!(inject("t.err"));
         assert!(inject("t.err"));
@@ -381,20 +417,17 @@ mod tests {
 
     #[test]
     fn budget_caps_fires() {
-        let _g = lock();
-        reset();
+        let _lease = exclusive();
         arm("t.budget", "2*err").unwrap();
         let fired = (0..10).filter(|_| inject("t.budget")).count();
         assert_eq!(fired, 2);
         assert_eq!(hits("t.budget"), 10);
         assert_eq!(fires("t.budget"), 2);
-        reset();
     }
 
     #[test]
     fn probability_is_deterministic_and_roughly_calibrated() {
-        let _g = lock();
-        reset();
+        let _lease = exclusive();
         set_seed(7);
         arm("t.prob", "25%err").unwrap();
         let pattern_a: Vec<bool> = (0..400).map(|_| inject("t.prob")).collect();
@@ -410,24 +443,20 @@ mod tests {
         set_seed(8);
         let pattern_c: Vec<bool> = (0..400).map(|_| inject("t.prob")).collect();
         assert_ne!(pattern_a, pattern_c);
-        reset();
     }
 
     #[test]
     fn delay_sleeps_then_passes() {
-        let _g = lock();
-        reset();
+        let _lease = exclusive();
         arm("t.delay", "delay(2000)").unwrap();
         let start = std::time::Instant::now();
         assert!(!inject("t.delay"));
         assert!(start.elapsed() >= Duration::from_micros(1500));
-        reset();
     }
 
     #[test]
     fn panic_action_panics_with_name() {
-        let _g = lock();
-        reset();
+        let _lease = exclusive();
         arm("t.panic", "panic").unwrap();
         let caught = std::panic::catch_unwind(|| inject("t.panic"));
         reset();
@@ -437,31 +466,26 @@ mod tests {
 
     #[test]
     fn noop_counts_without_firing() {
-        let _g = lock();
-        reset();
+        let _lease = exclusive();
         arm("t.noop", "noop").unwrap();
         assert!(!inject("t.noop"));
         assert_eq!(hits("t.noop"), 1);
         assert_eq!(fires("t.noop"), 0);
-        reset();
     }
 
     #[test]
     fn wildcard_matches_unarmed_names() {
-        let _g = lock();
-        reset();
+        let _lease = exclusive();
         arm("*", "err").unwrap();
         arm("t.mine", "noop").unwrap();
         assert!(inject("t.anything"), "wildcard catches unarmed names");
         assert!(!inject("t.mine"), "an explicit point shadows the wildcard");
         assert_eq!(fires("*"), 1);
-        reset();
     }
 
     #[test]
     fn prefix_wildcard_matches_by_longest_prefix() {
-        let _g = lock();
-        reset();
+        let _lease = exclusive();
         arm("flush.*", "err").unwrap();
         arm("flush.commit", "noop").unwrap();
         arm("*", "noop").unwrap();
@@ -476,7 +500,63 @@ mod tests {
         arm("flush.c*", "err").unwrap();
         assert!(inject("flush.commit"), "the longest matching prefix wins");
         assert!(!inject("flush.build"));
-        reset();
+    }
+
+    #[test]
+    fn exclusive_lease_resets_when_its_holder_unwinds() {
+        let unwound = std::panic::catch_unwind(|| {
+            let _lease = exclusive();
+            arm("t.leak", "err").unwrap();
+            panic!("test body failed with a point armed");
+        });
+        assert!(unwound.is_err());
+        let _lease = exclusive();
+        assert!(!inject("t.leak"), "a panicking holder must not leak its arming");
+    }
+
+    #[test]
+    fn a_shared_lease_excludes_the_exclusive_side() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let held = shared();
+        let armed = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let (started_tx, started_rx) = std::sync::mpsc::channel();
+            let armed = &armed;
+            let armer = scope.spawn(move || {
+                started_tx.send(()).unwrap();
+                let _lease = exclusive();
+                armed.store(true, Ordering::SeqCst);
+            });
+            started_rx.recv().unwrap();
+            // The shared lease is still out: the armer cannot have run.
+            assert!(!armed.load(Ordering::SeqCst));
+            drop(held);
+            armer.join().unwrap();
+        });
+        assert!(armed.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn shared_leases_coexist_across_threads() {
+        // std's RwLock parks new readers behind a waiting writer, so a
+        // sibling test's `exclusive()` queued between the two
+        // acquisitions blocks the second one until the first is gone.
+        // The holder therefore never waits on it unboundedly: it gives
+        // its lease up and tries again.
+        loop {
+            let first = shared();
+            let (held_tx, held_rx) = std::sync::mpsc::channel();
+            let second = std::thread::spawn(move || {
+                let _lease = shared();
+                let _ = held_tx.send(());
+            });
+            let coexisted = held_rx.recv_timeout(std::time::Duration::from_millis(200)).is_ok();
+            drop(first);
+            second.join().unwrap();
+            if coexisted {
+                break;
+            }
+        }
     }
 
     #[test]
@@ -495,14 +575,12 @@ mod tests {
 
     #[test]
     fn evaluations_lists_books() {
-        let _g = lock();
-        reset();
+        let _lease = exclusive();
         arm("t.a", "noop").unwrap();
         arm("t.b", "err").unwrap();
         inject("t.a");
         inject("t.b");
         let rows = evaluations();
         assert_eq!(rows, vec![("t.a".into(), 1, 0), ("t.b".into(), 1, 1)]);
-        reset();
     }
 }

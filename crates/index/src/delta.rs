@@ -167,25 +167,7 @@ impl DeltaSnapshot {
     /// ascending, so downstream merges cannot tell the union from a
     /// monolithic decode.
     pub fn decode_union(&self, wants: &[(TopicId, u64)]) -> Result<KeywordArena, IndexError> {
-        // Normalize exactly like `decode_keywords` (sorted ascending,
-        // duplicates merged at their widest share).
-        let owned: Vec<(TopicId, u64)>;
-        let wants = if wants.windows(2).all(|w| w[0].0 < w[1].0) {
-            wants
-        } else {
-            let mut sorted = wants.to_vec();
-            sorted.sort_by_key(|&(topic, _)| topic);
-            sorted.dedup_by(|next, kept| {
-                if next.0 == kept.0 {
-                    kept.1 = kept.1.max(next.1);
-                    true
-                } else {
-                    false
-                }
-            });
-            owned = sorted;
-            &owned
-        };
+        let wants = rr_query::normalized_wants(wants);
         let base_wants: Vec<(TopicId, u64)> =
             wants.iter().copied().filter(|(t, _)| !self.overlay.contains_key(t)).collect();
         let base_arena = self.base.decode_keywords(&base_wants)?;
@@ -194,10 +176,9 @@ impl DeltaSnapshot {
         }
         // Splice: walk the ascending want list, drawing each keyword
         // from the base arena or its overlay.
-        let mut arena =
-            KeywordArena { rr_sets_decoded: base_arena.rr_sets_decoded, ..Default::default() };
+        let mut arena = KeywordArena::default();
         let mut base_csrs = base_arena.csrs.into_iter();
-        for &(topic, share) in wants {
+        for &(topic, _) in wants.iter() {
             match self.overlay.get(&topic) {
                 Some(ov) => {
                     // Copy into a pool-leased CSR so `recycle_keywords`
@@ -206,7 +187,6 @@ impl DeltaSnapshot {
                     csr.append(&ov.csr);
                     arena.topics.push(topic);
                     arena.csrs.push(csr);
-                    arena.rr_sets_decoded += share;
                 }
                 None => {
                     let csr = base_csrs.next().expect("one base CSR per clean keyword");
@@ -230,21 +210,17 @@ impl DeltaSnapshot {
     pub fn query_ctx(&self, query: &Query, ctx: &QueryCtx) -> Result<QueryOutcome, IndexError> {
         let started = Instant::now();
         let (phi_q, budget) = self.query_budget(query);
-        if budget.is_empty() {
-            return Ok(rr_query::empty_outcome(started));
-        }
-        let arena = self.decode_union(&budget)?;
-        ctx.check()?;
-        let result = self
-            .base
-            .merge_budgeted_over(self.meta.num_users, phi_q, &budget, &arena)
-            .and_then(|merged| {
-                let outcome = self.base.query_merged_ctx(&merged, query.k(), ctx);
-                self.base.recycle_merged(merged);
-                outcome
-            });
-        self.base.recycle_keywords(arena);
-        result
+        let mut outcome = if budget.is_empty() {
+            rr_query::empty_outcome(started)
+        } else {
+            let arena = self.decode_union(&budget)?;
+            let users = self.meta.num_users;
+            let result = self.base.query_arena_ctx(users, phi_q, &budget, &arena, query.k(), ctx);
+            self.base.recycle_keywords(arena);
+            result?
+        };
+        outcome.stats.generation = Some(self.generation);
+        Ok(outcome)
     }
 }
 
@@ -905,6 +881,8 @@ mod tests {
 
     #[test]
     fn flush_compacts_and_reopens_the_next_generation() {
+        // The test below arms `flush.*` in this process.
+        let _lease = kbtim_fault::shared();
         let data = dataset();
         let dir = TempDir::new("delta-flush").unwrap();
         let base = build_base(dir.path(), &data);
@@ -958,6 +936,7 @@ mod tests {
 
     #[test]
     fn failed_flush_leaves_the_snapshot_untouched_and_retries_clean() {
+        let _lease = kbtim_fault::exclusive();
         let data = dataset();
         let dir = TempDir::new("delta-flushfail").unwrap();
         let base = build_base(dir.path(), &data);

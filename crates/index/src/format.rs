@@ -39,6 +39,12 @@
 //! | `ilp`    | IRR `IL^p_w` partitions back to back (same entry format)  |
 //! | `irp`    | IRR `IR^p_w` partitions: per set varint id + codec members|
 //!
+//! Queries read `il` (Algorithm 2) or `ip` + `pmeta` + `ilp` ranges
+//! (Algorithm 4): RR-set ids are ordinals, so a keyword's `θ^Q_w` prefix
+//! is exactly the ids `< θ^Q_w` in its inverted lists. The RR-set
+//! payloads — `rr`, `rr_off`, `irp` — are written by the build and read
+//! back by `validate` and the paper-table experiments only.
+//!
 //! Every structure here is a pure byte transform with a round-trip test;
 //! the I/O lives in `kbtim-storage`.
 
@@ -489,6 +495,7 @@ pub struct PartitionMeta {
     pub ir_samples: Vec<(u32, u64)>,
 }
 
+#[cfg(test)]
 impl PartitionMeta {
     /// Byte length of the partition's IR prefix containing every entry
     /// with `rr_id < limit` (may additionally cover up to
@@ -528,46 +535,21 @@ pub fn encode_partition_meta(parts: &[PartitionMeta], out: &mut Vec<u8>) {
 
 /// Decode the `pmeta` block.
 pub fn decode_partition_meta(input: &[u8]) -> Result<Vec<PartitionMeta>, IndexError> {
-    let mut parts = Vec::new();
-    decode_partition_meta_into(input, &mut parts)?;
-    Ok(parts)
-}
-
-/// [`decode_partition_meta`] into a caller-owned (scratch-pooled) vec.
-/// Rows already present are overwritten in place so their `ir_samples`
-/// buffers are reused; steady-state decodes allocate nothing once the
-/// catalog shapes are warm.
-pub fn decode_partition_meta_into(
-    input: &[u8],
-    parts: &mut Vec<PartitionMeta>,
-) -> Result<(), IndexError> {
     let mut cursor = Cursor::new(input);
-    let count = cursor.u32()? as usize;
-    parts.truncate(count);
-    for i in 0..count {
-        if parts.len() <= i {
-            parts.push(PartitionMeta {
-                il_start: 0,
-                il_end: 0,
-                ir_start: 0,
-                ir_end: 0,
-                rr_count: 0,
-                user_count: 0,
-                max_len_after: 0,
-                ir_samples: Vec::new(),
-            });
-        }
-        let part = &mut parts[i];
-        part.il_start = cursor.u64()?;
-        part.il_end = cursor.u64()?;
-        part.ir_start = cursor.u64()?;
-        part.ir_end = cursor.u64()?;
-        part.rr_count = cursor.u32()?;
-        part.user_count = cursor.u32()?;
-        part.max_len_after = cursor.u32()?;
-        let sample_count = cursor.u32()? as usize;
-        part.ir_samples.clear();
-        part.ir_samples.reserve(sample_count);
+    let count = cursor.u32()?;
+    let mut parts = Vec::new();
+    for _ in 0..count {
+        let mut part = PartitionMeta {
+            il_start: cursor.u64()?,
+            il_end: cursor.u64()?,
+            ir_start: cursor.u64()?,
+            ir_end: cursor.u64()?,
+            rr_count: cursor.u32()?,
+            user_count: cursor.u32()?,
+            max_len_after: cursor.u32()?,
+            ir_samples: Vec::new(),
+        };
+        let sample_count = cursor.u32()?;
         let mut prev_id = 0u32;
         let mut prev_off = 0u64;
         for _ in 0..sample_count {
@@ -575,9 +557,51 @@ pub fn decode_partition_meta_into(
             prev_off += cursor.u64()?;
             part.ir_samples.push((prev_id, prev_off));
         }
+        parts.push(part);
     }
     cursor.expect_end()?;
-    Ok(())
+    Ok(parts)
+}
+
+/// What Algorithm 4 reads of a partition's catalog row: where its
+/// inverted lists sit in `ilp`, and the `kb[w]` bound once it is loaded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PartitionSpan {
+    /// Start of the partition's byte range inside the `ilp` block.
+    pub il_start: u64,
+    /// End of the `ilp` range (exclusive).
+    pub il_end: u64,
+    /// See [`PartitionMeta::max_len_after`].
+    pub max_len_after: u32,
+}
+
+/// Decode the `pmeta` block into the spans a query walks, in a
+/// caller-owned (scratch-pooled) vec, cleared first. The `irp` columns
+/// of each row are parsed over, never stored.
+pub fn decode_partition_spans_into(
+    input: &[u8],
+    spans: &mut Vec<PartitionSpan>,
+) -> Result<(), IndexError> {
+    spans.clear();
+    let mut cursor = Cursor::new(input);
+    let count = cursor.u32()?;
+    for _ in 0..count {
+        let il_start = cursor.u64()?;
+        let il_end = cursor.u64()?;
+        // ir_start, ir_end, rr_count, user_count.
+        cursor.u64()?;
+        cursor.u64()?;
+        cursor.u32()?;
+        cursor.u32()?;
+        let max_len_after = cursor.u32()?;
+        let sample_count = cursor.u32()?;
+        for _ in 0..sample_count {
+            cursor.u32()?;
+            cursor.u64()?;
+        }
+        spans.push(PartitionSpan { il_start, il_end, max_len_after });
+    }
+    cursor.expect_end()
 }
 
 /// One partitioned RR set: its per-keyword ordinal id and sorted members.
@@ -601,25 +625,21 @@ pub fn encode_ir_entries(entries: &[IrEntry], codec: Codec, out: &mut Vec<u8>) -
     samples
 }
 
-/// Count (and fully decode, for faithful query-time cost) the entries of
-/// an `irp` byte range, without materializing per-set `Vec`s: every
-/// member list decodes into the reused `scratch` buffer. `limit`
-/// truncates at the first id `>= limit`, like [`decode_ir_entries`].
-pub fn count_ir_entries(
-    input: &[u8],
-    codec: Codec,
-    limit: u32,
-    scratch: &mut Vec<u32>,
-) -> Result<u64, IndexError> {
+/// Count the entries of an `irp` byte range with id `< limit` — how the
+/// retired IRR partition loader derived `rr_sets_loaded`; kept as the
+/// oracle the lean query path's seen-set count is tested against.
+#[cfg(test)]
+pub(crate) fn count_ir_entries(input: &[u8], codec: Codec, limit: u32) -> Result<u64, IndexError> {
     let mut cursor = Cursor::new(input);
     let mut count = 0u64;
+    let mut members = Vec::new();
     while !cursor.at_end() {
         let id = cursor.u32()?;
         if id >= limit {
             break;
         }
-        scratch.clear();
-        cursor.list_into(codec, scratch)?;
+        members.clear();
+        cursor.list_into(codec, &mut members)?;
         count += 1;
     }
     Ok(count)
@@ -629,9 +649,8 @@ pub fn count_ir_entries(
 /// the whole buffer. `limit` truncates decoding at the first id `>= limit`
 /// (`u32::MAX` decodes everything).
 ///
-/// Allocating oracle (one `Vec` per set) for tests and
-/// [`crate::KbtimIndex::validate`]; the query path counts through
-/// [`count_ir_entries`] with a reused scratch arena instead.
+/// Allocating (one `Vec` per set); for tests and
+/// [`crate::KbtimIndex::validate`] — queries never read `irp`.
 #[doc(hidden)]
 pub fn decode_ir_entries(
     input: &[u8],
@@ -653,8 +672,8 @@ pub fn decode_ir_entries(
 
 /// Decode a prefix of the `rr` block containing `count` RR sets.
 ///
-/// Allocating oracle for tests and [`crate::KbtimIndex::validate`]; the
-/// query paths bulk-decode with [`decode_rr_prefix_into`] instead.
+/// Allocating (one `Vec` per set); for tests and
+/// [`crate::KbtimIndex::validate`] — queries never read `rr`.
 #[doc(hidden)]
 pub fn decode_rr_prefix(
     input: &[u8],
@@ -669,25 +688,6 @@ pub fn decode_rr_prefix(
         sets.push(members);
     }
     Ok(sets)
-}
-
-/// Bulk-decode a prefix of the `rr` block containing `count` RR sets
-/// into one members arena plus per-set end boundaries (`ends[0] == 0`,
-/// set `i` is `members[ends[i]..ends[i + 1]]`). The hot twin of
-/// [`decode_rr_prefix`]: no per-set `Vec`, straight from the (possibly
-/// memory-mapped) block bytes into pooled arenas.
-pub fn decode_rr_prefix_into(
-    input: &[u8],
-    count: u64,
-    codec: Codec,
-    members: &mut Vec<u32>,
-    ends: &mut Vec<u32>,
-) -> Result<(), IndexError> {
-    members.clear();
-    ends.clear();
-    ends.push(0);
-    codec.decode_lists_into(input, count as usize, members, ends)?;
-    Ok(())
 }
 
 /// Byte cursor with varint helpers over a borrowed buffer.
@@ -876,9 +876,8 @@ mod tests {
         for codec in [Codec::Raw, Codec::Packed] {
             let mut buf = Vec::new();
             encode_ir_entries(&entries, codec, &mut buf);
-            let mut scratch = Vec::new();
             for limit in [0u32, 1, 6, 10, u32::MAX] {
-                let counted = count_ir_entries(&buf, codec, limit, &mut scratch).unwrap();
+                let counted = count_ir_entries(&buf, codec, limit).unwrap();
                 let decoded = decode_ir_entries(&buf, codec, limit).unwrap();
                 assert_eq!(counted, decoded.len() as u64, "limit {limit}");
             }
@@ -925,6 +924,20 @@ mod tests {
         let mut buf = Vec::new();
         encode_partition_meta(&parts, &mut buf);
         assert_eq!(decode_partition_meta(&buf).unwrap(), parts);
+        // The query-side view is the same rows minus the irp columns,
+        // and a reused vec is overwritten, not appended to.
+        let mut spans = vec![PartitionSpan { il_start: 9, il_end: 9, max_len_after: 9 }];
+        decode_partition_spans_into(&buf, &mut spans).unwrap();
+        let want: Vec<PartitionSpan> = parts
+            .iter()
+            .map(|p| PartitionSpan {
+                il_start: p.il_start,
+                il_end: p.il_end,
+                max_len_after: p.max_len_after,
+            })
+            .collect();
+        assert_eq!(spans, want);
+        assert!(decode_partition_spans_into(&buf[..buf.len() - 1], &mut spans).is_err());
     }
 
     #[test]
@@ -986,32 +999,6 @@ mod tests {
         assert_eq!(two, &sets[..2]);
         let all = decode_rr_prefix(&buf, 3, codec).unwrap();
         assert_eq!(all, sets);
-    }
-
-    #[test]
-    fn rr_prefix_into_matches_oracle() {
-        let sets: Vec<Vec<NodeId>> = vec![vec![1, 2], vec![7], vec![0, 100, 200], vec![]];
-        for codec in [Codec::Raw, Codec::Packed] {
-            let mut buf = Vec::new();
-            for s in &sets {
-                codec.encode_sorted(s, &mut buf);
-            }
-            // Reused arenas with stale contents must be overwritten.
-            let mut members = vec![999u32; 50];
-            let mut ends = vec![7u32; 9];
-            for count in [0u64, 2, 4] {
-                decode_rr_prefix_into(&buf, count, codec, &mut members, &mut ends).unwrap();
-                let oracle = decode_rr_prefix(&buf, count, codec).unwrap();
-                assert_eq!(ends.len() as u64, count + 1);
-                for (i, set) in oracle.iter().enumerate() {
-                    assert_eq!(
-                        &members[ends[i] as usize..ends[i + 1] as usize],
-                        set.as_slice(),
-                        "{codec:?} count {count} set {i}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

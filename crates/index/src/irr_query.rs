@@ -23,12 +23,12 @@
 //! the greedy used by `query_rr`, so the *seed sequences* are identical —
 //! property-tested in `tests/`.
 
-use crate::format::{self, IlCsr};
-use crate::rr_query::empty_outcome;
+use crate::format::{self, IlCsr, PartitionSpan};
+use crate::rr_query::{empty_outcome, prefix_len};
 use crate::scratch::{KwBufs, QueryScratch};
 use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome, QueryStats};
+use kbtim_codec::Codec;
 use kbtim_core::bitset::Bitset;
-use kbtim_exec::ExecPool;
 use kbtim_graph::NodeId;
 use kbtim_topics::Query;
 use std::cmp::Reverse;
@@ -94,6 +94,72 @@ impl KwState<'_> {
         count
     }
 
+    /// The next partition to load, if any is left.
+    fn pending(&self) -> Option<PartitionSpan> {
+        self.bufs.partitions.get(self.loaded).copied()
+    }
+
+    /// Read and decode `part`'s `ilp` byte range (its `irp` range is
+    /// never read).
+    fn decode_partition(
+        &self,
+        part: PartitionSpan,
+        codec: Codec,
+        bytes: &mut Vec<u8>,
+        out: &mut IlCsr,
+    ) -> Result<(), IndexError> {
+        let il_bytes = self.source.read_range_in(
+            format::ILP_BLOCK,
+            part.il_start,
+            part.il_end - part.il_start,
+            bytes,
+        )?;
+        format::decode_il_csr_into(il_bytes, codec, out)
+    }
+
+    /// Fold the decoded partition `part` into the NRA state: each list
+    /// is truncated to the keyword's share as it is copied into the
+    /// arena, ids new to `seen` count as loaded RR sets, and users not
+    /// yet selected queue up in `fresh`.
+    fn apply_partition(
+        &mut self,
+        part: PartitionSpan,
+        il: &IlCsr,
+        seen: &mut Bitset,
+        selected: &[bool],
+        fresh: &mut Vec<NodeId>,
+        rr_sets_loaded: &mut u64,
+    ) {
+        for j in 0..il.len() {
+            let user = il.users[j];
+            let list = il.list(j);
+            let list = &list[..prefix_len(list, self.share)];
+            let start = self.bufs.arena.len();
+            assert!(start < ABSENT as usize, "IRR list arena exceeds u32 spans");
+            // Every partitioned user has a first occurrence, so a slot
+            // always exists.
+            let s = self.slot(user).expect("partition user missing from IP_w");
+            self.bufs.list_start[s] = start as u32;
+            self.bufs.list_len[s] = list.len() as u32;
+            self.bufs.arena.extend_from_slice(list);
+            // An RR set counts as loaded with the first partition that
+            // touches it — the one whose `irp` range the build stored
+            // its members in.
+            for &id in list {
+                let bit = (self.base + id as u64) as usize;
+                if !seen.get(bit) {
+                    seen.set(bit);
+                    *rr_sets_loaded += 1;
+                }
+            }
+            if !selected[user as usize] {
+                fresh.push(user);
+            }
+        }
+        self.loaded += 1;
+        self.kb = (part.max_len_after as u64).min(self.share);
+    }
+
     /// Partial score of `v` on this keyword: `(bound, is_exact)`.
     fn partial(&self, v: NodeId, covered: &Bitset) -> (u64, bool) {
         // Never occurs → exact zero without loading anything.
@@ -111,35 +177,6 @@ impl KwState<'_> {
 }
 
 impl KbtimIndex {
-    /// The IRR batch entry: answer `query` from a batch's shared
-    /// [`crate::scratch::KeywordArena`]. Requires the IRR variant, like
-    /// [`KbtimIndex::query_irr`].
-    ///
-    /// The NRA's whole advantage is loading *few* partitions from disk;
-    /// inside a batch the planner has already decoded every query
-    /// keyword's complete `L_w` once for the group, so incremental
-    /// partition loading has nothing left to save and the top-k
-    /// aggregation degenerates to exact greedy over the merged instance.
-    /// This entry therefore runs the shared-arena merge + greedy
-    /// directly — by Theorem 3 (strengthened to identical sequences by
-    /// the shared tie-breaking, see the module docs) the seeds, marginal
-    /// gains, coverage, and influence estimate are bit-identical to what
-    /// the incremental NRA returns, which `tests/concurrent_equiv.rs`
-    /// enforces against the serial [`KbtimIndex::query_irr`] oracle.
-    /// Stats reflect batched serving: `rr_sets_loaded` is the θ^Q
-    /// budget and `partitions_loaded` is 0 (no partition I/O happened —
-    /// the batch decode was charged once, to the group).
-    pub fn query_irr_prepared(
-        &self,
-        query: &Query,
-        arena: &crate::scratch::KeywordArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        let format::IndexVariant::Irr { .. } = self.meta().variant else {
-            return Err(IndexError::NotAnIrrIndex);
-        };
-        self.query_rr_prepared(query, arena)
-    }
-
     /// Answer `query` with Algorithm 4. Requires the IRR variant.
     pub fn query_irr(&self, query: &Query) -> Result<QueryOutcome, IndexError> {
         self.query_irr_ctx(query, &QueryCtx::default())
@@ -154,8 +191,8 @@ impl KbtimIndex {
             return Err(IndexError::NotAnIrrIndex);
         };
         // Sharded serving lowers IRR to the scatter-gather merged-greedy
-        // path, exactly as [`KbtimIndex::query_irr_prepared`] does for
-        // batches: the NRA's advantage is loading few partitions from
+        // path, exactly as the batch planner does for its groups: the
+        // NRA's advantage is loading few partitions from
         // *one* segment, while a sharded query fans per-shard decode out
         // across the pool anyway. By Theorem 3 (strengthened to
         // identical sequences by the shared tie-breaking) the seeds,
@@ -180,13 +217,15 @@ impl KbtimIndex {
 
         // Every per-query table below leases from the scratch pool
         // (cleared or fully overwritten before use, so reuse cannot
-        // affect the answer): the covered bitset, selected flags, the
-        // per-keyword KwBufs, the candidate heap's backing store and the
-        // fresh-candidate staging buffer.
+        // affect the answer): the covered and seen bitsets, selected
+        // flags, the per-keyword KwBufs, the candidate heap's backing
+        // store, the fresh-candidate staging buffer, and the byte and
+        // list staging of the partition loads.
         let num_users = self.meta().num_users as usize;
-        let mut outer_scratch = self.scratch.guard();
-        let QueryScratch { covered, selected, kw_bufs, nra_heap, nra_fresh, bytes_a, .. } =
-            &mut *outer_scratch;
+        let mut scratch = self.scratch.guard();
+        let QueryScratch {
+            covered, seen, selected, kw_bufs, nra_heap, nra_fresh, bytes, il, ..
+        } = &mut *scratch;
 
         // Initialize per-keyword state; IP and the partition catalog are
         // read up front (one small read each, as in the paper). Per-slot
@@ -197,11 +236,11 @@ impl KbtimIndex {
             let source = self.source(topic)?;
             let mut bufs = kw_bufs.pop().unwrap_or_default();
             bufs.clear();
-            let ip_bytes = source.read_block_in(format::IP_BLOCK, bytes_a)?;
+            let ip_bytes = source.read_block_in(format::IP_BLOCK, bytes)?;
             format::decode_ip_into(ip_bytes, codec, &mut bufs.users, &mut bufs.firsts)?;
             debug_assert!(bufs.users.windows(2).all(|w| w[0] < w[1]), "IP_w users must ascend");
-            let pmeta_bytes = source.read_block_in(format::PMETA_BLOCK, bytes_a)?;
-            format::decode_partition_meta_into(pmeta_bytes, &mut bufs.partitions)?;
+            let pmeta_bytes = source.read_block_in(format::PMETA_BLOCK, bytes)?;
+            format::decode_partition_spans_into(pmeta_bytes, &mut bufs.partitions)?;
             let max_len = self.meta().keywords[topic as usize].max_list_len as u64;
             let slots = bufs.users.len();
             bufs.list_start.resize(slots, ABSENT);
@@ -212,6 +251,7 @@ impl KbtimIndex {
         let theta_q = base;
 
         covered.reset(theta_q as usize);
+        seen.reset(theta_q as usize);
         selected.clear();
         selected.resize(num_users, false);
         let covered: &mut Bitset = covered;
@@ -220,7 +260,6 @@ impl KbtimIndex {
         let mut marginal_gains: Vec<u64> = Vec::new();
         let mut coverage = 0u64;
         let mut rr_sets_loaded = 0u64;
-        let mut partitions_loaded = 0u64;
 
         // Aggregate upper-bound score of a candidate.
         let score = |v: NodeId, covered: &Bitset, states: &[KwState<'_>]| -> (u64, bool) {
@@ -234,121 +273,67 @@ impl KbtimIndex {
             (total, complete)
         };
 
-        // Load the next partition of every query keyword — reads and
-        // decodes fan out one shard per keyword on the pool, then results
-        // apply to the NRA state in keyword order (deterministic for any
-        // thread count). Pushes fresh candidates; returns false when
-        // everything is exhausted.
+        // Load the next partition of every query keyword and apply the
+        // loads in keyword order (deterministic for any thread count).
+        // Pushes fresh candidates; returns false when everything is
+        // exhausted.
         let pool = self.pool();
-        let load_more = |states: &mut [KwState<'_>],
-                         pq: &mut BinaryHeap<(u64, Reverse<NodeId>)>,
-                         covered: &Bitset,
-                         selected: &[bool],
-                         fresh: &mut Vec<NodeId>,
-                         rr_sets_loaded: &mut u64,
-                         partitions_loaded: &mut u64|
+        let mut load_more = |states: &mut [KwState<'_>],
+                             pq: &mut BinaryHeap<(u64, Reverse<NodeId>)>,
+                             covered: &Bitset,
+                             selected: &[bool],
+                             rr_sets_loaded: &mut u64|
          -> Result<bool, IndexError> {
             // Fan out only when this round moves enough bytes to dwarf the
             // pool's fork/join cost; small rounds (the common case for
-            // tight partitions) read inline. The partition catalog gives
-            // the sizes before any I/O, and both paths produce identical
-            // loads, so the choice cannot affect the answer.
+            // tight partitions) decode inline into the query's own
+            // scratch. The partition catalog gives the sizes before any
+            // I/O, and both paths apply identical loads, so the choice
+            // cannot affect the answer.
             const PARALLEL_LOAD_MIN_BYTES: u64 = 256 * 1024;
             let pending_bytes: u64 = states
                 .iter()
-                .filter(|st| st.loaded < st.bufs.partitions.len())
-                .map(|st| {
-                    let part = &st.bufs.partitions[st.loaded];
-                    (part.il_end - part.il_start) + part.ir_prefix_len(st.share)
-                })
+                .filter_map(KwState::pending)
+                .map(|part| part.il_end - part.il_start)
                 .sum();
-            let seq = ExecPool::sequential();
-            let round_pool = if pending_bytes < PARALLEL_LOAD_MIN_BYTES { &seq } else { pool };
-
-            // Decoded partition of one keyword: inverted lists in CSR
-            // form (already truncated to the share) and the loaded RR-set
-            // count.
-            type PartitionLoad = Option<(IlCsr, u64, u64)>;
-            let loads: Vec<Result<PartitionLoad, IndexError>> = round_pool.map_shards_with(
-                states.len(),
-                || self.scratch.guard(),
-                |guard, i| {
-                    let s: &mut QueryScratch = &mut *guard;
-                    let st = &states[i];
-                    if st.loaded >= st.bufs.partitions.len() {
-                        return Ok(None);
-                    }
-                    let part = st.bufs.partitions[st.loaded].clone();
-                    let il = st.source.read_range_in(
-                        format::ILP_BLOCK,
-                        part.il_start,
-                        part.il_end - part.il_start,
-                        &mut s.bytes_a,
-                    )?;
-                    format::decode_il_csr_into(il, codec, &mut s.il)?;
-                    let full = &s.il;
-                    // Only the byte range holding ids < θ^Q_w is read —
-                    // sets beyond the query's prefix never touch memory
-                    // (the sparse ir_samples table bounds the range).
-                    let ir_len = part.ir_prefix_len(st.share);
-                    let ir = st.source.read_range_in(
-                        format::IRP_BLOCK,
-                        part.ir_start,
-                        ir_len,
-                        &mut s.bytes_b,
-                    )?;
-                    // RR-set payloads are decoded (and counted) exactly as
-                    // the paper's loader does; the lazy NRA only needs ids,
-                    // so the members decode into one reused scratch buffer.
-                    s.ir_members.clear();
-                    let ir_count =
-                        format::count_ir_entries(ir, codec, st.share as u32, &mut s.ir_members)?;
-                    // Truncate each list to the share, still CSR, into a
-                    // pooled output (returned to the pool after apply).
-                    let mut truncated = self.scratch.take_csr();
-                    for j in 0..full.len() {
-                        let list = full.list(j);
-                        let cut = list.partition_point(|&id| (id as u64) < st.share);
-                        truncated.ids.extend_from_slice(&list[..cut]);
-                        truncated.close_list(full.users[j]);
-                    }
-                    let new_kb = (part.max_len_after as u64).min(st.share);
-                    Ok(Some((truncated, ir_count, new_kb)))
-                },
-            );
-
             let mut any = false;
-            fresh.clear();
-            for (st, load) in states.iter_mut().zip(loads) {
-                let Some((truncated, ir_count, new_kb)) = load? else {
-                    st.kb = 0;
-                    continue;
-                };
-                *rr_sets_loaded += ir_count;
-                *partitions_loaded += 1;
-                for j in 0..truncated.len() {
-                    let user = truncated.users[j];
-                    let list = truncated.list(j);
-                    let start = st.bufs.arena.len();
-                    assert!(start < ABSENT as usize, "IRR list arena exceeds u32 spans");
-                    // Every partitioned user has a first occurrence, so a
-                    // slot always exists.
-                    let s = st.slot(user).expect("partition user missing from IP_w");
-                    st.bufs.list_start[s] = start as u32;
-                    st.bufs.list_len[s] = list.len() as u32;
-                    st.bufs.arena.extend_from_slice(list);
-                    if !selected[user as usize] {
-                        fresh.push(user);
-                    }
+            nra_fresh.clear();
+            if pending_bytes < PARALLEL_LOAD_MIN_BYTES {
+                for st in states.iter_mut() {
+                    let Some(part) = st.pending() else {
+                        st.kb = 0;
+                        continue;
+                    };
+                    st.decode_partition(part, codec, bytes, il)?;
+                    st.apply_partition(part, il, seen, selected, nra_fresh, rr_sets_loaded);
+                    any = true;
                 }
-                st.loaded += 1;
-                st.kb = new_kb;
-                any = true;
-                self.scratch.put_csr(truncated);
+            } else {
+                // One job per keyword, each decoding into a pool-leased
+                // CSR that goes back once its load is applied.
+                let loads: Vec<Result<Option<IlCsr>, IndexError>> = pool.map_shards_with(
+                    states.len(),
+                    || self.scratch.guard(),
+                    |guard, i| {
+                        let Some(part) = states[i].pending() else { return Ok(None) };
+                        let mut csr = self.scratch.take_csr();
+                        states[i].decode_partition(part, codec, &mut guard.bytes, &mut csr)?;
+                        Ok(Some(csr))
+                    },
+                );
+                for (st, load) in states.iter_mut().zip(loads) {
+                    let (Some(part), Some(csr)) = (st.pending(), load?) else {
+                        st.kb = 0;
+                        continue;
+                    };
+                    st.apply_partition(part, &csr, seen, selected, nra_fresh, rr_sets_loaded);
+                    self.scratch.put_csr(csr);
+                    any = true;
+                }
             }
             // Push fresh candidates with bounds computed against the *new*
             // kb values.
-            for &v in fresh.iter() {
+            for &v in nra_fresh.iter() {
                 let mut total = 0u64;
                 for st in states.iter() {
                     total += st.partial(v, covered).0;
@@ -400,15 +385,8 @@ impl KbtimIndex {
                         // Cannot separate from unseen users yet: reinsert
                         // and deepen the index scan.
                         pq.push((s, Reverse(v)));
-                        if !load_more(
-                            &mut states,
-                            &mut pq,
-                            covered,
-                            selected,
-                            nra_fresh,
-                            &mut rr_sets_loaded,
-                            &mut partitions_loaded,
-                        )? && total_kb == 0
+                        if !load_more(&mut states, &mut pq, covered, selected, &mut rr_sets_loaded)?
+                            && total_kb == 0
                         {
                             // Exhausted and still not separable — only
                             // possible transiently; with kb = 0 the accept
@@ -424,15 +402,7 @@ impl KbtimIndex {
                     // No positive candidate in the queue: either deepen the
                     // scan or finish.
                     if total_kb == 0
-                        || !load_more(
-                            &mut states,
-                            &mut pq,
-                            covered,
-                            selected,
-                            nra_fresh,
-                            &mut rr_sets_loaded,
-                            &mut partitions_loaded,
-                        )?
+                        || !load_more(&mut states, &mut pq, covered, selected, &mut rr_sets_loaded)?
                     {
                         break;
                     }
@@ -440,6 +410,7 @@ impl KbtimIndex {
             }
         }
 
+        let partitions_loaded: u64 = states.iter().map(|st| st.loaded as u64).sum();
         // Return the leased tables for the next query: the keyword
         // tables (emptied, capacities kept) and the heap's backing store.
         for st in states {
@@ -467,6 +438,7 @@ impl KbtimIndex {
                 partitions_loaded,
                 io: self.io_stats().snapshot().since(&io_before),
                 elapsed: started.elapsed(),
+                generation: None,
             },
         })
     }
@@ -475,7 +447,7 @@ impl KbtimIndex {
 #[cfg(test)]
 mod tests {
     use crate::build::{IndexBuildConfig, IndexBuilder, ThetaMode};
-    use crate::format::IndexVariant;
+    use crate::format::{self, IndexVariant};
     use crate::{IndexError, KbtimIndex};
     use kbtim_codec::Codec;
     use kbtim_core::theta::SamplingConfig;
@@ -483,6 +455,8 @@ mod tests {
     use kbtim_propagation::model::IcModel;
     use kbtim_storage::{IoStats, TempDir};
     use kbtim_topics::Query;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn dataset(users: u32, topics: u32, seed: u64) -> Dataset {
         DatasetConfig::family(DatasetFamily::News)
@@ -493,10 +467,14 @@ mod tests {
     }
 
     fn build_irr(data: &Dataset, dir: &std::path::Path, partition_size: u32) {
+        build_irr_capped(data, dir, partition_size, 2000);
+    }
+
+    fn build_irr_capped(data: &Dataset, dir: &std::path::Path, partition_size: u32, cap: u64) {
         let model = IcModel::weighted_cascade(&data.graph);
         let config = IndexBuildConfig {
             sampling: SamplingConfig {
-                theta_cap: Some(2000),
+                theta_cap: Some(cap),
                 opt_initial_samples: 128,
                 opt_max_rounds: 8,
                 ..SamplingConfig::fast()
@@ -602,6 +580,36 @@ mod tests {
     }
 
     #[test]
+    fn coarse_partition_rounds_fan_out_and_load_the_same() {
+        // δ = 10^6 files a keyword's whole L_w under one partition, so
+        // the first round moves enough bytes to take the pool fan-out.
+        let data = dataset(2000, 4, 71);
+        let dir = TempDir::new("irrq-fanout").unwrap();
+        build_irr_capped(&data, dir.path(), 1_000_000, 30_000);
+        let open = |threads| {
+            KbtimIndex::open(dir.path(), IoStats::new()).unwrap().with_threads(Some(threads))
+        };
+        let (serial, pooled) = (open(1), open(4));
+        let q = Query::new([0, 1, 2, 3], 12);
+        let round_bytes: u64 = q
+            .topics()
+            .iter()
+            .map(|&t| serial.source(t).unwrap().block_len(format::ILP_BLOCK).unwrap())
+            .sum();
+        assert!(round_bytes >= 256 * 1024, "fixture round is only {round_bytes} B");
+        let rr = serial.query_rr(&q).unwrap();
+        for index in [&serial, &pooled] {
+            let irr = index.query_irr(&q).unwrap();
+            assert_eq!(irr.seeds, rr.seeds);
+            assert_eq!(irr.marginal_gains, rr.marginal_gains);
+            assert_eq!(irr.stats.partitions_loaded, 4);
+            // Every RR set holds its root, so whole lists see all of θ^Q.
+            assert_eq!(irr.stats.rr_sets_loaded, irr.stats.theta_q);
+            assert_eq!(irr.stats.io.bytes_read, serial.query_irr(&q).unwrap().stats.io.bytes_read);
+        }
+    }
+
+    #[test]
     fn query_auto_picks_by_k() {
         let data = dataset(400, 4, 59);
         let dir = TempDir::new("irrq-auto").unwrap();
@@ -650,5 +658,78 @@ mod tests {
         // Stats are per query (deltas), not cumulative.
         assert_eq!(first.stats.io.read_ops, second.stats.io.read_ops);
         assert!(first.stats.io.read_ops > 0);
+    }
+
+    /// One dataset built at each partition size, on the `file` backend
+    /// so every byte a query touches is a counted read.
+    fn sized_indexes() -> &'static [(u32, TempDir, KbtimIndex)] {
+        static FX: OnceLock<Vec<(u32, TempDir, KbtimIndex)>> = OnceLock::new();
+        FX.get_or_init(|| {
+            let data = dataset(500, 6, 61);
+            [1, 16, 100, 1_000_000]
+                .into_iter()
+                .map(|partition_size| {
+                    let dir = TempDir::new("irrq-oracle").unwrap();
+                    build_irr(&data, dir.path(), partition_size);
+                    let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
+                    (partition_size, dir, index)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// The lean loader reads `ilp` ranges only, yet reports exactly
+        /// what the retired `irp` loader counted: per loaded partition,
+        /// the `irp` entries below the keyword's share
+        /// (`ir_prefix_len` bytes through `count_ir_entries`).
+        #[test]
+        fn lean_loader_reports_what_the_irp_loader_counted(
+            pick in 0usize..4,
+            raw_topics in proptest::collection::vec(0u32..6, 1..4),
+            k in 1u32..24,
+        ) {
+            let (partition_size, _, index) = &sized_indexes()[pick];
+            let codec = index.meta().codec;
+            let query = Query::new(raw_topics, k);
+            let out = index.query_irr(&query).unwrap();
+
+            let (_, budget) = index.query_budget(&query);
+            let mut catalogs = Vec::new();
+            let mut fixed_bytes = 0u64;
+            for &(topic, share) in &budget {
+                let source = index.source(topic).unwrap();
+                let pmeta = source.read_block(format::PMETA_BLOCK).unwrap();
+                fixed_bytes += pmeta.len() as u64 + source.block_len(format::IP_BLOCK).unwrap();
+                catalogs.push((source, share, format::decode_partition_meta(&pmeta).unwrap()));
+            }
+            // Every round loads the next partition of each keyword that
+            // still has one, so the total fixes the number of rounds.
+            let loaded_after = |rounds: usize| -> u64 {
+                catalogs.iter().map(|(_, _, parts)| rounds.min(parts.len()) as u64).sum()
+            };
+            let rounds = (0..).find(|&r| loaded_after(r) >= out.stats.partitions_loaded).unwrap();
+            prop_assert_eq!(
+                loaded_after(rounds), out.stats.partitions_loaded,
+                "δ={}: partitions load in whole rounds", partition_size
+            );
+
+            let (mut irp_counted, mut ilp_bytes) = (0u64, 0u64);
+            for (source, share, parts) in &catalogs {
+                for part in &parts[..rounds.min(parts.len())] {
+                    let prefix = source
+                        .read_range(format::IRP_BLOCK, part.ir_start, part.ir_prefix_len(*share))
+                        .unwrap();
+                    irp_counted += format::count_ir_entries(&prefix, codec, *share as u32).unwrap();
+                    ilp_bytes += part.il_end - part.il_start;
+                }
+            }
+            prop_assert_eq!(out.stats.rr_sets_loaded, irp_counted, "δ={}", partition_size);
+            prop_assert!(out.stats.rr_sets_loaded <= out.stats.theta_q);
+            // ip + pmeta per keyword, then ilp ranges: not one irp byte.
+            prop_assert_eq!(out.stats.io.bytes_read, fixed_bytes + ilp_bytes, "δ={}", partition_size);
+        }
     }
 }

@@ -13,15 +13,16 @@
 //!
 //! * **RR index** (§4, Algorithms 1–2): per keyword, `θ_w` RR sets
 //!   ([`theta`](kbtim_core::theta)-sized via Eqn 8 or the compact Eqn 10)
-//!   plus inverted lists `L_w`. A query loads the `θ^Q·p_w` *prefix* of
-//!   each keyword's sets plus the whole `L_w` and runs greedy
-//!   max-coverage.
+//!   plus inverted lists `L_w`. A query needs the `θ^Q·p_w` *prefix* of
+//!   each keyword's sets — ids are ordinals, so it reads `L_w`, cuts
+//!   every list at the prefix, and runs greedy max-coverage.
 //! * **IRR index** (§5, Algorithms 3–4): additionally sorts `L_w` by
 //!   descending list length, splits it into partitions of `δ` users
 //!   (`IL^p_w`), groups RR sets by the first partition that touches them
 //!   (`IR^p_w`), and keeps a first-occurrence table `IP_w`. Queries run
-//!   NRA-style top-k aggregation, loading partitions incrementally and
-//!   refining upper bounds lazily — far fewer RR sets touch memory.
+//!   NRA-style top-k aggregation, loading `IL^p_w` partitions
+//!   incrementally and refining upper bounds lazily — far fewer RR sets
+//!   are touched.
 //!
 //! Theorem 3 (the seeds' coverage scores from Algorithm 4 equal
 //! Algorithm 2's) is enforced in this crate's property tests: both query
@@ -174,9 +175,10 @@ impl QueryCtx {
 pub struct QueryStats {
     /// Total RR sets the query needed, `θ^Q = Σ_w θ^Q_w`.
     pub theta_q: u64,
-    /// RR sets physically loaded from disk (equals `theta_q` for the RR
-    /// index; usually far smaller … or larger … for IRR depending on
-    /// partition granularity — this is Figures 5–7's right-hand axis).
+    /// RR sets the query touched — Figures 5–7's right-hand axis:
+    /// `theta_q` for the RR index; for IRR the distinct sets below the
+    /// shares that occur in the loaded partitions (what the paper's
+    /// loader would fetch for them), usually far fewer.
     pub rr_sets_loaded: u64,
     /// IRR partitions loaded (0 for RR queries).
     pub partitions_loaded: u64,
@@ -184,6 +186,11 @@ pub struct QueryStats {
     pub io: IoSnapshot,
     /// Wall-clock query time.
     pub elapsed: Duration,
+    /// Mutation generation of the [`DeltaSnapshot`] that answered
+    /// (`None` on an immutable index) — pinned at execution, so a
+    /// response can name the snapshot it was computed from even while
+    /// writers advance the tier.
+    pub generation: Option<u64>,
 }
 
 /// Result of an index-backed KB-TIM query.

@@ -146,9 +146,8 @@ impl MemoryIndex {
             stats: QueryStats {
                 theta_q,
                 rr_sets_loaded: theta_q,
-                partitions_loaded: 0,
-                io: Default::default(),
                 elapsed: started.elapsed(),
+                ..QueryStats::default()
             },
         }
     }

@@ -1,38 +1,78 @@
 //! Algorithm 2 — `QueryRR`: answer a KB-TIM query from the RR index.
 //!
-//! For each query keyword `w`, load the first `θ^Q_w = θ^Q·p_w` RR sets
-//! (a sequential prefix read, ids are ordinals) and the whole inverted
-//! list `L_w`; remap per-keyword RR ids into one global id space; run the
-//! shared greedy maximum-coverage loop over the merged instance. Lemma 2
-//! guarantees the prefix mix is an unbiased WRIS sample, so Theorem 2's
-//! approximation bound carries over.
+//! For each query keyword `w` the answer depends on the first
+//! `θ^Q_w = θ^Q·p_w` RR sets of the keyword's pool — ids are ordinals, so
+//! that prefix is exactly the ids `< θ^Q_w` in the inverted list `L_w`.
+//! The query therefore reads and decodes `L_w` alone (the `rr` / `rr_off`
+//! payload blocks are never touched when serving), truncates every list
+//! to the prefix, remaps per-keyword RR ids into one global id space and
+//! runs the shared greedy maximum-coverage loop over the merged instance.
+//! Lemma 2 guarantees the prefix mix is an unbiased WRIS sample, so
+//! Theorem 2's approximation bound carries over.
+//!
+//! There is one pipeline for every caller — a single request is a batch
+//! of one: [`KbtimIndex::decode_keywords`] →
+//! [`KbtimIndex::merge_keywords`] → [`KbtimIndex::query_merged`].
 //!
 //! Keyword segments load and decode **in parallel** (one job per query
-//! keyword × index shard on the index's pool, keyword-major); per-job
-//! results carry precomputed global id bases and merge in job order —
-//! for each keyword, its shards in shard order — so the assembled
-//! coverage instance — and therefore the answer — is identical for
-//! every thread count *and every shard count*: users are
-//! range-partitioned across shards and keep their global-build rr-id
-//! lists, so the shard-order gather is exactly the monolithic decode.
+//! keyword × index shard on the index's pool, keyword-major); each
+//! keyword's shard blocks gather in shard order, so the merged coverage
+//! instance — and therefore the answer — is identical for every thread
+//! count *and every shard count*: users are range-partitioned across
+//! shards and keep their global-build rr-id lists, so the shard-order
+//! gather is exactly the monolithic decode.
 //!
 //! The whole data path is flat and zero-copy: block bytes arrive as
 //! borrowed [`kbtim_storage::BlockSource`] views (or through pooled
 //! staging buffers on the file backend), each keyword's `L_w` decodes
-//! straight into a pooled [`format::IlCsr`] arena, the
-//! truncated/remapped per-keyword lists stay CSR, and the merged
+//! straight into a pooled [`format::IlCsr`] arena, and the merged
 //! instance is a dense [`InvertedIndex`] built by one counting pass and
 //! one fill pass over recycled arenas — no per-user allocation, no hash
 //! probes in the greedy loop, and ~zero allocation once the scratch
 //! pool is warm.
 
 use crate::format::{self, IlCsr};
-use crate::scratch::{KeywordArena, QueryScratch};
+use crate::scratch::KeywordArena;
 use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome, QueryStats};
 use kbtim_core::invindex::{InvertedIndex, InvertedIndexBuilder};
 use kbtim_core::maxcover::greedy_max_cover_inverted_until;
 use kbtim_topics::{Query, TopicId};
+use std::borrow::Cow;
 use std::time::Instant;
+
+/// `wants` as [`KbtimIndex::decode_keywords`] needs them: sorted by
+/// topic, duplicate topics merged at their widest share. Already
+/// normalized input is borrowed as-is.
+pub(crate) fn normalized_wants(wants: &[(TopicId, u64)]) -> Cow<'_, [(TopicId, u64)]> {
+    if wants.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Cow::Borrowed(wants);
+    }
+    let mut sorted = wants.to_vec();
+    sorted.sort_by_key(|&(topic, _)| topic);
+    sorted.dedup_by(|next, kept| {
+        if next.0 == kept.0 {
+            kept.1 = kept.1.max(next.1);
+            true
+        } else {
+            false
+        }
+    });
+    Cow::Owned(sorted)
+}
+
+/// How many leading ids of the ascending `list` are `< share`.
+#[inline]
+pub(crate) fn prefix_len(list: &[u32], share: u64) -> usize {
+    // Inverted lists average a handful of ids: a compare-and-add per id
+    // beats a binary search's unpredictable branches until lists get
+    // long.
+    const LINEAR_MAX: usize = 16;
+    if list.len() <= LINEAR_MAX {
+        list.iter().map(|&id| usize::from((id as u64) < share)).sum()
+    } else {
+        list.partition_point(|&id| (id as u64) < share)
+    }
+}
 
 impl KbtimIndex {
     /// Answer `query` with Algorithm 2 (works on both index variants).
@@ -53,235 +93,73 @@ impl KbtimIndex {
         if budget.is_empty() {
             return Ok(empty_outcome(started));
         }
-        if kbtim_fault::inject("engine.decode") {
-            return Err(IndexError::Injected("engine.decode"));
-        }
-
-        let codec = self.meta().codec;
-        // Global id base of each keyword's RR prefix (prefix sums of the
-        // shares) — fixed up front so keyword scans are independent.
-        let mut bases = Vec::with_capacity(budget.len());
-        let mut base = 0u64;
-        for &(_, share) in &budget {
-            bases.push(base);
-            base += share;
-        }
-        let theta_q = base;
-
-        // Scatter-gather: one job per (keyword × shard), keyword-major,
-        // so gathering in job order is "for each keyword, for each shard
-        // in shard order" — the exact concatenation that reproduces the
-        // monolithic decode (each user lives in one shard and keeps its
-        // global-build rr-id list there). With one shard this is the
-        // per-keyword fan-out unchanged.
-        let num_shards = self.num_shards();
-        let pool = self.pool();
-        type KeywordScan = (IlCsr, u64);
-        let scans: Vec<Result<KeywordScan, IndexError>> = pool.map_shards_with(
-            budget.len() * num_shards,
-            || self.scratch.guard(),
-            |guard, i| {
-                let s: &mut QueryScratch = &mut *guard;
-                let (topic, share) = budget[i / num_shards];
-                let base = bases[i / num_shards];
-                let source = self.source_in(i % num_shards, topic)?;
-
-                // Prefix of the offset table → byte length of the RR prefix.
-                let off_bytes =
-                    source.read_range_in(format::RR_OFF_BLOCK, share * 8, 8, &mut s.bytes_a)?;
-                let prefix_len = u64::from_le_bytes(off_bytes.try_into().expect("8 bytes"));
-
-                // The RR-set prefix itself (bulk-decoded into the pooled
-                // arena for faithful query-time cost; greedy itself runs
-                // off the inverted lists).
-                let rr_bytes =
-                    source.read_range_in(format::RR_BLOCK, 0, prefix_len, &mut s.bytes_a)?;
-                format::decode_rr_prefix_into(
-                    rr_bytes,
-                    share,
-                    codec,
-                    &mut s.rr_members,
-                    &mut s.rr_ends,
-                )?;
-                debug_assert_eq!(s.rr_ends.len() as u64, share + 1);
-
-                // Whole L_w decoded into one pooled CSR arena, then
-                // truncated to the prefix and remapped to global ids —
-                // still flat, into a pooled output CSR.
-                let il_bytes = source.read_block_in(format::IL_BLOCK, &mut s.bytes_b)?;
-                format::decode_il_csr_into(il_bytes, codec, &mut s.il)?;
-                let full = &s.il;
-                let mut remapped = self.scratch.take_csr();
-                for j in 0..full.len() {
-                    let list = full.list(j);
-                    let cut = list.partition_point(|&id| (id as u64) < share);
-                    if cut == 0 {
-                        continue;
-                    }
-                    remapped.ids.extend(list[..cut].iter().map(|&id| (base + id as u64) as u32));
-                    remapped.close_list(full.users[j]);
-                }
-                // θ^Q_w logical sets load once per keyword, fragmented
-                // across the shards — charge the count to one job so
-                // `rr_sets_loaded == θ^Q` for every shard count.
-                Ok((remapped, if i % num_shards == 0 { share } else { 0 }))
-            },
-        );
-
-        let mut keyword_csrs = Vec::with_capacity(scans.len());
-        let mut rr_sets_loaded = 0u64;
-        for scan in scans {
-            let (remapped, share) = scan?;
-            rr_sets_loaded += share;
-            keyword_csrs.push(remapped);
-        }
-
-        // Early aborts past this point hand the leased CSRs back so the
-        // scratch books survive fault storms without regrowing.
-        let recycle = |csrs: Vec<IlCsr>| {
-            for csr in csrs {
-                self.scratch.put_csr(csr);
-            }
-        };
-        if let Err(e) = ctx.check() {
-            recycle(keyword_csrs);
-            return Err(e);
-        }
-        if kbtim_fault::inject("engine.merge") {
-            recycle(keyword_csrs);
-            return Err(IndexError::Injected("engine.merge"));
-        }
-
-        // Merge in keyword order: per-user lists concatenate with
-        // ascending global ids, exactly as the old hash-map merge did —
-        // but via one counting pass and one fill pass over dense arrays
-        // recycled from the previous query.
-        let mut builder =
-            InvertedIndexBuilder::recycled(self.meta().num_users, self.scratch.take_arenas());
-        for csr in &keyword_csrs {
-            for j in 0..csr.len() {
-                builder.count(csr.users[j], csr.list(j).len() as u32);
-            }
-        }
-        let mut filler = builder.fill();
-        for csr in &keyword_csrs {
-            for j in 0..csr.len() {
-                filler.push_list(csr.users[j], csr.list(j).iter().copied());
-            }
-        }
-        let inverted: InvertedIndex = filler.finish();
-
-        if kbtim_fault::inject("engine.greedy") {
-            self.scratch.put_arenas(inverted.into_arenas());
-            recycle(keyword_csrs);
-            return Err(IndexError::Injected("engine.greedy"));
-        }
-        let cover =
-            greedy_max_cover_inverted_until(&inverted, theta_q, query.k(), pool, &|| ctx.expired());
-        self.scratch.put_arenas(inverted.into_arenas());
-        recycle(keyword_csrs);
-        let Some(cover) = cover else {
-            return Err(IndexError::DeadlineExceeded);
-        };
-        let estimated_influence =
-            if theta_q == 0 { 0.0 } else { cover.covered as f64 / theta_q as f64 * phi_q };
-        Ok(QueryOutcome {
-            seeds: cover.seeds,
-            marginal_gains: cover.marginal_gains,
-            coverage: cover.covered,
-            estimated_influence,
-            stats: QueryStats {
-                theta_q,
-                rr_sets_loaded,
-                partitions_loaded: 0,
-                io: self.io_stats().snapshot().since(&io_before),
-                elapsed: started.elapsed(),
-            },
-        })
+        let arena = self.decode_keywords(&budget)?;
+        let result =
+            self.query_arena_ctx(self.meta().num_users, phi_q, &budget, &arena, query.k(), ctx);
+        self.recycle_keywords(arena);
+        let mut outcome = result?;
+        outcome.stats.io = self.io_stats().snapshot().since(&io_before);
+        outcome.stats.elapsed = started.elapsed();
+        Ok(outcome)
     }
-}
 
-impl KbtimIndex {
+    /// Everything after the keyword decode, for one request: deadline
+    /// check, merge over the `num_users` universe, greedy. The caller
+    /// keeps (and recycles) the arena.
+    pub(crate) fn query_arena_ctx(
+        &self,
+        num_users: u32,
+        phi_q: f64,
+        budget: &[(TopicId, u64)],
+        arena: &KeywordArena,
+        k: u32,
+        ctx: &QueryCtx,
+    ) -> Result<QueryOutcome, IndexError> {
+        ctx.check()?;
+        let merged = self.merge_budgeted_over(num_users, phi_q, budget, arena)?;
+        let outcome = self.query_merged_ctx(&merged, k, ctx);
+        self.recycle_merged(merged);
+        outcome
+    }
+
     /// Decode each wanted keyword **once** into a shared
-    /// [`KeywordArena`] — the batch planner's entry point.
+    /// [`KeywordArena`] — the first stage of every RR query, batched or
+    /// not.
     ///
-    /// `wants` pairs each keyword with the widest `θ^Q_w` share any
-    /// request in the batch asks of it. Sorted, duplicate-free input is
-    /// used as-is; anything else is normalized first (sorted ascending,
-    /// duplicate topics merged at their widest share), so the arena's
-    /// lookup invariant holds for any caller. Per keyword, one fan-out
-    /// shard (on the
-    /// index-owned pool) reads and decodes the RR prefix at that widest
-    /// share plus the whole inverted list `L_w` into a pool-leased CSR.
-    /// The planner then serves any number of requests from the one
-    /// arena — [`KbtimIndex::merge_keywords`] once per distinct keyword
-    /// set, [`KbtimIndex::query_merged`] once per request
-    /// ([`KbtimIndex::query_rr_prepared`] /
-    /// [`KbtimIndex::query_irr_prepared`] are the single-request form
-    /// of the same pair); return the arena with
-    /// [`KbtimIndex::recycle_keywords`] when the batch completes.
-    ///
-    /// Decoded bytes are identical to what the per-request paths decode,
-    /// so prepared answers are bit-identical to unbatched ones.
+    /// `wants` names the keywords (the shares ride along for callers
+    /// that budget per batch; what is decoded does not depend on them).
+    /// Sorted, duplicate-free input is used as-is; anything else is
+    /// normalized first, so the arena's lookup invariant holds for any
+    /// caller. Per keyword × shard, one fan-out job (on the index-owned
+    /// pool) reads and decodes the whole inverted list `L_w` into a
+    /// pool-leased CSR; truncation to a request's share happens at
+    /// merge time, read-only. Any number of requests are then served
+    /// from the one arena — [`KbtimIndex::merge_keywords`] once per
+    /// distinct keyword set, [`KbtimIndex::query_merged`] once per
+    /// request; return the arena with [`KbtimIndex::recycle_keywords`]
+    /// when they are done.
     pub fn decode_keywords(&self, wants: &[(TopicId, u64)]) -> Result<KeywordArena, IndexError> {
         // KeywordArena::csr binary-searches `topics`, so the build order
         // must be strictly ascending — normalize rather than trust the
         // caller (a silently unsorted arena would misreport healthy
         // keywords as missing).
-        let owned: Vec<(TopicId, u64)>;
-        let wants = if wants.windows(2).all(|w| w[0].0 < w[1].0) {
-            wants
-        } else {
-            let mut sorted = wants.to_vec();
-            sorted.sort_by_key(|&(topic, _)| topic);
-            sorted.dedup_by(|next, kept| {
-                if next.0 == kept.0 {
-                    kept.1 = kept.1.max(next.1);
-                    true
-                } else {
-                    false
-                }
-            });
-            owned = sorted;
-            &owned
-        };
+        let wants = normalized_wants(wants);
         if kbtim_fault::inject("engine.decode") {
             return Err(IndexError::Injected("engine.decode"));
         }
         let codec = self.meta().codec;
-        // Keyword-major (keyword × shard) fan-out, like `query_rr_ctx`:
-        // gathering appends each keyword's shard CSRs in shard order,
-        // which reproduces the monolithic `L_w` exactly.
+        // Keyword-major (keyword × shard) fan-out: gathering appends
+        // each keyword's shard CSRs in shard order, which reproduces
+        // the monolithic `L_w` exactly (each user lives in one shard
+        // and keeps its global-build rr-id list there).
         let num_shards = self.num_shards();
         let scans: Vec<Result<IlCsr, IndexError>> = self.pool().map_shards_with(
             wants.len() * num_shards,
             || self.scratch.guard(),
             |guard, i| {
-                let s: &mut QueryScratch = &mut *guard;
-                let (topic, share) = wants[i / num_shards];
+                let (topic, _) = wants[i / num_shards];
                 let source = self.source_in(i % num_shards, topic)?;
-                // RR prefix at the widest share in the batch, decoded
-                // once for every consumer (faithful query-time cost, as
-                // in `query_rr`; the answers come off the inverted
-                // lists).
-                if share > 0 {
-                    let off_bytes =
-                        source.read_range_in(format::RR_OFF_BLOCK, share * 8, 8, &mut s.bytes_a)?;
-                    let prefix_len = u64::from_le_bytes(off_bytes.try_into().expect("8 bytes"));
-                    let rr_bytes =
-                        source.read_range_in(format::RR_BLOCK, 0, prefix_len, &mut s.bytes_a)?;
-                    format::decode_rr_prefix_into(
-                        rr_bytes,
-                        share,
-                        codec,
-                        &mut s.rr_members,
-                        &mut s.rr_ends,
-                    )?;
-                }
-                // The whole L_w into a pool-leased CSR the arena keeps
-                // (truncation to each request's share happens at merge
-                // time, read-only).
-                let il_bytes = source.read_block_in(format::IL_BLOCK, &mut s.bytes_b)?;
+                let il_bytes = source.read_block_in(format::IL_BLOCK, &mut guard.bytes)?;
                 let mut csr = self.scratch.take_csr();
                 format::decode_il_csr_into(il_bytes, codec, &mut csr)?;
                 Ok(csr)
@@ -289,7 +167,7 @@ impl KbtimIndex {
         );
         let mut arena = KeywordArena::default();
         let mut scans = scans.into_iter();
-        for &(topic, share) in wants {
+        for &(topic, _) in wants.iter() {
             // Shard 0's CSR absorbs the rest in shard order; users are
             // range-partitioned, so the result is the monolithic block.
             let mut csr = scans.next().expect("one scan per (keyword, shard)")?;
@@ -300,7 +178,6 @@ impl KbtimIndex {
             }
             arena.topics.push(topic);
             arena.csrs.push(csr);
-            arena.rr_sets_decoded += share;
         }
         Ok(arena)
     }
@@ -312,45 +189,34 @@ impl KbtimIndex {
         }
     }
 
-    /// Build a keyword set's merged coverage instance from a batch's
-    /// shared [`KeywordArena`] — everything of Algorithm 2 that depends
-    /// on the keyword set alone.
+    /// Build a keyword set's merged coverage instance from a shared
+    /// [`KeywordArena`] — everything of Algorithm 2 that depends on the
+    /// keyword set alone.
     ///
     /// The Eqn-11 budget, the per-keyword global id bases, and the
     /// merged [`InvertedIndex`] are all functions of `query.topics()` —
-    /// `Q.k` only bounds the greedy loop — so batched requests sharing
-    /// a keyword set share one [`MergedQuery`] and differ only in their
-    /// [`KbtimIndex::query_merged`] call. The two flat passes here (the
-    /// `MemoryIndex` merge, against a per-batch arena) truncate each
+    /// `Q.k` only bounds the greedy loop — so requests sharing a
+    /// keyword set share one [`MergedQuery`] and differ only in their
+    /// [`KbtimIndex::query_merged`] call. Two flat passes truncate each
     /// keyword's full CSR to its `θ^Q_w` share and remap into the
-    /// query's global id space in keyword order, producing an instance
-    /// bit-identical to the per-request path's remapped-CSR
-    /// concatenation.
+    /// query's global id space in keyword order (per-user lists
+    /// concatenate with ascending global ids).
     pub fn merge_keywords(
         &self,
         query: &Query,
         arena: &KeywordArena,
     ) -> Result<MergedQuery, IndexError> {
         let (phi_q, budget) = self.query_budget(query);
-        self.merge_budgeted(phi_q, &budget, arena)
+        self.merge_budgeted_over(self.meta().num_users, phi_q, &budget, arena)
     }
 
     /// [`KbtimIndex::merge_keywords`] with the Eqn-11 budget already
-    /// computed — the batch planner derives each group's budget while
-    /// building the decode union and must not pay for it twice.
-    pub(crate) fn merge_budgeted(
-        &self,
-        phi_q: f64,
-        budget: &[(TopicId, u64)],
-        arena: &KeywordArena,
-    ) -> Result<MergedQuery, IndexError> {
-        self.merge_budgeted_over(self.meta().num_users, phi_q, budget, arena)
-    }
-
-    /// [`KbtimIndex::merge_budgeted`] over an explicit user universe —
-    /// the delta tier unions in-memory keyword overlays with this
-    /// index's segments, and the union's `|V|` (base plus ingested
-    /// users) sizes the merged instance, not the catalog's.
+    /// computed (the batch planner derives each group's budget while
+    /// building the decode union and must not pay for it twice) and
+    /// over an explicit user universe — the delta tier unions in-memory
+    /// keyword overlays with this index's segments, and the union's
+    /// `|V|` (base plus ingested users) sizes the merged instance, not
+    /// the catalog's.
     pub(crate) fn merge_budgeted_over(
         &self,
         num_users: u32,
@@ -362,27 +228,32 @@ impl KbtimIndex {
             return Err(IndexError::Injected("engine.merge"));
         }
         let mut builder = InvertedIndexBuilder::recycled(num_users, self.scratch.take_arenas());
+        // Each list's cut is found once, in the counting pass, and
+        // replayed from this pooled buffer in the fill pass.
+        let mut scratch = self.scratch.guard();
+        let cuts = &mut scratch.cuts;
+        cuts.clear();
         let mut theta_q = 0u64;
         for &(topic, share) in budget {
             let il = arena.csr(topic).ok_or_else(|| {
                 IndexError::Corrupt(format!("keyword {topic} missing from the batch arena"))
             })?;
             for j in 0..il.len() {
-                let cut = il.list(j).partition_point(|&id| (id as u64) < share);
-                builder.count(il.users[j], cut as u32);
+                let cut = prefix_len(il.list(j), share) as u32;
+                cuts.push(cut);
+                builder.count(il.users[j], cut);
             }
             theta_q += share;
         }
         let mut filler = builder.fill();
+        let mut cuts = cuts.iter();
         let mut base = 0u64;
         for &(topic, share) in budget {
             let il = arena.csr(topic).expect("presence checked in the count pass");
-            for j in 0..il.len() {
-                let list = il.list(j);
-                let cut = list.partition_point(|&id| (id as u64) < share);
+            for (j, &cut) in (0..il.len()).zip(&mut cuts) {
                 filler.push_list(
                     il.users[j],
-                    list[..cut].iter().map(|&id| (base + id as u64) as u32),
+                    il.list(j)[..cut as usize].iter().map(|&id| (base + id as u64) as u32),
                 );
             }
             base += share;
@@ -394,9 +265,9 @@ impl KbtimIndex {
     /// Run one request's own greedy over a shared [`MergedQuery`]
     /// instance. Infallible: routing and merge errors surfaced earlier.
     ///
-    /// Stats follow the [`MemoryIndex`](crate::MemoryIndex) convention:
-    /// `rr_sets_loaded` reports the θ^Q budget; the physical reads were
-    /// charged once to the batch when its arena was decoded.
+    /// `rr_sets_loaded` reports the θ^Q budget (the RR sets the merged
+    /// instance spans); `io` stays zero — the reads belong to whoever
+    /// decoded the arena.
     pub fn query_merged(&self, merged: &MergedQuery, k: u32) -> QueryOutcome {
         self.query_merged_inner(merged, k, &|| false)
             .expect("greedy with a never-firing stop cannot abort")
@@ -445,9 +316,8 @@ impl KbtimIndex {
             stats: QueryStats {
                 theta_q: merged.theta_q,
                 rr_sets_loaded: merged.theta_q,
-                partitions_loaded: 0,
-                io: Default::default(),
                 elapsed: started.elapsed(),
+                ..QueryStats::default()
             },
         })
     }
@@ -456,31 +326,10 @@ impl KbtimIndex {
     pub fn recycle_merged(&self, merged: MergedQuery) {
         self.scratch.put_arenas(merged.inverted.into_arenas());
     }
-
-    /// Algorithm 2 served from a batch's shared [`KeywordArena`] instead
-    /// of per-request reads — the RR batch entry
-    /// ([`KbtimIndex::merge_keywords`] + [`KbtimIndex::query_merged`]
-    /// for one request; the batch planner shares the merge across
-    /// same-keyword-set requests too).
-    ///
-    /// The budget, merge order, and greedy loop are exactly
-    /// [`KbtimIndex::query_rr`]'s; only where the decoded `L_w` comes
-    /// from differs, so the answer is bit-identical to the unbatched
-    /// path (enforced by `tests/concurrent_equiv.rs` proptests).
-    pub fn query_rr_prepared(
-        &self,
-        query: &Query,
-        arena: &KeywordArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        let merged = self.merge_keywords(query, arena)?;
-        let outcome = self.query_merged(&merged, query.k());
-        self.recycle_merged(merged);
-        Ok(outcome)
-    }
 }
 
-/// A keyword set's merged coverage instance, shared by every batched
-/// request over that set (see [`KbtimIndex::merge_keywords`]).
+/// A keyword set's merged coverage instance, shared by every request
+/// over that set (see [`KbtimIndex::merge_keywords`]).
 pub struct MergedQuery {
     /// Total tf-idf mass of the query's held keywords (`φ_Q`).
     phi_q: f64,
@@ -530,9 +379,9 @@ impl MergedQuery {
             stats: QueryStats {
                 theta_q: self.theta_q,
                 rr_sets_loaded: self.theta_q,
-                partitions_loaded: 0,
-                io: Default::default(),
+                generation: full.stats.generation,
                 elapsed: full.stats.elapsed,
+                ..QueryStats::default()
             },
         }
     }
@@ -600,8 +449,26 @@ mod tests {
         assert!(outcome.estimated_influence > 0.0);
         assert!(outcome.stats.rr_sets_loaded > 0);
         assert_eq!(outcome.stats.rr_sets_loaded, outcome.stats.theta_q);
-        assert!(outcome.stats.io.read_ops >= 3, "offsets + rr + il per keyword");
-        assert!(outcome.stats.io.bytes_read > 0);
+        // Serving reads exactly the query keywords' `il` blocks: one
+        // positioned read each, and no `rr` / `rr_off` byte.
+        let il_bytes: u64 =
+            [0, 1].iter().map(|&w| index.source(w).unwrap().block_len("il").unwrap()).sum();
+        assert_eq!(outcome.stats.io.read_ops, 2, "one il read per keyword");
+        assert_eq!(outcome.stats.io.bytes_read, il_bytes);
+    }
+
+    #[test]
+    fn prefix_len_agrees_with_partition_point_at_every_length() {
+        // Both sides of the linear/binary switch, shares on and between
+        // ids, and the whole-list and empty cuts.
+        for len in 0..40u32 {
+            let list: Vec<u32> = (0..len).map(|i| 3 * i + 1).collect();
+            for share in 0..=(3 * len as u64 + 2) {
+                let want = list.partition_point(|&id| (id as u64) < share);
+                assert_eq!(super::prefix_len(&list, share), want, "len {len} share {share}");
+            }
+            assert_eq!(super::prefix_len(&list, u64::MAX), list.len());
+        }
     }
 
     #[test]

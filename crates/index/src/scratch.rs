@@ -23,24 +23,20 @@
 //! equivalence proptests (same seeds for every backend × thread count)
 //! exercise end to end.
 
-use crate::format::{IlCsr, PartitionMeta};
+use crate::format::{IlCsr, PartitionSpan};
 use kbtim_core::bitset::Bitset;
 use kbtim_graph::NodeId;
 use kbtim_topics::TopicId;
 use std::cmp::Reverse;
 use std::sync::Mutex;
 
-/// A request group's shared keyword decode: each distinct keyword of a
-/// batch decoded **once**, then consumed by any number of requests.
+/// A shared keyword decode: each distinct keyword decoded **once**,
+/// then consumed by any number of requests.
 ///
-/// The serving tier's cross-request batch planner
-/// ([`crate::serve::QueryEngine`]) builds one arena per admitted batch
-/// via [`crate::KbtimIndex::decode_keywords`]: the full inverted-list
-/// CSR of every distinct keyword any batched request needs, plus the RR
-/// prefix decode at the *widest* share in the group (for faithful
-/// query-time cost). Consumers ([`crate::KbtimIndex::merge_keywords`]
-/// per keyword set; [`crate::KbtimIndex::query_rr_prepared`] /
-/// [`crate::KbtimIndex::query_irr_prepared`] for single requests) then
+/// [`crate::KbtimIndex::decode_keywords`] builds one arena per request
+/// or per admitted batch ([`crate::serve::QueryEngine`]'s planner): the
+/// full inverted-list CSR of every distinct keyword wanted. Consumers
+/// ([`crate::KbtimIndex::merge_keywords`], once per keyword set) then
 /// truncate and remap the shared CSRs against their own Eqn-11
 /// budgets — read-only, so any number of requests consume one arena
 /// without copies.
@@ -49,17 +45,13 @@ use std::sync::Mutex;
 /// every CSR holds a keyword's *complete* `L_w` (truncation is
 /// per-request). The CSR arenas are leased from the index's scratch
 /// pool and must go back via
-/// [`crate::KbtimIndex::recycle_keywords`] when the batch finishes.
+/// [`crate::KbtimIndex::recycle_keywords`] when the requests finish.
 #[derive(Default)]
 pub struct KeywordArena {
     /// Distinct decoded keywords, strictly ascending.
     pub(crate) topics: Vec<TopicId>,
     /// Full `L_w` CSR per keyword, parallel to `topics`.
     pub(crate) csrs: Vec<IlCsr>,
-    /// RR sets decoded across the arena (each keyword at the widest
-    /// share any batched request asked of it) — the books behind the
-    /// engine's batching counters.
-    pub(crate) rr_sets_decoded: u64,
 }
 
 impl KeywordArena {
@@ -74,12 +66,6 @@ impl KeywordArena {
         self.topics.is_empty()
     }
 
-    /// RR sets decoded once for the whole batch (Σ per-keyword widest
-    /// share).
-    pub fn rr_sets_decoded(&self) -> u64 {
-        self.rr_sets_decoded
-    }
-
     /// The decoded full CSR of `topic`, if the arena holds it.
     pub(crate) fn csr(&self, topic: TopicId) -> Option<&IlCsr> {
         self.topics.binary_search(&topic).ok().map(|i| &self.csrs[i])
@@ -88,17 +74,16 @@ impl KeywordArena {
 
 /// One IRR query keyword's reusable NRA tables (the `KwState` backing
 /// store): the `decode_ip` output, the partition catalog, the per-slot
-/// loaded-list spans and the shared list arena. Before these were
-/// pooled, every `query_irr` re-allocated all six per keyword — the bulk
-/// of irr's ~400 allocations/query vs rr's ~16.
+/// loaded-list spans and the shared list arena.
 #[derive(Default)]
 pub(crate) struct KwBufs {
     /// `IP_w` keys: users with at least one occurrence, ascending.
     pub(crate) users: Vec<NodeId>,
     /// First-occurrence ids, parallel to `users`.
     pub(crate) firsts: Vec<u32>,
-    /// Partition catalog (rows and their `ir_samples` reused in place).
-    pub(crate) partitions: Vec<PartitionMeta>,
+    /// Partition catalog (the rows a query walks; see
+    /// [`PartitionSpan`]).
+    pub(crate) partitions: Vec<PartitionSpan>,
     /// Arena start of each slot's truncated list, parallel to `users`.
     pub(crate) list_start: Vec<u32>,
     /// Truncated list length per slot.
@@ -112,7 +97,7 @@ impl KwBufs {
     pub(crate) fn clear(&mut self) {
         self.users.clear();
         self.firsts.clear();
-        // Keep the rows: decode_partition_meta_into overwrites in place.
+        self.partitions.clear();
         self.list_start.clear();
         self.list_len.clear();
         self.arena.clear();
@@ -125,20 +110,17 @@ impl KwBufs {
 pub struct QueryScratch {
     /// Byte staging for file-backend block/range reads (zero-copy
     /// backends never touch it).
-    pub(crate) bytes_a: Vec<u8>,
-    /// Second staging buffer for when two raw blocks are alive at once
-    /// (e.g. an IL block decoded while RR bytes are still borrowed).
-    pub(crate) bytes_b: Vec<u8>,
-    /// Bulk RR-prefix decode arena (all member lists back to back).
-    pub(crate) rr_members: Vec<u32>,
-    /// Per-set end boundaries into `rr_members`.
-    pub(crate) rr_ends: Vec<u32>,
-    /// Inverted-list block decode target.
+    pub(crate) bytes: Vec<u8>,
+    /// Inverted-list block decode target (one IRR partition at a time).
     pub(crate) il: IlCsr,
-    /// IR-entry member decode scratch (the NRA loop only needs counts).
-    pub(crate) ir_members: Vec<u32>,
+    /// Per-list truncation points of a merge's counting pass, replayed
+    /// by its fill pass.
+    pub(crate) cuts: Vec<u32>,
     /// Covered-RR-set bitset of the IRR NRA loop.
     pub(crate) covered: Bitset,
+    /// RR sets seen in any loaded IRR partition — the distinct-id count
+    /// behind `rr_sets_loaded`.
+    pub(crate) seen: Bitset,
     /// Dense per-user selected flags (|V| bools).
     pub(crate) selected: Vec<bool>,
     /// Per-keyword NRA tables, one entry per query keyword (grown to the
@@ -249,11 +231,11 @@ mod tests {
         let pool = ScratchPool::new();
         {
             let mut g = pool.guard();
-            g.bytes_a.resize(1024, 0);
+            g.bytes.resize(1024, 0);
         }
         // The same (warm) block comes back.
         let g = pool.guard();
-        assert!(g.bytes_a.capacity() >= 1024, "capacity must survive the round trip");
+        assert!(g.bytes.capacity() >= 1024, "capacity must survive the round trip");
         assert_eq!(pool.scratch.lock().unwrap().len(), 0, "block is out on loan");
     }
 
@@ -280,30 +262,19 @@ mod tests {
     }
 
     #[test]
-    fn kw_bufs_clear_keeps_capacity_and_catalog_rows() {
+    fn kw_bufs_clear_empties_every_table_and_keeps_capacity() {
         let mut bufs = KwBufs::default();
         bufs.users.extend([1, 5, 9]);
         bufs.firsts.extend([0, 2, 7]);
         bufs.list_start.extend([0, 3]);
         bufs.list_len.extend([3, 2]);
         bufs.arena.extend([10, 11, 12, 20, 21]);
-        bufs.partitions.push(crate::format::PartitionMeta {
-            il_start: 0,
-            il_end: 8,
-            ir_start: 0,
-            ir_end: 4,
-            rr_count: 2,
-            user_count: 2,
-            max_len_after: 1,
-            ir_samples: vec![(0, 0)],
-        });
+        bufs.partitions.push(PartitionSpan { il_start: 0, il_end: 8, max_len_after: 1 });
         let arena_cap = bufs.arena.capacity();
         bufs.clear();
         assert!(bufs.users.is_empty() && bufs.arena.is_empty() && bufs.list_start.is_empty());
+        assert!(bufs.partitions.is_empty());
         assert_eq!(bufs.arena.capacity(), arena_cap, "clear must keep capacities");
-        // Catalog rows stay: decode_partition_meta_into overwrites them
-        // in place so their ir_samples buffers are reused.
-        assert_eq!(bufs.partitions.len(), 1);
     }
 
     #[test]

@@ -396,8 +396,10 @@ impl QueryEngine {
         self.delta.as_ref()
     }
 
-    /// The current mutation generation (None without a delta tier) —
-    /// the protocol's `generation` response field.
+    /// The tier's current mutation generation (None without a delta
+    /// tier). A query response is labelled with the generation that
+    /// *answered* it — [`QueryStats::generation`](crate::QueryStats) —
+    /// which this value may already have passed.
     pub fn generation(&self) -> Option<u64> {
         self.delta.as_ref().map(|d| d.generation())
     }
@@ -945,7 +947,10 @@ impl QueryEngine {
             let k_max = group.members.iter().map(|&at| unique[at].k).max().unwrap_or(0);
             let group_ctx = QueryCtx { deadline: group.deadline };
             let full = match serving.query_merged_ctx(&merged, k_max, &group_ctx) {
-                Ok(full) => Arc::new(full),
+                Ok(mut full) => {
+                    full.stats.generation = snap.as_ref().map(|s| s.generation());
+                    Arc::new(full)
+                }
                 Err(e) => {
                     let err = EngineError::from(e);
                     self.executed.fetch_add(group.members.len() as u64, Ordering::Relaxed);
@@ -1231,76 +1236,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_entries_match_unbatched_queries() {
-        let dir = TempDir::new("prepared-entries").unwrap();
-        let engine = build_engine(dir.path());
-        let index = engine.index();
-        for query in [Query::new([0u32, 1, 2], 9), Query::new([3u32], 4)] {
-            let mut wants: std::collections::BTreeMap<u32, u64> = Default::default();
-            for (topic, share) in index.query_budget(&query).1 {
-                let widest = wants.entry(topic).or_insert(0);
-                *widest = (*widest).max(share);
-            }
-            let wants: Vec<(u32, u64)> = wants.into_iter().collect();
-            let arena = index.decode_keywords(&wants).unwrap();
-
-            let rr = index.query_rr(&query).unwrap();
-            let rr_p = index.query_rr_prepared(&query, &arena).unwrap();
-            assert_eq!(rr_p.seeds, rr.seeds);
-            assert_eq!(rr_p.marginal_gains, rr.marginal_gains);
-            assert_eq!(rr_p.coverage, rr.coverage);
-            assert_eq!(rr_p.stats.theta_q, rr.stats.theta_q);
-            assert_eq!(rr_p.estimated_influence.to_bits(), rr.estimated_influence.to_bits());
-
-            let irr = index.query_irr(&query).unwrap();
-            let irr_p = index.query_irr_prepared(&query, &arena).unwrap();
-            assert_eq!(irr_p.seeds, irr.seeds);
-            assert_eq!(irr_p.marginal_gains, irr.marginal_gains);
-            assert_eq!(irr_p.coverage, irr.coverage);
-
-            assert_eq!(arena.len(), wants.len());
-            assert!(arena.rr_sets_decoded() > 0);
-            index.recycle_keywords(arena);
-        }
-    }
-
-    #[test]
-    fn irr_prepared_requires_the_irr_variant() {
-        let data = DatasetConfig::family(DatasetFamily::News)
-            .num_users(300)
-            .num_topics(4)
-            .seed(93)
-            .build();
-        let model = IcModel::weighted_cascade(&data.graph);
-        let config = IndexBuildConfig {
-            sampling: SamplingConfig {
-                theta_cap: Some(500),
-                opt_initial_samples: 64,
-                opt_max_rounds: 4,
-                ..SamplingConfig::fast()
-            },
-            variant: IndexVariant::Rr,
-            ..IndexBuildConfig::default()
-        };
-        let dir = TempDir::new("prepared-rr-variant").unwrap();
-        IndexBuilder::new(&model, &data.profiles, config).build(dir.path()).unwrap();
-        let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
-        let query = Query::new([0u32], 3);
-        let wants: Vec<(u32, u64)> = index.query_budget(&query).1;
-        let arena = index.decode_keywords(&wants).unwrap();
-        assert!(matches!(
-            index.query_irr_prepared(&query, &arena).unwrap_err(),
-            crate::IndexError::NotAnIrrIndex
-        ));
-        // The RR entry still serves an RR-variant index from the arena.
-        assert_eq!(
-            index.query_rr_prepared(&query, &arena).unwrap().seeds,
-            index.query_rr(&query).unwrap().seeds
-        );
-        index.recycle_keywords(arena);
-    }
-
-    #[test]
     fn batched_engine_matches_serial_execution() {
         let dir = TempDir::new("engine-batch").unwrap();
         let engine = build_engine(dir.path()).with_batch_window(Some(Duration::from_micros(200)));
@@ -1416,9 +1351,11 @@ mod tests {
         scrambled.push((sorted[0].0, 1));
         let arena = index.decode_keywords(&scrambled).unwrap();
         assert_eq!(arena.len(), sorted.len());
-        let got = index.query_rr_prepared(&query, &arena).unwrap();
+        let merged = index.merge_keywords(&query, &arena).unwrap();
+        let got = index.query_merged(&merged, query.k());
         assert_eq!(got.seeds, oracle.seeds);
         assert_eq!(got.coverage, oracle.coverage);
+        index.recycle_merged(merged);
         index.recycle_keywords(arena);
     }
 

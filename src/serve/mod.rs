@@ -637,8 +637,9 @@ fn push_u32_array(out: &mut String, key: &str, items: impl Iterator<Item = u64>)
 /// newline). `index` is the request's routing field, echoed back when
 /// present; `shards` is the answering index's shard count (1 for the
 /// flat layout), so clients can see when scatter-gather was in play;
-/// `generation` is the answering index's delta-tier generation
-/// ([`QueryEngine::generation`]) and is omitted for immutable indexes;
+/// `generation` is the delta-tier generation of the snapshot that
+/// answered (`outcome.stats.generation`, pinned at execution) and is
+/// omitted for immutable indexes;
 /// `front_end` names the serving front end ([`ServeCtx::front_end`])
 /// and is omitted when `None`.
 pub fn render_outcome(
@@ -912,7 +913,7 @@ pub(crate) fn render_result(
                 parsed.request.algo,
                 &outcome,
                 engine.index().num_shards(),
-                engine.generation(),
+                outcome.stats.generation,
                 fe,
             )
         }
@@ -1098,5 +1099,59 @@ mod tests {
         assert_eq!(single.len(), 1);
         assert!(Arc::ptr_eq(single.engine(None).unwrap(), &a));
         assert!(Arc::ptr_eq(single.engine(Some("default")).unwrap(), &a));
+    }
+
+    #[test]
+    fn a_response_names_the_generation_that_answered_it() {
+        use crate::datagen::{DatasetConfig, DatasetFamily};
+        use crate::index::{DeltaIndex, IndexBuildConfig, IndexBuilder, KbtimIndex};
+        use crate::propagation::model::IcModel;
+        use crate::storage::{IoStats, TempDir};
+
+        let data =
+            DatasetConfig::family(DatasetFamily::News).num_users(120).num_topics(3).seed(7).build();
+        let config = IndexBuildConfig::default();
+        let dir = TempDir::new("serve-generation-label").unwrap();
+        IndexBuilder::new(&IcModel::weighted_cascade(&data.graph), &data.profiles, config)
+            .build(dir.path())
+            .unwrap();
+        let index = Arc::new(KbtimIndex::open(dir.path(), IoStats::new()).unwrap());
+        let delta = Arc::new(
+            DeltaIndex::attach(Arc::clone(&index), &data.graph, &data.profiles, config).unwrap(),
+        );
+        let ctx = ServeCtx::unlimited();
+        let parsed = ServeRequest::parse(r#"{"id":1,"topics":[0,1],"k":4}"#).unwrap();
+        // Topic 9 is beyond the index: an empty budget, answered without
+        // touching a segment — and labelled all the same.
+        let nobody = ServeRequest::parse(r#"{"id":2,"topics":[9],"k":4}"#).unwrap();
+        let label = |rendered: &str| Json::parse(rendered).unwrap().get("generation").cloned();
+
+        // A write lands between execution and rendering: the response
+        // must still name the snapshot that computed the answer. Both
+        // the per-request and the windowed execution paths label.
+        for (parsed, batched) in
+            [(&parsed, false), (&parsed, true), (&nobody, false), (&nobody, true)]
+        {
+            let engine = QueryEngine::new(Arc::clone(&index)).with_delta(Arc::clone(&delta));
+            let answered_at = delta.generation();
+            let result = if batched {
+                engine.query_window(&[(parsed.request.clone(), None)]).remove(0)
+            } else {
+                engine.query(&parsed.request)
+            };
+            delta.apply(&[Mutation::IngestUser]).unwrap();
+            assert_eq!(delta.generation(), answered_at + 1);
+            let rendered = render_result(&engine, &ctx, parsed, Ok(result));
+            assert_eq!(
+                label(&rendered).and_then(|g| g.as_u64()),
+                Some(answered_at),
+                "batched={batched}: {rendered}"
+            );
+        }
+
+        // An immutable index has no generation to name.
+        let engine = QueryEngine::new(Arc::clone(&index));
+        let rendered = render_result(&engine, &ctx, &parsed, Ok(engine.query(&parsed.request)));
+        assert_eq!(label(&rendered), None, "{rendered}");
     }
 }

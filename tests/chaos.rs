@@ -14,7 +14,9 @@
 //!
 //! Deterministic by construction: the vendored proptest derives its
 //! case seed from the test name, and the failpoint registry draws from
-//! a seeded counter hash, so a failing run replays exactly.
+//! a seeded counter hash, so a failing run replays exactly. Each storm
+//! case holds the exclusive `kbtim_fault` lease (the registry is
+//! process-global), which resets it on entry and on exit.
 
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
@@ -28,13 +30,8 @@ use kbtim::storage::{IoStats, TempDir};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// The failpoint registry is process-global; the two storm tests must
-/// not arm and reset it under each other. (A poisoned lock is fine —
-/// the state is re-armed from scratch each case.)
-static STORM_LOCK: Mutex<()> = Mutex::new(());
 
 const NUM_CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 8;
@@ -108,11 +105,10 @@ fn index_dir() -> &'static TempDir {
 /// fields. Answers are backend-invariant, so one map serves every mode.
 fn oracle() -> &'static HashMap<&'static str, Vec<(String, Json)>> {
     static ORACLE: OnceLock<HashMap<&'static str, Vec<(String, Json)>>> = OnceLock::new();
+    // Fault-free because both callers hold the exclusive lease, whose
+    // entry reset also drops anything the environment armed (CI runs
+    // the suite under a global delay failpoint).
     ORACLE.get_or_init(|| {
-        // The oracle must be fault-free: drop anything the environment
-        // armed (CI runs the suite under a global delay failpoint; the
-        // storm below arms its own picks after this).
-        kbtim_fault::reset();
         let index =
             KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::File).unwrap();
         let router = Router::single(Arc::new(QueryEngine::new(Arc::new(index))));
@@ -150,11 +146,9 @@ proptest! {
         fault_seed in any::<u64>(),
         batching in any::<bool>(),
     ) {
-        let _storm = STORM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _storm = kbtim_fault::exclusive();
         let oracle = oracle();
         for mode in all_modes() {
-            kbtim_fault::reset();
-
             // Build the engine fault-free (open paths have their own
             // dedicated tests); arm only once it serves.
             let index = KbtimIndex::open_with(index_dir().path(), IoStats::new(), mode).unwrap();
@@ -275,7 +269,6 @@ mod epoll_storm {
     fn body_oracle() -> &'static HashMap<&'static str, Vec<(String, Json)>> {
         static ORACLE: OnceLock<HashMap<&'static str, Vec<(String, Json)>>> = OnceLock::new();
         ORACLE.get_or_init(|| {
-            kbtim_fault::reset();
             let index =
                 KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::File)
                     .unwrap();
@@ -306,9 +299,8 @@ mod epoll_storm {
             fault_seed in any::<u64>(),
             batching in any::<bool>(),
         ) {
-            let _storm = STORM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            let _storm = kbtim_fault::exclusive();
             let oracle = body_oracle();
-            kbtim_fault::reset();
 
             let index =
                 KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Mmap)

@@ -15,9 +15,11 @@
 //!    failpoints armed, a failed flush leaves the published snapshot,
 //!    the `CURRENT` pointer, and every query byte untouched, and a
 //!    later retry compacts cleanly;
-//! 3. the writers-vs-readers proptest — a reader pinned to a
+//! 3. the writers-vs-readers proptests — a reader pinned to a
 //!    generation keeps getting bit-identical answers while a writer
-//!    thread applies batches underneath it.
+//!    thread applies batches underneath it, and every answer served
+//!    over the protocol beside a writer equals the from-scratch oracle
+//!    *at the generation its response names*.
 //!
 //! f64s are compared via `.to_bits()` throughout: equivalence here
 //! means *equality of bytes*, not approximation.
@@ -30,12 +32,14 @@ use kbtim::index::{
     Mutation, QueryEngine, QueryOutcome, ThetaMode,
 };
 use kbtim::propagation::model::IcModel;
+use kbtim::serve::{handle_line, handle_line_ctx, Json, Router, ServeCtx};
 use kbtim::storage::block::all_modes;
 use kbtim::storage::{IoStats, TempDir};
 use kbtim::topics::{Query, TopicId, UserProfiles};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 const USERS: u32 = 220;
 const TOPICS: u32 = 5;
@@ -179,6 +183,7 @@ proptest! {
         k in 1u32..10,
         shards in prop_oneof![Just(1usize), Just(3usize)],
     ) {
+        let _lease = kbtim_fault::shared();
         let data = base_data();
         let muts = concretize(&specs, data.profiles.num_users(), TOPICS);
         let mut topics = raw_topics;
@@ -260,16 +265,6 @@ proptest! {
     }
 }
 
-/// Serializes failpoint-arming tests (the registry is process-global).
-static GATE: Mutex<()> = Mutex::new(());
-
-fn armed_section() -> MutexGuard<'static, ()> {
-    let guard = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    kbtim_fault::reset();
-    kbtim_fault::set_seed(42);
-    guard
-}
-
 /// Chaos extension: flush failpoints at every stage (and a transient
 /// storage-read burst mid-compaction) never tear a generation — the
 /// published snapshot, the on-disk generation pointer, and every query
@@ -277,7 +272,8 @@ fn armed_section() -> MutexGuard<'static, ()> {
 /// cleanly from scratch.
 #[test]
 fn failed_flushes_never_tear_a_generation() {
-    let _gate = armed_section();
+    let _lease = kbtim_fault::exclusive();
+    kbtim_fault::set_seed(42);
     let data = base_data();
     let muts = [
         Mutation::IngestUser,
@@ -363,6 +359,7 @@ proptest! {
         batches in proptest::collection::vec(
             proptest::collection::vec(spec_strategy(), 1..4), 1..5),
     ) {
+        let _lease = kbtim_fault::shared();
         let data = base_data();
         let root = TempDir::new("delta-rw").unwrap();
         build_into(&data.graph, &data.profiles, config(1), root.path());
@@ -426,5 +423,128 @@ proptest! {
             &oracle.query_rr(&query).unwrap(),
             "fresh snapshot vs from-scratch",
         );
+    }
+}
+
+/// The answer fields of a protocol response (everything the oracle at
+/// the same generation must reproduce byte for byte).
+fn answer_fields(response: &Json) -> Vec<Option<Json>> {
+    ["seeds", "marginal_gains", "coverage", "estimated_influence", "theta_q"]
+        .iter()
+        .map(|key| response.get(key).cloned())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
+
+    /// A response's `generation` names the snapshot that computed it,
+    /// not whatever the tier had reached by render time: with a writer
+    /// landing batches beside two protocol readers, every answer is
+    /// bit-identical to a from-scratch build of the content as of its
+    /// own label.
+    #[test]
+    fn wire_answers_match_the_oracle_at_their_labelled_generation(
+        batches in proptest::collection::vec(
+            proptest::collection::vec(spec_strategy(), 1..4), 2..5),
+    ) {
+        let _lease = kbtim_fault::shared();
+        let data = base_data();
+        let root = TempDir::new("delta-label").unwrap();
+        build_into(&data.graph, &data.profiles, config(1), root.path());
+        let index = Arc::new(KbtimIndex::open(root.path(), IoStats::new()).unwrap());
+        let delta = Arc::new(
+            DeltaIndex::attach(Arc::clone(&index), &data.graph, &data.profiles, config(1))
+                .unwrap(),
+        );
+        let engine = QueryEngine::new(Arc::clone(&index)).with_delta(Arc::clone(&delta));
+        let router = Router::single(Arc::new(engine));
+        let ctx = ServeCtx::unlimited();
+        let base_gen = delta.generation();
+
+        // The batches, concretized up front against the universe each
+        // will find (the single writer applies them in order).
+        let mut users = data.profiles.num_users();
+        let batches: Vec<Vec<Mutation>> = batches
+            .iter()
+            .map(|specs| {
+                let muts = concretize(specs, users, TOPICS);
+                users += muts.iter().filter(|m| matches!(m, Mutation::IngestUser)).count() as u32;
+                muts
+            })
+            .collect();
+
+        const LINES: [&str; 2] = [
+            r#"{"topics":[0,2],"k":6,"algo":"rr"}"#,
+            r#"{"topics":[0,2],"k":6,"algo":"irr"}"#,
+        ];
+        let (answered, written) = (AtomicU64::new(0), AtomicBool::new(false));
+        let observed: Vec<Vec<(u64, Json)>> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for muts in &batches {
+                    // Let the readers answer at this generation first,
+                    // so no labelled generation goes unobserved: of four
+                    // completions at most two (one per reader) were
+                    // already in flight when it was published.
+                    let seen = answered.load(Ordering::SeqCst);
+                    while answered.load(Ordering::SeqCst) < seen + 4 {
+                        std::thread::yield_now();
+                    }
+                    delta.apply(muts).unwrap();
+                }
+                written.store(true, Ordering::SeqCst);
+            });
+            let readers: Vec<_> = LINES
+                .iter()
+                .map(|line| {
+                    let (router, ctx, written, answered) = (&router, &ctx, &written, &answered);
+                    scope.spawn(move || {
+                        let mut got = Vec::new();
+                        // One more round after the last write, so the
+                        // final generation is observed too.
+                        let mut last_round = false;
+                        while !last_round {
+                            last_round = written.load(Ordering::SeqCst);
+                            let response = Json::parse(&handle_line_ctx(router, ctx, line))
+                                .expect("protocol JSON");
+                            let generation = response
+                                .get("generation")
+                                .and_then(Json::as_u64)
+                                .expect("mutable indexes label every answer");
+                            got.push((generation, response));
+                            answered.fetch_add(1, Ordering::SeqCst);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        prop_assert_eq!(delta.generation(), base_gen + batches.len() as u64);
+
+        // One from-scratch oracle per generation: batch i lands as
+        // generation base_gen + i.
+        let oracles: Vec<Vec<Option<Json>>> = (0..=batches.len())
+            .map(|applied| {
+                let muts: Vec<Mutation> = batches[..applied].concat();
+                let dir = TempDir::new("delta-label-oracle").unwrap();
+                let (graph, profiles) = fold(data, &muts);
+                build_into(&graph, &profiles, config(1), dir.path());
+                let oracle = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
+                let router = Router::single(Arc::new(QueryEngine::new(Arc::new(oracle))));
+                answer_fields(&Json::parse(&handle_line(&router, LINES[0])).unwrap())
+            })
+            .collect();
+        let mut labels = std::collections::BTreeSet::new();
+        for (generation, response) in observed.iter().flatten() {
+            let applied = (generation - base_gen) as usize;
+            prop_assert!(applied <= batches.len(), "label {} was never published", generation);
+            prop_assert_eq!(
+                &answer_fields(response), &oracles[applied],
+                "answer labelled generation {}", generation
+            );
+            labels.insert(*generation);
+        }
+        prop_assert_eq!(labels.len(), batches.len() + 1, "every generation was observed");
     }
 }

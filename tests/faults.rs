@@ -4,8 +4,9 @@
 //! wire error code in `docs/PROTOCOL.md`.
 //!
 //! The failpoint registry is process-global, so every test that arms a
-//! point holds [`GATE`] for its whole body and resets the registry on
-//! entry and exit — the other integration binaries never arm anything.
+//! point holds the exclusive `kbtim_fault` lease for its whole body
+//! (reset on entry and exit, also when it panics), and the one test
+//! that arms only its child process holds the shared side.
 
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
@@ -16,29 +17,14 @@ use kbtim::propagation::model::IcModel;
 use kbtim::serve::{handle_line, handle_line_ctx, Json, Router, ServeCtx};
 use kbtim::storage::segment::{SegmentReader, SegmentWriter};
 use kbtim::storage::{BlockSource, IoStats, TempDir};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Serializes failpoint-arming tests (the registry is process-global).
-static GATE: Mutex<()> = Mutex::new(());
-
-/// Take the gate and start from a clean registry; the guard resets
-/// again on drop so a panicking test cannot leak armed points.
-fn armed_section() -> ArmedSection {
-    let guard = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    kbtim_fault::reset();
+/// The exclusive registry lease, with the draw seed pinned.
+fn armed_section() -> kbtim_fault::Lease {
+    let lease = kbtim_fault::exclusive();
     kbtim_fault::set_seed(42);
-    ArmedSection { _guard: guard }
-}
-
-struct ArmedSection {
-    _guard: MutexGuard<'static, ()>,
-}
-
-impl Drop for ArmedSection {
-    fn drop(&mut self) {
-        kbtim_fault::reset();
-    }
+    lease
 }
 
 /// One small IRR index on disk, shared by every engine-level test.
@@ -360,13 +346,15 @@ fn epoll_drain_grace_bounds_wedged_queries() {
 /// the stats line stays clean — or, when compaction cannot complete
 /// (flush failpoints armed through the child's environment), the drain
 /// stats report `unflushed=N` rather than claiming durability it does
-/// not have. Failpoints are armed in the *child* via `KBTIM_FAILPOINTS`,
-/// so this test never touches the in-process registry and needs no
-/// [`GATE`].
+/// not have. Failpoints are armed in the *child* via `KBTIM_FAILPOINTS`;
+/// in this process the test only re-opens the index, under the shared
+/// lease so a sibling's armed `storage.*` points cannot fail that open.
 #[test]
 fn drain_with_dirty_delta_flushes_or_reports() {
     use std::io::{BufRead, BufReader, Write};
     use std::process::{Command, Stdio};
+
+    let _lease = kbtim_fault::shared();
 
     let root = std::env::temp_dir().join(format!("kbtim-faults-drain-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);

@@ -11,6 +11,10 @@
 //! to a sharded engine: armed `storage.read` failpoints may fail
 //! requests, but every *successful* answer stays bit-identical to the
 //! fault-free oracle and the engine serves clean after disarm.
+//!
+//! The failpoint registry is process-global: the chaos test holds the
+//! exclusive `kbtim_fault` lease while it arms, every other test here
+//! holds the shared side.
 
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
@@ -97,6 +101,7 @@ proptest! {
         raw_topics in proptest::collection::vec(0u32..NUM_TOPICS, 1..4),
         k in 1u32..16,
     ) {
+        let _lease = kbtim_fault::shared();
         let fx = fixture();
         let mut topics = raw_topics;
         topics.sort_unstable();
@@ -150,6 +155,7 @@ proptest! {
 
 #[test]
 fn sharded_layouts_validate_and_report_their_shard_count() {
+    let _lease = kbtim_fault::shared();
     let fx = fixture();
     for (shards, dir) in &fx.dirs {
         let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
@@ -164,6 +170,7 @@ fn shard_fingerprints_differ_per_layout() {
     // Different shard counts are different segment generations: a
     // prepared-query cache keyed by the fingerprint must never alias
     // them (satellite of the PageCache/fingerprint contract).
+    let _lease = kbtim_fault::shared();
     let fx = fixture();
     let mut fps = Vec::new();
     for (_, dir) in &fx.dirs {
@@ -186,6 +193,7 @@ fn sharded_engine_isolates_storage_faults() {
         r#"{"id":3,"topics":[0,3],"k":8,"algo":"auto"}"#,
         r#"{"id":4,"topics":[2,4],"k":4}"#,
     ];
+    let _lease = kbtim_fault::exclusive();
     let fx = fixture();
     let (shards, dir) = &fx.dirs[2]; // S = 4
     assert_eq!(*shards, 4);
@@ -198,7 +206,6 @@ fn sharded_engine_isolates_storage_faults() {
     };
 
     for mode in all_modes() {
-        kbtim_fault::reset();
         let index = KbtimIndex::open_with(dir.path(), IoStats::new(), mode).unwrap();
         let router = Router::single(Arc::new(QueryEngine::new(Arc::new(index))));
         let ctx = ServeCtx::new(64, None);
@@ -261,6 +268,7 @@ fn sharded_engine_isolates_storage_faults() {
 fn memory_backed_serving_reports_flat_shard_count_of_its_source() {
     // A serve response's `shards` field reflects the disk index behind
     // the engine even when the memory tier answers.
+    let _lease = kbtim_fault::shared();
     let fx = fixture();
     let (shards, dir) = &fx.dirs[1]; // S = 2
     let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
