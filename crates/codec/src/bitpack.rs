@@ -78,11 +78,49 @@ pub fn unpack_block_with(
     width: u8,
     out: &mut Vec<u32>,
 ) -> Result<usize, CodecError> {
+    append_block(out, |dst| unpack_block_into(level, input, width, dst))
+}
+
+/// The portable scalar unpack — the oracle the SIMD kernels are
+/// proptested against, and the only path on non-x86-64 targets.
+pub fn unpack_block_scalar(
+    input: &[u8],
+    width: u8,
+    out: &mut Vec<u32>,
+) -> Result<usize, CodecError> {
+    append_block(out, |dst| unpack_block_into(crate::simd::SimdLevel::Scalar, input, width, dst))
+}
+
+/// Grow `out` by one block, let `unpack` fill it, and shrink back if it
+/// fails (an error leaves `out` as it was).
+fn append_block(
+    out: &mut Vec<u32>,
+    unpack: impl FnOnce(&mut [u32]) -> Result<usize, CodecError>,
+) -> Result<usize, CodecError> {
+    let start = out.len();
+    out.resize(start + BLOCK_LEN, 0);
+    let used = unpack(&mut out[start..]);
+    if used.is_err() {
+        out.truncate(start);
+    }
+    used
+}
+
+/// [`unpack_block_with`] into a caller-sized slice of exactly
+/// [`BLOCK_LEN`] slots — what a decoder that sized its whole output up
+/// front (see [`crate::stream`]) calls once per frame.
+pub(crate) fn unpack_block_into(
+    level: crate::simd::SimdLevel,
+    input: &[u8],
+    width: u8,
+    dst: &mut [u32],
+) -> Result<usize, CodecError> {
+    assert_eq!(dst.len(), BLOCK_LEN, "unpack_block_into fills exactly one block");
     if width > 32 {
         return Err(CodecError::InvalidBitWidth(width));
     }
     if width == 0 {
-        out.resize(out.len() + BLOCK_LEN, 0);
+        dst.fill(0);
         return Ok(0);
     }
     let byte_len = width as usize * BLOCK_LEN / 8;
@@ -93,46 +131,24 @@ pub fn unpack_block_with(
     {
         let level = crate::simd::clamp_supported(level);
         if level > crate::simd::SimdLevel::Scalar {
-            crate::simd::unpack_block_simd(level, input, width, out);
+            crate::simd::unpack_block_simd(level, input, width, dst);
             return Ok(byte_len);
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = level;
-    unpack_block_scalar(input, width, out)
-}
-
-/// The portable scalar unpack — the oracle the SIMD kernels are
-/// proptested against, and the only path on non-x86-64 targets.
-pub fn unpack_block_scalar(
-    input: &[u8],
-    width: u8,
-    out: &mut Vec<u32>,
-) -> Result<usize, CodecError> {
-    if width > 32 {
-        return Err(CodecError::InvalidBitWidth(width));
-    }
-    if width == 0 {
-        out.resize(out.len() + BLOCK_LEN, 0);
-        return Ok(0);
-    }
-    let byte_len = width as usize * BLOCK_LEN / 8;
-    if input.len() < byte_len {
-        return Err(CodecError::UnexpectedEof);
-    }
     let mask: u64 = if width == 32 { u32::MAX as u64 } else { (1u64 << width) - 1 };
     let mut acc: u64 = 0;
     let mut acc_bits: u32 = 0;
     let mut bytes = input[..byte_len].iter();
-    out.reserve(BLOCK_LEN);
-    for _ in 0..BLOCK_LEN {
+    for slot in dst.iter_mut() {
         while acc_bits < width as u32 {
             // Framing guarantees enough bytes; the iterator cannot run dry.
             let byte = *bytes.next().expect("length checked above");
             acc |= (byte as u64) << acc_bits;
             acc_bits += 8;
         }
-        out.push((acc & mask) as u32);
+        *slot = (acc & mask) as u32;
         acc >>= width;
         acc_bits -= width as u32;
     }

@@ -11,6 +11,9 @@
 //! * [`list`] — the composed posting-list codec used by `kbtim-index`:
 //!   sorted `u32` lists are delta-coded, split into blocks of 128, and each
 //!   block is bit-packed with its minimal width; the tail is varint-coded.
+//! * [`stream`] — block-wide columns of `kbtim-index`'s inverted-list
+//!   blocks: `n` arbitrary `u32`s in the same 128-value frames + varint
+//!   tail, with no per-list framing in between.
 //!
 //! All codecs are pure functions over byte buffers: no I/O, no allocation
 //! beyond the output buffers, and every encoder has a matching decoder with
@@ -28,6 +31,7 @@ pub mod bitpack;
 pub mod delta;
 pub mod list;
 pub mod simd;
+pub mod stream;
 pub mod varint;
 
 /// Errors produced while decoding compressed data.
@@ -100,9 +104,10 @@ impl Codec {
     /// Callers seed `offsets` with the current arena length to get a
     /// leading boundary. Returns the input bytes consumed.
     ///
-    /// This is the hot-path decode of `RR_BLOCK`/`IL_BLOCK` payloads:
-    /// no per-list `Vec`, no intermediate gap buffer — one pass from the
-    /// (possibly memory-mapped) block bytes into the query arena.
+    /// This is the bulk decode of `RR_BLOCK` payloads (inverted-list
+    /// blocks are columnar, see [`stream`]): no per-list `Vec`, no
+    /// intermediate gap buffer — one pass from the (possibly
+    /// memory-mapped) block bytes into the caller's arena.
     pub fn decode_lists_into(
         &self,
         input: &[u8],

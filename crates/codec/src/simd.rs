@@ -112,19 +112,17 @@ pub fn active_level() -> SimdLevel {
 }
 
 /// Unpack one full block (`width` in `1..=32`, `input.len() >=
-/// width*BLOCK_LEN/8` — both validated by the caller) appending
-/// [`BLOCK_LEN`] values to `out` with the given kernel tier.
+/// width*BLOCK_LEN/8`, `dst.len() == BLOCK_LEN` — all validated by the
+/// caller) into `dst` with the given kernel tier.
 ///
 /// `level` must be supported (callers go through [`clamp_supported`] or
 /// [`active_level`]); [`SimdLevel::Scalar`] must be handled by the
 /// caller (this function is only compiled/called on x86-64).
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn unpack_block_simd(level: SimdLevel, input: &[u8], width: u8, out: &mut Vec<u32>) {
+pub(crate) fn unpack_block_simd(level: SimdLevel, input: &[u8], width: u8, dst: &mut [u32]) {
     debug_assert!((1..=32).contains(&width));
     debug_assert!(input.len() >= width as usize * BLOCK_LEN / 8);
-    let start = out.len();
-    out.resize(start + BLOCK_LEN, 0);
-    let dst = &mut out[start..];
+    debug_assert_eq!(dst.len(), BLOCK_LEN);
     let width = width as usize;
     match width {
         4 => x86::unpack_w4(input, dst),

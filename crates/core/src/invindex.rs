@@ -184,9 +184,11 @@ impl InvertedIndexBuilder {
         // The counts arena becomes the fill cursor in place.
         let mut cursor = self.counts;
         cursor.copy_from_slice(&offsets[..num_nodes]);
+        // One spare slot past the arena: where `push_prefix` parks the
+        // lanes it must not keep (dropped again by `finish`).
         let mut set_ids = self.spare.pop().unwrap_or_default();
         set_ids.clear();
-        set_ids.resize(total as usize, 0);
+        set_ids.resize(total as usize + 1, 0);
         InvertedIndexFiller { offsets, cursor, set_ids }
     }
 }
@@ -214,6 +216,31 @@ impl InvertedIndexFiller {
         }
     }
 
+    /// Append `lanes[..n]`, each plus `add` (wrapping), to `node`'s list
+    /// — the fixed-width entry for producers whose lists are mostly
+    /// shorter than `N`. All `N` lanes are stored, none is loaded or
+    /// looped over: the kept ones land in order at the node's cursor,
+    /// the rest in the filler's spare slot, so the cost does not depend
+    /// on `n` and there is no loop exit to mispredict.
+    #[inline]
+    pub fn push_prefix<const N: usize>(
+        &mut self,
+        node: NodeId,
+        lanes: &[u32; N],
+        n: usize,
+        add: u32,
+    ) {
+        debug_assert!(n <= N);
+        let spare = self.set_ids.len() - 1;
+        let cursor = &mut self.cursor[node as usize];
+        let at = *cursor as usize;
+        for (lane, &id) in lanes.iter().enumerate() {
+            let slot = if lane < n { at + lane } else { spare };
+            self.set_ids[slot] = id.wrapping_add(add);
+        }
+        *cursor += n as u32;
+    }
+
     /// Finish the build. Panics (debug) if any node received fewer
     /// entries than announced.
     pub fn finish(self) -> InvertedIndex {
@@ -221,17 +248,20 @@ impl InvertedIndexFiller {
             self.cursor.iter().enumerate().all(|(i, &c)| c == self.offsets[i + 1]),
             "fill pass did not match the counting pass"
         );
-        let InvertedIndexFiller { offsets, cursor, set_ids } = self;
+        let InvertedIndexFiller { offsets, cursor, mut set_ids } = self;
+        set_ids.pop();
         // The spent cursor arena is reborn as the present list, keeping
-        // the recycled cycle allocation-free.
-        let num_nodes = cursor.len();
+        // the recycled cycle allocation-free. Compacted in place (the
+        // write index never passes the node being looked at) and
+        // without a branch: about half the nodes are present, in no
+        // predictable pattern.
         let mut present = cursor;
-        present.clear();
-        for v in 0..num_nodes {
-            if offsets[v + 1] > offsets[v] {
-                present.push(v as u32);
-            }
+        let mut kept = 0usize;
+        for (v, bounds) in offsets.windows(2).enumerate() {
+            present[kept] = v as u32;
+            kept += usize::from(bounds[1] > bounds[0]);
         }
+        present.truncate(kept);
         InvertedIndex { offsets, set_ids, present }
     }
 }
@@ -365,6 +395,27 @@ mod tests {
         bits.reset(200);
         assert_eq!(bits.len(), 200);
         assert_eq!(bits.count_ones(), 0);
+    }
+
+    #[test]
+    fn push_prefix_keeps_exactly_the_announced_lanes() {
+        // Node 1 receives from two sources; node 2's region sits right
+        // after it and must survive node 1's discarded lanes.
+        let mut b = InvertedIndexBuilder::new(4);
+        b.count(1, 1);
+        b.count(2, 2);
+        b.count(1, 3);
+        b.count(3, 0);
+        let mut f = b.fill();
+        f.push_prefix(1, &[5, 90, 91, 92], 1, 100);
+        f.push_prefix(2, &[7, 8, 93, 94], 2, 100);
+        f.push_prefix(1, &[1, 2, 3, 95], 3, 200);
+        f.push_prefix(3, &[96, 97, 98, 99], 0, u32::MAX);
+        let inv = f.finish();
+        assert_eq!(inv.list(1), &[105, 201, 202, 203]);
+        assert_eq!(inv.list(2), &[107, 108]);
+        assert_eq!(inv.present(), &[1, 2]);
+        assert_eq!(inv.total_entries(), 6, "the spare slot is not part of the index");
     }
 
     #[test]

@@ -318,19 +318,25 @@ impl<'a, M: TriggeringModel> IndexBuilder<'a, M> {
     /// Sample one keyword's complete logical content — the θ_w RR sets,
     /// the inverted list `L_w`, and the global catalog row — without
     /// touching disk. `None` when the keyword holds no segment (no
-    /// profile mass, or θ_w = 0).
+    /// profile mass, or θ_w = 0); an error when θ_w outgrows the rr-id
+    /// space of the inverted-list layout ([`format::MAX_RR_SETS`]).
     ///
     /// This is the deterministic core of [`IndexBuilder::build_keyword`]
     /// and the oracle the delta tier materializes dirty keywords with:
     /// a pure function of (model, profiles, config, topic), never of the
     /// shard split or scheduling.
-    pub(crate) fn sample_keyword(&self, topic: TopicId) -> Option<KeywordSample> {
+    pub(crate) fn sample_keyword(
+        &self,
+        topic: TopicId,
+    ) -> Result<Option<KeywordSample>, IndexError> {
         let (users, tfs) = self.profiles.topic_vector(topic);
         if users.is_empty() {
-            return None;
+            return Ok(None);
         }
         let weights: Vec<f64> = tfs.iter().map(|&t| t as f64).collect();
-        let roots = RootSampler::from_sparse(users, &weights)?;
+        let Some(roots) = RootSampler::from_sparse(users, &weights) else {
+            return Ok(None);
+        };
         let tf_sum = self.profiles.tf_sum(topic);
 
         // Deterministic per-keyword RNG stream, independent of scheduling.
@@ -363,7 +369,13 @@ impl<'a, M: TriggeringModel> IndexBuilder<'a, M> {
             &self.config.sampling,
         );
         if theta == 0 {
-            return None;
+            return Ok(None);
+        }
+        if theta > format::MAX_RR_SETS {
+            return Err(IndexError::Corrupt(format!(
+                "keyword {topic}: θ_w = {theta} exceeds the {} rr ids an inverted list can name",
+                format::MAX_RR_SETS
+            )));
         }
 
         // Sample R_w into a flat arena batch.
@@ -400,7 +412,7 @@ impl<'a, M: TriggeringModel> IndexBuilder<'a, M> {
             num_partitions,
             total_rr_members: total_members,
         };
-        Some(KeywordSample { meta, sets, il_entries })
+        Ok(Some(KeywordSample { meta, sets, il_entries }))
     }
 
     /// Build one keyword's segment(s); returns its catalog rows and stats.
@@ -431,7 +443,7 @@ impl<'a, M: TriggeringModel> IndexBuilder<'a, M> {
             }
         };
 
-        let Some(KeywordSample { meta, sets, il_entries }) = self.sample_keyword(topic) else {
+        let Some(KeywordSample { meta, sets, il_entries }) = self.sample_keyword(topic)? else {
             return Ok(empty(topic));
         };
         let (theta, tf_sum, total_members) = (meta.theta, meta.tf_sum, meta.total_rr_members);
@@ -543,10 +555,17 @@ impl<'a, M: TriggeringModel> IndexBuilder<'a, M> {
             format::encode_ip(&ip_users, &ip_firsts, codec, &mut ip_bytes);
             writer.write_block(format::IP_BLOCK, &ip_bytes)?;
 
-            // IL sorted by (len desc, user asc), split into δ-sized chunks.
+            // IL sorted by (len desc, user asc), split into δ-sized chunks;
+            // each chunk then goes back into user order, which is what
+            // the block encoder takes.
             let mut sorted = il_entries.to_vec();
             sorted.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
-            let chunks: Vec<&[IlEntry]> = sorted.chunks(partition_size as usize).collect();
+            let delta = partition_size as usize;
+            let longest: Vec<u32> = sorted.chunks(delta).map(|c| c[0].1.len() as u32).collect();
+            for chunk in sorted.chunks_mut(delta) {
+                chunk.sort_unstable_by_key(|&(user, _)| user);
+            }
+            let chunks: Vec<&[IlEntry]> = sorted.chunks(delta).collect();
             num_partitions = chunks.len() as u32;
 
             // Assign each RR set to the first partition touching it.
@@ -577,10 +596,7 @@ impl<'a, M: TriggeringModel> IndexBuilder<'a, M> {
                 let ir_samples = format::encode_ir_entries(&ir_entries, codec, &mut irp_bytes);
                 let ir_end = irp_bytes.len() as u64;
 
-                let max_len_after = sorted
-                    .get((p + 1) * partition_size as usize)
-                    .map(|(_, l)| l.len() as u32)
-                    .unwrap_or(0);
+                let max_len_after = longest.get(p + 1).copied().unwrap_or(0);
                 parts.push(PartitionMeta {
                     il_start,
                     il_end,
@@ -667,6 +683,34 @@ mod tests {
         assert_eq!(index.meta().model_name, "IC");
         let disk = index.disk_bytes().unwrap();
         assert_eq!(disk, report.total_bytes);
+    }
+
+    #[test]
+    fn a_version_1_segment_is_refused_on_open() {
+        // A directory from before the columnar il/ilp layout carries
+        // container version 1 in every segment header; there is no reader
+        // for it, and `open` says so instead of misparsing the blocks.
+        use kbtim_storage::segment::StorageError;
+        let data = small_dataset();
+        let model = IcModel::weighted_cascade(&data.graph);
+        let dir = TempDir::new("idx-v1").unwrap();
+        IndexBuilder::new(&model, &data.profiles, small_config()).build(dir.path()).unwrap();
+        for name in [format::keyword_file_name(0), format::META_FILE.to_string()] {
+            let path = dir.path().join(&name);
+            let pristine = std::fs::read(&path).unwrap();
+            let mut old = pristine.clone();
+            assert_eq!(&old[..8], b"KBTIMSG1");
+            old[8..12].copy_from_slice(&1u32.to_le_bytes());
+            std::fs::write(&path, &old).unwrap();
+            match KbtimIndex::open(dir.path(), IoStats::new()) {
+                Err(IndexError::Storage(StorageError::Corrupt(msg))) => {
+                    assert!(msg.contains("unsupported version 1"), "{name}: {msg}")
+                }
+                other => panic!("{name}: expected the version error, got {:?}", other.err()),
+            }
+            std::fs::write(&path, &pristine).unwrap();
+        }
+        KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
     }
 
     #[test]

@@ -568,7 +568,7 @@ impl DeltaIndex {
             }
         };
         for &topic in dirty_topics {
-            let (meta, csr) = match builder.sample_keyword(topic) {
+            let (meta, csr) = match builder.sample_keyword(topic)? {
                 Some(sample) => {
                     let mut csr = IlCsr::default();
                     for (user, list) in &sample.il_entries {

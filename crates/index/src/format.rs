@@ -33,11 +33,28 @@
 //! |----------|-----------------------------------------------------------|
 //! | `rr`     | `R_w`: θ_w RR sets, each a codec-encoded sorted node list |
 //! | `rr_off` | θ_w + 1 little-endian `u64` byte offsets into `rr`        |
-//! | `il`     | `L_w`: count, then per user: varint user, codec rr-id list|
+//! | `il`     | `L_w` as one columnar inverted-list block (below)         |
 //! | `ip`     | IRR `IP_w`: count, codec users, then varint first-ids     |
 //! | `pmeta`  | IRR partition table (byte ranges, counts, kb bounds)      |
-//! | `ilp`    | IRR `IL^p_w` partitions back to back (same entry format)  |
+//! | `ilp`    | IRR `IL^p_w` partitions back to back, one block each      |
 //! | `irp`    | IRR `IR^p_w` partitions: per set varint id + codec members|
+//!
+//! An inverted-list block holds its lists as two block-wide streams
+//! ([`Codec::encode_stream`]: 128-value bit-packed frames + varint tail
+//! for `Packed`, little-endian `u32`s for `Raw`), users ascending:
+//!
+//! ```text
+//! varint n_lists, varint n_ids
+//! stream of n_lists   user[0], then user[i] − user[i−1]
+//! stream of n_ids     every list's ids back to back: (id << 1) | 1 for
+//!                     the first id of a list, (id − previous) << 1 after
+//! ```
+//!
+//! Lists average two or three ids, so only block-wide streams fill
+//! frames (and reach the SIMD unpack); the tag bit is why rr ids stay
+//! below [`MAX_RR_SETS`]. `ilp` files users under partitions by (list
+//! length desc, user asc) in chunks of δ and writes each chunk in user
+//! order, so one encoder and one decoder serve both blocks.
 //!
 //! Queries read `il` (Algorithm 2) or `ip` + `pmeta` + `ilp` ranges
 //! (Algorithm 4): RR-set ids are ordinals, so a keyword's `θ^Q_w` prefix
@@ -291,36 +308,58 @@ impl IndexMeta {
     }
 }
 
-/// One inverted-list entry: a user and the (ascending) ids of the RR sets
-/// containing it.
+/// One inverted-list entry: a user and the (strictly ascending, never
+/// empty) ids of the RR sets containing it.
 pub type IlEntry = (NodeId, Vec<u32>);
 
-/// Encode an inverted-list block (`il` or one `ilp` partition): count then
-/// per-entry varint user + codec list.
+/// RR-set ids share a `u32` with the list-start tag bit of the columnar
+/// `il` / `ilp` layout, so a keyword holds at most this many RR sets
+/// (the build refuses a larger θ_w).
+pub const MAX_RR_SETS: u64 = 1 << 31;
+
+/// Encode an inverted-list block (`il` or one `ilp` partition) in
+/// columnar form — see the module table. `entries` must ascend by user;
+/// every list is non-empty, strictly ascending, ids below
+/// [`MAX_RR_SETS`].
 pub fn encode_il_entries(entries: &[IlEntry], codec: Codec, out: &mut Vec<u8>) {
-    varint::write_u32(entries.len() as u32, out);
-    for (user, list) in entries {
-        varint::write_u32(*user, out);
-        codec.encode_sorted(list, out);
-    }
+    assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "il entries must ascend by user");
+    let n_ids: usize = entries.iter().map(|(_, list)| list.len()).sum();
+    varint::write_u32(u32::try_from(entries.len()).expect("il block exceeds u32 lists"), out);
+    varint::write_u32(u32::try_from(n_ids).expect("il block exceeds u32 ids"), out);
+    let mut prev_user = 0;
+    let user_gaps = entries.iter().map(|&(user, _)| {
+        let gap = user - prev_user;
+        prev_user = user;
+        gap
+    });
+    codec.encode_stream(user_gaps, out);
+    let tagged = entries.iter().flat_map(|(user, list)| {
+        assert!(!list.is_empty(), "user {user} has an empty inverted list");
+        let mut prev = None;
+        list.iter().map(move |&id| {
+            assert!((id as u64) < MAX_RR_SETS, "rr id {id} does not leave room for the tag bit");
+            let value = match prev {
+                None => id << 1 | 1,
+                Some(p) => {
+                    assert!(p < id, "inverted list of user {user} must strictly ascend");
+                    (id - p) << 1
+                }
+            };
+            prev = Some(id);
+            value
+        })
+    });
+    codec.encode_stream(tagged, out);
 }
 
-/// Decode a block written by [`encode_il_entries`].
-///
-/// Allocating oracle (one `Vec` per user) for tests and
-/// [`crate::KbtimIndex::validate`]; hot paths use [`decode_il_csr_into`].
+/// Decode a block written by [`encode_il_entries`] into per-user `Vec`s
+/// — an adapter over [`decode_il_csr`] for tests and
+/// [`crate::KbtimIndex::validate`]; hot paths use
+/// [`decode_il_csr_into`].
 #[doc(hidden)]
 pub fn decode_il_entries(input: &[u8], codec: Codec) -> Result<Vec<IlEntry>, IndexError> {
-    let mut cursor = Cursor::new(input);
-    let count = cursor.u32()? as usize;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let user = cursor.u32()?;
-        let list = cursor.list(codec)?;
-        entries.push((user, list));
-    }
-    cursor.expect_end()?;
-    Ok(entries)
+    let csr = decode_il_csr(input, codec)?;
+    Ok((0..csr.len()).map(|i| (csr.users[i], csr.list(i).to_vec())).collect())
 }
 
 /// A decoded inverted-list block in flat CSR form: one `ids` arena plus
@@ -330,7 +369,7 @@ pub fn decode_il_entries(input: &[u8], codec: Codec) -> Result<Vec<IlEntry>, Ind
 /// starts at 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IlCsr {
-    /// Users in block order (ascending for the `il` block).
+    /// Users in block order (ascending in every decoded block).
     pub users: Vec<NodeId>,
     /// `users.len() + 1` boundaries into `ids`.
     pub offsets: Vec<u32>,
@@ -394,8 +433,7 @@ impl IlCsr {
     }
 }
 
-/// Decode a block written by [`encode_il_entries`] straight into a flat
-/// [`IlCsr`] (the codec appends each list to the shared `ids` arena).
+/// Decode a block written by [`encode_il_entries`] into a flat [`IlCsr`].
 pub fn decode_il_csr(input: &[u8], codec: Codec) -> Result<IlCsr, IndexError> {
     let mut csr = IlCsr::default();
     decode_il_csr_into(input, codec, &mut csr)?;
@@ -404,21 +442,64 @@ pub fn decode_il_csr(input: &[u8], codec: Codec) -> Result<IlCsr, IndexError> {
 
 /// [`decode_il_csr`] into a caller-owned (scratch-pooled) CSR, reset
 /// first; steady-state decodes allocate nothing once the arenas are
-/// warm.
+/// warm. Both streams unpack whole into their arenas and are finished
+/// in place: users by a prefix sum, ids and list offsets by one
+/// branch-free pass over the tagged gaps. On error the CSR is left
+/// reset.
 pub fn decode_il_csr_into(input: &[u8], codec: Codec, csr: &mut IlCsr) -> Result<(), IndexError> {
     csr.reset();
-    let mut cursor = Cursor::new(input);
-    let count = cursor.u32()? as usize;
-    csr.users.reserve(count);
-    csr.offsets.reserve(count + 1);
-    for _ in 0..count {
-        csr.users.push(cursor.u32()?);
-        cursor.list_into(codec, &mut csr.ids)?;
-        let end = u32::try_from(csr.ids.len())
-            .map_err(|_| IndexError::Corrupt("il block exceeds u32 arena offsets".into()))?;
-        csr.offsets.push(end);
+    let decoded = decode_il_streams(input, codec, csr);
+    if decoded.is_err() {
+        csr.reset();
     }
+    decoded
+}
+
+fn decode_il_streams(input: &[u8], codec: Codec, csr: &mut IlCsr) -> Result<(), IndexError> {
+    let corrupt = |what: &str| Err(IndexError::Corrupt(format!("il block: {what}")));
+    let mut cursor = Cursor::new(input);
+    let n_lists = cursor.u32()? as usize;
+    let n_ids = cursor.u32()? as usize;
+    // Every list holds an id and every id takes stream bytes (the codec
+    // checks each count against the input before it reserves), so the
+    // offsets table below is bounded by the input too.
+    if n_lists > n_ids {
+        return corrupt("more lists than ids");
+    }
+    cursor.pos += codec.decode_stream(&input[cursor.pos..], n_lists, &mut csr.users)?;
+    kbtim_codec::delta::undelta_in_place(&mut csr.users)?;
+    cursor.pos += codec.decode_stream(&input[cursor.pos..], n_ids, &mut csr.ids)?;
     cursor.expect_end()?;
+    if csr.ids.first().is_some_and(|tagged| tagged & 1 == 0) {
+        return corrupt("first id does not start a list");
+    }
+    let starts = csr.ids.iter().filter(|&&tagged| tagged & 1 == 1).count();
+    if starts != n_lists {
+        return corrupt("list-start tags disagree with the list count");
+    }
+
+    // One pass, no data-dependent branch: every id writes its position
+    // into the slot of the next list to start (a list start then moves
+    // on, so a slot keeps its own list's first position; the last slot
+    // is set below) and restarts or continues the running sum under a
+    // mask.
+    csr.offsets.clear();
+    csr.offsets.resize(n_lists + 1, 0);
+    let (mut list, mut acc, mut seen_bits) = (0usize, 0u32, 0u32);
+    for (pos, id) in csr.ids.iter_mut().enumerate() {
+        let (start, gap) = (*id & 1, *id >> 1);
+        csr.offsets[list] = pos as u32;
+        list += start as usize;
+        acc = gap.wrapping_add(acc & start.wrapping_sub(1));
+        seen_bits |= acc;
+        *id = acc;
+    }
+    csr.offsets[n_lists] = n_ids as u32;
+    // Gaps and ids are both below 2^31, so no step can wrap before the
+    // first id at or above 2^31 has left its top bit in `seen_bits`.
+    if seen_bits as u64 >= MAX_RR_SETS {
+        return corrupt("rr id beyond the tag-bit limit");
+    }
     Ok(())
 }
 
@@ -767,6 +848,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_meta() -> IndexMeta {
         IndexMeta {
@@ -834,9 +916,38 @@ mod tests {
         }
     }
 
+    /// The per-entry layout this one replaced (count, then per user:
+    /// varint user + one codec list) — kept as the oracle the columnar
+    /// block is proptested against.
+    fn per_entry_oracle(entries: &[IlEntry], codec: Codec) -> Vec<IlEntry> {
+        let mut buf = Vec::new();
+        varint::write_u32(entries.len() as u32, &mut buf);
+        for (user, list) in entries {
+            varint::write_u32(*user, &mut buf);
+            codec.encode_sorted(list, &mut buf);
+        }
+        let mut cursor = Cursor::new(&buf);
+        let count = cursor.u32().unwrap();
+        let decoded =
+            (0..count).map(|_| (cursor.u32().unwrap(), cursor.list(codec).unwrap())).collect();
+        cursor.expect_end().unwrap();
+        decoded
+    }
+
+    /// Whether `csr` keeps every [`IlCsr`] invariant a consumer relies
+    /// on, whatever bytes it was decoded from.
+    fn well_formed(csr: &IlCsr) -> bool {
+        csr.offsets.len() == csr.users.len() + 1
+            && csr.offsets[0] == 0
+            && *csr.offsets.last().unwrap() as usize == csr.ids.len()
+            && csr.offsets.windows(2).all(|w| w[0] < w[1])
+            && (0..csr.len()).all(|i| csr.list(i).windows(2).all(|w| w[0] <= w[1]))
+            && csr.ids.iter().all(|&id| (id as u64) < MAX_RR_SETS)
+    }
+
     #[test]
     fn il_entries_roundtrip() {
-        let entries: Vec<IlEntry> = vec![(3, vec![0, 5, 9, 200]), (7, vec![]), (900, vec![1])];
+        let entries: Vec<IlEntry> = vec![(3, vec![0, 5, 9, 200]), (7, vec![6]), (900, vec![1])];
         for codec in [Codec::Raw, Codec::Packed] {
             let mut buf = Vec::new();
             encode_il_entries(&entries, codec, &mut buf);
@@ -847,7 +958,7 @@ mod tests {
     #[test]
     fn il_csr_matches_entries_decoder() {
         let entries: Vec<IlEntry> =
-            vec![(3, vec![0, 5, 9, 200]), (7, vec![]), (11, vec![4]), (900, vec![1, 2])];
+            vec![(3, vec![0, 5, 9, 200]), (7, vec![8]), (11, vec![4]), (900, vec![1, 2])];
         for codec in [Codec::Raw, Codec::Packed] {
             let mut buf = Vec::new();
             encode_il_entries(&entries, codec, &mut buf);
@@ -857,7 +968,7 @@ mod tests {
                 assert_eq!(csr.users[i], *user);
                 assert_eq!(csr.list(i), list.as_slice());
             }
-            assert_eq!(csr.arena_bytes(), ((7 + 5 + 4) * 4) as u64);
+            assert_eq!(csr.arena_bytes(), ((8 + 5 + 4) * 4) as u64);
         }
     }
 
@@ -867,6 +978,131 @@ mod tests {
         encode_il_entries(&[(1, vec![2])], Codec::Raw, &mut buf);
         buf.push(0xff);
         assert!(decode_il_csr(&buf, Codec::Raw).is_err());
+    }
+
+    #[test]
+    fn il_block_is_smaller_than_the_per_entry_layout_on_short_lists() {
+        // The shape of a real keyword: many users, two or three ids each.
+        let entries: Vec<IlEntry> =
+            (0..4000u32).map(|u| (u * 3, (0..1 + u % 3).map(|i| u + i * 9000).collect())).collect();
+        let mut columnar = Vec::new();
+        encode_il_entries(&entries, Codec::Packed, &mut columnar);
+        let mut per_entry = Vec::new();
+        for (user, list) in &entries {
+            varint::write_u32(*user, &mut per_entry);
+            Codec::Packed.encode_sorted(list, &mut per_entry);
+        }
+        assert!(
+            columnar.len() * 4 < per_entry.len() * 3,
+            "{} vs {}",
+            columnar.len(),
+            per_entry.len()
+        );
+    }
+
+    #[test]
+    fn il_encoder_refuses_what_the_layout_cannot_hold() {
+        let refused = |entries: Vec<IlEntry>| {
+            std::panic::catch_unwind(|| encode_il_entries(&entries, Codec::Packed, &mut Vec::new()))
+                .is_err()
+        };
+        assert!(refused(vec![(1, vec![])]), "an empty list has no start tag");
+        assert!(refused(vec![(1, vec![5, 5])]), "duplicate id");
+        assert!(refused(vec![(2, vec![1]), (1, vec![1])]), "users out of order");
+        assert!(refused(vec![(1, vec![MAX_RR_SETS as u32])]), "id takes the tag bit");
+        assert!(!refused(vec![(1, vec![MAX_RR_SETS as u32 - 1])]));
+    }
+
+    #[test]
+    fn il_hostile_header_counts_fail_before_reserving() {
+        for codec in [Codec::Raw, Codec::Packed] {
+            for (n_lists, n_ids) in [(1u32, u32::MAX), (u32::MAX, u32::MAX), (5, 4)] {
+                let mut buf = Vec::new();
+                varint::write_u32(n_lists, &mut buf);
+                varint::write_u32(n_ids, &mut buf);
+                buf.extend([1u8; 64]);
+                let mut csr = IlCsr::default();
+                assert!(decode_il_csr_into(&buf, codec, &mut csr).is_err());
+                let reserved = csr.users.capacity() + csr.ids.capacity() + csr.offsets.capacity();
+                assert!(reserved < 64 * 128, "{codec:?} ({n_lists}, {n_ids}): reserved {reserved}");
+            }
+        }
+    }
+
+    #[test]
+    fn il_hostile_bytes_never_panic_or_break_the_csr() {
+        // Every truncation and every single-bit flip of an encoded block
+        // is an error or a well-formed CSR no larger than the input
+        // could encode.
+        let entries: Vec<IlEntry> = (0..150u32)
+            .map(|u| (u * 7 + 1, (0..1 + u % 4).map(|i| u * 2 + i * 301).collect()))
+            .collect();
+        for codec in [Codec::Raw, Codec::Packed] {
+            let mut buf = Vec::new();
+            encode_il_entries(&entries, codec, &mut buf);
+            let mut csr = IlCsr::default();
+            let mut check = |bytes: &[u8], what: String| {
+                match decode_il_csr_into(bytes, codec, &mut csr) {
+                    Ok(()) => assert!(well_formed(&csr), "{codec:?} {what}"),
+                    Err(_) => assert_eq!(csr, IlCsr::default(), "{codec:?} {what}"),
+                }
+                let most = bytes.len() * kbtim_codec::bitpack::BLOCK_LEN;
+                assert!(csr.ids.capacity().max(csr.users.capacity()) <= most.max(1024), "{what}");
+            };
+            for cut in 0..buf.len() {
+                check(&buf[..cut], format!("cut at {cut}"));
+            }
+            for bit in 0..buf.len() * 8 {
+                let mut flipped = buf.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                check(&flipped, format!("bit {bit} flipped"));
+            }
+        }
+    }
+
+    /// Entry sets shaped like the edge cases of a keyword's block: none
+    /// or one user, the last user of the universe, lists of 1..=40 ids,
+    /// one list of at least 300, and a last list that ends the arena.
+    fn il_entry_sets() -> impl Strategy<Value = Vec<IlEntry>> {
+        const NUM_USERS: u32 = 5000;
+        fn ascending(mut ids: Vec<u32>) -> Vec<u32> {
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        }
+        let entry = || {
+            (0u32..NUM_USERS, proptest::collection::vec(0u32..60_000, 1..41))
+                .prop_map(|(user, ids)| (user, ascending(ids)))
+        };
+        let long = proptest::collection::vec(0u32..MAX_RR_SETS as u32, 300..400);
+        (
+            proptest::collection::vec(entry(), 0..120),
+            proptest::collection::vec(entry(), 0..2),
+            proptest::collection::vec((0u32..NUM_USERS, long), 0..2),
+        )
+            .prop_map(|(entries, last_user, long)| {
+                let mut by_user: std::collections::BTreeMap<u32, Vec<u32>> =
+                    entries.into_iter().collect();
+                by_user.extend(last_user.into_iter().map(|(_, list)| (NUM_USERS - 1, list)));
+                by_user.extend(long.into_iter().map(|(user, ids)| (user, ascending(ids))));
+                by_user.into_iter().collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        #[test]
+        fn il_block_matches_the_per_entry_oracle(entries in il_entry_sets()) {
+            for codec in [Codec::Raw, Codec::Packed] {
+                let mut buf = Vec::new();
+                encode_il_entries(&entries, codec, &mut buf);
+                let csr = decode_il_csr(&buf, codec).unwrap();
+                prop_assert!(well_formed(&csr));
+                let oracle = per_entry_oracle(&entries, codec);
+                prop_assert_eq!(decode_il_entries(&buf, codec).unwrap(), oracle);
+            }
+        }
     }
 
     #[test]
@@ -1003,7 +1239,7 @@ mod tests {
 
     #[test]
     fn il_csr_into_reuses_and_resets() {
-        let entries: Vec<IlEntry> = vec![(3, vec![0, 5]), (7, vec![]), (11, vec![4])];
+        let entries: Vec<IlEntry> = vec![(3, vec![0, 5]), (7, vec![2]), (11, vec![4])];
         let mut buf = Vec::new();
         encode_il_entries(&entries, Codec::Packed, &mut buf);
         let mut csr = IlCsr::default();
@@ -1082,7 +1318,7 @@ mod tests {
         // Users 0..4 split [0,2) / [2,4): appending the two shard blocks
         // must reproduce the monolithic block exactly.
         let all: Vec<IlEntry> =
-            vec![(0, vec![1, 4]), (1, vec![]), (2, vec![0, 2, 3]), (3, vec![5])];
+            vec![(0, vec![1, 4]), (1, vec![6]), (2, vec![0, 2, 3]), (3, vec![5])];
         let mut whole = Vec::new();
         encode_il_entries(&all, Codec::Packed, &mut whole);
         let mut lo = Vec::new();

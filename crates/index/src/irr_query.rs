@@ -24,7 +24,7 @@
 //! property-tested in `tests/`.
 
 use crate::format::{self, IlCsr, PartitionSpan};
-use crate::rr_query::{empty_outcome, prefix_len};
+use crate::rr_query::{empty_outcome, list_cut};
 use crate::scratch::{KwBufs, QueryScratch};
 use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome, QueryStats};
 use kbtim_codec::Codec;
@@ -38,19 +38,25 @@ use std::time::Instant;
 /// Sentinel for "no value" in the dense per-user tables below.
 const ABSENT: u32 = u32::MAX;
 
+/// A partition round decodes on the pool once its pending `ilp` ranges
+/// add up to this many bytes (encoded bytes of the columnar layout).
+/// Unpriced: no benchmark workload has rounds this large (see ROADMAP).
+const PARALLEL_LOAD_MIN_BYTES: u64 = 256 * 1024;
+
 /// Per-keyword NRA state.
 ///
-/// Per-user lookups go through a *compact slot table*: `bufs.users` holds
-/// the keyword's `IP_w` keys (every user occurring in at least one stored
-/// RR set, ascending), and all per-slot arrays are sized by that
-/// occupancy — not by |V| — so query memory scales with the keyword's
-/// pool, exactly like the old hash maps, but flat: a slot is one
-/// branch-free binary search away and loaded inverted lists live in one
-/// append-only arena (each user's list arrives with exactly one
-/// partition, so a `(start, len)` span per slot suffices). The tables
-/// themselves ([`KwBufs`]) are leased from the index's scratch pool and
-/// returned when the query finishes, so a warmed index rebuilds no
-/// per-keyword allocation.
+/// Per-user lookups go through a *slot table*: `bufs.users` holds the
+/// keyword's `IP_w` keys (every user occurring in at least one stored RR
+/// set, ascending) and `bufs.slot_of` maps a user straight to its index
+/// there — one load per user per loaded partition and per keyword per
+/// fresh candidate. `slot_of` is the only table sized by |V| (4 bytes
+/// per user per query keyword, refilled from `ip` per query); everything
+/// else is sized by the keyword's occupancy: per-slot arrays, and one
+/// append-only arena for the loaded inverted lists (each user's list
+/// arrives with exactly one partition, so a `(start, len)` span per
+/// slot suffices). The tables themselves ([`KwBufs`]) are leased from
+/// the index's scratch pool and returned when the query finishes, so a
+/// warmed index rebuilds no per-keyword allocation.
 struct KwState<'a> {
     /// `θ^Q_w` — only RR ids below this participate.
     share: u64,
@@ -69,7 +75,8 @@ impl KwState<'_> {
     /// Slot of `v`, if it occurs in this keyword's pool at all.
     #[inline]
     fn slot(&self, v: NodeId) -> Option<usize> {
-        self.bufs.users.binary_search(&v).ok()
+        let s = self.bufs.slot_of[v as usize];
+        (s != ABSENT).then_some(s as usize)
     }
 
     /// The loaded, truncated list of slot `s` (must be loaded).
@@ -132,8 +139,7 @@ impl KwState<'_> {
     ) {
         for j in 0..il.len() {
             let user = il.users[j];
-            let list = il.list(j);
-            let list = &list[..prefix_len(list, self.share)];
+            let list = &il.list(j)[..list_cut(il, j, self.share)];
             let start = self.bufs.arena.len();
             assert!(start < ABSENT as usize, "IRR list arena exceeds u32 spans");
             // Every partitioned user has a first occurrence, so a slot
@@ -228,8 +234,9 @@ impl KbtimIndex {
         } = &mut *scratch;
 
         // Initialize per-keyword state; IP and the partition catalog are
-        // read up front (one small read each, as in the paper). Per-slot
-        // tables are sized by the keyword's occupancy, never by |V|.
+        // read up front (one small read each, as in the paper). The
+        // user → slot table is |V|-sized; the per-slot tables are sized
+        // by the keyword's occupancy.
         let mut states: Vec<KwState<'_>> = Vec::with_capacity(budget.len());
         let mut base = 0u64;
         for &(topic, share) in &budget {
@@ -238,7 +245,15 @@ impl KbtimIndex {
             bufs.clear();
             let ip_bytes = source.read_block_in(format::IP_BLOCK, bytes)?;
             format::decode_ip_into(ip_bytes, codec, &mut bufs.users, &mut bufs.firsts)?;
-            debug_assert!(bufs.users.windows(2).all(|w| w[0] < w[1]), "IP_w users must ascend");
+            bufs.slot_of.resize(num_users, ABSENT);
+            for (s, &user) in bufs.users.iter().enumerate() {
+                let slot = bufs.slot_of.get_mut(user as usize).ok_or_else(|| {
+                    IndexError::Corrupt(format!(
+                        "topic {topic}: ip names user {user} of {num_users}"
+                    ))
+                })?;
+                *slot = s as u32;
+            }
             let pmeta_bytes = source.read_block_in(format::PMETA_BLOCK, bytes)?;
             format::decode_partition_spans_into(pmeta_bytes, &mut bufs.partitions)?;
             let max_len = self.meta().keywords[topic as usize].max_list_len as u64;
@@ -290,7 +305,6 @@ impl KbtimIndex {
             // scratch. The partition catalog gives the sizes before any
             // I/O, and both paths apply identical loads, so the choice
             // cannot affect the answer.
-            const PARALLEL_LOAD_MIN_BYTES: u64 = 256 * 1024;
             let pending_bytes: u64 = states
                 .iter()
                 .filter_map(KwState::pending)
@@ -582,31 +596,52 @@ mod tests {
     #[test]
     fn coarse_partition_rounds_fan_out_and_load_the_same() {
         // δ = 10^6 files a keyword's whole L_w under one partition, so
-        // the first round moves enough bytes to take the pool fan-out.
+        // the first round is as large as the keywords' `ilp` blocks. The
+        // pool is sized from the bytes the encoder actually produced:
+        // grow it until that round clears the fan-out threshold.
         let data = dataset(2000, 4, 71);
+        let q = Query::new([0, 1, 2, 3], 12);
         let dir = TempDir::new("irrq-fanout").unwrap();
-        build_irr_capped(&data, dir.path(), 1_000_000, 30_000);
         let open = |threads| {
             KbtimIndex::open(dir.path(), IoStats::new()).unwrap().with_threads(Some(threads))
         };
-        let (serial, pooled) = (open(1), open(4));
-        let q = Query::new([0, 1, 2, 3], 12);
-        let round_bytes: u64 = q
-            .topics()
-            .iter()
-            .map(|&t| serial.source(t).unwrap().block_len(format::ILP_BLOCK).unwrap())
-            .sum();
-        assert!(round_bytes >= 256 * 1024, "fixture round is only {round_bytes} B");
-        let rr = serial.query_rr(&q).unwrap();
-        for index in [&serial, &pooled] {
+        let mut cap = 30_000;
+        loop {
+            build_irr_capped(&data, dir.path(), 1_000_000, cap);
+            let index = open(1);
+            let round_bytes: u64 = q
+                .topics()
+                .iter()
+                .map(|&t| index.source(t).unwrap().block_len(format::ILP_BLOCK).unwrap())
+                .sum();
+            if round_bytes >= super::PARALLEL_LOAD_MIN_BYTES {
+                break;
+            }
+            cap *= 2;
+            assert!(cap <= 480_000, "a {round_bytes} B round at θ cap {cap}: fixture too small");
+        }
+        let rr = open(1).query_rr(&q).unwrap();
+        let mut bytes_read = None;
+        for threads in [1, 4] {
+            // A handle that has only ever run IRR: the pool holds spare
+            // CSRs iff a round leased them, which only the fan-out does.
+            let index = open(threads);
             let irr = index.query_irr(&q).unwrap();
+            assert!(index.scratch.spare_csrs() > 0, "the round decoded inline");
             assert_eq!(irr.seeds, rr.seeds);
             assert_eq!(irr.marginal_gains, rr.marginal_gains);
             assert_eq!(irr.stats.partitions_loaded, 4);
             // Every RR set holds its root, so whole lists see all of θ^Q.
             assert_eq!(irr.stats.rr_sets_loaded, irr.stats.theta_q);
-            assert_eq!(irr.stats.io.bytes_read, serial.query_irr(&q).unwrap().stats.io.bytes_read);
+            assert_eq!(*bytes_read.get_or_insert(irr.stats.io.bytes_read), irr.stats.io.bytes_read);
         }
+        // The control: tight partitions never lease a CSR.
+        build_irr_capped(&data, dir.path(), 16, 2000);
+        let index = open(4);
+        assert_eq!(index.query_irr(&q).unwrap().seeds, index.query_rr(&q).unwrap().seeds);
+        let after_rr = index.scratch.spare_csrs();
+        index.query_irr(&q).unwrap();
+        assert_eq!(index.scratch.spare_csrs(), after_rr, "a δ = 16 round took the pool fan-out");
     }
 
     #[test]

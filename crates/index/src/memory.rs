@@ -19,8 +19,7 @@
 
 use crate::format::{self, IlCsr};
 use crate::scratch::ScratchPool;
-use crate::{IndexError, IndexMeta, KbtimIndex, QueryOutcome, QueryStats};
-use kbtim_core::invindex::InvertedIndexBuilder;
+use crate::{rr_query, IndexError, IndexMeta, KbtimIndex, QueryOutcome, QueryStats};
 use kbtim_core::maxcover::greedy_max_cover_inverted;
 use kbtim_topics::Query;
 use std::time::Instant;
@@ -103,37 +102,13 @@ impl MemoryIndex {
             };
         }
 
-        // Two flat passes over the resident CSRs: count each user's
-        // truncated contribution, then fill the dense merged instance.
-        // Keyword order makes per-user global ids ascend, as in the disk
-        // path. Arenas recycle from the previous query via the pool.
-        let mut builder =
-            InvertedIndexBuilder::recycled(self.meta.num_users, self.scratch.take_arenas());
-        let mut theta_q = 0u64;
-        for &(topic, share) in &budget {
+        // The same merge the disk path runs, over the resident CSRs;
+        // arenas recycle from the previous query via the pool.
+        let parts = budget.iter().map(|&(topic, share)| {
             let kw = self.keywords[topic as usize].as_ref().expect("budgeted keyword loaded");
-            for j in 0..kw.il.len() {
-                let cut = kw.il.list(j).partition_point(|&id| (id as u64) < share);
-                builder.count(kw.il.users[j], cut as u32);
-            }
-            theta_q += share;
-        }
-        let mut filler = builder.fill();
-        let mut base = 0u64;
-        for &(topic, share) in &budget {
-            let kw = self.keywords[topic as usize].as_ref().expect("budgeted keyword loaded");
-            for j in 0..kw.il.len() {
-                let list = kw.il.list(j);
-                let cut = list.partition_point(|&id| (id as u64) < share);
-                filler.push_list(
-                    kw.il.users[j],
-                    list[..cut].iter().map(|&id| (base + id as u64) as u32),
-                );
-            }
-            base += share;
-        }
-        debug_assert_eq!(base, theta_q);
-        let inverted = filler.finish();
+            (&kw.il, share)
+        });
+        let (theta_q, inverted) = rr_query::merge_csrs(self.meta.num_users, parts, &self.scratch);
         let cover = greedy_max_cover_inverted(&inverted, theta_q, query.k());
         self.scratch.put_arenas(inverted.into_arenas());
         let estimated_influence =

@@ -32,7 +32,7 @@
 //! pool is warm.
 
 use crate::format::{self, IlCsr};
-use crate::scratch::KeywordArena;
+use crate::scratch::{KeywordArena, ScratchPool};
 use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome, QueryStats};
 use kbtim_core::invindex::{InvertedIndex, InvertedIndexBuilder};
 use kbtim_core::maxcover::greedy_max_cover_inverted_until;
@@ -60,18 +60,86 @@ pub(crate) fn normalized_wants(wants: &[(TopicId, u64)]) -> Cow<'_, [(TopicId, u
     Cow::Owned(sorted)
 }
 
-/// How many leading ids of the ascending `list` are `< share`.
+/// Inverted lists average two or three ids. Lists of at most this many
+/// are cut and copied as one fixed-width group of lanes — same work
+/// whatever the length, so no loop exit to mispredict per list.
+const SHORT: usize = 4;
+
+/// The `SHORT` arena slots starting at list `j`, when the list fits in
+/// them (the trailing lanes belong to the lists that follow) and the
+/// arena does not end first.
 #[inline]
-pub(crate) fn prefix_len(list: &[u32], share: u64) -> usize {
-    // Inverted lists average a handful of ids: a compare-and-add per id
-    // beats a binary search's unpredictable branches until lists get
-    // long.
+fn short_lanes(il: &IlCsr, j: usize) -> Option<(&[u32; SHORT], usize)> {
+    let (start, end) = (il.offsets[j] as usize, il.offsets[j + 1] as usize);
+    if end - start > SHORT {
+        return None;
+    }
+    let lanes = il.ids.get(start..start + SHORT)?;
+    Some((lanes.try_into().expect("SHORT slots"), end - start))
+}
+
+/// How many leading ids of list `j` (ascending) are `< share`.
+#[inline]
+pub(crate) fn list_cut(il: &IlCsr, j: usize, share: u64) -> usize {
+    if let Some((lanes, len)) = short_lanes(il, j) {
+        return (0..SHORT).map(|l| usize::from((l < len) & ((lanes[l] as u64) < share))).sum();
+    }
+    // A compare-and-add per id still beats a binary search's
+    // unpredictable branches until lists get long.
     const LINEAR_MAX: usize = 16;
+    let list = il.list(j);
     if list.len() <= LINEAR_MAX {
         list.iter().map(|&id| usize::from((id as u64) < share)).sum()
     } else {
         list.partition_point(|&id| (id as u64) < share)
     }
+}
+
+/// The merged coverage instance of `parts` — each keyword's complete
+/// `L_w` with its `θ^Q_w` share, in keyword order — over the users
+/// `0..num_users`: every list is cut at its share and its ids move to
+/// the keyword's base in the global id space, so per-user lists
+/// concatenate ascending. Returns `θ^Q` with the instance. One counting
+/// pass and one fill pass; each list's cut is found once and replayed
+/// from a pooled buffer.
+pub(crate) fn merge_csrs<'a>(
+    num_users: u32,
+    parts: impl Iterator<Item = (&'a IlCsr, u64)> + Clone,
+    pool: &ScratchPool,
+) -> (u64, InvertedIndex) {
+    let mut builder = InvertedIndexBuilder::recycled(num_users, pool.take_arenas());
+    let mut scratch = pool.guard();
+    let cuts = &mut scratch.cuts;
+    cuts.clear();
+    let mut theta_q = 0u64;
+    for (il, share) in parts.clone() {
+        cuts.reserve(il.len());
+        for j in 0..il.len() {
+            let cut = list_cut(il, j, share) as u32;
+            cuts.push(cut);
+            builder.count(il.users[j], cut);
+        }
+        theta_q += share;
+    }
+    let mut filler = builder.fill();
+    let mut cuts = cuts.iter();
+    let mut base = 0u64;
+    for (il, share) in parts {
+        for (j, &cut) in (0..il.len()).zip(&mut cuts) {
+            match short_lanes(il, j) {
+                Some((lanes, _)) => {
+                    filler.push_prefix(il.users[j], lanes, cut as usize, base as u32)
+                }
+                None => filler.push_list(
+                    il.users[j],
+                    il.list(j)[..cut as usize].iter().map(|&id| (base + id as u64) as u32),
+                ),
+            }
+        }
+        base += share;
+    }
+    debug_assert_eq!(base, theta_q);
+    (theta_q, filler.finish())
 }
 
 impl KbtimIndex {
@@ -197,10 +265,7 @@ impl KbtimIndex {
     /// merged [`InvertedIndex`] are all functions of `query.topics()` —
     /// `Q.k` only bounds the greedy loop — so requests sharing a
     /// keyword set share one [`MergedQuery`] and differ only in their
-    /// [`KbtimIndex::query_merged`] call. Two flat passes truncate each
-    /// keyword's full CSR to its `θ^Q_w` share and remap into the
-    /// query's global id space in keyword order (per-user lists
-    /// concatenate with ascending global ids).
+    /// [`KbtimIndex::query_merged`] call.
     pub fn merge_keywords(
         &self,
         query: &Query,
@@ -227,39 +292,16 @@ impl KbtimIndex {
         if kbtim_fault::inject("engine.merge") {
             return Err(IndexError::Injected("engine.merge"));
         }
-        let mut builder = InvertedIndexBuilder::recycled(num_users, self.scratch.take_arenas());
-        // Each list's cut is found once, in the counting pass, and
-        // replayed from this pooled buffer in the fill pass.
-        let mut scratch = self.scratch.guard();
-        let cuts = &mut scratch.cuts;
-        cuts.clear();
-        let mut theta_q = 0u64;
-        for &(topic, share) in budget {
-            let il = arena.csr(topic).ok_or_else(|| {
-                IndexError::Corrupt(format!("keyword {topic} missing from the batch arena"))
-            })?;
-            for j in 0..il.len() {
-                let cut = prefix_len(il.list(j), share) as u32;
-                cuts.push(cut);
-                builder.count(il.users[j], cut);
-            }
-            theta_q += share;
+        if let Some(&(topic, _)) = budget.iter().find(|&&(topic, _)| arena.csr(topic).is_none()) {
+            return Err(IndexError::Corrupt(format!(
+                "keyword {topic} missing from the batch arena"
+            )));
         }
-        let mut filler = builder.fill();
-        let mut cuts = cuts.iter();
-        let mut base = 0u64;
-        for &(topic, share) in budget {
-            let il = arena.csr(topic).expect("presence checked in the count pass");
-            for (j, &cut) in (0..il.len()).zip(&mut cuts) {
-                filler.push_list(
-                    il.users[j],
-                    il.list(j)[..cut as usize].iter().map(|&id| (base + id as u64) as u32),
-                );
-            }
-            base += share;
-        }
-        debug_assert_eq!(base, theta_q);
-        Ok(MergedQuery { phi_q, theta_q, inverted: filler.finish() })
+        let parts = budget
+            .iter()
+            .map(|&(topic, share)| (arena.csr(topic).expect("presence checked above"), share));
+        let (theta_q, inverted) = merge_csrs(num_users, parts, &self.scratch);
+        Ok(MergedQuery { phi_q, theta_q, inverted })
     }
 
     /// Run one request's own greedy over a shared [`MergedQuery`]
@@ -400,9 +442,11 @@ pub(crate) fn empty_outcome(started: Instant) -> QueryOutcome {
 #[cfg(test)]
 mod tests {
     use crate::build::{IndexBuildConfig, IndexBuilder, ThetaMode};
-    use crate::format::IndexVariant;
+    use crate::format::{IlCsr, IndexVariant};
+    use crate::scratch::ScratchPool;
     use crate::KbtimIndex;
     use kbtim_codec::Codec;
+    use kbtim_core::invindex::InvertedIndexBuilder;
     use kbtim_core::theta::SamplingConfig;
     use kbtim_core::wris::wris_query;
     use kbtim_datagen::{Dataset, DatasetConfig, DatasetFamily};
@@ -410,6 +454,7 @@ mod tests {
     use kbtim_propagation::spread::monte_carlo_targeted;
     use kbtim_storage::{IoStats, TempDir};
     use kbtim_topics::Query;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -458,16 +503,88 @@ mod tests {
     }
 
     #[test]
-    fn prefix_len_agrees_with_partition_point_at_every_length() {
-        // Both sides of the linear/binary switch, shares on and between
-        // ids, and the whole-list and empty cuts.
+    fn list_cut_agrees_with_partition_point_at_every_length() {
+        // Every side of the fixed-width / linear / binary switches,
+        // shares on and between ids, the whole-list and empty cuts — and
+        // the list both followed by others (lanes read into them) and
+        // last in the arena (no room for the fixed-width read).
         for len in 0..40u32 {
             let list: Vec<u32> = (0..len).map(|i| 3 * i + 1).collect();
-            for share in 0..=(3 * len as u64 + 2) {
-                let want = list.partition_point(|&id| (id as u64) < share);
-                assert_eq!(super::prefix_len(&list, share), want, "len {len} share {share}");
+            for followed in [false, true] {
+                let mut il = IlCsr::default();
+                il.ids.extend(&list);
+                il.close_list(7);
+                if followed {
+                    il.ids.extend([0, 2, 50]);
+                    il.close_list(9);
+                }
+                for share in (0..=(3 * len as u64 + 2)).chain([u64::MAX]) {
+                    let want = list.partition_point(|&id| (id as u64) < share);
+                    assert_eq!(super::list_cut(&il, 0, share), want, "len {len} share {share}");
+                }
             }
-            assert_eq!(super::prefix_len(&list, u64::MAX), list.len());
+        }
+    }
+
+    /// 1–4 keyword CSRs over 60 users: lists of 1..=12 ids (both sides
+    /// of the fixed-width switch, the last ones ending the arena) drawn
+    /// from 0..40, each with a share from 0 to beyond every id.
+    fn merge_inputs() -> impl Strategy<Value = Vec<(IlCsr, u64)>> {
+        let list = proptest::collection::vec(0u32..40, 1..13).prop_map(|mut ids| {
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        });
+        let keyword = (proptest::collection::vec((0u32..60, list), 0..50), 0u64..45).prop_map(
+            |(entries, share)| {
+                let by_user: std::collections::BTreeMap<u32, Vec<u32>> =
+                    entries.into_iter().collect();
+                let mut il = IlCsr::default();
+                for (user, ids) in by_user {
+                    il.ids.extend(ids);
+                    il.close_list(user);
+                }
+                (il, share)
+            },
+        );
+        proptest::collection::vec(keyword, 1..5)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The merge is the plain count / `push_list` construction, list
+        /// by list with a binary-searched cut.
+        #[test]
+        fn merge_matches_the_list_by_list_oracle(parts in merge_inputs()) {
+            let mut builder = InvertedIndexBuilder::new(60);
+            let cut = |il: &IlCsr, j: usize, share: u64| {
+                il.list(j).partition_point(|&id| (id as u64) < share)
+            };
+            for (il, share) in &parts {
+                for j in 0..il.len() {
+                    builder.count(il.users[j], cut(il, j, *share) as u32);
+                }
+            }
+            let mut filler = builder.fill();
+            let mut base = 0u64;
+            for (il, share) in &parts {
+                for j in 0..il.len() {
+                    let kept = &il.list(j)[..cut(il, j, *share)];
+                    filler.push_list(il.users[j], kept.iter().map(|&id| (base + id as u64) as u32));
+                }
+                base += share;
+            }
+            let oracle = filler.finish();
+            let pool = ScratchPool::new();
+            // Twice: the second run builds in the first one's recycled arenas.
+            for _ in 0..2 {
+                let borrowed = parts.iter().map(|(il, share)| (il, *share));
+                let (theta_q, merged) = super::merge_csrs(60, borrowed, &pool);
+                prop_assert_eq!(theta_q, base);
+                prop_assert_eq!(&merged, &oracle);
+                pool.put_arenas(merged.into_arenas());
+            }
         }
     }
 

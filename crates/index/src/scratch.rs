@@ -73,12 +73,16 @@ impl KeywordArena {
 }
 
 /// One IRR query keyword's reusable NRA tables (the `KwState` backing
-/// store): the `decode_ip` output, the partition catalog, the per-slot
-/// loaded-list spans and the shared list arena.
+/// store): the `decode_ip` output, the user → slot table over it, the
+/// partition catalog, the per-slot loaded-list spans and the shared
+/// list arena.
 #[derive(Default)]
 pub(crate) struct KwBufs {
     /// `IP_w` keys: users with at least one occurrence, ascending.
     pub(crate) users: Vec<NodeId>,
+    /// Dense inverse of `users`: `slot_of[v]` is `v`'s index in `users`
+    /// (`u32::MAX` when `v` never occurs) — the one |V|-sized table.
+    pub(crate) slot_of: Vec<u32>,
     /// First-occurrence ids, parallel to `users`.
     pub(crate) firsts: Vec<u32>,
     /// Partition catalog (the rows a query walks; see
@@ -96,6 +100,7 @@ impl KwBufs {
     /// Empty the tables, keeping every capacity.
     pub(crate) fn clear(&mut self) {
         self.users.clear();
+        self.slot_of.clear();
         self.firsts.clear();
         self.partitions.clear();
         self.list_start.clear();
@@ -176,6 +181,13 @@ impl ScratchPool {
     pub(crate) fn put_csr(&self, mut csr: IlCsr) {
         csr.reset();
         self.csrs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(csr);
+    }
+
+    /// Spare CSRs currently in the pool — how tests tell which decode
+    /// path leased from it.
+    #[cfg(test)]
+    pub(crate) fn spare_csrs(&self) -> usize {
+        self.csrs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
     }
 
     /// Take a recycled arena bundle for `InvertedIndexBuilder::recycled`
@@ -265,6 +277,7 @@ mod tests {
     fn kw_bufs_clear_empties_every_table_and_keeps_capacity() {
         let mut bufs = KwBufs::default();
         bufs.users.extend([1, 5, 9]);
+        bufs.slot_of.extend([u32::MAX, 0, u32::MAX]);
         bufs.firsts.extend([0, 2, 7]);
         bufs.list_start.extend([0, 3]);
         bufs.list_len.extend([3, 2]);
@@ -273,6 +286,7 @@ mod tests {
         let arena_cap = bufs.arena.capacity();
         bufs.clear();
         assert!(bufs.users.is_empty() && bufs.arena.is_empty() && bufs.list_start.is_empty());
+        assert!(bufs.slot_of.is_empty());
         assert!(bufs.partitions.is_empty());
         assert_eq!(bufs.arena.capacity(), arena_cap, "clear must keep capacities");
     }

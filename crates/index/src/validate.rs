@@ -283,6 +283,68 @@ impl KbtimIndex {
                             "{at}: partitions cover {rr_total} sets, segment holds {nonempty}"
                         )));
                     }
+                    // ilp — the only list block native IRR serves from:
+                    // the partitions tile the block, each decodes to the
+                    // users its row announces, together they are exactly
+                    // the il entries, lengths fall from one partition to
+                    // the next, and every kb bound is the longest list
+                    // still unloaded.
+                    let ilp_len = reader.block_len(format::ILP_BLOCK)?;
+                    let mut unfiled: HashMap<u32, &[u32]> =
+                        entries.iter().map(|(user, list)| (*user, list.as_slice())).collect();
+                    let mut ilp_end = 0u64;
+                    let mut shortest_so_far = u32::MAX;
+                    let mut bound_owed: Option<u32> = None;
+                    for (p, part) in parts.iter().enumerate() {
+                        if part.il_start != ilp_end || part.il_end < part.il_start {
+                            return Err(corrupt(format!(
+                                "{at}: partition {p} does not start where the last one ended"
+                            )));
+                        }
+                        ilp_end = part.il_end;
+                        let bytes = reader.read_range(
+                            format::ILP_BLOCK,
+                            part.il_start,
+                            part.il_end - part.il_start,
+                        )?;
+                        let lists = format::decode_il_entries(&bytes, codec)?;
+                        if lists.len() != part.user_count as usize {
+                            return Err(corrupt(format!(
+                                "{at}: partition {p} decodes {} users, meta says {}",
+                                lists.len(),
+                                part.user_count
+                            )));
+                        }
+                        if lists.iter().any(|(user, list)| unfiled.remove(user) != Some(&list[..]))
+                        {
+                            return Err(corrupt(format!(
+                                "{at}: partition {p} holds a list the il block does not, or twice"
+                            )));
+                        }
+                        let lens = lists.iter().map(|(_, list)| list.len() as u32);
+                        let longest = lens.clone().max().unwrap_or(0);
+                        if longest > shortest_so_far || bound_owed.is_some_and(|b| b != longest) {
+                            return Err(corrupt(format!(
+                                "{at}: partition {p}'s longest list ({longest}) breaks the \
+                                 descending order or the previous kb bound"
+                            )));
+                        }
+                        shortest_so_far = lens.min().unwrap_or(0);
+                        bound_owed = Some(part.max_len_after);
+                    }
+                    if ilp_end != ilp_len || bound_owed.is_some_and(|b| b != 0) {
+                        return Err(corrupt(format!(
+                            "{at}: partitions end at {ilp_end} of {ilp_len} ilp bytes, or the \
+                             last kb bound is not 0"
+                        )));
+                    }
+                    if !unfiled.is_empty() {
+                        return Err(corrupt(format!(
+                            "{at}: {} il lists are in no ilp partition",
+                            unfiled.len()
+                        )));
+                    }
+
                     let mut seen = vec![false; kw.theta as usize];
                     for (p, part) in parts.iter().enumerate() {
                         if part.user_count == 0 || part.user_count > partition_size {
@@ -454,6 +516,56 @@ mod tests {
         std::fs::rename(&tmp, b.join(&name)).unwrap();
         let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
         assert!(index.validate().is_err(), "validation must catch the swap");
+    }
+
+    /// Rewrite `path` with `edit` applied to the payload of `block`; the
+    /// writer recomputes every CRC, so only `validate` can notice.
+    fn rewrite_block(path: &std::path::Path, block: &str, edit: impl Fn(&mut Vec<u8>)) {
+        use kbtim_storage::segment::{SegmentReader, SegmentWriter};
+        let reader = SegmentReader::open(path, IoStats::new()).unwrap();
+        let payloads: Vec<(String, Vec<u8>)> = reader
+            .blocks()
+            .into_iter()
+            .map(|info| {
+                let mut bytes = reader.read_block(&info.name).unwrap();
+                if info.name == block {
+                    edit(&mut bytes);
+                }
+                (info.name, bytes)
+            })
+            .collect();
+        drop(reader);
+        let mut writer = SegmentWriter::create(path).unwrap();
+        for (name, bytes) in &payloads {
+            writer.write_block(name, bytes).unwrap();
+        }
+        writer.finish().unwrap();
+    }
+
+    #[test]
+    fn a_flipped_ilp_byte_behind_a_good_crc_fails_validation() {
+        // ilp is what native IRR serves from, and nothing else in the
+        // segment is derived from its bytes: only decoding it can tell.
+        let dir = TempDir::new("validate-ilp").unwrap();
+        build(dir.path(), IndexVariant::Irr { partition_size: 16 });
+        let victim = dir.path().join(crate::format::keyword_file_name(0));
+        let ilp_len = {
+            let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
+            index.validate().unwrap();
+            index.source(0).unwrap().block_len(crate::format::ILP_BLOCK).unwrap() as usize
+        };
+        let pristine = std::fs::read(&victim).unwrap();
+        for at in [0, 1, ilp_len / 3, ilp_len / 2, ilp_len - 1] {
+            for bit in [0x01u8, 0x10, 0x80] {
+                std::fs::write(&victim, &pristine).unwrap();
+                rewrite_block(&victim, crate::format::ILP_BLOCK, |bytes| bytes[at] ^= bit);
+                let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
+                assert!(index.validate().is_err(), "ilp byte {at} ^ {bit:#x} went unnoticed");
+            }
+        }
+        std::fs::write(&victim, &pristine).unwrap();
+        rewrite_block(&victim, crate::format::ILP_BLOCK, |_| {});
+        KbtimIndex::open(dir.path(), IoStats::new()).unwrap().validate().unwrap();
     }
 
     #[test]

@@ -29,7 +29,10 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 const MAGIC: &[u8; 8] = b"KBTIMSG1";
-const VERSION: u32 = 1;
+/// Container version. 2: keyword segments carry columnar `il` / `ilp`
+/// blocks (see `kbtim-index`'s `format` module). There is no reader for
+/// version 1; `kbtim build` from the dataset is the migration.
+const VERSION: u32 = 2;
 pub(crate) const HEADER_LEN: u64 = 16;
 pub(crate) const FOOTER_LEN: u64 = 8 + 8 + 4 + 8;
 
