@@ -65,6 +65,43 @@ pub fn read_u32(input: &[u8]) -> Result<(u32, usize), CodecError> {
     }
 }
 
+/// Decode `n` consecutive `u32` varints from the front of `input`,
+/// appending the values to `out`; returns the bytes consumed. Values,
+/// count and error are those of `n` calls of [`read_u32`]; on an error
+/// `out` keeps the values decoded before it.
+///
+/// For runs of mostly one- to three-byte values (ids in the tens of
+/// thousands), where [`read_u32`]'s per-byte loop mispredicts its exit
+/// on every length change. Each value is read through a four-byte
+/// window: the first clear continuation bit gives the length, a mask
+/// and three shifts give the value, with no branch on either. The last
+/// few bytes of the input, and four- and five-byte values, go through
+/// [`read_u32`].
+pub fn read_u32_run(input: &[u8], n: usize, out: &mut Vec<u32>) -> Result<usize, CodecError> {
+    // Every value takes a byte, so a hostile `n` reserves no more than
+    // the input could hold.
+    out.reserve(n.min(input.len()));
+    let mut pos = 0usize;
+    for _ in 0..n {
+        if let Some(window) = input.get(pos..pos + 4) {
+            let word = u32::from_le_bytes(window.try_into().expect("four bytes"));
+            // Bit 7, 15 or 23: the final byte of a 1-, 2- or 3-byte value.
+            let ends = !word & 0x0080_8080;
+            if ends != 0 {
+                let end_bit = ends.trailing_zeros();
+                let bytes = word & (u32::MAX >> (31 - end_bit));
+                out.push(bytes & 0x7f | (bytes & 0x7f00) >> 1 | (bytes & 0x7f_0000) >> 2);
+                pos += (end_bit as usize + 1) / 8;
+                continue;
+            }
+        }
+        let (value, used) = read_u32(&input[pos..])?;
+        out.push(value);
+        pos += used;
+    }
+    Ok(pos)
+}
+
 /// Decode a `u64` varint from the front of `input`.
 ///
 /// Returns the value and the number of bytes consumed.
@@ -162,6 +199,30 @@ mod tests {
         for cut in 0..buf.len() {
             assert_eq!(read_u32(&buf[..cut]).unwrap_err(), CodecError::UnexpectedEof);
         }
+    }
+
+    #[test]
+    fn run_reads_every_length_and_stops_where_read_u32_would() {
+        let values = [0u32, 127, 128, 16_383, 16_384, 2_097_151, 2_097_152, u32::MAX, 5];
+        let mut buf = Vec::new();
+        values.iter().for_each(|&v| write_u32(v, &mut buf));
+        let mut out = vec![9];
+        assert_eq!(read_u32_run(&buf, values.len(), &mut out), Ok(buf.len()));
+        assert_eq!(out[1..], values);
+        // Fewer than asked for stops early; more than encoded is an EOF.
+        out.clear();
+        assert_eq!(read_u32_run(&buf, 2, &mut out), Ok(2));
+        assert_eq!(out, [0, 127]);
+        assert_eq!(read_u32_run(&buf, values.len() + 1, &mut out), Err(CodecError::UnexpectedEof));
+        // A non-canonical zero ([0x80, 0x00]) reads as read_u32 reads it.
+        out.clear();
+        assert_eq!(read_u32_run(&[0x80, 0x00, 0x01, 0x01, 0x01], 3, &mut out), Ok(4));
+        assert_eq!(out, [0, 1, 1]);
+        assert_eq!(
+            read_u32_run(&[1, 0xff, 0xff, 0xff, 0xff, 0x7f], 2, &mut out),
+            Err(CodecError::VarintOverflow)
+        );
+        assert_eq!(read_u32_run(&[], usize::MAX, &mut Vec::new()), Err(CodecError::UnexpectedEof));
     }
 
     #[test]

@@ -47,6 +47,52 @@ proptest! {
         prop_assert_eq!(used, buf.len());
     }
 
+    /// The bulk reader is `n` calls of `read_u32`: same values, same
+    /// bytes consumed, same error — on encoded runs of every length
+    /// mix, their truncations, and arbitrary bytes (over-long and
+    /// overflowing encodings included).
+    #[test]
+    fn varint_run_matches_repeated_read_u32(
+        values in proptest::collection::vec(
+            prop_oneof![0u32..128, 0u32..70_000, 0u32..3_000_000, any::<u32>()], 0..80),
+        noise in proptest::collection::vec(any::<u8>(), 0..40),
+        cut in any::<proptest::sample::Index>(),
+        extra in 0usize..3,
+    ) {
+        let mut encoded = Vec::new();
+        values.iter().for_each(|&v| varint::write_u32(v, &mut encoded));
+        let truncated = &encoded[..cut.index(encoded.len() + 1)];
+        let mut mixed = noise.clone();
+        mixed.extend_from_slice(&encoded);
+        for (input, n) in [
+            (&encoded[..], values.len()),
+            (&encoded[..], values.len() + extra),
+            (truncated, values.len()),
+            (&noise[..], noise.len()),
+            (&mixed[..], values.len() + extra),
+        ] {
+            let mut want = Vec::new();
+            let mut pos = 0usize;
+            let mut want_result = Ok(());
+            for _ in 0..n {
+                match varint::read_u32(&input[pos..]) {
+                    Ok((v, used)) => {
+                        want.push(v);
+                        pos += used;
+                    }
+                    Err(e) => {
+                        want_result = Err(e);
+                        break;
+                    }
+                }
+            }
+            let mut got = Vec::new();
+            let got_result = varint::read_u32_run(input, n, &mut got);
+            prop_assert_eq!(got_result, want_result.map(|()| pos));
+            prop_assert_eq!(got, want);
+        }
+    }
+
     #[test]
     fn zigzag_roundtrip(v in any::<i64>()) {
         prop_assert_eq!(varint::zigzag_decode(varint::zigzag_encode(v)), v);

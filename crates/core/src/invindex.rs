@@ -136,6 +136,22 @@ impl InvertedIndex {
     }
 }
 
+impl crate::maxcover::CoverInstance for InvertedIndex {
+    fn candidates(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.present.iter().copied()
+    }
+
+    #[inline]
+    fn initial_gain(&self, node: NodeId) -> u32 {
+        self.offsets[node as usize + 1] - self.offsets[node as usize]
+    }
+
+    #[inline]
+    fn for_each_run(&self, node: NodeId, mut visit: impl FnMut(&[u32], usize)) {
+        visit(self.list(node), 0);
+    }
+}
+
 /// Counting pass of the two-pass CSR build: declare how many set ids
 /// each node will receive, then [`InvertedIndexBuilder::fill`].
 pub struct InvertedIndexBuilder {

@@ -28,7 +28,8 @@ use crate::invindex::InvertedIndex;
 use kbtim_exec::ExecPool;
 use kbtim_graph::NodeId;
 use kbtim_propagation::RrBatch;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Result of a greedy maximum-coverage run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,19 +80,9 @@ pub fn greedy_max_cover_inverted(
     greedy_max_cover_inverted_with(inverted, num_sets, k, &ExecPool::sequential())
 }
 
-/// [`greedy_max_cover_inverted`] with parallel marginal-gain recounts.
-///
-/// Heap keys are upper bounds on true gains (submodularity). A node is
-/// accepted only when its freshly recomputed gain still equals the top
-/// key, i.e. when it is the `(max gain, min id)` argmax over all
-/// candidates — a property of the *instance*, not of the refresh
-/// schedule. The parallel path merely refreshes a batch of stale keys to
-/// their exact values concurrently, so any thread count selects the same
-/// seed sequence.
-///
-/// Coverage marks live in a [`Bitset`] (one bit per set) and the
-/// selected-node marks in a dense `Vec<bool>`, so recounts are pure
-/// slice scans over the CSR arena.
+/// [`greedy_max_cover_inverted`] with parallel marginal-gain recounts
+/// (see [`greedy_max_cover_over`], the loop itself): any thread count
+/// selects the same seed sequence.
 pub fn greedy_max_cover_inverted_with(
     inverted: &InvertedIndex,
     num_sets: u64,
@@ -119,20 +110,108 @@ pub fn greedy_max_cover_inverted_until(
     pool: &ExecPool,
     should_stop: &(dyn Fn() -> bool + Sync),
 ) -> Option<MaxCoverResult> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    greedy_max_cover_over(inverted, num_sets, k, pool, should_stop, &mut CoverScratch::default())
+}
 
-    let mut covered = Bitset::new(num_sets as usize);
+/// A maximum-coverage instance as the CELF loop sees it: the candidate
+/// nodes, each node's number of sets, and a way to walk a node's sets.
+///
+/// [`InvertedIndex`] is the materialized implementation; the disk
+/// index's request path implements it straight over its decoded keyword
+/// lists, so a request that uses its instance once never builds one.
+///
+/// Contract: set ids are below the `num_sets` the loop is run with, a
+/// node's runs name each of its sets exactly once, and
+/// [`initial_gain`](CoverInstance::initial_gain) is exactly how many
+/// that is — the loop takes it as the node's gain while nothing is
+/// covered, and as an upper bound on every later gain.
+pub trait CoverInstance: Sync {
+    /// Every node that is in some set, each once, in any order (nodes
+    /// in no set may be among them; a node left out is never a seed).
+    fn candidates(&self) -> impl Iterator<Item = NodeId> + '_;
 
-    // Heap of (gain, Reverse(node)): max gain first, then min node id.
-    let mut heap: BinaryHeap<(u64, Reverse<NodeId>)> = inverted
-        .present()
-        .iter()
-        .map(|&node| (inverted.list(node).len() as u64, Reverse(node)))
-        .collect();
+    /// How many sets contain `node` (0 for a node in none).
+    fn initial_gain(&self, node: NodeId) -> u32;
 
-    let mut result = MaxCoverResult { seeds: Vec::new(), marginal_gains: Vec::new(), covered: 0 };
-    let mut selected = vec![false; inverted.num_nodes() as usize];
+    /// Call `visit(ids, base)` for every run of `node`'s sets; the run
+    /// holds the set ids `base + id` for `id` in `ids`.
+    fn for_each_run(&self, node: NodeId, visit: impl FnMut(&[u32], usize));
+}
+
+/// What a CELF run needs beyond its result, kept by callers that run
+/// many (the index's scratch pool): only the capacities carry over,
+/// both are reset before use.
+#[derive(Debug, Default)]
+pub struct CoverScratch {
+    /// One bit per set: covered by a selected seed.
+    pub covered: Bitset,
+    /// Backing store of the candidate heap.
+    pub heap: Vec<(u64, Reverse<NodeId>)>,
+}
+
+/// Candidate tiers are cut on a histogram of the initial gains with one
+/// bucket per gain below this and a last bucket for everything from
+/// `TIER_BUCKETS - 1` up.
+const TIER_BUCKETS: usize = 256;
+
+/// A tier takes in whole buckets, highest first, while it holds at most
+/// this many nodes (one bucket alone may hold more). A constant of the
+/// algorithm: with the histogram width it makes the tier cuts a function
+/// of the instance alone, never of the pool.
+const TIER_NODES: u32 = 1024;
+
+#[cfg(test)]
+thread_local! {
+    /// Tiers gathered after a run's first, on this thread.
+    static TIER_EXTENSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Lazy greedy maximum coverage over any [`CoverInstance`] — the one
+/// CELF loop behind every `greedy_max_cover*` entry point and the disk
+/// index's query paths.
+///
+/// Heap keys are upper bounds on true gains (submodularity). A node is
+/// accepted only when its freshly recomputed gain still equals the top
+/// key, i.e. when it is the `(max gain, min id)` argmax over all
+/// candidates — a property of the *instance*, not of the refresh
+/// schedule. The parallel path merely refreshes a batch of stale keys to
+/// their exact values concurrently, so any thread count selects the same
+/// seed sequence.
+///
+/// **Tiered candidates.** A run selects a few dozen seeds out of a node
+/// space in which most nodes cover two or three sets, so the queue does
+/// not start with every node in it. Nodes enter by *tiers* of their
+/// initial gain: the heap holds exactly the nodes whose gain bucket is
+/// at or above the threshold `τ`. The invariant — every node outside
+/// the heap has initial gain, hence current gain, of at most `τ − 1` —
+/// is restored before every pop: while the top key is below `τ` (or the
+/// heap is empty), the next tier `[τ′, τ)` is gathered from the instance
+/// and pushed. A top key of at least `τ` therefore beats every node
+/// outside the heap outright (no tie to break against them), and among
+/// the nodes inside, acceptance and the `(gain desc, id asc)` order are
+/// those of a heap holding every node: the seed sequence is the same.
+pub fn greedy_max_cover_over<C: CoverInstance>(
+    instance: &C,
+    num_sets: u64,
+    k: u32,
+    pool: &ExecPool,
+    should_stop: &(dyn Fn() -> bool + Sync),
+    scratch: &mut CoverScratch,
+) -> Option<MaxCoverResult> {
+    celf(instance, num_sets, k, pool, should_stop, scratch, TIER_NODES)
+}
+
+/// [`greedy_max_cover_over`] with the tier size as a parameter, so tests
+/// can cross tiers on small instances.
+fn celf<C: CoverInstance>(
+    instance: &C,
+    num_sets: u64,
+    k: u32,
+    pool: &ExecPool,
+    should_stop: &(dyn Fn() -> bool + Sync),
+    scratch: &mut CoverScratch,
+    tier_nodes: u32,
+) -> Option<MaxCoverResult> {
     // Entries refreshed concurrently per stale top: large enough to
     // amortize a fork/join, small enough not to waste recounts near the
     // end of a run. Constant (not thread-derived) so work sizing never
@@ -145,37 +224,72 @@ pub fn greedy_max_cover_inverted_until(
     // exact gains, so the choice cannot affect the selected seeds.
     const PARALLEL_REFRESH_MIN_WORK: usize = 1 << 18;
 
-    // Set ids within a list are sorted but land on arbitrary bitset
+    let CoverScratch { covered, heap } = scratch;
+    covered.reset(num_sets as usize);
+    heap.clear();
+    let mut heap = BinaryHeap::from(std::mem::take(heap));
+
+    let bucket = |gain: u32| (gain as usize).min(TIER_BUCKETS - 1);
+    let mut histogram = [0u32; TIER_BUCKETS];
+    for node in instance.candidates() {
+        histogram[bucket(instance.initial_gain(node))] += 1;
+    }
+    // Every node whose bucket is at or above `tau` has entered the heap;
+    // bucket 0 (nodes in no set) never does.
+    let mut tau = TIER_BUCKETS;
+
+    // Set ids within a run are sorted but land on arbitrary bitset
     // words, so the probe below misses cache on large θ; prefetching a
     // fixed distance ahead overlaps those misses with the current
     // probes. The hint is advisory — gains are unchanged for any
     // look-ahead.
     let recount = |node: NodeId, covered: &Bitset| -> u64 {
-        let list = inverted.list(node);
         let mut gain = 0u64;
-        for (i, &s) in list.iter().enumerate() {
-            if let Some(&ahead) = list.get(i + crate::prefetch::COVER_SCAN_AHEAD) {
-                covered.prefetch(ahead as usize);
+        instance.for_each_run(node, |ids, base| {
+            for (i, &s) in ids.iter().enumerate() {
+                if let Some(&ahead) = ids.get(i + crate::prefetch::COVER_SCAN_AHEAD) {
+                    covered.prefetch(base + ahead as usize);
+                }
+                gain += u64::from(!covered.get(base + s as usize));
             }
-            gain += u64::from(!covered.get(s as usize));
-        }
+        });
         gain
     };
 
+    let mut result = MaxCoverResult { seeds: Vec::new(), marginal_gains: Vec::new(), covered: 0 };
+    let mut stopped = false;
     while (result.seeds.len() as u32) < k {
         if should_stop() {
-            return None;
+            stopped = true;
+            break;
+        }
+        // Restore the tier invariant before looking at the top.
+        while tau > 1 && heap.peek().is_none_or(|&(key, _)| key < tau as u64) {
+            let mut floor = tau;
+            let mut taken = 0u32;
+            while floor > 1 && (taken == 0 || taken + histogram[floor - 1] <= tier_nodes) {
+                floor -= 1;
+                taken += histogram[floor];
+            }
+            #[cfg(test)]
+            if tau < TIER_BUCKETS && taken > 0 {
+                TIER_EXTENSIONS.with(|n| n.set(n.get() + 1));
+            }
+            if taken > 0 {
+                heap.extend(instance.candidates().filter_map(|node| {
+                    let gain = instance.initial_gain(node);
+                    (floor..tau).contains(&bucket(gain)).then_some((gain as u64, Reverse(node)))
+                }));
+            }
+            tau = floor;
         }
         let Some(&(stale_gain, Reverse(node))) = heap.peek() else { break };
         if stale_gain == 0 {
             break;
         }
         heap.pop();
-        if selected[node as usize] {
-            continue;
-        }
         // Recompute the true current gain.
-        let gain = recount(node, &covered);
+        let gain = recount(node, covered);
         if gain == stale_gain {
             // Fresh enough: gains are monotone non-increasing, so nothing
             // else in the heap can beat it; equal-gain entries with smaller
@@ -184,10 +298,11 @@ pub fn greedy_max_cover_inverted_until(
             result.seeds.push(node);
             result.marginal_gains.push(gain);
             result.covered += gain;
-            selected[node as usize] = true;
-            for &s in inverted.list(node) {
-                covered.set(s as usize);
-            }
+            instance.for_each_run(node, |ids, base| {
+                for &s in ids {
+                    covered.set(base + s as usize);
+                }
+            });
         } else if pool.threads() <= 1 {
             heap.push((gain, Reverse(node)));
         } else {
@@ -202,18 +317,16 @@ pub fn greedy_max_cover_inverted_until(
                 match heap.peek() {
                     Some(&(g, Reverse(n))) if g > gain => {
                         heap.pop();
-                        if !selected[n as usize] {
-                            batch.push(n);
-                        }
+                        batch.push(n);
                     }
                     _ => break,
                 }
             }
-            let work: usize = batch.iter().map(|&n| inverted.list(n).len()).sum();
+            let work: usize = batch.iter().map(|&n| instance.initial_gain(n) as usize).sum();
             let fresh: Vec<u64> = if work < PARALLEL_REFRESH_MIN_WORK {
-                batch.iter().map(|&n| recount(n, &covered)).collect()
+                batch.iter().map(|&n| recount(n, covered)).collect()
             } else {
-                let covered = &covered;
+                let covered = &*covered;
                 pool.map_shards(batch.len(), |i| recount(batch[i], covered))
             };
             for (n, g) in batch.into_iter().zip(fresh) {
@@ -221,7 +334,8 @@ pub fn greedy_max_cover_inverted_until(
             }
         }
     }
-    Some(result)
+    scratch.heap = heap.into_vec();
+    (!stopped).then_some(result)
 }
 
 /// Reference implementation: full recount every iteration.
@@ -406,6 +520,160 @@ mod tests {
         // A never-firing stop is exactly the plain run.
         let done = greedy_max_cover_inverted_until(&inverted, 4, 3, &pool, &|| false).unwrap();
         assert_eq!(done, greedy_max_cover_inverted_with(&inverted, 4, 3, &pool));
+    }
+
+    /// The loop this module ran before candidates were tiered: every
+    /// node with a set in the heap from the start, sequential refresh.
+    fn all_nodes_heap(inverted: &InvertedIndex, num_sets: u64, k: u32) -> MaxCoverResult {
+        let mut covered = Bitset::new(num_sets as usize);
+        let mut heap: BinaryHeap<(u64, Reverse<NodeId>)> = inverted
+            .present()
+            .iter()
+            .map(|&node| (inverted.list(node).len() as u64, Reverse(node)))
+            .collect();
+        let mut result =
+            MaxCoverResult { seeds: Vec::new(), marginal_gains: Vec::new(), covered: 0 };
+        while (result.seeds.len() as u32) < k {
+            let Some((stale, Reverse(node))) = heap.pop() else { break };
+            if stale == 0 {
+                break;
+            }
+            let list = inverted.list(node);
+            let gain = list.iter().filter(|&&s| !covered.get(s as usize)).count() as u64;
+            if gain == stale {
+                result.seeds.push(node);
+                result.marginal_gains.push(gain);
+                result.covered += gain;
+                list.iter().for_each(|&s| covered.set(s as usize));
+            } else {
+                heap.push((gain, Reverse(node)));
+            }
+        }
+        result
+    }
+
+    /// Tiers gathered after the first while `run` ran on this thread.
+    fn tier_extensions_during<T>(run: impl FnOnce() -> T) -> (T, u64) {
+        let before = TIER_EXTENSIONS.with(|n| n.get());
+        let out = run();
+        (out, TIER_EXTENSIONS.with(|n| n.get()) - before)
+    }
+
+    /// Naive ≡ all-nodes heap ≡ tiered CELF at `tier_nodes`, for every
+    /// thread count; returns how many tiers the sequential run added.
+    fn assert_tiered_equivalent(instance: &[Vec<NodeId>], k: u32, tier_nodes: u32) -> u64 {
+        let naive = greedy_max_cover_naive(instance, k);
+        let inverted = InvertedIndex::from_sets(instance);
+        let num_sets = instance.len() as u64;
+        assert_eq!(all_nodes_heap(&inverted, num_sets, k), naive, "all-nodes heap, k={k}");
+        let mut scratch = CoverScratch::default();
+        let mut extensions = 0;
+        for threads in [1usize, 2, 4, 8] {
+            let pool = ExecPool::new(Some(threads));
+            // The same scratch every time: leftovers must not matter.
+            let (tiered, added) = tier_extensions_during(|| {
+                celf(&inverted, num_sets, k, &pool, &|| false, &mut scratch, tier_nodes).unwrap()
+            });
+            assert_eq!(tiered, naive, "k={k} tier_nodes={tier_nodes} threads={threads}");
+            if threads == 1 {
+                extensions = added;
+            }
+        }
+        extensions
+    }
+
+    /// `owners[i]` lists the nodes of set `i`.
+    fn instance_of(
+        num_sets: usize,
+        memberships: impl Iterator<Item = (NodeId, usize)>,
+    ) -> Vec<Vec<NodeId>> {
+        let mut sets = vec![Vec::new(); num_sets];
+        for (node, set) in memberships {
+            sets[set].push(node);
+        }
+        sets
+    }
+
+    #[test]
+    fn shadowed_top_tier_falls_through_to_the_next() {
+        // 1100 nodes all covering the same ten sets fill the first tier
+        // (one bucket, larger than TIER_NODES); after the first pick the
+        // rest are worth nothing, and seeds two onwards come from the
+        // 2000 nodes below, which only a tier extension brings in.
+        let top = (0..1100u32).flat_map(|node| (0..10).map(move |set| (node, set)));
+        let low = (0..2000u32).flat_map(|i| {
+            (0..1 + i as usize % 5).map(move |j| (5000 + i, 10 + i as usize * 5 + j))
+        });
+        let instance = instance_of(10 + 2000 * 5, top.chain(low));
+        assert!(assert_tiered_equivalent(&instance, 20, TIER_NODES) >= 1);
+        let r = greedy_max_cover(&instance, 3);
+        assert_eq!(r.seeds, vec![0, 5004, 5009]);
+        assert_eq!(r.marginal_gains, vec![10, 5, 5]);
+    }
+
+    #[test]
+    fn k_larger_than_the_first_tier_extends() {
+        // 3000 nodes on disjoint sets, gains 1..=6 in equal parts: the
+        // first tier is gains 6 and 5 (1000 nodes), k = 1500 needs more.
+        let memberships = (0..3000u32)
+            .flat_map(|i| (0..1 + i as usize % 6).map(move |j| (i, i as usize * 6 + j)));
+        let instance = instance_of(3000 * 6, memberships);
+        assert!(assert_tiered_equivalent(&instance, 1500, TIER_NODES) >= 1);
+    }
+
+    #[test]
+    fn all_bounds_equal_is_one_tier() {
+        let instance: Vec<Vec<NodeId>> = (0..3000u32).map(|node| vec![node]).collect();
+        assert_eq!(assert_tiered_equivalent(&instance, 5, TIER_NODES), 0);
+        assert_eq!(greedy_max_cover(&instance, 5).seeds, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn gains_past_the_last_bucket_share_it() {
+        // Gains 254, 255, 256, 300 and 1000 — the last four share the
+        // top bucket — over a floor of single-set nodes; node 4's sets
+        // are node 3's, so its stale key of 300 drops to 0.
+        let sizes = [254usize, 255, 256, 1000];
+        let mut memberships: Vec<(NodeId, usize)> = Vec::new();
+        let mut next_set = 0;
+        for (node, &size) in sizes.iter().enumerate() {
+            memberships.extend((next_set..next_set + size).map(|set| (node as NodeId, set)));
+            next_set += size;
+        }
+        memberships.extend((next_set - 300..next_set).map(|set| (4, set)));
+        memberships.extend((0..2500u32).map(|i| (10 + i, next_set + i as usize)));
+        let instance = instance_of(next_set + 2500, memberships.into_iter());
+        assert!(assert_tiered_equivalent(&instance, 8, TIER_NODES) >= 1);
+        assert_eq!(greedy_max_cover(&instance, 5).seeds, vec![3, 2, 1, 0, 10]);
+    }
+
+    #[test]
+    fn empty_instance_and_zero_k_gather_nothing() {
+        assert_eq!(assert_tiered_equivalent(&[], 3, TIER_NODES), 0);
+        assert_eq!(assert_tiered_equivalent(&[vec![], vec![]], 3, TIER_NODES), 0);
+        assert_eq!(assert_tiered_equivalent(&sets(&[&[1, 2], &[2]]), 0, TIER_NODES), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 64, ..Default::default() })]
+
+        /// Random overlapping instances, with tiers small enough that a
+        /// run crosses several of them.
+        #[test]
+        fn tiered_celf_matches_naive_and_the_all_nodes_heap(
+            raw in proptest::collection::vec(proptest::collection::vec(0u32..120, 0..9), 0..160),
+            k in 0u32..40,
+            tier_nodes in 1u32..24,
+        ) {
+            assert_tiered_equivalent(&raw, k, tier_nodes);
+        }
+    }
+
+    #[test]
+    fn small_tiers_do_get_crossed() {
+        // The proptest's shape, pinned: distinct gains, k past the top.
+        let instance: Vec<Vec<NodeId>> = (0..60u32).map(|set| (set / 3..20).collect()).collect();
+        assert!(assert_tiered_equivalent(&instance, 15, 4) >= 2);
     }
 
     #[test]

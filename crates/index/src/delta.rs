@@ -575,6 +575,10 @@ impl DeltaIndex {
                         csr.ids.extend_from_slice(list);
                         csr.close_list(*user);
                     }
+                    // What the decoder guarantees of a block read from
+                    // disk, and the in-place greedy relies on.
+                    debug_assert!(csr.users.windows(2).all(|w| w[0] < w[1]));
+                    debug_assert!(rr_query::check_universe(&csr, state.num_users).is_ok());
                     (sample.meta, csr)
                 }
                 // θ_w dropped to 0 — shadow the base row with the same

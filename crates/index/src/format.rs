@@ -467,6 +467,11 @@ fn decode_il_streams(input: &[u8], codec: Codec, csr: &mut IlCsr) -> Result<(), 
         return corrupt("more lists than ids");
     }
     cursor.pos += codec.decode_stream(&input[cursor.pos..], n_lists, &mut csr.users)?;
+    // Users strictly ascend: consumers bound them all by the last one
+    // and binary-search them.
+    if csr.users.iter().skip(1).any(|&gap| gap == 0) {
+        return corrupt("a user is listed twice");
+    }
     kbtim_codec::delta::undelta_in_place(&mut csr.users)?;
     cursor.pos += codec.decode_stream(&input[cursor.pos..], n_ids, &mut csr.ids)?;
     cursor.expect_end()?;
@@ -539,10 +544,7 @@ pub fn decode_ip_into(
         return Err(IndexError::Corrupt("ip user count mismatch".into()));
     }
     firsts.clear();
-    firsts.reserve(count);
-    for _ in 0..count {
-        firsts.push(cursor.u32()?);
-    }
+    cursor.pos += varint::read_u32_run(&input[cursor.pos..], count, firsts)?;
     cursor.expect_end()?;
     Ok(())
 }
@@ -941,6 +943,7 @@ mod tests {
             && csr.offsets[0] == 0
             && *csr.offsets.last().unwrap() as usize == csr.ids.len()
             && csr.offsets.windows(2).all(|w| w[0] < w[1])
+            && csr.users.windows(2).all(|w| w[0] < w[1])
             && (0..csr.len()).all(|i| csr.list(i).windows(2).all(|w| w[0] <= w[1]))
             && csr.ids.iter().all(|&id| (id as u64) < MAX_RR_SETS)
     }
@@ -1011,6 +1014,20 @@ mod tests {
         assert!(refused(vec![(2, vec![1]), (1, vec![1])]), "users out of order");
         assert!(refused(vec![(1, vec![MAX_RR_SETS as u32])]), "id takes the tag bit");
         assert!(!refused(vec![(1, vec![MAX_RR_SETS as u32 - 1])]));
+    }
+
+    #[test]
+    fn il_duplicate_user_is_corrupt() {
+        // What the encoder refuses to write: the second user's gap is 0.
+        for codec in [Codec::Raw, Codec::Packed] {
+            let mut buf = Vec::new();
+            varint::write_u32(2, &mut buf);
+            varint::write_u32(2, &mut buf);
+            codec.encode_stream([5u32, 0], &mut buf);
+            codec.encode_stream([3u32 << 1 | 1, 4 << 1 | 1], &mut buf);
+            let err = decode_il_csr(&buf, codec).unwrap_err();
+            assert!(matches!(&err, IndexError::Corrupt(m) if m.contains("listed twice")), "{err}");
+        }
     }
 
     #[test]

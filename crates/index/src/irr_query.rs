@@ -24,11 +24,12 @@
 //! property-tested in `tests/`.
 
 use crate::format::{self, IlCsr, PartitionSpan};
-use crate::rr_query::{empty_outcome, list_cut};
+use crate::rr_query::{empty_outcome, list_cuts};
 use crate::scratch::{KwBufs, QueryScratch};
 use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome, QueryStats};
 use kbtim_codec::Codec;
 use kbtim_core::bitset::Bitset;
+use kbtim_core::maxcover::CoverScratch;
 use kbtim_graph::NodeId;
 use kbtim_topics::Query;
 use std::cmp::Reverse;
@@ -72,10 +73,11 @@ struct KwState<'a> {
 }
 
 impl KwState<'_> {
-    /// Slot of `v`, if it occurs in this keyword's pool at all.
+    /// Slot of `v`, if it occurs in this keyword's pool at all (a `v`
+    /// beyond the universe does not).
     #[inline]
     fn slot(&self, v: NodeId) -> Option<usize> {
-        let s = self.bufs.slot_of[v as usize];
+        let s = *self.bufs.slot_of.get(v as usize)?;
         (s != ABSENT).then_some(s as usize)
     }
 
@@ -127,24 +129,31 @@ impl KwState<'_> {
     /// Fold the decoded partition `part` into the NRA state: each list
     /// is truncated to the keyword's share as it is copied into the
     /// arena, ids new to `seen` count as loaded RR sets, and users not
-    /// yet selected queue up in `fresh`.
+    /// yet selected queue up in `fresh`. A partition naming a user that
+    /// `IP_w` does not is corrupt.
+    #[allow(clippy::too_many_arguments)]
     fn apply_partition(
         &mut self,
         part: PartitionSpan,
         il: &IlCsr,
+        prefix: &mut Vec<u32>,
         seen: &mut Bitset,
         selected: &[bool],
         fresh: &mut Vec<NodeId>,
         rr_sets_loaded: &mut u64,
-    ) {
-        for j in 0..il.len() {
+    ) -> Result<(), IndexError> {
+        for (j, cut) in list_cuts(il, self.share, prefix).enumerate() {
             let user = il.users[j];
-            let list = &il.list(j)[..list_cut(il, j, self.share)];
+            let list = &il.list(j)[..cut as usize];
             let start = self.bufs.arena.len();
             assert!(start < ABSENT as usize, "IRR list arena exceeds u32 spans");
             // Every partitioned user has a first occurrence, so a slot
-            // always exists.
-            let s = self.slot(user).expect("partition user missing from IP_w");
+            // always exists in a sound segment.
+            let Some(s) = self.slot(user) else {
+                return Err(IndexError::Corrupt(format!(
+                    "ilp partition names user {user}, which ip does not"
+                )));
+            };
             self.bufs.list_start[s] = start as u32;
             self.bufs.list_len[s] = list.len() as u32;
             self.bufs.arena.extend_from_slice(list);
@@ -164,6 +173,7 @@ impl KwState<'_> {
         }
         self.loaded += 1;
         self.kb = (part.max_len_after as u64).min(self.share);
+        Ok(())
     }
 
     /// Partial score of `v` on this keyword: `(bound, is_exact)`.
@@ -229,9 +239,9 @@ impl KbtimIndex {
         // list staging of the partition loads.
         let num_users = self.meta().num_users as usize;
         let mut scratch = self.scratch.guard();
-        let QueryScratch {
-            covered, seen, selected, kw_bufs, nra_heap, nra_fresh, bytes, il, ..
-        } = &mut *scratch;
+        let QueryScratch { cover, seen, selected, kw_bufs, nra_fresh, bytes, il, prefix, .. } =
+            &mut *scratch;
+        let CoverScratch { covered, heap: nra_heap } = cover;
 
         // Initialize per-keyword state; IP and the partition catalog are
         // read up front (one small read each, as in the paper). The
@@ -319,7 +329,15 @@ impl KbtimIndex {
                         continue;
                     };
                     st.decode_partition(part, codec, bytes, il)?;
-                    st.apply_partition(part, il, seen, selected, nra_fresh, rr_sets_loaded);
+                    st.apply_partition(
+                        part,
+                        il,
+                        prefix,
+                        seen,
+                        selected,
+                        nra_fresh,
+                        rr_sets_loaded,
+                    )?;
                     any = true;
                 }
             } else {
@@ -340,7 +358,15 @@ impl KbtimIndex {
                         st.kb = 0;
                         continue;
                     };
-                    st.apply_partition(part, &csr, seen, selected, nra_fresh, rr_sets_loaded);
+                    st.apply_partition(
+                        part,
+                        &csr,
+                        prefix,
+                        seen,
+                        selected,
+                        nra_fresh,
+                        rr_sets_loaded,
+                    )?;
                     self.scratch.put_csr(csr);
                     any = true;
                 }

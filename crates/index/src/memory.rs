@@ -14,13 +14,12 @@
 //! already-resident segment pages* — the decode writes straight from
 //! shared pages into the CSR arenas with no intermediate copy of the
 //! compressed block, and mmap pages stay shared with the disk index and
-//! the kernel cache. Query-time allocations (the merged inverted index)
-//! recycle through a scratch pool, as in the disk paths.
+//! the kernel cache. Query-time buffers (the per-user gains, the greedy's
+//! bitset and heap) recycle through a scratch pool, as in the disk paths.
 
 use crate::format::{self, IlCsr};
 use crate::scratch::ScratchPool;
-use crate::{rr_query, IndexError, IndexMeta, KbtimIndex, QueryOutcome, QueryStats};
-use kbtim_core::maxcover::greedy_max_cover_inverted;
+use crate::{rr_query, IndexError, IndexMeta, KbtimIndex, QueryOutcome};
 use kbtim_topics::Query;
 use std::time::Instant;
 
@@ -35,7 +34,7 @@ struct MemKeyword {
 pub struct MemoryIndex {
     meta: IndexMeta,
     keywords: Vec<Option<MemKeyword>>,
-    /// Recycled merged-index arenas (see [`crate::scratch`]).
+    /// Pooled per-query buffers (see [`crate::scratch`]).
     scratch: ScratchPool,
 }
 
@@ -67,6 +66,9 @@ impl MemoryIndex {
                     il.append(&format::decode_il_csr(&il_bytes, codec)?);
                 }
             }
+            // Queries index |V|-sized tables by these users and cannot
+            // fail, so a hostile block is turned away here.
+            rr_query::check_universe(&il, meta.num_users)?;
             keywords.push(Some(MemKeyword { il }));
         }
         Ok(MemoryIndex { meta, keywords, scratch: ScratchPool::new() })
@@ -93,38 +95,18 @@ impl MemoryIndex {
         let started = Instant::now();
         let (phi_q, budget) = query_budget_from_meta(&self.meta, query);
         if budget.is_empty() {
-            return QueryOutcome {
-                seeds: Vec::new(),
-                marginal_gains: Vec::new(),
-                coverage: 0,
-                estimated_influence: 0.0,
-                stats: QueryStats { elapsed: started.elapsed(), ..QueryStats::default() },
-            };
+            return rr_query::empty_outcome(started);
         }
 
-        // The same merge the disk path runs, over the resident CSRs;
-        // arenas recycle from the previous query via the pool.
-        let parts = budget.iter().map(|&(topic, share)| {
+        // The disk path's in-place greedy, over the resident CSRs.
+        let parts = rr_query::cover_parts(budget.iter().map(|&(topic, share)| {
             let kw = self.keywords[topic as usize].as_ref().expect("budgeted keyword loaded");
             (&kw.il, share)
-        });
-        let (theta_q, inverted) = rr_query::merge_csrs(self.meta.num_users, parts, &self.scratch);
-        let cover = greedy_max_cover_inverted(&inverted, theta_q, query.k());
-        self.scratch.put_arenas(inverted.into_arenas());
-        let estimated_influence =
-            if theta_q == 0 { 0.0 } else { cover.covered as f64 / theta_q as f64 * phi_q };
-        QueryOutcome {
-            seeds: cover.seeds,
-            marginal_gains: cover.marginal_gains,
-            coverage: cover.covered,
-            estimated_influence,
-            stats: QueryStats {
-                theta_q,
-                rr_sets_loaded: theta_q,
-                elapsed: started.elapsed(),
-                ..QueryStats::default()
-            },
-        }
+        }));
+        let (users, k) = (self.meta.num_users, query.k());
+        let sequential = kbtim_exec::ExecPool::sequential();
+        rr_query::query_in_place(&parts, users, phi_q, k, &sequential, &self.scratch, &|| false)
+            .expect("greedy with a never-firing stop cannot abort")
     }
 }
 

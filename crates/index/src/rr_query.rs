@@ -5,18 +5,33 @@
 //! that prefix is exactly the ids `< θ^Q_w` in the inverted list `L_w`.
 //! The query therefore reads and decodes `L_w` alone (the `rr` / `rr_off`
 //! payload blocks are never touched when serving), truncates every list
-//! to the prefix, remaps per-keyword RR ids into one global id space and
-//! runs the shared greedy maximum-coverage loop over the merged instance.
+//! to the prefix, places per-keyword RR ids in one global id space and
+//! runs the shared greedy maximum-coverage loop over that instance.
 //! Lemma 2 guarantees the prefix mix is an unbiased WRIS sample, so
 //! Theorem 2's approximation bound carries over.
 //!
-//! There is one pipeline for every caller — a single request is a batch
-//! of one: [`KbtimIndex::decode_keywords`] →
-//! [`KbtimIndex::merge_keywords`] → [`KbtimIndex::query_merged`].
+//! Every caller decodes the same way — [`KbtimIndex::decode_keywords`],
+//! a single request being a batch of one — and then takes one of two
+//! forms of the same coverage instance:
+//!
+//! * **in place** (`InPlaceCover`): one flat pass counts every user's
+//!   lists below the shares, and the greedy walks a user's sets straight
+//!   off the decoded keyword CSRs when it asks for them. This is how a
+//!   request that uses its instance once is served — `query_rr`, the
+//!   delta tier, [`crate::MemoryIndex`], a batch group with no merge
+//!   cache to publish to;
+//! * **materialized** ([`KbtimIndex::merge_keywords`] →
+//!   [`KbtimIndex::query_merged`]): the lists are cut, remapped and
+//!   scattered into a dense [`InvertedIndex`] that outlives the keyword
+//!   arena — what the merge cache keeps, and what a caller holding an
+//!   instance across requests asks for.
+//!
+//! Both run the one CELF loop of [`kbtim_core::maxcover`] and answer
+//! bit-identically.
 //!
 //! Keyword segments load and decode **in parallel** (one job per query
 //! keyword × index shard on the index's pool, keyword-major); each
-//! keyword's shard blocks gather in shard order, so the merged coverage
+//! keyword's shard blocks gather in shard order, so the coverage
 //! instance — and therefore the answer — is identical for every thread
 //! count *and every shard count*: users are range-partitioned across
 //! shards and keep their global-build rr-id lists, so the shard-order
@@ -25,17 +40,18 @@
 //! The whole data path is flat and zero-copy: block bytes arrive as
 //! borrowed [`kbtim_storage::BlockSource`] views (or through pooled
 //! staging buffers on the file backend), each keyword's `L_w` decodes
-//! straight into a pooled [`format::IlCsr`] arena, and the merged
-//! instance is a dense [`InvertedIndex`] built by one counting pass and
-//! one fill pass over recycled arenas — no per-user allocation, no hash
-//! probes in the greedy loop, and ~zero allocation once the scratch
-//! pool is warm.
+//! straight into a pooled [`format::IlCsr`] arena, and everything after
+//! it — the per-user gains, the greedy's bitset and heap, a materialized
+//! instance's arenas — leases from the scratch pool: no per-user
+//! allocation, no hash probes in the greedy loop, and ~zero allocation
+//! once the pool is warm.
 
 use crate::format::{self, IlCsr};
-use crate::scratch::{KeywordArena, ScratchPool};
+use crate::scratch::{KeywordArena, QueryScratch, ScratchPool};
 use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome, QueryStats};
 use kbtim_core::invindex::{InvertedIndex, InvertedIndexBuilder};
-use kbtim_core::maxcover::greedy_max_cover_inverted_until;
+use kbtim_core::maxcover::{greedy_max_cover_over, CoverInstance, MaxCoverResult};
+use kbtim_graph::NodeId;
 use kbtim_topics::{Query, TopicId};
 use std::borrow::Cow;
 use std::time::Instant;
@@ -60,86 +76,191 @@ pub(crate) fn normalized_wants(wants: &[(TopicId, u64)]) -> Cow<'_, [(TopicId, u
     Cow::Owned(sorted)
 }
 
+/// One keyword of a request's coverage instance: its complete `L_w`,
+/// the share `θ^Q_w` that cuts every list of it, and where its ids
+/// start in the request's global id space (the shares before it).
+#[derive(Clone, Copy)]
+pub(crate) struct CoverPart<'a> {
+    il: &'a IlCsr,
+    share: u64,
+    base: u64,
+}
+
+/// The parts of `keywords` — each keyword's CSR with its share, in
+/// keyword order.
+pub(crate) fn cover_parts<'a>(
+    keywords: impl Iterator<Item = (&'a IlCsr, u64)>,
+) -> Vec<CoverPart<'a>> {
+    let mut base = 0u64;
+    keywords
+        .map(|(il, share)| {
+            let part = CoverPart { il, share, base };
+            base += share;
+            part
+        })
+        .collect()
+}
+
+/// `θ^Q = Σ_w θ^Q_w`: the size of the parts' global id space.
+pub(crate) fn theta_q_of(parts: &[CoverPart<'_>]) -> u64 {
+    parts.last().map_or(0, |last| last.base + last.share)
+}
+
+/// Whether every user of a decoded CSR lies in `0..num_users` — checked
+/// once before a CSR indexes anything sized by the universe. Users
+/// ascend (the decoder rejects a zero gap), so the last one bounds them
+/// all.
+pub(crate) fn check_universe(il: &IlCsr, num_users: u32) -> Result<(), IndexError> {
+    match il.users.last() {
+        Some(&user) if user >= num_users => {
+            Err(IndexError::Corrupt(format!("inverted list names user {user} of {num_users}")))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// For every list of `il`, in order: how many of its (ascending) ids
+/// are `< share` — the one place that answers "how much of each list
+/// does the share keep".
+///
+/// Flat: a running count of the ids below the share over the whole
+/// arena into `prefix` (overwritten, `ids.len() + 1` long), then one
+/// subtraction per list. Lists average two or three ids, so a loop per
+/// list would mispredict its exit on most of them.
+pub(crate) fn list_cuts<'a>(
+    il: &'a IlCsr,
+    share: u64,
+    prefix: &'a mut Vec<u32>,
+) -> impl Iterator<Item = u32> + 'a {
+    // Ids stay below 2^31 (the tag bit), so a clamped share keeps all.
+    let share = u32::try_from(share).unwrap_or(u32::MAX);
+    // No clear first: every slot is written below, only growth is filled.
+    prefix.resize(il.ids.len() + 1, 0);
+    prefix[0] = 0;
+    let mut below = 0u32;
+    for (slot, &id) in prefix[1..].iter_mut().zip(&il.ids) {
+        below += u32::from(id < share);
+        *slot = below;
+    }
+    il.offsets.windows(2).map(|bounds| prefix[bounds[1] as usize] - prefix[bounds[0] as usize])
+}
+
+/// A request's coverage instance read in place off its keyword CSRs —
+/// what [`merge_csrs`] would materialize, without building it.
+///
+/// `gains[u]` is `Σ_w |{id ∈ L_w(u) : id < θ^Q_w}|` ([`count_gains`]);
+/// a user's sets are found when the greedy asks for them: a binary
+/// search for the user in each keyword's ascending `users`, the list
+/// cut at the share, the ids shifted to the keyword's base. The greedy
+/// recounts a few dozen users per request, where a materialized
+/// instance scatters every list of every keyword.
+pub(crate) struct InPlaceCover<'a> {
+    parts: &'a [CoverPart<'a>],
+    gains: &'a [u32],
+}
+
+impl CoverInstance for InPlaceCover<'_> {
+    fn candidates(&self) -> impl Iterator<Item = NodeId> + '_ {
+        0..self.gains.len() as NodeId
+    }
+
+    #[inline]
+    fn initial_gain(&self, node: NodeId) -> u32 {
+        self.gains[node as usize]
+    }
+
+    fn for_each_run(&self, node: NodeId, mut visit: impl FnMut(&[u32], usize)) {
+        for part in self.parts {
+            if let Ok(j) = part.il.users.binary_search(&node) {
+                let list = part.il.list(j);
+                let cut = list.partition_point(|&id| (id as u64) < part.share);
+                visit(&list[..cut], part.base as usize);
+            }
+        }
+    }
+}
+
+/// Every user's initial gain over `parts` into `gains` (overwritten,
+/// one slot per user of the universe the parts were checked against).
+fn count_gains(
+    parts: &[CoverPart<'_>],
+    num_users: u32,
+    gains: &mut Vec<u32>,
+    prefix: &mut Vec<u32>,
+) {
+    gains.clear();
+    gains.resize(num_users as usize, 0);
+    for part in parts {
+        for (&user, cut) in part.il.users.iter().zip(list_cuts(part.il, part.share, prefix)) {
+            gains[user as usize] += cut;
+        }
+    }
+}
+
 /// Inverted lists average two or three ids. Lists of at most this many
-/// are cut and copied as one fixed-width group of lanes — same work
-/// whatever the length, so no loop exit to mispredict per list.
+/// are copied as one fixed-width group of lanes — same work whatever
+/// the length, so no loop exit to mispredict per list.
 const SHORT: usize = 4;
 
 /// The `SHORT` arena slots starting at list `j`, when the list fits in
 /// them (the trailing lanes belong to the lists that follow) and the
 /// arena does not end first.
 #[inline]
-fn short_lanes(il: &IlCsr, j: usize) -> Option<(&[u32; SHORT], usize)> {
+fn short_lanes(il: &IlCsr, j: usize) -> Option<&[u32; SHORT]> {
     let (start, end) = (il.offsets[j] as usize, il.offsets[j + 1] as usize);
     if end - start > SHORT {
         return None;
     }
     let lanes = il.ids.get(start..start + SHORT)?;
-    Some((lanes.try_into().expect("SHORT slots"), end - start))
+    Some(lanes.try_into().expect("SHORT slots"))
 }
 
-/// How many leading ids of list `j` (ascending) are `< share`.
-#[inline]
-pub(crate) fn list_cut(il: &IlCsr, j: usize, share: u64) -> usize {
-    if let Some((lanes, len)) = short_lanes(il, j) {
-        return (0..SHORT).map(|l| usize::from((l < len) & ((lanes[l] as u64) < share))).sum();
-    }
-    // A compare-and-add per id still beats a binary search's
-    // unpredictable branches until lists get long.
-    const LINEAR_MAX: usize = 16;
-    let list = il.list(j);
-    if list.len() <= LINEAR_MAX {
-        list.iter().map(|&id| usize::from((id as u64) < share)).sum()
-    } else {
-        list.partition_point(|&id| (id as u64) < share)
-    }
+#[cfg(test)]
+thread_local! {
+    /// Instances [`merge_csrs`] materialized on this thread.
+    pub(crate) static MATERIALIZED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// The merged coverage instance of `parts` — each keyword's complete
-/// `L_w` with its `θ^Q_w` share, in keyword order — over the users
-/// `0..num_users`: every list is cut at its share and its ids move to
-/// the keyword's base in the global id space, so per-user lists
-/// concatenate ascending. Returns `θ^Q` with the instance. One counting
-/// pass and one fill pass; each list's cut is found once and replayed
-/// from a pooled buffer.
-pub(crate) fn merge_csrs<'a>(
+/// The materialized coverage instance of `parts`: every list cut at its
+/// share and its ids moved to the keyword's base in the global id
+/// space (`θ^Q` must fit the instance's `u32` set ids), so per-user
+/// lists concatenate ascending. For the instance that outlives its
+/// keyword arena — a published merge-cache entry, the public
+/// [`KbtimIndex::merge_keywords`]; a request that uses its instance
+/// once serves from [`InPlaceCover`] instead. One counting pass
+/// ([`list_cuts`]) and one fill pass replaying its cuts from a pooled
+/// buffer.
+pub(crate) fn merge_csrs(
     num_users: u32,
-    parts: impl Iterator<Item = (&'a IlCsr, u64)> + Clone,
+    parts: &[CoverPart<'_>],
     pool: &ScratchPool,
-) -> (u64, InvertedIndex) {
+) -> InvertedIndex {
+    #[cfg(test)]
+    MATERIALIZED.with(|n| n.set(n.get() + 1));
     let mut builder = InvertedIndexBuilder::recycled(num_users, pool.take_arenas());
     let mut scratch = pool.guard();
-    let cuts = &mut scratch.cuts;
+    let QueryScratch { cuts, prefix, .. } = &mut *scratch;
     cuts.clear();
-    let mut theta_q = 0u64;
-    for (il, share) in parts.clone() {
-        cuts.reserve(il.len());
-        for j in 0..il.len() {
-            let cut = list_cut(il, j, share) as u32;
+    for part in parts {
+        cuts.reserve(part.il.len());
+        for (&user, cut) in part.il.users.iter().zip(list_cuts(part.il, part.share, prefix)) {
             cuts.push(cut);
-            builder.count(il.users[j], cut);
+            builder.count(user, cut);
         }
-        theta_q += share;
     }
     let mut filler = builder.fill();
     let mut cuts = cuts.iter();
-    let mut base = 0u64;
-    for (il, share) in parts {
+    for part in parts {
+        let (il, base) = (part.il, part.base as u32);
         for (j, &cut) in (0..il.len()).zip(&mut cuts) {
             match short_lanes(il, j) {
-                Some((lanes, _)) => {
-                    filler.push_prefix(il.users[j], lanes, cut as usize, base as u32)
-                }
-                None => filler.push_list(
-                    il.users[j],
-                    il.list(j)[..cut as usize].iter().map(|&id| (base + id as u64) as u32),
-                ),
+                Some(lanes) => filler.push_prefix(il.users[j], lanes, cut as usize, base),
+                None => filler
+                    .push_list(il.users[j], il.list(j)[..cut as usize].iter().map(|&id| base + id)),
             }
         }
-        base += share;
     }
-    debug_assert_eq!(base, theta_q);
-    (theta_q, filler.finish())
+    filler.finish()
 }
 
 impl KbtimIndex {
@@ -172,8 +293,11 @@ impl KbtimIndex {
     }
 
     /// Everything after the keyword decode, for one request: deadline
-    /// check, merge over the `num_users` universe, greedy. The caller
-    /// keeps (and recycles) the arena.
+    /// check, the gains of the `num_users` universe counted off the
+    /// arena, greedy in place ([`InPlaceCover`]). The caller keeps (and
+    /// recycles) the arena. The `engine.merge` and `engine.greedy`
+    /// failpoints fire where the materialized path fires them: before
+    /// the lists are counted, before the greedy starts.
     pub(crate) fn query_arena_ctx(
         &self,
         num_users: u32,
@@ -184,10 +308,13 @@ impl KbtimIndex {
         ctx: &QueryCtx,
     ) -> Result<QueryOutcome, IndexError> {
         ctx.check()?;
-        let merged = self.merge_budgeted_over(num_users, phi_q, budget, arena)?;
-        let outcome = self.query_merged_ctx(&merged, k, ctx);
-        self.recycle_merged(merged);
-        outcome
+        let parts = budgeted_parts(num_users, budget, arena)?;
+        if kbtim_fault::inject("engine.greedy") {
+            return Err(IndexError::Injected("engine.greedy"));
+        }
+        ctx.check()?;
+        query_in_place(&parts, num_users, phi_q, k, self.pool(), &self.scratch, &|| ctx.expired())
+            .ok_or(IndexError::DeadlineExceeded)
     }
 
     /// Decode each wanted keyword **once** into a shared
@@ -200,8 +327,8 @@ impl KbtimIndex {
     /// normalized first, so the arena's lookup invariant holds for any
     /// caller. Per keyword × shard, one fan-out job (on the index-owned
     /// pool) reads and decodes the whole inverted list `L_w` into a
-    /// pool-leased CSR; truncation to a request's share happens at
-    /// merge time, read-only. Any number of requests are then served
+    /// pool-leased CSR; truncation to a request's share happens when
+    /// the lists are counted or merged, read-only. Any number of requests are then served
     /// from the one arena — [`KbtimIndex::merge_keywords`] once per
     /// distinct keyword set, [`KbtimIndex::query_merged`] once per
     /// request; return the arena with [`KbtimIndex::recycle_keywords`]
@@ -289,18 +416,12 @@ impl KbtimIndex {
         budget: &[(TopicId, u64)],
         arena: &KeywordArena,
     ) -> Result<MergedQuery, IndexError> {
-        if kbtim_fault::inject("engine.merge") {
-            return Err(IndexError::Injected("engine.merge"));
+        let parts = budgeted_parts(num_users, budget, arena)?;
+        let theta_q = theta_q_of(&parts);
+        if theta_q > u32::MAX as u64 {
+            return Err(IndexError::Corrupt(format!("θ^Q = {theta_q} is beyond u32 set ids")));
         }
-        if let Some(&(topic, _)) = budget.iter().find(|&&(topic, _)| arena.csr(topic).is_none()) {
-            return Err(IndexError::Corrupt(format!(
-                "keyword {topic} missing from the batch arena"
-            )));
-        }
-        let parts = budget
-            .iter()
-            .map(|&(topic, share)| (arena.csr(topic).expect("presence checked above"), share));
-        let (theta_q, inverted) = merge_csrs(num_users, parts, &self.scratch);
+        let inverted = merge_csrs(num_users, &parts, &self.scratch);
         Ok(MergedQuery { phi_q, theta_q, inverted })
     }
 
@@ -342,26 +463,15 @@ impl KbtimIndex {
         if merged.theta_q == 0 {
             return Some(empty_outcome(started));
         }
-        let cover = greedy_max_cover_inverted_until(
+        let cover = greedy_max_cover_over(
             &merged.inverted,
             merged.theta_q,
             k,
             self.pool(),
             should_stop,
+            &mut self.scratch.guard().cover,
         )?;
-        let estimated_influence = cover.covered as f64 / merged.theta_q as f64 * merged.phi_q;
-        Some(QueryOutcome {
-            seeds: cover.seeds,
-            marginal_gains: cover.marginal_gains,
-            coverage: cover.covered,
-            estimated_influence,
-            stats: QueryStats {
-                theta_q: merged.theta_q,
-                rr_sets_loaded: merged.theta_q,
-                elapsed: started.elapsed(),
-                ..QueryStats::default()
-            },
-        })
+        Some(cover_outcome(cover, merged.theta_q, merged.phi_q, started))
     }
 
     /// Return a finished [`MergedQuery`]'s arenas to the scratch pool.
@@ -405,27 +515,103 @@ impl MergedQuery {
     /// serving-tier tests). This lets the batch planner serve every
     /// same-keyword-set request from one max-`k` greedy run.
     pub fn prefix_outcome(&self, full: &QueryOutcome, k: u32) -> QueryOutcome {
-        let n = (k as usize).min(full.seeds.len());
-        let marginal_gains = full.marginal_gains[..n].to_vec();
-        let coverage: u64 = marginal_gains.iter().sum();
-        let estimated_influence = if self.theta_q == 0 {
-            0.0
-        } else {
-            coverage as f64 / self.theta_q as f64 * self.phi_q
-        };
-        QueryOutcome {
-            seeds: full.seeds[..n].to_vec(),
-            marginal_gains,
-            coverage,
-            estimated_influence,
-            stats: QueryStats {
-                theta_q: self.theta_q,
-                rr_sets_loaded: self.theta_q,
-                generation: full.stats.generation,
-                elapsed: full.stats.elapsed,
-                ..QueryStats::default()
-            },
-        }
+        prefix_outcome(full, k, self.phi_q)
+    }
+}
+
+/// The `k`-seed answer over an instance, sliced from a deeper run
+/// `full` over the same instance (see [`MergedQuery::prefix_outcome`]);
+/// `phi_q` is the instance's, `θ^Q` rides in `full`'s stats.
+pub(crate) fn prefix_outcome(full: &QueryOutcome, k: u32, phi_q: f64) -> QueryOutcome {
+    let n = (k as usize).min(full.seeds.len());
+    let marginal_gains = full.marginal_gains[..n].to_vec();
+    let coverage: u64 = marginal_gains.iter().sum();
+    let theta_q = full.stats.theta_q;
+    let estimated_influence =
+        if theta_q == 0 { 0.0 } else { coverage as f64 / theta_q as f64 * phi_q };
+    QueryOutcome {
+        seeds: full.seeds[..n].to_vec(),
+        marginal_gains,
+        coverage,
+        estimated_influence,
+        stats: QueryStats {
+            theta_q,
+            rr_sets_loaded: theta_q,
+            generation: full.stats.generation,
+            elapsed: full.stats.elapsed,
+            ..QueryStats::default()
+        },
+    }
+}
+
+/// The parts of a budgeted request over a keyword arena, each keyword
+/// checked against the `num_users` universe; the `engine.merge`
+/// failpoint fires here, at the start of whatever the caller does with
+/// them.
+fn budgeted_parts<'a>(
+    num_users: u32,
+    budget: &[(TopicId, u64)],
+    arena: &'a KeywordArena,
+) -> Result<Vec<CoverPart<'a>>, IndexError> {
+    if kbtim_fault::inject("engine.merge") {
+        return Err(IndexError::Injected("engine.merge"));
+    }
+    for &(topic, _) in budget {
+        let il = arena.csr(topic).ok_or_else(|| {
+            IndexError::Corrupt(format!("keyword {topic} missing from the batch arena"))
+        })?;
+        check_universe(il, num_users)?;
+    }
+    Ok(cover_parts(
+        budget.iter().map(|&(topic, share)| (arena.csr(topic).expect("checked above"), share)),
+    ))
+}
+
+/// Answer one request in place over `parts` — as [`cover_parts`]
+/// returned them, every CSR of them passed by [`check_universe`] for
+/// `num_users`: count the gains, run the greedy over [`InPlaceCover`].
+/// The gains, the prefix temp and the greedy's own state lease from
+/// `scratch`. `None` when `should_stop` fired.
+pub(crate) fn query_in_place(
+    parts: &[CoverPart<'_>],
+    num_users: u32,
+    phi_q: f64,
+    k: u32,
+    exec: &kbtim_exec::ExecPool,
+    scratch: &ScratchPool,
+    should_stop: &(dyn Fn() -> bool + Sync),
+) -> Option<QueryOutcome> {
+    let started = Instant::now();
+    let theta_q = theta_q_of(parts);
+    if theta_q == 0 {
+        return Some(empty_outcome(started));
+    }
+    let mut scratch = scratch.guard();
+    let QueryScratch { gains, prefix, cover, .. } = &mut *scratch;
+    count_gains(parts, num_users, gains, prefix);
+    let instance = InPlaceCover { parts, gains };
+    let cover = greedy_max_cover_over(&instance, theta_q, k, exec, should_stop, cover)?;
+    Some(cover_outcome(cover, theta_q, phi_q, started))
+}
+
+fn cover_outcome(
+    cover: MaxCoverResult,
+    theta_q: u64,
+    phi_q: f64,
+    started: Instant,
+) -> QueryOutcome {
+    let estimated_influence = cover.covered as f64 / theta_q as f64 * phi_q;
+    QueryOutcome {
+        seeds: cover.seeds,
+        marginal_gains: cover.marginal_gains,
+        coverage: cover.covered,
+        estimated_influence,
+        stats: QueryStats {
+            theta_q,
+            rr_sets_loaded: theta_q,
+            elapsed: started.elapsed(),
+            ..QueryStats::default()
+        },
     }
 }
 
@@ -447,6 +633,7 @@ mod tests {
     use crate::KbtimIndex;
     use kbtim_codec::Codec;
     use kbtim_core::invindex::InvertedIndexBuilder;
+    use kbtim_core::maxcover::{greedy_max_cover_inverted, greedy_max_cover_naive};
     use kbtim_core::theta::SamplingConfig;
     use kbtim_core::wris::wris_query;
     use kbtim_datagen::{Dataset, DatasetConfig, DatasetFamily};
@@ -503,39 +690,49 @@ mod tests {
     }
 
     #[test]
-    fn list_cut_agrees_with_partition_point_at_every_length() {
-        // Every side of the fixed-width / linear / binary switches,
-        // shares on and between ids, the whole-list and empty cuts — and
-        // the list both followed by others (lanes read into them) and
-        // last in the arena (no room for the fixed-width read).
-        for len in 0..40u32 {
+    fn list_cuts_agree_with_partition_point_at_every_length() {
+        // Lists of every length from empty-cut to long, shares on and
+        // between ids, the whole-list and empty cuts and a share past
+        // u32 — the list alone, and between two others.
+        let mut prefix = vec![7; 3]; // leftovers must not matter
+        for len in 1..40u32 {
             let list: Vec<u32> = (0..len).map(|i| 3 * i + 1).collect();
-            for followed in [false, true] {
+            for surrounded in [false, true] {
                 let mut il = IlCsr::default();
+                if surrounded {
+                    il.ids.extend([0, 2, 50]);
+                    il.close_list(3);
+                }
                 il.ids.extend(&list);
                 il.close_list(7);
-                if followed {
-                    il.ids.extend([0, 2, 50]);
+                if surrounded {
+                    il.ids.extend([1, 200]);
                     il.close_list(9);
                 }
-                for share in (0..=(3 * len as u64 + 2)).chain([u64::MAX]) {
-                    let want = list.partition_point(|&id| (id as u64) < share);
-                    assert_eq!(super::list_cut(&il, 0, share), want, "len {len} share {share}");
+                for share in (0..=(3 * len as u64 + 2)).chain([1 << 40, u64::MAX]) {
+                    let want: Vec<u32> = (0..il.len())
+                        .map(|j| il.list(j).partition_point(|&id| (id as u64) < share) as u32)
+                        .collect();
+                    let got: Vec<u32> = super::list_cuts(&il, share, &mut prefix).collect();
+                    assert_eq!(got, want, "len {len} share {share}");
                 }
             }
         }
+        assert_eq!(super::list_cuts(&IlCsr::default(), 5, &mut prefix).count(), 0);
     }
 
-    /// 1–4 keyword CSRs over 60 users: lists of 1..=12 ids (both sides
+    /// 1–6 keyword CSRs over 60 users: lists of 1..=12 ids (both sides
     /// of the fixed-width switch, the last ones ending the arena) drawn
-    /// from 0..40, each with a share from 0 to beyond every id.
+    /// from 0..40, each with a share from 0 (and 1) to beyond every id;
+    /// most users absent from any one keyword.
     fn merge_inputs() -> impl Strategy<Value = Vec<(IlCsr, u64)>> {
         let list = proptest::collection::vec(0u32..40, 1..13).prop_map(|mut ids| {
             ids.sort_unstable();
             ids.dedup();
             ids
         });
-        let keyword = (proptest::collection::vec((0u32..60, list), 0..50), 0u64..45).prop_map(
+        let share = prop_oneof![Just(0u64), Just(1u64), 0u64..45, Just(1u64 << 33)];
+        let keyword = (proptest::collection::vec((0u32..60, list), 0..50), share).prop_map(
             |(entries, share)| {
                 let by_user: std::collections::BTreeMap<u32, Vec<u32>> =
                     entries.into_iter().collect();
@@ -547,7 +744,24 @@ mod tests {
                 (il, share)
             },
         );
-        proptest::collection::vec(keyword, 1..5)
+        proptest::collection::vec(keyword, 1..7)
+    }
+
+    /// The instance as per-set member lists, built the slow way: set
+    /// `base_w + id` holds user `u` iff `id ∈ L_w(u)` and `id < share_w`.
+    fn vec_of_vec_oracle(keywords: &[(IlCsr, u64)]) -> Vec<Vec<u32>> {
+        let theta_q: u64 = keywords.iter().map(|(_, share)| share.min(&64)).sum();
+        let mut sets = vec![Vec::new(); theta_q as usize];
+        let mut base = 0usize;
+        for (il, share) in keywords {
+            for j in 0..il.len() {
+                for &id in il.list(j).iter().filter(|&&id| (id as u64) < *share) {
+                    sets[base + id as usize].push(il.users[j]);
+                }
+            }
+            base += (*share).min(64) as usize;
+        }
+        sets
     }
 
     proptest! {
@@ -556,19 +770,22 @@ mod tests {
         /// The merge is the plain count / `push_list` construction, list
         /// by list with a binary-searched cut.
         #[test]
-        fn merge_matches_the_list_by_list_oracle(parts in merge_inputs()) {
+        fn merge_matches_the_list_by_list_oracle(keywords in merge_inputs()) {
+            // Shares past every id stand for "the whole list"; keep θ^Q small.
+            let keywords: Vec<(IlCsr, u64)> =
+                keywords.into_iter().map(|(il, share)| (il, share.min(64))).collect();
             let mut builder = InvertedIndexBuilder::new(60);
             let cut = |il: &IlCsr, j: usize, share: u64| {
                 il.list(j).partition_point(|&id| (id as u64) < share)
             };
-            for (il, share) in &parts {
+            for (il, share) in &keywords {
                 for j in 0..il.len() {
                     builder.count(il.users[j], cut(il, j, *share) as u32);
                 }
             }
             let mut filler = builder.fill();
             let mut base = 0u64;
-            for (il, share) in &parts {
+            for (il, share) in &keywords {
                 for j in 0..il.len() {
                     let kept = &il.list(j)[..cut(il, j, *share)];
                     filler.push_list(il.users[j], kept.iter().map(|&id| (base + id as u64) as u32));
@@ -577,15 +794,72 @@ mod tests {
             }
             let oracle = filler.finish();
             let pool = ScratchPool::new();
+            let parts = super::cover_parts(keywords.iter().map(|(il, share)| (il, *share)));
+            prop_assert_eq!(super::theta_q_of(&parts), base);
             // Twice: the second run builds in the first one's recycled arenas.
             for _ in 0..2 {
-                let borrowed = parts.iter().map(|(il, share)| (il, *share));
-                let (theta_q, merged) = super::merge_csrs(60, borrowed, &pool);
-                prop_assert_eq!(theta_q, base);
+                let merged = super::merge_csrs(60, &parts, &pool);
                 prop_assert_eq!(&merged, &oracle);
                 pool.put_arenas(merged.into_arenas());
             }
         }
+
+        /// In place ≡ materialized ≡ the naive greedy over the
+        /// Vec-of-Vec instance, for `k` from 0 to past exhaustion.
+        #[test]
+        fn in_place_matches_materialized_and_the_vec_of_vec_oracle(
+            keywords in merge_inputs(),
+            k in 0u32..80,
+        ) {
+            let pool = ScratchPool::new();
+            let exec = kbtim_exec::ExecPool::sequential();
+            let parts =
+                super::cover_parts(keywords.iter().map(|(il, share)| (il, (*share).min(64))));
+            let theta_q = super::theta_q_of(&parts);
+            let oracle = greedy_max_cover_naive(&vec_of_vec_oracle(&keywords), k);
+            let merged = super::merge_csrs(60, &parts, &pool);
+            let materialized = greedy_max_cover_inverted(&merged, theta_q, k);
+            prop_assert_eq!(&materialized, &oracle);
+            // Twice: the second run counts into the first one's buffers.
+            for _ in 0..2 {
+                let got =
+                    super::query_in_place(&parts, 60, 2.0, k, &exec, &pool, &|| false).unwrap();
+                prop_assert_eq!(&got.seeds, &oracle.seeds);
+                prop_assert_eq!(&got.marginal_gains, &oracle.marginal_gains);
+                prop_assert_eq!(got.coverage, oracle.covered);
+                prop_assert_eq!(got.stats.theta_q, theta_q);
+            }
+        }
+    }
+
+    #[test]
+    fn serving_without_a_cache_builds_no_instance() {
+        let data = dataset();
+        let dir = TempDir::new("rrq-inplace").unwrap();
+        build(&data, dir.path(), Codec::Packed);
+        let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
+        let query = Query::new([0, 1, 2], 10);
+        let built = || super::MATERIALIZED.with(|n| n.get());
+        let before = built();
+
+        let direct = index.query_rr(&query).unwrap();
+        let mem = crate::MemoryIndex::load(&index).unwrap().query(&query);
+        assert_eq!(mem.seeds, direct.seeds);
+        assert_eq!(mem.marginal_gains, direct.marginal_gains);
+        assert_eq!(mem.estimated_influence.to_bits(), direct.estimated_influence.to_bits());
+        assert_eq!(built(), before, "query_rr / MemoryIndex::query materialized an instance");
+
+        // The public staged form still does, once per `merge_keywords`.
+        let (_, budget) = index.query_budget(&query);
+        let arena = index.decode_keywords(&budget).unwrap();
+        let merged = index.merge_keywords(&query, &arena).unwrap();
+        let staged = index.query_merged(&merged, query.k());
+        index.recycle_merged(merged);
+        index.recycle_keywords(arena);
+        assert_eq!(built(), before + 1);
+        assert_eq!(staged.seeds, direct.seeds);
+        assert_eq!(staged.marginal_gains, direct.marginal_gains);
+        assert_eq!(staged.estimated_influence.to_bits(), direct.estimated_influence.to_bits());
     }
 
     #[test]

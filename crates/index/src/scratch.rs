@@ -25,9 +25,9 @@
 
 use crate::format::{IlCsr, PartitionSpan};
 use kbtim_core::bitset::Bitset;
+use kbtim_core::maxcover::CoverScratch;
 use kbtim_graph::NodeId;
 use kbtim_topics::TopicId;
-use std::cmp::Reverse;
 use std::sync::Mutex;
 
 /// A shared keyword decode: each distinct keyword decoded **once**,
@@ -121,8 +121,14 @@ pub struct QueryScratch {
     /// Per-list truncation points of a merge's counting pass, replayed
     /// by its fill pass.
     pub(crate) cuts: Vec<u32>,
-    /// Covered-RR-set bitset of the IRR NRA loop.
-    pub(crate) covered: Bitset,
+    /// Running below-the-share count over one CSR's id arena (the
+    /// counting pass's temp, `n_ids + 1` long).
+    pub(crate) prefix: Vec<u32>,
+    /// Per-user initial gains of an in-place coverage instance (|V|).
+    pub(crate) gains: Vec<u32>,
+    /// Covered-RR-set bitset and candidate heap of a greedy run — the
+    /// CELF loop's, or the IRR NRA loop's.
+    pub(crate) cover: CoverScratch,
     /// RR sets seen in any loaded IRR partition — the distinct-id count
     /// behind `rr_sets_loaded`.
     pub(crate) seen: Bitset,
@@ -131,9 +137,6 @@ pub struct QueryScratch {
     /// Per-keyword NRA tables, one entry per query keyword (grown to the
     /// widest query seen).
     pub(crate) kw_bufs: Vec<KwBufs>,
-    /// Backing store of the NRA candidate heap (capacity survives
-    /// between queries via `BinaryHeap::into_vec`).
-    pub(crate) nra_heap: Vec<(u64, Reverse<NodeId>)>,
     /// Fresh-candidate staging of the IRR partition loader.
     pub(crate) nra_fresh: Vec<NodeId>,
 }

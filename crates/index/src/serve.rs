@@ -49,7 +49,7 @@
 //! thin wrapper over this engine.
 
 use crate::delta::{self, DeltaIndex, DeltaSnapshot};
-use crate::rr_query::MergedQuery;
+use crate::rr_query::{self, MergedQuery};
 use crate::scratch::KeywordArena;
 use crate::{IndexError, KbtimIndex, MemoryIndex, QueryCtx, QueryOutcome};
 use kbtim_topics::{Query, TopicId};
@@ -543,9 +543,11 @@ impl QueryEngine {
         self.batched_requests.load(Ordering::Relaxed)
     }
 
-    /// Keyword-set merges the planner performed (one per distinct
-    /// keyword set per batch — requests over the same set share one
-    /// merged coverage instance and differ only in their greedy run).
+    /// Keyword-set coverage instances the planner resolved from a batch
+    /// arena (one per distinct keyword set per batch that missed the
+    /// cache — requests over the same set share it): materialized and
+    /// published with a merge cache configured, served in place
+    /// without one.
     pub fn merged_groups(&self) -> u64 {
         self.merged_groups.load(Ordering::Relaxed)
     }
@@ -903,37 +905,37 @@ impl QueryEngine {
                 None => self.index.meta().variant,
             };
             let irr_available = matches!(variant, crate::format::IndexVariant::Irr { .. });
-            // Resolve the merged instance: a cache hit reuses the shared
-            // Arc; a miss merges from the batch arena and (with a cache
-            // configured) publishes the result for later batches.
-            let merged: Arc<MergedQuery> = match &group.cached {
-                Some(merged) => Arc::clone(merged),
-                None => {
-                    self.merged_groups.fetch_add(1, Ordering::Relaxed);
-                    // The union's |V| (base plus ingested users) sizes
-                    // the merged instance when a delta is pinned.
-                    let num_users = match &snap {
-                        Some(s) => s.meta().num_users,
-                        None => serving.meta().num_users,
-                    };
+            let fail = |e: IndexError| -> Vec<(usize, EngineResult)> {
+                let err = EngineError::from(e);
+                self.executed.fetch_add(group.members.len() as u64, Ordering::Relaxed);
+                group.members.iter().map(|&at| (at, Err(err.clone()))).collect()
+            };
+            // The union's |V| (base plus ingested users) sizes the
+            // instance when a delta is pinned.
+            let num_users = match &snap {
+                Some(s) => s.meta().num_users,
+                None => serving.meta().num_users,
+            };
+            // A materialized instance is worth building only where it is
+            // used again: a cache hit reuses the shared one, a miss with
+            // a cache configured builds one from the batch arena and
+            // publishes it for later batches. With no cache the group is
+            // served in place off the arena.
+            if group.cached.is_none() {
+                self.merged_groups.fetch_add(1, Ordering::Relaxed);
+            }
+            let merged: Option<Arc<MergedQuery>> = match (&group.cached, &self.merge_cache) {
+                (Some(hit), _) => Some(Arc::clone(hit)),
+                (None, None) => None,
+                (None, Some(cache)) => {
                     match serving.merge_budgeted_over(num_users, group.phi_q, &group.budget, arena)
                     {
                         Ok(merged) => {
                             let merged = Arc::new(merged);
-                            if let Some(cache) = &self.merge_cache {
-                                cache.insert(fingerprint, group.key.clone(), Arc::clone(&merged));
-                            }
-                            merged
+                            cache.insert(fingerprint, group.key.clone(), Arc::clone(&merged));
+                            Some(merged)
                         }
-                        Err(e) => {
-                            let err = EngineError::from(e);
-                            self.executed.fetch_add(group.members.len() as u64, Ordering::Relaxed);
-                            return group
-                                .members
-                                .iter()
-                                .map(|&at| (at, Err(err.clone())))
-                                .collect();
-                        }
+                        Err(e) => return fail(e),
                     }
                 }
             };
@@ -946,26 +948,35 @@ impl QueryEngine {
             // (no partial seeds escape).
             let k_max = group.members.iter().map(|&at| unique[at].k).max().unwrap_or(0);
             let group_ctx = QueryCtx { deadline: group.deadline };
-            let full = match serving.query_merged_ctx(&merged, k_max, &group_ctx) {
+            let full = match &merged {
+                Some(merged) => serving.query_merged_ctx(merged, k_max, &group_ctx),
+                None => serving.query_arena_ctx(
+                    num_users,
+                    group.phi_q,
+                    &group.budget,
+                    arena,
+                    k_max,
+                    &group_ctx,
+                ),
+            };
+            // Sole owner (the entry was already evicted and nobody else
+            // holds it) → the arenas recycle; otherwise the cache keeps
+            // the instance alive for the next hit and the Arc simply
+            // drops.
+            if let Some(Ok(sole)) = merged.map(Arc::try_unwrap) {
+                serving.recycle_merged(sole);
+            }
+            let full = match full {
                 Ok(mut full) => {
                     full.stats.generation = snap.as_ref().map(|s| s.generation());
                     Arc::new(full)
                 }
-                Err(e) => {
-                    let err = EngineError::from(e);
-                    self.executed.fetch_add(group.members.len() as u64, Ordering::Relaxed);
-                    let out: Vec<(usize, EngineResult)> =
-                        group.members.iter().map(|&at| (at, Err(err.clone()))).collect();
-                    if let Ok(sole) = Arc::try_unwrap(merged) {
-                        serving.recycle_merged(sole);
-                    }
-                    return out;
-                }
+                Err(e) => return fail(e),
             };
             if group.members.len() > 1 {
                 self.greedy_shared.fetch_add(group.members.len() as u64 - 1, Ordering::Relaxed);
             }
-            let out: Vec<(usize, EngineResult)> = group
+            group
                 .members
                 .iter()
                 .map(|&at| {
@@ -976,19 +987,11 @@ impl QueryEngine {
                     } else if group.members.len() == 1 {
                         Ok(Arc::clone(&full))
                     } else {
-                        Ok(Arc::new(merged.prefix_outcome(&full, req.k)))
+                        Ok(Arc::new(rr_query::prefix_outcome(&full, req.k, group.phi_q)))
                     };
                     (at, result)
                 })
-                .collect();
-            // Sole owner (cache off, or the entry was already evicted
-            // and nobody else holds it) → the arenas recycle as before;
-            // otherwise the cache keeps the instance alive for the next
-            // hit and the Arc simply drops.
-            if let Ok(sole) = Arc::try_unwrap(merged) {
-                serving.recycle_merged(sole);
-            }
-            out
+                .collect()
         };
 
         let union_arena = if wants.is_empty() {

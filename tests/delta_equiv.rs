@@ -198,6 +198,7 @@ proptest! {
         let oracle = KbtimIndex::open(oracle_dir.path(), IoStats::new()).unwrap();
         let expect = oracle.query_rr(&query).unwrap();
         prop_assert_eq!(&oracle.query_irr(&query).unwrap().seeds, &expect.seeds);
+        let expect_deep = oracle.query_rr(&Query::new(topics.clone(), k + 4)).unwrap();
 
         // Subject: the base build with the batch applied to its delta
         // tier. The first attach journals the batch; every later attach
@@ -234,6 +235,28 @@ proptest! {
                         .query(&EngineRequest { topics: topics.clone(), k, algo })
                         .unwrap();
                     assert_bit_identical(&got, &expect, &format!("{mode} t{threads} {algo:?}"));
+                }
+                // The batch planner over the union snapshot: one window,
+                // one keyword-set group run once at the deepest k —
+                // served in place off the union arena without a merge
+                // cache, from a materialized instance with one (asked
+                // twice: the second window hits the published entry).
+                let request = |algo, k| (EngineRequest { topics: topics.clone(), k, algo }, None);
+                let window =
+                    [request(Algo::Rr, k), request(Algo::Memory, k), request(Algo::Irr, k + 4)];
+                for cache in [0usize, 4] {
+                    let planner = QueryEngine::new(Arc::clone(&index))
+                        .with_delta(Arc::clone(&delta))
+                        .with_batch_window(Some(std::time::Duration::from_micros(100)))
+                        .with_merge_cache(cache);
+                    for round in 0..2 {
+                        let results = planner.query_window(&window);
+                        for (got, want) in results.into_iter().zip([&expect, &expect, &expect_deep]) {
+                            let label = format!("{mode} t{threads} planner cache {cache} #{round}");
+                            assert_bit_identical(&got.unwrap(), want, &label);
+                        }
+                    }
+                    prop_assert_eq!(planner.merge_cache_hits(), if cache > 0 { 1 } else { 0 });
                 }
             }
         }

@@ -17,7 +17,8 @@
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
 use kbtim::index::{
-    IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, MemoryIndex, ServingMode, ThetaMode,
+    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, MemoryIndex,
+    QueryEngine, ServingMode, ThetaMode,
 };
 use kbtim::propagation::model::IcModel;
 use kbtim::storage::block::all_modes;
@@ -25,16 +26,20 @@ use kbtim::storage::segment::SegmentWriter;
 use kbtim::storage::{BlockSource, IoStats, TempDir};
 use kbtim::topics::Query;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 const NUM_TOPICS: u32 = 6;
 
 /// One IRR index on disk, opened through every backend × thread count,
-/// plus a `MemoryIndex` loaded through each backend.
+/// plus a `MemoryIndex` loaded through each backend and, per backend,
+/// the batch planner without a merge cache (groups served in place)
+/// and with one (groups materialized, published, then hit).
 struct Fixture {
     _dir: TempDir,
     indexes: Vec<(ServingMode, usize, KbtimIndex)>,
     memories: Vec<(ServingMode, MemoryIndex)>,
+    planners: Vec<(ServingMode, usize, QueryEngine)>,
 }
 
 fn fixture() -> &'static Fixture {
@@ -64,6 +69,7 @@ fn fixture() -> &'static Fixture {
 
         let mut indexes = Vec::new();
         let mut memories = Vec::new();
+        let mut planners = Vec::new();
         for mode in all_modes() {
             for threads in [1usize, 8] {
                 let index = KbtimIndex::open_with(dir.path(), IoStats::new(), mode)
@@ -73,8 +79,15 @@ fn fixture() -> &'static Fixture {
             }
             let via = KbtimIndex::open_with(dir.path(), IoStats::new(), mode).unwrap();
             memories.push((mode, MemoryIndex::load(&via).unwrap()));
+            let shared = Arc::new(via);
+            for cache in [0usize, 8] {
+                let engine = QueryEngine::new(Arc::clone(&shared))
+                    .with_batch_window(Some(Duration::from_micros(100)))
+                    .with_merge_cache(cache);
+                planners.push((mode, cache, engine));
+            }
         }
-        Fixture { _dir: dir, indexes, memories }
+        Fixture { _dir: dir, indexes, memories, planners }
     })
 }
 
@@ -119,8 +132,33 @@ proptest! {
         for (mode, memory) in &fx.memories {
             let m = memory.query(&query);
             prop_assert_eq!(&m.seeds, &rr.seeds, "memory via {}", mode);
+            prop_assert_eq!(&m.marginal_gains, &rr.marginal_gains);
             prop_assert_eq!(m.coverage, rr.coverage);
             prop_assert_eq!(m.stats.theta_q, rr.stats.theta_q);
+            prop_assert_eq!(m.estimated_influence.to_bits(), rr.estimated_influence.to_bits());
+        }
+
+        // The batch planner: one window of three requests over the
+        // keyword set (one group, one greedy at the deepest k, the
+        // shallower answers its prefixes) — served in place without a
+        // merge cache, from a materialized instance with one.
+        let deep = baseline.query_rr(&Query::new(query.topics().iter().copied(), k + 5)).unwrap();
+        let request = |algo, k| {
+            (EngineRequest { topics: query.topics().to_vec(), k, algo }, None)
+        };
+        let window = [request(Algo::Rr, k), request(Algo::Irr, k), request(Algo::Auto, k + 5)];
+        for (mode, cache, engine) in &fx.planners {
+            for (got, want) in engine.query_window(&window).into_iter().zip([&rr, &rr, &deep]) {
+                let got = got.unwrap();
+                prop_assert_eq!(&got.seeds, &want.seeds, "planner {} cache {}", mode, cache);
+                prop_assert_eq!(&got.marginal_gains, &want.marginal_gains);
+                prop_assert_eq!(got.coverage, want.coverage);
+                prop_assert_eq!(got.stats.theta_q, want.stats.theta_q);
+                prop_assert_eq!(
+                    got.estimated_influence.to_bits(),
+                    want.estimated_influence.to_bits()
+                );
+            }
         }
     }
 

@@ -19,8 +19,8 @@
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
 use kbtim::index::{
-    IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, MemoryIndex, QueryEngine,
-    ServingMode, ThetaMode,
+    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, MemoryIndex,
+    QueryEngine, ServingMode, ThetaMode,
 };
 use kbtim::propagation::model::IcModel;
 use kbtim::serve::{handle_line_ctx, Json, Router, ServeCtx};
@@ -41,6 +41,9 @@ struct Fixture {
     oracle: KbtimIndex,
     indexes: Vec<(usize, ServingMode, usize, KbtimIndex)>,
     memories: Vec<(usize, MemoryIndex)>,
+    /// Per sharded layout, the batch planner without a merge cache
+    /// (groups served in place) and with one (groups materialized).
+    planners: Vec<(usize, usize, QueryEngine)>,
 }
 
 fn fixture() -> &'static Fixture {
@@ -76,6 +79,7 @@ fn fixture() -> &'static Fixture {
         let oracle = KbtimIndex::open(dirs[0].1.path(), IoStats::new()).unwrap();
         let mut indexes = Vec::new();
         let mut memories = Vec::new();
+        let mut planners = Vec::new();
         for (shards, dir) in dirs.iter().filter(|(s, _)| *s > 1) {
             for mode in all_modes() {
                 for threads in [1usize, 8] {
@@ -88,8 +92,15 @@ fn fixture() -> &'static Fixture {
             }
             let via = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
             memories.push((*shards, MemoryIndex::load(&via).unwrap()));
+            let shared = Arc::new(via);
+            for cache in [0usize, 8] {
+                let engine = QueryEngine::new(Arc::clone(&shared))
+                    .with_batch_window(Some(std::time::Duration::from_micros(100)))
+                    .with_merge_cache(cache);
+                planners.push((*shards, cache, engine));
+            }
         }
-        Fixture { dirs, oracle, indexes, memories }
+        Fixture { dirs, oracle, indexes, memories, planners }
     })
 }
 
@@ -149,6 +160,30 @@ proptest! {
             prop_assert_eq!(&m.marginal_gains, &rr.marginal_gains);
             prop_assert_eq!(m.coverage, rr.coverage);
             prop_assert_eq!(m.stats.theta_q, rr.stats.theta_q);
+            prop_assert_eq!(m.estimated_influence.to_bits(), rr.estimated_influence.to_bits());
+        }
+
+        // The batch planner over the sharded layouts: one window, one
+        // keyword-set group, the deepest k run once — in place without
+        // a merge cache, materialized with one.
+        let deep =
+            fx.oracle.query_rr(&Query::new(query.topics().iter().copied(), k + 5)).unwrap();
+        let request = |algo, k| {
+            (EngineRequest { topics: query.topics().to_vec(), k, algo }, None)
+        };
+        let window = [request(Algo::Rr, k), request(Algo::Irr, k), request(Algo::Auto, k + 5)];
+        for (shards, cache, engine) in &fx.planners {
+            for (got, want) in engine.query_window(&window).into_iter().zip([&rr, &rr, &deep]) {
+                let got = got.unwrap();
+                prop_assert_eq!(&got.seeds, &want.seeds, "planner S={} cache {}", shards, cache);
+                prop_assert_eq!(&got.marginal_gains, &want.marginal_gains);
+                prop_assert_eq!(got.coverage, want.coverage);
+                prop_assert_eq!(got.stats.theta_q, want.stats.theta_q);
+                prop_assert_eq!(
+                    got.estimated_influence.to_bits(),
+                    want.estimated_influence.to_bits()
+                );
+            }
         }
     }
 }
