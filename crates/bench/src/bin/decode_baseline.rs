@@ -245,7 +245,9 @@ fn main() {
             "cached keywords_decoded must stay flat after warmup (at {requests} requests)"
         );
     }
-    assert_eq!(cached.merge_cache_misses(), topic_sets.len() as u64, "one miss per hot set");
+    // A set's first miss is served in place, its second builds and
+    // publishes the instance; the mix repeats every set within round one.
+    assert_eq!(cached.merge_cache_misses(), 2 * topic_sets.len() as u64, "two misses per hot set");
     assert!(cached.merge_cache_hits() > 0);
     eprintln!(
         "cache books: {} hits, {} misses, {} evictions, {} entries, {} bytes resident",

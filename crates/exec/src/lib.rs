@@ -438,7 +438,15 @@ impl<T> CompletionQueue<T> {
     /// visible to [`CompletionQueue::drain_into`] before the waker runs,
     /// so a consumer woken by this call always observes it.
     pub fn push(&self, item: T) {
-        self.items.lock().expect("completion queue poisoned").push(item);
+        self.push_all([item]);
+    }
+
+    /// Publish a batch of completed items in order, then wake the
+    /// consumer **once**: a producer that finishes several results
+    /// together hands them over together, so the consumer handles them
+    /// in one wake-up instead of racing the producer item by item.
+    pub fn push_all(&self, batch: impl IntoIterator<Item = T>) {
+        self.items.lock().expect("completion queue poisoned").extend(batch);
         (self.waker)();
     }
 
@@ -655,5 +663,13 @@ mod tests {
         let mut out = Vec::new();
         queue.drain_into(&mut out);
         assert_eq!(out, vec![3, 1, 2]);
+
+        // A batch lands whole, in order, behind one wake-up.
+        let before = wakes.load(Ordering::SeqCst);
+        queue.push_all([7, 5, 6]);
+        assert_eq!(wakes.load(Ordering::SeqCst), before + 1);
+        let mut out = Vec::new();
+        queue.drain_into(&mut out);
+        assert_eq!(out, vec![7, 5, 6]);
     }
 }

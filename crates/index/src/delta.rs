@@ -175,7 +175,8 @@ impl DeltaSnapshot {
             return Ok(base_arena);
         }
         // Splice: walk the ascending want list, drawing each keyword
-        // from the base arena or its overlay.
+        // from the base arena (one CSR per base shard) or its overlay.
+        let per_keyword = self.base.num_shards();
         let mut arena = KeywordArena::default();
         let mut base_csrs = base_arena.csrs.into_iter();
         for &(topic, _) in wants.iter() {
@@ -184,15 +185,12 @@ impl DeltaSnapshot {
                     // Copy into a pool-leased CSR so `recycle_keywords`
                     // can treat every arena slot uniformly.
                     let mut csr = self.base.scratch.take_csr();
-                    csr.append(&ov.csr);
-                    arena.topics.push(topic);
-                    arena.csrs.push(csr);
+                    csr.users.clone_from(&ov.csr.users);
+                    csr.offsets.clone_from(&ov.csr.offsets);
+                    csr.ids.clone_from(&ov.csr.ids);
+                    arena.push(topic, [csr]);
                 }
-                None => {
-                    let csr = base_csrs.next().expect("one base CSR per clean keyword");
-                    arena.topics.push(topic);
-                    arena.csrs.push(csr);
-                }
+                None => arena.push(topic, base_csrs.by_ref().take(per_keyword)),
             }
         }
         Ok(arena)

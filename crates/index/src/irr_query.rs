@@ -22,6 +22,13 @@
 //! implementation shares its tie-breaking (score desc, node id asc) with
 //! the greedy used by `query_rr`, so the *seed sequences* are identical —
 //! property-tested in `tests/`.
+//!
+//! This is the paper's algorithm as a reference implementation: what
+//! `kbtim query --algo irr`, the `experiments` bin (Figs 5–7, Table 6)
+//! and the equivalence gates call. The serving tier answers `irr`
+//! requests with the keyword scan of [`crate::rr_query`] — the same
+//! seeds by the theorem above, and faster on this layout for every
+//! `|Q.T|` ≥ 2 (docs/BENCHMARKS.md §PR 15).
 
 use crate::format::{self, IlCsr, PartitionSpan};
 use crate::rr_query::{empty_outcome, list_cuts};
@@ -38,11 +45,6 @@ use std::time::Instant;
 
 /// Sentinel for "no value" in the dense per-user tables below.
 const ABSENT: u32 = u32::MAX;
-
-/// A partition round decodes on the pool once its pending `ilp` ranges
-/// add up to this many bytes (encoded bytes of the columnar layout).
-/// Unpriced: no benchmark workload has rounds this large (see ROADMAP).
-const PARALLEL_LOAD_MIN_BYTES: u64 = 256 * 1024;
 
 /// Per-keyword NRA state.
 ///
@@ -206,17 +208,14 @@ impl KbtimIndex {
         let format::IndexVariant::Irr { .. } = self.meta().variant else {
             return Err(IndexError::NotAnIrrIndex);
         };
-        // Sharded serving lowers IRR to the scatter-gather merged-greedy
-        // path, exactly as the batch planner does for its groups: the
-        // NRA's advantage is loading few partitions from
-        // *one* segment, while a sharded query fans per-shard decode out
-        // across the pool anyway. By Theorem 3 (strengthened to
-        // identical sequences by the shared tie-breaking) the seeds,
-        // marginal gains, coverage, and influence estimate are
-        // bit-identical to the incremental NRA; stats reflect the
-        // scatter-gather execution (`rr_sets_loaded = θ^Q`,
-        // `partitions_loaded = 0`), which `tests/shard_equiv.rs`
-        // pins against the single-shard oracle.
+        // A sharded index has no single `ilp` to walk: the call lowers
+        // to the keyword scan, as every serving path does. By Theorem 3
+        // (strengthened to identical sequences by the shared
+        // tie-breaking) the seeds, marginal gains, coverage, and
+        // influence estimate are bit-identical to the incremental NRA;
+        // stats reflect the scan (`rr_sets_loaded = θ^Q`,
+        // `partitions_loaded = 0`), which `tests/shard_equiv.rs` pins
+        // against the single-shard oracle.
         if self.num_shards() > 1 {
             return self.query_rr_ctx(query, ctx);
         }
@@ -298,78 +297,25 @@ impl KbtimIndex {
             (total, complete)
         };
 
-        // Load the next partition of every query keyword and apply the
-        // loads in keyword order (deterministic for any thread count).
-        // Pushes fresh candidates; returns false when everything is
-        // exhausted.
-        let pool = self.pool();
+        // Load the next partition of every query keyword, in keyword
+        // order, each decoded into the query's own scratch. Pushes fresh
+        // candidates; returns false when everything is exhausted.
         let mut load_more = |states: &mut [KwState<'_>],
                              pq: &mut BinaryHeap<(u64, Reverse<NodeId>)>,
                              covered: &Bitset,
                              selected: &[bool],
                              rr_sets_loaded: &mut u64|
          -> Result<bool, IndexError> {
-            // Fan out only when this round moves enough bytes to dwarf the
-            // pool's fork/join cost; small rounds (the common case for
-            // tight partitions) decode inline into the query's own
-            // scratch. The partition catalog gives the sizes before any
-            // I/O, and both paths apply identical loads, so the choice
-            // cannot affect the answer.
-            let pending_bytes: u64 = states
-                .iter()
-                .filter_map(KwState::pending)
-                .map(|part| part.il_end - part.il_start)
-                .sum();
             let mut any = false;
             nra_fresh.clear();
-            if pending_bytes < PARALLEL_LOAD_MIN_BYTES {
-                for st in states.iter_mut() {
-                    let Some(part) = st.pending() else {
-                        st.kb = 0;
-                        continue;
-                    };
-                    st.decode_partition(part, codec, bytes, il)?;
-                    st.apply_partition(
-                        part,
-                        il,
-                        prefix,
-                        seen,
-                        selected,
-                        nra_fresh,
-                        rr_sets_loaded,
-                    )?;
-                    any = true;
-                }
-            } else {
-                // One job per keyword, each decoding into a pool-leased
-                // CSR that goes back once its load is applied.
-                let loads: Vec<Result<Option<IlCsr>, IndexError>> = pool.map_shards_with(
-                    states.len(),
-                    || self.scratch.guard(),
-                    |guard, i| {
-                        let Some(part) = states[i].pending() else { return Ok(None) };
-                        let mut csr = self.scratch.take_csr();
-                        states[i].decode_partition(part, codec, &mut guard.bytes, &mut csr)?;
-                        Ok(Some(csr))
-                    },
-                );
-                for (st, load) in states.iter_mut().zip(loads) {
-                    let (Some(part), Some(csr)) = (st.pending(), load?) else {
-                        st.kb = 0;
-                        continue;
-                    };
-                    st.apply_partition(
-                        part,
-                        &csr,
-                        prefix,
-                        seen,
-                        selected,
-                        nra_fresh,
-                        rr_sets_loaded,
-                    )?;
-                    self.scratch.put_csr(csr);
-                    any = true;
-                }
+            for st in states.iter_mut() {
+                let Some(part) = st.pending() else {
+                    st.kb = 0;
+                    continue;
+                };
+                st.decode_partition(part, codec, bytes, il)?;
+                st.apply_partition(part, il, prefix, seen, selected, nra_fresh, rr_sets_loaded)?;
+                any = true;
             }
             // Push fresh candidates with bounds computed against the *new*
             // kb values.
@@ -507,14 +453,10 @@ mod tests {
     }
 
     fn build_irr(data: &Dataset, dir: &std::path::Path, partition_size: u32) {
-        build_irr_capped(data, dir, partition_size, 2000);
-    }
-
-    fn build_irr_capped(data: &Dataset, dir: &std::path::Path, partition_size: u32, cap: u64) {
         let model = IcModel::weighted_cascade(&data.graph);
         let config = IndexBuildConfig {
             sampling: SamplingConfig {
-                theta_cap: Some(cap),
+                theta_cap: Some(2000),
                 opt_initial_samples: 128,
                 opt_max_rounds: 8,
                 ..SamplingConfig::fast()
@@ -620,77 +562,12 @@ mod tests {
     }
 
     #[test]
-    fn coarse_partition_rounds_fan_out_and_load_the_same() {
-        // δ = 10^6 files a keyword's whole L_w under one partition, so
-        // the first round is as large as the keywords' `ilp` blocks. The
-        // pool is sized from the bytes the encoder actually produced:
-        // grow it until that round clears the fan-out threshold.
-        let data = dataset(2000, 4, 71);
-        let q = Query::new([0, 1, 2, 3], 12);
-        let dir = TempDir::new("irrq-fanout").unwrap();
-        let open = |threads| {
-            KbtimIndex::open(dir.path(), IoStats::new()).unwrap().with_threads(Some(threads))
-        };
-        let mut cap = 30_000;
-        loop {
-            build_irr_capped(&data, dir.path(), 1_000_000, cap);
-            let index = open(1);
-            let round_bytes: u64 = q
-                .topics()
-                .iter()
-                .map(|&t| index.source(t).unwrap().block_len(format::ILP_BLOCK).unwrap())
-                .sum();
-            if round_bytes >= super::PARALLEL_LOAD_MIN_BYTES {
-                break;
-            }
-            cap *= 2;
-            assert!(cap <= 480_000, "a {round_bytes} B round at θ cap {cap}: fixture too small");
-        }
-        let rr = open(1).query_rr(&q).unwrap();
-        let mut bytes_read = None;
-        for threads in [1, 4] {
-            // A handle that has only ever run IRR: the pool holds spare
-            // CSRs iff a round leased them, which only the fan-out does.
-            let index = open(threads);
-            let irr = index.query_irr(&q).unwrap();
-            assert!(index.scratch.spare_csrs() > 0, "the round decoded inline");
-            assert_eq!(irr.seeds, rr.seeds);
-            assert_eq!(irr.marginal_gains, rr.marginal_gains);
-            assert_eq!(irr.stats.partitions_loaded, 4);
-            // Every RR set holds its root, so whole lists see all of θ^Q.
-            assert_eq!(irr.stats.rr_sets_loaded, irr.stats.theta_q);
-            assert_eq!(*bytes_read.get_or_insert(irr.stats.io.bytes_read), irr.stats.io.bytes_read);
-        }
-        // The control: tight partitions never lease a CSR.
-        build_irr_capped(&data, dir.path(), 16, 2000);
-        let index = open(4);
-        assert_eq!(index.query_irr(&q).unwrap().seeds, index.query_rr(&q).unwrap().seeds);
-        let after_rr = index.scratch.spare_csrs();
-        index.query_irr(&q).unwrap();
-        assert_eq!(index.scratch.spare_csrs(), after_rr, "a δ = 16 round took the pool fan-out");
-    }
-
-    #[test]
-    fn query_auto_picks_by_k() {
+    fn query_auto_is_the_keyword_scan_on_either_variant() {
         let data = dataset(400, 4, 59);
-        let dir = TempDir::new("irrq-auto").unwrap();
-        build_irr(&data, dir.path(), 40); // δ = 40 → IRR for k ≤ 10
-        let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
-        let small = index.query_auto(&Query::new([0, 1], 5)).unwrap();
-        let large = index.query_auto(&Query::new([0, 1], 30)).unwrap();
-        // IRR path leaves partition traces; RR path does not.
-        assert!(small.stats.partitions_loaded > 0, "small k should take IRR");
-        assert_eq!(large.stats.partitions_loaded, 0, "large k should take RR");
-        // Both remain Theorem-3-identical to the explicit calls.
-        assert_eq!(small.seeds, index.query_irr(&Query::new([0, 1], 5)).unwrap().seeds);
-        assert_eq!(large.seeds, index.query_rr(&Query::new([0, 1], 30)).unwrap().seeds);
-    }
-
-    #[test]
-    fn query_auto_on_rr_variant_never_uses_irr() {
-        let data = dataset(300, 4, 67);
         let model = IcModel::weighted_cascade(&data.graph);
-        let dir = TempDir::new("irrq-auto-rr").unwrap();
+        let irr_dir = TempDir::new("irrq-auto").unwrap();
+        build_irr(&data, irr_dir.path(), 40);
+        let rr_dir = TempDir::new("irrq-auto-rr").unwrap();
         let config = IndexBuildConfig {
             variant: IndexVariant::Rr,
             sampling: SamplingConfig {
@@ -701,10 +578,21 @@ mod tests {
             },
             ..IndexBuildConfig::default()
         };
-        IndexBuilder::new(&model, &data.profiles, config).build(dir.path()).unwrap();
-        let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
-        let outcome = index.query_auto(&Query::new([0], 2)).unwrap();
-        assert_eq!(outcome.stats.partitions_loaded, 0);
+        IndexBuilder::new(&model, &data.profiles, config).build(rr_dir.path()).unwrap();
+        for dir in [irr_dir.path(), rr_dir.path()] {
+            let index = KbtimIndex::open(dir, IoStats::new()).unwrap();
+            // Both sides of the retired `4·k ≤ δ` rule.
+            for k in [5, 30] {
+                let query = Query::new([0, 1], k);
+                let auto = index.query_auto(&query).unwrap();
+                let rr = index.query_rr(&query).unwrap();
+                assert_eq!(auto.stats.partitions_loaded, 0, "auto ran the NRA");
+                assert_eq!(auto.stats.rr_sets_loaded, auto.stats.theta_q);
+                assert_eq!(auto.seeds, rr.seeds);
+                assert_eq!(auto.marginal_gains, rr.marginal_gains);
+                assert_eq!(auto.estimated_influence.to_bits(), rr.estimated_influence.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -541,55 +541,30 @@ impl KbtimIndex {
         memory::query_budget_from_meta(&self.meta, query)
     }
 
-    /// Answer a query with whichever algorithm the cost model prefers.
+    /// Answer `query` the way the serving tier answers every disk
+    /// request: decode the keywords' inverted lists, count per-user
+    /// gains, run the tiered CELF in place — [`KbtimIndex::query_rr`],
+    /// on either index variant.
     ///
-    /// Figure 5's crossover: IRR's incremental loading wins while the
-    /// top-k aggregation stops after a few partitions (small `Q.k`), and
-    /// degrades past the full prefix scan as `k` approaches the partition
-    /// size δ. The default policy — IRR when `4·Q.k ≤ δ` — is read
-    /// directly off that figure; tune per deployment via
-    /// [`KbtimIndex::query_auto_with`].
+    /// There is no cost-model pick left to make. The paper's Figure 5
+    /// has IRR ahead while `Q.k` is small because it loads fewer RR-set
+    /// payloads; no serving path here reads a payload, and on this
+    /// layout Algorithm 4 is ahead of the keyword scan only at
+    /// `|Q.T|` = 1 (docs/BENCHMARKS.md §PR 15 has the crossover).
+    /// [`KbtimIndex::query_irr`] stays as the paper's algorithm and
+    /// returns the same seeds (Theorem 3).
     pub fn query_auto(&self, query: &Query) -> Result<QueryOutcome, IndexError> {
-        self.query_auto_ctx(query, &QueryCtx::default())
+        self.query_rr(query)
     }
 
     /// [`KbtimIndex::query_auto`] under an execution context (see
-    /// [`QueryCtx`]); the cost-model pick itself is deadline-free.
+    /// [`QueryCtx`]).
     pub fn query_auto_ctx(
         &self,
         query: &Query,
         ctx: &QueryCtx,
     ) -> Result<QueryOutcome, IndexError> {
-        let irr_max_k = match self.meta.variant {
-            IndexVariant::Rr => 0,
-            IndexVariant::Irr { partition_size } => partition_size / 4,
-        };
-        self.query_auto_with_ctx(query, irr_max_k, ctx)
-    }
-
-    /// [`KbtimIndex::query_auto`] with an explicit `Q.k` threshold below
-    /// which IRR is used.
-    pub fn query_auto_with(
-        &self,
-        query: &Query,
-        irr_max_k: u32,
-    ) -> Result<QueryOutcome, IndexError> {
-        self.query_auto_with_ctx(query, irr_max_k, &QueryCtx::default())
-    }
-
-    /// [`KbtimIndex::query_auto_with`] under an execution context.
-    pub fn query_auto_with_ctx(
-        &self,
-        query: &Query,
-        irr_max_k: u32,
-        ctx: &QueryCtx,
-    ) -> Result<QueryOutcome, IndexError> {
-        let irr_available = matches!(self.meta.variant, IndexVariant::Irr { .. });
-        if irr_available && query.k() <= irr_max_k {
-            self.query_irr_ctx(query, ctx)
-        } else {
-            self.query_rr_ctx(query, ctx)
-        }
+        self.query_rr_ctx(query, ctx)
     }
 
     /// The opened shards in shard order.

@@ -101,7 +101,7 @@ impl MemoryIndex {
         // The disk path's in-place greedy, over the resident CSRs.
         let parts = rr_query::cover_parts(budget.iter().map(|&(topic, share)| {
             let kw = self.keywords[topic as usize].as_ref().expect("budgeted keyword loaded");
-            (&kw.il, share)
+            (std::slice::from_ref(&kw.il), share)
         }));
         let (users, k) = (self.meta.num_users, query.k());
         let sequential = kbtim_exec::ExecPool::sequential();

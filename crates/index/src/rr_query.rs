@@ -17,25 +17,28 @@
 //! * **in place** (`InPlaceCover`): one flat pass counts every user's
 //!   lists below the shares, and the greedy walks a user's sets straight
 //!   off the decoded keyword CSRs when it asks for them. This is how a
-//!   request that uses its instance once is served — `query_rr`, the
-//!   delta tier, [`crate::MemoryIndex`], a batch group with no merge
-//!   cache to publish to;
+//!   request that uses its instance once is served — `query_rr` (and so
+//!   every rr / irr / auto request the engine runs alone), the delta
+//!   tier, [`crate::MemoryIndex`], a batch group whose keyword set the
+//!   merge cache has not seen before;
 //! * **materialized** ([`KbtimIndex::merge_keywords`] →
 //!   [`KbtimIndex::query_merged`]): the lists are cut, remapped and
 //!   scattered into a dense [`InvertedIndex`] that outlives the keyword
-//!   arena — what the merge cache keeps, and what a caller holding an
-//!   instance across requests asks for.
+//!   arena — what the merge cache keeps from a keyword set's second
+//!   miss on, and what a caller holding an instance across requests
+//!   asks for.
 //!
 //! Both run the one CELF loop of [`kbtim_core::maxcover`] and answer
 //! bit-identically.
 //!
 //! Keyword segments load and decode **in parallel** (one job per query
-//! keyword × index shard on the index's pool, keyword-major); each
-//! keyword's shard blocks gather in shard order, so the coverage
-//! instance — and therefore the answer — is identical for every thread
-//! count *and every shard count*: users are range-partitioned across
-//! shards and keep their global-build rr-id lists, so the shard-order
-//! gather is exactly the monolithic decode.
+//! keyword × index shard on the index's pool, keyword-major) and stay
+//! where they were decoded: a keyword is one `CoverPart` per shard,
+//! in shard order. Users are range-partitioned across shards and keep
+//! their global-build rr-id lists, so those parts are the monolithic
+//! `L_w` cut at the shard bounds and the coverage instance — and
+//! therefore the answer — is identical for every thread count *and
+//! every shard count*.
 //!
 //! The whole data path is flat and zero-copy: block bytes arrive as
 //! borrowed [`kbtim_storage::BlockSource`] views (or through pooled
@@ -76,9 +79,12 @@ pub(crate) fn normalized_wants(wants: &[(TopicId, u64)]) -> Cow<'_, [(TopicId, u
     Cow::Owned(sorted)
 }
 
-/// One keyword of a request's coverage instance: its complete `L_w`,
-/// the share `θ^Q_w` that cuts every list of it, and where its ids
-/// start in the request's global id space (the shares before it).
+/// One keyword × shard of a request's coverage instance: a CSR of the
+/// keyword's `L_w`, the share `θ^Q_w` that cuts every list of it, and
+/// where the keyword's ids start in the request's global id space (the
+/// shares before it). A keyword's parts are adjacent and in shard
+/// order, so its users ascend across them and every user is in at most
+/// one.
 #[derive(Clone, Copy)]
 pub(crate) struct CoverPart<'a> {
     il: &'a IlCsr,
@@ -86,19 +92,18 @@ pub(crate) struct CoverPart<'a> {
     base: u64,
 }
 
-/// The parts of `keywords` — each keyword's CSR with its share, in
-/// keyword order.
+/// The parts of `keywords` — each keyword's CSRs (its `L_w` in shard
+/// order) with its share, in keyword order.
 pub(crate) fn cover_parts<'a>(
-    keywords: impl Iterator<Item = (&'a IlCsr, u64)>,
+    keywords: impl Iterator<Item = (&'a [IlCsr], u64)> + Clone,
 ) -> Vec<CoverPart<'a>> {
+    let mut parts = Vec::with_capacity(keywords.clone().map(|(csrs, _)| csrs.len()).sum());
     let mut base = 0u64;
-    keywords
-        .map(|(il, share)| {
-            let part = CoverPart { il, share, base };
-            base += share;
-            part
-        })
-        .collect()
+    for (csrs, share) in keywords {
+        parts.extend(csrs.iter().map(|il| CoverPart { il, share, base }));
+        base += share;
+    }
+    parts
 }
 
 /// `θ^Q = Σ_w θ^Q_w`: the size of the parts' global id space.
@@ -343,10 +348,10 @@ impl KbtimIndex {
             return Err(IndexError::Injected("engine.decode"));
         }
         let codec = self.meta().codec;
-        // Keyword-major (keyword × shard) fan-out: gathering appends
-        // each keyword's shard CSRs in shard order, which reproduces
-        // the monolithic `L_w` exactly (each user lives in one shard
-        // and keeps its global-build rr-id list there).
+        // Keyword-major (keyword × shard) fan-out: a keyword's shard
+        // CSRs, kept in shard order, are the monolithic `L_w` cut at
+        // the shard bounds (each user lives in one shard and keeps its
+        // global-build rr-id list there).
         let num_shards = self.num_shards();
         let scans: Vec<Result<IlCsr, IndexError>> = self.pool().map_shards_with(
             wants.len() * num_shards,
@@ -360,21 +365,11 @@ impl KbtimIndex {
                 Ok(csr)
             },
         );
-        let mut arena = KeywordArena::default();
-        let mut scans = scans.into_iter();
-        for &(topic, _) in wants.iter() {
-            // Shard 0's CSR absorbs the rest in shard order; users are
-            // range-partitioned, so the result is the monolithic block.
-            let mut csr = scans.next().expect("one scan per (keyword, shard)")?;
-            for _ in 1..num_shards {
-                let extra = scans.next().expect("one scan per (keyword, shard)")?;
-                csr.append(&extra);
-                self.scratch.put_csr(extra);
-            }
-            arena.topics.push(topic);
-            arena.csrs.push(csr);
-        }
-        Ok(arena)
+        Ok(KeywordArena {
+            topics: wants.iter().map(|&(topic, _)| topic).collect(),
+            ends: (1..=wants.len()).map(|keywords| keywords * num_shards).collect(),
+            csrs: scans.into_iter().collect::<Result<_, _>>()?,
+        })
     }
 
     /// Return a finished batch's arena CSRs to the scratch pool.
@@ -544,7 +539,7 @@ pub(crate) fn prefix_outcome(full: &QueryOutcome, k: u32, phi_q: f64) -> QueryOu
     }
 }
 
-/// The parts of a budgeted request over a keyword arena, each keyword
+/// The parts of a budgeted request over a keyword arena, every CSR
 /// checked against the `num_users` universe; the `engine.merge`
 /// failpoint fires here, at the start of whatever the caller does with
 /// them.
@@ -557,13 +552,13 @@ fn budgeted_parts<'a>(
         return Err(IndexError::Injected("engine.merge"));
     }
     for &(topic, _) in budget {
-        let il = arena.csr(topic).ok_or_else(|| {
+        let csrs = arena.csrs_of(topic).ok_or_else(|| {
             IndexError::Corrupt(format!("keyword {topic} missing from the batch arena"))
         })?;
-        check_universe(il, num_users)?;
+        csrs.iter().try_for_each(|il| check_universe(il, num_users))?;
     }
     Ok(cover_parts(
-        budget.iter().map(|&(topic, share)| (arena.csr(topic).expect("checked above"), share)),
+        budget.iter().map(|&(topic, share)| (arena.csrs_of(topic).expect("checked above"), share)),
     ))
 }
 
@@ -650,6 +645,10 @@ mod tests {
     }
 
     fn build(data: &Dataset, dir: &std::path::Path, codec: Codec) {
+        build_sharded(data, dir, codec, 1);
+    }
+
+    fn build_sharded(data: &Dataset, dir: &std::path::Path, codec: Codec, shards: usize) {
         let model = IcModel::weighted_cascade(&data.graph);
         let config = IndexBuildConfig {
             sampling: SamplingConfig {
@@ -663,7 +662,7 @@ mod tests {
             variant: IndexVariant::Irr { partition_size: 20 },
             threads: 4,
             seed: 3,
-            shards: 1,
+            shards,
         };
         IndexBuilder::new(&model, &data.profiles, config).build(dir).unwrap();
     }
@@ -747,6 +746,26 @@ mod tests {
         proptest::collection::vec(keyword, 1..7)
     }
 
+    /// `il` cut into `shards` CSRs at equal user-range bounds over the
+    /// 60-user universe, the way a sharded build files `L_w` — sparse
+    /// keywords leave some of them empty.
+    fn split_by_user_range(il: &IlCsr, shards: u32) -> Vec<IlCsr> {
+        let mut out = vec![IlCsr::default(); shards as usize];
+        for j in 0..il.len() {
+            let shard = &mut out[(il.users[j] * shards / 60) as usize];
+            shard.ids.extend(il.list(j));
+            shard.close_list(il.users[j]);
+        }
+        let mut appended = IlCsr::default();
+        out.iter().for_each(|shard| appended.append(shard));
+        assert_eq!(&appended, il, "the shard-order append is the monolithic CSR");
+        out
+    }
+
+    fn shard_counts() -> impl Strategy<Value = u32> {
+        prop_oneof![Just(1u32), Just(2u32), Just(4u32), Just(8u32)]
+    }
+
     /// The instance as per-set member lists, built the slow way: set
     /// `base_w + id` holds user `u` iff `id ∈ L_w(u)` and `id < share_w`.
     fn vec_of_vec_oracle(keywords: &[(IlCsr, u64)]) -> Vec<Vec<u32>> {
@@ -768,9 +787,13 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
         /// The merge is the plain count / `push_list` construction, list
-        /// by list with a binary-searched cut.
+        /// by list with a binary-searched cut — over each keyword as one
+        /// CSR, and over its S-way user-range split.
         #[test]
-        fn merge_matches_the_list_by_list_oracle(keywords in merge_inputs()) {
+        fn merge_matches_the_list_by_list_oracle(
+            keywords in merge_inputs(),
+            shards in shard_counts(),
+        ) {
             // Shares past every id stand for "the whole list"; keep θ^Q small.
             let keywords: Vec<(IlCsr, u64)> =
                 keywords.into_iter().map(|(il, share)| (il, share.min(64))).collect();
@@ -794,36 +817,57 @@ mod tests {
             }
             let oracle = filler.finish();
             let pool = ScratchPool::new();
-            let parts = super::cover_parts(keywords.iter().map(|(il, share)| (il, *share)));
-            prop_assert_eq!(super::theta_q_of(&parts), base);
-            // Twice: the second run builds in the first one's recycled arenas.
-            for _ in 0..2 {
-                let merged = super::merge_csrs(60, &parts, &pool);
+            let split: Vec<(Vec<IlCsr>, u64)> = keywords
+                .iter()
+                .map(|(il, share)| (split_by_user_range(il, shards), *share))
+                .collect();
+            let whole = super::cover_parts(
+                keywords.iter().map(|(il, share)| (std::slice::from_ref(il), *share)),
+            );
+            let sharded =
+                super::cover_parts(split.iter().map(|(csrs, share)| (&csrs[..], *share)));
+            prop_assert_eq!(sharded.len(), keywords.len() * shards as usize);
+            // Each twice: the second run builds in the first one's
+            // recycled arenas.
+            for parts in [&whole, &sharded, &whole, &sharded] {
+                prop_assert_eq!(super::theta_q_of(parts), base);
+                let merged = super::merge_csrs(60, parts, &pool);
                 prop_assert_eq!(&merged, &oracle);
                 pool.put_arenas(merged.into_arenas());
             }
         }
 
         /// In place ≡ materialized ≡ the naive greedy over the
-        /// Vec-of-Vec instance, for `k` from 0 to past exhaustion.
+        /// Vec-of-Vec instance, for `k` from 0 to past exhaustion — each
+        /// keyword one CSR, or one per shard of an S-way user-range
+        /// split (empty shards included).
         #[test]
         fn in_place_matches_materialized_and_the_vec_of_vec_oracle(
             keywords in merge_inputs(),
+            shards in shard_counts(),
             k in 0u32..80,
         ) {
             let pool = ScratchPool::new();
             let exec = kbtim_exec::ExecPool::sequential();
-            let parts =
-                super::cover_parts(keywords.iter().map(|(il, share)| (il, (*share).min(64))));
-            let theta_q = super::theta_q_of(&parts);
+            let split: Vec<(Vec<IlCsr>, u64)> = keywords
+                .iter()
+                .map(|(il, share)| (split_by_user_range(il, shards), (*share).min(64)))
+                .collect();
+            let whole = super::cover_parts(
+                keywords.iter().map(|(il, share)| (std::slice::from_ref(il), (*share).min(64))),
+            );
+            let sharded =
+                super::cover_parts(split.iter().map(|(csrs, share)| (&csrs[..], *share)));
+            let theta_q = super::theta_q_of(&whole);
             let oracle = greedy_max_cover_naive(&vec_of_vec_oracle(&keywords), k);
-            let merged = super::merge_csrs(60, &parts, &pool);
+            let merged = super::merge_csrs(60, &sharded, &pool);
             let materialized = greedy_max_cover_inverted(&merged, theta_q, k);
             prop_assert_eq!(&materialized, &oracle);
-            // Twice: the second run counts into the first one's buffers.
-            for _ in 0..2 {
+            // Each twice: the second run counts into the first one's
+            // buffers.
+            for parts in [&whole, &sharded, &whole, &sharded] {
                 let got =
-                    super::query_in_place(&parts, 60, 2.0, k, &exec, &pool, &|| false).unwrap();
+                    super::query_in_place(parts, 60, 2.0, k, &exec, &pool, &|| false).unwrap();
                 prop_assert_eq!(&got.seeds, &oracle.seeds);
                 prop_assert_eq!(&got.marginal_gains, &oracle.marginal_gains);
                 prop_assert_eq!(got.coverage, oracle.covered);
@@ -860,6 +904,37 @@ mod tests {
         assert_eq!(staged.seeds, direct.seeds);
         assert_eq!(staged.marginal_gains, direct.marginal_gains);
         assert_eq!(staged.estimated_influence.to_bits(), direct.estimated_influence.to_bits());
+    }
+
+    #[test]
+    fn sharded_decode_keeps_pooled_csrs_shard_sized() {
+        let data = dataset();
+        let dir = TempDir::new("rrq-shard-pool").unwrap();
+        build_sharded(&data, dir.path(), Codec::Packed, 4);
+        let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
+        let (_, budget) = index.query_budget(&Query::new([0, 1, 2], 10));
+        // Twice: the second decode reuses the first one's CSRs, and one
+        // that takes a larger block than it held grows by doubling.
+        for slack in [1, 2] {
+            let arena = index.decode_keywords(&budget).unwrap();
+            assert_eq!(arena.csrs.len(), budget.len() * 4, "one CSR per keyword × shard");
+            let largest_block = arena.csrs.iter().map(|csr| csr.ids.len()).max().unwrap();
+            let largest_keyword = budget
+                .iter()
+                .map(|&(topic, _)| arena.csrs_of(topic).unwrap().iter().map(|c| c.ids.len()).sum())
+                .max()
+                .unwrap();
+            assert!(largest_block < largest_keyword, "a keyword spans several shards");
+            index.recycle_keywords(arena);
+            // A gather that appended a keyword's shards into one CSR
+            // would have grown that CSR to the keyword's size.
+            for capacity in index.scratch.spare_csr_capacities() {
+                assert!(
+                    capacity <= slack * largest_block,
+                    "{capacity} ids pooled, largest block {largest_block}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,22 +35,24 @@ use std::sync::Mutex;
 ///
 /// [`crate::KbtimIndex::decode_keywords`] builds one arena per request
 /// or per admitted batch ([`crate::serve::QueryEngine`]'s planner): the
-/// full inverted-list CSR of every distinct keyword wanted. Consumers
-/// ([`crate::KbtimIndex::merge_keywords`], once per keyword set) then
-/// truncate and remap the shared CSRs against their own Eqn-11
-/// budgets — read-only, so any number of requests consume one arena
-/// without copies.
+/// full inverted list of every distinct keyword wanted, as the CSRs its
+/// shards decoded into. Consumers (the in-place count, or
+/// [`crate::KbtimIndex::merge_keywords`] once per keyword set) cut the
+/// shared CSRs against their own Eqn-11 budgets — read-only, so any
+/// number of requests consume one arena without copies.
 ///
-/// Invariants: `topics` is strictly ascending and parallel to `csrs`;
-/// every CSR holds a keyword's *complete* `L_w` (truncation is
-/// per-request). The CSR arenas are leased from the index's scratch
-/// pool and must go back via
-/// [`crate::KbtimIndex::recycle_keywords`] when the requests finish.
+/// Invariants: `topics` is strictly ascending and parallel to `ends`;
+/// a keyword's CSRs are in shard order — users ascend across them — and
+/// together hold its *complete* `L_w` (truncation is per-request). The
+/// CSR arenas are leased from the index's scratch pool and must go back
+/// via [`crate::KbtimIndex::recycle_keywords`] when the requests finish.
 #[derive(Default)]
 pub struct KeywordArena {
     /// Distinct decoded keywords, strictly ascending.
     pub(crate) topics: Vec<TopicId>,
-    /// Full `L_w` CSR per keyword, parallel to `topics`.
+    /// One past each keyword's last CSR in `csrs`, parallel to `topics`.
+    pub(crate) ends: Vec<usize>,
+    /// Every keyword's CSRs back to back, keyword-major.
     pub(crate) csrs: Vec<IlCsr>,
 }
 
@@ -66,9 +68,20 @@ impl KeywordArena {
         self.topics.is_empty()
     }
 
-    /// The decoded full CSR of `topic`, if the arena holds it.
-    pub(crate) fn csr(&self, topic: TopicId) -> Option<&IlCsr> {
-        self.topics.binary_search(&topic).ok().map(|i| &self.csrs[i])
+    /// File `csrs` — a keyword's whole `L_w`, in shard order — under
+    /// `topic`, which must be above every topic already held.
+    pub(crate) fn push(&mut self, topic: TopicId, csrs: impl IntoIterator<Item = IlCsr>) {
+        debug_assert!(self.topics.last().is_none_or(|&last| last < topic));
+        self.csrs.extend(csrs);
+        self.topics.push(topic);
+        self.ends.push(self.csrs.len());
+    }
+
+    /// The decoded CSRs of `topic` in shard order, if the arena holds it.
+    pub(crate) fn csrs_of(&self, topic: TopicId) -> Option<&[IlCsr]> {
+        let i = self.topics.binary_search(&topic).ok()?;
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        Some(&self.csrs[start..self.ends[i]])
     }
 }
 
@@ -186,11 +199,12 @@ impl ScratchPool {
         self.csrs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(csr);
     }
 
-    /// Spare CSRs currently in the pool — how tests tell which decode
-    /// path leased from it.
+    /// The id-arena capacity of every spare CSR — how tests check that
+    /// no decode path grows a pooled CSR past the block it decoded.
     #[cfg(test)]
-    pub(crate) fn spare_csrs(&self) -> usize {
-        self.csrs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+    pub(crate) fn spare_csr_capacities(&self) -> Vec<usize> {
+        let csrs = self.csrs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        csrs.iter().map(|csr| csr.ids.capacity()).collect()
     }
 
     /// Take a recycled arena bundle for `InvertedIndexBuilder::recycled`

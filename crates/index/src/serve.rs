@@ -31,13 +31,16 @@
 //!   prefix-slices into every member's answer. Memory-algo requests
 //!   pass through unshared (they are already decode-free).
 //! * **Prepared-query cache**: with a capacity configured
-//!   ([`QueryEngine::set_merge_cache`]), finished keyword-set merges
-//!   are kept in a capacity-bounded LRU keyed by the sorted keyword
-//!   set and the index's segment generation
-//!   ([`KbtimIndex::segment_fingerprint`]). A later batch hitting the
-//!   same keyword set skips that set's decode *and* merge entirely —
+//!   ([`QueryEngine::set_merge_cache`]), the merged instances of
+//!   keyword sets that *recur* are kept in a capacity-bounded LRU keyed
+//!   by the sorted keyword set and the index's segment generation
+//!   ([`KbtimIndex::segment_fingerprint`]). A set's first miss only
+//!   records the key and is served in place off the batch arena; its
+//!   second miss builds and publishes the instance; from then on a
+//!   batch hitting it skips that set's decode *and* merge entirely —
 //!   hot advertiser keyword sets stop paying decode cost across
-//!   batches, not just within one.
+//!   batches, and one-shot sets never pay for an instance nobody
+//!   reads again.
 //! * **Determinism**: queries are read-only and scratch contents never
 //!   influence answers, so any interleaving of concurrent clients —
 //!   and any grouping the batch planner happens to admit — produces
@@ -72,9 +75,11 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub enum Algo {
     /// Algorithm 2 over the RR prefix (works on both index variants).
     Rr,
-    /// Algorithm 4's incremental NRA (requires the IRR variant).
+    /// Algorithm 4's answer (requires the IRR variant). Served by the
+    /// same keyword scan as [`Algo::Rr`] — bit-identical by Theorem 3;
+    /// [`KbtimIndex::query_irr`] is the incremental NRA itself.
     Irr,
-    /// The index's cost-model pick between the two.
+    /// No preference: the keyword scan, on either variant.
     #[default]
     Auto,
     /// The RAM-resident serving copy (requires
@@ -141,7 +146,10 @@ impl From<IndexError> for EngineError {
 /// One serving request: which keywords, how many seeds, which algorithm.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EngineRequest {
-    /// Query keywords (topic ids).
+    /// Query keywords (topic ids) in canonical form — ascending, no
+    /// duplicates, as [`EngineRequest::new`] leaves them — so that one
+    /// keyword set is one coalescing identity however a client spelled
+    /// it.
     pub topics: Vec<TopicId>,
     /// Number of seeds to select.
     pub k: u32,
@@ -150,9 +158,14 @@ pub struct EngineRequest {
 }
 
 impl EngineRequest {
-    /// A request with the default ([`Algo::Auto`]) algorithm.
+    /// A request over the keyword *set* `topics` (sorted and deduped
+    /// here, exactly as [`Query::new`] does) with the default
+    /// ([`Algo::Auto`]) algorithm.
     pub fn new(topics: impl IntoIterator<Item = TopicId>, k: u32) -> EngineRequest {
-        EngineRequest { topics: topics.into_iter().collect(), k, algo: Algo::Auto }
+        let mut topics: Vec<TopicId> = topics.into_iter().collect();
+        topics.sort_unstable();
+        topics.dedup();
+        EngineRequest { topics, k, algo: Algo::Auto }
     }
 
     /// Builder-style algorithm override.
@@ -218,20 +231,37 @@ struct Batcher {
     arrived: Condvar,
 }
 
-/// One cached prepared query: the shared merged instance plus its LRU
-/// and accounting state.
+/// One keyword set the cache knows: seen once (key only) or built (the
+/// shared merged instance), plus its LRU and accounting state.
 struct MergeEntry {
-    merged: Arc<MergedQuery>,
-    /// Arena bytes this entry keeps resident (snapshotted at insert so
-    /// the books stay consistent on eviction).
+    /// `None` while the set has missed once and was served in place.
+    merged: Option<Arc<MergedQuery>>,
+    /// Arena bytes this entry keeps resident (snapshotted at publish so
+    /// the books stay consistent on eviction; 0 while only seen).
     bytes: u64,
-    /// Logical timestamp of the last hit (or the insert).
+    /// Logical timestamp of the last probe (or the publish).
     last_used: u64,
 }
 
-/// The cross-batch prepared-query cache: a capacity-bounded LRU of
-/// shared [`MergedQuery`] instances, keyed by (segment generation,
-/// sorted keyword set).
+/// What [`MergeCache::probe`] found for a keyword set.
+enum Probe {
+    /// A built instance: skip the decode and the merge.
+    Hit(Arc<MergedQuery>),
+    /// The set missed before: build the instance and publish it.
+    Recurred,
+    /// Never seen (now recorded): serve in place, build nothing.
+    First,
+}
+
+/// The cross-batch prepared-query cache: a capacity-bounded LRU over
+/// keyword sets, keyed by (segment generation, sorted keyword set),
+/// that materializes an instance only for a set that recurs.
+///
+/// A set's first miss records the key alone; its second builds the
+/// shared [`MergedQuery`] and upgrades the entry. Seen and built keys
+/// live in the one map under the one LRU clock and the one capacity, so
+/// a workload of one-shot sets costs the cache a key each and no
+/// instance.
 ///
 /// The merged coverage instance is a pure function of the sorted
 /// keyword set and the on-disk segment bytes (`Q.k` only bounds the
@@ -242,8 +272,8 @@ struct MergeEntry {
 /// `Arc`'d: eviction drops the cache's reference while in-flight
 /// batches keep theirs, so capacity changes are always safe.
 struct MergeCache {
-    /// Maximum number of entries (≥ 1; 0 disables the cache entirely,
-    /// represented as `QueryEngine::merge_cache == None`).
+    /// Maximum number of entries, seen and built (≥ 1; 0 disables the
+    /// cache entirely, represented as `QueryEngine::merge_cache == None`).
     capacity: usize,
     state: Mutex<MergeCacheState>,
     hits: AtomicU64,
@@ -272,34 +302,51 @@ impl MergeCache {
     }
 
     /// Look up a keyword set under a segment generation, bumping its
-    /// recency on a hit. Books every probe as a hit or a miss.
-    fn get(&self, fingerprint: u64, topics: &[TopicId]) -> Option<Arc<MergedQuery>> {
+    /// recency; a set never seen is recorded. Books every probe as a
+    /// hit or a miss.
+    fn probe(&self, fingerprint: u64, topics: &[TopicId]) -> Probe {
         let mut state = lock_recover(&self.state);
         state.tick += 1;
         let tick = state.tick;
-        match state.entries.get_mut(&(fingerprint, topics.to_vec())) {
-            Some(entry) => {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.merged))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let key = (fingerprint, topics.to_vec());
+        let found = state.entries.get_mut(&key).map(|entry| {
+            entry.last_used = tick;
+            entry.merged.clone()
+        });
+        if let Some(Some(merged)) = found {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Probe::Hit(merged);
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if found.is_some() {
+            return Probe::Recurred;
+        }
+        self.put(&mut state, key, None);
+        Probe::First
     }
 
-    /// Publish a freshly merged instance, evicting least-recently-used
-    /// entries down to capacity. Replacing an existing key (two batches
-    /// racing the same miss) keeps the newer instance — both are
-    /// bit-identical by construction.
-    fn insert(&self, fingerprint: u64, topics: Vec<TopicId>, merged: Arc<MergedQuery>) {
-        let bytes = merged.resident_bytes();
+    /// Publish a freshly merged instance over its "seen" entry.
+    /// Replacing a built one (two batches racing the same second miss)
+    /// keeps the newer instance — both are bit-identical by
+    /// construction.
+    fn publish(&self, fingerprint: u64, topics: Vec<TopicId>, merged: Arc<MergedQuery>) {
         let mut state = lock_recover(&self.state);
         state.tick += 1;
+        self.put(&mut state, (fingerprint, topics), Some(merged));
+    }
+
+    /// Store an entry at the current tick, then evict
+    /// least-recently-used entries — seen and built alike — down to
+    /// capacity.
+    fn put(
+        &self,
+        state: &mut MergeCacheState,
+        key: (u64, Vec<TopicId>),
+        merged: Option<Arc<MergedQuery>>,
+    ) {
+        let bytes = merged.as_ref().map_or(0, |m| m.resident_bytes());
         let entry = MergeEntry { merged, bytes, last_used: state.tick };
-        if let Some(old) = state.entries.insert((fingerprint, topics), entry) {
+        if let Some(old) = state.entries.insert(key, entry) {
             state.bytes -= old.bytes;
         }
         state.bytes += bytes;
@@ -482,15 +529,17 @@ impl QueryEngine {
     }
 
     /// Enable (or disable, with 0) the cross-batch prepared-query
-    /// cache: a capacity-bounded LRU of up to `entries` keyword-set
-    /// merges, keyed by the sorted keyword set and the index's segment
-    /// generation ([`KbtimIndex::segment_fingerprint`]).
+    /// cache: a capacity-bounded LRU of up to `entries` keyword sets —
+    /// seen once, or built — keyed by the sorted keyword set and the
+    /// index's segment generation ([`KbtimIndex::segment_fingerprint`]).
     ///
     /// With a capacity set, the batch planner probes the cache before
-    /// building its decode union: a hit skips that keyword set's decode
-    /// and merge entirely, so a hot set pays decode cost once across
-    /// batches rather than once per batch. Cached instances are shared
-    /// read-only; answers stay bit-identical to uncached serving.
+    /// building its decode union: a set's first miss records the key
+    /// and serves in place, its second builds and publishes the merged
+    /// instance, and a hit skips that keyword set's decode and merge
+    /// entirely, so a recurring set pays for its instance once and a
+    /// one-shot set never does. Cached instances are shared read-only;
+    /// answers stay bit-identical to uncached serving.
     pub fn set_merge_cache(&mut self, entries: usize) {
         self.merge_cache = (entries > 0).then(|| MergeCache::new(entries));
     }
@@ -506,12 +555,13 @@ impl QueryEngine {
         self.merge_cache.as_ref().map_or(0, |c| c.capacity)
     }
 
-    /// Live entries in the prepared-query cache.
+    /// Keyword sets the prepared-query cache holds, seen and built.
     pub fn merge_cache_len(&self) -> usize {
         self.merge_cache.as_ref().map_or(0, |c| c.len())
     }
 
-    /// Arena bytes held resident by cached prepared queries.
+    /// Arena bytes held resident by cached prepared queries (built
+    /// entries; a seen key holds none).
     pub fn merge_cache_bytes(&self) -> u64 {
         self.merge_cache.as_ref().map_or(0, |c| c.bytes())
     }
@@ -546,8 +596,7 @@ impl QueryEngine {
     /// Keyword-set coverage instances the planner resolved from a batch
     /// arena (one per distinct keyword set per batch that missed the
     /// cache — requests over the same set share it): materialized and
-    /// published with a merge cache configured, served in place
-    /// without one.
+    /// published on a set's second miss, served in place otherwise.
     pub fn merged_groups(&self) -> u64 {
         self.merged_groups.load(Ordering::Relaxed)
     }
@@ -801,24 +850,27 @@ impl QueryEngine {
         // their greedy. Memory requests are decode-free and pass
         // through unshared. The budget is computed once per group,
         // right here, and threaded through to the merge.
-        struct Group<'a> {
-            lead: &'a EngineRequest,
+        struct Group {
             members: Vec<usize>,
             phi_q: f64,
             budget: Vec<(TopicId, u64)>,
-            /// Canonical (sorted, deduped) keyword set — the
-            /// prepared-query cache key.
+            /// Canonical (sorted, deduped) keyword set — what requests
+            /// group on, and the prepared-query cache key.
             key: Vec<TopicId>,
             /// Cache-resolved merged instance, probed before the union
             /// decode: a hit removes the group from the decode *and*
             /// the merge.
             cached: Option<Arc<MergedQuery>>,
+            /// The cache has seen this set miss before: build its
+            /// instance from the batch arena and publish it. Otherwise
+            /// (first miss, or no cache) the group is served in place.
+            publish: bool,
             /// Widest member deadline (unbounded if any member is):
             /// the stop hook of the group's shared greedy run — if it
             /// fires, every member has expired.
             deadline: Option<Instant>,
         }
-        let mut groups: Vec<Group<'_>> = Vec::new();
+        let mut groups: Vec<Group> = Vec::new();
         for (at, req) in unique.iter().enumerate() {
             // Memory requests are decode-free only without a delta tier;
             // with one attached they join the union groups like every
@@ -826,7 +878,8 @@ impl QueryEngine {
             if req.algo == Algo::Memory && snap.is_none() {
                 continue;
             }
-            match groups.iter_mut().find(|g| g.lead.topics == req.topics) {
+            let query = Query::new(req.topics.iter().copied(), req.k);
+            match groups.iter_mut().find(|g| g.key == query.topics()) {
                 Some(group) => {
                     group.deadline = match (group.deadline, deadlines[at]) {
                         (None, _) | (_, None) => None,
@@ -835,19 +888,17 @@ impl QueryEngine {
                     group.members.push(at);
                 }
                 None => {
-                    let query = Query::new(req.topics.iter().copied(), req.k);
                     let (phi_q, budget) = match &snap {
                         Some(s) => s.query_budget(&query),
                         None => self.index.query_budget(&query),
                     };
-                    let key = query.topics().to_vec();
                     groups.push(Group {
-                        lead: req,
                         members: vec![at],
                         phi_q,
                         budget,
-                        key,
+                        key: query.topics().to_vec(),
                         cached: None,
+                        publish: false,
                         deadline: deadlines[at],
                     });
                 }
@@ -862,7 +913,11 @@ impl QueryEngine {
         };
         if let Some(cache) = &self.merge_cache {
             for group in &mut groups {
-                group.cached = cache.get(fingerprint, &group.key);
+                match cache.probe(fingerprint, &group.key) {
+                    Probe::Hit(merged) => group.cached = Some(merged),
+                    Probe::Recurred => group.publish = true,
+                    Probe::First => {}
+                }
             }
         }
 
@@ -884,11 +939,9 @@ impl QueryEngine {
         let wants: Vec<(TopicId, u64)> = wants.into_iter().collect();
 
         // Execute: memory requests directly on the leader (RAM-only,
-        // decode-free), each keyword-set group over one shared merge.
-        // `Auto` needs no cost-model pick against a merged instance —
-        // both branches serve from the same structure (Theorem 3) —
-        // and `Irr` keeps its variant check so batched error behavior
-        // matches `execute`.
+        // decode-free), each keyword-set group over one shared
+        // instance. All three disk algorithms serve from it
+        // (Theorem 3); `Irr` keeps its variant check, as in `execute`.
         let mut results: Vec<Option<EngineResult>> = vec![None; unique.len()];
         if snap.is_none() {
             for (at, req) in unique.iter().enumerate() {
@@ -899,7 +952,7 @@ impl QueryEngine {
                 }
             }
         }
-        let run_group = |group: &Group<'_>, arena: &KeywordArena| -> Vec<(usize, EngineResult)> {
+        let run_group = |group: &Group, arena: &KeywordArena| -> Vec<(usize, EngineResult)> {
             let variant = match &snap {
                 Some(s) => s.meta().variant,
                 None => self.index.meta().variant,
@@ -917,27 +970,27 @@ impl QueryEngine {
                 None => serving.meta().num_users,
             };
             // A materialized instance is worth building only where it is
-            // used again: a cache hit reuses the shared one, a miss with
-            // a cache configured builds one from the batch arena and
-            // publishes it for later batches. With no cache the group is
-            // served in place off the arena.
+            // used again: a cache hit reuses the shared one, a keyword
+            // set's second miss builds one from the batch arena and
+            // publishes it for later batches. Everything else — a first
+            // miss, or no cache — is served in place off the arena.
             if group.cached.is_none() {
                 self.merged_groups.fetch_add(1, Ordering::Relaxed);
             }
             let merged: Option<Arc<MergedQuery>> = match (&group.cached, &self.merge_cache) {
                 (Some(hit), _) => Some(Arc::clone(hit)),
-                (None, None) => None,
-                (None, Some(cache)) => {
+                (None, Some(cache)) if group.publish => {
                     match serving.merge_budgeted_over(num_users, group.phi_q, &group.budget, arena)
                     {
                         Ok(merged) => {
                             let merged = Arc::new(merged);
-                            cache.insert(fingerprint, group.key.clone(), Arc::clone(&merged));
+                            cache.publish(fingerprint, group.key.clone(), Arc::clone(&merged));
                             Some(merged)
                         }
                         Err(e) => return fail(e),
                     }
                 }
+                (None, _) => None,
             };
             // One greedy run at the group's deepest `k` serves every
             // member: seeds are selected sequentially, so each member's
@@ -1103,20 +1156,21 @@ impl QueryEngine {
         // snapshot: base handles and RAM copies captured at engine build
         // go stale the moment a mutation lands, and the per-algo
         // bit-identity invariants survive because all four serve from
-        // the same union decode. Variant errors keep per-algo semantics.
-        if let Some(delta) = &self.delta {
-            let snap = delta.snapshot();
-            if req.algo == Algo::Irr
-                && !matches!(snap.meta().variant, crate::format::IndexVariant::Irr { .. })
-            {
-                return Err(EngineError::from(IndexError::NotAnIrrIndex));
-            }
+        // the same union decode.
+        let snap = self.delta.as_ref().map(|delta| delta.snapshot());
+        // `Irr` keeps its variant check and gets Theorem 3's answer
+        // from the keyword scan (the NRA itself is
+        // `KbtimIndex::query_irr`): decode → count → tiered CELF in
+        // place is the one disk pipeline, as in `run_batch`.
+        let variant = snap.as_ref().map_or(self.index.meta().variant, |s| s.meta().variant);
+        if req.algo == Algo::Irr && !matches!(variant, crate::format::IndexVariant::Irr { .. }) {
+            return Err(EngineError::from(IndexError::NotAnIrrIndex));
+        }
+        if let Some(snap) = snap {
             return Ok(Arc::new(snap.query_ctx(&query, ctx)?));
         }
         let outcome = match req.algo {
-            Algo::Rr => self.index.query_rr_ctx(&query, ctx)?,
-            Algo::Irr => self.index.query_irr_ctx(&query, ctx)?,
-            Algo::Auto => self.index.query_auto_ctx(&query, ctx)?,
+            Algo::Rr | Algo::Irr | Algo::Auto => self.index.query_rr_ctx(&query, ctx)?,
             Algo::Memory => match &self.memory {
                 Some(memory) => {
                     ctx.check()?;
@@ -1151,11 +1205,11 @@ mod tests {
     use crate::build::{IndexBuildConfig, IndexBuilder};
     use crate::format::IndexVariant;
     use kbtim_core::theta::SamplingConfig;
-    use kbtim_datagen::{DatasetConfig, DatasetFamily};
+    use kbtim_datagen::{Dataset, DatasetConfig, DatasetFamily};
     use kbtim_propagation::model::IcModel;
     use kbtim_storage::{IoStats, TempDir};
 
-    fn build_engine(dir: &std::path::Path) -> QueryEngine {
+    fn build_index(dir: &std::path::Path) -> (Dataset, IndexBuildConfig, Arc<KbtimIndex>) {
         let data = DatasetConfig::family(DatasetFamily::News)
             .num_users(400)
             .num_topics(6)
@@ -1174,7 +1228,24 @@ mod tests {
         };
         IndexBuilder::new(&model, &data.profiles, config).build(dir).unwrap();
         let index = Arc::new(KbtimIndex::open(dir, IoStats::new()).unwrap());
-        QueryEngine::with_memory(index).unwrap()
+        (data, config, index)
+    }
+
+    fn build_engine(dir: &std::path::Path) -> QueryEngine {
+        QueryEngine::with_memory(build_index(dir).2).unwrap()
+    }
+
+    /// Instances `merge_csrs` built on this thread (a window of one
+    /// keyword set runs its group on the caller).
+    fn materialized() -> u64 {
+        rr_query::MATERIALIZED.with(|n| n.get())
+    }
+
+    fn assert_same_answer(got: &QueryOutcome, want: &QueryOutcome, what: &str) {
+        assert_eq!(got.seeds, want.seeds, "{what}");
+        assert_eq!(got.marginal_gains, want.marginal_gains, "{what}");
+        assert_eq!(got.coverage, want.coverage, "{what}");
+        assert_eq!(got.estimated_influence.to_bits(), want.estimated_influence.to_bits(), "{what}");
     }
 
     #[test]
@@ -1422,80 +1493,154 @@ mod tests {
     }
 
     #[test]
-    fn merge_cache_hits_skip_decode_and_match_uncached() {
+    fn merge_cache_builds_on_the_second_miss_and_hits_from_the_third() {
         let dir = TempDir::new("engine-merge-cache").unwrap();
         let engine = build_engine(dir.path())
             .with_batch_window(Some(Duration::from_micros(100)))
             .with_merge_cache(4);
         assert_eq!(engine.merge_cache_capacity(), 4);
-
-        // Round 1 over two keyword sets: every set misses and decodes.
         let reqs = [EngineRequest::new([0, 1], 6).with_algo(Algo::Rr), EngineRequest::new([2], 4)];
-        let serial: Vec<_> = reqs.iter().map(|r| engine.execute(r).unwrap()).collect();
-        for (req, want) in reqs.iter().zip(&serial) {
-            let got = engine.query(req).unwrap();
-            assert_eq!(got.seeds, want.seeds);
-            assert_eq!(got.marginal_gains, want.marginal_gains);
-        }
-        let decoded_after_first = engine.keywords_decoded();
-        assert!(decoded_after_first > 0);
-        assert_eq!(engine.merge_cache_misses(), 2);
-        assert_eq!(engine.merge_cache_len(), 2);
-        assert!(engine.merge_cache_bytes() > 0);
+        let built_before = materialized();
 
-        // Hot rounds: same keyword sets (varying k — the cached instance
-        // is k-independent) hit the cache; the decode books stay flat
-        // while requests keep flowing, and every answer still matches
-        // the uncached serial oracle bit for bit.
-        for round in 0..4u32 {
+        // Round 0, first miss: the key is recorded, the group is served
+        // in place, nothing is built. Round 1, second miss: decoded
+        // again, built, published. Rounds 2..: hits — the decode books
+        // stay flat. `k` varies (the cached instance is k-independent)
+        // and every answer matches the uncached serial oracle bit for
+        // bit.
+        let mut decoded = [0u64; 6];
+        for round in 0..6u32 {
             for req in &reqs {
                 let hot = EngineRequest { k: req.k + round, ..req.clone() };
                 let want = engine.execute(&hot).unwrap();
-                let got = engine.query(&hot).unwrap();
-                assert_eq!(got.seeds, want.seeds, "{hot:?}");
-                assert_eq!(got.marginal_gains, want.marginal_gains, "{hot:?}");
-                assert_eq!(got.coverage, want.coverage, "{hot:?}");
-                assert_eq!(
-                    got.estimated_influence.to_bits(),
-                    want.estimated_influence.to_bits(),
-                    "{hot:?}"
-                );
+                assert_same_answer(&engine.query(&hot).unwrap(), &want, &format!("{hot:?}"));
+            }
+            decoded[round as usize] = engine.keywords_decoded();
+            let (len, bytes, built) =
+                (engine.merge_cache_len(), engine.merge_cache_bytes(), materialized());
+            match round {
+                0 => {
+                    assert_eq!((len, bytes, built), (2, 0, built_before), "first miss built");
+                    assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (0, 2));
+                }
+                1 => {
+                    assert_eq!((len, built), (2, built_before + 2), "second miss publishes");
+                    assert!(bytes > 0);
+                    assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (0, 4));
+                }
+                _ => assert_eq!(built, built_before + 2, "a hit rebuilt its instance"),
             }
         }
-        assert_eq!(
-            engine.keywords_decoded(),
-            decoded_after_first,
-            "cache hits must not decode keywords"
-        );
+        assert_eq!(decoded[1], 2 * decoded[0], "both misses decode");
+        assert_eq!(decoded[5], decoded[1], "cache hits must not decode keywords");
         assert_eq!(engine.merge_cache_hits(), 8);
-        assert_eq!(engine.merge_cache_misses(), 2);
+        assert_eq!(engine.merge_cache_misses(), 4);
         assert_eq!(engine.merge_cache_evictions(), 0);
     }
 
     #[test]
-    fn merge_cache_evicts_lru_and_keeps_books() {
+    fn merge_cache_evicts_seen_and_built_keys_in_one_lru_order() {
         let dir = TempDir::new("engine-merge-evict").unwrap();
         let engine = build_engine(dir.path())
             .with_batch_window(Some(Duration::from_micros(100)))
-            .with_merge_cache(1);
+            .with_merge_cache(2);
         let a = EngineRequest::new([0, 1], 5).with_algo(Algo::Rr);
         let b = EngineRequest::new([2, 3], 5).with_algo(Algo::Rr);
+        let c = EngineRequest::new([4], 5).with_algo(Algo::Rr);
         let serial_a = engine.execute(&a).unwrap();
+        let built_before = materialized();
+        let books = |engine: &QueryEngine| {
+            (engine.merge_cache_len(), engine.merge_cache_evictions(), engine.merge_cache_bytes())
+        };
 
-        engine.query(&a).unwrap(); // miss, insert {0,1}
+        engine.query(&a).unwrap(); // seen {a}
+        engine.query(&a).unwrap(); // built {a}
         let bytes_a = engine.merge_cache_bytes();
         assert!(bytes_a > 0);
-        engine.query(&b).unwrap(); // miss, insert {2,3} -> evicts {0,1}
-        assert_eq!(engine.merge_cache_evictions(), 1);
-        assert_eq!(engine.merge_cache_len(), 1, "capacity 1 holds one entry");
-        // The evicted set misses again — and still answers correctly.
-        let got = engine.query(&a).unwrap();
-        assert_eq!(got.seeds, serial_a.seeds);
-        assert_eq!(engine.merge_cache_misses(), 3);
-        assert_eq!(engine.merge_cache_hits(), 0);
-        assert_eq!(engine.merge_cache_evictions(), 2);
-        // Bytes track the single resident entry, not the history.
+        engine.query(&b).unwrap(); // seen {b}: a seen key takes a slot
+        assert_eq!(books(&engine), (2, 0, bytes_a));
+        engine.query(&c).unwrap(); // seen {c} evicts the oldest — built {a}
+        assert_eq!(books(&engine), (2, 1, 0), "bytes track built entries only");
+        engine.query(&b).unwrap(); // {b} was kept as seen: second miss, built
+        assert_eq!(materialized(), built_before + 2);
         assert!(engine.merge_cache_bytes() > 0);
+        // {a} was forgotten with its instance: a first miss again, which
+        // evicts the oldest — the seen key {c}.
+        assert_same_answer(&engine.query(&a).unwrap(), &serial_a, "re-missed a");
+        assert_eq!((engine.merge_cache_len(), engine.merge_cache_evictions()), (2, 2));
+        engine.query(&c).unwrap(); // {c} evicted while seen: a first miss again
+        assert_eq!(materialized(), built_before + 2, "an evicted seen key still counted");
+        assert_eq!(books(&engine), (2, 3, 0), "built {{b}} was the oldest");
+        assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (0, 7));
+    }
+
+    #[test]
+    fn a_mutation_forgets_what_the_merge_cache_has_seen() {
+        let dir = TempDir::new("engine-merge-generation").unwrap();
+        let (data, config, index) = build_index(dir.path());
+        let tier = Arc::new(
+            DeltaIndex::attach(Arc::clone(&index), &data.graph, &data.profiles, config).unwrap(),
+        );
+        let engine = QueryEngine::new(index)
+            .with_batch_window(Some(Duration::from_micros(100)))
+            .with_merge_cache(4)
+            .with_delta(Arc::clone(&tier));
+        let req = EngineRequest::new([0, 1], 6);
+        let built_before = materialized();
+
+        engine.query(&req).unwrap(); // seen at generation 0
+        tier.apply(&[crate::Mutation::IngestUser]).unwrap();
+        // The key carries the generation: the same keyword set is a first
+        // miss again, not the recurrence that would build.
+        let want = engine.execute(&req).unwrap();
+        assert_same_answer(&engine.query(&req).unwrap(), &want, "after the mutation");
+        assert_eq!(materialized(), built_before, "a stale seen key counted as a recurrence");
+        assert_eq!(engine.merge_cache_len(), 2, "the old generation's key ages out by LRU");
+        engine.query(&req).unwrap(); // second miss at this generation
+        assert_eq!(materialized(), built_before + 1);
+        assert_same_answer(&engine.query(&req).unwrap(), &want, "hit");
+        assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (1, 3));
+    }
+
+    #[test]
+    fn permuted_and_repeated_topics_are_one_keyword_set() {
+        let dir = TempDir::new("engine-canonical-topics").unwrap();
+        let engine = build_engine(dir.path()).with_merge_cache(4);
+        let want = engine.execute(&EngineRequest::new([0, 1], 6)).unwrap();
+        let built_before = materialized();
+
+        // As the front end parses them: one identity, so one execution
+        // and two coalesced onto it.
+        let spellings = [vec![1, 0], vec![0, 1], vec![0, 0, 1]];
+        let parsed: Vec<_> =
+            spellings.iter().map(|t| (EngineRequest::new(t.iter().copied(), 6), None)).collect();
+        assert!(parsed.iter().all(|(req, _)| req.topics == [0, 1]));
+        for got in engine.query_window(&parsed) {
+            assert_same_answer(&got.unwrap(), &want, "parsed spelling");
+        }
+        assert_eq!(
+            (engine.keywords_decoded(), engine.coalesced(), engine.greedy_shared()),
+            (2, 2, 0)
+        );
+        assert_eq!((engine.merge_cache_len(), engine.merge_cache_misses()), (1, 1));
+        assert_eq!(materialized(), built_before, "one window is one miss, not a recurrence");
+
+        // Built around `new`, a spelling is its own request but still
+        // the same keyword set: one group, one probe (the second miss),
+        // one greedy run shared three ways.
+        let raw: Vec<_> = spellings
+            .iter()
+            .map(|t| (EngineRequest { topics: t.clone(), k: 6, algo: Algo::Auto }, None))
+            .collect();
+        for got in engine.query_window(&raw) {
+            assert_same_answer(&got.unwrap(), &want, "raw spelling");
+        }
+        assert_eq!(
+            (engine.keywords_decoded(), engine.coalesced(), engine.greedy_shared()),
+            (4, 2, 2)
+        );
+        assert_eq!((engine.merge_cache_len(), engine.merge_cache_misses()), (1, 2));
+        assert_eq!(materialized(), built_before + 1);
     }
 
     #[test]

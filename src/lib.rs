@@ -47,7 +47,8 @@
 //! [`index::IndexBuilder`] and answer queries with
 //! [`index::KbtimIndex::query_rr`] (Algorithm 2),
 //! [`index::KbtimIndex::query_irr`] (Algorithm 4), or
-//! [`index::KbtimIndex::query_auto`] — see `examples/`. A zero-I/O
+//! [`index::KbtimIndex::query_auto`] (what the serving tier runs: the
+//! Algorithm 2 keyword scan) — see `examples/`. A zero-I/O
 //! serving copy is available as [`index::MemoryIndex`], classic IM
 //! baselines (CELF, degree heuristics) live in
 //! [`core::baselines`], and the `kbtim` binary

@@ -17,6 +17,16 @@
 //! collected the concurrency a condvar admission window would wait
 //! for, which is what lets the batch leader stop sleeping (the
 //! `BENCH_batch.json` 1-client regression this PR retires).
+//!
+//! Windows follow the traffic, not the race between threads: the event
+//! loop hands over what one pass over its ready connections admitted in
+//! one [`Dispatcher::submit_all`], a worker takes at most its share of
+//! the admitted work ([`window_share`]), and a window's answers go back
+//! in one [`CompletionQueue::push_all`]. Without these a worker woken
+//! by the first request of a burst ran it alone while its peer took the
+//! other fifteen, or took all sixteen while its peer slept — which of
+//! the two depended on microseconds, and a window's decode is shared by
+//! its members, so throughput depended on them too.
 
 use super::{
     execute_rendered, render_result, OwnedPermit, Router, ServeCtx, ServeOp, ServeRequest,
@@ -24,13 +34,23 @@ use super::{
 use kbtim_exec::CompletionQueue;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Planner cap reused as the dequeue window size when the engine
 /// batches (mirrors the `Batcher::max_requests` default).
 const BATCH_WINDOW_MAX: usize = 64;
+
+/// How many requests a worker dequeues at most: its share of the
+/// admitted work — `queued` plus what the workers are `running` — and
+/// never more than the planner's cap. A pool facing one burst splits it
+/// (every core decodes and counts) where the first worker awake would
+/// have taken all of it; under a standing queue every worker takes full
+/// windows.
+fn window_share(queued: usize, running: usize, workers: usize) -> usize {
+    (queued + running).div_ceil(workers).clamp(1, BATCH_WINDOW_MAX)
+}
 
 /// One admitted request travelling from the event loop to a worker.
 pub(crate) struct Pending {
@@ -132,6 +152,9 @@ struct Shared {
     /// [`Dispatcher::stop_and_join`], releasing their permits).
     abandon: AtomicBool,
     completions: CompletionQueue<(u64, String)>,
+    /// Requests the workers hold right now: dequeued, not yet answered.
+    running: AtomicUsize,
+    workers: usize,
     router: Arc<Router>,
     ctx: Arc<ServeCtx>,
 }
@@ -152,16 +175,19 @@ impl Dispatcher {
         workers: usize,
         waker: impl Fn() + Send + Sync + 'static,
     ) -> Dispatcher {
+        let workers = workers.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(FairQueue::default()),
             ready: Condvar::new(),
             stop: AtomicBool::new(false),
             abandon: AtomicBool::new(false),
             completions: CompletionQueue::new(waker),
+            running: AtomicUsize::new(0),
+            workers,
             router,
             ctx,
         });
-        let workers = (0..workers.max(1))
+        let workers = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -173,12 +199,21 @@ impl Dispatcher {
         Dispatcher { shared, workers }
     }
 
-    /// Hand one admitted request to the pool.
-    pub(crate) fn submit(&self, item: Pending) {
+    /// Hand the pool everything one event-loop pass admitted (drains
+    /// `items`): queued under one lock, so the workers woken see the
+    /// whole burst and split it, not its first request.
+    pub(crate) fn submit_all(&self, items: &mut Vec<Pending>) {
+        let burst = items.len();
         let mut queue = self.shared.queue.lock().expect("dispatch queue poisoned");
-        queue.push(item);
+        for item in items.drain(..) {
+            queue.push(item);
+        }
         drop(queue);
-        self.shared.ready.notify_one();
+        match burst {
+            0 => {}
+            1 => self.shared.ready.notify_one(),
+            _ => self.shared.ready.notify_all(),
+        }
     }
 
     /// Move every finished `(conn, response)` pair into `out`.
@@ -248,13 +283,17 @@ fn worker_main(shared: &Shared) {
             // window the engine coalesces per request and a window of 1
             // preserves the PR-7 execution path exactly.
             let max = if shared.router.engine_at(route).batch_window().is_some() {
-                BATCH_WINDOW_MAX
+                window_share(queue.len(), shared.running.load(Ordering::SeqCst), shared.workers)
             } else {
                 1
             };
-            queue.pop_window(max)
+            let window = queue.pop_window(max);
+            shared.running.fetch_add(window.len(), Ordering::SeqCst);
+            window
         };
+        let taken = window.len();
         execute_window(shared, window);
+        shared.running.fetch_sub(taken, Ordering::SeqCst);
     }
 }
 
@@ -315,26 +354,28 @@ fn execute_window(shared: &Shared, window: Vec<Pending>) {
     let requests: Vec<_> =
         live.iter().map(|item| (item.req.request.clone(), item.deadline)).collect();
     match catch_unwind(AssertUnwindSafe(|| engine.query_window(&requests))) {
-        Ok(results) => {
-            for (item, result) in live.iter().zip(results) {
-                let rendered = render_result(engine, ctx, &item.req, Ok(result));
-                shared.completions.push((item.conn, rendered));
-            }
-        }
-        Err(_) => {
-            // The whole window shares the execution, so the whole
-            // window shares the containment: each request gets the
-            // structured panic response its connection expects.
-            for item in &live {
-                let rendered = render_result(
-                    engine,
-                    ctx,
-                    &item.req,
-                    Err(Box::new(()) as Box<dyn std::any::Any + Send>),
-                );
-                shared.completions.push((item.conn, rendered));
-            }
-        }
+        // The window's answers exist together, so they go back
+        // together: one wake-up of the event loop, one write per
+        // connection, and the clients' next requests arrive as a burst.
+        Ok(results) => shared.completions.push_all(
+            live.iter()
+                .zip(results)
+                .map(|(item, result)| {
+                    (item.conn, render_result(engine, ctx, &item.req, Ok(result)))
+                })
+                .collect::<Vec<_>>(),
+        ),
+        // The whole window shares the execution, so the whole window
+        // shares the containment: each request gets the structured
+        // panic response its connection expects.
+        Err(_) => shared.completions.push_all(
+            live.iter()
+                .map(|item| {
+                    let panicked = Err(Box::new(()) as Box<dyn std::any::Any + Send>);
+                    (item.conn, render_result(engine, ctx, &item.req, panicked))
+                })
+                .collect::<Vec<_>>(),
+        ),
     }
 }
 
@@ -402,6 +443,21 @@ mod tests {
         let window = queue.pop_window(10);
         assert_eq!(tags(&window), vec![(1, 100), (2, 101)]);
         assert!(queue.is_empty());
+    }
+
+    #[test]
+    fn a_window_is_a_workers_share_of_the_admitted_work() {
+        // One burst, an idle pool: every worker gets a part.
+        assert_eq!(window_share(16, 0, 2), 8);
+        assert_eq!(window_share(8, 8, 2), 8);
+        assert_eq!(window_share(5, 0, 4), 2);
+        // A lone request is never held back; a peer's large window does
+        // not shrink what is queued behind it.
+        assert_eq!(window_share(1, 0, 2), 1);
+        assert_eq!(window_share(3, 13, 2), 8);
+        // A standing queue fills whole windows up to the planner's cap.
+        assert_eq!(window_share(200, 64, 2), BATCH_WINDOW_MAX);
+        assert_eq!(window_share(40, 0, 1), 40);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   (same cap/resync semantics as the blocking reader), response
 //!   outboxes with `EPOLLOUT` re-arm, and the drain state machine.
 //! * **Dispatch (`super::dispatch`)** — admitted requests enter a
-//!   per-(connection × index) fair queue; workers dequeue windows and
+//!   per-(connection × index) fair queue, one loop pass's worth at a
+//!   time; workers dequeue windows (each at most its share) and
 //!   execute them, batching through
 //!   [`kbtim_index::QueryEngine::query_window`] when the engine has a
 //!   batch window configured (the ready queue *is* the admission
@@ -154,6 +155,7 @@ pub fn serve_epoll(
         accepting: true,
         buf: vec![0u8; 64 * 1024],
         scratch: Vec::new(),
+        staged: Vec::new(),
     }
     .run()
 }
@@ -198,6 +200,9 @@ mod linux {
         pub buf: Vec<u8>,
         /// Reusable completion drain buffer.
         pub scratch: Vec<(u64, String)>,
+        /// Requests admitted during the current pass over the ready
+        /// connections, handed to the dispatcher together when it ends.
+        pub staged: Vec<Pending>,
     }
 
     impl EventLoop {
@@ -246,6 +251,11 @@ mod linux {
                         TOK_STDIN => self.stdin_ready(),
                         id => self.conn_ready(id, bits),
                     }
+                }
+                // One hand-over per pass: a burst of pipelined requests
+                // reaches the workers whole (see `dispatch`).
+                if let Some(dispatcher) = self.dispatcher.as_ref() {
+                    dispatcher.submit_all(&mut self.staged);
                 }
                 self.apply_completions();
             }
@@ -509,10 +519,13 @@ mod linux {
             // synchronous path; queue wait counts against it.
             let deadline = self.ctx.request_deadline(parsed.deadline_ms);
             conn.pending += 1;
-            self.dispatcher
-                .as_ref()
-                .expect("dispatcher lives while connections do")
-                .submit(Pending { conn: id, route, req: parsed, deadline, permit: Some(permit) });
+            self.staged.push(Pending {
+                conn: id,
+                route,
+                req: parsed,
+                deadline,
+                permit: Some(permit),
+            });
         }
 
         /// Route finished responses to their connections. A completion

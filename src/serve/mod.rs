@@ -12,7 +12,7 @@
 //! → {"id": 7, "index": "sports", "topics": [0, 1], "k": 10, "algo": "irr"}
 //! ← {"id":7,"index":"sports","algo":"irr","seeds":[83,411],
 //!    "marginal_gains":[52,40],"coverage":92,"estimated_influence":14.25,
-//!    "theta_q":1800,"rr_sets_loaded":240,"shards":1,"elapsed_us":913}
+//!    "theta_q":1800,"rr_sets_loaded":1800,"shards":1,"elapsed_us":913}
 //! ```
 //!
 //! Request fields: `topics` (array of topic ids, required), `k` (seed
@@ -313,7 +313,9 @@ impl ServeRequest {
             index,
             deadline_ms,
             op: ServeOp::Query,
-            request: EngineRequest { topics, k, algo },
+            // Canonical keyword set: `[1,0]`, `[0,1]` and `[0,0,1]` are
+            // one coalescing identity, one batch group, one cache key.
+            request: EngineRequest::new(topics, k).with_algo(algo),
         })
     }
 

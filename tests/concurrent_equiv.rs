@@ -282,12 +282,13 @@ proptest! {
             let serial: Vec<Answer> =
                 requests.iter().map(|r| Answer::of(&engine.execute(r).unwrap())).collect();
 
-            // Two concurrent rounds: round one populates the prepared-
-            // query cache, round two re-presents every keyword set and
-            // is served from it. Whatever batch splits the window
-            // admits, every answer in both rounds must be bit-identical
-            // to the serial oracle.
-            for round in 0..2 {
+            // Three concurrent rounds: round one's keyword sets are
+            // first misses (recorded, served in place), round two
+            // re-presents them (second miss: built and published), round
+            // three is served from the cache. Whatever batch splits the
+            // window admits, every answer in every round must be
+            // bit-identical to the serial oracle.
+            for round in 0..3 {
                 let barrier = std::sync::Barrier::new(requests.len());
                 std::thread::scope(|scope| {
                     let joins: Vec<_> = requests
@@ -310,10 +311,10 @@ proptest! {
                     }
                 });
             }
-            // Round two's keyword sets were all resident (capacity 8 >
+            // Round three's keyword sets were all resident (capacity 8 >
             // distinct sets, so nothing evicted): the cache must have
             // served at least one group, and its books must balance.
-            prop_assert!(engine.merge_cache_hits() > 0, "{mode}: no cache hit in round two");
+            prop_assert!(engine.merge_cache_hits() > 0, "{mode}: no cache hit in round three");
             prop_assert_eq!(engine.merge_cache_evictions(), 0);
             prop_assert!(engine.merge_cache_len() <= 8);
             prop_assert!(engine.merge_cache_bytes() > 0);

@@ -239,8 +239,9 @@ proptest! {
                 // The batch planner over the union snapshot: one window,
                 // one keyword-set group run once at the deepest k —
                 // served in place off the union arena without a merge
-                // cache, from a materialized instance with one (asked
-                // twice: the second window hits the published entry).
+                // cache; with one, asked three times — a first miss in
+                // place, a second that builds and publishes the
+                // instance, then a hit on the published entry.
                 let request = |algo, k| (EngineRequest { topics: topics.clone(), k, algo }, None);
                 let window =
                     [request(Algo::Rr, k), request(Algo::Memory, k), request(Algo::Irr, k + 4)];
@@ -249,7 +250,7 @@ proptest! {
                         .with_delta(Arc::clone(&delta))
                         .with_batch_window(Some(std::time::Duration::from_micros(100)))
                         .with_merge_cache(cache);
-                    for round in 0..2 {
+                    for round in 0..3 {
                         let results = planner.query_window(&window);
                         for (got, want) in results.into_iter().zip([&expect, &expect, &expect_deep]) {
                             let label = format!("{mode} t{threads} planner cache {cache} #{round}");

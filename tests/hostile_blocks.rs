@@ -217,7 +217,9 @@ fn hostile_inverted_lists_are_structured_errors_everywhere() {
             }
             engine.query(&EngineRequest::new([0, 2], 6).with_algo(Algo::Rr)).unwrap();
         }
-        engine_error(&QueryEngine::new(Arc::new(open())), &request(Algo::Rr), &what);
+        for algo in [Algo::Rr, Algo::Irr, Algo::Auto] {
+            engine_error(&QueryEngine::new(Arc::new(open())), &request(algo), &what);
+        }
         cli_validate_fails(dir.path(), &what);
 
         // ilp: Algorithm 4's partitions.
@@ -229,7 +231,10 @@ fn hostile_inverted_lists_are_structured_errors_everywhere() {
         assert_corrupt(index.validate(), &what);
         assert_eq!(index.query_rr(&touching).unwrap().seeds, healthy.seeds, "{what}");
         index.query_irr(&clear).unwrap();
-        engine_error(&QueryEngine::new(Arc::new(open())), &request(Algo::Irr), &what);
+        // Serving never reads `ilp`: the engine's `irr` is the keyword
+        // scan over `il`, and answers.
+        let served = QueryEngine::new(Arc::new(open())).query(&request(Algo::Irr)).unwrap();
+        assert_eq!(served.seeds, healthy.seeds, "{what}");
         cli_validate_fails(dir.path(), &what);
     }
 

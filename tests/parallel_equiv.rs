@@ -192,24 +192,22 @@ fn flat_celf_identical_to_naive_oracle_across_thread_counts() {
 }
 
 #[test]
-fn query_auto_exercises_both_paths() {
-    // Smoke test for the cost-model dispatch: on an IRR index with
-    // δ = 24, k ≤ 6 goes through IRR (partition traces) and large k falls
-    // back to the RR prefix scan — and both agree with the explicit calls.
+fn query_auto_is_the_keyword_scan() {
+    // `auto` makes no cost-model pick any more: on an IRR index with
+    // δ = 24, both sides of the retired `4·k ≤ δ` rule run the keyword
+    // scan (no partition traces) and agree with both explicit calls
+    // (Theorem 3).
     let data = dataset();
     let dir = TempDir::new("par-eq-auto").unwrap();
     build_index(&data, dir.path(), 4);
     let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
 
-    let small = index.query_auto(&Query::new([0, 1], 4)).unwrap();
-    assert!(small.stats.partitions_loaded > 0, "small k must take the IRR path");
-    assert_eq!(small.seeds, index.query_irr(&Query::new([0, 1], 4)).unwrap().seeds);
-
-    let large = index.query_auto(&Query::new([0, 1], 20)).unwrap();
-    assert_eq!(large.stats.partitions_loaded, 0, "large k must take the RR path");
-    assert_eq!(large.seeds, index.query_rr(&Query::new([0, 1], 20)).unwrap().seeds);
-
-    // Theorem 3 makes the two paths agree wherever both apply.
-    let rr = index.query_rr(&Query::new([0, 1], 4)).unwrap();
-    assert_eq!(small.seeds, rr.seeds);
+    for k in [4, 20] {
+        let query = Query::new([0, 1], k);
+        let auto = index.query_auto(&query).unwrap();
+        assert_eq!(auto.stats.partitions_loaded, 0, "k = {k} ran the NRA");
+        assert_eq!(auto.stats.rr_sets_loaded, auto.stats.theta_q);
+        assert_eq!(auto.seeds, index.query_rr(&query).unwrap().seeds);
+        assert_eq!(auto.seeds, index.query_irr(&query).unwrap().seeds);
+    }
 }

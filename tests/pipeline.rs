@@ -98,6 +98,7 @@ fn answer_fields(response: &str) -> Vec<(String, Json)> {
 struct Server {
     addr: SocketAddr,
     ctx: Arc<ServeCtx>,
+    engine: Arc<QueryEngine>,
     handle: Option<std::thread::JoinHandle<std::io::Result<()>>>,
 }
 
@@ -106,9 +107,11 @@ impl Server {
     fn start(batching: bool, cfg: EpollConfig) -> Server {
         let index =
             KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Mmap).unwrap();
-        let engine = QueryEngine::new(Arc::new(index))
-            .with_batch_window(batching.then(|| Duration::from_micros(100)));
-        let router = Arc::new(Router::single(Arc::new(engine)));
+        let engine = Arc::new(
+            QueryEngine::new(Arc::new(index))
+                .with_batch_window(batching.then(|| Duration::from_micros(100))),
+        );
+        let router = Arc::new(Router::single(Arc::clone(&engine)));
         let ctx = Arc::new(ServeCtx::new(1024, None).with_front_end("epoll"));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -116,7 +119,7 @@ impl Server {
             let (router, ctx) = (Arc::clone(&router), Arc::clone(&ctx));
             std::thread::spawn(move || serve_epoll(listener, router, ctx, cfg))
         };
-        Server { addr, ctx, handle: Some(handle) }
+        Server { addr, ctx, engine, handle: Some(handle) }
     }
 
     /// Begin the drain and wait for the loop to exit cleanly.
@@ -287,6 +290,19 @@ fn outbox_cap_pauses_reads_and_resumes_as_client_drains() {
     let (served, shed) = (server.ctx.served(), server.ctx.shed());
     server.shutdown();
     assert_eq!(served + shed, N as u64, "every request served or shed exactly once");
+}
+
+/// A pipelined burst the loop reads in one pass reaches the workers
+/// whole: a lone worker runs the eight requests as one window. (Handed
+/// over one by one, the first request woke the worker and ran alone.)
+#[test]
+fn a_burst_read_in_one_pass_is_one_window() {
+    let server = Server::start(true, EpollConfig { workers: 1, ..EpollConfig::default() });
+    let picks: Vec<usize> = (0..8).collect();
+    run_client(server.addr, &picks, usize::MAX, 700_000);
+    assert_eq!(server.engine.batched_requests(), 8);
+    assert_eq!(server.engine.batches(), 1, "one read, one hand-over, one window");
+    server.shutdown();
 }
 
 /// Draining with requests in flight: the client's already-written

@@ -17,8 +17,8 @@
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
 use kbtim::index::{
-    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, MemoryIndex,
-    QueryEngine, ServingMode, ThetaMode,
+    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexError, IndexVariant, KbtimIndex,
+    MemoryIndex, QueryEngine, ServingMode, ThetaMode,
 };
 use kbtim::propagation::model::IcModel;
 use kbtim::storage::block::all_modes;
@@ -32,13 +32,16 @@ use std::time::Duration;
 const NUM_TOPICS: u32 = 6;
 
 /// One IRR index on disk, opened through every backend × thread count,
-/// plus a `MemoryIndex` loaded through each backend and, per backend,
-/// the batch planner without a merge cache (groups served in place)
-/// and with one (groups materialized, published, then hit).
+/// plus a `MemoryIndex` loaded through each backend, a plain engine
+/// (flat, unbatched, no cache) per backend × thread count and, per
+/// backend, the batch planner without a merge cache (groups served in
+/// place) and with one (served in place, then materialized, published
+/// and hit).
 struct Fixture {
     _dir: TempDir,
     indexes: Vec<(ServingMode, usize, KbtimIndex)>,
     memories: Vec<(ServingMode, MemoryIndex)>,
+    engines: Vec<(ServingMode, usize, QueryEngine)>,
     planners: Vec<(ServingMode, usize, QueryEngine)>,
 }
 
@@ -69,8 +72,15 @@ fn fixture() -> &'static Fixture {
 
         let mut indexes = Vec::new();
         let mut memories = Vec::new();
+        let mut engines = Vec::new();
         let mut planners = Vec::new();
         for mode in all_modes() {
+            for threads in [1usize, 4] {
+                let index = KbtimIndex::open_with(dir.path(), IoStats::new(), mode)
+                    .unwrap()
+                    .with_threads(Some(threads));
+                engines.push((mode, threads, QueryEngine::new(Arc::new(index))));
+            }
             for threads in [1usize, 8] {
                 let index = KbtimIndex::open_with(dir.path(), IoStats::new(), mode)
                     .unwrap()
@@ -87,7 +97,7 @@ fn fixture() -> &'static Fixture {
                 planners.push((mode, cache, engine));
             }
         }
-        Fixture { _dir: dir, indexes, memories, planners }
+        Fixture { _dir: dir, indexes, memories, engines, planners }
     })
 }
 
@@ -136,6 +146,27 @@ proptest! {
             prop_assert_eq!(m.coverage, rr.coverage);
             prop_assert_eq!(m.stats.theta_q, rr.stats.theta_q);
             prop_assert_eq!(m.estimated_influence.to_bits(), rr.estimated_influence.to_bits());
+        }
+
+        // A request the engine runs alone: `irr` and `auto` go through
+        // the one disk pipeline and still return Algorithm 4's answer
+        // and Algorithm 2's, bit for bit.
+        for (mode, threads, engine) in &fx.engines {
+            for algo in [Algo::Irr, Algo::Auto] {
+                let request = EngineRequest { topics: query.topics().to_vec(), k, algo };
+                let got = engine.query(&request).unwrap();
+                for want in [&irr, &rr] {
+                    prop_assert_eq!(&got.seeds, &want.seeds, "engine {} {} t{}", algo, mode, threads);
+                    prop_assert_eq!(&got.marginal_gains, &want.marginal_gains);
+                    prop_assert_eq!(got.coverage, want.coverage);
+                    prop_assert_eq!(
+                        got.estimated_influence.to_bits(),
+                        want.estimated_influence.to_bits()
+                    );
+                }
+                prop_assert_eq!(got.stats.rr_sets_loaded, got.stats.theta_q);
+                prop_assert_eq!(got.stats.partitions_loaded, 0);
+            }
         }
 
         // The batch planner: one window of three requests over the
@@ -243,6 +274,35 @@ fn corrupted_index_segment_caught_on_every_backend() {
                 assert!(index.validate().is_err(), "{mode}: validation must catch the flip");
             }
         }
+    }
+}
+
+#[test]
+fn engine_irr_needs_an_irr_index_and_auto_never_does() {
+    let data =
+        DatasetConfig::family(DatasetFamily::News).num_users(300).num_topics(4).seed(43).build();
+    let model = IcModel::weighted_cascade(&data.graph);
+    let config = IndexBuildConfig {
+        sampling: SamplingConfig {
+            theta_cap: Some(600),
+            opt_initial_samples: 64,
+            opt_max_rounds: 4,
+            ..SamplingConfig::fast()
+        },
+        variant: IndexVariant::Rr,
+        ..IndexBuildConfig::default()
+    };
+    let dir = TempDir::new("serving-rr-variant").unwrap();
+    IndexBuilder::new(&model, &data.profiles, config).build(dir.path()).unwrap();
+    for mode in all_modes() {
+        let index = Arc::new(KbtimIndex::open_with(dir.path(), IoStats::new(), mode).unwrap());
+        let want = index.query_rr(&Query::new([0, 1], 6)).unwrap();
+        let engine = QueryEngine::new(index);
+        let err = engine.query(&EngineRequest::new([0, 1], 6).with_algo(Algo::Irr)).unwrap_err();
+        assert!(matches!(err.index_error(), IndexError::NotAnIrrIndex), "{mode}: {err}");
+        let auto = engine.query(&EngineRequest::new([0, 1], 6)).unwrap();
+        assert_eq!(auto.seeds, want.seeds, "{mode}");
+        assert_eq!(auto.estimated_influence.to_bits(), want.estimated_influence.to_bits());
     }
 }
 

@@ -120,7 +120,7 @@ proptest! {
         let query = Query::new(topics, k);
 
         // Flat (S = 1) oracle per algorithm. Theorem 3 makes the IRR
-        // seeds equal the RR seeds; auto picks one of the two.
+        // seeds equal the RR seeds; auto is the RR keyword scan.
         let rr = fx.oracle.query_rr(&query).unwrap();
         let irr = fx.oracle.query_irr(&query).unwrap();
         let auto = fx.oracle.query_auto(&query).unwrap();
