@@ -15,12 +15,10 @@
 //! (`handle_line` on a fresh engine) — the determinism contract is
 //! enforced in the bench itself.
 //!
-//! The bench also pins the batch-planner regression this PR fixes: fed
-//! from the epoll ready queue, the planner no longer condvar-sleeps to
-//! collect an admission window, so a **single pipelined client with
-//! batching on** must reach ≥ 0.95× its unbatched throughput
-//! (`BENCH_batch.json` recorded 0.90× through the old sleeping
-//! planner). The ratio is asserted, not just recorded.
+//! The bench also pins that windows never wait: they are what the
+//! dispatcher's ready queue already holds, so a **single pipelined
+//! client with batching on** must reach ≥ 0.95× its unbatched
+//! throughput. The ratio is asserted, not just recorded.
 //!
 //! ```text
 //! cargo run --release -p kbtim-bench --bin conn_baseline [--smoke] [OUT.json]
@@ -302,7 +300,7 @@ fn run_scenario(
                 )
             }),
             _ => std::thread::spawn(move || {
-                serve_threads(listener, router, ctx, 1 << 20, false, Duration::from_secs(10))
+                serve_threads(listener, router, ctx, 1 << 20, 2, false, Duration::from_secs(10))
             }),
         }
     };

@@ -7,8 +7,7 @@
 //!
 //! Experiments: `table2 fig4 table3 table4 table5 fig5 table6 table7 fig6
 //! fig7 table8`. Indexes are cached under `--root` (default
-//! `target/kbtim-exp`), so reruns only pay query time. See DESIGN.md for
-//! the experiment ↔ module map and EXPERIMENTS.md for recorded results.
+//! `target/kbtim-exp`), so reruns only pay query time.
 //!
 //! Reading the RR-vs-IRR comparisons (fig5–fig7, table6): *RR sets
 //! loaded* is the paper's quantity and is exact — `θ^Q` for RR, the
@@ -222,7 +221,7 @@ impl Harness {
             "-- Table 3: index size/time with theta-hat (Eqn 8) vs theta (Eqn 10), news family"
         );
         // A higher cap than the family default so the θ̂/θ contrast is not
-        // clipped (DESIGN.md documents the cap substitution).
+        // clipped.
         let cap = self.ctx.scale.news_theta_cap * 4;
         let mut t = TextTable::new([
             "dataset",

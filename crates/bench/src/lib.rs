@@ -4,7 +4,7 @@
 //!
 //! * the `experiments` binary (`cargo run --release -p kbtim-bench --bin
 //!   experiments`) regenerates **every table and figure** of the paper as
-//!   text rows — the per-experiment index lives in `DESIGN.md`;
+//!   text rows (its module doc lists the experiments);
 //! * the Criterion benches (`cargo bench`) time the hot paths and the
 //!   ablations on small fixtures.
 //!

@@ -2,8 +2,8 @@
 //!
 //! The paper ran on a 60 GB server against graphs with up to 1.3 B edges;
 //! this reproduction targets laptops. Two presets keep the *shape* of
-//! every experiment while bounding wall-clock time; `full` is the scale
-//! reported in `EXPERIMENTS.md`.
+//! every experiment while bounding wall-clock time; `full` is the larger
+//! of the two.
 
 /// All knobs that size an experiment run.
 #[derive(Debug, Clone)]
@@ -16,7 +16,7 @@ pub struct ExpScale {
     pub twitter_sizes: Vec<u32>,
     /// Topic-space size (paper: 200).
     pub num_topics: u32,
-    /// Per-keyword θ cap for news builds (see DESIGN.md on caps).
+    /// Per-keyword θ cap for news builds.
     pub news_theta_cap: u64,
     /// Per-keyword θ cap for twitter builds.
     pub twitter_theta_cap: u64,
@@ -36,7 +36,7 @@ pub struct ExpScale {
     pub default_keywords: usize,
     /// Monte-Carlo rounds for spread ground truth (Table 7).
     pub mc_rounds: u32,
-    /// ε used everywhere (paper: 0.1; see DESIGN.md).
+    /// ε used everywhere (paper: 0.1).
     pub eps: f64,
     /// `K` — the Q.k upper bound baked into the index (paper: 100).
     pub k_max: u32,
@@ -62,14 +62,13 @@ impl ExpScale {
             mc_rounds: 2_000,
             // ε = 1.0 keeps the θ formulas un-capped at laptop scale so the
             // growth trends of Tables 3/5 and Figure 7 are visible; the
-            // bound is a uniform 1/ε² factor (DESIGN.md).
+            // bound is a uniform 1/ε² factor.
             eps: 1.0,
             k_max: 50,
         }
     }
 
-    /// The scale recorded in `EXPERIMENTS.md` (÷10 news, ÷1000 twitter vs
-    /// the paper).
+    /// The full-scale preset (÷10 news, ÷1000 twitter vs the paper).
     pub fn full() -> ExpScale {
         ExpScale {
             name: "full",

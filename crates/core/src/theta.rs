@@ -68,7 +68,7 @@ impl SamplingConfig {
 
     /// Laptop-scale settings used by tests, examples and benches:
     /// ε = 0.5, K = 50, θ capped at 200 000 per computation. The θ formulas
-    /// are unchanged — only the constants differ (documented in DESIGN.md).
+    /// are unchanged — only the constants differ.
     pub fn fast() -> SamplingConfig {
         SamplingConfig {
             eps: 0.5,

@@ -11,24 +11,21 @@
 //!    another shard's draws;
 //! 3. shard outputs are merged in shard-index order.
 //!
-//! [`ExecPool`] schedules shards over one of two engines:
+//! [`ExecPool`] schedules shards over a **persistent** engine
+//! ([`ExecPool::new`]): a long-lived worker pool of parked OS threads
+//! sharing an injector slot — one job at a time, shards claimed from an
+//! atomic counter. Workers spawn lazily on the first parallel call and
+//! then stay parked between calls, so a serving tier pays thread-spawn
+//! cost once per process, not once per query. If a second job arrives
+//! while one is running (concurrent queries against a shared index),
+//! the submitter degrades to inline execution — same answer, no
+//! queueing latency cliff, no possibility of deadlock on re-entrant
+//! submission. (This crate's own tests keep the original
+//! `std::thread::scope` engine, workers spawned per call, as the
+//! determinism *oracle* the persistent engine is compared with.)
 //!
-//! * **Persistent** (the default, [`ExecPool::new`]): a long-lived
-//!   worker pool of parked OS threads sharing an injector slot — one
-//!   job at a time, shards claimed from an atomic counter. Workers spawn
-//!   lazily on the first parallel call and then stay parked between
-//!   calls, so a serving tier pays thread-spawn cost once per process,
-//!   not once per query. If a second job arrives while one is running
-//!   (concurrent queries against a shared index), the submitter degrades
-//!   to inline execution — same answer, no queueing latency cliff, no
-//!   possibility of deadlock on re-entrant submission.
-//! * **Scoped** ([`ExecPool::scoped`]): the original
-//!   `std::thread::scope` engine — workers spawned per call. Kept as the
-//!   fallback and as the determinism *oracle* the persistent engine is
-//!   property-tested against.
-//!
-//! With one thread (or one shard) both engines degrade to an inline loop
-//! with zero synchronization. Worker-local scratch state (e.g. an
+//! With one thread (or one shard) — [`ExecPool::sequential`] — a call
+//! is an inline loop with zero synchronization. Worker-local scratch state (e.g. an
 //! `RrSampler`'s stamp arrays) is supported through
 //! [`ExecPool::map_shards_with`] — scratch reuse is safe precisely
 //! because shard outputs are functions of (shard index, base seed) alone.
@@ -73,9 +70,8 @@ pub fn shard_range(total: usize, shard_size: usize, shard: usize) -> Range<usize
 
 /// A deterministic parallel executor with a fixed worker count.
 ///
-/// Cloning is cheap and shares the underlying worker pool (persistent
-/// engine) or just the thread count (scoped engine). Constructing a pool
-/// is free either way: persistent workers spawn lazily on the first
+/// Cloning is cheap and shares the underlying worker pool.
+/// Constructing a pool is free: workers spawn lazily on the first
 /// parallel call.
 #[derive(Debug, Clone)]
 pub struct ExecPool {
@@ -84,8 +80,11 @@ pub struct ExecPool {
 
 #[derive(Debug, Clone)]
 enum Inner {
+    /// One thread: every call is an inline loop.
+    Inline,
     /// Workers spawned per call under `std::thread::scope` — the
-    /// original engine, kept as fallback and determinism oracle.
+    /// original engine, kept as the tests' determinism oracle.
+    #[cfg(test)]
     Scoped { threads: usize },
     /// Long-lived parked workers shared by every clone of this pool.
     Persistent(Arc<Persistent>),
@@ -120,20 +119,23 @@ impl ExecPool {
         }
     }
 
-    /// Scoped pool (workers spawned per call) — the fallback engine and
-    /// the oracle the persistent engine is tested against.
-    pub fn scoped(threads: Option<usize>) -> ExecPool {
+    /// Scoped pool (workers spawned per call) — the oracle the
+    /// persistent engine is tested against.
+    #[cfg(test)]
+    fn scoped(threads: Option<usize>) -> ExecPool {
         ExecPool { inner: Inner::Scoped { threads: resolve_threads(threads) } }
     }
 
     /// Single-threaded pool (inline execution, no synchronization).
     pub fn sequential() -> ExecPool {
-        ExecPool { inner: Inner::Scoped { threads: 1 } }
+        ExecPool { inner: Inner::Inline }
     }
 
     /// Worker count this pool schedules onto.
     pub fn threads(&self) -> usize {
         match &self.inner {
+            Inner::Inline => 1,
+            #[cfg(test)]
             Inner::Scoped { threads } => *threads,
             Inner::Persistent(p) => p.threads,
         }
@@ -199,6 +201,8 @@ impl ExecPool {
         };
 
         match &self.inner {
+            Inner::Inline => unreachable!("one worker runs inline above"),
+            #[cfg(test)]
             Inner::Scoped { .. } => {
                 std::thread::scope(|scope| {
                     // The submitting thread participates too, so `workers`

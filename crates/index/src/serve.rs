@@ -12,20 +12,17 @@
 //!   queries take distinct blocks; the pool grows to the high-water
 //!   concurrency and then stops allocating) and its persistent
 //!   [`kbtim_exec::ExecPool`] is built once, not per query.
-//! * **Same-request batching**: concurrent identical requests (same
-//!   keywords, same `k`, same algorithm) collapse to one execution — the
-//!   first caller computes, the rest wait on the in-flight entry and
-//!   share the `Arc`'d outcome. Advertiser workloads are Zipfian over
-//!   keywords, so under load this shaves the hottest queries to a single
-//!   execution per arrival wave.
-//! * **Cross-request batching**: with a batch window configured
-//!   ([`QueryEngine::set_batch_window`]), a short admission window
-//!   collects concurrent in-flight requests into one batch, decodes
-//!   each *distinct* keyword's inverted lists and RR prefix **once**
-//!   into a shared [`KeywordArena`], and runs every request's own
-//!   merge + greedy over the shared structures — so N different
+//! * **One execution entry**: [`QueryEngine::query_window`] answers a
+//!   caller-assembled *window* of requests in one shared execution; a
+//!   single request ([`QueryEngine::query`]) is a window of one. Who
+//!   rides in a window is the transport's business — `kbtim serve`
+//!   forms them in its fair queue — the engine never waits for company.
+//! * **Sharing inside a window**: identical requests (same keywords,
+//!   same `k`, same algorithm) execute once and share the `Arc`'d
+//!   outcome; each *distinct* keyword's inverted lists are decoded
+//!   **once** into a shared [`KeywordArena`], so N different
 //!   same-keyword queries pay the expensive per-keyword decode once
-//!   per batch, not once per request. Requests over the same keyword
+//!   per window, not once per request. Requests over the same keyword
 //!   set additionally share one greedy run: seeds are selected
 //!   sequentially and `k` only bounds the loop, so one max-`k` run
 //!   prefix-slices into every member's answer. Memory-algo requests
@@ -42,11 +39,10 @@
 //!   batches, and one-shot sets never pay for an instance nobody
 //!   reads again.
 //! * **Determinism**: queries are read-only and scratch contents never
-//!   influence answers, so any interleaving of concurrent clients —
-//!   and any grouping the batch planner happens to admit — produces
-//!   outcomes bit-identical to running the same requests serially —
-//!   the contract `tests/concurrent_equiv.rs` enforces across every
-//!   serving backend.
+//!   influence answers, so any interleaving of concurrent callers —
+//!   and any grouping of requests into windows — produces outcomes
+//!   bit-identical to running the same requests serially, the contract
+//!   `tests/concurrent_equiv.rs` enforces across every serving backend.
 //!
 //! The line-protocol front end (`kbtim serve`) in the facade crate is a
 //! thin wrapper over this engine.
@@ -58,7 +54,7 @@ use crate::{IndexError, KbtimIndex, MemoryIndex, QueryCtx, QueryOutcome};
 use kbtim_topics::{Query, TopicId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Lock a serving-tier mutex, recovering from poisoning: a client
@@ -117,8 +113,8 @@ impl std::fmt::Display for Algo {
     }
 }
 
-/// A serving-tier error: shareable (cloned to every coalesced waiter of
-/// a failed request) and convertible from the index error it wraps.
+/// A serving-tier error: shareable (cloned to every duplicate of a
+/// failed request) and convertible from the index error it wraps.
 #[derive(Debug, Clone)]
 pub struct EngineError(Arc<IndexError>);
 
@@ -176,60 +172,8 @@ impl EngineRequest {
 }
 
 /// Result type of [`QueryEngine::query`]: the outcome is `Arc`'d because
-/// coalesced waiters share the computing caller's answer.
+/// a window's duplicate requests share one execution's answer.
 pub type EngineResult = Result<Arc<QueryOutcome>, EngineError>;
-
-/// In-flight slot one caller computes into while identical requests
-/// wait.
-struct Flight {
-    done: Mutex<Option<EngineResult>>,
-    cv: Condvar,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight { done: Mutex::new(None), cv: Condvar::new() }
-    }
-
-    fn complete(&self, result: EngineResult) {
-        *lock_recover(&self.done) = Some(result);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> EngineResult {
-        let mut done = lock_recover(&self.done);
-        loop {
-            if let Some(result) = done.as_ref() {
-                return result.clone();
-            }
-            done = self.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// The batch planner's admission state: requests queued during the
-/// current window plus whether a leader is currently collecting.
-#[derive(Default)]
-struct BatchQueue {
-    pending: Vec<(EngineRequest, Option<Instant>, Arc<Flight>)>,
-    /// True while some caller is inside the admission window; its drain
-    /// will take everything queued here. The first arrival after a
-    /// drain becomes the next leader.
-    collecting: bool,
-}
-
-/// Cross-request batch planner configuration + queue (see the module
-/// docs).
-struct Batcher {
-    /// Admission window: how long the batch leader waits for more
-    /// concurrent arrivals before executing the batch.
-    window: Duration,
-    /// Early-fire cap: a full batch executes before the window closes.
-    max_requests: usize,
-    queue: Mutex<BatchQueue>,
-    /// Signalled on every arrival so a leader can fire early at the cap.
-    arrived: Condvar,
-}
 
 /// One keyword set the cache knows: seen once (key only) or built (the
 /// shared merged instance), plus its LRU and accounting state.
@@ -381,8 +325,9 @@ pub struct QueryEngine {
     index: Arc<KbtimIndex>,
     memory: Option<MemoryIndex>,
     delta: Option<Arc<DeltaIndex>>,
-    inflight: Mutex<HashMap<EngineRequest, Arc<Flight>>>,
-    batch: Option<Batcher>,
+    /// The `--batch` setting, stored for the transport's window former
+    /// (see [`QueryEngine::set_batch_window`]).
+    batch_window: Option<Duration>,
     merge_cache: Option<MergeCache>,
     executed: AtomicU64,
     coalesced: AtomicU64,
@@ -402,8 +347,7 @@ impl QueryEngine {
             index,
             memory: None,
             delta: None,
-            inflight: Mutex::new(HashMap::new()),
-            batch: None,
+            batch_window: None,
             merge_cache: None,
             executed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -471,28 +415,19 @@ impl QueryEngine {
         self.executed.load(Ordering::Relaxed)
     }
 
-    /// Requests answered by joining another caller's identical in-flight
-    /// request (or a duplicate within one batch).
+    /// Requests answered by another's execution: duplicates of a request
+    /// in the same window.
     pub fn coalesced(&self) -> u64 {
         self.coalesced.load(Ordering::Relaxed)
     }
 
-    /// Enable (or disable, with `None`) the cross-request batch planner
-    /// with the given admission window.
-    ///
-    /// With a window set, [`QueryEngine::query`] collects concurrent
-    /// requests for up to `window`, decodes each distinct keyword once
-    /// into a shared [`KeywordArena`], and serves every request in the
-    /// batch from the shared decode. Answers stay bit-identical to
-    /// serial per-request execution; the window only trades a bounded
-    /// admission delay for shared decode work under load.
+    /// Store the window setting a transport reads back
+    /// ([`QueryEngine::batch_window`]). The engine itself never waits:
+    /// it executes the windows it is handed. `kbtim serve`'s dispatcher
+    /// reads only whether one is set — `None` pins its windows to one
+    /// request, any duration lets them grow with the queue.
     pub fn set_batch_window(&mut self, window: Option<Duration>) {
-        self.batch = window.map(|window| Batcher {
-            window,
-            max_requests: 64,
-            queue: Mutex::new(BatchQueue::default()),
-            arrived: Condvar::new(),
-        });
+        self.batch_window = window;
     }
 
     /// Builder-style [`QueryEngine::set_batch_window`].
@@ -501,31 +436,9 @@ impl QueryEngine {
         self
     }
 
-    /// The configured batch admission window, if batching is enabled.
+    /// The stored window setting ([`QueryEngine::set_batch_window`]).
     pub fn batch_window(&self) -> Option<Duration> {
-        self.batch.as_ref().map(|b| b.window)
-    }
-
-    /// Deterministic batch construction for tests and benches. While
-    /// held, arriving batched requests enqueue as followers instead of
-    /// electing a leader; the first arrival after release leads one
-    /// batch holding everything queued meanwhile. Release the hold
-    /// *before* issuing that final leading request — held followers
-    /// wait indefinitely on a leader that never comes. No-op when
-    /// batching is disabled.
-    #[doc(hidden)]
-    pub fn hold_admission(&self, hold: bool) {
-        if let Some(batcher) = &self.batch {
-            lock_recover(&batcher.queue).collecting = hold;
-        }
-    }
-
-    /// Requests currently queued for batch admission (companion of
-    /// [`QueryEngine::hold_admission`], for polling until a held batch
-    /// has fully assembled).
-    #[doc(hidden)]
-    pub fn pending_admission(&self) -> usize {
-        self.batch.as_ref().map_or(0, |b| lock_recover(&b.queue).pending.len())
+        self.batch_window
     }
 
     /// Enable (or disable, with 0) the cross-batch prepared-query
@@ -625,10 +538,8 @@ impl QueryEngine {
         self.greedy_shared.load(Ordering::Relaxed)
     }
 
-    /// Answer `req`, sharing work with concurrent requests: through the
-    /// batch planner when a window is configured
-    /// ([`QueryEngine::set_batch_window`]), otherwise by coalescing
-    /// with any identical request currently in flight.
+    /// Answer `req`: a window of one through
+    /// [`QueryEngine::query_window`].
     ///
     /// Safe to call from any number of threads; the answer is
     /// bit-identical to running the same request alone.
@@ -640,174 +551,37 @@ impl QueryEngine {
     /// request aborts with [`IndexError::DeadlineExceeded`] at the next
     /// stage boundary once `deadline` passes, never returning partial
     /// seeds.
-    ///
-    /// Deadlines do not join the coalescing identity — a request that
-    /// coalesces onto an identical in-flight one shares the leader's
-    /// fate, including the leader's deadline error. Inside a batch,
-    /// duplicate requests execute once under the *widest* member
-    /// deadline (unbounded if any duplicate is unbounded), and a
-    /// keyword-set group's shared greedy run stops at the group's
-    /// widest member deadline — if that fires, every member has
-    /// expired.
     pub fn query_deadline(&self, req: &EngineRequest, deadline: Option<Instant>) -> EngineResult {
-        match &self.batch {
-            Some(batcher) => self.query_batched(batcher, req, deadline),
-            None => self.query_coalesced(req, deadline),
-        }
+        self.query_window(&[(req.clone(), deadline)]).remove(0)
     }
 
-    /// Answer a caller-assembled batch in one shared execution — the
-    /// entry point for front ends that already hold a window of
-    /// concurrent requests (the epoll event loop's fair dequeue) and
-    /// need no admission window: the batch planner's condvar wait
-    /// exists to *collect* concurrency, and a ready queue has already
-    /// collected it.
+    /// Answer a caller-assembled window of requests in one shared
+    /// execution — the engine's one serving entry. Results come back in
+    /// request order, one per input.
     ///
-    /// Results come back in request order, one per input. Sharing is
-    /// identical to the planner's internal `run_batch`:
-    /// duplicates execute once under the widest member deadline,
-    /// same-keyword-set requests share one budget/decode/merge, and
-    /// every answer is bit-identical to running its request alone. A
-    /// panicking batch fails every slot, then re-throws — callers
-    /// contain it the same way they contain
-    /// [`query_deadline`](Self::query_deadline) panics.
+    /// Duplicates execute once under the *widest* member deadline
+    /// (unbounded if any duplicate is unbounded) and share that
+    /// execution's fate; same-keyword-set requests share one
+    /// budget/decode/greedy, whose run stops at the group's widest
+    /// member deadline — if that fires, every member has expired. Every
+    /// answer is bit-identical to running its request alone.
+    ///
+    /// Nothing here waits on another thread, so a panic inside a window
+    /// simply unwinds to the caller: the transport that submitted the
+    /// window contains it (`kbtim serve` answers every member
+    /// `internal_error`).
     pub fn query_window(&self, requests: &[(EngineRequest, Option<Instant>)]) -> Vec<EngineResult> {
-        let batch: Vec<(EngineRequest, Option<Instant>, Arc<Flight>)> = requests
-            .iter()
-            .map(|(req, deadline)| (req.clone(), *deadline, Arc::new(Flight::new())))
-            .collect();
-        if let Err(payload) =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_batch(&batch)))
-        {
-            let err: EngineResult =
-                Err(EngineError::from(IndexError::Corrupt("batch execution panicked".to_string())));
-            for (_, _, flight) in &batch {
-                flight.complete(err.clone());
-            }
-            std::panic::resume_unwind(payload);
-        }
-        // run_batch completes every flight synchronously, so these waits
-        // never block.
-        batch.iter().map(|(_, _, flight)| flight.wait()).collect()
+        self.run_batch(requests)
     }
 
-    /// The non-batched serving path: identical in-flight requests
-    /// collapse to one execution.
-    fn query_coalesced(&self, req: &EngineRequest, deadline: Option<Instant>) -> EngineResult {
-        let flight = {
-            let mut inflight = lock_recover(&self.inflight);
-            if let Some(flight) = inflight.get(req) {
-                let flight = Arc::clone(flight);
-                drop(inflight);
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                return flight.wait();
-            }
-            let flight = Arc::new(Flight::new());
-            inflight.insert(req.clone(), Arc::clone(&flight));
-            flight
-        };
-
-        // A panicking query (e.g. a corrupt-index assert deep in the IRR
-        // path) must not wedge the flight: waiters would block forever
-        // and every future identical request would coalesce onto the
-        // dead entry. Catch, fail the flight, re-throw.
-        let ctx = QueryCtx { deadline };
-        let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.execute_ctx(req, &ctx)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                lock_recover(&self.inflight).remove(req);
-                flight.complete(Err(EngineError::from(IndexError::Corrupt(
-                    "query execution panicked".to_string(),
-                ))));
-                std::panic::resume_unwind(payload);
-            }
-        };
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        lock_recover(&self.inflight).remove(req);
-        flight.complete(result.clone());
-        result
-    }
-
-    /// The batch-planner serving path: queue the request, collect
-    /// concurrent arrivals for up to the admission window, execute the
-    /// whole batch over one shared keyword decode.
-    fn query_batched(
-        &self,
-        batcher: &Batcher,
-        req: &EngineRequest,
-        deadline: Option<Instant>,
-    ) -> EngineResult {
-        let flight = Arc::new(Flight::new());
-        let leads = {
-            let mut queue = lock_recover(&batcher.queue);
-            queue.pending.push((req.clone(), deadline, Arc::clone(&flight)));
-            if queue.collecting {
-                // A leader is inside the admission window and will drain
-                // this entry; wake it so it can fire early at the cap.
-                batcher.arrived.notify_all();
-                false
-            } else {
-                queue.collecting = true;
-                true
-            }
-        };
-        if !leads {
-            return flight.wait();
-        }
-
-        // Leader: hold the admission window open, then drain. Entries
-        // pushed after the drain see `collecting == false` and elect the
-        // next leader, so no request is ever orphaned.
-        //
-        // The window is *adaptive*: it only opens once a second request
-        // is already pending. A leader that finds itself alone drains
-        // its singleton batch immediately — a solo client pays no
-        // admission latency, so enabling batching never slows an
-        // unloaded server. Under concurrency, later requests queue while
-        // the current batch executes, so the next leader sees company
-        // and the window engages exactly when there is sharing to
-        // collect. Grouping never affects answers, only wall-clock.
-        let deadline = Instant::now() + batcher.window;
-        let batch = {
-            let mut queue = lock_recover(&batcher.queue);
-            if queue.pending.len() > 1 {
-                while queue.pending.len() < batcher.max_requests {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    queue = batcher
-                        .arrived
-                        .wait_timeout(queue, left)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-            }
-            queue.collecting = false;
-            std::mem::take(&mut queue.pending)
-        };
-
-        // As in the coalescing path: a panicking batch must not wedge
-        // its waiters — fail every flight, then re-throw.
-        if let Err(payload) =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_batch(&batch)))
-        {
-            let err: EngineResult =
-                Err(EngineError::from(IndexError::Corrupt("batch execution panicked".to_string())));
-            for (_, _, flight) in &batch {
-                flight.complete(err.clone());
-            }
-            std::panic::resume_unwind(payload);
-        }
-        flight.wait()
-    }
-
-    /// Execute one drained batch: dedupe identical requests, decode the
-    /// union of distinct keywords once, serve every request from the
-    /// shared arena, complete every flight.
-    fn run_batch(&self, batch: &[(EngineRequest, Option<Instant>, Arc<Flight>)]) {
+    /// Execute one window: dedupe identical requests, decode the union
+    /// of distinct keywords once, serve every request from the shared
+    /// arena.
+    fn run_batch(&self, batch: &[(EngineRequest, Option<Instant>)]) -> Vec<EngineResult> {
+        // Every answer's `elapsed` counts from here: the budget, the
+        // cache probe and the shared decode are part of what a request
+        // waited for, as they are in `KbtimIndex::query_rr_ctx`.
+        let started = Instant::now();
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
 
@@ -818,16 +592,15 @@ impl QueryEngine {
         let snap: Option<Arc<DeltaSnapshot>> = self.delta.as_ref().map(|d| d.snapshot());
         let serving: &KbtimIndex = snap.as_ref().map(|s| s.base().as_ref()).unwrap_or(&self.index);
 
-        // Identical requests in one batch execute once (the batched
-        // form of coalescing); order of first arrival is kept, though
-        // answers are order-independent anyway. Duplicates share one
-        // execution, governed by the widest member deadline (unbounded
-        // if any duplicate is unbounded) — every duplicate shares that
-        // execution's fate, as in the coalescing path.
+        // Identical requests in one window execute once; order of first
+        // arrival is kept, though answers are order-independent anyway.
+        // Duplicates share one execution, governed by the widest member
+        // deadline (unbounded if any duplicate is unbounded) — every
+        // duplicate shares that execution's fate.
         let mut unique: Vec<&EngineRequest> = Vec::with_capacity(batch.len());
         let mut deadlines: Vec<Option<Instant>> = Vec::with_capacity(batch.len());
         let mut slot: HashMap<&EngineRequest, usize> = HashMap::with_capacity(batch.len());
-        for (req, deadline, _) in batch {
+        for (req, deadline) in batch {
             match slot.get(req) {
                 Some(&at) => {
                     deadlines[at] = match (deadlines[at], *deadline) {
@@ -870,12 +643,22 @@ impl QueryEngine {
             /// fires, every member has expired.
             deadline: Option<Instant>,
         }
+        let variant = snap.as_ref().map_or(self.index.meta().variant, |s| s.meta().variant);
+        let irr_available = matches!(variant, crate::format::IndexVariant::Irr { .. });
+        let mut results: Vec<Option<EngineResult>> = vec![None; unique.len()];
         let mut groups: Vec<Group> = Vec::new();
         for (at, req) in unique.iter().enumerate() {
             // Memory requests are decode-free only without a delta tier;
             // with one attached they join the union groups like every
             // other algorithm (the RAM copy would be stale).
             if req.algo == Algo::Memory && snap.is_none() {
+                continue;
+            }
+            // `Irr` keeps its variant check, made where `execute_ctx`
+            // makes it: before any work is done on the request's behalf.
+            if req.algo == Algo::Irr && !irr_available {
+                self.executed.fetch_add(1, Ordering::Relaxed);
+                results[at] = Some(Err(EngineError::from(IndexError::NotAnIrrIndex)));
                 continue;
             }
             let query = Query::new(req.topics.iter().copied(), req.k);
@@ -938,11 +721,9 @@ impl QueryEngine {
         }
         let wants: Vec<(TopicId, u64)> = wants.into_iter().collect();
 
-        // Execute: memory requests directly on the leader (RAM-only,
-        // decode-free), each keyword-set group over one shared
-        // instance. All three disk algorithms serve from it
-        // (Theorem 3); `Irr` keeps its variant check, as in `execute`.
-        let mut results: Vec<Option<EngineResult>> = vec![None; unique.len()];
+        // Execute: memory requests directly (RAM-only, decode-free),
+        // each keyword-set group over one shared instance. All three
+        // disk algorithms serve from it (Theorem 3).
         if snap.is_none() {
             for (at, req) in unique.iter().enumerate() {
                 if req.algo == Algo::Memory {
@@ -953,11 +734,6 @@ impl QueryEngine {
             }
         }
         let run_group = |group: &Group, arena: &KeywordArena| -> Vec<(usize, EngineResult)> {
-            let variant = match &snap {
-                Some(s) => s.meta().variant,
-                None => self.index.meta().variant,
-            };
-            let irr_available = matches!(variant, crate::format::IndexVariant::Irr { .. });
             let fail = |e: IndexError| -> Vec<(usize, EngineResult)> {
                 let err = EngineError::from(e);
                 self.executed.fetch_add(group.members.len() as u64, Ordering::Relaxed);
@@ -1022,6 +798,7 @@ impl QueryEngine {
             let full = match full {
                 Ok(mut full) => {
                     full.stats.generation = snap.as_ref().map(|s| s.generation());
+                    full.stats.elapsed = started.elapsed();
                     Arc::new(full)
                 }
                 Err(e) => return fail(e),
@@ -1034,15 +811,12 @@ impl QueryEngine {
                 .iter()
                 .map(|&at| {
                     self.executed.fetch_add(1, Ordering::Relaxed);
-                    let req = unique[at];
-                    let result = if req.algo == Algo::Irr && !irr_available {
-                        Err(EngineError::from(IndexError::NotAnIrrIndex))
-                    } else if group.members.len() == 1 {
-                        Ok(Arc::clone(&full))
+                    let outcome = if group.members.len() == 1 {
+                        Arc::clone(&full)
                     } else {
-                        Ok(Arc::new(rr_query::prefix_outcome(&full, req.k, group.phi_q)))
+                        Arc::new(rr_query::prefix_outcome(&full, unique[at].k, group.phi_q))
                     };
-                    (at, result)
+                    (at, Ok(outcome))
                 })
                 .collect()
         };
@@ -1061,14 +835,13 @@ impl QueryEngine {
                 self.keyword_decodes_shared
                     .fetch_add(requested.saturating_sub(wants.len() as u64), Ordering::Relaxed);
                 // Group answers are independent, so groups fan out on
-                // the index's persistent exec pool: without this, a
-                // batch of G disjoint keyword sets would serialize on
-                // the leader thread work that the per-request path ran
-                // G-wide on the client threads now parked in
-                // `Flight::wait`. Nested parallel recounts inside
-                // `query_merged` degrade to inline execution on the
-                // occupied pool, so the fan-out can never deadlock;
-                // answers are unaffected either way — only wall-clock.
+                // the index's persistent exec pool: a window of G
+                // disjoint keyword sets would otherwise serialize on
+                // the one thread that submitted it. Nested parallel
+                // recounts inside `query_merged` degrade to inline
+                // execution on the occupied pool, so the fan-out can
+                // never deadlock; answers are unaffected either way —
+                // only wall-clock.
                 if groups.len() <= 1 {
                     for group in &groups {
                         for (at, result) in run_group(group, &arena) {
@@ -1086,7 +859,7 @@ impl QueryEngine {
                 }
                 serving.recycle_keywords(arena);
             }
-            Err(_) => {
+            Err(union_err) => {
                 // The union decode hit an unreadable keyword. Answers
                 // must not depend on which unrelated requests share a
                 // window, so retry *per group*: groups whose own
@@ -1095,7 +868,11 @@ impl QueryEngine {
                 // error — exactly the per-request semantics. (Memory
                 // requests were already served above; cache-served
                 // groups never needed the decode, so they are served
-                // straight from their cached instance.)
+                // straight from their cached instance.) A lone decoding
+                // group *was* the union: its error is the answer, with
+                // no second attempt.
+                let decoding = groups.iter().filter(|g| g.cached.is_none()).count();
+                let mut lone_err = (decoding == 1).then_some(union_err);
                 for group in &groups {
                     if group.cached.is_some() {
                         for (at, result) in run_group(group, &KeywordArena::default()) {
@@ -1103,20 +880,15 @@ impl QueryEngine {
                         }
                         continue;
                     }
-                    let mut group_wants: BTreeMap<TopicId, u64> = BTreeMap::new();
-                    for &(topic, share) in &group.budget {
-                        let widest = group_wants.entry(topic).or_insert(0);
-                        *widest = (*widest).max(share);
-                    }
-                    let group_wants: Vec<(TopicId, u64)> = group_wants.into_iter().collect();
-                    let retried = match &snap {
-                        Some(s) => s.decode_union(&group_wants),
-                        None => self.index.decode_keywords(&group_wants),
+                    let retried = match (lone_err.take(), &snap) {
+                        (Some(e), _) => Err(e),
+                        (None, Some(s)) => s.decode_union(&group.budget),
+                        (None, None) => self.index.decode_keywords(&group.budget),
                     };
                     match retried {
                         Ok(arena) => {
                             self.keywords_decoded
-                                .fetch_add(group_wants.len() as u64, Ordering::Relaxed);
+                                .fetch_add(group.budget.len() as u64, Ordering::Relaxed);
                             for (at, result) in run_group(group, &arena) {
                                 results[at] = Some(result);
                             }
@@ -1134,14 +906,16 @@ impl QueryEngine {
             }
         }
         self.coalesced.fetch_add((batch.len() - unique.len()) as u64, Ordering::Relaxed);
-        for (req, _, flight) in batch {
-            let result = results[slot[req]].clone().expect("every unique request executed");
-            flight.complete(result);
-        }
+        batch
+            .iter()
+            .map(|(req, _)| results[slot[req]].clone().expect("every unique request executed"))
+            .collect()
     }
 
-    /// Run the request directly, bypassing coalescing and batching (the
-    /// serial-oracle path benchmarks and proptests compare against).
+    /// Run the request directly and alone — **off the serving path**:
+    /// the serial per-request reference the gates and benches compare
+    /// windows against (a window of one compared with itself would
+    /// prove nothing). Counts in no book.
     pub fn execute(&self, req: &EngineRequest) -> EngineResult {
         self.execute_ctx(req, &QueryCtx::default())
     }
@@ -1210,6 +984,13 @@ mod tests {
     use kbtim_storage::{IoStats, TempDir};
 
     fn build_index(dir: &std::path::Path) -> (Dataset, IndexBuildConfig, Arc<KbtimIndex>) {
+        build_index_as(dir, IndexVariant::Irr { partition_size: 20 })
+    }
+
+    fn build_index_as(
+        dir: &std::path::Path,
+        variant: IndexVariant,
+    ) -> (Dataset, IndexBuildConfig, Arc<KbtimIndex>) {
         let data = DatasetConfig::family(DatasetFamily::News)
             .num_users(400)
             .num_topics(6)
@@ -1223,7 +1004,7 @@ mod tests {
                 opt_max_rounds: 5,
                 ..SamplingConfig::fast()
             },
-            variant: IndexVariant::Irr { partition_size: 20 },
+            variant,
             ..IndexBuildConfig::default()
         };
         IndexBuilder::new(&model, &data.profiles, config).build(dir).unwrap();
@@ -1265,37 +1046,22 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_identical_requests_share_one_answer() {
+    fn identical_requests_in_a_window_share_one_answer() {
         let dir = TempDir::new("engine-coalesce").unwrap();
-        let engine = Arc::new(build_engine(dir.path()));
+        let engine = build_engine(dir.path());
         let req = EngineRequest::new([0, 1, 2], 10).with_algo(Algo::Rr);
         let serial = engine.execute(&req).unwrap();
         let issued = 16;
 
-        let barrier = std::sync::Barrier::new(issued);
-        std::thread::scope(|scope| {
-            let joins: Vec<_> = (0..issued)
-                .map(|_| {
-                    let engine = Arc::clone(&engine);
-                    let req = req.clone();
-                    let barrier = &barrier;
-                    scope.spawn(move || {
-                        barrier.wait();
-                        engine.query(&req).unwrap()
-                    })
-                })
-                .collect();
-            for join in joins {
-                let got = join.join().unwrap();
-                assert_eq!(got.seeds, serial.seeds);
-                assert_eq!(got.marginal_gains, serial.marginal_gains);
-            }
-        });
-        // Every request is either executed or coalesced; how many
-        // coalesce depends on timing, but the books must balance (the
+        let window: Vec<_> = (0..issued).map(|_| (req.clone(), None)).collect();
+        for got in engine.query_window(&window) {
+            let got = got.unwrap();
+            assert_eq!(got.seeds, serial.seeds);
+            assert_eq!(got.marginal_gains, serial.marginal_gains);
+        }
+        // One execution, every other member coalesced onto it (the
         // serial oracle went through `execute`, which never counts).
-        assert_eq!(engine.executed() + engine.coalesced(), issued as u64);
-        assert!(engine.executed() >= 1);
+        assert_eq!((engine.executed(), engine.coalesced()), (1, issued as u64 - 1));
     }
 
     #[test]
@@ -1342,8 +1108,7 @@ mod tests {
     #[test]
     fn batched_memory_requests_survive_disk_decode_failure() {
         let dir = TempDir::new("engine-batch-corrupt").unwrap();
-        let engine =
-            Arc::new(build_engine(dir.path()).with_batch_window(Some(Duration::from_millis(300))));
+        let engine = build_engine(dir.path());
         let mem_req = EngineRequest::new([0, 1], 4).with_algo(Algo::Memory);
         let rr_req = EngineRequest::new([0, 1], 4).with_algo(Algo::Rr);
         let mem_serial = engine.execute(&mem_req).unwrap();
@@ -1352,36 +1117,24 @@ mod tests {
         // copy was loaded at engine build, so only disk reads break.
         std::fs::write(dir.path().join(crate::format::keyword_file_name(0)), b"x").unwrap();
 
-        // Fire both into (almost surely) one batch: the rr request must
-        // fail on the shared decode, the memory request must still be
-        // served from RAM — exactly as the per-request path would
-        // behave. (If timing splits them into two batches, the same
-        // assertions hold: a memory-only batch decodes nothing.)
-        let barrier = std::sync::Barrier::new(2);
-        std::thread::scope(|scope| {
-            let rr = scope.spawn(|| {
-                barrier.wait();
-                engine.query(&rr_req)
-            });
-            let mem = scope.spawn(|| {
-                barrier.wait();
-                engine.query(&mem_req)
-            });
-            assert!(rr.join().unwrap().is_err(), "disk request must surface the corrupt segment");
-            let mem = mem.join().unwrap().expect("memory request must survive the batch");
-            assert_eq!(mem.seeds, mem_serial.seeds);
-            assert_eq!(mem.marginal_gains, mem_serial.marginal_gains);
-        });
-        // `execute` (the oracle) bypasses the books; the two batched
-        // clients must balance them.
+        // Both in one window: the rr request must fail on the shared
+        // decode, the memory request must still be served from RAM —
+        // exactly as each would alone.
+        let mut results = engine.query_window(&[(rr_req, None), (mem_req, None)]).into_iter();
+        let rr = results.next().unwrap();
+        assert!(rr.is_err(), "disk request must surface the corrupt segment");
+        let mem = results.next().unwrap().expect("memory request must survive the window");
+        assert_eq!(mem.seeds, mem_serial.seeds);
+        assert_eq!(mem.marginal_gains, mem_serial.marginal_gains);
+        // `execute` (the oracle) bypasses the books; the window's two
+        // members must balance them.
         assert_eq!(engine.executed() + engine.coalesced(), 2);
     }
 
     #[test]
     fn batched_requests_fail_only_groups_touching_corrupt_keywords() {
         let dir = TempDir::new("engine-batch-partial-corrupt").unwrap();
-        let engine =
-            Arc::new(build_engine(dir.path()).with_batch_window(Some(Duration::from_millis(300))));
+        let engine = build_engine(dir.path());
         let healthy = EngineRequest::new([0, 1], 5).with_algo(Algo::Rr);
         let doomed = EngineRequest::new([3], 4).with_algo(Algo::Rr);
         let healthy_serial = engine.execute(&healthy).unwrap();
@@ -1389,25 +1142,15 @@ mod tests {
         // Corrupt only keyword 3's segment; [0, 1] stay readable.
         std::fs::write(dir.path().join(crate::format::keyword_file_name(3)), b"x").unwrap();
 
-        // Both (almost surely) in one batch: the union decode fails on
-        // keyword 3, but the healthy group's answer must not depend on
-        // its batch-mates — it gets its serial result, only the group
+        // Both in one window: the union decode fails on keyword 3, but
+        // the healthy group's answer must not depend on its
+        // window-mates — it gets its serial result, only the group
         // referencing the corrupt keyword errors.
-        let barrier = std::sync::Barrier::new(2);
-        std::thread::scope(|scope| {
-            let ok = scope.spawn(|| {
-                barrier.wait();
-                engine.query(&healthy)
-            });
-            let bad = scope.spawn(|| {
-                barrier.wait();
-                engine.query(&doomed)
-            });
-            assert!(bad.join().unwrap().is_err(), "corrupt-keyword group must error");
-            let got = ok.join().unwrap().expect("healthy group must survive the batch");
-            assert_eq!(got.seeds, healthy_serial.seeds);
-            assert_eq!(got.marginal_gains, healthy_serial.marginal_gains);
-        });
+        let mut results = engine.query_window(&[(healthy, None), (doomed, None)]).into_iter();
+        let got = results.next().unwrap().expect("healthy group must survive the window");
+        assert_eq!(got.seeds, healthy_serial.seeds);
+        assert_eq!(got.marginal_gains, healthy_serial.marginal_gains);
+        assert!(results.next().unwrap().is_err(), "corrupt-keyword group must error");
         assert_eq!(engine.executed() + engine.coalesced(), 2);
     }
 
@@ -1434,62 +1177,75 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_batch_shares_keyword_decodes() {
+    fn a_window_shares_keyword_decodes() {
         let dir = TempDir::new("engine-batch-share").unwrap();
-        let engine =
-            Arc::new(build_engine(dir.path()).with_batch_window(Some(Duration::from_millis(250))));
+        let engine = build_engine(dir.path());
         // Six *distinct* requests over the same two keywords: identical
         // coalescing can't help, only the planner's shared decode can.
         let reqs: Vec<EngineRequest> =
             (0..6).map(|i| EngineRequest::new([0, 1], 3 + i as u32).with_algo(Algo::Rr)).collect();
         let serial: Vec<_> = reqs.iter().map(|r| engine.execute(r).unwrap()).collect();
 
-        // Deterministically build one multi-request batch: park the
-        // planner by pretending a leader is collecting, enqueue every
-        // client as a follower, then release leadership to a final
-        // request that drains them all at once. (A plain barrier race
-        // can serialize on a single-CPU host — each solo leader drains
-        // immediately under the adaptive window — leaving no sharing
-        // to observe.)
-        engine.hold_admission(true);
-        std::thread::scope(|scope| {
-            let joins: Vec<_> = reqs
-                .iter()
-                .map(|req| {
-                    let engine = Arc::clone(&engine);
-                    scope.spawn(move || engine.query(req).unwrap())
-                })
-                .collect();
-            while engine.pending_admission() < reqs.len() {
-                std::thread::yield_now();
-            }
-            engine.hold_admission(false);
-            // The 7th request elects itself leader, finds six pending,
-            // and collects them (plus its own duplicate of reqs[0],
-            // which coalesces in-batch) into one execution.
-            let extra = engine.query(&reqs[0]).unwrap();
-            assert_eq!(extra.seeds, serial[0].seeds);
-            for (join, want) in joins.into_iter().zip(&serial) {
-                let got = join.join().unwrap();
-                assert_eq!(got.seeds, want.seeds);
-                assert_eq!(got.marginal_gains, want.marginal_gains);
-            }
-        });
-        // One batch of 7 requests, 6 unique, one keyword-set group:
+        // One window: the six, plus a duplicate of reqs[0] that
+        // coalesces onto it.
+        let window: Vec<_> = reqs.iter().chain([&reqs[0]]).map(|req| (req.clone(), None)).collect();
+        let got = engine.query_window(&window);
+        for (got, want) in got.iter().zip(serial.iter().chain([&serial[0]])) {
+            let got = got.as_ref().unwrap();
+            assert_eq!(got.seeds, want.seeds);
+            assert_eq!(got.marginal_gains, want.marginal_gains);
+        }
+        // One window of 7 requests, 6 unique, one keyword-set group:
         // every unique request would have decoded 2 keywords (12
         // requested) but the planner decoded each distinct keyword
         // once.
-        assert_eq!(engine.batched_requests(), reqs.len() as u64 + 1);
-        assert!(
-            engine.keyword_decodes_shared() > 0,
-            "concurrent same-keyword requests must share decodes \
-             ({} batches, {} decoded)",
-            engine.batches(),
-            engine.keywords_decoded()
-        );
+        assert_eq!((engine.batches(), engine.batched_requests()), (1, reqs.len() as u64 + 1));
+        assert_eq!((engine.keywords_decoded(), engine.keyword_decodes_shared()), (2, 10));
         // The group's six members shared one max-k greedy run.
         assert_eq!(engine.greedy_shared(), reqs.len() as u64 - 1);
-        assert_eq!(engine.executed() + engine.coalesced(), reqs.len() as u64 + 1);
+        assert_eq!((engine.executed(), engine.coalesced()), (reqs.len() as u64, 1));
+    }
+
+    #[test]
+    fn elapsed_counts_from_the_start_of_the_window() {
+        // Arms a failpoint: the registry is process-global.
+        let _lease = kbtim_fault::exclusive();
+        let dir = TempDir::new("engine-elapsed").unwrap();
+        let engine = build_engine(dir.path());
+        let req = EngineRequest::new([0, 1], 5).with_algo(Algo::Rr);
+        // The shared decode is the largest stage of a cold request; a
+        // response's `elapsed_us` must include it, as the per-request
+        // reference's does.
+        kbtim_fault::arm("engine.decode", "delay(20000)").unwrap();
+        let delay = Duration::from_millis(20);
+        assert!(engine.execute(&req).unwrap().stats.elapsed >= delay);
+        let got = engine.query_window(&[(req, None)]).remove(0).unwrap();
+        assert!(got.stats.elapsed >= delay, "elapsed {:?} omits the decode", got.stats.elapsed);
+    }
+
+    #[test]
+    fn a_window_refuses_irr_on_an_rr_index_before_any_work() {
+        let dir = TempDir::new("engine-irr-on-rr").unwrap();
+        let engine = QueryEngine::new(build_index_as(dir.path(), IndexVariant::Rr).2);
+        let irr = |k| (EngineRequest::new([0, 1], k).with_algo(Algo::Irr), None);
+        for got in engine.query_window(&[irr(4), irr(7)]) {
+            let err = got.unwrap_err();
+            assert!(matches!(err.index_error(), IndexError::NotAnIrrIndex), "{err}");
+        }
+        assert_eq!((engine.keywords_decoded(), engine.merged_groups()), (0, 0));
+        assert_eq!(engine.executed(), 2);
+
+        // A mixed window still answers its `rr` / `auto` members bit
+        // for bit, and only they are decoded for.
+        let rr = EngineRequest::new([0, 1], 5).with_algo(Algo::Rr);
+        let auto = EngineRequest::new([0, 1], 9);
+        let want = [engine.execute(&rr).unwrap(), engine.execute(&auto).unwrap()];
+        let mut got = engine.query_window(&[irr(6), (rr, None), (auto, None)]).into_iter();
+        assert!(got.next().unwrap().is_err());
+        for want in &want {
+            assert_same_answer(&got.next().unwrap().unwrap(), want, "mixed window");
+        }
+        assert_eq!((engine.keywords_decoded(), engine.merged_groups()), (2, 1));
     }
 
     #[test]
@@ -1641,24 +1397,6 @@ mod tests {
         );
         assert_eq!((engine.merge_cache_len(), engine.merge_cache_misses()), (1, 2));
         assert_eq!(materialized(), built_before + 1);
-    }
-
-    #[test]
-    fn adaptive_window_drains_solo_leaders_immediately() {
-        let dir = TempDir::new("engine-adaptive").unwrap();
-        // A window far longer than the test budget: if a solo batched
-        // request waited the window out, this test would hang for 30s.
-        let engine = build_engine(dir.path()).with_batch_window(Some(Duration::from_secs(30)));
-        let req = EngineRequest::new([0, 1], 5).with_algo(Algo::Rr);
-        let want = engine.execute(&req).unwrap();
-        let started = std::time::Instant::now();
-        let got = engine.query(&req).unwrap();
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "solo leader must not hold the admission window open"
-        );
-        assert_eq!(got.seeds, want.seeds);
-        assert_eq!(engine.batches(), 1);
     }
 
     #[test]

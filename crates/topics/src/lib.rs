@@ -17,7 +17,7 @@
 //!
 //! The [`workload`] module generates Zipf-skewed synthetic profiles and
 //! keyword-query workloads standing in for the paper's LDA topics and AOL
-//! query log (see DESIGN.md for the substitution argument).
+//! query log.
 
 pub mod io;
 pub mod workload;

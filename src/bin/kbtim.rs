@@ -489,10 +489,8 @@ fn stdin_is_pipe() -> bool {
 fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Result<(), String> {
     use kbtim::index::{PageCache, QueryEngine};
     use kbtim::serve::{
-        handle_line_ctx, read_bounded_line, render_error, serve_epoll, serve_threads, term_signal,
-        EpollConfig, LineRead, Router, ServeCtx,
+        serve_epoll, serve_stdio, serve_threads, term_signal, EpollConfig, Router, ServeCtx,
     };
-    use std::io::Write;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -535,16 +533,14 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
         "off" => false,
         other => return Err(format!("--memory must be on|off, got {other:?}")),
     };
-    // Cross-request batch admission window in microseconds; 0 disables
-    // the planner (identical-request coalescing still applies). The
-    // default differs by transport: TCP serving defaults to 200 µs
-    // (far below a query's own latency, and concurrent connections can
-    // actually share decode work), while the stdin/stdout loop is
-    // strictly serial — one request is read only after the previous
-    // response is written — so a window there is pure added latency
-    // and defaults to off. An explicit --batch overrides either way.
-    let batch_default: u64 = if flags.contains_key("listen") { 200 } else { 0 };
-    let batch_us: u64 = parse(flags, "batch", batch_default)?;
+    // Cross-request batching: 0 pins every dispatcher window to one
+    // request; any other value lets a worker take its share of what is
+    // queued (requests in a window share keyword decodes and greedy
+    // runs). Nothing ever waits for a window to fill, so the number
+    // itself is otherwise unused, and one default serves every
+    // transport: a strictly serial stream never has a second request
+    // queued to share with.
+    let batch_us: u64 = parse(flags, "batch", 200)?;
     let batch_window = (batch_us > 0).then(|| Duration::from_micros(batch_us));
     // Prepared-query cache: keep up to ENTRIES merged keyword unions
     // resident per engine, keyed by (keyword set, segment generation).
@@ -567,9 +563,9 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
         return Err("--max-line must be positive".to_string());
     }
     // TCP front end: `epoll` (Linux default — one event loop, pipelined
-    // requests, fixed worker pool) or `threads` (portable, one thread
-    // per connection). Off Linux, `epoll` falls back to `threads` with
-    // a notice. Stdin mode is its own strictly-serial loop.
+    // requests) or `threads` (portable, one thread per connection). Off
+    // Linux, `epoll` falls back to `threads` with a notice. Stdin mode
+    // is one more blocking stream. All feed the same dispatcher.
     let fe_flag = flags.get("front-end").map(String::as_str);
     if fe_flag.is_some() && !flags.contains_key("listen") {
         return Err("--front-end requires --listen".to_string());
@@ -600,9 +596,9 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     if backlog <= 0 {
         return Err("--backlog must be positive".to_string());
     }
-    // Query-execution workers of the epoll dispatcher; 0 = the
-    // machine's available parallelism. Distinct from --threads, which
-    // is the per-query fan-out *inside* the engine.
+    // Query-execution workers of the dispatcher (every front end);
+    // 0 = the machine's available parallelism. Distinct from --threads,
+    // which is the per-query fan-out *inside* the engine.
     let workers: usize = parse(flags, "workers", 0)?;
     // Per-connection unread-response cap in bytes; beyond it the loop
     // stops reading the connection until the client drains (TCP
@@ -711,40 +707,8 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     };
 
     match flags.get("listen") {
-        None => {
-            // stdin/stdout mode: one request line in, one response line
-            // out, until EOF or SIGTERM. The loop is strictly serial,
-            // so the termination latch is observed between requests.
-            let stdin = std::io::stdin();
-            let mut reader = stdin.lock();
-            let mut stdout = std::io::stdout().lock();
-            loop {
-                if term_signal::pending() {
-                    ctx.begin_shutdown();
-                    break;
-                }
-                let read = read_bounded_line(&mut reader, max_line).map_err(|e| e.to_string())?;
-                let response = match read {
-                    LineRead::Eof => break,
-                    LineRead::TooLong => render_error(
-                        None,
-                        "bad_request",
-                        &format!("request line exceeds {max_line} bytes"),
-                        ctx.front_end(),
-                    ),
-                    LineRead::Line(line) => {
-                        let line = line.trim();
-                        if line.is_empty() {
-                            continue;
-                        }
-                        handle_line_ctx(&router, &ctx, line)
-                    }
-                };
-                writeln!(stdout, "{response}").map_err(|e| e.to_string())?;
-                stdout.flush().map_err(|e| e.to_string())?;
-            }
-            ctx.begin_shutdown();
-        }
+        None => serve_stdio(Arc::clone(&router), Arc::clone(&ctx), max_line, workers)
+            .map_err(|e| e.to_string())?,
         Some(addr) => {
             let listener = std::net::TcpListener::bind(addr).map_err(|e| e.to_string())?;
             eprintln!(
@@ -779,6 +743,7 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
                         Arc::clone(&router),
                         Arc::clone(&ctx),
                         max_line,
+                        workers,
                         watch_stdin,
                         grace,
                     )

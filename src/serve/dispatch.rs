@@ -1,7 +1,9 @@
-//! The epoll front end's execution stage: admitted requests flow from
-//! the event loop into a fair queue, a fixed worker pool dequeues
-//! per-(connection × index) windows, runs them through the engine, and
-//! hands rendered responses back over a waker-coupled completion queue.
+//! The serving tier's execution stage, shared by every transport:
+//! admitted requests enter a fair queue, a fixed worker pool dequeues
+//! per-(connection × index) windows, runs each through
+//! [`execute_window`](super::execute_window), and hands the rendered
+//! responses to the transport's `deliver` hook. This is the one place a
+//! window of concurrent requests is formed.
 //!
 //! Fairness: the queue keys work on `(connection, route)` and rotates a
 //! ring of keys, taking one request per key per pass. A client that
@@ -10,36 +12,24 @@
 //! starve the others, and no index monopolizes the workers just
 //! because its clients are chattier.
 //!
-//! Batching: when the engine has a batch window configured, a worker
-//! dequeues a whole *window* of same-route requests (the fair rotation
-//! bounded by the planner's cap) and executes it via
-//! [`QueryEngine::query_window`] — the ready queue has already
-//! collected the concurrency a condvar admission window would wait
-//! for, which is what lets the batch leader stop sleeping (the
-//! `BENCH_batch.json` 1-client regression this PR retires).
-//!
-//! Windows follow the traffic, not the race between threads: the event
-//! loop hands over what one pass over its ready connections admitted in
-//! one [`Dispatcher::submit_all`], a worker takes at most its share of
-//! the admitted work ([`window_share`]), and a window's answers go back
-//! in one [`CompletionQueue::push_all`]. Without these a worker woken
-//! by the first request of a burst ran it alone while its peer took the
-//! other fifteen, or took all sixteen while its peer slept — which of
-//! the two depended on microseconds, and a window's decode is shared by
-//! its members, so throughput depended on them too.
+//! Windows follow the traffic, not the race between threads — nobody
+//! waits to fill one. A transport hands over what it admitted together
+//! in one [`Dispatcher::submit_all`] (epoll: one pass over its ready
+//! connections; a blocking stream: its one line), a worker takes at
+//! most its share of the admitted work ([`window_share`]) — whatever
+//! queued while the workers were busy — and a window's answers go back
+//! in one `deliver` call. Without these a worker woken by the first
+//! request of a burst ran it alone while its peer took the other
+//! fifteen, or took all sixteen while its peer slept — which of the two
+//! depended on microseconds, and a window's decode is shared by its
+//! members, so throughput depended on them too.
 
-use super::{
-    execute_rendered, render_result, OwnedPermit, Router, ServeCtx, ServeOp, ServeRequest,
-};
-use kbtim_exec::CompletionQueue;
+use super::{execute_window, Admitted, Router, ServeCtx};
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
-/// Planner cap reused as the dequeue window size when the engine
-/// batches (mirrors the `Batcher::max_requests` default).
+/// Cap on a dequeued window.
 const BATCH_WINDOW_MAX: usize = 64;
 
 /// How many requests a worker dequeues at most: its share of the
@@ -52,20 +42,14 @@ fn window_share(queued: usize, running: usize, workers: usize) -> usize {
     (queued + running).div_ceil(workers).clamp(1, BATCH_WINDOW_MAX)
 }
 
-/// One admitted request travelling from the event loop to a worker.
+/// One admitted request travelling from a transport to a worker. Its
+/// admission slot releases when this struct drops: response delivered,
+/// or the request dropped with the queue on an expired drain.
 pub(crate) struct Pending {
     /// Connection the response goes back to.
     pub conn: u64,
-    /// Route id ([`Router::resolve`]) — the engine that answers.
-    pub route: usize,
-    /// The parsed request.
-    pub req: ServeRequest,
-    /// Effective deadline, computed at admission.
-    pub deadline: Option<Instant>,
-    /// The admission slot; released when this struct drops (response
-    /// enqueued, or the dispatcher dropped the request on shutdown).
-    #[allow(dead_code)] // held for its Drop
-    pub permit: Option<OwnedPermit>,
+    /// What the admission chain admitted.
+    pub admitted: Admitted,
 }
 
 /// The per-(connection × route) fair queue. Not thread-safe by itself;
@@ -80,7 +64,7 @@ pub(crate) struct FairQueue {
 
 impl FairQueue {
     pub(crate) fn push(&mut self, item: Pending) {
-        let key = (item.conn, item.route);
+        let key = (item.conn, item.admitted.route);
         let queue = self.queues.entry(key).or_default();
         if queue.is_empty() {
             self.keys.push_back(key);
@@ -143,6 +127,10 @@ impl FairQueue {
     }
 }
 
+/// A window's `(connection, response)` pairs, as handed to a
+/// transport's `deliver` hook.
+pub(crate) type Answered = Vec<(u64, String)>;
+
 struct Shared {
     queue: Mutex<FairQueue>,
     ready: Condvar,
@@ -151,7 +139,8 @@ struct Shared {
     /// what is still queued (the queued `Pending`s are dropped by
     /// [`Dispatcher::stop_and_join`], releasing their permits).
     abandon: AtomicBool,
-    completions: CompletionQueue<(u64, String)>,
+    /// Where a window's `(connection, response)` pairs go, all at once.
+    deliver: Box<dyn Fn(Answered) + Send + Sync>,
     /// Requests the workers hold right now: dequeued, not yet answered.
     running: AtomicUsize,
     workers: usize,
@@ -159,29 +148,35 @@ struct Shared {
     ctx: Arc<ServeCtx>,
 }
 
-/// The worker pool bridging the event loop and the engines.
+/// The worker pool bridging the transports and the engines.
 pub(crate) struct Dispatcher {
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Dispatcher {
-    /// Spawn `workers` threads (min 1). `waker` runs after every
-    /// completed response lands — the event loop passes its eventfd
-    /// signal so `epoll_wait` wakes.
+    /// Spawn `workers` threads (`0` = the machine's available
+    /// parallelism). `deliver` receives each window's
+    /// `(connection, response)` pairs together, on the worker that ran
+    /// it — the epoll transport writes them to their sockets there and
+    /// tells its loop which connections it touched, the blocking
+    /// transports post to their streams' mailboxes.
     pub(crate) fn new(
         router: Arc<Router>,
         ctx: Arc<ServeCtx>,
         workers: usize,
-        waker: impl Fn() + Send + Sync + 'static,
+        deliver: impl Fn(Answered) + Send + Sync + 'static,
     ) -> Dispatcher {
-        let workers = workers.max(1);
+        let workers = match workers {
+            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            n => n,
+        };
         let shared = Arc::new(Shared {
             queue: Mutex::new(FairQueue::default()),
             ready: Condvar::new(),
             stop: AtomicBool::new(false),
             abandon: AtomicBool::new(false),
-            completions: CompletionQueue::new(waker),
+            deliver: Box::new(deliver),
             running: AtomicUsize::new(0),
             workers,
             router,
@@ -196,15 +191,20 @@ impl Dispatcher {
                     .expect("spawn serve worker")
             })
             .collect();
-        Dispatcher { shared, workers }
+        Dispatcher { shared, workers: Mutex::new(workers) }
     }
 
-    /// Hand the pool everything one event-loop pass admitted (drains
+    /// Hand the pool everything a transport admitted together (drains
     /// `items`): queued under one lock, so the workers woken see the
-    /// whole burst and split it, not its first request.
+    /// whole burst and split it, not its first request. Once the pool
+    /// has been stopped nobody would answer, so `items` is left as it
+    /// is for the caller to refuse.
     pub(crate) fn submit_all(&self, items: &mut Vec<Pending>) {
         let burst = items.len();
         let mut queue = self.shared.queue.lock().expect("dispatch queue poisoned");
+        if self.shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
         for item in items.drain(..) {
             queue.push(item);
         }
@@ -216,40 +216,34 @@ impl Dispatcher {
         }
     }
 
-    /// Move every finished `(conn, response)` pair into `out`.
-    pub(crate) fn drain_completions(&self, out: &mut Vec<(u64, String)>) -> usize {
-        self.shared.completions.drain_into(out)
-    }
-
     /// Requests queued but not yet picked up by a worker.
     pub(crate) fn queued(&self) -> usize {
         self.shared.queue.lock().expect("dispatch queue poisoned").len()
     }
 
     /// Stop the workers. With `finish_queued` (a clean drain: nothing
-    /// was pending when the loop decided to exit), workers first
-    /// finish everything still queued and are joined; completions
-    /// pushed during the drain still reach
-    /// [`Dispatcher::drain_completions`] afterwards.
+    /// was pending when the transport decided to exit), workers first
+    /// finish everything still queued and are joined; every response
+    /// has been delivered when this returns.
     ///
     /// Without it — the drain grace expired — the queued `Pending`s
     /// are dropped on the spot (counted as shed; their admission
     /// permits release), workers exit after at most their current
     /// window, and they are detached rather than joined: a query
-    /// wedged inside the engine must not pin shutdown past the grace,
-    /// exactly as the threads front end's detached handlers cannot.
-    pub(crate) fn stop_and_join(&mut self, finish_queued: bool) {
+    /// wedged inside the engine must not pin shutdown past the grace.
+    pub(crate) fn stop_and_join(&self, finish_queued: bool) {
         if !finish_queued {
             self.shared.abandon.store(true, Ordering::SeqCst);
         }
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.ready.notify_all();
+        let workers = std::mem::take(&mut *self.workers.lock().expect("worker list poisoned"));
         if finish_queued {
-            for worker in self.workers.drain(..) {
+            for worker in workers {
                 let _ = worker.join();
             }
         } else {
-            self.workers.clear();
+            drop(workers);
             let abandoned =
                 std::mem::take(&mut *self.shared.queue.lock().expect("dispatch queue poisoned"));
             for _ in 0..abandoned.len() {
@@ -279,9 +273,8 @@ fn worker_main(shared: &Shared) {
                 queue = shared.ready.wait(queue).expect("dispatch queue poisoned");
             }
             let route = queue.front_route().expect("non-empty queue has a front");
-            // A batching engine profits from whole windows; without a
-            // window the engine coalesces per request and a window of 1
-            // preserves the PR-7 execution path exactly.
+            // An engine served with `--batch 0` asks for no batching:
+            // its windows are pinned to one request.
             let max = if shared.router.engine_at(route).batch_window().is_some() {
                 window_share(queue.len(), shared.running.load(Ordering::SeqCst), shared.workers)
             } else {
@@ -291,117 +284,35 @@ fn worker_main(shared: &Shared) {
             shared.running.fetch_add(window.len(), Ordering::SeqCst);
             window
         };
-        let taken = window.len();
-        execute_window(shared, window);
-        shared.running.fetch_sub(taken, Ordering::SeqCst);
-    }
-}
-
-/// Run one dequeued window and push its responses. Every `Pending` is
-/// answered exactly once; permits release as the items drop.
-fn execute_window(shared: &Shared, window: Vec<Pending>) {
-    debug_assert!(!window.is_empty(), "workers only dequeue non-empty windows");
-    let route = window[0].route;
-    let engine = shared.router.engine_at(route);
-    let ctx = &shared.ctx;
-
-    // Non-batching engines take the PR-7 per-request path unchanged
-    // (window size is pinned to 1 for them — coalescing happens in the
-    // engine). Batching engines must NOT: `execute_rendered` would
-    // route into the planner's condvar admission window, and with
-    // several workers the elected leader always finds company pending
-    // and sleeps out the full window per request. The ready queue
-    // already collected the concurrency — `query_window` runs the
-    // batch directly, even a batch of one.
-    if window.len() == 1 && engine.batch_window().is_none() {
-        let item = &window[0];
-        let rendered = execute_rendered(engine, ctx, &item.req, item.deadline);
-        shared.completions.push((item.conn, rendered));
-        return;
-    }
-
-    // Split out requests already expired at dequeue — the same
-    // admission-expiry check `execute_rendered` applies — then run the
-    // rest as one shared batch. Mutation ops never batch: each runs on
-    // its own through the per-request path (serialized on the delta
-    // tier's writer lane), so a window mixing queries and writes
-    // answers both correctly.
-    let now = Instant::now();
-    let mut live: Vec<&Pending> = Vec::with_capacity(window.len());
-    for item in &window {
-        if !matches!(item.req.op, ServeOp::Query) {
-            let rendered = execute_rendered(engine, ctx, &item.req, item.deadline);
-            shared.completions.push((item.conn, rendered));
-        } else if item.deadline.is_some_and(|d| now >= d) {
-            ctx.count_expired();
-            shared.completions.push((
-                item.conn,
-                super::render_error(
-                    item.req.id,
-                    "deadline_exceeded",
-                    "deadline expired at admission",
-                    ctx.front_end(),
-                ),
-            ));
-        } else {
-            live.push(item);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-
-    let requests: Vec<_> =
-        live.iter().map(|item| (item.req.request.clone(), item.deadline)).collect();
-    match catch_unwind(AssertUnwindSafe(|| engine.query_window(&requests))) {
         // The window's answers exist together, so they go back
-        // together: one wake-up of the event loop, one write per
+        // together: one wake-up of the transport, one write per
         // connection, and the clients' next requests arrive as a burst.
-        Ok(results) => shared.completions.push_all(
-            live.iter()
-                .zip(results)
-                .map(|(item, result)| {
-                    (item.conn, render_result(engine, ctx, &item.req, Ok(result)))
-                })
-                .collect::<Vec<_>>(),
-        ),
-        // The whole window shares the execution, so the whole window
-        // shares the containment: each request gets the structured
-        // panic response its connection expects.
-        Err(_) => shared.completions.push_all(
-            live.iter()
-                .map(|item| {
-                    let panicked = Err(Box::new(()) as Box<dyn std::any::Any + Send>);
-                    (item.conn, render_result(engine, ctx, &item.req, panicked))
-                })
-                .collect::<Vec<_>>(),
-        ),
+        let engine = shared.router.engine_at(window[0].admitted.route);
+        let admitted: Vec<&Admitted> = window.iter().map(|item| &item.admitted).collect();
+        let responses = execute_window(engine, &shared.ctx, &admitted);
+        let taken = window.len();
+        let answered: Answered = window.iter().map(|item| item.conn).zip(responses).collect();
+        // Release the admission slots before any client can read its
+        // answer and send the next request.
+        drop(window);
+        (shared.deliver)(answered);
+        shared.running.fetch_sub(taken, Ordering::SeqCst);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::ServeRequest;
     use super::*;
-    use kbtim_index::{Algo, EngineRequest};
 
     fn pending(conn: u64, route: usize, tag: u32) -> Pending {
-        Pending {
-            conn,
-            route,
-            req: ServeRequest {
-                id: Some(tag as u64),
-                index: None,
-                deadline_ms: None,
-                op: ServeOp::Query,
-                request: EngineRequest { topics: vec![tag], k: 1, algo: Algo::Auto },
-            },
-            deadline: None,
-            permit: None,
-        }
+        let req = ServeRequest::parse(&format!("{{\"topics\":[{tag}],\"k\":1}}")).unwrap();
+        let _permit = ServeCtx::unlimited().admit().unwrap();
+        Pending { conn, admitted: Admitted { route, req, deadline: None, _permit } }
     }
 
     fn tags(window: &[Pending]) -> Vec<(u64, u32)> {
-        window.iter().map(|p| (p.conn, p.req.request.topics[0])).collect()
+        window.iter().map(|p| (p.conn, p.admitted.req.request.topics[0])).collect()
     }
 
     #[test]

@@ -7,17 +7,20 @@
 //!   nonblocking reads through an incremental [`LineFramer`](super::LineFramer)
 //!   (same cap/resync semantics as the blocking reader), response
 //!   outboxes with `EPOLLOUT` re-arm, and the drain state machine.
-//! * **Dispatch (`super::dispatch`)** — admitted requests enter a
-//!   per-(connection × index) fair queue, one loop pass's worth at a
-//!   time; workers dequeue windows (each at most its share) and
-//!   execute them, batching through
-//!   [`kbtim_index::QueryEngine::query_window`] when the engine has a
-//!   batch window configured (the ready queue *is* the admission
-//!   window, so nobody condvar-sleeps to collect concurrency).
-//! * **Hand-off (`super::sys`)** — workers push rendered responses into
-//!   a [`kbtim_exec::CompletionQueue`] whose waker writes an
-//!   `eventfd`, kicking `epoll_wait`; the loop drains completions in
-//!   batches and routes each to its connection by id.
+//! * **Dispatch (`super::dispatch`)** — the stage every transport
+//!   shares: admitted requests enter a per-(connection × index) fair
+//!   queue, one loop pass's worth at a time; workers dequeue windows
+//!   (each at most its share) and execute them through
+//!   [`kbtim_index::QueryEngine::query_window`].
+//! * **Hand-off (`super::conn`, `super::sys`)** — the worker that
+//!   rendered a window writes each connection's answers to its socket
+//!   itself (one write per connection, serialized with the loop's own
+//!   writes by the connection's outbox lock), then names the
+//!   connections it touched in a [`kbtim_exec::CompletionQueue`] whose
+//!   waker writes an `eventfd`, kicking `epoll_wait`: the loop flushes
+//!   what a socket did not take, re-arms interest and closes what is
+//!   finished. An answer therefore reaches its client without waiting
+//!   for the loop thread to wake.
 //!
 //! Pipelining: a client may write many request lines without reading;
 //! responses come back **in completion order**, matched by the echoed
@@ -29,10 +32,11 @@
 //! cap), so a client that pipelines without reading is throttled by
 //! TCP instead of growing server memory without bound.
 //!
-//! Overload and drain books are the same [`ServeCtx`] the
-//! thread-per-connection front end uses, so admission permits,
-//! deadlines, failpoint containment, and the drained stats line work
-//! unchanged across front ends.
+//! Admission is the one chain every transport calls (`admit_line`),
+//! with this transport's per-connection bounds passed in; the books
+//! are the same [`ServeCtx`], so permits, deadlines, failpoint
+//! containment, and the drained stats line work unchanged across
+//! front ends.
 //!
 //! Connections are addressed by a **monotonic id**, never by fd: the
 //! kernel reuses fds the moment a connection closes, and a completion
@@ -132,16 +136,20 @@ pub fn serve_epoll(
         // EOF only.
         let _ = epoll.add(0, linux::TOK_STDIN);
     }
-    let workers = match cfg.workers {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        n => n,
-    };
-    let waker = {
+    let completions = {
         let wake = Arc::clone(&wake);
-        move || wake.signal()
+        Arc::new(kbtim_exec::CompletionQueue::new(move || wake.signal()))
     };
-    let dispatcher =
-        super::dispatch::Dispatcher::new(Arc::clone(&router), Arc::clone(&ctx), workers, waker);
+    let wires = Arc::new(linux::Wires::default());
+    let dispatcher = {
+        let (completions, wires) = (Arc::clone(&completions), Arc::clone(&wires));
+        super::dispatch::Dispatcher::new(
+            Arc::clone(&router),
+            Arc::clone(&ctx),
+            cfg.workers,
+            move |window| completions.push_all(wires.write_window(window)),
+        )
+    };
     linux::EventLoop {
         epoll,
         wake,
@@ -149,7 +157,9 @@ pub fn serve_epoll(
         router,
         ctx,
         cfg,
-        dispatcher: Some(dispatcher),
+        dispatcher,
+        completions,
+        wires,
         conns: std::collections::HashMap::new(),
         next_id: linux::FIRST_CONN,
         accepting: true,
@@ -162,18 +172,19 @@ pub fn serve_epoll(
 
 #[cfg(target_os = "linux")]
 mod linux {
-    use super::super::conn::Conn;
-    use super::super::dispatch::{Dispatcher, Pending};
+    use super::super::conn::{Conn, Wire};
+    use super::super::dispatch::{Answered, Dispatcher, Pending};
     use super::super::framer::FramedLine;
     use super::super::sys::{self, EpollEvent, EventFd};
     use super::super::term_signal;
-    use super::super::{render_error, render_unknown_index, Router, ServeCtx, ServeRequest};
+    use super::super::{admit_line, render_error, Router, ServeCtx};
     use super::EpollConfig;
+    use kbtim_exec::CompletionQueue;
     use std::collections::HashMap;
     use std::io::{self, Read, Write};
     use std::net::TcpListener;
     use std::os::unix::io::AsRawFd;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, PoisonError};
     use std::time::Instant;
 
     /// Fixed epoll tokens; connection ids start above them and only
@@ -183,6 +194,50 @@ mod linux {
     pub(super) const TOK_STDIN: u64 = 2;
     pub(super) const FIRST_CONN: u64 = 3;
 
+    /// The write sides of the open connections, by connection id: where
+    /// a worker finds the socket its answers go to. The loop adds a
+    /// connection when it accepts it and removes it when it closes it.
+    #[derive(Default)]
+    pub(super) struct Wires(Mutex<HashMap<u64, Arc<Wire>>>);
+
+    impl Wires {
+        fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<Wire>>> {
+            self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Write a window's answers, one write per connection, and
+        /// return the connections written to (each once) for the loop
+        /// to look after. An answer whose connection has since closed
+        /// is dropped — its admission permit was already released when
+        /// its `Pending` dropped.
+        pub(super) fn write_window(&self, window: Answered) -> Vec<u64> {
+            let mut per_conn: Vec<(u64, Vec<u8>, usize)> = Vec::new();
+            for (id, response) in window {
+                let at = match per_conn.iter().position(|(conn, ..)| *conn == id) {
+                    Some(at) => at,
+                    None => {
+                        per_conn.push((id, Vec::with_capacity(response.len() + 1), 0));
+                        per_conn.len() - 1
+                    }
+                };
+                let (_, lines, answered) = &mut per_conn[at];
+                lines.extend_from_slice(response.as_bytes());
+                lines.push(b'\n');
+                *answered += 1;
+            }
+            per_conn
+                .into_iter()
+                .map(|(id, lines, answered)| {
+                    let wire = self.lock().get(&id).cloned();
+                    if let Some(wire) = wire {
+                        wire.answer(&lines, answered);
+                    }
+                    id
+                })
+                .collect()
+        }
+    }
+
     pub(super) struct EventLoop {
         pub epoll: sys::Epoll,
         pub wake: Arc<EventFd>,
@@ -190,8 +245,10 @@ mod linux {
         pub router: Arc<Router>,
         pub ctx: Arc<ServeCtx>,
         pub cfg: EpollConfig,
-        /// `Option` so the drain tail can take it for `stop_and_join`.
-        pub dispatcher: Option<Dispatcher>,
+        pub dispatcher: Dispatcher,
+        /// The connections a worker has just written answers to.
+        pub completions: Arc<CompletionQueue<u64>>,
+        pub wires: Arc<Wires>,
         pub conns: HashMap<u64, Conn>,
         pub next_id: u64,
         pub accepting: bool,
@@ -199,7 +256,7 @@ mod linux {
         /// reads happen one connection at a time on the loop thread.
         pub buf: Vec<u8>,
         /// Reusable completion drain buffer.
-        pub scratch: Vec<(u64, String)>,
+        pub scratch: Vec<u64>,
         /// Requests admitted during the current pass over the ready
         /// connections, handed to the dispatcher together when it ends.
         pub staged: Vec<Pending>,
@@ -226,10 +283,9 @@ mod linux {
                     drain_deadline = Some(Instant::now() + self.cfg.grace);
                 }
                 if let Some(deadline) = drain_deadline {
-                    let dispatcher = self.dispatcher.as_ref().expect("dispatcher until drained");
-                    let idle = dispatcher.queued() == 0
+                    let idle = self.dispatcher.queued() == 0
                         && self.ctx.inflight() == 0
-                        && self.conns.values().all(Conn::done);
+                        && self.conns.values().all(|conn| conn.wire.done());
                     if idle {
                         break;
                     }
@@ -254,27 +310,15 @@ mod linux {
                 }
                 // One hand-over per pass: a burst of pipelined requests
                 // reaches the workers whole (see `dispatch`).
-                if let Some(dispatcher) = self.dispatcher.as_ref() {
-                    dispatcher.submit_all(&mut self.staged);
-                }
+                self.dispatcher.submit_all(&mut self.staged);
                 self.apply_completions();
             }
             // Drain tail: finish whatever is still queued (unless the
             // grace expired — then the queue is abandoned and its
             // permits released), deliver the final completions, flush
             // best-effort, report.
-            if let Some(mut dispatcher) = self.dispatcher.take() {
-                dispatcher.stop_and_join(graceful);
-                self.scratch.clear();
-                dispatcher.drain_completions(&mut self.scratch);
-                let last = std::mem::take(&mut self.scratch);
-                for (id, response) in last {
-                    if let Some(conn) = self.conns.get_mut(&id) {
-                        conn.pending -= 1;
-                        conn.enqueue_response(&response);
-                    }
-                }
-            }
+            self.dispatcher.stop_and_join(graceful);
+            self.apply_completions();
             let ids: Vec<u64> = self.conns.keys().copied().collect();
             for id in ids {
                 self.flush_and_rearm(id);
@@ -342,7 +386,9 @@ mod linux {
                 if self.epoll.add(stream.as_raw_fd(), id).is_err() {
                     continue;
                 }
-                self.conns.insert(id, Conn::new(stream, self.cfg.max_line));
+                let conn = Conn::new(stream, self.cfg.max_line);
+                self.wires.lock().insert(id, Arc::clone(&conn.wire));
+                self.conns.insert(id, conn);
             }
         }
 
@@ -393,11 +439,11 @@ mod linux {
                     let Some(conn) = self.conns.get_mut(&id) else {
                         return true;
                     };
-                    if conn.read_closed || conn.outbox.len() > self.cfg.outbox_cap {
+                    if conn.read_closed || conn.wire.unsent() > self.cfg.outbox_cap {
                         return true;
                     }
                     loop {
-                        match conn.stream.read(&mut self.buf) {
+                        match (&conn.wire.stream).read(&mut self.buf) {
                             Ok(0) => {
                                 conn.read_closed = true;
                                 if let Some(last) = conn.framer.finish() {
@@ -425,24 +471,21 @@ mod linux {
             }
         }
 
-        /// One framed request line: the epoll-side equivalent of
-        /// [`super::super::handle_line_ctx`], with the execution
-        /// detached — parse and admission happen here on the loop
-        /// thread (cheap, and errors answer immediately), the query
-        /// itself goes through the fair queue to a worker, and the
-        /// response comes back as a completion.
+        /// One framed request line: admission happens here on the loop
+        /// thread (cheap, and refusals answer immediately), the
+        /// admitted request goes through the fair queue to a worker,
+        /// which writes the response.
         fn process_line(&mut self, id: u64, line: FramedLine) {
-            let fe = self.ctx.front_end();
-            let Some(conn) = self.conns.get_mut(&id) else {
+            let Some(wire) = self.conns.get(&id).map(|conn| &conn.wire) else {
                 return;
             };
             let line = match line {
                 FramedLine::TooLong => {
-                    conn.enqueue_response(&render_error(
+                    wire.enqueue_response(&render_error(
                         None,
                         "bad_request",
                         &format!("request line exceeds {} bytes", self.cfg.max_line),
-                        fe,
+                        self.ctx.front_end(),
                     ));
                     return;
                 }
@@ -452,105 +495,43 @@ mod linux {
             if line.is_empty() {
                 return;
             }
-            let parsed = match ServeRequest::parse(line) {
-                Ok(parsed) => parsed,
-                Err(err) => {
-                    self.ctx.count_failed();
-                    let recovered = ServeRequest::recover_id(line);
-                    conn.enqueue_response(&render_error(recovered, err.code, &err.message, fe));
-                    return;
+            // Per-connection backpressure. Over-cap outboxes pause
+            // *reading* (see `read_ready`), so the outbox branch only
+            // fires for lines framed from the chunk that pushed the
+            // outbox over — a bounded tail, not an amplification loop:
+            // after this chunk the connection is not read again until
+            // the client drains below the cap.
+            let cfg = &self.cfg;
+            let conn_full = || {
+                if wire.pending() >= cfg.pipeline_depth {
+                    Some(format!("pipeline full ({} requests in flight)", cfg.pipeline_depth))
+                } else if wire.unsent() > cfg.outbox_cap {
+                    Some(format!("outbox full ({} bytes unread)", cfg.outbox_cap))
+                } else {
+                    None
                 }
             };
-            if self.ctx.is_shutting_down() {
-                self.ctx.count_shed();
-                conn.enqueue_response(&render_error(
-                    parsed.id,
-                    "shutting_down",
-                    "server is draining; request rejected",
-                    fe,
-                ));
-                return;
+            match admit_line(&self.router, &self.ctx, line, conn_full) {
+                Ok(admitted) => {
+                    wire.submitted();
+                    self.staged.push(Pending { conn: id, admitted });
+                }
+                Err(refusal) => wire.enqueue_response(&refusal),
             }
-            // Per-connection backpressure, checked before the global
-            // admission bound: a connection pipelining past its depth
-            // or not reading its responses sheds *its own* requests
-            // without eating global admission slots.
-            if conn.pending >= self.cfg.pipeline_depth {
-                self.ctx.count_shed();
-                conn.enqueue_response(&render_error(
-                    parsed.id,
-                    "overloaded",
-                    &format!("pipeline full ({} requests in flight)", self.cfg.pipeline_depth),
-                    fe,
-                ));
-                return;
-            }
-            // Over-cap outboxes pause *reading* (see `read_ready`), so
-            // this branch only fires for lines framed from the chunk
-            // that pushed the outbox over — a bounded tail, not an
-            // amplification loop: after this chunk the connection is
-            // not read again until the client drains below the cap.
-            if conn.outbox.len() > self.cfg.outbox_cap {
-                self.ctx.count_shed();
-                conn.enqueue_response(&render_error(
-                    parsed.id,
-                    "overloaded",
-                    &format!("outbox full ({} bytes unread)", self.cfg.outbox_cap),
-                    fe,
-                ));
-                return;
-            }
-            let Some(permit) = self.ctx.admit_owned() else {
-                self.ctx.count_shed();
-                conn.enqueue_response(&render_error(
-                    parsed.id,
-                    "overloaded",
-                    &format!("admission queue full ({} in flight)", self.ctx.admission_bound()),
-                    fe,
-                ));
-                return;
-            };
-            let Some(route) = self.router.resolve(parsed.index.as_deref()) else {
-                self.ctx.count_failed();
-                conn.enqueue_response(&render_unknown_index(&self.router, &self.ctx, &parsed));
-                return;
-            };
-            // The deadline clock starts at admission, exactly as in the
-            // synchronous path; queue wait counts against it.
-            let deadline = self.ctx.request_deadline(parsed.deadline_ms);
-            conn.pending += 1;
-            self.staged.push(Pending {
-                conn: id,
-                route,
-                req: parsed,
-                deadline,
-                permit: Some(permit),
-            });
         }
 
-        /// Route finished responses to their connections. A completion
-        /// whose connection has since closed is dropped — its admission
-        /// permit already released when the `Pending` dropped.
+        /// Look after the connections the workers have answered on:
+        /// flush what a socket did not take at once, re-arm interest,
+        /// close what is finished.
         fn apply_completions(&mut self) {
             self.scratch.clear();
-            if let Some(dispatcher) = self.dispatcher.as_ref() {
-                dispatcher.drain_completions(&mut self.scratch);
-            }
-            if self.scratch.is_empty() {
-                return;
-            }
-            let completions = std::mem::take(&mut self.scratch);
-            for (id, response) in &completions {
-                if let Some(conn) = self.conns.get_mut(id) {
-                    conn.pending -= 1;
-                    conn.enqueue_response(response);
-                }
-            }
-            for (id, _) in &completions {
-                self.flush_and_rearm(*id);
+            self.completions.drain_into(&mut self.scratch);
+            let answered = std::mem::take(&mut self.scratch);
+            for &id in &answered {
+                self.flush_and_rearm(id);
             }
             // Keep the allocation for the next drain.
-            self.scratch = completions;
+            self.scratch = answered;
         }
 
         /// Flush the outbox, re-arm epoll interest to match the new
@@ -559,11 +540,11 @@ mod linux {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
             };
-            let fd = conn.stream.as_raw_fd();
-            match conn.flush() {
+            let fd = conn.wire.stream.as_raw_fd();
+            match conn.wire.flush() {
                 Err(_) => self.close_conn(id),
                 Ok(drained) => {
-                    if conn.read_closed && conn.done() {
+                    if conn.read_closed && conn.wire.done() {
                         self.close_conn(id);
                         return;
                     }
@@ -574,7 +555,7 @@ mod linux {
                     // client must drain responses before the loop
                     // reads more requests); it re-arms as completions
                     // flush the outbox back under the cap.
-                    let want_read = !conn.read_closed && conn.outbox.len() <= self.cfg.outbox_cap;
+                    let want_read = !conn.read_closed && conn.wire.unsent() <= self.cfg.outbox_cap;
                     if (conn.want_write != want_write || conn.want_read != want_read)
                         && self.epoll.modify(fd, id, want_read, want_write).is_ok()
                     {
@@ -586,8 +567,9 @@ mod linux {
         }
 
         fn close_conn(&mut self, id: u64) {
+            self.wires.lock().remove(&id);
             if let Some(conn) = self.conns.remove(&id) {
-                let _ = self.epoll.del(conn.stream.as_raw_fd());
+                let _ = self.epoll.del(conn.wire.stream.as_raw_fd());
             }
         }
     }

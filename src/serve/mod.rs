@@ -40,19 +40,25 @@
 //! * `framer` — bounded line framing ([`read_bounded_line`] for
 //!   blocking readers, [`LineFramer`] for nonblocking chunks);
 //! * this module — requests, routing, admission/drain books
-//!   ([`ServeCtx`]), response rendering, and the per-line pipeline
-//!   ([`handle_line_ctx`]);
-//! * [`threads`] — the portable thread-per-connection TCP front end;
-//! * [`epoll`] — the Linux epoll front end: one event-loop thread
-//!   multiplexing every connection nonblocking, pipelined requests
-//!   fairly dequeued (per connection × index) into a fixed worker pool
-//!   (`dispatch`), completions handed back over an eventfd (`sys`);
-//! * [`term_signal`] — the process-wide SIGTERM/SIGINT drain latch both
-//!   front ends poll.
+//!   ([`ServeCtx`]), the one admission chain (`admit_line`), the one
+//!   "admitted requests in → rendered responses out" function
+//!   (`execute_window`), response rendering, and [`handle_line_ctx`]:
+//!   the two composed on the calling thread, a window of one;
+//! * `dispatch` — the one place a window is formed: admitted requests
+//!   fairly dequeued (per connection × index) by a fixed worker pool,
+//!   each window answered through `execute_window`. Every transport
+//!   feeds it;
+//! * [`threads`] — the portable blocking transports: one thread per
+//!   TCP connection, and the stdin/stdout stream;
+//! * [`epoll`] — the Linux epoll transport: one event-loop thread
+//!   multiplexing every connection nonblocking; workers write their
+//!   answers to the sockets themselves (`conn`) and kick the loop over
+//!   an eventfd (`sys`) for what is left to do;
+//! * [`term_signal`] — the process-wide SIGTERM/SIGINT drain latch the
+//!   transports poll.
 
 #[cfg(target_os = "linux")]
 mod conn;
-#[cfg(target_os = "linux")]
 mod dispatch;
 pub mod epoll;
 mod framer;
@@ -65,10 +71,11 @@ pub mod threads;
 pub use epoll::{serve_epoll, EpollConfig};
 pub use framer::{read_bounded_line, FramedLine, LineFramer, LineRead};
 pub use json::Json;
-pub use threads::serve_threads;
+pub use threads::{serve_stdio, serve_threads};
 
 use json::escape_into;
 use kbtim_index::{Algo, EngineRequest, IndexError, Mutation, QueryEngine, QueryOutcome};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -427,7 +434,9 @@ impl Default for Router {
 #[derive(Debug)]
 pub struct ServeCtx {
     shutdown: AtomicBool,
-    inflight: AtomicUsize,
+    /// Shared with every [`Permit`] out, so a permit can travel with a
+    /// queued request and release its slot wherever the request ends.
+    inflight: Arc<AtomicUsize>,
     /// Admission bound: requests beyond this many in flight are shed
     /// with `overloaded`. `0` rejects everything (useful in tests);
     /// `usize::MAX` disables shedding.
@@ -451,7 +460,7 @@ impl ServeCtx {
     pub fn new(max_inflight: usize, default_deadline: Option<Duration>) -> ServeCtx {
         ServeCtx {
             shutdown: AtomicBool::new(false),
-            inflight: AtomicUsize::new(0),
+            inflight: Arc::new(AtomicUsize::new(0)),
             max_inflight,
             default_deadline,
             front_end: None,
@@ -502,13 +511,16 @@ impl ServeCtx {
         self.max_inflight
     }
 
-    /// CAS one admission slot; a `true` must be paired with a permit
-    /// that releases the slot on drop.
-    fn try_reserve(&self) -> bool {
+    /// Try to admit one request; `None` means the queue is full and
+    /// the caller must shed. The permit releases the slot on drop —
+    /// wherever the request ends: answered, shed, dropped with a dead
+    /// connection, or unwound by a panic — so containment never leaks
+    /// admission slots.
+    fn admit(&self) -> Option<Permit> {
         let mut cur = self.inflight.load(Ordering::SeqCst);
         loop {
             if cur >= self.max_inflight {
-                return false;
+                return None;
             }
             match self.inflight.compare_exchange_weak(
                 cur,
@@ -516,32 +528,16 @@ impl ServeCtx {
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             ) {
-                Ok(_) => return true,
+                Ok(_) => return Some(Permit(Arc::clone(&self.inflight))),
                 Err(now) => cur = now,
             }
         }
     }
 
-    /// Try to admit one request; `None` means the queue is full and
-    /// the caller must shed. The permit releases the slot on drop —
-    /// including on panic, so containment never leaks admission slots.
-    fn admit(&self) -> Option<AdmissionPermit<'_>> {
-        self.try_reserve().then_some(AdmissionPermit { ctx: self })
-    }
-
-    /// [`ServeCtx::admit`] for callers that queue the request rather
-    /// than run it on the spot: the permit owns an `Arc` to the
-    /// context, so it travels with the request to a worker thread and
-    /// releases the slot wherever the request ends — completion, shed,
-    /// or a connection dying under it.
-    pub(crate) fn admit_owned(self: &Arc<Self>) -> Option<OwnedPermit> {
-        self.try_reserve().then(|| OwnedPermit { ctx: Arc::clone(self) })
-    }
-
     /// The effective deadline of a request admitted *now*: its own
     /// `deadline_ms` if present, else the context default. `Some(0)`
     /// yields an already-expired instant, deterministically.
-    pub(crate) fn request_deadline(&self, deadline_ms: Option<u64>) -> Option<Instant> {
+    fn request_deadline(&self, deadline_ms: Option<u64>) -> Option<Instant> {
         let budget_ms = deadline_ms.or_else(|| {
             self.default_deadline.map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
         });
@@ -592,27 +588,12 @@ impl ServeCtx {
 }
 
 /// RAII admission slot: decrements the in-flight count on drop.
-struct AdmissionPermit<'a> {
-    ctx: &'a ServeCtx,
-}
-
-impl Drop for AdmissionPermit<'_> {
-    fn drop(&mut self) {
-        self.ctx.inflight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Owned admission slot for queued requests: travels with the request
-/// from the event loop to the worker that answers it, releasing the
-/// slot on drop wherever that happens.
 #[derive(Debug)]
-pub(crate) struct OwnedPermit {
-    ctx: Arc<ServeCtx>,
-}
+struct Permit(Arc<AtomicUsize>);
 
-impl Drop for OwnedPermit {
+impl Drop for Permit {
     fn drop(&mut self) {
-        self.ctx.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -742,113 +723,151 @@ pub fn handle_line(router: &Router, line: &str) -> String {
     handle_line_ctx(router, &ServeCtx::unlimited(), line)
 }
 
-/// [`handle_line`] with shared serving state: shutdown gate, bounded
-/// admission, deadlines, and panic containment, in that order:
+/// [`handle_line`] with shared serving state: the admission chain
+/// (`admit_line`), then the admitted request executed on the calling
+/// thread as a window of one (`execute_window`) — what a transport does
+/// with a line, minus the queue in between.
+pub fn handle_line_ctx(router: &Router, ctx: &ServeCtx, line: &str) -> String {
+    match admit_line(router, ctx, line, || None) {
+        Ok(admitted) => execute_window(router.engine_at(admitted.route), ctx, &[&admitted])
+            .pop()
+            .expect("one response per admitted request"),
+        Err(refusal) => refusal,
+    }
+}
+
+/// One admitted request: what the admission chain hands a transport to
+/// queue, and a worker to execute.
+pub(crate) struct Admitted {
+    /// Route id ([`Router::resolve`]) — the engine that answers.
+    pub route: usize,
+    /// The parsed request.
+    pub req: ServeRequest,
+    /// Effective deadline; its clock started at admission, so queue
+    /// wait counts against it.
+    pub deadline: Option<Instant>,
+    /// The admission slot, released when this struct drops.
+    _permit: Permit,
+}
+
+/// The admission chain, from a framed line to either an admitted
+/// request or the rendered refusal to send back:
 ///
 /// 1. parse (a malformed line costs no admission slot);
 /// 2. `shutting_down` if the context is draining;
-/// 3. `overloaded` if the in-flight count is at the bound;
-/// 4. route (`unknown_index`);
-/// 5. compute the deadline — the request's `deadline_ms`, else the
-///    context default — and reject already-expired ones;
-/// 6. run the query under `catch_unwind`: a panic becomes
-///    `internal_error` and the worker/connection survives.
-pub fn handle_line_ctx(router: &Router, ctx: &ServeCtx, line: &str) -> String {
+/// 3. `overloaded` if the transport's own per-connection bound is hit —
+///    `conn_full` returns the reason — checked before the global bound
+///    so that a connection over its depth sheds *its own* requests
+///    without eating global admission slots;
+/// 4. `overloaded` if the in-flight count is at the bound;
+/// 5. route (`unknown_index`);
+/// 6. start the deadline clock — the request's `deadline_ms`, else the
+///    context default.
+pub(crate) fn admit_line(
+    router: &Router,
+    ctx: &ServeCtx,
+    line: &str,
+    conn_full: impl FnOnce() -> Option<String>,
+) -> Result<Admitted, String> {
     let fe = ctx.front_end();
-    let parsed = match ServeRequest::parse(line) {
-        Ok(parsed) => parsed,
+    let req = match ServeRequest::parse(line) {
+        Ok(req) => req,
         Err(err) => {
-            let id = ServeRequest::recover_id(line);
             ctx.count_failed();
-            return render_error(id, err.code, &err.message, fe);
+            return Err(render_error(ServeRequest::recover_id(line), err.code, &err.message, fe));
         }
     };
     if ctx.is_shutting_down() {
         ctx.count_shed();
-        return render_error(
-            parsed.id,
-            "shutting_down",
-            "server is draining; request rejected",
-            fe,
-        );
+        return Err(render_shutting_down(req.id, ctx));
     }
-    let Some(_permit) = ctx.admit() else {
+    if let Some(reason) = conn_full() {
         ctx.count_shed();
-        return render_error(
-            parsed.id,
-            "overloaded",
-            &format!("admission queue full ({} in flight)", ctx.max_inflight),
-            fe,
-        );
+        return Err(render_error(req.id, "overloaded", &reason, fe));
+    }
+    let Some(permit) = ctx.admit() else {
+        ctx.count_shed();
+        let reason = format!("admission queue full ({} in flight)", ctx.max_inflight);
+        return Err(render_error(req.id, "overloaded", &reason, fe));
     };
-    let Some(engine) = router.engine(parsed.index.as_deref()) else {
+    let Some(route) = router.resolve(req.index.as_deref()) else {
         ctx.count_failed();
-        return render_unknown_index(router, ctx, &parsed);
-    };
-    let deadline = ctx.request_deadline(parsed.deadline_ms);
-    execute_rendered(engine, ctx, &parsed, deadline)
-}
-
-/// The `unknown_index` response, naming the served indexes.
-pub(crate) fn render_unknown_index(
-    router: &Router,
-    ctx: &ServeCtx,
-    parsed: &ServeRequest,
-) -> String {
-    let known: Vec<&str> = router.names().collect();
-    render_error(
-        parsed.id,
-        "unknown_index",
-        &format!(
+        let known: Vec<&str> = router.names().collect();
+        let reason = format!(
             "unknown index {:?} (serving: {})",
-            parsed.index.as_deref().unwrap_or_default(),
+            req.index.as_deref().unwrap_or_default(),
             known.join(", ")
-        ),
-        ctx.front_end(),
-    )
+        );
+        return Err(render_error(req.id, "unknown_index", &reason, fe));
+    };
+    let deadline = ctx.request_deadline(req.deadline_ms);
+    Ok(Admitted { route, req, deadline, _permit: permit })
 }
 
-/// Execute an already-admitted, already-routed request and render the
-/// response — the shared tail of [`handle_line_ctx`] and the epoll
-/// dispatcher. Checks the (pre-computed) deadline, runs the query under
-/// `catch_unwind`, and books the outcome on `ctx`.
-pub(crate) fn execute_rendered(
+/// The `shutting_down` refusal of a request that arrived (or was still
+/// queued) after the drain began.
+pub(crate) fn render_shutting_down(id: Option<u64>, ctx: &ServeCtx) -> String {
+    render_error(id, "shutting_down", "server is draining; request rejected", ctx.front_end())
+}
+
+/// Admitted requests in, rendered responses out — one per request, in
+/// order — booking every outcome on `ctx`. All of `window` routed to
+/// `engine`.
+///
+/// Requests already past their deadline are refused; mutation ops never
+/// batch — each runs on its own, serialized on the delta tier's writer
+/// lane, before the window's queries, so a window mixing queries and
+/// writes answers both correctly; the remaining queries run as one
+/// [`QueryEngine::query_window`]. This is the boundary that contains a
+/// panicking query: the whole window shares the execution, so every
+/// query in it gets the structured `internal_error` its connection
+/// expects, and the thread (worker or connection) survives.
+pub(crate) fn execute_window(
     engine: &QueryEngine,
     ctx: &ServeCtx,
-    parsed: &ServeRequest,
-    deadline: Option<Instant>,
-) -> String {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        ctx.count_expired();
-        return render_error(
-            parsed.id,
-            "deadline_exceeded",
-            "deadline expired at admission",
-            ctx.front_end(),
-        );
+    window: &[&Admitted],
+) -> Vec<String> {
+    let now = Instant::now();
+    let mut responses: Vec<Option<String>> = Vec::with_capacity(window.len());
+    let mut live: Vec<(EngineRequest, Option<Instant>)> = Vec::with_capacity(window.len());
+    for item in window {
+        responses.push(if item.deadline.is_some_and(|d| now >= d) {
+            ctx.count_expired();
+            Some(render_error(
+                item.req.id,
+                "deadline_exceeded",
+                "deadline expired at admission",
+                ctx.front_end(),
+            ))
+        } else if !matches!(item.req.op, ServeOp::Query) {
+            Some(execute_mutation(engine, ctx, &item.req))
+        } else {
+            live.push((item.req.request.clone(), item.deadline));
+            None
+        });
     }
-    if !matches!(parsed.op, ServeOp::Query) {
-        return execute_mutation(engine, ctx, parsed);
-    }
-    // The engine already contains panics per flight internally, but it
-    // re-raises them to the submitting thread; this boundary is what
-    // turns them into a structured response instead of a dead
-    // connection.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.query_deadline(&parsed.request, deadline)
-    }));
-    render_result(engine, ctx, parsed, result)
+    // `None`: the window panicked, and the payload is dropped here.
+    let mut results = if live.is_empty() {
+        None
+    } else {
+        catch_unwind(AssertUnwindSafe(|| engine.query_window(&live))).ok().map(Vec::into_iter)
+    };
+    window
+        .iter()
+        .zip(responses)
+        .map(|(item, response)| {
+            response.unwrap_or_else(|| {
+                let result = results.as_mut().map(|r| r.next().expect("a result per query"));
+                render_result(engine, ctx, &item.req, result)
+            })
+        })
+        .collect()
 }
 
 /// Execute a mutation op against the routed engine's delta tier and
-/// render the acknowledgement. Mutations never batch — each one runs
-/// on the worker that dequeued it, serialized on the tier's writer
-/// lane, and panics are contained exactly like query panics.
-pub(crate) fn execute_mutation(
-    engine: &QueryEngine,
-    ctx: &ServeCtx,
-    parsed: &ServeRequest,
-) -> String {
+/// render the acknowledgement. Panics are contained exactly like query
+/// panics.
+fn execute_mutation(engine: &QueryEngine, ctx: &ServeCtx, parsed: &ServeRequest) -> String {
     let fe = ctx.front_end();
     let Some(delta) = engine.delta() else {
         ctx.count_failed();
@@ -895,19 +914,17 @@ pub(crate) fn execute_mutation(
     }
 }
 
-/// Render (and book) one engine result — shared by the per-request and
-/// the batched-window execution paths. The outer `Result` is a
-/// `catch_unwind` verdict: `Err` means the execution panicked (the
-/// payload is dropped; the response says so).
-pub(crate) fn render_result(
+/// Render (and book) one engine result; `None` means the window's
+/// execution panicked (the response says so).
+fn render_result(
     engine: &QueryEngine,
     ctx: &ServeCtx,
     parsed: &ServeRequest,
-    result: std::thread::Result<kbtim_index::EngineResult>,
+    result: Option<kbtim_index::EngineResult>,
 ) -> String {
     let fe = ctx.front_end();
     match result {
-        Ok(Ok(outcome)) => {
+        Some(Ok(outcome)) => {
             ctx.count_served();
             render_outcome(
                 parsed.id,
@@ -919,7 +936,7 @@ pub(crate) fn render_result(
                 fe,
             )
         }
-        Ok(Err(err)) => {
+        Some(Err(err)) => {
             if matches!(err.index_error(), IndexError::DeadlineExceeded) {
                 ctx.count_expired();
                 render_error(parsed.id, "deadline_exceeded", &err.to_string(), fe)
@@ -928,7 +945,7 @@ pub(crate) fn render_result(
                 render_error(parsed.id, "engine_error", &err.to_string(), fe)
             }
         }
-        Err(_) => {
+        None => {
             ctx.count_panicked();
             render_error(
                 parsed.id,
@@ -1143,7 +1160,7 @@ mod tests {
             };
             delta.apply(&[Mutation::IngestUser]).unwrap();
             assert_eq!(delta.generation(), answered_at + 1);
-            let rendered = render_result(&engine, &ctx, parsed, Ok(result));
+            let rendered = render_result(&engine, &ctx, parsed, Some(result));
             assert_eq!(
                 label(&rendered).and_then(|g| g.as_u64()),
                 Some(answered_at),
@@ -1153,7 +1170,7 @@ mod tests {
 
         // An immutable index has no generation to name.
         let engine = QueryEngine::new(Arc::clone(&index));
-        let rendered = render_result(&engine, &ctx, &parsed, Ok(engine.query(&parsed.request)));
+        let rendered = render_result(&engine, &ctx, &parsed, Some(engine.query(&parsed.request)));
         assert_eq!(label(&rendered), None, "{rendered}");
     }
 }

@@ -1,24 +1,149 @@
-//! The portable thread-per-connection TCP front end — the PR-7 serving
-//! loop, moved out of the binary so both front ends live behind one
-//! library surface and `--front-end threads` keeps working on every
-//! platform the workspace builds on.
+//! The portable blocking transports: one OS thread per TCP connection
+//! ([`serve_threads`], `--front-end threads` on every platform the
+//! workspace builds on) and the stdin/stdout stream ([`serve_stdio`]).
 //!
-//! One OS thread per connection, blocking reads, strictly serial per
-//! connection: a request line is read only after the previous response
-//! was written. Pipelining clients still *work* (the kernel buffers
-//! their burst), but get no concurrency within a connection — that is
-//! the epoll front end's job ([`super::epoll`]).
+//! Both are the same per-stream loop: frame a line, admit it, submit
+//! it to the shared dispatcher, wait for the one reply, write it. A
+//! stream is strictly serial — a request line is read only after the
+//! previous response was written, so pipelining clients still *work*
+//! (the kernel buffers their burst) but get no concurrency within a
+//! connection; that is the epoll transport's job ([`super::epoll`]).
+//! Across connections the requests meet in the dispatcher's fair queue
+//! like any other transport's, so they share windows (and decodes) and
+//! run on its bounded worker pool.
 
-use super::term_signal;
-use super::{handle_line_ctx, read_bounded_line, render_error, LineRead, Router, ServeCtx};
-use std::io::{BufReader, Write};
+use super::dispatch::{Dispatcher, Pending};
+use super::{
+    admit_line, read_bounded_line, render_error, render_shutting_down, term_signal, LineRead,
+    Router, ServeCtx,
+};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Where each live stream waits for the reply to its one outstanding
+/// request, by connection id.
+type Mailboxes = Mutex<HashMap<u64, Sender<String>>>;
+
+/// What the blocking streams of one server share.
+struct Streams {
+    router: Arc<Router>,
+    ctx: Arc<ServeCtx>,
+    max_line: usize,
+    dispatcher: Dispatcher,
+    mailboxes: Arc<Mailboxes>,
+    next_conn: AtomicU64,
+}
+
+impl Streams {
+    fn new(router: Arc<Router>, ctx: Arc<ServeCtx>, max_line: usize, workers: usize) -> Streams {
+        let mailboxes = Arc::new(Mailboxes::default());
+        let dispatcher = {
+            let mailboxes = Arc::clone(&mailboxes);
+            Dispatcher::new(Arc::clone(&router), Arc::clone(&ctx), workers, move |window| {
+                let mailboxes = mailboxes.lock().expect("mailboxes poisoned");
+                for (conn, response) in window {
+                    // A stream that died under its request left no box.
+                    if let Some(mailbox) = mailboxes.get(&conn) {
+                        let _ = mailbox.send(response);
+                    }
+                }
+            })
+        };
+        Streams { router, ctx, max_line, dispatcher, mailboxes, next_conn: AtomicU64::new(0) }
+    }
+
+    /// Serve one stream until EOF, a dead peer, or `stop` (checked
+    /// between requests).
+    fn serve(
+        &self,
+        reader: &mut impl BufRead,
+        writer: &mut impl Write,
+        stop: fn() -> bool,
+    ) -> std::io::Result<()> {
+        let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
+        let (mailbox, replies) = channel();
+        self.mailboxes.lock().expect("mailboxes poisoned").insert(conn, mailbox);
+        let served = self.serve_lines(conn, &replies, reader, writer, stop);
+        self.mailboxes.lock().expect("mailboxes poisoned").remove(&conn);
+        served
+    }
+
+    fn serve_lines(
+        &self,
+        conn: u64,
+        replies: &Receiver<String>,
+        reader: &mut impl BufRead,
+        writer: &mut impl Write,
+        stop: fn() -> bool,
+    ) -> std::io::Result<()> {
+        while !stop() {
+            let response = match read_bounded_line(reader, self.max_line)? {
+                LineRead::Eof => break,
+                LineRead::TooLong => render_error(
+                    None,
+                    "bad_request",
+                    &format!("request line exceeds {} bytes", self.max_line),
+                    self.ctx.front_end(),
+                ),
+                LineRead::Line(line) => {
+                    let line = line.trim();
+                    if line.is_empty() {
+                        continue;
+                    }
+                    match admit_line(&self.router, &self.ctx, line, || None) {
+                        Ok(admitted) => match self.answer(Pending { conn, admitted }, replies) {
+                            Some(response) => response,
+                            None => break,
+                        },
+                        Err(refusal) => refusal,
+                    }
+                }
+            };
+            writeln!(writer, "{response}")?;
+            writer.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Submit one admitted request and wait for its reply. `None` when
+    /// no reply will come: the drain grace expired under the request.
+    fn answer(&self, pending: Pending, replies: &Receiver<String>) -> Option<String> {
+        let mut one = vec![pending];
+        self.dispatcher.submit_all(&mut one);
+        match one.pop() {
+            None => replies.recv().ok(),
+            // Admitted a moment before the drain finished: the workers
+            // are gone, and the slot releases as `refused` drops.
+            Some(refused) => {
+                self.ctx.count_shed();
+                Some(render_shutting_down(refused.admitted.req.id, &self.ctx))
+            }
+        }
+    }
+
+    /// Let admitted requests finish — the grace bound keeps a wedged
+    /// query from pinning shutdown forever — then stop the workers.
+    fn drain(&self, grace: Duration) {
+        let deadline = Instant::now() + grace;
+        while self.ctx.inflight() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        self.dispatcher.stop_and_join(self.ctx.inflight() == 0);
+        // Streams still waiting on an abandoned request wake up and
+        // close.
+        self.mailboxes.lock().expect("mailboxes poisoned").clear();
+    }
+}
 
 /// Serve `listener` until drain (SIGTERM/SIGINT, stdin EOF when
 /// `watch_stdin`, or [`ServeCtx::begin_shutdown`] from elsewhere), one
-/// thread per connection.
+/// thread per connection, queries on `workers` dispatcher threads (`0`
+/// = the machine's available parallelism).
 ///
 /// `watch_stdin` spawns the stdin watcher: EOF on stdin begins the
 /// drain, giving supervisors a portable shutdown channel besides
@@ -34,6 +159,7 @@ pub fn serve_threads(
     router: Arc<Router>,
     ctx: Arc<ServeCtx>,
     max_line: usize,
+    workers: usize,
     watch_stdin: bool,
     grace: Duration,
 ) -> std::io::Result<()> {
@@ -56,6 +182,7 @@ pub fn serve_threads(
             ctx.begin_shutdown();
         });
     }
+    let streams = Arc::new(Streams::new(router, Arc::clone(&ctx), max_line, workers));
     loop {
         if term_signal::pending() {
             ctx.begin_shutdown();
@@ -86,47 +213,37 @@ pub fn serve_threads(
         // One small response line per request is Nagle's worst case;
         // don't hold it back waiting for a piggyback ACK.
         let _ = stream.set_nodelay(true);
-        let router = Arc::clone(&router);
-        let ctx = Arc::clone(&ctx);
-        // One thread per connection; all connections share the router's
-        // engines (and therefore the indexes, their scratch pools, the
-        // request coalescing and the batch planner) plus the
-        // admission/drain context.
+        let streams = Arc::clone(&streams);
+        // Detached: a connection outlives the drain if its client does,
+        // answering `shutting_down` until the process exits.
         std::thread::spawn(move || {
-            let mut writer = match stream.try_clone() {
-                Ok(w) => w,
-                Err(_) => return,
+            let Ok(mut writer) = stream.try_clone() else {
+                return;
             };
-            let mut reader = BufReader::new(stream);
-            loop {
-                let response = match read_bounded_line(&mut reader, max_line) {
-                    Err(_) | Ok(LineRead::Eof) => break,
-                    Ok(LineRead::TooLong) => render_error(
-                        None,
-                        "bad_request",
-                        &format!("request line exceeds {max_line} bytes"),
-                        ctx.front_end(),
-                    ),
-                    Ok(LineRead::Line(line)) => {
-                        let line = line.trim();
-                        if line.is_empty() {
-                            continue;
-                        }
-                        handle_line_ctx(&router, &ctx, line)
-                    }
-                };
-                if writeln!(writer, "{response}").is_err() {
-                    break;
-                }
-            }
+            let _ = streams.serve(&mut BufReader::new(stream), &mut writer, || false);
         });
     }
-    // Drain: stop accepting (done — the loop exited), let admitted
-    // requests finish, then return. The grace bound keeps a wedged
-    // query from pinning shutdown forever.
-    let deadline = Instant::now() + grace;
-    while ctx.inflight() > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    streams.drain(grace);
     Ok(())
+}
+
+/// Serve stdin → stdout as one stream until EOF or SIGTERM/SIGINT (the
+/// stream is strictly serial, so the termination latch is observed
+/// between requests), then drain. Queries run on `workers` dispatcher
+/// threads like any other transport's.
+pub fn serve_stdio(
+    router: Arc<Router>,
+    ctx: Arc<ServeCtx>,
+    max_line: usize,
+    workers: usize,
+) -> std::io::Result<()> {
+    let streams = Streams::new(router, Arc::clone(&ctx), max_line, workers);
+    let served = streams.serve(
+        &mut std::io::stdin().lock(),
+        &mut std::io::stdout().lock(),
+        term_signal::pending,
+    );
+    ctx.begin_shutdown();
+    streams.drain(Duration::ZERO);
+    served
 }

@@ -11,16 +11,18 @@
 //!    lease across threads; the persistent exec pool arbitrates or
 //!    degrades inline — neither may leak into results);
 //! 2. the [`QueryEngine`]'s request coalescing returns the same answer
-//!    to every concurrent caller of one request, and its books balance;
+//!    to every duplicate of one request in a window, and its books
+//!    count exactly one execution per distinct request;
 //! 3. two indexes opened through one [`PageCache`] share a single
 //!    resident copy of every keyword segment while their per-index
 //!    [`IoStats`] stay separate;
 //! 4. the cross-request **batch planner** returns answers bit-identical
-//!    to serial single-query execution for any interleaving of
-//!    overlapping-keyword requests, across all three serving backends —
-//!    and its books prove the shared keyword decode actually happened
-//!    (each distinct keyword decoded once per batch, not once per
-//!    request);
+//!    to serial single-query execution for any chunking of
+//!    overlapping-keyword requests into windows, submitted from
+//!    several client threads at once, across all three serving
+//!    backends — and its books prove the shared keyword decode actually
+//!    happened (each distinct keyword decoded once per window, not once
+//!    per request);
 //! 5. the **prepared-query cache** is unobservable in answers: with the
 //!    cache enabled, every interleaving and every round (cold and hot)
 //!    answers bit-identically to the uncached serial path, while the
@@ -189,11 +191,14 @@ proptest! {
     #[test]
     fn batched_overlapping_queries_match_serial(
         raw_requests in proptest::collection::vec(
-            // Topic sets drawn from a narrow range so batches overlap
+            // Topic sets drawn from a narrow range so windows overlap
             // heavily — the regime the planner's shared decode targets.
             (proptest::collection::vec(0u32..NUM_TOPICS, 1..4), 1u32..14, 0usize..4),
             2..7,
         ),
+        // How each client thread cuts the requests into windows: it
+        // takes the sizes in turn, cycling, from its own offset.
+        chunking in proptest::collection::vec(1usize..5, 1..4),
     ) {
         let fx = fixture();
         let requests: Vec<EngineRequest> = raw_requests
@@ -217,31 +222,49 @@ proptest! {
             let serial: Vec<Answer> =
                 requests.iter().map(|r| Answer::of(&engine.execute(r).unwrap())).collect();
 
-            // All requests fired at once through the planner; whatever
-            // batches the window happens to admit, every answer must be
-            // bit-identical to its serial oracle.
-            let barrier = std::sync::Barrier::new(requests.len());
+            // Every client thread submits all the requests, rotated to
+            // its own starting point and cut into its own windows, all
+            // at once: multi-request windows by construction, executing
+            // concurrently. Whatever rides together, every answer must
+            // be bit-identical to its serial oracle.
+            let barrier = std::sync::Barrier::new(CLIENT_THREADS);
             std::thread::scope(|scope| {
-                let joins: Vec<_> = requests
-                    .iter()
-                    .map(|req| {
-                        let engine = Arc::clone(&engine);
-                        let barrier = &barrier;
+                let joins: Vec<_> = (0..CLIENT_THREADS)
+                    .map(|tid| {
+                        let (engine, barrier) = (Arc::clone(&engine), &barrier);
+                        let (requests, chunking) = (&requests, &chunking);
                         scope.spawn(move || {
+                            let order: Vec<usize> =
+                                (0..requests.len()).map(|i| (i + tid) % requests.len()).collect();
+                            let mut answers = Vec::new();
+                            let mut sizes = chunking.iter().cycle().skip(tid);
+                            let mut rest = order.as_slice();
                             barrier.wait();
-                            engine.query(req).unwrap()
+                            while !rest.is_empty() {
+                                let size = (*sizes.next().unwrap()).min(rest.len());
+                                let (window, tail) = rest.split_at(size);
+                                rest = tail;
+                                let submitted: Vec<_> =
+                                    window.iter().map(|&i| (requests[i].clone(), None)).collect();
+                                for (&i, got) in window.iter().zip(engine.query_window(&submitted)) {
+                                    answers.push((i, Answer::of(&got.unwrap())));
+                                }
+                            }
+                            answers
                         })
                     })
                     .collect();
-                for (join, want) in joins.into_iter().zip(&serial) {
-                    let got = Answer::of(&join.join().expect("batched client panicked"));
-                    assert_eq!(&got, want, "{mode}: batched answer diverged from serial");
+                for join in joins {
+                    for (i, got) in join.join().expect("batched client panicked") {
+                        assert_eq!(got, serial[i], "{mode}: batched answer diverged from serial");
+                    }
                 }
             });
             // Books balance: every request either executed or joined a
-            // duplicate within its batch.
-            assert_eq!(engine.executed() + engine.coalesced(), requests.len() as u64);
-            assert_eq!(engine.batched_requests(), requests.len() as u64);
+            // duplicate within its window.
+            let issued = (CLIENT_THREADS * requests.len()) as u64;
+            assert_eq!(engine.executed() + engine.coalesced(), issued);
+            assert_eq!(engine.batched_requests(), issued);
         }
     }
 }
@@ -326,10 +349,7 @@ proptest! {
 fn batch_planner_decodes_shared_keywords_once() {
     let fx = fixture();
     let (_, index, _) = &fx.shared[0];
-    let engine = Arc::new(
-        QueryEngine::new(Arc::clone(index))
-            .with_batch_window(Some(std::time::Duration::from_millis(250))),
-    );
+    let engine = QueryEngine::new(Arc::clone(index));
     // Eight *distinct* requests (different k / algo) over the same two
     // keywords: identical-request coalescing can never fire, so any
     // sharing the books report comes from the planner's keyword arena.
@@ -345,83 +365,53 @@ fn batch_planner_decodes_shared_keywords_once() {
     let serial: Vec<Answer> =
         requests.iter().map(|r| Answer::of(&engine.execute(r).unwrap())).collect();
 
-    // Deterministically assemble one batch: hold admission so every
-    // client enqueues as a follower, then release and let a final
-    // request lead the whole accumulated batch. (A plain barrier race
-    // can serialize on a single-CPU host — under the adaptive window
-    // each solo leader drains immediately, leaving nothing shared.)
-    engine.hold_admission(true);
-    std::thread::scope(|scope| {
-        let joins: Vec<_> = requests
-            .iter()
-            .map(|req| {
-                let engine = Arc::clone(&engine);
-                scope.spawn(move || engine.query(req).unwrap())
-            })
-            .collect();
-        while engine.pending_admission() < requests.len() {
-            std::thread::yield_now();
-        }
-        engine.hold_admission(false);
-        let extra = engine.query(&requests[0]).unwrap();
-        assert_eq!(Answer::of(&extra), serial[0]);
-        for (join, want) in joins.into_iter().zip(&serial) {
-            assert_eq!(&Answer::of(&join.join().unwrap()), want);
-        }
-    });
+    // One window: the eight, plus a duplicate of requests[0].
+    let window: Vec<_> =
+        requests.iter().chain([&requests[0]]).map(|req| (req.clone(), None)).collect();
+    let got = engine.query_window(&window);
+    for (got, want) in got.iter().zip(serial.iter().chain([&serial[0]])) {
+        assert_eq!(&Answer::of(got.as_ref().unwrap()), want);
+    }
 
-    // The accounting contract: 8 distinct requests (the trailing leader
-    // coalesces with requests[0] in-batch) × 2 budgeted keywords = 16
-    // keyword decodes requested, but each batch decoded each distinct
-    // keyword once — everything else is shared. (The admission hold
-    // makes one batch certain; the invariants below would hold for any
-    // batch split.)
+    // The accounting contract: 8 distinct requests (the trailing
+    // duplicate coalesces with requests[0] in-window) × 2 budgeted
+    // keywords = 16 keyword decodes requested, but the window decoded
+    // each distinct keyword once — everything else is shared.
     assert_eq!(engine.batched_requests(), requests.len() as u64 + 1);
     assert_eq!(engine.executed(), requests.len() as u64, "all distinct requests execute");
-    assert_eq!(engine.coalesced(), 1, "the trailing leader joins its in-batch duplicate");
+    assert_eq!(engine.coalesced(), 1, "the trailing duplicate joins its in-window twin");
     let decoded = engine.keywords_decoded();
     let shared = engine.keyword_decodes_shared();
     assert_eq!(decoded + shared, 16, "requested keyword decodes are either performed or shared");
-    assert_eq!(decoded, engine.batches() * 2, "each batch decodes each distinct keyword once");
+    assert_eq!(decoded, engine.batches() * 2, "each window decodes each distinct keyword once");
     assert!(
         shared > 0,
-        "concurrent overlapping requests must share decodes ({} batches)",
+        "overlapping requests in a window must share decodes ({} windows)",
         engine.batches()
     );
 }
 
 #[test]
-fn engine_coalesces_concurrent_identical_requests() {
+fn engine_coalesces_identical_requests_in_a_window() {
     let fx = fixture();
     let (_, index, _) = &fx.shared[0];
-    let engine = Arc::new(QueryEngine::with_memory(Arc::clone(index)).unwrap());
+    let engine = QueryEngine::with_memory(Arc::clone(index)).unwrap();
     let serial = Answer::of(&fx.serial.query_rr(&Query::new([0, 1], 8)).unwrap());
 
+    // Mix algorithms: identical requests coalesce, different ones each
+    // execute.
     let issued: usize = 12;
-    let barrier = std::sync::Barrier::new(issued);
-    std::thread::scope(|scope| {
-        let joins: Vec<_> = (0..issued)
-            .map(|i| {
-                let engine = Arc::clone(&engine);
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    // Mix algorithms: identical requests may coalesce,
-                    // different ones must not block each other.
-                    let algo = if i % 2 == 0 { Algo::Rr } else { Algo::Memory };
-                    engine.query(&EngineRequest::new([0, 1], 8).with_algo(algo)).unwrap()
-                })
-            })
-            .collect();
-        for join in joins {
-            assert_eq!(Answer::of(&join.join().unwrap()), serial);
-        }
-    });
-    assert_eq!(
-        engine.executed() + engine.coalesced(),
-        issued as u64,
-        "every request is either executed or coalesced"
-    );
+    let window: Vec<_> = (0..issued)
+        .map(|i| {
+            let algo = if i % 2 == 0 { Algo::Rr } else { Algo::Memory };
+            (EngineRequest::new([0, 1], 8).with_algo(algo), None)
+        })
+        .collect();
+    for got in engine.query_window(&window) {
+        assert_eq!(Answer::of(&got.unwrap()), serial);
+    }
+    assert_eq!(engine.executed(), 2, "one execution per distinct request");
+    assert_eq!(engine.coalesced(), issued as u64 - 2, "every duplicate is coalesced");
 }
 
 #[test]
