@@ -23,8 +23,10 @@
 //! keyword overlays) under a monotonically increasing **generation**
 //! counter. Readers pin a snapshot with [`DeltaIndex::snapshot`] and
 //! never observe in-flight writes; the serving tier folds the
-//! generation into its merge-cache key so no cache entry can ever
-//! cross generations.
+//! generation into its keyword-*set* cache keys so no prepared instance
+//! can ever cross generations, while a clean keyword's decoded lists —
+//! whose bytes no mutation touches — stay leased under the base's
+//! fingerprint until a flush replaces the base.
 //!
 //! # Flush / compaction
 //!
@@ -46,7 +48,7 @@
 
 use crate::build::{IndexBuildConfig, IndexBuilder};
 use crate::format::{IlCsr, IndexMeta, KeywordMeta};
-use crate::scratch::KeywordArena;
+use crate::scratch::{KeywordArena, KeywordLists};
 use crate::{memory, rr_query, IndexError, KbtimIndex, QueryCtx, QueryOutcome};
 use kbtim_graph::{Graph, NodeId};
 use kbtim_propagation::IcModel;
@@ -108,10 +110,11 @@ struct DeltaState {
 }
 
 /// One dirty keyword's materialized content: its union-catalog row and
-/// its full inverted list `L_w` (empty when θ_w dropped to 0).
+/// its full inverted list `L_w` (one CSR — the overlay is not sharded —
+/// empty when θ_w dropped to 0), in the form readers lease it.
 struct OverlayKeyword {
     meta: KeywordMeta,
-    csr: IlCsr,
+    lists: KeywordLists,
 }
 
 /// An immutable point-in-time view of base ∪ delta. Self-contained:
@@ -160,37 +163,29 @@ impl DeltaSnapshot {
         memory::query_budget_from_meta(&self.meta, query)
     }
 
-    /// Decode each wanted keyword once into a shared [`KeywordArena`]:
-    /// clean keywords stream from the base segments (in parallel, as
-    /// [`KbtimIndex::decode_keywords`] always has), dirty keywords
-    /// splice in their overlay CSRs. The arena keeps topics strictly
-    /// ascending, so downstream merges cannot tell the union from a
-    /// monolithic decode.
+    /// A dirty keyword's lists — the `Arc` this snapshot owns, so every
+    /// reader of the keyword shares the one overlay allocation. `None`
+    /// for a clean keyword, which is read from the base.
+    pub(crate) fn overlay_lists(&self, topic: TopicId) -> Option<KeywordLists> {
+        self.overlay.get(&topic).map(|ov| Arc::clone(&ov.lists))
+    }
+
+    /// The lists of each wanted keyword in one [`KeywordArena`]: clean
+    /// keywords are decoded from the base segments (in parallel, as
+    /// [`KbtimIndex::decode_keywords`] always has), dirty keywords lease
+    /// their overlay — a reference to the lists this snapshot owns, no
+    /// copy. The arena keeps keywords strictly ascending, so downstream
+    /// merges cannot tell the union from a monolithic decode. Never
+    /// looks at a cache: this is the serial reference the engine's
+    /// leased windows are compared against.
     pub fn decode_union(&self, wants: &[(TopicId, u64)]) -> Result<KeywordArena, IndexError> {
         let wants = rr_query::normalized_wants(wants);
         let base_wants: Vec<(TopicId, u64)> =
             wants.iter().copied().filter(|(t, _)| !self.overlay.contains_key(t)).collect();
-        let base_arena = self.base.decode_keywords(&base_wants)?;
-        if base_arena.len() == wants.len() {
-            return Ok(base_arena);
-        }
-        // Splice: walk the ascending want list, drawing each keyword
-        // from the base arena (one CSR per base shard) or its overlay.
-        let per_keyword = self.base.num_shards();
-        let mut arena = KeywordArena::default();
-        let mut base_csrs = base_arena.csrs.into_iter();
+        let mut arena = self.base.decode_keywords(&base_wants)?;
         for &(topic, _) in wants.iter() {
-            match self.overlay.get(&topic) {
-                Some(ov) => {
-                    // Copy into a pool-leased CSR so `recycle_keywords`
-                    // can treat every arena slot uniformly.
-                    let mut csr = self.base.scratch.take_csr();
-                    csr.users.clone_from(&ov.csr.users);
-                    csr.offsets.clone_from(&ov.csr.offsets);
-                    csr.ids.clone_from(&ov.csr.ids);
-                    arena.push(topic, [csr]);
-                }
-                None => arena.push(topic, base_csrs.by_ref().take(per_keyword)),
+            if let Some(lists) = self.overlay_lists(topic) {
+                arena.insert(topic, lists);
             }
         }
         Ok(arena)
@@ -583,7 +578,7 @@ impl DeltaIndex {
                 // empty row a from-scratch build records.
                 None => (empty_keyword(topic), IlCsr::default()),
             };
-            overlay.insert(topic, Arc::new(OverlayKeyword { meta, csr }));
+            overlay.insert(topic, Arc::new(OverlayKeyword { meta, lists: Arc::new([csr]) }));
         }
 
         let meta = union_meta(state, &prev, Some(&overlay));
@@ -879,6 +874,63 @@ mod tests {
         assert_same(&delta.snapshot().query(&query).unwrap(), &oracle(&data, &all, &query));
         assert_eq!(delta.unflushed(), 7);
         assert_eq!(delta.generation(), 2);
+    }
+
+    #[test]
+    fn leases_survive_a_mutation_of_another_keyword_but_not_a_flush() {
+        // `flush` passes the `flush.*` failpoints other tests arm.
+        let _lease = kbtim_fault::shared();
+        use crate::serve::{EngineRequest, QueryEngine};
+        let data = dataset();
+        let dir = TempDir::new("delta-lease").unwrap();
+        let base = build_base(dir.path(), &data);
+        let delta = Arc::new(
+            DeltaIndex::attach(base.clone(), &data.graph, &data.profiles, config()).unwrap(),
+        );
+        let engine = QueryEngine::new(base).with_merge_cache(8).with_delta(Arc::clone(&delta));
+        let (a, b) = (2u32, 4u32);
+        let ask = |topics: &[TopicId], mutations: &[Mutation]| {
+            let query = Query::new(topics.iter().copied(), 5);
+            let got = engine.query(&EngineRequest::new(topics.iter().copied(), 5)).unwrap();
+            assert_same(&got, &oracle(&data, mutations, &query));
+        };
+
+        ask(&[a, b], &[]);
+        assert_eq!((engine.keywords_decoded(), engine.keyword_cache_len()), (2, 2));
+
+        // `a` turns dirty. `b`'s bytes did not change: its lease stays
+        // in use although the mutation generation moved; `a` is read
+        // from the overlay the snapshot owns — not decoded, not copied
+        // into a pooled CSR, the same allocation on every read.
+        let muts = [Mutation::SetTopicWeight { user: 3, topic: a, weight: 4.5 }];
+        delta.apply(&muts).unwrap();
+        let snap = delta.snapshot();
+        let pool = &snap.base().scratch;
+        let spare = pool.spare_csr_capacities();
+        let overlay = snap.overlay_lists(a).expect("a is dirty");
+        for _ in 0..2 {
+            ask(&[a, b], &muts);
+            ask(&[a], &muts);
+            ask(&[b], &muts);
+        }
+        assert_eq!(engine.keywords_decoded(), 2, "b leased across the mutation, a never decoded");
+        assert_eq!(pool.spare_csr_capacities(), spare, "no pooled CSR taken or returned");
+        for _ in 0..2 {
+            let arena = snap.decode_union(&[(a, 1)]).unwrap();
+            let read = arena.csrs_of(a).unwrap();
+            assert!(std::ptr::eq(read, &*overlay), "a read got its own copy of the overlay");
+            snap.base().recycle_keywords(arena);
+        }
+        assert_eq!(pool.spare_csr_capacities(), spare);
+
+        // A flush opens a new base: every keyword starts from a miss,
+        // and the old base's lists leave with the first publish.
+        delta.flush().unwrap();
+        ask(&[a, b], &muts);
+        assert_eq!((engine.keywords_decoded(), engine.keyword_cache_len()), (4, 2));
+        ask(&[a], &muts);
+        ask(&[b], &muts);
+        assert_eq!(engine.keywords_decoded(), 4);
     }
 
     #[test]

@@ -421,6 +421,30 @@ impl IlCsr {
         (self.ids.len() * 4 + self.offsets.len() * 4 + self.users.len() * 4) as u64
     }
 
+    /// Heap bytes the three arenas keep allocated — by capacity, which
+    /// a pooled CSR carries over from the largest block it ever held.
+    pub fn capacity_bytes(&self) -> u64 {
+        ((self.ids.capacity() + self.offsets.capacity() + self.users.capacity()) * 4) as u64
+    }
+
+    /// Give back whatever capacity the contents do not use.
+    pub fn shrink_to_fit(&mut self) {
+        self.users.shrink_to_fit();
+        self.offsets.shrink_to_fit();
+        self.ids.shrink_to_fit();
+    }
+
+    /// Move the arenas out without allocating. `self` is left hollow —
+    /// not even the `offsets == [0]` invariant — so this is only for a
+    /// CSR that is about to be dropped.
+    pub(crate) fn take_arenas(&mut self) -> IlCsr {
+        IlCsr {
+            users: std::mem::take(&mut self.users),
+            offsets: std::mem::take(&mut self.offsets),
+            ids: std::mem::take(&mut self.ids),
+        }
+    }
+
     /// Append every list of `other` after this block's lists, rebasing
     /// offsets. Concatenating shard IL blocks in shard order with this
     /// reproduces the monolithic (S = 1) block byte-for-byte, because

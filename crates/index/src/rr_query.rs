@@ -57,6 +57,7 @@ use kbtim_core::maxcover::{greedy_max_cover_over, CoverInstance, MaxCoverResult}
 use kbtim_graph::NodeId;
 use kbtim_topics::{Query, TopicId};
 use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// `wants` as [`KbtimIndex::decode_keywords`] needs them: sorted by
@@ -322,24 +323,30 @@ impl KbtimIndex {
             .ok_or(IndexError::DeadlineExceeded)
     }
 
-    /// Decode each wanted keyword **once** into a shared
-    /// [`KeywordArena`] — the first stage of every RR query, batched or
-    /// not.
+    /// Decode each wanted keyword **once** into a [`KeywordArena`] —
+    /// the first stage of every RR query, batched or not, and the one
+    /// place an `il` block becomes lists.
     ///
     /// `wants` names the keywords (the shares ride along for callers
-    /// that budget per batch; what is decoded does not depend on them).
-    /// Sorted, duplicate-free input is used as-is; anything else is
-    /// normalized first, so the arena's lookup invariant holds for any
-    /// caller. Per keyword × shard, one fan-out job (on the index-owned
-    /// pool) reads and decodes the whole inverted list `L_w` into a
-    /// pool-leased CSR; truncation to a request's share happens when
-    /// the lists are counted or merged, read-only. Any number of requests are then served
-    /// from the one arena — [`KbtimIndex::merge_keywords`] once per
-    /// distinct keyword set, [`KbtimIndex::query_merged`] once per
+    /// that budget per batch; what is decoded does not depend on them,
+    /// which is what lets the lists outlive the request: the engine
+    /// keeps them and leases them to later windows, see
+    /// [`crate::QueryEngine::set_merge_cache`] — this function itself
+    /// never looks at a cache, so the serial reference paths always
+    /// decode from the bytes). Sorted, duplicate-free input is used
+    /// as-is; anything else is normalized first, so the arena's lookup
+    /// invariant holds for any caller. Per keyword × shard, one fan-out
+    /// job (on the index-owned pool) reads and decodes the whole
+    /// inverted list `L_w` into a pool-leased CSR; truncation to a
+    /// request's share happens when the lists are counted or merged,
+    /// read-only. All or nothing: one unreadable block fails the call
+    /// and no list of it survives. Any number of requests are then
+    /// served from the one arena — [`KbtimIndex::merge_keywords`] once
+    /// per distinct keyword set, [`KbtimIndex::query_merged`] once per
     /// request; return the arena with [`KbtimIndex::recycle_keywords`]
     /// when they are done.
     pub fn decode_keywords(&self, wants: &[(TopicId, u64)]) -> Result<KeywordArena, IndexError> {
-        // KeywordArena::csr binary-searches `topics`, so the build order
+        // The arena binary-searches its keywords, so the build order
         // must be strictly ascending — normalize rather than trust the
         // caller (a silently unsorted arena would misreport healthy
         // keywords as missing).
@@ -353,7 +360,7 @@ impl KbtimIndex {
         // the shard bounds (each user lives in one shard and keeps its
         // global-build rr-id list there).
         let num_shards = self.num_shards();
-        let scans: Vec<Result<IlCsr, IndexError>> = self.pool().map_shards_with(
+        let mut scans: Vec<Result<IlCsr, IndexError>> = self.pool().map_shards_with(
             wants.len() * num_shards,
             || self.scratch.guard(),
             |guard, i| {
@@ -365,17 +372,27 @@ impl KbtimIndex {
                 Ok(csr)
             },
         );
-        Ok(KeywordArena {
-            topics: wants.iter().map(|&(topic, _)| topic).collect(),
-            ends: (1..=wants.len()).map(|keywords| keywords * num_shards).collect(),
-            csrs: scans.into_iter().collect::<Result<_, _>>()?,
-        })
+        if let Some(failed) = scans.iter().position(Result::is_err) {
+            return Err(scans.swap_remove(failed).expect_err("position of an error"));
+        }
+        // One block per keyword: an exact-size iterator collects
+        // straight into the shared slice.
+        let mut scans = scans.into_iter().map(|scan| scan.expect("no scan failed"));
+        let entries = wants
+            .iter()
+            .map(|&(topic, _)| (topic, scans.by_ref().take(num_shards).collect()))
+            .collect();
+        Ok(KeywordArena { entries })
     }
 
-    /// Return a finished batch's arena CSRs to the scratch pool.
+    /// Hand a finished window's arena back: lists nobody else holds
+    /// return their CSRs to the scratch pool; lists the engine's cache
+    /// or a delta snapshot still keeps just lose this holder.
     pub fn recycle_keywords(&self, arena: KeywordArena) {
-        for csr in arena.csrs {
-            self.scratch.put_csr(csr);
+        for (_, mut lists) in arena.entries {
+            if let Some(csrs) = Arc::get_mut(&mut lists) {
+                csrs.iter_mut().for_each(|csr| self.scratch.put_csr(csr.take_arenas()));
+            }
         }
     }
 
@@ -917,8 +934,9 @@ mod tests {
         // that takes a larger block than it held grows by doubling.
         for slack in [1, 2] {
             let arena = index.decode_keywords(&budget).unwrap();
-            assert_eq!(arena.csrs.len(), budget.len() * 4, "one CSR per keyword × shard");
-            let largest_block = arena.csrs.iter().map(|csr| csr.ids.len()).max().unwrap();
+            let csrs = || arena.entries.iter().flat_map(|(_, lists)| lists.iter());
+            assert_eq!(csrs().count(), budget.len() * 4, "one CSR per keyword × shard");
+            let largest_block = csrs().map(|csr| csr.ids.len()).max().unwrap();
             let largest_keyword = budget
                 .iter()
                 .map(|&(topic, _)| arena.csrs_of(topic).unwrap().iter().map(|c| c.ids.len()).sum())

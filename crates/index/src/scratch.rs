@@ -28,60 +28,82 @@ use kbtim_core::bitset::Bitset;
 use kbtim_core::maxcover::CoverScratch;
 use kbtim_graph::NodeId;
 use kbtim_topics::TopicId;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// A shared keyword decode: each distinct keyword decoded **once**,
-/// then consumed by any number of requests.
+/// One keyword's decoded `L_w`: a CSR per shard, in shard order (users
+/// ascend across them), shared read-only. Whoever holds a clone keeps
+/// the lists alive — a [`KeywordArena`] for the requests of a window,
+/// the engine's cache for as long as the segment they were decoded from
+/// is the one being served, a delta snapshot for a dirty keyword's
+/// overlay.
+pub(crate) type KeywordLists = Arc<[IlCsr]>;
+
+/// Trim freshly decoded lists to their contents — a pooled CSR keeps
+/// the capacity of the largest block it ever held. Possible only while
+/// nobody else shares them; shared lists are left as they are.
+pub(crate) fn trim(lists: &mut KeywordLists) {
+    if let Some(csrs) = Arc::get_mut(lists) {
+        csrs.iter_mut().for_each(IlCsr::shrink_to_fit);
+    }
+}
+
+/// Heap bytes a keyword's lists keep resident (by capacity).
+pub(crate) fn resident_bytes(lists: &[IlCsr]) -> u64 {
+    lists.iter().map(IlCsr::capacity_bytes).sum()
+}
+
+/// The keyword lists a window of requests reads: each distinct keyword
+/// **once**, consumed by any number of requests.
 ///
-/// [`crate::KbtimIndex::decode_keywords`] builds one arena per request
-/// or per admitted batch ([`crate::serve::QueryEngine`]'s planner): the
-/// full inverted list of every distinct keyword wanted, as the CSRs its
-/// shards decoded into. Consumers (the in-place count, or
-/// [`crate::KbtimIndex::merge_keywords`] once per keyword set) cut the
-/// shared CSRs against their own Eqn-11 budgets — read-only, so any
-/// number of requests consume one arena without copies.
+/// An arena is a set of *leases*. [`crate::KbtimIndex::decode_keywords`]
+/// fills one with the lists it decoded — the full inverted list of
+/// every keyword wanted, as the CSRs its shards decoded into — and a
+/// caller that already holds a keyword's lists (the engine's
+/// decoded-keyword cache, a delta snapshot's overlay) files a clone of
+/// its `Arc` beside them, so a keyword is decoded at most once per
+/// index generation, not once per window. Consumers (the in-place
+/// count, or [`crate::KbtimIndex::merge_keywords`] once per keyword
+/// set) cut the shared CSRs against their own Eqn-11 budgets —
+/// read-only, so any number of requests, in any number of windows,
+/// consume one decode without copies.
 ///
-/// Invariants: `topics` is strictly ascending and parallel to `ends`;
-/// a keyword's CSRs are in shard order — users ascend across them — and
-/// together hold its *complete* `L_w` (truncation is per-request). The
-/// CSR arenas are leased from the index's scratch pool and must go back
-/// via [`crate::KbtimIndex::recycle_keywords`] when the requests finish.
+/// Invariants: keywords are strictly ascending; a keyword's CSRs are in
+/// shard order and together hold its *complete* `L_w` (truncation is
+/// per-request). Hand the arena back with
+/// [`crate::KbtimIndex::recycle_keywords`] when the requests finish:
+/// lists nobody else holds return their arenas to the scratch pool, a
+/// shared one just loses this holder.
 #[derive(Default)]
 pub struct KeywordArena {
-    /// Distinct decoded keywords, strictly ascending.
-    pub(crate) topics: Vec<TopicId>,
-    /// One past each keyword's last CSR in `csrs`, parallel to `topics`.
-    pub(crate) ends: Vec<usize>,
-    /// Every keyword's CSRs back to back, keyword-major.
-    pub(crate) csrs: Vec<IlCsr>,
+    /// Each keyword with its lists, strictly ascending by keyword.
+    pub(crate) entries: Vec<(TopicId, KeywordLists)>,
 }
 
 impl KeywordArena {
-    /// Number of distinct keywords decoded into this arena.
+    /// Number of distinct keywords held.
     pub fn len(&self) -> usize {
-        self.topics.len()
+        self.entries.len()
     }
 
     /// Whether the arena holds no keywords (a batch of empty-budget or
     /// memory-only requests).
     pub fn is_empty(&self) -> bool {
-        self.topics.is_empty()
+        self.entries.is_empty()
     }
 
-    /// File `csrs` — a keyword's whole `L_w`, in shard order — under
-    /// `topic`, which must be above every topic already held.
-    pub(crate) fn push(&mut self, topic: TopicId, csrs: impl IntoIterator<Item = IlCsr>) {
-        debug_assert!(self.topics.last().is_none_or(|&last| last < topic));
-        self.csrs.extend(csrs);
-        self.topics.push(topic);
-        self.ends.push(self.csrs.len());
+    /// File `lists` — a keyword's whole `L_w` — under `topic`, wherever
+    /// it sorts (replacing lists already held for it).
+    pub(crate) fn insert(&mut self, topic: TopicId, lists: KeywordLists) {
+        match self.entries.binary_search_by_key(&topic, |&(held, _)| held) {
+            Ok(at) => self.entries[at].1 = lists,
+            Err(at) => self.entries.insert(at, (topic, lists)),
+        }
     }
 
     /// The decoded CSRs of `topic` in shard order, if the arena holds it.
     pub(crate) fn csrs_of(&self, topic: TopicId) -> Option<&[IlCsr]> {
-        let i = self.topics.binary_search(&topic).ok()?;
-        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        Some(&self.csrs[start..self.ends[i]])
+        let at = self.entries.binary_search_by_key(&topic, |&(held, _)| held).ok()?;
+        Some(&self.entries[at].1)
     }
 }
 
@@ -288,6 +310,49 @@ mod tests {
         let csr = pool.take_csr();
         assert!(csr.is_empty());
         assert_eq!(csr.offsets, vec![0], "reset to the empty-CSR invariant");
+    }
+
+    #[test]
+    fn arena_keeps_keywords_ascending_whatever_the_insert_order() {
+        let lists = |user: u32| -> KeywordLists {
+            let mut csr = IlCsr::default();
+            csr.ids.push(7);
+            csr.close_list(user);
+            Arc::new([csr])
+        };
+        let mut arena = KeywordArena::default();
+        for topic in [5, 1, 9, 3] {
+            arena.insert(topic, lists(topic));
+        }
+        let topics: Vec<TopicId> = arena.entries.iter().map(|&(topic, _)| topic).collect();
+        assert_eq!(topics, [1, 3, 5, 9]);
+        for topic in [1, 3, 5, 9] {
+            assert_eq!(arena.csrs_of(topic).unwrap()[0].users, [topic]);
+        }
+        assert!(arena.csrs_of(4).is_none());
+        // A second insert under a held keyword replaces its lists.
+        arena.insert(3, lists(30));
+        assert_eq!((arena.len(), &arena.csrs_of(3).unwrap()[0].users[..]), (4, &[30][..]));
+    }
+
+    #[test]
+    fn trim_leaves_unshared_lists_exactly_sized() {
+        let mut csr = IlCsr::default();
+        csr.ids.reserve(1000);
+        csr.ids.extend([1, 2, 3]);
+        csr.close_list(4);
+        let exact = csr.arena_bytes();
+        let mut lists: KeywordLists = Arc::new([csr]);
+        assert!(resident_bytes(&lists) >= 4000);
+        trim(&mut lists);
+        assert_eq!(resident_bytes(&lists), exact);
+        // Shared lists cannot be trimmed; their bytes are still theirs.
+        let mut roomy = IlCsr::default();
+        roomy.ids.reserve(1000);
+        let mut lists: KeywordLists = Arc::new([roomy]);
+        let _other_holder = Arc::clone(&lists);
+        trim(&mut lists);
+        assert!(resident_bytes(&lists) >= 4000);
     }
 
     #[test]

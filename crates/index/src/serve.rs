@@ -20,24 +20,26 @@
 //! * **Sharing inside a window**: identical requests (same keywords,
 //!   same `k`, same algorithm) execute once and share the `Arc`'d
 //!   outcome; each *distinct* keyword's inverted lists are decoded
-//!   **once** into a shared [`KeywordArena`], so N different
+//!   **at most once** into a shared [`KeywordArena`], so N different
 //!   same-keyword queries pay the expensive per-keyword decode once
 //!   per window, not once per request. Requests over the same keyword
 //!   set additionally share one greedy run: seeds are selected
 //!   sequentially and `k` only bounds the loop, so one max-`k` run
 //!   prefix-slices into every member's answer. Memory-algo requests
 //!   pass through unshared (they are already decode-free).
-//! * **Prepared-query cache**: with a capacity configured
-//!   ([`QueryEngine::set_merge_cache`]), the merged instances of
-//!   keyword sets that *recur* are kept in a capacity-bounded LRU keyed
-//!   by the sorted keyword set and the index's segment generation
-//!   ([`KbtimIndex::segment_fingerprint`]). A set's first miss only
-//!   records the key and is served in place off the batch arena; its
-//!   second miss builds and publishes the instance; from then on a
-//!   batch hitting it skips that set's decode *and* merge entirely —
-//!   hot advertiser keyword sets stop paying decode cost across
-//!   batches, and one-shot sets never pay for an instance nobody
-//!   reads again.
+//! * **Sharing across windows**: with a capacity configured
+//!   ([`QueryEngine::set_merge_cache`]) the engine keeps two units,
+//!   each in a capacity-bounded LRU keyed on the index's segment
+//!   generation ([`KbtimIndex::segment_fingerprint`]). *Decoded
+//!   keywords* are leased: a window's arena holds an `Arc` of the lists
+//!   of every keyword the cache has and decodes — then publishes — only
+//!   the rest, so each keyword's `il` is decoded once per index
+//!   generation, not once per window. *Keyword sets* that recur get a
+//!   prepared instance: a set's first miss only records the key and is
+//!   served in place off the window's arena; its second miss builds and
+//!   publishes the merged instance; from then on a window hitting it
+//!   skips that set's lists *and* merge entirely, and one-shot sets
+//!   never pay for an instance nobody reads again.
 //! * **Determinism**: queries are read-only and scratch contents never
 //!   influence answers, so any interleaving of concurrent callers —
 //!   and any grouping of requests into windows — produces outcomes
@@ -49,7 +51,7 @@
 
 use crate::delta::{self, DeltaIndex, DeltaSnapshot};
 use crate::rr_query::{self, MergedQuery};
-use crate::scratch::KeywordArena;
+use crate::scratch::{self, KeywordArena, KeywordLists};
 use crate::{IndexError, KbtimIndex, MemoryIndex, QueryCtx, QueryOutcome};
 use kbtim_topics::{Query, TopicId};
 use std::collections::{BTreeMap, HashMap};
@@ -175,16 +177,69 @@ impl EngineRequest {
 /// a window's duplicate requests share one execution's answer.
 pub type EngineResult = Result<Arc<QueryOutcome>, EngineError>;
 
-/// One keyword set the cache knows: seen once (key only) or built (the
-/// shared merged instance), plus its LRU and accounting state.
-struct MergeEntry {
-    /// `None` while the set has missed once and was served in place.
-    merged: Option<Arc<MergedQuery>>,
-    /// Arena bytes this entry keeps resident (snapshotted at publish so
-    /// the books stay consistent on eviction; 0 while only seen).
+/// One kind of cached unit: a map kept in least-recently-used order by
+/// the cache's shared clock, with the bytes its values keep resident.
+struct Lru<K, V> {
+    entries: HashMap<K, LruEntry<V>>,
+    /// Σ `bytes` over live entries.
     bytes: u64,
-    /// Logical timestamp of the last probe (or the publish).
+}
+
+struct LruEntry<V> {
+    value: V,
+    /// Bytes this entry keeps resident (snapshotted when stored so the
+    /// books stay consistent on eviction).
+    bytes: u64,
+    /// Logical timestamp of the last read (or the store).
     last_used: u64,
+}
+
+impl<K: std::hash::Hash + Eq + Clone, V> Lru<K, V> {
+    fn new() -> Lru<K, V> {
+        Lru { entries: HashMap::new(), bytes: 0 }
+    }
+
+    /// The value under `key`, its recency bumped to `tick`.
+    fn touch(&mut self, key: &K, tick: u64) -> Option<&V> {
+        self.entries.get_mut(key).map(|entry| {
+            entry.last_used = tick;
+            &entry.value
+        })
+    }
+
+    /// Drop every entry whose key fails `keep`.
+    fn retain(&mut self, keep: impl Fn(&K) -> bool) {
+        let bytes = &mut self.bytes;
+        self.entries.retain(|key, entry| {
+            let kept = keep(key);
+            if !kept {
+                *bytes -= entry.bytes;
+            }
+            kept
+        });
+    }
+
+    /// Store `value` at `tick` (replacing what `key` held), then evict
+    /// least-recently-used entries down to `capacity`; returns how many
+    /// went.
+    fn put(&mut self, key: K, value: V, bytes: u64, tick: u64, capacity: usize) -> u64 {
+        if let Some(old) = self.entries.insert(key, LruEntry { value, bytes, last_used: tick }) {
+            self.bytes -= old.bytes;
+        }
+        self.bytes += bytes;
+        let mut evicted = 0;
+        while self.entries.len() > capacity {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(key, _)| key.clone())
+                .expect("len > capacity ≥ 1 implies an entry");
+            self.bytes -= self.entries.remove(&victim).expect("victim just found").bytes;
+            evicted += 1;
+        }
+        evicted
+    }
 }
 
 /// What [`MergeCache::probe`] found for a keyword set.
@@ -197,26 +252,36 @@ enum Probe {
     First,
 }
 
-/// The cross-batch prepared-query cache: a capacity-bounded LRU over
-/// keyword sets, keyed by (segment generation, sorted keyword set),
-/// that materializes an instance only for a set that recurs.
+/// The engine's cross-window cache. Two units, each a capacity-bounded
+/// LRU, under one lock, one logical clock and the one `--merge-cache N`
+/// number — **applied per kind**: at most `N` keyword sets *and* at
+/// most `N` decoded keywords, so a scan of one-shot sets can never push
+/// out the few lists every request reads.
 ///
-/// A set's first miss records the key alone; its second builds the
-/// shared [`MergedQuery`] and upgrades the entry. Seen and built keys
-/// live in the one map under the one LRU clock and the one capacity, so
-/// a workload of one-shot sets costs the cache a key each and no
-/// instance.
+/// * **Decoded keywords**, keyed by (base segment generation, keyword):
+///   the lists [`KbtimIndex::decode_keywords`] produced, leased to every
+///   later window as the `Arc` it holds. What is decoded is a pure
+///   function of the segment bytes — never of a request's shares — so a
+///   lease serves any request over that keyword for as long as the
+///   fingerprint matches. This is the unit that recurs: a workload has
+///   few keywords and many keyword sets.
+/// * **Keyword sets**, keyed by (segment generation ⊕ mutation
+///   generation, sorted keyword set): a set's first miss records the
+///   key alone and is served in place; its second builds the shared
+///   [`MergedQuery`] and upgrades the entry — seen and built keys in
+///   the one map, so one-shot sets cost a key each and no instance. A
+///   hit starts its greedy from a ready instance where in place
+///   re-counts every list per request (measured: 0.39× the throughput
+///   on a workload of hits, docs/ARCHITECTURE.md), which is why the
+///   instance stays beside the leases.
 ///
-/// The merged coverage instance is a pure function of the sorted
-/// keyword set and the on-disk segment bytes (`Q.k` only bounds the
-/// greedy loop), so an entry may serve any request over its keyword set
-/// for as long as the segment generation matches — the fingerprint in
-/// the key ties invalidation to segment identity exactly as the storage
-/// [`kbtim_storage::PageCache`] ties loaded pages to it. Entries are
-/// `Arc`'d: eviction drops the cache's reference while in-flight
-/// batches keep theirs, so capacity changes are always safe.
+/// The fingerprint in the keys ties invalidation to segment identity
+/// exactly as the storage [`kbtim_storage::PageCache`] ties loaded
+/// pages to it. Values are `Arc`'d: eviction drops the cache's
+/// reference while in-flight windows keep theirs, so capacity changes
+/// are always safe.
 struct MergeCache {
-    /// Maximum number of entries, seen and built (≥ 1; 0 disables the
+    /// Maximum number of entries of each kind (≥ 1; 0 disables the
     /// cache entirely, represented as `QueryEngine::merge_cache == None`).
     capacity: usize,
     state: Mutex<MergeCacheState>,
@@ -225,20 +290,20 @@ struct MergeCache {
     evictions: AtomicU64,
 }
 
-#[derive(Default)]
 struct MergeCacheState {
-    entries: HashMap<(u64, Vec<TopicId>), MergeEntry>,
-    /// Monotone logical clock backing the LRU order.
+    /// Keyword sets, seen (`None`) and built.
+    sets: Lru<(u64, Vec<TopicId>), Option<Arc<MergedQuery>>>,
+    /// Decoded keywords.
+    keywords: Lru<(u64, TopicId), KeywordLists>,
+    /// Monotone logical clock backing both LRU orders.
     tick: u64,
-    /// Σ `bytes` over live entries.
-    bytes: u64,
 }
 
 impl MergeCache {
     fn new(capacity: usize) -> MergeCache {
         MergeCache {
             capacity,
-            state: Mutex::new(MergeCacheState::default()),
+            state: Mutex::new(MergeCacheState { sets: Lru::new(), keywords: Lru::new(), tick: 0 }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -253,10 +318,7 @@ impl MergeCache {
         state.tick += 1;
         let tick = state.tick;
         let key = (fingerprint, topics.to_vec());
-        let found = state.entries.get_mut(&key).map(|entry| {
-            entry.last_used = tick;
-            entry.merged.clone()
-        });
+        let found = state.sets.touch(&key, tick).cloned();
         if let Some(Some(merged)) = found {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Probe::Hit(merged);
@@ -265,7 +327,7 @@ impl MergeCache {
         if found.is_some() {
             return Probe::Recurred;
         }
-        self.put(&mut state, key, None);
+        self.put_set(&mut state, key, None);
         Probe::First
     }
 
@@ -276,43 +338,62 @@ impl MergeCache {
     fn publish(&self, fingerprint: u64, topics: Vec<TopicId>, merged: Arc<MergedQuery>) {
         let mut state = lock_recover(&self.state);
         state.tick += 1;
-        self.put(&mut state, (fingerprint, topics), Some(merged));
+        self.put_set(&mut state, (fingerprint, topics), Some(merged));
     }
 
-    /// Store an entry at the current tick, then evict
-    /// least-recently-used entries — seen and built alike — down to
-    /// capacity.
-    fn put(
+    /// Store a keyword set at the current tick; evictions — seen and
+    /// built alike, in one LRU order — are booked.
+    fn put_set(
         &self,
         state: &mut MergeCacheState,
         key: (u64, Vec<TopicId>),
         merged: Option<Arc<MergedQuery>>,
     ) {
         let bytes = merged.as_ref().map_or(0, |m| m.resident_bytes());
-        let entry = MergeEntry { merged, bytes, last_used: state.tick };
-        if let Some(old) = state.entries.insert(key, entry) {
-            state.bytes -= old.bytes;
-        }
-        state.bytes += bytes;
-        while state.entries.len() > self.capacity {
-            let victim = state
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(key, _)| key.clone())
-                .expect("len > capacity ≥ 1 implies an entry");
-            let evicted = state.entries.remove(&victim).expect("victim just found");
-            state.bytes -= evicted.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        let evicted = state.sets.put(key, merged, bytes, state.tick, self.capacity);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+    }
+
+    /// Fill every empty slot of `held` (parallel to `wants`) whose
+    /// keyword is resident under a base segment generation, recency
+    /// bumped — one lock for a window's whole union.
+    fn lease(&self, fingerprint: u64, wants: &[(TopicId, u64)], held: &mut [Option<KeywordLists>]) {
+        let mut state = lock_recover(&self.state);
+        state.tick += 1;
+        let tick = state.tick;
+        for (&(topic, _), slot) in wants.iter().zip(held) {
+            if slot.is_none() {
+                *slot = state.keywords.touch(&(fingerprint, topic), tick).cloned();
+            }
         }
     }
 
-    fn len(&self) -> usize {
-        lock_recover(&self.state).entries.len()
-    }
-
-    fn bytes(&self) -> u64 {
-        lock_recover(&self.state).bytes
+    /// Keep the lists a window just decoded, trimmed to their contents,
+    /// for every later window. Lists of any *other* segment generation
+    /// go: after a flush nothing can read them again, and waiting for
+    /// LRU to push them out would hold a dead generation resident. Two
+    /// windows that missed the same keyword both arrive here; the
+    /// later `Arc` wins, both being bit-identical decodes.
+    fn publish_keywords(&self, fingerprint: u64, decoded: &mut KeywordArena) {
+        if decoded.is_empty() {
+            return;
+        }
+        // Before the cache's clone: trimming needs the lists unshared.
+        decoded.entries.iter_mut().for_each(|(_, lists)| scratch::trim(lists));
+        let mut state = lock_recover(&self.state);
+        state.tick += 1;
+        let tick = state.tick;
+        state.keywords.retain(|&(held, _)| held == fingerprint);
+        for (topic, lists) in &decoded.entries {
+            let bytes = scratch::resident_bytes(lists);
+            state.keywords.put(
+                (fingerprint, *topic),
+                Arc::clone(lists),
+                bytes,
+                tick,
+                self.capacity,
+            );
+        }
     }
 }
 
@@ -441,18 +522,31 @@ impl QueryEngine {
         self.batch_window
     }
 
-    /// Enable (or disable, with 0) the cross-batch prepared-query
-    /// cache: a capacity-bounded LRU of up to `entries` keyword sets —
-    /// seen once, or built — keyed by the sorted keyword set and the
-    /// index's segment generation ([`KbtimIndex::segment_fingerprint`]).
+    /// Enable (or disable, with 0) the engine's cross-window cache, of
+    /// at most `entries` keyword sets **and** at most `entries` decoded
+    /// keywords — one number, applied to each kind.
     ///
-    /// With a capacity set, the batch planner probes the cache before
-    /// building its decode union: a set's first miss records the key
-    /// and serves in place, its second builds and publishes the merged
-    /// instance, and a hit skips that keyword set's decode and merge
-    /// entirely, so a recurring set pays for its instance once and a
-    /// one-shot set never does. Cached instances are shared read-only;
-    /// answers stay bit-identical to uncached serving.
+    /// *Decoded keywords* are keyed by the keyword and the base index's
+    /// segment generation ([`KbtimIndex::segment_fingerprint`]): a
+    /// window leases the lists of every keyword the cache holds, decodes
+    /// the rest once and publishes them, so with room for the workload's
+    /// keywords each `il` is decoded once per index generation, not once
+    /// per window. A delta tier's mutations leave the leases of clean
+    /// keywords in use (their bytes did not change; a dirty keyword is
+    /// read from the overlay the snapshot owns); a flush opens a new
+    /// base, whose keywords start from a miss.
+    ///
+    /// *Keyword sets* are keyed by the sorted set and the segment
+    /// generation folded with the mutation generation: the planner
+    /// probes before building its decode union — a set's first miss
+    /// records the key and serves in place, its second builds and
+    /// publishes the merged instance, and a hit skips that set's lists
+    /// and merge entirely, so a recurring set pays for its instance
+    /// once and a one-shot set never does.
+    ///
+    /// Cached values are shared read-only; answers stay bit-identical
+    /// to uncached serving. [`QueryEngine::execute`] never reads or
+    /// fills the cache.
     pub fn set_merge_cache(&mut self, entries: usize) {
         self.merge_cache = (entries > 0).then(|| MergeCache::new(entries));
     }
@@ -463,20 +557,31 @@ impl QueryEngine {
         self
     }
 
-    /// The prepared-query cache's entry capacity (0 = cache off).
+    /// The cache's entry capacity per kind (0 = cache off).
     pub fn merge_cache_capacity(&self) -> usize {
         self.merge_cache.as_ref().map_or(0, |c| c.capacity)
     }
 
     /// Keyword sets the prepared-query cache holds, seen and built.
     pub fn merge_cache_len(&self) -> usize {
-        self.merge_cache.as_ref().map_or(0, |c| c.len())
+        self.merge_cache.as_ref().map_or(0, |c| lock_recover(&c.state).sets.entries.len())
     }
 
     /// Arena bytes held resident by cached prepared queries (built
     /// entries; a seen key holds none).
     pub fn merge_cache_bytes(&self) -> u64 {
-        self.merge_cache.as_ref().map_or(0, |c| c.bytes())
+        self.merge_cache.as_ref().map_or(0, |c| lock_recover(&c.state).sets.bytes)
+    }
+
+    /// Decoded keywords the cache holds for lease.
+    pub fn keyword_cache_len(&self) -> usize {
+        self.merge_cache.as_ref().map_or(0, |c| lock_recover(&c.state).keywords.entries.len())
+    }
+
+    /// Heap bytes the leased keyword lists keep resident (by capacity
+    /// of their arenas, trimmed to the contents when published).
+    pub fn keyword_cache_bytes(&self) -> u64 {
+        self.merge_cache.as_ref().map_or(0, |c| lock_recover(&c.state).keywords.bytes)
     }
 
     /// Prepared-query cache probes that found a live entry.
@@ -514,18 +619,20 @@ impl QueryEngine {
         self.merged_groups.load(Ordering::Relaxed)
     }
 
-    /// Distinct keyword decodes the planner performed (once per distinct
-    /// keyword per batch).
+    /// Keyword decodes the planner actually performed: once per distinct
+    /// keyword per window without a cache; with one, only for keywords
+    /// it could not lease — flat once the workload's lists are resident.
+    /// A dirty keyword read from a delta overlay is not a decode.
     pub fn keywords_decoded(&self) -> u64 {
         self.keywords_decoded.load(Ordering::Relaxed)
     }
 
-    /// Keyword decodes *avoided* by sharing: Σ over batched requests of
-    /// their budgeted keyword count, minus the distinct decodes
-    /// actually performed. The books behind the batching claim — with
-    /// batching off this stays 0. (Cache-served keyword sets count in
-    /// neither side: their sharing is booked by the cache's own
-    /// hit/miss counters.)
+    /// Keyword reads *avoided* by sharing a window: Σ over batched
+    /// requests of their budgeted keyword count, minus the window's
+    /// distinct keywords (leased or decoded alike). The books behind
+    /// the batching claim — with batching off this stays 0.
+    /// (Cache-served keyword sets count in neither side: their sharing
+    /// is booked by the cache's own hit/miss counters.)
     pub fn keyword_decodes_shared(&self) -> u64 {
         self.keyword_decodes_shared.load(Ordering::Relaxed)
     }
@@ -824,14 +931,10 @@ impl QueryEngine {
         let union_arena = if wants.is_empty() {
             Ok(KeywordArena::default())
         } else {
-            match &snap {
-                Some(s) => s.decode_union(&wants),
-                None => self.index.decode_keywords(&wants),
-            }
+            self.lease_or_decode(serving, snap.as_deref(), &wants)
         };
         match union_arena {
             Ok(arena) => {
-                self.keywords_decoded.fetch_add(wants.len() as u64, Ordering::Relaxed);
                 self.keyword_decodes_shared
                     .fetch_add(requested.saturating_sub(wants.len() as u64), Ordering::Relaxed);
                 // Group answers are independent, so groups fan out on
@@ -880,15 +983,12 @@ impl QueryEngine {
                         }
                         continue;
                     }
-                    let retried = match (lone_err.take(), &snap) {
-                        (Some(e), _) => Err(e),
-                        (None, Some(s)) => s.decode_union(&group.budget),
-                        (None, None) => self.index.decode_keywords(&group.budget),
+                    let retried = match lone_err.take() {
+                        Some(e) => Err(e),
+                        None => self.lease_or_decode(serving, snap.as_deref(), &group.budget),
                     };
                     match retried {
                         Ok(arena) => {
-                            self.keywords_decoded
-                                .fetch_add(group.budget.len() as u64, Ordering::Relaxed);
                             for (at, result) in run_group(group, &arena) {
                                 results[at] = Some(result);
                             }
@@ -910,6 +1010,48 @@ impl QueryEngine {
             .iter()
             .map(|(req, _)| results[slot[req]].clone().expect("every unique request executed"))
             .collect()
+    }
+
+    /// The lists a window — or one retried group of it — reads, as one
+    /// arena: lease or decode, then publish. A dirty keyword comes from
+    /// the pinned snapshot's overlay and a resident one from the cache,
+    /// both as the `Arc` their owner holds; the rest are decoded from
+    /// `serving` in one call and, only once that call returned `Ok`,
+    /// published for later windows — a decode that failed or met
+    /// hostile bytes leaves nothing behind. Leases are taken under the
+    /// *base* fingerprint: a mutation bumps the delta generation, not
+    /// the bytes of a clean keyword. Without a cache (and without a
+    /// delta) this is the plain decode. `wants` is ascending.
+    fn lease_or_decode(
+        &self,
+        serving: &KbtimIndex,
+        snap: Option<&DeltaSnapshot>,
+        wants: &[(TopicId, u64)],
+    ) -> Result<KeywordArena, IndexError> {
+        let fingerprint = serving.segment_fingerprint();
+        let mut held: Vec<Option<KeywordLists>> =
+            wants.iter().map(|&(topic, _)| snap.and_then(|s| s.overlay_lists(topic))).collect();
+        if let Some(cache) = &self.merge_cache {
+            cache.lease(fingerprint, wants, &mut held);
+        }
+        let missing: Vec<(TopicId, u64)> = wants
+            .iter()
+            .zip(&held)
+            .filter_map(|(want, lists)| lists.is_none().then_some(*want))
+            .collect();
+        // Called even with nothing missing: the decode stage — and its
+        // failpoint — is entered once per window either way.
+        let mut arena = serving.decode_keywords(&missing)?;
+        self.keywords_decoded.fetch_add(missing.len() as u64, Ordering::Relaxed);
+        if let Some(cache) = &self.merge_cache {
+            cache.publish_keywords(fingerprint, &mut arena);
+        }
+        for (&(topic, _), lists) in wants.iter().zip(held) {
+            if let Some(lists) = lists {
+                arena.insert(topic, lists);
+            }
+        }
+        Ok(arena)
     }
 
     /// Run the request directly and alone — **off the serving path**:
@@ -1259,8 +1401,8 @@ mod tests {
         let built_before = materialized();
 
         // Round 0, first miss: the key is recorded, the group is served
-        // in place, nothing is built. Round 1, second miss: decoded
-        // again, built, published. Rounds 2..: hits — the decode books
+        // in place, nothing is built. Round 1, second miss: the lists
+        // leased, built, published. Rounds 2..: hits — the decode books
         // stay flat. `k` varies (the cached instance is k-independent)
         // and every answer matches the uncached serial oracle bit for
         // bit.
@@ -1287,11 +1429,128 @@ mod tests {
                 _ => assert_eq!(built, built_before + 2, "a hit rebuilt its instance"),
             }
         }
-        assert_eq!(decoded[1], 2 * decoded[0], "both misses decode");
+        assert_eq!(decoded[1], decoded[0], "the second miss leases what the first decoded");
         assert_eq!(decoded[5], decoded[1], "cache hits must not decode keywords");
         assert_eq!(engine.merge_cache_hits(), 8);
         assert_eq!(engine.merge_cache_misses(), 4);
         assert_eq!(engine.merge_cache_evictions(), 0);
+    }
+
+    #[test]
+    fn keyword_sets_sharing_a_keyword_decode_it_once_across_windows() {
+        let dir = TempDir::new("engine-keyword-lease").unwrap();
+        let engine = build_engine(dir.path()).with_merge_cache(8);
+        let ask = |topics: &[TopicId], k| {
+            let req = EngineRequest::new(topics.iter().copied(), k).with_algo(Algo::Rr);
+            let want = engine.execute(&req).unwrap();
+            assert_same_answer(&engine.query(&req).unwrap(), &want, &format!("{req:?}"));
+        };
+        // Three windows, three different keyword sets — every probe of
+        // the set map is a first miss — over three keywords.
+        ask(&[0, 1], 5);
+        assert_eq!((engine.keywords_decoded(), engine.keyword_cache_len()), (2, 2));
+        ask(&[1, 2], 7);
+        assert_eq!((engine.keywords_decoded(), engine.keyword_cache_len()), (3, 3), "1 was leased");
+        ask(&[0, 2], 4);
+        ask(&[0, 1, 2], 9);
+        assert_eq!(engine.keywords_decoded(), 3, "a window over leased keywords decodes nothing");
+        assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (0, 4));
+        assert_eq!(engine.merge_cache_bytes(), 0, "no set recurred: no instance was built");
+        // Resident bytes are the lists' own, trimmed to their contents.
+        let (_, budget) = engine.index().query_budget(&Query::new([0u32, 1, 2], 1));
+        let arena = engine.index().decode_keywords(&budget).unwrap();
+        let exact: u64 =
+            arena.entries.iter().flat_map(|(_, l)| l.iter()).map(|c| c.arena_bytes()).sum();
+        engine.index().recycle_keywords(arena);
+        assert_eq!(engine.keyword_cache_bytes(), exact);
+    }
+
+    #[test]
+    fn without_a_cache_no_list_is_retained() {
+        let dir = TempDir::new("engine-keyword-nocache").unwrap();
+        let engine = build_engine(dir.path());
+        for round in 0..3u64 {
+            let window: Vec<_> =
+                [[0, 1], [1, 2]].iter().map(|t| (EngineRequest::new(*t, 5), None)).collect();
+            engine.query_window(&window).into_iter().for_each(|got| drop(got.unwrap()));
+            assert_eq!(engine.keywords_decoded(), 3 * (round + 1), "every window decodes");
+            assert_eq!((engine.keyword_cache_len(), engine.keyword_cache_bytes()), (0, 0));
+        }
+        // The lists went back to the scratch pool instead: 3 keywords
+        // × 1 shard.
+        assert_eq!(engine.index().scratch.spare_csr_capacities().len(), 3);
+    }
+
+    #[test]
+    fn a_capacity_of_one_keeps_one_keyword_and_a_lease_outlives_its_eviction() {
+        let dir = TempDir::new("engine-keyword-evict").unwrap();
+        let engine = build_engine(dir.path()).with_merge_cache(1);
+        let a = EngineRequest::new([0], 6).with_algo(Algo::Rr);
+        let b = EngineRequest::new([3], 6).with_algo(Algo::Rr);
+        let want = [engine.execute(&a).unwrap(), engine.execute(&b).unwrap()];
+        for round in 0..3u64 {
+            for (i, req) in [&a, &b].into_iter().enumerate() {
+                assert_same_answer(&engine.query(req).unwrap(), &want[i], "alternating");
+                assert_eq!(engine.keyword_cache_len(), 1);
+                assert_eq!(
+                    engine.keywords_decoded(),
+                    2 * round + i as u64 + 1,
+                    "evicted: decoded again"
+                );
+            }
+        }
+
+        // A window's arena holds {3}'s lists (resident: `b` ran last);
+        // another window then evicts them from the cache; the first
+        // window still finishes on the lists it leased.
+        let index = engine.index();
+        let (phi_q, budget) = index.query_budget(&Query::new(b.topics.iter().copied(), b.k));
+        let decoded = engine.keywords_decoded();
+        let arena = engine.lease_or_decode(index, None, &budget).unwrap();
+        assert_eq!(engine.keywords_decoded(), decoded, "a lease, not a decode");
+        engine.query(&a).unwrap();
+        assert_eq!(engine.keywords_decoded(), decoded + 1);
+        let users = index.meta().num_users;
+        let ctx = QueryCtx::default();
+        let got = index.query_arena_ctx(users, phi_q, &budget, &arena, b.k, &ctx).unwrap();
+        assert_same_answer(&got, &want[1], "finished on an evicted lease");
+        // The window was the lists' last holder: they go to the pool.
+        let spare = index.scratch.spare_csr_capacities().len();
+        index.recycle_keywords(arena);
+        assert_eq!(index.scratch.spare_csr_capacities().len(), spare + 1);
+    }
+
+    #[test]
+    fn a_failed_decode_publishes_nothing() {
+        // Arms a failpoint: the registry is process-global.
+        let _lease = kbtim_fault::exclusive();
+        let dir = TempDir::new("engine-keyword-fault").unwrap();
+        let engine = build_engine(dir.path()).with_merge_cache(4);
+        let req = EngineRequest::new([0, 1], 5).with_algo(Algo::Rr);
+        let want = engine.execute(&req).unwrap();
+
+        kbtim_fault::arm("engine.decode", "1*err").unwrap();
+        let err = engine.query(&req).unwrap_err();
+        assert!(matches!(err.index_error(), IndexError::Injected("engine.decode")), "{err}");
+        assert_eq!((engine.keyword_cache_len(), engine.keywords_decoded()), (0, 0));
+
+        assert_same_answer(&engine.query(&req).unwrap(), &want, "after the failed decode");
+        assert_eq!((engine.keyword_cache_len(), engine.keywords_decoded()), (2, 2));
+
+        // One unreadable keyword fails the union; the retried healthy
+        // group publishes its own lists, the failed group nothing.
+        std::fs::write(dir.path().join(crate::format::keyword_file_name(3)), b"x").unwrap();
+        let doomed = EngineRequest::new([2, 3], 4).with_algo(Algo::Rr);
+        let healthy = EngineRequest::new([1, 4], 4).with_algo(Algo::Rr);
+        let want = engine.execute(&healthy).unwrap();
+        let mut got = engine.query_window(&[(doomed, None), (healthy, None)]).into_iter();
+        assert!(got.next().unwrap().is_err());
+        assert_same_answer(&got.next().unwrap().unwrap(), &want, "healthy group");
+        assert_eq!(
+            (engine.keyword_cache_len(), engine.keywords_decoded()),
+            (3, 3),
+            "4 joined 0, 1"
+        );
     }
 
     #[test]
@@ -1391,9 +1650,10 @@ mod tests {
         for got in engine.query_window(&raw) {
             assert_same_answer(&got.unwrap(), &want, "raw spelling");
         }
+        // The decode books stay at 2: the second miss leased its lists.
         assert_eq!(
             (engine.keywords_decoded(), engine.coalesced(), engine.greedy_shared()),
-            (4, 2, 2)
+            (2, 2, 2)
         );
         assert_eq!((engine.merge_cache_len(), engine.merge_cache_misses()), (1, 2));
         assert_eq!(materialized(), built_before + 1);

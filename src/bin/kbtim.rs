@@ -668,7 +668,7 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
         },
         match merge_cache {
             0 => "off".to_string(),
-            n => format!("{n} entries"),
+            n => format!("{n} entries ({n} keyword sets + {n} decoded keywords)"),
         },
         max_queue,
         match deadline_ms {
@@ -760,7 +760,7 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     // Drain contract for a dirty delta tier: compact it inside the
     // drain window, or report what stays journaled (`unflushed=N`) for
     // the next attach to replay.
-    let mut stats = ctx.stats_line();
+    let mut stats = format!("{} {}", ctx.stats_line(), router.cache_books_line());
     if let Some(tier) = &delta {
         if tier.flush().is_err() {
             stats.push_str(&format!(" unflushed={}", tier.unflushed()));

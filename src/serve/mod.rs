@@ -416,6 +416,28 @@ impl Router {
     pub fn is_empty(&self) -> bool {
         self.engines.is_empty()
     }
+
+    /// The engines' cache books for the operator log, summed over the
+    /// served indexes and rendered at drain after
+    /// [`ServeCtx::stats_line`]: keyword sets (probes that hit a built
+    /// instance, probes that missed, bytes of built instances) and
+    /// keywords (decodes performed, lists resident for lease, their
+    /// bytes).
+    pub fn cache_books_line(&self) -> String {
+        let sum = |book: fn(&QueryEngine) -> u64| -> u64 {
+            self.engines.iter().map(|(_, engine)| book(engine)).sum()
+        };
+        format!(
+            "set_hits={} set_misses={} set_bytes={} \
+             keywords_decoded={} keywords_resident={} keyword_bytes={}",
+            sum(QueryEngine::merge_cache_hits),
+            sum(QueryEngine::merge_cache_misses),
+            sum(QueryEngine::merge_cache_bytes),
+            sum(QueryEngine::keywords_decoded),
+            sum(|engine| engine.keyword_cache_len() as u64),
+            sum(QueryEngine::keyword_cache_bytes),
+        )
+    }
 }
 
 impl Default for Router {

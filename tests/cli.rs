@@ -155,6 +155,14 @@ fn serve_answers_line_protocol_requests() {
         "banner must report the cache: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // The banner says what the number bounds, and the drain line carries
+    // the cache's books: the stream is serial, so request 1 missed and
+    // decoded both keywords, request 2 missed again, leased them and
+    // built the instance, request 6 hit it.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("(8 keyword sets + 8 decoded keywords)"), "{stderr}");
+    assert!(stderr.contains("panicked=0 set_hits=1 set_misses=2 set_bytes="), "{stderr}");
+    assert!(stderr.contains(" keywords_decoded=2 keywords_resident=2 keyword_bytes="), "{stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 6, "one response per request line: {stdout}");

@@ -269,6 +269,107 @@ proptest! {
     }
 }
 
+/// The fixture's dataset and build once more as a 4-shard index (mmap
+/// backend): a keyword's lease is then four lists, one per shard.
+fn sharded_fixture() -> &'static (TempDir, Arc<KbtimIndex>) {
+    static FX: OnceLock<(TempDir, Arc<KbtimIndex>)> = OnceLock::new();
+    FX.get_or_init(|| {
+        let data = DatasetConfig::family(DatasetFamily::News)
+            .num_users(500)
+            .num_topics(NUM_TOPICS)
+            .seed(117)
+            .build();
+        let model = IcModel::weighted_cascade(&data.graph);
+        let config = IndexBuildConfig {
+            sampling: SamplingConfig {
+                theta_cap: Some(1_500),
+                opt_initial_samples: 64,
+                opt_max_rounds: 5,
+                ..SamplingConfig::fast()
+            },
+            theta_mode: ThetaMode::Compact,
+            variant: IndexVariant::Irr { partition_size: 16 },
+            threads: 4,
+            seed: 29,
+            shards: 4,
+            ..IndexBuildConfig::default()
+        };
+        let dir = TempDir::new("concurrent-equiv-sharded").unwrap();
+        IndexBuilder::new(&model, &data.profiles, config).build(dir.path()).unwrap();
+        let index = KbtimIndex::open_with(dir.path(), IoStats::new(), ServingMode::Mmap)
+            .unwrap()
+            .with_threads(Some(2));
+        assert_eq!(index.num_shards(), 4);
+        (dir, Arc::new(index))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
+    #[test]
+    fn leased_windows_match_serial(
+        raw_windows in proptest::collection::vec(
+            proptest::collection::vec(
+                (proptest::collection::vec(0u32..NUM_TOPICS, 1..4), 1u32..14, 0usize..4),
+                1..5,
+            ),
+            2..6,
+        ),
+        // `--merge-cache N`: off, too small for anything to stay, too
+        // small for the keywords, roomy.
+        capacity in prop_oneof![Just(0usize), Just(1usize), Just(2usize), Just(64usize)],
+        sharded in any::<bool>(),
+    ) {
+        let windows: Vec<Vec<(EngineRequest, Option<std::time::Instant>)>> = raw_windows
+            .into_iter()
+            .map(|window| {
+                window
+                    .into_iter()
+                    .map(|(topics, k, algo)| {
+                        let algo = [Algo::Rr, Algo::Irr, Algo::Auto, Algo::Memory][algo];
+                        (EngineRequest::new(topics, k).with_algo(algo), None)
+                    })
+                    .collect()
+            })
+            .collect();
+        let index = if sharded { &sharded_fixture().1 } else { &fixture().shared[0].1 };
+        let engine =
+            QueryEngine::with_memory(Arc::clone(index)).unwrap().with_merge_cache(capacity);
+        // The oracle never touches the cache: every window below is
+        // compared against a decode made from the bytes.
+        let serial: Vec<Vec<Answer>> = windows
+            .iter()
+            .map(|w| w.iter().map(|(r, _)| Answer::of(&engine.execute(r).unwrap())).collect())
+            .collect();
+
+        // Two clients walk the windows at once from different starting
+        // points, twice over: a keyword is missed by both, leased by
+        // one while the other publishes it, evicted under a window
+        // that holds it — and the second lap reads what the first left.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for tid in 0..2 {
+                let (engine, barrier, windows, serial) = (&engine, &barrier, &windows, &serial);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for lap in 0..2 * windows.len() {
+                        let at = (lap + tid) % windows.len();
+                        for (got, want) in engine.query_window(&windows[at]).iter().zip(&serial[at]) {
+                            let got = Answer::of(got.as_ref().unwrap());
+                            assert_eq!(&got, want, "cache {capacity}, sharded {sharded}, window {at}");
+                        }
+                    }
+                });
+            }
+        });
+        let issued = 4 * windows.iter().map(Vec::len).sum::<usize>() as u64;
+        prop_assert_eq!(engine.executed() + engine.coalesced(), issued);
+        prop_assert!(engine.keyword_cache_len() <= capacity);
+        prop_assert!(engine.merge_cache_len() <= capacity);
+        prop_assert_eq!(engine.keyword_cache_bytes() == 0, engine.keyword_cache_len() == 0);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, .. ProptestConfig::default() })]
     #[test]

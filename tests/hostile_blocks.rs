@@ -213,7 +213,14 @@ fn hostile_inverted_lists_are_structured_errors_everywhere() {
         for cache in [0, 4] {
             let engine = batched(cache);
             for algo in [Algo::Rr, Algo::Irr, Algo::Auto] {
-                engine_error(&engine, &request(algo), &format!("{what}, batched, cache {cache}"));
+                // Twice: whatever the first request left in the cache —
+                // a seen keyword set, lists that decoded but name a
+                // user outside the universe — must not let the repeat
+                // through.
+                for attempt in ["first", "repeat"] {
+                    let what = format!("{what}, batched, cache {cache}, {attempt}");
+                    engine_error(&engine, &request(algo), &what);
+                }
             }
             engine.query(&EngineRequest::new([0, 2], 6).with_algo(Algo::Rr)).unwrap();
         }
