@@ -49,8 +49,8 @@ const ADMITTED: usize = 4;
 /// Max disarmed overhead, as promised by the `kbtim-fault` docs.
 const MAX_OVERHEAD_PCT: f64 = 2.0;
 
-/// The request mix (same shapes as `concurrent_baseline`, as protocol
-/// lines: the storm exercises the full front-end, parse included).
+/// The request mix, as protocol lines: the storm exercises the full
+/// front-end, parse included.
 const LINES: [&str; 6] = [
     r#"{"id":1,"topics":[0,1],"k":10,"algo":"rr"}"#,
     r#"{"id":2,"topics":[0,1],"k":10,"algo":"irr"}"#,

@@ -12,7 +12,6 @@
 //! configuration, so query experiments do not pay repeated build costs
 //! and build experiments report the originally measured times.
 
-pub mod legacy;
 pub mod scale;
 pub mod setup;
 pub mod table;

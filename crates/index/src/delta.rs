@@ -44,12 +44,14 @@
 //! Unflushed mutations are journaled to `root/delta.log` (exact f32
 //! bit patterns, one mutation per line); [`DeltaIndex::attach`] replays
 //! the journal so a restart loses nothing, and the serving tier's drain
-//! path reports the outstanding count.
+//! path reports the outstanding count. A record is complete only if it
+//! ends in a newline: what a process killed mid-append left after the
+//! last one is dropped, and cut off the file, at the next attach.
 
 use crate::build::{IndexBuildConfig, IndexBuilder};
 use crate::format::{IlCsr, IndexMeta, KeywordMeta};
 use crate::scratch::{KeywordArena, KeywordLists};
-use crate::{memory, rr_query, IndexError, KbtimIndex, QueryCtx, QueryOutcome};
+use crate::{rr_query, IndexError, KbtimIndex, QueryCtx, QueryOutcome};
 use kbtim_graph::{Graph, NodeId};
 use kbtim_propagation::IcModel;
 use kbtim_topics::{Query, TopicId, UserProfiles};
@@ -160,7 +162,7 @@ impl DeltaSnapshot {
 
     /// The Eqn-11 budget under the union catalog.
     pub fn query_budget(&self, query: &Query) -> (f64, Vec<(TopicId, u64)>) {
-        memory::query_budget_from_meta(&self.meta, query)
+        crate::query_budget_from_meta(&self.meta, query)
     }
 
     /// A dirty keyword's lists — the `Arc` this snapshot owns, so every
@@ -620,6 +622,14 @@ impl DeltaIndex {
     /// Replay `root/delta.log` left by a previous process: fold every
     /// journaled mutation into the writer state and publish one snapshot
     /// covering all of them (without re-journaling).
+    ///
+    /// [`DeltaIndex::journal_append`] ends every record in `\n`, so a
+    /// final piece without one is the torn half of an append that was
+    /// never acknowledged: it is not applied (`edge\t12\t3` cut from
+    /// `edge\t12\t345` would parse), and the file is cut back to the
+    /// last newline before anything appends — the next record would
+    /// otherwise glue onto the torn half. A *terminated* line that does
+    /// not parse is still `Corrupt`.
     fn replay_journal(&self) -> Result<(), IndexError> {
         let path = self.root.join(DELTA_JOURNAL_FILE);
         let contents = match std::fs::read_to_string(&path) {
@@ -627,8 +637,13 @@ impl DeltaIndex {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(storage_io(e)),
         };
+        let complete = contents.rfind('\n').map_or(0, |at| at + 1);
+        if complete < contents.len() {
+            let file = std::fs::OpenOptions::new().write(true).open(&path).map_err(storage_io)?;
+            file.set_len(complete as u64).map_err(storage_io)?;
+        }
         let mut mutations = Vec::new();
-        for (i, line) in contents.lines().enumerate() {
+        for (i, line) in contents[..complete].lines().enumerate() {
             if line.is_empty() {
                 continue;
             }
@@ -986,6 +1001,37 @@ mod tests {
         let again = DeltaIndex::attach(base, &data.graph, &data.profiles, config()).unwrap();
         assert_eq!(again.unflushed(), 3);
         assert_same(&again.snapshot().query(&query).unwrap(), &before);
+    }
+
+    #[test]
+    fn a_torn_journal_tail_is_dropped_and_cut_off() {
+        let data = dataset();
+        let dir = TempDir::new("delta-torn").unwrap();
+        let base = build_base(dir.path(), &data);
+        let log = dir.path().join(DELTA_JOURNAL_FILE);
+        let attach = || DeltaIndex::attach(base.clone(), &data.graph, &data.profiles, config());
+
+        // Killed mid-record: two whole lines, then half of a third.
+        let whole = format!("weight\t9\t0\t{}\nuser\n", 0.75f32.to_bits());
+        std::fs::write(&log, format!("{whole}edge\t1")).unwrap();
+        let delta = attach().unwrap();
+        assert_eq!(delta.unflushed(), 2);
+        assert_eq!(std::fs::read_to_string(&log).unwrap(), whole, "cut back to the last newline");
+        // The next record starts on its own line, so the next start
+        // replays three mutations, not two and a glued-together wreck.
+        delta.apply(&[Mutation::IngestEdge { from: 300, to: 9 }]).unwrap();
+        drop(delta);
+        assert_eq!(attach().unwrap().unflushed(), 3);
+
+        // A torn half that happens to parse (`edge 1→3` cut from
+        // `edge 1→345`) was never acknowledged either.
+        std::fs::write(&log, "user\nedge\t1\t3").unwrap();
+        assert_eq!(attach().unwrap().unflushed(), 1);
+        assert_eq!(std::fs::read_to_string(&log).unwrap(), "user\n");
+
+        // A whole line that does not parse is damage, not a torn tail.
+        std::fs::write(&log, "user\nedge\t1\n").unwrap();
+        assert!(matches!(attach(), Err(IndexError::Corrupt(_))));
     }
 
     #[test]

@@ -444,17 +444,6 @@ impl IlCsr {
             ids: std::mem::take(&mut self.ids),
         }
     }
-
-    /// Append every list of `other` after this block's lists, rebasing
-    /// offsets. Concatenating shard IL blocks in shard order with this
-    /// reproduces the monolithic (S = 1) block byte-for-byte, because
-    /// shards own contiguous, ascending user ranges.
-    pub fn append(&mut self, other: &IlCsr) {
-        let base = u32::try_from(self.ids.len()).expect("IL arena exceeds u32 offsets");
-        self.ids.extend_from_slice(&other.ids);
-        self.users.extend_from_slice(&other.users);
-        self.offsets.extend(other.offsets[1..].iter().map(|&o| o + base));
-    }
 }
 
 /// Decode a block written by [`encode_il_entries`] into a flat [`IlCsr`].
@@ -1352,31 +1341,6 @@ mod tests {
         for manifest in bad {
             assert!(ShardManifest::decode(&manifest.encode()).is_err(), "{manifest:?}");
         }
-    }
-
-    #[test]
-    fn il_csr_append_matches_monolithic_decode() {
-        // Users 0..4 split [0,2) / [2,4): appending the two shard blocks
-        // must reproduce the monolithic block exactly.
-        let all: Vec<IlEntry> =
-            vec![(0, vec![1, 4]), (1, vec![6]), (2, vec![0, 2, 3]), (3, vec![5])];
-        let mut whole = Vec::new();
-        encode_il_entries(&all, Codec::Packed, &mut whole);
-        let mut lo = Vec::new();
-        encode_il_entries(&all[..2], Codec::Packed, &mut lo);
-        let mut hi = Vec::new();
-        encode_il_entries(&all[2..], Codec::Packed, &mut hi);
-
-        let mut joined = decode_il_csr(&lo, Codec::Packed).unwrap();
-        joined.append(&decode_il_csr(&hi, Codec::Packed).unwrap());
-        assert_eq!(joined, decode_il_csr(&whole, Codec::Packed).unwrap());
-
-        // Appending an empty shard block is a no-op.
-        let before = joined.clone();
-        let mut empty = Vec::new();
-        encode_il_entries(&[], Codec::Packed, &mut empty);
-        joined.append(&decode_il_csr(&empty, Codec::Packed).unwrap());
-        assert_eq!(joined, before);
     }
 
     #[test]

@@ -562,40 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn query_auto_is_the_keyword_scan_on_either_variant() {
-        let data = dataset(400, 4, 59);
-        let model = IcModel::weighted_cascade(&data.graph);
-        let irr_dir = TempDir::new("irrq-auto").unwrap();
-        build_irr(&data, irr_dir.path(), 40);
-        let rr_dir = TempDir::new("irrq-auto-rr").unwrap();
-        let config = IndexBuildConfig {
-            variant: IndexVariant::Rr,
-            sampling: SamplingConfig {
-                theta_cap: Some(500),
-                opt_initial_samples: 64,
-                opt_max_rounds: 4,
-                ..SamplingConfig::fast()
-            },
-            ..IndexBuildConfig::default()
-        };
-        IndexBuilder::new(&model, &data.profiles, config).build(rr_dir.path()).unwrap();
-        for dir in [irr_dir.path(), rr_dir.path()] {
-            let index = KbtimIndex::open(dir, IoStats::new()).unwrap();
-            // Both sides of the retired `4·k ≤ δ` rule.
-            for k in [5, 30] {
-                let query = Query::new([0, 1], k);
-                let auto = index.query_auto(&query).unwrap();
-                let rr = index.query_rr(&query).unwrap();
-                assert_eq!(auto.stats.partitions_loaded, 0, "auto ran the NRA");
-                assert_eq!(auto.stats.rr_sets_loaded, auto.stats.theta_q);
-                assert_eq!(auto.seeds, rr.seeds);
-                assert_eq!(auto.marginal_gains, rr.marginal_gains);
-                assert_eq!(auto.estimated_influence.to_bits(), rr.estimated_influence.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn io_counted_per_query() {
         let data = dataset(400, 4, 53);
         let dir = TempDir::new("irrq-io").unwrap();

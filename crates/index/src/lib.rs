@@ -50,7 +50,6 @@ pub mod build;
 pub mod delta;
 pub mod format;
 pub mod irr_query;
-pub mod memory;
 pub mod rr_query;
 pub mod scratch;
 pub mod serve;
@@ -67,7 +66,6 @@ pub use build::{BuildReport, IndexBuildConfig, IndexBuilder, KeywordBuildStats, 
 pub use delta::{DeltaIndex, DeltaSnapshot, DeltaStats, Mutation};
 pub use format::{IndexMeta, IndexVariant, KeywordMeta};
 pub use kbtim_storage::{PageCache, ServingMode};
-pub use memory::MemoryIndex;
 pub use rr_query::MergedQuery;
 pub use scratch::{KeywordArena, QueryScratch};
 pub use serve::{Algo, EngineError, EngineRequest, EngineResult, QueryEngine};
@@ -134,8 +132,8 @@ impl From<kbtim_codec::CodecError> for IndexError {
 /// decode, once per greedy round, once per IRR NRA round — so an
 /// expired query aborts with [`IndexError::DeadlineExceeded`] instead
 /// of returning partial results. The default context is unbounded and
-/// is what the plain (`query_rr` / `query_irr` / `query_auto`) paths
-/// use; checking it costs one `Option` test per round.
+/// is what the plain (`query_rr` / `query_irr`) paths use; checking it
+/// costs one `Option` test per round.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryCtx {
     /// Absolute wall-clock point after which the query must abort.
@@ -538,33 +536,7 @@ impl KbtimIndex {
     /// Returns `(phi_q, per-keyword (topic, θ^Q_w))`; keywords nobody holds
     /// contribute nothing. `phi_q == 0` means no user is relevant.
     pub fn query_budget(&self, query: &Query) -> (f64, Vec<(TopicId, u64)>) {
-        memory::query_budget_from_meta(&self.meta, query)
-    }
-
-    /// Answer `query` the way the serving tier answers every disk
-    /// request: decode the keywords' inverted lists, count per-user
-    /// gains, run the tiered CELF in place — [`KbtimIndex::query_rr`],
-    /// on either index variant.
-    ///
-    /// There is no cost-model pick left to make. The paper's Figure 5
-    /// has IRR ahead while `Q.k` is small because it loads fewer RR-set
-    /// payloads; no serving path here reads a payload, and on this
-    /// layout Algorithm 4 is ahead of the keyword scan only at
-    /// `|Q.T|` = 1 (docs/BENCHMARKS.md §PR 15 has the crossover).
-    /// [`KbtimIndex::query_irr`] stays as the paper's algorithm and
-    /// returns the same seeds (Theorem 3).
-    pub fn query_auto(&self, query: &Query) -> Result<QueryOutcome, IndexError> {
-        self.query_rr(query)
-    }
-
-    /// [`KbtimIndex::query_auto`] under an execution context (see
-    /// [`QueryCtx`]).
-    pub fn query_auto_ctx(
-        &self,
-        query: &Query,
-        ctx: &QueryCtx,
-    ) -> Result<QueryOutcome, IndexError> {
-        self.query_rr_ctx(query, ctx)
+        query_budget_from_meta(&self.meta, query)
     }
 
     /// The opened shards in shard order.
@@ -588,10 +560,46 @@ impl KbtimIndex {
     }
 
     /// Shard-0 source — only meaningful on a single-shard index, where
-    /// shard 0 *is* the whole index (the IRR partition walk and the
-    /// resident loader's flat path assert this before calling).
+    /// shard 0 *is* the whole index (the IRR partition walk asserts this
+    /// before calling).
     pub(crate) fn source(&self, topic: TopicId) -> Result<&BlockSource, IndexError> {
         debug_assert_eq!(self.num_shards(), 1, "source() reads the flat (single-shard) layout");
         self.source_in(0, topic)
     }
+}
+
+/// The Eqn-11 budget computed from a catalog alone: what
+/// [`KbtimIndex::query_budget`] and the delta tier's snapshot (whose
+/// catalog differs from the base's) both answer with.
+pub(crate) fn query_budget_from_meta(meta: &IndexMeta, query: &Query) -> (f64, Vec<(u32, u64)>) {
+    let masses: Vec<(u32, f64)> = query
+        .topics()
+        .iter()
+        .filter_map(|&w| {
+            let kw = meta.keywords.get(w as usize)?;
+            let mass = kw.tf_sum * kw.idf;
+            (kw.theta > 0 && mass > 0.0).then_some((w, mass))
+        })
+        .collect();
+    let phi_q: f64 = masses.iter().map(|&(_, m)| m).sum();
+    if phi_q <= 0.0 {
+        return (0.0, Vec::new());
+    }
+    let theta_q = masses
+        .iter()
+        .map(|&(w, mass)| {
+            let p_w = mass / phi_q;
+            meta.keywords[w as usize].theta as f64 / p_w
+        })
+        .fold(f64::INFINITY, f64::min);
+    let budget = masses
+        .iter()
+        .map(|&(w, mass)| {
+            let p_w = mass / phi_q;
+            let share =
+                ((theta_q * p_w).floor() as u64).min(meta.keywords[w as usize].theta).max(1);
+            (w, share)
+        })
+        .collect();
+    (phi_q, budget)
 }

@@ -86,7 +86,7 @@ impl KeywordArena {
     }
 
     /// Whether the arena holds no keywords (a batch of empty-budget or
-    /// memory-only requests).
+    /// cache-served requests).
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -177,7 +177,7 @@ pub struct QueryScratch {
 }
 
 /// Shared pool of [`QueryScratch`] blocks plus recycled CSR/index
-/// arenas. One per opened index (and one per [`crate::MemoryIndex`]).
+/// arenas. One per opened index.
 #[derive(Default)]
 pub(crate) struct ScratchPool {
     scratch: Mutex<Vec<QueryScratch>>,

@@ -1,5 +1,5 @@
 //! The concurrent serving runtime: a [`QueryEngine`] admitting rr / irr
-//! / auto / memory queries from many client threads against one shared
+//! / auto queries from many client threads against one shared
 //! [`Arc<KbtimIndex>`].
 //!
 //! The paper's headline claim is *real-time* targeted IM — millisecond
@@ -25,8 +25,7 @@
 //!   per window, not once per request. Requests over the same keyword
 //!   set additionally share one greedy run: seeds are selected
 //!   sequentially and `k` only bounds the loop, so one max-`k` run
-//!   prefix-slices into every member's answer. Memory-algo requests
-//!   pass through unshared (they are already decode-free).
+//!   prefix-slices into every member's answer.
 //! * **Sharing across windows**: with a capacity configured
 //!   ([`QueryEngine::set_merge_cache`]) the engine keeps two units,
 //!   each in a capacity-bounded LRU keyed on the index's segment
@@ -52,7 +51,7 @@
 use crate::delta::{self, DeltaIndex, DeltaSnapshot};
 use crate::rr_query::{self, MergedQuery};
 use crate::scratch::{self, KeywordArena, KeywordLists};
-use crate::{IndexError, KbtimIndex, MemoryIndex, QueryCtx, QueryOutcome};
+use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome};
 use kbtim_topics::{Query, TopicId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,20 +79,15 @@ pub enum Algo {
     /// No preference: the keyword scan, on either variant.
     #[default]
     Auto,
-    /// The RAM-resident serving copy (requires
-    /// [`QueryEngine::with_memory`]).
-    Memory,
 }
 
 impl Algo {
-    /// Parse the CLI/protocol spelling (`rr` / `irr` / `auto` /
-    /// `memory`).
+    /// Parse the CLI/protocol spelling (`rr` / `irr` / `auto`).
     pub fn parse(s: &str) -> Option<Algo> {
         match s {
             "rr" => Some(Algo::Rr),
             "irr" => Some(Algo::Irr),
             "auto" => Some(Algo::Auto),
-            "memory" => Some(Algo::Memory),
             _ => None,
         }
     }
@@ -104,7 +98,6 @@ impl Algo {
             Algo::Rr => "rr",
             Algo::Irr => "irr",
             Algo::Auto => "auto",
-            Algo::Memory => "memory",
         }
     }
 }
@@ -404,7 +397,6 @@ impl MergeCache {
 /// to every client thread.
 pub struct QueryEngine {
     index: Arc<KbtimIndex>,
-    memory: Option<MemoryIndex>,
     delta: Option<Arc<DeltaIndex>>,
     /// The `--batch` setting, stored for the transport's window former
     /// (see [`QueryEngine::set_batch_window`]).
@@ -426,7 +418,6 @@ impl QueryEngine {
     pub fn new(index: Arc<KbtimIndex>) -> QueryEngine {
         QueryEngine {
             index,
-            memory: None,
             delta: None,
             batch_window: None,
             merge_cache: None,
@@ -441,23 +432,12 @@ impl QueryEngine {
         }
     }
 
-    /// [`QueryEngine::new`] plus a RAM-resident [`MemoryIndex`] serving
-    /// copy, enabling [`Algo::Memory`]. On zero-copy backends the load
-    /// borrows the index's already-resident pages.
-    pub fn with_memory(index: Arc<KbtimIndex>) -> Result<QueryEngine, IndexError> {
-        let memory = MemoryIndex::load(&index)?;
-        let mut engine = QueryEngine::new(index);
-        engine.memory = Some(memory);
-        Ok(engine)
-    }
-
     /// Attach a mutable delta tier (builder-style). With a delta
-    /// attached, **every** request — all four algorithms — routes
+    /// attached, **every** request — all three algorithms — routes
     /// through the tier's union snapshot: answers reflect base ∪ delta
-    /// at a pinned generation, never a stale RAM copy or a stale base
-    /// handle left behind by a flush. Bit-identical-across-algos
-    /// invariants carry over because all algorithms serve from one
-    /// union decode.
+    /// at a pinned generation, never a stale base handle left behind by
+    /// a flush. Bit-identical-across-algos invariants carry over because
+    /// all algorithms serve from one union decode.
     pub fn with_delta(mut self, delta: Arc<DeltaIndex>) -> QueryEngine {
         self.delta = Some(delta);
         self
@@ -483,11 +463,6 @@ impl QueryEngine {
     /// [`DeltaIndex::snapshot`](crate::DeltaIndex::snapshot) instead.
     pub fn index(&self) -> &Arc<KbtimIndex> {
         &self.index
-    }
-
-    /// Whether [`Algo::Memory`] requests can be served.
-    pub fn has_memory(&self) -> bool {
-        self.memory.is_some() || self.delta.is_some()
     }
 
     /// Requests this engine actually executed (excluding coalesced
@@ -723,13 +698,12 @@ impl QueryEngine {
             }
         }
 
-        // Group the disk requests by keyword set: the Eqn-11 budget and
-        // the merged coverage instance depend on the topics alone, so
-        // same-keyword-set requests (different `k`, different disk
+        // Group every request by keyword set: the Eqn-11 budget and the
+        // merged coverage instance depend on the topics alone, so
+        // same-keyword-set requests (different `k`, different
         // algorithm) share one budget, one merge, and differ only in
-        // their greedy. Memory requests are decode-free and pass
-        // through unshared. The budget is computed once per group,
-        // right here, and threaded through to the merge.
+        // their greedy. The budget is computed once per group, right
+        // here, and threaded through to the merge.
         struct Group {
             members: Vec<usize>,
             phi_q: f64,
@@ -755,12 +729,6 @@ impl QueryEngine {
         let mut results: Vec<Option<EngineResult>> = vec![None; unique.len()];
         let mut groups: Vec<Group> = Vec::new();
         for (at, req) in unique.iter().enumerate() {
-            // Memory requests are decode-free only without a delta tier;
-            // with one attached they join the union groups like every
-            // other algorithm (the RAM copy would be stale).
-            if req.algo == Algo::Memory && snap.is_none() {
-                continue;
-            }
             // `Irr` keeps its variant check, made where `execute_ctx`
             // makes it: before any work is done on the request's behalf.
             if req.algo == Algo::Irr && !irr_available {
@@ -828,18 +796,8 @@ impl QueryEngine {
         }
         let wants: Vec<(TopicId, u64)> = wants.into_iter().collect();
 
-        // Execute: memory requests directly (RAM-only, decode-free),
-        // each keyword-set group over one shared instance. All three
-        // disk algorithms serve from it (Theorem 3).
-        if snap.is_none() {
-            for (at, req) in unique.iter().enumerate() {
-                if req.algo == Algo::Memory {
-                    self.executed.fetch_add(1, Ordering::Relaxed);
-                    results[at] =
-                        Some(self.execute_ctx(req, &QueryCtx { deadline: deadlines[at] }));
-                }
-            }
-        }
+        // Execute each keyword-set group over one shared instance. All
+        // three algorithms serve from it (Theorem 3).
         let run_group = |group: &Group, arena: &KeywordArena| -> Vec<(usize, EngineResult)> {
             let fail = |e: IndexError| -> Vec<(usize, EngineResult)> {
                 let err = EngineError::from(e);
@@ -968,12 +926,11 @@ impl QueryEngine {
                 // window, so retry *per group*: groups whose own
                 // keywords are healthy still get their serial answers;
                 // only groups referencing the failed keyword(s) see the
-                // error — exactly the per-request semantics. (Memory
-                // requests were already served above; cache-served
-                // groups never needed the decode, so they are served
-                // straight from their cached instance.) A lone decoding
-                // group *was* the union: its error is the answer, with
-                // no second attempt.
+                // error — exactly the per-request semantics.
+                // (Cache-served groups never needed the decode, so they
+                // are served straight from their cached instance.) A
+                // lone decoding group *was* the union: its error is the
+                // answer, with no second attempt.
                 let decoding = groups.iter().filter(|g| g.cached.is_none()).count();
                 let mut lone_err = (decoding == 1).then_some(union_err);
                 for group in &groups {
@@ -1064,15 +1021,14 @@ impl QueryEngine {
 
     /// [`QueryEngine::execute`] under an execution context (see
     /// [`QueryCtx`]): the deadline is enforced at the index's stage
-    /// boundaries; memory queries check it once on entry (they are
-    /// decode-free and run in microseconds).
+    /// boundaries.
     pub fn execute_ctx(&self, req: &EngineRequest, ctx: &QueryCtx) -> EngineResult {
         let query = Query::new(req.topics.iter().copied(), req.k);
         // A delta tier routes every algorithm through one pinned union
-        // snapshot: base handles and RAM copies captured at engine build
-        // go stale the moment a mutation lands, and the per-algo
-        // bit-identity invariants survive because all four serve from
-        // the same union decode.
+        // snapshot: the base handle captured at engine build goes stale
+        // the moment a flush lands, and the per-algo bit-identity
+        // invariants survive because all three serve from the same
+        // union decode.
         let snap = self.delta.as_ref().map(|delta| delta.snapshot());
         // `Irr` keeps its variant check and gets Theorem 3's answer
         // from the keyword scan (the NRA itself is
@@ -1085,23 +1041,7 @@ impl QueryEngine {
         if let Some(snap) = snap {
             return Ok(Arc::new(snap.query_ctx(&query, ctx)?));
         }
-        let outcome = match req.algo {
-            Algo::Rr | Algo::Irr | Algo::Auto => self.index.query_rr_ctx(&query, ctx)?,
-            Algo::Memory => match &self.memory {
-                Some(memory) => {
-                    ctx.check()?;
-                    memory.query(&query)
-                }
-                None => {
-                    return Err(EngineError::from(IndexError::Corrupt(
-                        "engine was built without a memory serving copy \
-                         (use QueryEngine::with_memory)"
-                            .to_string(),
-                    )))
-                }
-            },
-        };
-        Ok(Arc::new(outcome))
+        Ok(Arc::new(self.index.query_rr_ctx(&query, ctx)?))
     }
 }
 
@@ -1111,7 +1051,6 @@ impl QueryEngine {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<KbtimIndex>();
-    assert_send_sync::<MemoryIndex>();
     assert_send_sync::<QueryEngine>();
 };
 
@@ -1155,7 +1094,7 @@ mod tests {
     }
 
     fn build_engine(dir: &std::path::Path) -> QueryEngine {
-        QueryEngine::with_memory(build_index(dir).2).unwrap()
+        QueryEngine::new(build_index(dir).2)
     }
 
     /// Instances `merge_csrs` built on this thread (a window of one
@@ -1178,9 +1117,7 @@ mod tests {
         let query = Query::new([0u32, 1], 8);
         let direct_rr = engine.index().query_rr(&query).unwrap();
         let direct_irr = engine.index().query_irr(&query).unwrap();
-        for (algo, want) in
-            [(Algo::Rr, &direct_rr), (Algo::Irr, &direct_irr), (Algo::Memory, &direct_rr)]
-        {
+        for (algo, want) in [(Algo::Rr, &direct_rr), (Algo::Irr, &direct_irr)] {
             let got = engine.query(&EngineRequest::new([0, 1], 8).with_algo(algo)).unwrap();
             assert_eq!(got.seeds, want.seeds, "{algo}");
             assert_eq!(got.coverage, want.coverage, "{algo}");
@@ -1207,17 +1144,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_without_loading_is_an_error() {
-        let dir = TempDir::new("engine-nomem").unwrap();
-        let engine = build_engine(dir.path());
-        let index = Arc::clone(engine.index());
-        let bare = QueryEngine::new(index);
-        assert!(!bare.has_memory());
-        let err = bare.query(&EngineRequest::new([0], 3).with_algo(Algo::Memory)).unwrap_err();
-        assert!(err.to_string().contains("memory serving copy"), "{err}");
-    }
-
-    #[test]
     fn batched_engine_matches_serial_execution() {
         let dir = TempDir::new("engine-batch").unwrap();
         let engine = build_engine(dir.path()).with_batch_window(Some(Duration::from_micros(200)));
@@ -1225,7 +1151,6 @@ mod tests {
             EngineRequest::new([0, 1], 4).with_algo(Algo::Rr),
             EngineRequest::new([0, 1], 9).with_algo(Algo::Irr),
             EngineRequest::new([1, 2], 6).with_algo(Algo::Auto),
-            EngineRequest::new([0, 1], 4).with_algo(Algo::Memory),
             EngineRequest::new([4], 3).with_algo(Algo::Rr),
         ];
         for req in &reqs {
@@ -1245,32 +1170,6 @@ mod tests {
         assert_eq!(engine.batches(), reqs.len() as u64);
         assert_eq!(engine.batched_requests(), reqs.len() as u64);
         assert!(engine.batch_window().is_some());
-    }
-
-    #[test]
-    fn batched_memory_requests_survive_disk_decode_failure() {
-        let dir = TempDir::new("engine-batch-corrupt").unwrap();
-        let engine = build_engine(dir.path());
-        let mem_req = EngineRequest::new([0, 1], 4).with_algo(Algo::Memory);
-        let rr_req = EngineRequest::new([0, 1], 4).with_algo(Algo::Rr);
-        let mem_serial = engine.execute(&mem_req).unwrap();
-
-        // Truncate a keyword segment the rr request needs. The memory
-        // copy was loaded at engine build, so only disk reads break.
-        std::fs::write(dir.path().join(crate::format::keyword_file_name(0)), b"x").unwrap();
-
-        // Both in one window: the rr request must fail on the shared
-        // decode, the memory request must still be served from RAM —
-        // exactly as each would alone.
-        let mut results = engine.query_window(&[(rr_req, None), (mem_req, None)]).into_iter();
-        let rr = results.next().unwrap();
-        assert!(rr.is_err(), "disk request must surface the corrupt segment");
-        let mem = results.next().unwrap().expect("memory request must survive the window");
-        assert_eq!(mem.seeds, mem_serial.seeds);
-        assert_eq!(mem.marginal_gains, mem_serial.marginal_gains);
-        // `execute` (the oracle) bypasses the books; the window's two
-        // members must balance them.
-        assert_eq!(engine.executed() + engine.coalesced(), 2);
     }
 
     #[test]
@@ -1440,19 +1339,25 @@ mod tests {
     fn keyword_sets_sharing_a_keyword_decode_it_once_across_windows() {
         let dir = TempDir::new("engine-keyword-lease").unwrap();
         let engine = build_engine(dir.path()).with_merge_cache(8);
-        let ask = |topics: &[TopicId], k| {
+        // Answers one window against the serial oracle; returns the
+        // block reads the window made (the oracle reads for itself,
+        // outside the bracket — `build_index` opens the `file` backend).
+        let ask = |topics: &[TopicId], k| -> u64 {
             let req = EngineRequest::new(topics.iter().copied(), k).with_algo(Algo::Rr);
             let want = engine.execute(&req).unwrap();
-            assert_same_answer(&engine.query(&req).unwrap(), &want, &format!("{req:?}"));
+            let before = engine.index().io_stats().read_ops();
+            let got = engine.query(&req).unwrap();
+            assert_same_answer(&got, &want, &format!("{req:?}"));
+            assert_eq!(got.stats.io.read_ops, 0, "a window's answer books no read of its own");
+            engine.index().io_stats().read_ops() - before
         };
         // Three windows, three different keyword sets — every probe of
         // the set map is a first miss — over three keywords.
-        ask(&[0, 1], 5);
+        assert_eq!(ask(&[0, 1], 5), 2, "one `il` read per decoded keyword");
         assert_eq!((engine.keywords_decoded(), engine.keyword_cache_len()), (2, 2));
-        ask(&[1, 2], 7);
+        assert_eq!(ask(&[1, 2], 7), 1, "1 was leased");
         assert_eq!((engine.keywords_decoded(), engine.keyword_cache_len()), (3, 3), "1 was leased");
-        ask(&[0, 2], 4);
-        ask(&[0, 1, 2], 9);
+        assert_eq!(ask(&[0, 2], 4) + ask(&[0, 1, 2], 9), 0, "a leased keyword reads no block");
         assert_eq!(engine.keywords_decoded(), 3, "a window over leased keywords decodes nothing");
         assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (0, 4));
         assert_eq!(engine.merge_cache_bytes(), 0, "no set recurred: no instance was built");
@@ -1697,7 +1602,7 @@ mod tests {
 
     #[test]
     fn algo_parse_roundtrip() {
-        for algo in [Algo::Rr, Algo::Irr, Algo::Auto, Algo::Memory] {
+        for algo in [Algo::Rr, Algo::Irr, Algo::Auto] {
             assert_eq!(Algo::parse(algo.name()), Some(algo));
         }
         assert_eq!(Algo::parse("bogus"), None);

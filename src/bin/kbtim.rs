@@ -13,7 +13,7 @@
 //! kbtim serve    --index [NAME=]DIR [--index NAME=DIR ...] [--listen HOST:PORT]
 //!                [--front-end epoll|threads] [--max-conns N] [--backlog N]
 //!                [--workers N] [--outbox-cap BYTES]
-//!                [--threads N] [--serving file|resident|mmap] [--memory on|off]
+//!                [--threads N] [--serving file|resident|mmap]
 //!                [--batch USEC] [--merge-cache ENTRIES] [--max-queue N]
 //!                [--deadline-ms MS] [--max-line BYTES]
 //!                [--data DIR] [--flush-watermark N] [--eps F] [--cap N] [--seed S]
@@ -75,6 +75,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // A flag the command does not read is a typo or a removed option:
+    // refuse it rather than serve without it.
+    if let Some(known) = known_flags(command) {
+        if let Some((key, _)) = pairs.iter().find(|(key, _)| !known.contains(&key.as_str())) {
+            eprintln!("error: unknown flag --{key} for `{command}`\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    }
     // Repeated flags: last occurrence wins for the scalar commands;
     // `serve` additionally reads the ordered pairs for repeatable
     // `--index`.
@@ -117,12 +125,50 @@ USAGE:
   kbtim serve    --index [NAME=]DIR [--index NAME=DIR ...] [--listen HOST:PORT]
                  [--front-end epoll|threads] [--max-conns N] [--backlog N]
                  [--workers N] [--outbox-cap BYTES]
-                 [--threads N] [--serving file|resident|mmap] [--memory on|off]
+                 [--threads N] [--serving file|resident|mmap]
                  [--batch USEC] [--merge-cache ENTRIES] [--max-queue N]
                  [--deadline-ms MS] [--max-line BYTES]
                  [--data DIR] [--flush-watermark N] [--eps F] [--cap N] [--seed S]
   kbtim validate --index DIR [--serving file|resident|mmap]
                  [--data DIR] [--eps F] [--cap N] [--seed S]";
+
+/// The flags each command reads (`None`: not a command). Keep in step
+/// with the command's `required` / `parse` / `flags.get` calls.
+fn known_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "gen" => &["family", "users", "topics", "seed", "out"],
+        "stats" => &["graph"],
+        "build" => &[
+            "data", "out", "model", "codec", "variant", "delta", "eps", "cap", "threads", "seed",
+            "shards",
+        ],
+        "query" => &["index", "topics", "k", "algo", "threads", "serving"],
+        "ingest" => &["index", "data", "file", "flush", "serving", "eps", "cap", "seed"],
+        "serve" => &[
+            "index",
+            "listen",
+            "front-end",
+            "max-conns",
+            "backlog",
+            "workers",
+            "outbox-cap",
+            "threads",
+            "serving",
+            "batch",
+            "merge-cache",
+            "max-queue",
+            "deadline-ms",
+            "max-line",
+            "data",
+            "flush-watermark",
+            "eps",
+            "cap",
+            "seed",
+        ],
+        "validate" => &["index", "serving", "data", "eps", "cap", "seed"],
+        _ => return None,
+    })
+}
 
 /// `--key value` pairs in argument order (repeats preserved — `serve`
 /// accepts `--index` more than once).
@@ -315,7 +361,7 @@ fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
     let outcome = match algo {
         "rr" => index.query_rr(&query),
         "irr" => index.query_irr(&query),
-        "auto" => index.query_auto(&query),
+        "auto" => index.query_rr(&query),
         other => return Err(format!("--algo must be rr|irr|auto, got {other:?}")),
     }
     .map_err(|e| e.to_string())?;
@@ -528,11 +574,6 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     // is the parallelism, and inline queries keep latency predictable.
     // 0 = the machine's available parallelism, as elsewhere.
     let threads: usize = parse(flags, "threads", 1)?;
-    let memory = match flags.get("memory").map(String::as_str).unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("--memory must be on|off, got {other:?}")),
-    };
     // Cross-request batching: 0 pins every dispatcher window to one
     // request; any other value lets a worker take its share of what is
     // queued (requests in a window share keyword decodes and greedy
@@ -634,13 +675,9 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
             .map_err(|e| format!("index {name} ({dir}): {e}"))?;
         index.set_threads(if threads == 0 { None } else { Some(threads) });
         let index = Arc::new(index);
-        let engine = if memory {
-            QueryEngine::with_memory(Arc::clone(&index))
-                .map_err(|e| format!("index {name} ({dir}): {e}"))?
-        } else {
-            QueryEngine::new(Arc::clone(&index))
-        };
-        let mut engine = engine.with_batch_window(batch_window).with_merge_cache(merge_cache);
+        let mut engine = QueryEngine::new(Arc::clone(&index))
+            .with_batch_window(batch_window)
+            .with_merge_cache(merge_cache);
         if let Some(data) = data_flag {
             let tier = Arc::new(
                 attach_delta(flags, &index, data)
@@ -654,14 +691,13 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     let engine = router.engine(None).expect("at least one index");
     eprintln!(
         "kbtim serve: {} index(es) [{}] (front-end {front_end}, serving {}, shards {}, \
-         threads {}, memory {}, batch {}, merge-cache {}, max-queue {}, deadline {}, \
+         threads {}, batch {}, merge-cache {}, max-queue {}, deadline {}, \
          max-line {}, mutable {})",
         router.len(),
         router.names().collect::<Vec<_>>().join(", "),
         engine.index().serving_mode(),
         engine.index().num_shards(),
         threads,
-        if engine.has_memory() { "on" } else { "off" },
         match batch_window {
             Some(w) => format!("{}us", w.as_micros()),
             None => "off".to_string(),

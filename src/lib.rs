@@ -45,18 +45,17 @@
 //!
 //! For the real-time path, build a disk index once with
 //! [`index::IndexBuilder`] and answer queries with
-//! [`index::KbtimIndex::query_rr`] (Algorithm 2),
-//! [`index::KbtimIndex::query_irr`] (Algorithm 4), or
-//! [`index::KbtimIndex::query_auto`] (what the serving tier runs: the
-//! Algorithm 2 keyword scan) — see `examples/`. A zero-I/O
-//! serving copy is available as [`index::MemoryIndex`], classic IM
-//! baselines (CELF, degree heuristics) live in
-//! [`core::baselines`], and the `kbtim` binary
-//! drives everything from the shell.
+//! [`index::KbtimIndex::query_rr`] (Algorithm 2 — the keyword scan the
+//! serving tier runs for every `algo`) or
+//! [`index::KbtimIndex::query_irr`] (Algorithm 4) — see `examples/`.
+//! Classic IM baselines (CELF, degree heuristics) live in
+//! [`core::baselines`], and the `kbtim` binary drives everything from
+//! the shell.
 //!
 //! For *concurrent* serving, share one index through an
 //! `Arc<KbtimIndex>` behind [`index::QueryEngine`] (identical in-flight
-//! requests coalesce to one execution), open it with
+//! requests coalesce to one execution; with a merge cache the decoded
+//! keyword lists it leases are the RAM-resident copy), open it with
 //! [`index::KbtimIndex::open_shared`] so resident segment pages dedupe
 //! through the process-wide [`storage::PageCache`], and speak the
 //! [`serve`] line-JSON protocol via `kbtim serve` (stdin/stdout or

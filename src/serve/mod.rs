@@ -16,8 +16,8 @@
 //! ```
 //!
 //! Request fields: `topics` (array of topic ids, required), `k` (seed
-//! count, default 10), `algo` (`rr` / `irr` / `auto` / `memory`, default
-//! `auto`), `index` (which served index answers, default the server's
+//! count, default 10), `algo` (`rr` / `irr` / `auto`, default `auto`),
+//! `index` (which served index answers, default the server's
 //! first — see [`Router`]), `id` (optional echo token for matching
 //! responses to pipelined requests). Unknown fields are rejected — a
 //! typo'd `"indx"` must fail loudly, not route to the default index.
@@ -1061,6 +1061,8 @@ mod tests {
             (r#"{"topics":[0],"indx":"a"}"#, "unknown_field"), // the typo guard
             (r#"[0,1]"#, "bad_request"),                       // not an object
             (r#"{"topics":[0}"#, "parse_error"),               // malformed JSON
+            // Was an algo until PR 21; now unknown like any other.
+            (r#"{"topics":[0],"algo":"memory"}"#, "bad_request"),
         ] {
             let err = ServeRequest::parse(bad).expect_err(bad);
             assert_eq!(err.code, code, "{bad:?} → {err}");

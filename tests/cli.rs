@@ -126,11 +126,11 @@ fn serve_answers_line_protocol_requests() {
         .trim_start_matches("seeds: ")
         .to_string();
 
-    // Same queries through `kbtim serve` on stdin (memory algo enabled;
-    // batching forced on so the planner path is exercised through the
-    // wire — stdin serving defaults it off, see docs/PROTOCOL.md).
+    // Same queries through `kbtim serve` on stdin (batching forced on
+    // so the planner path is exercised through the wire — stdin serving
+    // defaults it off, see docs/PROTOCOL.md).
     let mut child = kbtim()
-        .args(["serve", "--index", index.to_str().unwrap(), "--memory", "on", "--batch", "200"])
+        .args(["serve", "--index", index.to_str().unwrap(), "--batch", "200"])
         .args(["--merge-cache", "8"])
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
@@ -167,10 +167,10 @@ fn serve_answers_line_protocol_requests() {
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 6, "one response per request line: {stdout}");
 
-    // rr, irr and memory all return the oracle's seeds (Theorem 3 + the
-    // memory copy's bit-equality), tagged with their request ids.
+    // rr and irr both return the oracle's seeds (Theorem 3), tagged
+    // with their request ids.
     let want = format!("\"seeds\":{}", oracle_seeds.replace(", ", ","));
-    for (line, id) in lines[..3].iter().zip(1..) {
+    for (line, id) in lines[..2].iter().zip(1..) {
         assert!(line.contains(&format!("\"id\":{id}")), "{line}");
         assert!(line.contains(&want), "response {line} missing {want}");
         assert!(!line.contains("error"), "{line}");
@@ -178,6 +178,10 @@ fn serve_answers_line_protocol_requests() {
     // The cache-hit replay answers bit-identically to the cold run.
     assert!(lines[5].contains("\"id\":6"), "{}", lines[5]);
     assert!(lines[5].contains(&want), "cached response {} missing {want}", lines[5]);
+    // The removed `memory` algo is an unknown algo like any other.
+    assert!(lines[2].contains("\"id\":3"), "{}", lines[2]);
+    assert!(lines[2].contains("\"code\":\"bad_request\""), "{}", lines[2]);
+    assert!(lines[2].contains("unknown algo"), "{}", lines[2]);
     // Malformed requests get *structured* error responses (message +
     // machine-readable code, see docs/PROTOCOL.md §Errors), not dropped
     // connections — and a parseable id is echoed even on validation
@@ -363,6 +367,19 @@ fn bad_arguments_fail_cleanly() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--serving"));
+    // A flag the command does not read — a typo, a removed option — is
+    // refused before anything is opened: exit 2, the flag named.
+    for (args, flag) in [
+        (["serve", "--index", "/nonexistent", "--merge-cahce", "64"], "--merge-cahce"),
+        (["serve", "--index", "/nonexistent", "--memory", "on"], "--memory"),
+        (["query", "--index", "/nonexistent", "--bogus-flag", "7"], "--bogus-flag"),
+    ] {
+        let out = kbtim().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("unknown flag {flag} for `{}`", args[0]);
+        assert!(stderr.contains(&want) && stderr.contains("USAGE"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! interleaving, must be unobservable in the answers*. These tests pin
 //! that down:
 //!
-//! 1. N threads firing interleaved rr / irr / memory queries against one
+//! 1. N threads firing interleaved rr / irr queries against one
 //!    shared `Arc<KbtimIndex>` produce answers bit-identical to the
 //!    serial order, across all three serving backends (scratch blocks
 //!    lease across threads; the persistent exec pool arbitrates or
@@ -31,8 +31,8 @@
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
 use kbtim::index::{
-    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, MemoryIndex,
-    PageCache, QueryEngine, ServingMode, ThetaMode,
+    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, PageCache,
+    QueryEngine, ServingMode, ThetaMode,
 };
 use kbtim::propagation::model::IcModel;
 use kbtim::storage::block::all_modes;
@@ -46,11 +46,11 @@ const CLIENT_THREADS: usize = 4;
 
 /// One IRR index on disk: a serial-oracle handle plus, per backend, a
 /// shared handle (2 worker threads, so client concurrency also contends
-/// the persistent exec pool) and a memory copy.
+/// the persistent exec pool).
 struct Fixture {
     _dir: TempDir,
     serial: KbtimIndex,
-    shared: Vec<(ServingMode, Arc<KbtimIndex>, Arc<MemoryIndex>)>,
+    shared: Vec<(ServingMode, Arc<KbtimIndex>)>,
 }
 
 fn fixture() -> &'static Fixture {
@@ -87,8 +87,7 @@ fn fixture() -> &'static Fixture {
                         .unwrap()
                         .with_threads(Some(2)),
                 );
-                let memory = Arc::new(MemoryIndex::load(&index).unwrap());
-                (mode, index, memory)
+                (mode, index)
             })
             .collect();
         Fixture { _dir: dir, serial, shared }
@@ -134,9 +133,8 @@ proptest! {
             })
             .collect();
 
-        // Serial order on the oracle handle. Theorem 3 plus the memory
-        // copy's bit-equality make one answer per query the reference
-        // for all three algorithms.
+        // Serial order on the oracle handle. Theorem 3 makes one answer
+        // per query the reference for both algorithms.
         let serial: Vec<Answer> = queries
             .iter()
             .map(|q| {
@@ -147,25 +145,23 @@ proptest! {
             })
             .collect();
 
-        for (mode, index, memory) in &fx.shared {
+        for (mode, index) in &fx.shared {
             // CLIENT_THREADS threads, each walking every query at its
             // own rotation and algorithm mix — maximal interleaving of
-            // rr/irr/memory against one shared index.
+            // rr/irr against one shared index.
             std::thread::scope(|scope| {
                 let joins: Vec<_> = (0..CLIENT_THREADS)
                     .map(|tid| {
                         let index = Arc::clone(index);
-                        let memory = Arc::clone(memory);
                         let queries = &queries;
                         scope.spawn(move || {
                             let mut answers = Vec::new();
                             for round in 0..queries.len() {
                                 let qi = (round + tid) % queries.len();
                                 let q = &queries[qi];
-                                let outcome = match (round + tid) % 3 {
+                                let outcome = match (round + tid) % 2 {
                                     0 => index.query_rr(q).unwrap(),
-                                    1 => index.query_irr(q).unwrap(),
-                                    _ => memory.query(q),
+                                    _ => index.query_irr(q).unwrap(),
                                 };
                                 answers.push((qi, Answer::of(&outcome)));
                             }
@@ -193,7 +189,7 @@ proptest! {
         raw_requests in proptest::collection::vec(
             // Topic sets drawn from a narrow range so windows overlap
             // heavily — the regime the planner's shared decode targets.
-            (proptest::collection::vec(0u32..NUM_TOPICS, 1..4), 1u32..14, 0usize..4),
+            (proptest::collection::vec(0u32..NUM_TOPICS, 1..4), 1u32..14, 0usize..3),
             2..7,
         ),
         // How each client thread cuts the requests into windows: it
@@ -206,15 +202,14 @@ proptest! {
             .map(|(mut topics, k, algo)| {
                 topics.sort_unstable();
                 topics.dedup();
-                let algo = [Algo::Rr, Algo::Irr, Algo::Auto, Algo::Memory][algo];
+                let algo = [Algo::Rr, Algo::Irr, Algo::Auto][algo];
                 EngineRequest::new(topics, k).with_algo(algo)
             })
             .collect();
 
-        for (mode, index, _) in &fx.shared {
+        for (mode, index) in &fx.shared {
             let engine = Arc::new(
-                QueryEngine::with_memory(Arc::clone(index))
-                    .unwrap()
+                QueryEngine::new(Arc::clone(index))
                     .with_batch_window(Some(std::time::Duration::from_micros(300))),
             );
             // Serial oracle: the same engine's per-request path,
@@ -310,7 +305,7 @@ proptest! {
     fn leased_windows_match_serial(
         raw_windows in proptest::collection::vec(
             proptest::collection::vec(
-                (proptest::collection::vec(0u32..NUM_TOPICS, 1..4), 1u32..14, 0usize..4),
+                (proptest::collection::vec(0u32..NUM_TOPICS, 1..4), 1u32..14, 0usize..3),
                 1..5,
             ),
             2..6,
@@ -326,15 +321,14 @@ proptest! {
                 window
                     .into_iter()
                     .map(|(topics, k, algo)| {
-                        let algo = [Algo::Rr, Algo::Irr, Algo::Auto, Algo::Memory][algo];
+                        let algo = [Algo::Rr, Algo::Irr, Algo::Auto][algo];
                         (EngineRequest::new(topics, k).with_algo(algo), None)
                     })
                     .collect()
             })
             .collect();
         let index = if sharded { &sharded_fixture().1 } else { &fixture().shared[0].1 };
-        let engine =
-            QueryEngine::with_memory(Arc::clone(index)).unwrap().with_merge_cache(capacity);
+        let engine = QueryEngine::new(Arc::clone(index)).with_merge_cache(capacity);
         // The oracle never touches the cache: every window below is
         // compared against a decode made from the bytes.
         let serial: Vec<Vec<Answer>> = windows
@@ -375,29 +369,24 @@ proptest! {
     #[test]
     fn merge_cache_unobservable_in_answers(
         raw_requests in proptest::collection::vec(
-            (proptest::collection::vec(0u32..NUM_TOPICS, 1..4), 1u32..14, 0usize..4),
+            (proptest::collection::vec(0u32..NUM_TOPICS, 1..4), 1u32..14, 0usize..3),
             2..6,
         ),
     ) {
         let fx = fixture();
         let requests: Vec<EngineRequest> = raw_requests
             .into_iter()
-            .enumerate()
-            .map(|(i, (mut topics, k, algo))| {
+            .map(|(mut topics, k, algo)| {
                 topics.sort_unstable();
                 topics.dedup();
-                // At least one disk request, so the cache sees traffic
-                // (memory requests are decode-free and bypass it).
-                let algo =
-                    if i == 0 { Algo::Rr } else { [Algo::Rr, Algo::Irr, Algo::Auto, Algo::Memory][algo] };
+                let algo = [Algo::Rr, Algo::Irr, Algo::Auto][algo];
                 EngineRequest::new(topics, k).with_algo(algo)
             })
             .collect();
 
-        for (mode, index, _) in &fx.shared {
+        for (mode, index) in &fx.shared {
             let engine = Arc::new(
-                QueryEngine::with_memory(Arc::clone(index))
-                    .unwrap()
+                QueryEngine::new(Arc::clone(index))
                     .with_batch_window(Some(std::time::Duration::from_micros(300)))
                     .with_merge_cache(8),
             );
@@ -449,7 +438,7 @@ proptest! {
 #[test]
 fn batch_planner_decodes_shared_keywords_once() {
     let fx = fixture();
-    let (_, index, _) = &fx.shared[0];
+    let (_, index) = &fx.shared[0];
     let engine = QueryEngine::new(Arc::clone(index));
     // Eight *distinct* requests (different k / algo) over the same two
     // keywords: identical-request coalescing can never fire, so any
@@ -495,8 +484,8 @@ fn batch_planner_decodes_shared_keywords_once() {
 #[test]
 fn engine_coalesces_identical_requests_in_a_window() {
     let fx = fixture();
-    let (_, index, _) = &fx.shared[0];
-    let engine = QueryEngine::with_memory(Arc::clone(index)).unwrap();
+    let (_, index) = &fx.shared[0];
+    let engine = QueryEngine::new(Arc::clone(index));
     let serial = Answer::of(&fx.serial.query_rr(&Query::new([0, 1], 8)).unwrap());
 
     // Mix algorithms: identical requests coalesce, different ones each
@@ -504,7 +493,7 @@ fn engine_coalesces_identical_requests_in_a_window() {
     let issued: usize = 12;
     let window: Vec<_> = (0..issued)
         .map(|i| {
-            let algo = if i % 2 == 0 { Algo::Rr } else { Algo::Memory };
+            let algo = if i % 2 == 0 { Algo::Rr } else { Algo::Irr };
             (EngineRequest::new([0, 1], 8).with_algo(algo), None)
         })
         .collect();
@@ -554,7 +543,6 @@ fn page_cache_dedupes_across_whole_indexes() {
 fn shared_index_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<KbtimIndex>();
-    assert_send_sync::<MemoryIndex>();
     assert_send_sync::<QueryEngine>();
     assert_send_sync::<Arc<KbtimIndex>>();
 }

@@ -5,9 +5,9 @@
 //! same logical content.** These tests enforce it three ways:
 //!
 //! 1. the differential proptest — random mutation batches folded into
-//!    an attached delta tier answer every query (rr / irr / auto /
-//!    memory, every `ServingMode`, 1 and 2 threads, flat and sharded
-//!    bases) with exactly the bytes a from-scratch flat build of the
+//!    an attached delta tier answer every query (rr / irr / auto,
+//!    every `ServingMode`, 1 and 2 threads, flat and sharded bases)
+//!    with exactly the bytes a from-scratch flat build of the
 //!    mutated dataset produces, before *and* after compaction, and a
 //!    journal replay on a fresh attach reproduces the same state;
 //! 2. the flush/compaction chaos extension — with `flush.build` /
@@ -230,7 +230,7 @@ proptest! {
                     prop_assert_eq!(delta.unflushed(), muts.len() as u64, "journal replay");
                 }
                 let engine = QueryEngine::new(Arc::clone(&index)).with_delta(Arc::clone(&delta));
-                for algo in [Algo::Rr, Algo::Irr, Algo::Auto, Algo::Memory] {
+                for algo in [Algo::Rr, Algo::Irr, Algo::Auto] {
                     let got = engine
                         .query(&EngineRequest { topics: topics.clone(), k, algo })
                         .unwrap();
@@ -244,7 +244,7 @@ proptest! {
                 // instance, then a hit on the published entry.
                 let request = |algo, k| (EngineRequest { topics: topics.clone(), k, algo }, None);
                 let window =
-                    [request(Algo::Rr, k), request(Algo::Memory, k), request(Algo::Irr, k + 4)];
+                    [request(Algo::Rr, k), request(Algo::Auto, k), request(Algo::Irr, k + 4)];
                 for cache in [0usize, 4] {
                     let planner = QueryEngine::new(Arc::clone(&index))
                         .with_delta(Arc::clone(&delta))
@@ -277,7 +277,7 @@ proptest! {
         } else {
             prop_assert_eq!(delta.flush().unwrap(), base_gen + 1);
         }
-        for algo in [Algo::Rr, Algo::Irr, Algo::Auto, Algo::Memory] {
+        for algo in [Algo::Rr, Algo::Irr, Algo::Auto] {
             let got = engine.query(&EngineRequest { topics: topics.clone(), k, algo }).unwrap();
             assert_bit_identical(&got, &expect, &format!("post-flush {algo:?}"));
         }

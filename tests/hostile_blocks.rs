@@ -4,15 +4,15 @@
 //! only the decoders and the query paths can notice. Every surface must
 //! answer with a structured error, never a panic: `query_rr`,
 //! `query_irr`, the batched engine with and without a merge cache,
-//! `MemoryIndex::load`, `KbtimIndex::validate` and `kbtim validate`.
+//! `KbtimIndex::validate` and `kbtim validate`.
 
 use kbtim::codec::{varint, Codec};
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
 use kbtim::index::format::{self, IlEntry, IndexVariant};
 use kbtim::index::{
-    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexError, KbtimIndex, MemoryIndex,
-    QueryEngine, ThetaMode,
+    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexError, KbtimIndex, QueryEngine,
+    ThetaMode,
 };
 use kbtim::propagation::model::IcModel;
 use kbtim::storage::segment::{SegmentReader, SegmentWriter};
@@ -199,13 +199,12 @@ fn hostile_inverted_lists_are_structured_errors_everywhere() {
     };
 
     for fault in [Fault::OutOfUniverse, Fault::Duplicate] {
-        // il: Algorithm 2, everything lowered to it, the RAM copy.
+        // il: Algorithm 2 and everything lowered to it.
         std::fs::write(&segment, &pristine).unwrap();
         corrupt_il(&segment, codec, fault);
         let what = format!("il {fault:?}");
         let index = open();
         assert_corrupt(index.query_rr(&touching), &what);
-        assert_corrupt(MemoryIndex::load(&index).map(|_| ()), &what);
         assert_corrupt(index.validate(), &what);
         // Native IRR never reads `il`; keywords beside the victim serve.
         assert_eq!(index.query_irr(&touching).unwrap().seeds, healthy.seeds, "{what}");

@@ -190,24 +190,3 @@ fn flat_celf_identical_to_naive_oracle_across_thread_counts() {
         assert_eq!(flat, oracle, "flat CELF diverged from naive at {threads} threads");
     }
 }
-
-#[test]
-fn query_auto_is_the_keyword_scan() {
-    // `auto` makes no cost-model pick any more: on an IRR index with
-    // δ = 24, both sides of the retired `4·k ≤ δ` rule run the keyword
-    // scan (no partition traces) and agree with both explicit calls
-    // (Theorem 3).
-    let data = dataset();
-    let dir = TempDir::new("par-eq-auto").unwrap();
-    build_index(&data, dir.path(), 4);
-    let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
-
-    for k in [4, 20] {
-        let query = Query::new([0, 1], k);
-        let auto = index.query_auto(&query).unwrap();
-        assert_eq!(auto.stats.partitions_loaded, 0, "k = {k} ran the NRA");
-        assert_eq!(auto.stats.rr_sets_loaded, auto.stats.theta_q);
-        assert_eq!(auto.seeds, index.query_rr(&query).unwrap().seeds);
-        assert_eq!(auto.seeds, index.query_irr(&query).unwrap().seeds);
-    }
-}

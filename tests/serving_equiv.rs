@@ -18,7 +18,7 @@ use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
 use kbtim::index::{
     Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexError, IndexVariant, KbtimIndex,
-    MemoryIndex, QueryEngine, ServingMode, ThetaMode,
+    QueryEngine, ServingMode, ThetaMode,
 };
 use kbtim::propagation::model::IcModel;
 use kbtim::storage::block::all_modes;
@@ -32,15 +32,13 @@ use std::time::Duration;
 const NUM_TOPICS: u32 = 6;
 
 /// One IRR index on disk, opened through every backend × thread count,
-/// plus a `MemoryIndex` loaded through each backend, a plain engine
-/// (flat, unbatched, no cache) per backend × thread count and, per
-/// backend, the batch planner without a merge cache (groups served in
-/// place) and with one (served in place, then materialized, published
-/// and hit).
+/// plus a plain engine (flat, unbatched, no cache) per backend × thread
+/// count and, per backend, the batch planner without a merge cache
+/// (groups served in place) and with one (served in place, then
+/// materialized, published and hit).
 struct Fixture {
     _dir: TempDir,
     indexes: Vec<(ServingMode, usize, KbtimIndex)>,
-    memories: Vec<(ServingMode, MemoryIndex)>,
     engines: Vec<(ServingMode, usize, QueryEngine)>,
     planners: Vec<(ServingMode, usize, QueryEngine)>,
 }
@@ -71,7 +69,6 @@ fn fixture() -> &'static Fixture {
         IndexBuilder::new(&model, &data.profiles, config).build(dir.path()).unwrap();
 
         let mut indexes = Vec::new();
-        let mut memories = Vec::new();
         let mut engines = Vec::new();
         let mut planners = Vec::new();
         for mode in all_modes() {
@@ -87,9 +84,7 @@ fn fixture() -> &'static Fixture {
                     .with_threads(Some(threads));
                 indexes.push((mode, threads, index));
             }
-            let via = KbtimIndex::open_with(dir.path(), IoStats::new(), mode).unwrap();
-            memories.push((mode, MemoryIndex::load(&via).unwrap()));
-            let shared = Arc::new(via);
+            let shared = Arc::new(KbtimIndex::open_with(dir.path(), IoStats::new(), mode).unwrap());
             for cache in [0usize, 8] {
                 let engine = QueryEngine::new(Arc::clone(&shared))
                     .with_batch_window(Some(Duration::from_micros(100)))
@@ -97,7 +92,7 @@ fn fixture() -> &'static Fixture {
                 planners.push((mode, cache, engine));
             }
         }
-        Fixture { _dir: dir, indexes, memories, engines, planners }
+        Fixture { _dir: dir, indexes, engines, planners }
     })
 }
 
@@ -137,15 +132,6 @@ proptest! {
                 prop_assert_eq!(i.stats.rr_sets_loaded, irr.stats.rr_sets_loaded);
                 prop_assert_eq!(i.stats.partitions_loaded, irr.stats.partitions_loaded);
             }
-        }
-
-        for (mode, memory) in &fx.memories {
-            let m = memory.query(&query);
-            prop_assert_eq!(&m.seeds, &rr.seeds, "memory via {}", mode);
-            prop_assert_eq!(&m.marginal_gains, &rr.marginal_gains);
-            prop_assert_eq!(m.coverage, rr.coverage);
-            prop_assert_eq!(m.stats.theta_q, rr.stats.theta_q);
-            prop_assert_eq!(m.estimated_influence.to_bits(), rr.estimated_influence.to_bits());
         }
 
         // A request the engine runs alone: `irr` and `auto` go through

@@ -19,8 +19,8 @@
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
 use kbtim::index::{
-    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, MemoryIndex,
-    QueryEngine, ServingMode, ThetaMode,
+    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, QueryEngine,
+    ServingMode, ThetaMode,
 };
 use kbtim::propagation::model::IcModel;
 use kbtim::serve::{handle_line_ctx, Json, Router, ServeCtx};
@@ -34,13 +34,11 @@ const NUM_TOPICS: u32 = 6;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// One dataset built at every shard count; the S=1 build is the oracle.
-/// Sharded builds are opened through every backend × thread count, plus
-/// a `MemoryIndex` loaded from each sharded layout.
+/// Sharded builds are opened through every backend × thread count.
 struct Fixture {
     dirs: Vec<(usize, TempDir)>,
     oracle: KbtimIndex,
     indexes: Vec<(usize, ServingMode, usize, KbtimIndex)>,
-    memories: Vec<(usize, MemoryIndex)>,
     /// Per sharded layout, the batch planner without a merge cache
     /// (groups served in place) and with one (groups materialized).
     planners: Vec<(usize, usize, QueryEngine)>,
@@ -78,7 +76,6 @@ fn fixture() -> &'static Fixture {
 
         let oracle = KbtimIndex::open(dirs[0].1.path(), IoStats::new()).unwrap();
         let mut indexes = Vec::new();
-        let mut memories = Vec::new();
         let mut planners = Vec::new();
         for (shards, dir) in dirs.iter().filter(|(s, _)| *s > 1) {
             for mode in all_modes() {
@@ -90,9 +87,7 @@ fn fixture() -> &'static Fixture {
                     indexes.push((*shards, mode, threads, index));
                 }
             }
-            let via = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
-            memories.push((*shards, MemoryIndex::load(&via).unwrap()));
-            let shared = Arc::new(via);
+            let shared = Arc::new(KbtimIndex::open(dir.path(), IoStats::new()).unwrap());
             for cache in [0usize, 8] {
                 let engine = QueryEngine::new(Arc::clone(&shared))
                     .with_batch_window(Some(std::time::Duration::from_micros(100)))
@@ -100,7 +95,7 @@ fn fixture() -> &'static Fixture {
                 planners.push((*shards, cache, engine));
             }
         }
-        Fixture { dirs, oracle, indexes, memories, planners }
+        Fixture { dirs, oracle, indexes, planners }
     })
 }
 
@@ -123,7 +118,7 @@ proptest! {
         // seeds equal the RR seeds; auto is the RR keyword scan.
         let rr = fx.oracle.query_rr(&query).unwrap();
         let irr = fx.oracle.query_irr(&query).unwrap();
-        let auto = fx.oracle.query_auto(&query).unwrap();
+        let auto = fx.oracle.query_rr(&query).unwrap();
         prop_assert_eq!(&rr.seeds, &irr.seeds, "Theorem 3 on the oracle");
 
         for (shards, mode, threads, index) in &fx.indexes {
@@ -134,7 +129,7 @@ proptest! {
                     let got = match algo {
                         "rr" => index.query_rr(&query).unwrap(),
                         "irr" => index.query_irr(&query).unwrap(),
-                        _ => index.query_auto(&query).unwrap(),
+                        _ => index.query_rr(&query).unwrap(),
                     };
                     prop_assert_eq!(&got.seeds, &want.seeds, "{} {}", tag(), algo);
                     prop_assert_eq!(&got.marginal_gains, &want.marginal_gains);
@@ -152,15 +147,6 @@ proptest! {
                 let r = index.query_rr(&query).unwrap();
                 prop_assert_eq!(r.stats.rr_sets_loaded, r.stats.theta_q, "{}", tag());
             }
-        }
-
-        for (shards, memory) in &fx.memories {
-            let m = memory.query(&query);
-            prop_assert_eq!(&m.seeds, &rr.seeds, "memory from S={}", shards);
-            prop_assert_eq!(&m.marginal_gains, &rr.marginal_gains);
-            prop_assert_eq!(m.coverage, rr.coverage);
-            prop_assert_eq!(m.stats.theta_q, rr.stats.theta_q);
-            prop_assert_eq!(m.estimated_influence.to_bits(), rr.estimated_influence.to_bits());
         }
 
         // The batch planner over the sharded layouts: one window, one
@@ -297,23 +283,4 @@ fn sharded_engine_isolates_storage_faults() {
             );
         }
     }
-}
-
-#[test]
-fn memory_backed_serving_reports_flat_shard_count_of_its_source() {
-    // A serve response's `shards` field reflects the disk index behind
-    // the engine even when the memory tier answers.
-    let _lease = kbtim_fault::shared();
-    let fx = fixture();
-    let (shards, dir) = &fx.dirs[1]; // S = 2
-    let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
-    let router = Router::single(Arc::new(QueryEngine::with_memory(Arc::new(index)).unwrap()));
-    let ctx = ServeCtx::new(16, None);
-    let response =
-        handle_line_ctx(&router, &ctx, r#"{"id":9,"topics":[0,1],"k":5,"algo":"memory"}"#);
-    assert!(response.contains("\"seeds\""), "{response}");
-    assert!(
-        response.contains(&format!("\"shards\":{shards}")),
-        "response must carry the source shard count: {response}"
-    );
 }
