@@ -667,6 +667,37 @@ mod tests {
         ) {
             assert_tiered_equivalent(&raw, k, tier_nodes);
         }
+
+        /// `k` only bounds the loop: the run at `k₁` is the `k₁`-prefix
+        /// of the run at any deeper `k₂` — seeds, gains, and `covered`
+        /// as the prefix's running sum — whether or not the instance
+        /// exhausts (gain 0) before `k₁`, across tier sizes. What lets a
+        /// server keep a keyword set's deepest run and slice it.
+        #[test]
+        fn a_shallower_run_is_a_prefix_of_a_deeper_one(
+            raw in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..6), 0..60),
+            k1 in 0u32..30,
+            deeper in 1u32..30,
+            tier_nodes in 1u32..24,
+        ) {
+            let inverted = InvertedIndex::from_sets(&raw);
+            let pool = ExecPool::sequential();
+            let mut scratch = CoverScratch::default();
+            let mut run = |k| {
+                let sets = raw.len() as u64;
+                celf(&inverted, sets, k, &pool, &|| false, &mut scratch, tier_nodes).unwrap()
+            };
+            let (shallow, deep) = (run(k1), run(k1 + deeper));
+            let n = shallow.seeds.len();
+            proptest::prop_assert!(n <= deep.seeds.len());
+            proptest::prop_assert_eq!(&shallow.seeds[..], &deep.seeds[..n]);
+            proptest::prop_assert_eq!(&shallow.marginal_gains[..], &deep.marginal_gains[..n]);
+            proptest::prop_assert_eq!(shallow.covered, deep.marginal_gains[..n].iter().sum::<u64>());
+            // Stopping short of `k₁` means exhausted: no deeper run adds a seed.
+            if n < k1 as usize {
+                proptest::prop_assert_eq!(&shallow, &deep);
+            }
+        }
     }
 
     #[test]

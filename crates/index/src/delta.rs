@@ -23,7 +23,7 @@
 //! keyword overlays) under a monotonically increasing **generation**
 //! counter. Readers pin a snapshot with [`DeltaIndex::snapshot`] and
 //! never observe in-flight writes; the serving tier folds the
-//! generation into its keyword-*set* cache keys so no prepared instance
+//! generation into its keyword-*set* cache keys so no cached greedy run
 //! can ever cross generations, while a clean keyword's decoded lists —
 //! whose bytes no mutation touches — stay leased under the base's
 //! fingerprint until a flush replaces the base.

@@ -11,25 +11,22 @@
 //! Theorem 2's approximation bound carries over.
 //!
 //! Every caller decodes the same way — [`KbtimIndex::decode_keywords`],
-//! a single request being a batch of one — and then takes one of two
-//! forms of the same coverage instance:
+//! a single request being a batch of one — and everything that serves
+//! reads the coverage instance **in place** (`InPlaceCover`): one flat
+//! pass counts every user's lists below the shares, and the greedy
+//! walks a user's sets straight off the decoded keyword CSRs when it
+//! asks for them. That is `query_rr`, the delta tier and every group of
+//! an engine window; what the engine keeps across windows is the
+//! decoded lists and each keyword set's greedy *run*
+//! (`prefix_outcome`), never an instance.
 //!
-//! * **in place** (`InPlaceCover`): one flat pass counts every user's
-//!   lists below the shares, and the greedy walks a user's sets straight
-//!   off the decoded keyword CSRs when it asks for them. This is how a
-//!   request that uses its instance once is served — `query_rr` (and so
-//!   every rr / irr / auto request the engine runs alone), the delta
-//!   tier, a batch group whose keyword set the merge cache has not
-//!   seen before;
-//! * **materialized** ([`KbtimIndex::merge_keywords`] →
-//!   [`KbtimIndex::query_merged`]): the lists are cut, remapped and
-//!   scattered into a dense [`InvertedIndex`] that outlives the keyword
-//!   arena — what the merge cache keeps from a keyword set's second
-//!   miss on, and what a caller holding an instance across requests
-//!   asks for.
-//!
-//! Both run the one CELF loop of [`kbtim_core::maxcover`] and answer
-//! bit-identically.
+//! A **materialized** instance ([`KbtimIndex::merge_keywords`] →
+//! [`KbtimIndex::query_merged`]: the lists cut, remapped and scattered
+//! into a dense [`InvertedIndex`] that outlives the keyword arena) is a
+//! library form only, for a caller that stages the query itself and
+//! holds the instance across its own requests. Nothing on the serving
+//! path builds one. Both run the one CELF loop of
+//! [`kbtim_core::maxcover`] and answer bit-identically.
 //!
 //! Keyword segments load and decode **in parallel** (one job per query
 //! keyword × index shard on the index's pool, keyword-major) and stay
@@ -231,9 +228,8 @@ thread_local! {
 /// share and its ids moved to the keyword's base in the global id
 /// space (`θ^Q` must fit the instance's `u32` set ids), so per-user
 /// lists concatenate ascending. For the instance that outlives its
-/// keyword arena — a published merge-cache entry, the public
-/// [`KbtimIndex::merge_keywords`]; a request that uses its instance
-/// once serves from [`InPlaceCover`] instead. One counting pass
+/// keyword arena — the public [`KbtimIndex::merge_keywords`]; every
+/// served request reads [`InPlaceCover`] instead. One counting pass
 /// ([`list_cuts`]) and one fill pass replaying its cuts from a pooled
 /// buffer.
 pub(crate) fn merge_csrs(
@@ -302,8 +298,8 @@ impl KbtimIndex {
     /// check, the gains of the `num_users` universe counted off the
     /// arena, greedy in place ([`InPlaceCover`]). The caller keeps (and
     /// recycles) the arena. The `engine.merge` and `engine.greedy`
-    /// failpoints fire where the materialized path fires them: before
-    /// the lists are counted, before the greedy starts.
+    /// failpoints fire before the lists are counted and before the
+    /// greedy starts.
     pub(crate) fn query_arena_ctx(
         &self,
         num_users: u32,
@@ -315,10 +311,7 @@ impl KbtimIndex {
     ) -> Result<QueryOutcome, IndexError> {
         ctx.check()?;
         let parts = budgeted_parts(num_users, budget, arena)?;
-        if kbtim_fault::inject("engine.greedy") {
-            return Err(IndexError::Injected("engine.greedy"));
-        }
-        ctx.check()?;
+        enter_greedy(ctx)?;
         query_in_place(&parts, num_users, phi_q, k, self.pool(), &self.scratch, &|| ctx.expired())
             .ok_or(IndexError::DeadlineExceeded)
     }
@@ -397,8 +390,8 @@ impl KbtimIndex {
     }
 
     /// Build a keyword set's merged coverage instance from a shared
-    /// [`KeywordArena`] — everything of Algorithm 2 that depends on the
-    /// keyword set alone.
+    /// [`KeywordArena`] — the library's staged form; the serving path
+    /// never materializes (see the module docs).
     ///
     /// The Eqn-11 budget, the per-keyword global id bases, and the
     /// merged [`InvertedIndex`] are all functions of `query.topics()` —
@@ -411,24 +404,8 @@ impl KbtimIndex {
         arena: &KeywordArena,
     ) -> Result<MergedQuery, IndexError> {
         let (phi_q, budget) = self.query_budget(query);
-        self.merge_budgeted_over(self.meta().num_users, phi_q, &budget, arena)
-    }
-
-    /// [`KbtimIndex::merge_keywords`] with the Eqn-11 budget already
-    /// computed (the batch planner derives each group's budget while
-    /// building the decode union and must not pay for it twice) and
-    /// over an explicit user universe — the delta tier unions in-memory
-    /// keyword overlays with this index's segments, and the union's
-    /// `|V|` (base plus ingested users) sizes the merged instance, not
-    /// the catalog's.
-    pub(crate) fn merge_budgeted_over(
-        &self,
-        num_users: u32,
-        phi_q: f64,
-        budget: &[(TopicId, u64)],
-        arena: &KeywordArena,
-    ) -> Result<MergedQuery, IndexError> {
-        let parts = budgeted_parts(num_users, budget, arena)?;
+        let num_users = self.meta().num_users;
+        let parts = budgeted_parts(num_users, &budget, arena)?;
         let theta_q = theta_q_of(&parts);
         if theta_q > u32::MAX as u64 {
             return Err(IndexError::Corrupt(format!("θ^Q = {theta_q} is beyond u32 set ids")));
@@ -444,46 +421,20 @@ impl KbtimIndex {
     /// instance spans); `io` stays zero — the reads belong to whoever
     /// decoded the arena.
     pub fn query_merged(&self, merged: &MergedQuery, k: u32) -> QueryOutcome {
-        self.query_merged_inner(merged, k, &|| false)
-            .expect("greedy with a never-firing stop cannot abort")
-    }
-
-    /// [`KbtimIndex::query_merged`] under an execution context: the
-    /// deadline (if any) is checked on entry and once per greedy round
-    /// (and the `engine.greedy` failpoint fires on entry), aborting
-    /// with an error instead of partial seeds.
-    pub fn query_merged_ctx(
-        &self,
-        merged: &MergedQuery,
-        k: u32,
-        ctx: &QueryCtx,
-    ) -> Result<QueryOutcome, IndexError> {
-        if kbtim_fault::inject("engine.greedy") {
-            return Err(IndexError::Injected("engine.greedy"));
-        }
-        ctx.check()?;
-        self.query_merged_inner(merged, k, &|| ctx.expired()).ok_or(IndexError::DeadlineExceeded)
-    }
-
-    fn query_merged_inner(
-        &self,
-        merged: &MergedQuery,
-        k: u32,
-        should_stop: &(dyn Fn() -> bool + Sync),
-    ) -> Option<QueryOutcome> {
         let started = Instant::now();
         if merged.theta_q == 0 {
-            return Some(empty_outcome(started));
+            return empty_outcome(started);
         }
         let cover = greedy_max_cover_over(
             &merged.inverted,
             merged.theta_q,
             k,
             self.pool(),
-            should_stop,
+            &|| false,
             &mut self.scratch.guard().cover,
-        )?;
-        Some(cover_outcome(cover, merged.theta_q, merged.phi_q, started))
+        )
+        .expect("greedy with a never-firing stop cannot abort");
+        cover_outcome(cover, merged.theta_q, merged.phi_q, started)
     }
 
     /// Return a finished [`MergedQuery`]'s arenas to the scratch pool.
@@ -503,37 +454,20 @@ pub struct MergedQuery {
     inverted: InvertedIndex,
 }
 
-impl MergedQuery {
-    /// The merged instance's total RR-set budget `θ^Q`.
-    pub fn theta_q(&self) -> u64 {
-        self.theta_q
-    }
-
-    /// Heap bytes held by the merged instance's arenas — what a cached
-    /// prepared query keeps resident.
-    pub fn resident_bytes(&self) -> u64 {
-        self.inverted.arena_bytes()
-    }
-
-    /// Slice a deeper greedy run over this instance down to its first
-    /// `k` seeds.
-    ///
-    /// CELF selects seeds strictly sequentially and `k` only bounds the
-    /// loop, so the `k`-seed answer over a fixed instance *is* the
-    /// `k`-prefix of any deeper run: same seeds, same marginal gains,
-    /// coverage the same running sum, and the influence estimate the
-    /// same arithmetic on those values — bit-identical to calling
-    /// [`KbtimIndex::query_merged`] with `k` directly (enforced by the
-    /// serving-tier tests). This lets the batch planner serve every
-    /// same-keyword-set request from one max-`k` greedy run.
-    pub fn prefix_outcome(&self, full: &QueryOutcome, k: u32) -> QueryOutcome {
-        prefix_outcome(full, k, self.phi_q)
-    }
-}
-
 /// The `k`-seed answer over an instance, sliced from a deeper run
-/// `full` over the same instance (see [`MergedQuery::prefix_outcome`]);
-/// `phi_q` is the instance's, `θ^Q` rides in `full`'s stats.
+/// `full` over the same instance; `phi_q` is the instance's, `θ^Q`
+/// rides in `full`'s stats.
+///
+/// CELF selects seeds strictly sequentially and `k` only bounds the
+/// loop, so the `k`-seed answer over a fixed instance *is* the
+/// `k`-prefix of any deeper run: same seeds, same marginal gains,
+/// coverage the same running sum, and the influence estimate the same
+/// arithmetic on those values — bit-identical to running the greedy
+/// with `k` directly (enforced by the serving-tier tests and a
+/// `maxcover` proptest). This is what lets the engine serve every
+/// same-keyword-set request of a window from one max-`k` run, and every
+/// later window from the deepest run it has cached. `elapsed` and
+/// `generation` describe a request, not a run: the caller stamps them.
 pub(crate) fn prefix_outcome(full: &QueryOutcome, k: u32, phi_q: f64) -> QueryOutcome {
     let n = (k as usize).min(full.seeds.len());
     let marginal_gains = full.marginal_gains[..n].to_vec();
@@ -546,14 +480,18 @@ pub(crate) fn prefix_outcome(full: &QueryOutcome, k: u32, phi_q: f64) -> QueryOu
         marginal_gains,
         coverage,
         estimated_influence,
-        stats: QueryStats {
-            theta_q,
-            rr_sets_loaded: theta_q,
-            generation: full.stats.generation,
-            elapsed: full.stats.elapsed,
-            ..QueryStats::default()
-        },
+        stats: QueryStats { theta_q, rr_sets_loaded: theta_q, ..QueryStats::default() },
     }
+}
+
+/// The boundary every request crosses before its seeds are selected —
+/// or, for one answered from a cached run, sliced: the `engine.greedy`
+/// failpoint, then the deadline.
+pub(crate) fn enter_greedy(ctx: &QueryCtx) -> Result<(), IndexError> {
+    if kbtim_fault::inject("engine.greedy") {
+        return Err(IndexError::Injected("engine.greedy"));
+    }
+    ctx.check()
 }
 
 /// The parts of a budgeted request over a keyword arena, every CSR
@@ -656,6 +594,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn dataset() -> Dataset {
         DatasetConfig::family(DatasetFamily::News).num_users(600).num_topics(8).seed(21).build()
@@ -900,7 +839,7 @@ mod tests {
         let data = dataset();
         let dir = TempDir::new("rrq-inplace").unwrap();
         build(&data, dir.path(), Codec::Packed);
-        let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
+        let index = Arc::new(KbtimIndex::open(dir.path(), IoStats::new()).unwrap());
         let query = Query::new([0, 1, 2], 10);
         let built = || super::MATERIALIZED.with(|n| n.get());
         let before = built();
@@ -908,7 +847,19 @@ mod tests {
         let direct = index.query_rr(&query).unwrap();
         assert_eq!(built(), before, "query_rr materialized an instance");
 
-        // The public staged form still does, once per `merge_keywords`.
+        // Nor with a cache: a miss, a hit and a deepening of one set
+        // (a window of one keyword set runs on this thread) are all
+        // served in place or off the cached run.
+        let engine = crate::QueryEngine::new(Arc::clone(&index)).with_merge_cache(4);
+        for k in [10, 10, 4, 25] {
+            let got = engine.query(&crate::EngineRequest::new([0, 1, 2], k)).unwrap();
+            let n = got.seeds.len().min(direct.seeds.len());
+            assert_eq!(got.seeds[..n], direct.seeds[..n], "k = {k}");
+        }
+        assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (2, 2));
+        assert_eq!(built(), before, "a cached serve materialized an instance");
+
+        // The library's staged form still does, once per `merge_keywords`.
         let (_, budget) = index.query_budget(&query);
         let arena = index.decode_keywords(&budget).unwrap();
         let merged = index.merge_keywords(&query, &arena).unwrap();

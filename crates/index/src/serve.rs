@@ -33,12 +33,12 @@
 //!   keywords* are leased: a window's arena holds an `Arc` of the lists
 //!   of every keyword the cache has and decodes — then publishes — only
 //!   the rest, so each keyword's `il` is decoded once per index
-//!   generation, not once per window. *Keyword sets* that recur get a
-//!   prepared instance: a set's first miss only records the key and is
-//!   served in place off the window's arena; its second miss builds and
-//!   publishes the merged instance; from then on a window hitting it
-//!   skips that set's lists *and* merge entirely, and one-shot sets
-//!   never pay for an instance nobody reads again.
+//!   generation, not once per window. *Keyword sets* keep their deepest
+//!   greedy run: seeds are a pure function of the set and the
+//!   generation, so a set's first miss is served in place off the
+//!   window's arena and publishes the run; from then on a window asking
+//!   that set for no more seeds than the run holds skips the lists, the
+//!   count *and* the greedy — its answer is an O(k) slice of the run.
 //! * **Determinism**: queries are read-only and scratch contents never
 //!   influence answers, so any interleaving of concurrent callers —
 //!   and any grouping of requests into windows — produces outcomes
@@ -49,7 +49,7 @@
 //! thin wrapper over this engine.
 
 use crate::delta::{self, DeltaIndex, DeltaSnapshot};
-use crate::rr_query::{self, MergedQuery};
+use crate::rr_query;
 use crate::scratch::{self, KeywordArena, KeywordLists};
 use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome};
 use kbtim_topics::{Query, TopicId};
@@ -235,14 +235,35 @@ impl<K: std::hash::Hash + Eq + Clone, V> Lru<K, V> {
     }
 }
 
-/// What [`MergeCache::probe`] found for a keyword set.
-enum Probe {
-    /// A built instance: skip the decode and the merge.
-    Hit(Arc<MergedQuery>),
-    /// The set missed before: build the instance and publish it.
-    Recurred,
-    /// Never seen (now recorded): serve in place, build nothing.
-    First,
+/// A keyword set's deepest greedy run so far: CELF selects seeds
+/// sequentially and `k` only bounds the loop, so the run answers every
+/// request over its set that asks for no more than it holds
+/// ([`rr_query::prefix_outcome`]).
+struct Run {
+    /// The `k` the run was asked for.
+    asked: u32,
+    /// What the greedy returned for it. Only the seeds, the gains and
+    /// `θ^Q` are read back; `elapsed` and `generation` belong to the
+    /// request that ran it.
+    outcome: Arc<QueryOutcome>,
+}
+
+impl Run {
+    /// Whether the `k`-seed answer is a prefix of this run: it went at
+    /// least as deep, or it stopped early at zero gain — then no `k`
+    /// selects more.
+    fn covers(&self, k: u32) -> bool {
+        self.asked >= k || self.outcome.seeds.len() < self.asked as usize
+    }
+
+    /// Heap bytes a cached run keeps resident: 12 per seed (its id and
+    /// its gain) and the outcome's own struct.
+    fn resident_bytes(&self) -> u64 {
+        let outcome = &*self.outcome;
+        (std::mem::size_of_val(outcome)
+            + std::mem::size_of_val(&outcome.seeds[..])
+            + std::mem::size_of_val(&outcome.marginal_gains[..])) as u64
+    }
 }
 
 /// The engine's cross-window cache. Two units, each a capacity-bounded
@@ -256,17 +277,16 @@ enum Probe {
 ///   later window as the `Arc` it holds. What is decoded is a pure
 ///   function of the segment bytes — never of a request's shares — so a
 ///   lease serves any request over that keyword for as long as the
-///   fingerprint matches. This is the unit that recurs: a workload has
-///   few keywords and many keyword sets.
+///   fingerprint matches. This is the unit a *miss* reuses: a workload
+///   has few keywords and many keyword sets.
 /// * **Keyword sets**, keyed by (segment generation ⊕ mutation
-///   generation, sorted keyword set): a set's first miss records the
-///   key alone and is served in place; its second builds the shared
-///   [`MergedQuery`] and upgrades the entry — seen and built keys in
-///   the one map, so one-shot sets cost a key each and no instance. A
-///   hit starts its greedy from a ready instance where in place
-///   re-counts every list per request (measured: 0.39× the throughput
-///   on a workload of hits, docs/ARCHITECTURE.md), which is why the
-///   instance stays beside the leases.
+///   generation, sorted keyword set): the deepest [`Run`] any window
+///   computed for the set, published by the miss that computed it. A
+///   probe that finds a covering run is a hit and does no work on the
+///   lists at all; anything else — unseen, or seen too shallow — is a
+///   miss, served in place at the window's deepest `k`, whose run then
+///   replaces the shallower one. A one-shot set costs its key and a few
+///   hundred bytes.
 ///
 /// The fingerprint in the keys ties invalidation to segment identity
 /// exactly as the storage [`kbtim_storage::PageCache`] ties loaded
@@ -284,8 +304,11 @@ struct MergeCache {
 }
 
 struct MergeCacheState {
-    /// Keyword sets, seen (`None`) and built.
-    sets: Lru<(u64, Vec<TopicId>), Option<Arc<MergedQuery>>>,
+    /// Keyword sets: each one's deepest run.
+    sets: Lru<(u64, Vec<TopicId>), Arc<Run>>,
+    /// The fingerprint of the last run published: `sets` holds entries
+    /// of no other generation once a run of this one went in.
+    live: Option<u64>,
     /// Decoded keywords.
     keywords: Lru<(u64, TopicId), KeywordLists>,
     /// Monotone logical clock backing both LRU orders.
@@ -296,54 +319,55 @@ impl MergeCache {
     fn new(capacity: usize) -> MergeCache {
         MergeCache {
             capacity,
-            state: Mutex::new(MergeCacheState { sets: Lru::new(), keywords: Lru::new(), tick: 0 }),
+            state: Mutex::new(MergeCacheState {
+                sets: Lru::new(),
+                live: None,
+                keywords: Lru::new(),
+                tick: 0,
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// Look up a keyword set under a segment generation, bumping its
-    /// recency; a set never seen is recorded. Books every probe as a
-    /// hit or a miss.
-    fn probe(&self, fingerprint: u64, topics: &[TopicId]) -> Probe {
+    /// The run that answers `k` seeds over a keyword set under a segment
+    /// generation, its recency bumped (a run too shallow stays, and
+    /// stays fresh: the miss is about to deepen it). Books every probe
+    /// as a hit or a miss.
+    fn probe(&self, fingerprint: u64, topics: &[TopicId], k: u32) -> Option<Arc<Run>> {
         let mut state = lock_recover(&self.state);
         state.tick += 1;
         let tick = state.tick;
-        let key = (fingerprint, topics.to_vec());
-        let found = state.sets.touch(&key, tick).cloned();
-        if let Some(Some(merged)) = found {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Probe::Hit(merged);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if found.is_some() {
-            return Probe::Recurred;
-        }
-        self.put_set(&mut state, key, None);
-        Probe::First
+        let run = state
+            .sets
+            .touch(&(fingerprint, topics.to_vec()), tick)
+            .filter(|run| run.covers(k))
+            .cloned();
+        let book = if run.is_some() { &self.hits } else { &self.misses };
+        book.fetch_add(1, Ordering::Relaxed);
+        run
     }
 
-    /// Publish a freshly merged instance over its "seen" entry.
-    /// Replacing a built one (two batches racing the same second miss)
-    /// keeps the newer instance — both are bit-identical by
-    /// construction.
-    fn publish(&self, fingerprint: u64, topics: Vec<TopicId>, merged: Arc<MergedQuery>) {
+    /// Keep the run a miss just computed, unless the set already holds
+    /// one that covers it (two windows racing the same miss: the deeper
+    /// run stays, whichever lands last). Runs of any *other* generation
+    /// go the first time one of this generation arrives — every mutation
+    /// mints a fingerprint, and nothing can probe the old ones again.
+    fn publish(&self, fingerprint: u64, topics: Vec<TopicId>, run: Run) {
         let mut state = lock_recover(&self.state);
         state.tick += 1;
-        self.put_set(&mut state, (fingerprint, topics), Some(merged));
-    }
-
-    /// Store a keyword set at the current tick; evictions — seen and
-    /// built alike, in one LRU order — are booked.
-    fn put_set(
-        &self,
-        state: &mut MergeCacheState,
-        key: (u64, Vec<TopicId>),
-        merged: Option<Arc<MergedQuery>>,
-    ) {
-        let bytes = merged.as_ref().map_or(0, |m| m.resident_bytes());
-        let evicted = state.sets.put(key, merged, bytes, state.tick, self.capacity);
+        let tick = state.tick;
+        if state.live != Some(fingerprint) {
+            state.sets.retain(|&(held, _)| held == fingerprint);
+            state.live = Some(fingerprint);
+        }
+        let key = (fingerprint, topics);
+        if state.sets.touch(&key, tick).is_some_and(|held| held.covers(run.asked)) {
+            return;
+        }
+        let bytes = run.resident_bytes();
+        let evicted = state.sets.put(key, Arc::new(run), bytes, tick, self.capacity);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
@@ -512,12 +536,15 @@ impl QueryEngine {
     /// base, whose keywords start from a miss.
     ///
     /// *Keyword sets* are keyed by the sorted set and the segment
-    /// generation folded with the mutation generation: the planner
-    /// probes before building its decode union — a set's first miss
-    /// records the key and serves in place, its second builds and
-    /// publishes the merged instance, and a hit skips that set's lists
-    /// and merge entirely, so a recurring set pays for its instance
-    /// once and a one-shot set never does.
+    /// generation folded with the mutation generation, and hold the
+    /// set's deepest greedy run (a few hundred bytes): the planner
+    /// probes before building its decode union — a miss is served in
+    /// place at the window's deepest `k` and publishes that run, a hit
+    /// (a run at least as deep as the window asks) is an O(k) slice of
+    /// it and touches no list. A `k` deeper than any asked before is one
+    /// more in-place request, whose run replaces the shallower one; a
+    /// mutation mints a new fingerprint, and the first run published
+    /// under it drops every older generation's.
     ///
     /// Cached values are shared read-only; answers stay bit-identical
     /// to uncached serving. [`QueryEngine::execute`] never reads or
@@ -537,13 +564,14 @@ impl QueryEngine {
         self.merge_cache.as_ref().map_or(0, |c| c.capacity)
     }
 
-    /// Keyword sets the prepared-query cache holds, seen and built.
+    /// Keyword sets the prepared-query cache holds a run for.
     pub fn merge_cache_len(&self) -> usize {
         self.merge_cache.as_ref().map_or(0, |c| lock_recover(&c.state).sets.entries.len())
     }
 
-    /// Arena bytes held resident by cached prepared queries (built
-    /// entries; a seen key holds none).
+    /// Heap bytes the cached runs keep resident: per keyword set, 12 per
+    /// seed of its deepest run plus the outcome struct (keys not
+    /// counted).
     pub fn merge_cache_bytes(&self) -> u64 {
         self.merge_cache.as_ref().map_or(0, |c| lock_recover(&c.state).sets.bytes)
     }
@@ -559,12 +587,13 @@ impl QueryEngine {
         self.merge_cache.as_ref().map_or(0, |c| lock_recover(&c.state).keywords.bytes)
     }
 
-    /// Prepared-query cache probes that found a live entry.
+    /// Prepared-query cache probes answered from a covering run.
     pub fn merge_cache_hits(&self) -> u64 {
         self.merge_cache.as_ref().map_or(0, |c| c.hits.load(Ordering::Relaxed))
     }
 
-    /// Prepared-query cache probes that missed.
+    /// Prepared-query cache probes that missed: the set unseen at this
+    /// generation, or its run shallower than the window asked.
     pub fn merge_cache_misses(&self) -> u64 {
         self.merge_cache.as_ref().map_or(0, |c| c.misses.load(Ordering::Relaxed))
     }
@@ -586,10 +615,10 @@ impl QueryEngine {
         self.batched_requests.load(Ordering::Relaxed)
     }
 
-    /// Keyword-set coverage instances the planner resolved from a batch
-    /// arena (one per distinct keyword set per batch that missed the
-    /// cache — requests over the same set share it): materialized and
-    /// published on a set's second miss, served in place otherwise.
+    /// Greedy runs the planner executed in place over a batch arena: one
+    /// per distinct keyword set per batch that missed the cache (or had
+    /// none) — requests over the same set share it, and with a cache on
+    /// the run is published for later windows.
     pub fn merged_groups(&self) -> u64 {
         self.merged_groups.load(Ordering::Relaxed)
     }
@@ -699,11 +728,11 @@ impl QueryEngine {
         }
 
         // Group every request by keyword set: the Eqn-11 budget and the
-        // merged coverage instance depend on the topics alone, so
+        // coverage instance depend on the topics alone, so
         // same-keyword-set requests (different `k`, different
-        // algorithm) share one budget, one merge, and differ only in
-        // their greedy. The budget is computed once per group, right
-        // here, and threaded through to the merge.
+        // algorithm) share one budget and one greedy run at the deepest
+        // `k` among them. The budget is computed once per group, right
+        // here, and threaded through to the count.
         struct Group {
             members: Vec<usize>,
             phi_q: f64,
@@ -711,14 +740,12 @@ impl QueryEngine {
             /// Canonical (sorted, deduped) keyword set — what requests
             /// group on, and the prepared-query cache key.
             key: Vec<TopicId>,
-            /// Cache-resolved merged instance, probed before the union
-            /// decode: a hit removes the group from the decode *and*
-            /// the merge.
-            cached: Option<Arc<MergedQuery>>,
-            /// The cache has seen this set miss before: build its
-            /// instance from the batch arena and publish it. Otherwise
-            /// (first miss, or no cache) the group is served in place.
-            publish: bool,
+            /// The deepest `k` any member asks for.
+            k_max: u32,
+            /// A cached run at least that deep, probed before the union
+            /// decode: a hit removes the group from the decode, the
+            /// count *and* the greedy.
+            run: Option<Arc<Run>>,
             /// Widest member deadline (unbounded if any member is):
             /// the stop hook of the group's shared greedy run — if it
             /// fires, every member has expired.
@@ -743,6 +770,7 @@ impl QueryEngine {
                         (None, _) | (_, None) => None,
                         (Some(a), Some(b)) => Some(a.max(b)),
                     };
+                    group.k_max = group.k_max.max(req.k);
                     group.members.push(at);
                 }
                 None => {
@@ -755,8 +783,8 @@ impl QueryEngine {
                         phi_q,
                         budget,
                         key: query.topics().to_vec(),
-                        cached: None,
-                        publish: false,
+                        k_max: req.k,
+                        run: None,
                         deadline: deadlines[at],
                     });
                 }
@@ -764,18 +792,14 @@ impl QueryEngine {
         }
         // Cache identity: the base segment generation XOR the (mixed)
         // delta generation — bumped by every applied batch and every
-        // flush, so no prepared instance survives a mutation.
+        // flush, so no run survives a mutation.
         let fingerprint = match &snap {
             Some(s) => s.base().segment_fingerprint() ^ delta::splitmix64(s.generation()),
             None => self.index.segment_fingerprint(),
         };
         if let Some(cache) = &self.merge_cache {
             for group in &mut groups {
-                match cache.probe(fingerprint, &group.key) {
-                    Probe::Hit(merged) => group.cached = Some(merged),
-                    Probe::Recurred => group.publish = true,
-                    Probe::First => {}
-                }
+                group.run = cache.probe(fingerprint, &group.key, group.k_max);
             }
         }
 
@@ -787,7 +811,7 @@ impl QueryEngine {
         // neither side of the union.
         let mut wants: BTreeMap<TopicId, u64> = BTreeMap::new();
         let mut requested = 0u64;
-        for group in groups.iter().filter(|g| g.cached.is_none()) {
+        for group in groups.iter().filter(|g| g.run.is_none()) {
             requested += (group.budget.len() * group.members.len()) as u64;
             for &(topic, share) in &group.budget {
                 let widest = wants.entry(topic).or_insert(0);
@@ -796,90 +820,80 @@ impl QueryEngine {
         }
         let wants: Vec<(TopicId, u64)> = wants.into_iter().collect();
 
-        // Execute each keyword-set group over one shared instance. All
-        // three algorithms serve from it (Theorem 3).
+        // Execute each keyword-set group as one greedy run at its
+        // deepest `k`. All three algorithms serve from it (Theorem 3).
+        let generation = snap.as_ref().map(|s| s.generation());
         let run_group = |group: &Group, arena: &KeywordArena| -> Vec<(usize, EngineResult)> {
             let fail = |e: IndexError| -> Vec<(usize, EngineResult)> {
                 let err = EngineError::from(e);
                 self.executed.fetch_add(group.members.len() as u64, Ordering::Relaxed);
                 group.members.iter().map(|&at| (at, Err(err.clone()))).collect()
             };
-            // The union's |V| (base plus ingested users) sizes the
-            // instance when a delta is pinned.
-            let num_users = match &snap {
-                Some(s) => s.meta().num_users,
-                None => serving.meta().num_users,
-            };
-            // A materialized instance is worth building only where it is
-            // used again: a cache hit reuses the shared one, a keyword
-            // set's second miss builds one from the batch arena and
-            // publishes it for later batches. Everything else — a first
-            // miss, or no cache — is served in place off the arena.
-            if group.cached.is_none() {
-                self.merged_groups.fetch_add(1, Ordering::Relaxed);
-            }
-            let merged: Option<Arc<MergedQuery>> = match (&group.cached, &self.merge_cache) {
-                (Some(hit), _) => Some(Arc::clone(hit)),
-                (None, Some(cache)) if group.publish => {
-                    match serving.merge_budgeted_over(num_users, group.phi_q, &group.budget, arena)
-                    {
-                        Ok(merged) => {
-                            let merged = Arc::new(merged);
-                            cache.publish(fingerprint, group.key.clone(), Arc::clone(&merged));
-                            Some(merged)
-                        }
-                        Err(e) => return fail(e),
-                    }
-                }
-                (None, _) => None,
-            };
-            // One greedy run at the group's deepest `k` serves every
-            // member: seeds are selected sequentially, so each member's
-            // answer is exactly the `k`-prefix of the deep run (see
-            // [`MergedQuery::prefix_outcome`]). The run stops at the
-            // group's widest member deadline; a stop means every member
-            // expired, so the whole group fails with the deadline error
-            // (no partial seeds escape).
-            let k_max = group.members.iter().map(|&at| unique[at].k).max().unwrap_or(0);
+            // The run stops at the group's widest member deadline; a
+            // stop means every member expired, so the whole group fails
+            // with the deadline error (no partial seeds escape).
             let group_ctx = QueryCtx { deadline: group.deadline };
-            let full = match &merged {
-                Some(merged) => serving.query_merged_ctx(merged, k_max, &group_ctx),
-                None => serving.query_arena_ctx(
-                    num_users,
-                    group.phi_q,
-                    &group.budget,
-                    arena,
-                    k_max,
-                    &group_ctx,
-                ),
-            };
-            // Sole owner (the entry was already evicted and nobody else
-            // holds it) → the arenas recycle; otherwise the cache keeps
-            // the instance alive for the next hit and the Arc simply
-            // drops.
-            if let Some(Ok(sole)) = merged.map(Arc::try_unwrap) {
-                serving.recycle_merged(sole);
-            }
-            let full = match full {
-                Ok(mut full) => {
-                    full.stats.generation = snap.as_ref().map(|s| s.generation());
+            let full = match &group.run {
+                // A hit enters the greedy stage like any other request —
+                // its failpoint and the deadline check — and leaves with
+                // the cached run.
+                Some(run) => match rr_query::enter_greedy(&group_ctx) {
+                    Ok(()) => Arc::clone(&run.outcome),
+                    Err(e) => return fail(e),
+                },
+                // A miss (or no cache) is served in place off the arena
+                // and publishes what it computed; a run a deadline or a
+                // failpoint stopped never gets here.
+                None => {
+                    self.merged_groups.fetch_add(1, Ordering::Relaxed);
+                    // The union's |V| (base plus ingested users) sizes
+                    // the instance when a delta is pinned.
+                    let num_users = match &snap {
+                        Some(s) => s.meta().num_users,
+                        None => serving.meta().num_users,
+                    };
+                    let mut full = match serving.query_arena_ctx(
+                        num_users,
+                        group.phi_q,
+                        &group.budget,
+                        arena,
+                        group.k_max,
+                        &group_ctx,
+                    ) {
+                        Ok(full) => full,
+                        Err(e) => return fail(e),
+                    };
+                    full.stats.generation = generation;
                     full.stats.elapsed = started.elapsed();
-                    Arc::new(full)
+                    let full = Arc::new(full);
+                    if let Some(cache) = &self.merge_cache {
+                        let run = Run { asked: group.k_max, outcome: Arc::clone(&full) };
+                        cache.publish(fingerprint, group.key.clone(), run);
+                    }
+                    full
                 }
-                Err(e) => return fail(e),
             };
             if group.members.len() > 1 {
                 self.greedy_shared.fetch_add(group.members.len() as u64 - 1, Ordering::Relaxed);
             }
+            // Seeds are selected sequentially, so each member's answer
+            // is exactly the `k`-prefix of the deep run (see
+            // [`rr_query::prefix_outcome`]), stamped with this window's
+            // own clock and generation — never the run's. A lone member
+            // that just ran *is* the run.
             group
                 .members
                 .iter()
                 .map(|&at| {
                     self.executed.fetch_add(1, Ordering::Relaxed);
-                    let outcome = if group.members.len() == 1 {
+                    let outcome = if group.run.is_none() && group.members.len() == 1 {
                         Arc::clone(&full)
                     } else {
-                        Arc::new(rr_query::prefix_outcome(&full, unique[at].k, group.phi_q))
+                        let mut outcome =
+                            rr_query::prefix_outcome(&full, unique[at].k, group.phi_q);
+                        outcome.stats.generation = generation;
+                        outcome.stats.elapsed = started.elapsed();
+                        Arc::new(outcome)
                     };
                     (at, Ok(outcome))
                 })
@@ -899,7 +913,7 @@ impl QueryEngine {
                 // the index's persistent exec pool: a window of G
                 // disjoint keyword sets would otherwise serialize on
                 // the one thread that submitted it. Nested parallel
-                // recounts inside `query_merged` degrade to inline
+                // recounts inside the greedy degrade to inline
                 // execution on the occupied pool, so the fan-out can
                 // never deadlock; answers are unaffected either way —
                 // only wall-clock.
@@ -928,13 +942,13 @@ impl QueryEngine {
                 // only groups referencing the failed keyword(s) see the
                 // error — exactly the per-request semantics.
                 // (Cache-served groups never needed the decode, so they
-                // are served straight from their cached instance.) A
+                // are served straight from their cached run.) A
                 // lone decoding group *was* the union: its error is the
                 // answer, with no second attempt.
-                let decoding = groups.iter().filter(|g| g.cached.is_none()).count();
+                let decoding = groups.iter().filter(|g| g.run.is_none()).count();
                 let mut lone_err = (decoding == 1).then_some(union_err);
                 for group in &groups {
-                    if group.cached.is_some() {
+                    if group.run.is_some() {
                         for (at, result) in run_group(group, &KeywordArena::default()) {
                             results[at] = Some(result);
                         }
@@ -1098,7 +1112,7 @@ mod tests {
     }
 
     /// Instances `merge_csrs` built on this thread (a window of one
-    /// keyword set runs its group on the caller).
+    /// keyword set runs its group on the caller): serving builds none.
     fn materialized() -> u64 {
         rr_query::MATERIALIZED.with(|n| n.get())
     }
@@ -1290,7 +1304,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_cache_builds_on_the_second_miss_and_hits_from_the_third() {
+    fn merge_cache_publishes_on_the_first_miss_and_hits_from_the_second() {
         let dir = TempDir::new("engine-merge-cache").unwrap();
         let engine = build_engine(dir.path())
             .with_batch_window(Some(Duration::from_micros(100)))
@@ -1298,41 +1312,46 @@ mod tests {
         assert_eq!(engine.merge_cache_capacity(), 4);
         let reqs = [EngineRequest::new([0, 1], 6).with_algo(Algo::Rr), EngineRequest::new([2], 4)];
         let built_before = materialized();
-
-        // Round 0, first miss: the key is recorded, the group is served
-        // in place, nothing is built. Round 1, second miss: the lists
-        // leased, built, published. Rounds 2..: hits — the decode books
-        // stay flat. `k` varies (the cached instance is k-independent)
-        // and every answer matches the uncached serial oracle bit for
-        // bit.
-        let mut decoded = [0u64; 6];
-        for round in 0..6u32 {
+        let ask = |k_more: u32| {
             for req in &reqs {
-                let hot = EngineRequest { k: req.k + round, ..req.clone() };
+                let hot = EngineRequest { k: req.k + k_more, ..req.clone() };
                 let want = engine.execute(&hot).unwrap();
                 assert_same_answer(&engine.query(&hot).unwrap(), &want, &format!("{hot:?}"));
             }
+        };
+
+        // Round 0, the deepest `k`: a miss, served in place, its run
+        // published. Rounds 1..: `k` varies below it (the run answers
+        // every shallower `k`) — hits, the decode books stay flat — and
+        // every answer matches the uncached serial oracle bit for bit.
+        // Nothing is ever materialized.
+        let mut decoded = [0u64; 6];
+        for round in 0..6u32 {
+            ask(5 - round);
             decoded[round as usize] = engine.keywords_decoded();
-            let (len, bytes, built) =
-                (engine.merge_cache_len(), engine.merge_cache_bytes(), materialized());
-            match round {
-                0 => {
-                    assert_eq!((len, bytes, built), (2, 0, built_before), "first miss built");
-                    assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (0, 2));
-                }
-                1 => {
-                    assert_eq!((len, built), (2, built_before + 2), "second miss publishes");
-                    assert!(bytes > 0);
-                    assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (0, 4));
-                }
-                _ => assert_eq!(built, built_before + 2, "a hit rebuilt its instance"),
+            assert_eq!(engine.merge_cache_len(), 2);
+            assert_eq!(materialized(), built_before, "serving built an instance");
+            if round == 0 {
+                assert!(engine.merge_cache_bytes() > 0, "the first miss publishes its run");
+                assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (0, 2));
             }
         }
-        assert_eq!(decoded[1], decoded[0], "the second miss leases what the first decoded");
-        assert_eq!(decoded[5], decoded[1], "cache hits must not decode keywords");
-        assert_eq!(engine.merge_cache_hits(), 8);
-        assert_eq!(engine.merge_cache_misses(), 4);
-        assert_eq!(engine.merge_cache_evictions(), 0);
+        assert_eq!(decoded[5], decoded[0], "cache hits must not decode keywords");
+        assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (10, 2));
+
+        // A `k` deeper than any asked before is one more in-place
+        // request over the leased lists; its run replaces the shallower
+        // one and answers the old depths too.
+        let shallow_bytes = engine.merge_cache_bytes();
+        ask(9);
+        assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (10, 4));
+        assert_eq!(engine.keywords_decoded(), decoded[0], "a deepening leases its lists");
+        assert!(engine.merge_cache_bytes() > shallow_bytes, "the deeper run replaced the other");
+        ask(5);
+        ask(9);
+        assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (14, 4));
+        assert_eq!((engine.merge_cache_len(), engine.merge_cache_evictions()), (2, 0));
+        assert_eq!(materialized(), built_before);
     }
 
     #[test]
@@ -1351,8 +1370,8 @@ mod tests {
             assert_eq!(got.stats.io.read_ops, 0, "a window's answer books no read of its own");
             engine.index().io_stats().read_ops() - before
         };
-        // Three windows, three different keyword sets — every probe of
-        // the set map is a first miss — over three keywords.
+        // Four windows, four different keyword sets — every probe of
+        // the set map is a miss — over three keywords.
         assert_eq!(ask(&[0, 1], 5), 2, "one `il` read per decoded keyword");
         assert_eq!((engine.keywords_decoded(), engine.keyword_cache_len()), (2, 2));
         assert_eq!(ask(&[1, 2], 7), 1, "1 was leased");
@@ -1360,7 +1379,8 @@ mod tests {
         assert_eq!(ask(&[0, 2], 4) + ask(&[0, 1, 2], 9), 0, "a leased keyword reads no block");
         assert_eq!(engine.keywords_decoded(), 3, "a window over leased keywords decodes nothing");
         assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (0, 4));
-        assert_eq!(engine.merge_cache_bytes(), 0, "no set recurred: no instance was built");
+        assert_eq!(engine.merge_cache_len(), 4, "each set's first miss published its run");
+        assert!(engine.merge_cache_bytes() > 0);
         // Resident bytes are the lists' own, trimmed to their contents.
         let (_, budget) = engine.index().query_budget(&Query::new([0u32, 1, 2], 1));
         let arena = engine.index().decode_keywords(&budget).unwrap();
@@ -1459,7 +1479,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_cache_evicts_seen_and_built_keys_in_one_lru_order() {
+    fn merge_cache_evicts_runs_in_lru_order() {
         let dir = TempDir::new("engine-merge-evict").unwrap();
         let engine = build_engine(dir.path())
             .with_batch_window(Some(Duration::from_micros(100)))
@@ -1473,25 +1493,26 @@ mod tests {
             (engine.merge_cache_len(), engine.merge_cache_evictions(), engine.merge_cache_bytes())
         };
 
-        engine.query(&a).unwrap(); // seen {a}
-        engine.query(&a).unwrap(); // built {a}
+        engine.query(&a).unwrap(); // miss: {a} published
         let bytes_a = engine.merge_cache_bytes();
         assert!(bytes_a > 0);
-        engine.query(&b).unwrap(); // seen {b}: a seen key takes a slot
-        assert_eq!(books(&engine), (2, 0, bytes_a));
-        engine.query(&c).unwrap(); // seen {c} evicts the oldest — built {a}
-        assert_eq!(books(&engine), (2, 1, 0), "bytes track built entries only");
-        engine.query(&b).unwrap(); // {b} was kept as seen: second miss, built
-        assert_eq!(materialized(), built_before + 2);
-        assert!(engine.merge_cache_bytes() > 0);
-        // {a} was forgotten with its instance: a first miss again, which
-        // evicts the oldest — the seen key {c}.
+        engine.query(&a).unwrap(); // hit
+        engine.query(&b).unwrap(); // miss: {b} published beside it
+        let bytes_b = engine.merge_cache_bytes() - bytes_a;
+        assert_eq!(books(&engine), (2, 0, bytes_a + bytes_b));
+        engine.query(&c).unwrap(); // miss: {c} evicts the oldest — {a}
+        let bytes_c = engine.merge_cache_bytes() - bytes_b;
+        assert_eq!(books(&engine), (2, 1, bytes_b + bytes_c), "bytes track live runs only");
+        engine.query(&b).unwrap(); // {b} is still there: a hit, and now the freshest
+        assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (2, 3));
+        // {a} was forgotten with its run: a miss again, which evicts the
+        // oldest — {c}.
         assert_same_answer(&engine.query(&a).unwrap(), &serial_a, "re-missed a");
-        assert_eq!((engine.merge_cache_len(), engine.merge_cache_evictions()), (2, 2));
-        engine.query(&c).unwrap(); // {c} evicted while seen: a first miss again
-        assert_eq!(materialized(), built_before + 2, "an evicted seen key still counted");
-        assert_eq!(books(&engine), (2, 3, 0), "built {{b}} was the oldest");
-        assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (0, 7));
+        assert_eq!(books(&engine), (2, 2, bytes_b + bytes_a));
+        engine.query(&c).unwrap(); // {c} again a miss; {b} is the oldest
+        assert_eq!(books(&engine), (2, 3, bytes_a + bytes_c));
+        assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (2, 5));
+        assert_eq!(materialized(), built_before, "serving built an instance");
     }
 
     #[test]
@@ -1506,20 +1527,28 @@ mod tests {
             .with_merge_cache(4)
             .with_delta(Arc::clone(&tier));
         let req = EngineRequest::new([0, 1], 6);
+        let other = EngineRequest::new([2], 6);
         let built_before = materialized();
 
-        engine.query(&req).unwrap(); // seen at generation 0
+        engine.query(&req).unwrap(); // published at generation 0
+        engine.query(&other).unwrap();
+        assert_eq!(engine.merge_cache_len(), 2);
         tier.apply(&[crate::Mutation::IngestUser]).unwrap();
-        // The key carries the generation: the same keyword set is a first
-        // miss again, not the recurrence that would build.
+        // The key carries the generation: the same keyword set is a
+        // miss again, never a hit on the old generation's run.
         let want = engine.execute(&req).unwrap();
-        assert_same_answer(&engine.query(&req).unwrap(), &want, "after the mutation");
-        assert_eq!(materialized(), built_before, "a stale seen key counted as a recurrence");
-        assert_eq!(engine.merge_cache_len(), 2, "the old generation's key ages out by LRU");
-        engine.query(&req).unwrap(); // second miss at this generation
-        assert_eq!(materialized(), built_before + 1);
-        assert_same_answer(&engine.query(&req).unwrap(), &want, "hit");
+        let got = engine.query(&req).unwrap();
+        assert_same_answer(&got, &want, "after the mutation");
+        assert_eq!(got.stats.generation, Some(1));
+        // Nothing can probe generation 0 again: its runs went when the
+        // first run of generation 1 was published, not when LRU got to
+        // them.
+        assert_eq!(engine.merge_cache_len(), 1, "a dead generation stayed resident");
+        let hit = engine.query(&req).unwrap();
+        assert_same_answer(&hit, &want, "hit");
+        assert_eq!(hit.stats.generation, Some(1));
         assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (1, 3));
+        assert_eq!(materialized(), built_before, "serving built an instance");
     }
 
     #[test]
@@ -1543,11 +1572,10 @@ mod tests {
             (2, 2, 0)
         );
         assert_eq!((engine.merge_cache_len(), engine.merge_cache_misses()), (1, 1));
-        assert_eq!(materialized(), built_before, "one window is one miss, not a recurrence");
 
         // Built around `new`, a spelling is its own request but still
-        // the same keyword set: one group, one probe (the second miss),
-        // one greedy run shared three ways.
+        // the same keyword set: one group, one probe — a hit on the run
+        // the first window published — sliced three ways.
         let raw: Vec<_> = spellings
             .iter()
             .map(|t| (EngineRequest { topics: t.clone(), k: 6, algo: Algo::Auto }, None))
@@ -1555,13 +1583,55 @@ mod tests {
         for got in engine.query_window(&raw) {
             assert_same_answer(&got.unwrap(), &want, "raw spelling");
         }
-        // The decode books stay at 2: the second miss leased its lists.
+        // The decode books stay at 2: a hit reads no list.
         assert_eq!(
             (engine.keywords_decoded(), engine.coalesced(), engine.greedy_shared()),
             (2, 2, 2)
         );
-        assert_eq!((engine.merge_cache_len(), engine.merge_cache_misses()), (1, 2));
-        assert_eq!(materialized(), built_before + 1);
+        assert_eq!((engine.merge_cache_len(), engine.merge_cache_misses()), (1, 1));
+        assert_eq!(engine.merge_cache_hits(), 1);
+        assert_eq!(materialized(), built_before, "serving built an instance");
+    }
+
+    #[test]
+    fn the_set_map_keeps_the_deeper_run_and_one_generation() {
+        let run = |asked: u32, seeds: u32| Run {
+            asked,
+            outcome: Arc::new(QueryOutcome {
+                seeds: (0..seeds).collect(),
+                marginal_gains: vec![1; seeds as usize],
+                coverage: seeds as u64,
+                estimated_influence: 0.0,
+                stats: crate::QueryStats::default(),
+            }),
+        };
+        let cache = MergeCache::new(8);
+        let depth = |topics: &[TopicId], k| cache.probe(7, topics, k).map(|run| run.asked);
+
+        // Two racing publishers, the shallower landing last: it is dropped.
+        cache.publish(7, vec![0, 1], run(25, 25));
+        cache.publish(7, vec![0, 1], run(5, 5));
+        assert_eq!(depth(&[0, 1], 25), Some(25));
+        // The other order: the deeper run replaces the shallower.
+        cache.publish(7, vec![2], run(5, 5));
+        assert_eq!((depth(&[2], 5), depth(&[2], 6)), (Some(5), None));
+        cache.publish(7, vec![2], run(10, 10));
+        assert_eq!((depth(&[2], 6), depth(&[2], 11)), (Some(10), None));
+        // A run that stopped short of its `k` exhausted the instance: it
+        // covers every depth, and nothing replaces it.
+        cache.publish(7, vec![3], run(5, 3));
+        cache.publish(7, vec![3], run(25, 3));
+        assert_eq!(depth(&[3], 25), Some(5));
+        assert_eq!(lock_recover(&cache.state).sets.entries.len(), 3);
+
+        // The first run of another generation is the last the old one's
+        // entries are held for; bytes and evictions stay in step.
+        cache.publish(8, vec![0, 1], run(5, 5));
+        assert_eq!(depth(&[0, 1], 5), None, "generation 7 outlived generation 8's first run");
+        let state = lock_recover(&cache.state);
+        assert_eq!(state.sets.entries.len(), 1);
+        assert_eq!(state.sets.bytes, run(5, 5).resident_bytes());
+        assert_eq!(cache.evictions.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -419,10 +419,10 @@ impl Router {
 
     /// The engines' cache books for the operator log, summed over the
     /// served indexes and rendered at drain after
-    /// [`ServeCtx::stats_line`]: keyword sets (probes that hit a built
-    /// instance, probes that missed, bytes of built instances) and
-    /// keywords (decodes performed, lists resident for lease, their
-    /// bytes).
+    /// [`ServeCtx::stats_line`]: keyword sets (probes answered from a
+    /// cached greedy run, probes that missed — set unseen or its run
+    /// too shallow — and the bytes of the cached runs) and keywords
+    /// (decodes performed, lists resident for lease, their bytes).
     pub fn cache_books_line(&self) -> String {
         let sum = |book: fn(&QueryEngine) -> u64| -> u64 {
             self.engines.iter().map(|(_, engine)| book(engine)).sum()

@@ -144,8 +144,9 @@ fn serve_answers_line_protocol_requests() {
         writeln!(stdin, r#"{{"id":3,"topics":[0,1],"k":5,"algo":"memory"}}"#).unwrap();
         writeln!(stdin, r#"{{"id":4,"nonsense":true}}"#).unwrap();
         writeln!(stdin, "this is not json").unwrap();
-        // A repeat of request 1: its keyword set is now resident in the
-        // prepared-query cache, and the answer must be unchanged.
+        // A repeat of request 1: its keyword set's greedy run is now
+        // resident in the prepared-query cache, and the answer must be
+        // unchanged.
         writeln!(stdin, r#"{{"id":6,"topics":[0,1],"k":5,"algo":"rr"}}"#).unwrap();
     } // stdin drops → EOF → clean exit
     let out = child.wait_with_output().unwrap();
@@ -156,12 +157,12 @@ fn serve_answers_line_protocol_requests() {
         String::from_utf8_lossy(&out.stderr)
     );
     // The banner says what the number bounds, and the drain line carries
-    // the cache's books: the stream is serial, so request 1 missed and
-    // decoded both keywords, request 2 missed again, leased them and
-    // built the instance, request 6 hit it.
+    // the cache's books: the stream is serial, so request 1 missed,
+    // decoded both keywords and published its run; requests 2 and 6
+    // (same keyword set, same depth) are slices of that run.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("(8 keyword sets + 8 decoded keywords)"), "{stderr}");
-    assert!(stderr.contains("panicked=0 set_hits=1 set_misses=2 set_bytes="), "{stderr}");
+    assert!(stderr.contains("panicked=0 set_hits=2 set_misses=1 set_bytes="), "{stderr}");
     assert!(stderr.contains(" keywords_decoded=2 keywords_resident=2 keyword_bytes="), "{stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();

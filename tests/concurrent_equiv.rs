@@ -26,7 +26,10 @@
 //! 5. the **prepared-query cache** is unobservable in answers: with the
 //!    cache enabled, every interleaving and every round (cold and hot)
 //!    answers bit-identically to the uncached serial path, while the
-//!    hit/miss/eviction books balance.
+//!    hit/miss/eviction books balance. What it caches is a keyword
+//!    set's deepest greedy *run*: one set asked at several depths in
+//!    any order, an exhausted run, and two racing publishers all answer
+//!    as the per-request reference does.
 
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
@@ -396,9 +399,10 @@ proptest! {
                 requests.iter().map(|r| Answer::of(&engine.execute(r).unwrap())).collect();
 
             // Three concurrent rounds: round one's keyword sets are
-            // first misses (recorded, served in place), round two
-            // re-presents them (second miss: built and published), round
-            // three is served from the cache. Whatever batch splits the
+            // misses (served in place, their runs published), rounds two
+            // and three are served from the cache — unless a thread of
+            // one set at a deeper `k` lost the race to a shallower one,
+            // and deepens the run. Whatever batch splits the
             // window admits, every answer in every round must be
             // bit-identical to the serial oracle.
             for round in 0..3 {
@@ -424,14 +428,133 @@ proptest! {
                     }
                 });
             }
-            // Round three's keyword sets were all resident (capacity 8 >
-            // distinct sets, so nothing evicted): the cache must have
-            // served at least one group, and its books must balance.
+            // By round three every set's deepest run was resident
+            // (capacity 8 > distinct sets, so nothing evicted): the cache
+            // must have served at least one group, and its books must
+            // balance.
             prop_assert!(engine.merge_cache_hits() > 0, "{mode}: no cache hit in round three");
             prop_assert_eq!(engine.merge_cache_evictions(), 0);
             prop_assert!(engine.merge_cache_len() <= 8);
             prop_assert!(engine.merge_cache_bytes() > 0);
         }
+    }
+}
+
+/// Every field of an outcome that is a function of the request, f64s
+/// by their bits.
+fn assert_bit_identical(
+    got: &kbtim::index::QueryOutcome,
+    want: &kbtim::index::QueryOutcome,
+    what: &str,
+) {
+    assert_eq!(Answer::of(got), Answer::of(want), "{what}");
+    assert_eq!(
+        got.estimated_influence.to_bits(),
+        want.estimated_influence.to_bits(),
+        "{what}: estimated influence"
+    );
+    assert_eq!(got.stats.rr_sets_loaded, want.stats.rr_sets_loaded, "{what}: rr_sets_loaded");
+}
+
+/// The cached unit is a keyword set's deepest greedy run: asked in
+/// every order of three depths, a `k` deeper than the run is a miss
+/// that deepens it and every other `k` a hit sliced from it (ascending
+/// deepens twice, descending hits twice) — each answer bit-identical to
+/// the uncached per-request reference, flat and on 4 shards.
+#[test]
+fn one_keyword_set_in_every_order_of_depths_matches_serial() {
+    let orders = [[5, 10, 25], [5, 25, 10], [10, 5, 25], [10, 25, 5], [25, 5, 10], [25, 10, 5]];
+    for (what, index) in [("flat", &fixture().shared[0].1), ("4 shards", &sharded_fixture().1)] {
+        for order in orders {
+            let engine = QueryEngine::new(Arc::clone(index)).with_merge_cache(8);
+            let (mut deepest, mut hits, mut misses) = (0, 0, 0);
+            for k in order {
+                let req = EngineRequest::new([0, 1, 2], k).with_algo(Algo::Rr);
+                let want = engine.execute(&req).unwrap();
+                assert_eq!(want.seeds.len(), k as usize, "the fixture must not exhaust at {k}");
+                let got = engine.query(&req).unwrap();
+                assert_bit_identical(&got, &want, &format!("{what}, order {order:?}, k {k}"));
+                if k > deepest {
+                    (deepest, misses) = (k, misses + 1);
+                } else {
+                    hits += 1;
+                }
+                assert_eq!(
+                    (engine.merge_cache_hits(), engine.merge_cache_misses()),
+                    (hits, misses),
+                    "{what}, order {order:?}, k {k}"
+                );
+            }
+            assert_eq!((engine.merge_cache_len(), engine.keywords_decoded()), (1, 3));
+        }
+    }
+}
+
+/// A run that stopped at zero gain before its `k` answers every `k`:
+/// on an index whose greedy exhausts below five seeds, `k = 25` is a
+/// hit on the `k = 5` run.
+#[test]
+fn an_exhausted_run_answers_every_depth() {
+    let data =
+        DatasetConfig::family(DatasetFamily::News).num_users(4).num_topics(2).seed(3).build();
+    let model = IcModel::weighted_cascade(&data.graph);
+    let config = IndexBuildConfig {
+        sampling: SamplingConfig {
+            theta_cap: Some(64),
+            opt_initial_samples: 16,
+            opt_max_rounds: 2,
+            ..SamplingConfig::fast()
+        },
+        ..IndexBuildConfig::default()
+    };
+    let dir = TempDir::new("concurrent-equiv-tiny").unwrap();
+    IndexBuilder::new(&model, &data.profiles, config).build(dir.path()).unwrap();
+    let index = Arc::new(KbtimIndex::open(dir.path(), IoStats::new()).unwrap());
+    let engine = QueryEngine::new(index).with_merge_cache(4);
+
+    let ask = |k| {
+        let req = EngineRequest::new([0, 1], k);
+        let want = engine.execute(&req).unwrap();
+        assert!(!want.seeds.is_empty() && want.seeds.len() < 5, "{} seeds", want.seeds.len());
+        assert_bit_identical(&engine.query(&req).unwrap(), &want, &format!("k {k}"));
+    };
+    ask(5);
+    ask(25);
+    ask(1);
+    assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (2, 1));
+}
+
+/// Two windows racing the same miss at depths 5 and 25 both publish;
+/// whichever lands last, the depth-25 run is what stays — the next
+/// `k = 25` is a hit.
+#[test]
+fn racing_publishers_leave_the_deeper_run() {
+    let index = &fixture().shared[0].1;
+    let deep = EngineRequest::new([1, 3], 25);
+    let want = QueryEngine::new(Arc::clone(index)).execute(&deep).unwrap();
+    assert_eq!(want.seeds.len(), 25, "the fixture must not exhaust at 25");
+    for round in 0..16 {
+        let engine = QueryEngine::new(Arc::clone(index)).with_merge_cache(4);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for k in [5, 25] {
+                let (engine, barrier) = (&engine, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    engine.query(&EngineRequest::new([1, 3], k)).unwrap();
+                });
+            }
+        });
+        // k = 5 may have hit a depth-25 run that landed first; k = 25
+        // can only have missed.
+        let (hits, misses) = (engine.merge_cache_hits(), engine.merge_cache_misses());
+        assert!(hits + misses == 2 && misses >= 1, "round {round}: {hits} hits, {misses} misses");
+        assert_bit_identical(&engine.query(&deep).unwrap(), &want, &format!("round {round}"));
+        assert_eq!(
+            (engine.merge_cache_hits(), engine.merge_cache_misses()),
+            (hits + 1, misses),
+            "round {round}: the shallower publisher replaced the deeper run"
+        );
     }
 }
 

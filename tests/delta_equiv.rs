@@ -239,9 +239,8 @@ proptest! {
                 // The batch planner over the union snapshot: one window,
                 // one keyword-set group run once at the deepest k —
                 // served in place off the union arena without a merge
-                // cache; with one, asked three times — a first miss in
-                // place, a second that builds and publishes the
-                // instance, then a hit on the published entry.
+                // cache; with one, asked three times — a miss in place
+                // that publishes its run, then two hits sliced from it.
                 let request = |algo, k| (EngineRequest { topics: topics.clone(), k, algo }, None);
                 let window =
                     [request(Algo::Rr, k), request(Algo::Auto, k), request(Algo::Irr, k + 4)];
@@ -257,7 +256,7 @@ proptest! {
                             assert_bit_identical(&got.unwrap(), want, &label);
                         }
                     }
-                    prop_assert_eq!(planner.merge_cache_hits(), if cache > 0 { 1 } else { 0 });
+                    prop_assert_eq!(planner.merge_cache_hits(), if cache > 0 { 2 } else { 0 });
                 }
             }
         }
@@ -294,6 +293,59 @@ proptest! {
 /// published snapshot, the on-disk generation pointer, and every query
 /// byte stay exactly where they were, and a later flush retries
 /// cleanly from scratch.
+/// The keyword-set cache holds greedy *runs*, and a run is a function
+/// of the generation: a mutation between two asks of one set makes the
+/// second a miss, answered with the from-scratch oracle's bytes at the
+/// new generation — never with the seeds cached at the old one.
+#[test]
+fn a_mutation_between_two_asks_of_one_set_is_a_miss() {
+    let _lease = kbtim_fault::shared();
+    let data = base_data();
+    let muts = [
+        Mutation::IngestUser,
+        Mutation::IngestEdge { from: USERS, to: 3 },
+        Mutation::SetTopicWeight { user: USERS, topic: 1, weight: 0.6 },
+        Mutation::SetTopicWeight { user: 4, topic: 2, weight: 0.0 },
+    ];
+    let query = Query::new(vec![1, 2], 6);
+    let request = EngineRequest::new(query.topics().iter().copied(), query.k());
+    let oracle_at = |muts: &[Mutation]| {
+        let dir = TempDir::new("delta-run-oracle").unwrap();
+        let (graph, profiles) = fold(data, muts);
+        build_into(&graph, &profiles, config(1), dir.path());
+        KbtimIndex::open(dir.path(), IoStats::new()).unwrap().query_rr(&query).unwrap()
+    };
+
+    let root = TempDir::new("delta-run-cache").unwrap();
+    build_into(&data.graph, &data.profiles, config(1), root.path());
+    let index = Arc::new(KbtimIndex::open(root.path(), IoStats::new()).unwrap());
+    let delta = Arc::new(
+        DeltaIndex::attach(Arc::clone(&index), &data.graph, &data.profiles, config(1)).unwrap(),
+    );
+    let engine = QueryEngine::new(index).with_delta(Arc::clone(&delta)).with_merge_cache(4);
+    let books = |engine: &QueryEngine| (engine.merge_cache_hits(), engine.merge_cache_misses());
+
+    let before = oracle_at(&[]);
+    for (ask, want_books) in [(0, (0, 1)), (1, (1, 1))] {
+        let got = engine.query(&request).unwrap();
+        assert_bit_identical(&got, &before, &format!("generation 0, ask {ask}"));
+        assert_eq!(got.stats.generation, Some(0));
+        assert_eq!(books(&engine), want_books, "generation 0, ask {ask}");
+    }
+
+    delta.apply(&muts).unwrap();
+    let generation = delta.generation();
+    let after = oracle_at(&muts);
+    assert_ne!(after.marginal_gains, before.marginal_gains, "the batch must move the answer");
+    for (ask, want_books) in [(0, (1, 2)), (1, (2, 2))] {
+        let got = engine.query(&request).unwrap();
+        assert_bit_identical(&got, &after, &format!("generation {generation}, ask {ask}"));
+        assert_eq!(got.stats.generation, Some(generation));
+        assert_eq!(books(&engine), want_books, "generation {generation}, ask {ask}");
+    }
+    assert_eq!(engine.merge_cache_len(), 1, "generation 0's run went with the first publish");
+}
+
 #[test]
 fn failed_flushes_never_tear_a_generation() {
     let _lease = kbtim_fault::exclusive();

@@ -174,6 +174,48 @@ fn injected_engine_faults_surface_and_scratch_books_survive() {
     }
 }
 
+/// A keyword set whose greedy run is cached skips the lists and the
+/// greedy, not the checks: the `engine.greedy` failpoint fails a hit,
+/// and an expired deadline answers `deadline_exceeded` — never the
+/// cached seeds.
+#[test]
+fn a_cached_run_still_passes_the_failpoint_and_the_deadline() {
+    let _section = armed_section();
+    let index =
+        KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Resident).unwrap();
+    let engine = QueryEngine::new(Arc::new(index)).with_merge_cache(4);
+    let req =
+        kbtim::index::EngineRequest { topics: vec![0, 1], k: 5, algo: kbtim::index::Algo::Auto };
+    let baseline = engine.query(&req).unwrap();
+    let books = |engine: &QueryEngine| (engine.merge_cache_hits(), engine.merge_cache_misses());
+    assert_eq!(books(&engine), (0, 1));
+    let same = |got: &kbtim::index::QueryOutcome, what: &str| {
+        assert_eq!(got.seeds, baseline.seeds, "{what}");
+        assert_eq!(got.marginal_gains, baseline.marginal_gains, "{what}");
+        assert_eq!(got.coverage, baseline.coverage, "{what}");
+    };
+    same(&engine.query(&req).unwrap(), "a hit");
+    assert_eq!(books(&engine), (1, 1));
+
+    kbtim_fault::arm("engine.greedy", "1*err").unwrap();
+    let err = engine.query(&req).unwrap_err();
+    assert!(err.to_string().contains("engine.greedy"), "{err}");
+    assert_eq!(books(&engine), (2, 1), "the failed request was a hit");
+
+    let expired = std::time::Instant::now();
+    std::thread::sleep(Duration::from_millis(2));
+    let err = engine.query_deadline(&req, Some(expired)).unwrap_err();
+    assert!(
+        matches!(err.index_error(), kbtim::index::IndexError::DeadlineExceeded),
+        "an expired request was answered from the cache: {err}"
+    );
+    assert_eq!(books(&engine), (3, 1));
+
+    // Neither failure touched the run: the next request is a hit again.
+    same(&engine.query(&req).unwrap(), "after the failures");
+    assert_eq!(books(&engine), (4, 1));
+}
+
 #[test]
 fn panicking_query_is_contained_and_engine_survives() {
     let _section = armed_section();
