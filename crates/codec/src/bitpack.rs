@@ -9,6 +9,7 @@
 //! branchiness.
 
 use crate::CodecError;
+use std::mem::MaybeUninit;
 
 /// Number of values per packed block. 128 matches common PFoR layouts and
 /// keeps each block's packed payload a whole number of bytes for any width.
@@ -91,36 +92,40 @@ pub fn unpack_block_scalar(
     append_block(out, |dst| unpack_block_into(crate::simd::SimdLevel::Scalar, input, width, dst))
 }
 
-/// Grow `out` by one block, let `unpack` fill it, and shrink back if it
-/// fails (an error leaves `out` as it was).
+/// Let `unpack` fill one block of `out`'s spare capacity and keep it if
+/// that succeeds (an error leaves `out` as it was). The block is not
+/// zeroed first: the unpack overwrites every slot.
 fn append_block(
     out: &mut Vec<u32>,
-    unpack: impl FnOnce(&mut [u32]) -> Result<usize, CodecError>,
+    unpack: impl FnOnce(&mut [MaybeUninit<u32>]) -> Result<usize, CodecError>,
 ) -> Result<usize, CodecError> {
-    let start = out.len();
-    out.resize(start + BLOCK_LEN, 0);
-    let used = unpack(&mut out[start..]);
-    if used.is_err() {
-        out.truncate(start);
-    }
-    used
+    out.reserve(BLOCK_LEN);
+    let used = unpack(&mut out.spare_capacity_mut()[..BLOCK_LEN])?;
+    // SAFETY: `reserve` made room for `BLOCK_LEN` more values and
+    // `unpack` — `unpack_block_into`, which returned `Ok` — wrote all of
+    // them.
+    unsafe { out.set_len(out.len() + BLOCK_LEN) };
+    Ok(used)
 }
 
 /// [`unpack_block_with`] into a caller-sized slice of exactly
 /// [`BLOCK_LEN`] slots — what a decoder that sized its whole output up
-/// front (see [`crate::stream`]) calls once per frame.
+/// front (see [`crate::stream`]) calls once per frame. The slots may be
+/// uninitialized: `Ok` means every one of them has been written (the
+/// contract the callers' `set_len` rests on); an error may have written
+/// some.
 pub(crate) fn unpack_block_into(
     level: crate::simd::SimdLevel,
     input: &[u8],
     width: u8,
-    dst: &mut [u32],
+    dst: &mut [MaybeUninit<u32>],
 ) -> Result<usize, CodecError> {
     assert_eq!(dst.len(), BLOCK_LEN, "unpack_block_into fills exactly one block");
     if width > 32 {
         return Err(CodecError::InvalidBitWidth(width));
     }
     if width == 0 {
-        dst.fill(0);
+        dst.fill(MaybeUninit::new(0));
         return Ok(0);
     }
     let byte_len = width as usize * BLOCK_LEN / 8;
@@ -148,7 +153,7 @@ pub(crate) fn unpack_block_into(
             acc |= (byte as u64) << acc_bits;
             acc_bits += 8;
         }
-        *slot = (acc & mask) as u32;
+        slot.write((acc & mask) as u32);
         acc >>= width;
         acc_bits -= width as u32;
     }

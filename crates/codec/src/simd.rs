@@ -20,6 +20,10 @@
 //!   read-only `u64` total proves no `u32` overflow can occur — corrupt
 //!   inputs take the scalar path so error positions and partial output
 //!   stay bit-identical to the scalar oracle.
+//! * **Segmented scan** (AVX2) for a columnar inverted-list block's
+//!   tagged id stream ([`scan_tagged_gaps`]): a prefix sum that restarts
+//!   at every list-start tag and left-packs the start positions into
+//!   the list offsets, eight values per step.
 //!
 //! Dispatch is decided once per process ([`active_level`]): the best
 //! instruction set the CPU reports, optionally capped by the
@@ -33,6 +37,7 @@
 //! is even built there.
 
 use crate::bitpack::BLOCK_LEN;
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 /// Instruction-set tier a decode kernel may use. Ordered: a level
@@ -43,7 +48,8 @@ pub enum SimdLevel {
     Scalar,
     /// SSE2 (baseline on x86-64): per-width unpack + prefix sum.
     Sse2,
-    /// AVX2: adds the gather-based generic unpack.
+    /// AVX2 (+ POPCNT): adds the gather-based generic unpack and the
+    /// segmented tagged-gap scan.
     Avx2,
 }
 
@@ -74,8 +80,12 @@ impl SimdLevel {
 pub fn supported_levels() -> &'static [SimdLevel] {
     #[cfg(target_arch = "x86_64")]
     {
-        // SSE2 is part of the x86-64 baseline; only AVX2 needs a check.
-        if std::arch::is_x86_feature_detected!("avx2") {
+        // SSE2 is part of the x86-64 baseline; only AVX2 needs a check
+        // (with POPCNT, which the scan kernel counts list starts with
+        // and every AVX2 CPU has).
+        if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("popcnt")
+        {
             &[SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
         } else {
             &[SimdLevel::Scalar, SimdLevel::Sse2]
@@ -113,13 +123,19 @@ pub fn active_level() -> SimdLevel {
 
 /// Unpack one full block (`width` in `1..=32`, `input.len() >=
 /// width*BLOCK_LEN/8`, `dst.len() == BLOCK_LEN` — all validated by the
-/// caller) into `dst` with the given kernel tier.
+/// caller) into `dst` with the given kernel tier. Every kernel writes
+/// every slot of `dst` and reads none.
 ///
 /// `level` must be supported (callers go through [`clamp_supported`] or
 /// [`active_level`]); [`SimdLevel::Scalar`] must be handled by the
 /// caller (this function is only compiled/called on x86-64).
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn unpack_block_simd(level: SimdLevel, input: &[u8], width: u8, dst: &mut [u32]) {
+pub(crate) fn unpack_block_simd(
+    level: SimdLevel,
+    input: &[u8],
+    width: u8,
+    dst: &mut [MaybeUninit<u32>],
+) {
     debug_assert!((1..=32).contains(&width));
     debug_assert!(input.len() >= width as usize * BLOCK_LEN / 8);
     debug_assert_eq!(dst.len(), BLOCK_LEN);
@@ -177,6 +193,68 @@ pub(crate) fn prefix_sum_checked_at(level: SimdLevel, values: &mut [u32]) -> boo
     false
 }
 
+/// Finish a tagged-gap stream in place: the id column of a columnar
+/// inverted-list block, all lists back to back. A value with bit 0 set
+/// starts a list and carries that list's first id in its upper 31 bits;
+/// a value with bit 0 clear carries the gap to the id before it.
+///
+/// On return `ids[i]` is the absolute id, `offsets[l]` the position of
+/// list `l`'s first id and the last slot `ids.len()` — a CSR over the
+/// `offsets.len() - 1` lists the caller expects. Returns the bitwise or
+/// of every id (how the caller bounds them all at once), or `None` when
+/// the stream does not hold exactly that many start tags; `ids` and
+/// `offsets` are then left in an unspecified state. The caller checks
+/// that `ids[0]` is tagged — with an untagged first value the offsets
+/// are meaningless, though never out of bounds.
+///
+/// `level` picks the kernel tier — [`active_level`] on the decode path,
+/// each of [`supported_levels`] in the tests that hold the tiers equal;
+/// a tier the CPU lacks clamps to the best it has.
+///
+/// # Panics
+///
+/// Panics if `offsets` is empty or `ids` holds more than `u32::MAX`
+/// values.
+pub fn scan_tagged_gaps(level: SimdLevel, ids: &mut [u32], offsets: &mut [u32]) -> Option<u32> {
+    assert!(!offsets.is_empty(), "offsets holds a closing boundary");
+    assert!(u32::try_from(ids.len()).is_ok(), "positions are u32");
+    #[cfg(target_arch = "x86_64")]
+    if clamp_supported(level) >= SimdLevel::Avx2 {
+        // SAFETY: `clamp_supported` only returns Avx2 when
+        // `supported_levels()` detected AVX2 and POPCNT on this CPU.
+        return unsafe { x86::scan_tagged_gaps_avx2(ids, offsets) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = level;
+    scan_tagged_gaps_scalar(ids, offsets)
+}
+
+/// The `Scalar` / `Sse2` tier of [`scan_tagged_gaps`], and the oracle
+/// the AVX2 kernel is tested against.
+fn scan_tagged_gaps_scalar(ids: &mut [u32], offsets: &mut [u32]) -> Option<u32> {
+    let n_lists = offsets.len() - 1;
+    let starts = ids.iter().filter(|&&tagged| tagged & 1 == 1).count();
+    if starts != n_lists {
+        return None;
+    }
+    // One pass, no data-dependent branch: every id writes its position
+    // into the slot of the next list to start (a list start then moves
+    // on, so a slot keeps its own list's first position; the last slot
+    // is set below) and restarts or continues the running sum under a
+    // mask.
+    let (mut list, mut acc, mut seen_bits) = (0usize, 0u32, 0u32);
+    for (pos, id) in ids.iter_mut().enumerate() {
+        let (start, gap) = (*id & 1, *id >> 1);
+        offsets[list] = pos as u32;
+        list += start as usize;
+        acc = gap.wrapping_add(acc & start.wrapping_sub(1));
+        seen_bits |= acc;
+        *id = acc;
+    }
+    offsets[n_lists] = ids.len() as u32;
+    Some(seen_bits)
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The kernels proper. Every `unsafe` block states which bound makes
@@ -186,6 +264,7 @@ mod x86 {
     #![deny(unsafe_op_in_unsafe_fn)]
 
     use core::arch::x86_64::*;
+    use std::mem::MaybeUninit;
 
     /// Widen 16 packed bytes to 16 `u32` at `dst` (LSB-first order).
     ///
@@ -208,7 +287,7 @@ mod x86 {
     }
 
     /// Width-4 block: each byte holds two nibbles, low nibble first.
-    pub(super) fn unpack_w4(input: &[u8], dst: &mut [u32]) {
+    pub(super) fn unpack_w4(input: &[u8], dst: &mut [MaybeUninit<u32>]) {
         assert!(input.len() >= 64 && dst.len() == 128);
         // SAFETY: loads stay in input[..64] and stores in dst[..128]
         // (asserted above); SSE2 is baseline on x86-64.
@@ -220,7 +299,7 @@ mod x86 {
                 let hi = _mm_and_si128(_mm_srli_epi16::<4>(b), nib);
                 // Interleave to [lo0, hi0, lo1, hi1, ...] — the LSB-first
                 // value order within each byte.
-                let d = dst.as_mut_ptr().add(g * 32);
+                let d = dst.as_mut_ptr().cast::<u32>().add(g * 32);
                 store_widened_bytes(_mm_unpacklo_epi8(lo, hi), d);
                 store_widened_bytes(_mm_unpackhi_epi8(lo, hi), d.add(16));
             }
@@ -228,20 +307,20 @@ mod x86 {
     }
 
     /// Width-8 block: one byte per value.
-    pub(super) fn unpack_w8(input: &[u8], dst: &mut [u32]) {
+    pub(super) fn unpack_w8(input: &[u8], dst: &mut [MaybeUninit<u32>]) {
         assert!(input.len() >= 128 && dst.len() == 128);
         // SAFETY: loads stay in input[..128] and stores in dst[..128]
         // (asserted above); SSE2 is baseline on x86-64.
         unsafe {
             for g in 0..8 {
                 let b = _mm_loadu_si128(input.as_ptr().add(g * 16).cast());
-                store_widened_bytes(b, dst.as_mut_ptr().add(g * 16));
+                store_widened_bytes(b, dst.as_mut_ptr().cast::<u32>().add(g * 16));
             }
         }
     }
 
     /// Width-16 block: one little-endian `u16` per value.
-    pub(super) fn unpack_w16(input: &[u8], dst: &mut [u32]) {
+    pub(super) fn unpack_w16(input: &[u8], dst: &mut [MaybeUninit<u32>]) {
         assert!(input.len() >= 256 && dst.len() == 128);
         // SAFETY: loads stay in input[..256] and stores in dst[..128]
         // (asserted above); SSE2 is baseline on x86-64.
@@ -249,7 +328,7 @@ mod x86 {
             let zero = _mm_setzero_si128();
             for g in 0..16 {
                 let b = _mm_loadu_si128(input.as_ptr().add(g * 16).cast());
-                let d = dst.as_mut_ptr().add(g * 8);
+                let d = dst.as_mut_ptr().cast::<u32>().add(g * 8);
                 _mm_storeu_si128(d.cast(), _mm_unpacklo_epi16(b, zero));
                 _mm_storeu_si128(d.add(4).cast(), _mm_unpackhi_epi16(b, zero));
             }
@@ -257,9 +336,10 @@ mod x86 {
     }
 
     /// Width-32 block: a straight little-endian copy.
-    pub(super) fn unpack_w32(input: &[u8], dst: &mut [u32]) {
+    pub(super) fn unpack_w32(input: &[u8], dst: &mut [MaybeUninit<u32>]) {
+        assert!(input.len() >= dst.len() * 4);
         for (slot, ch) in dst.iter_mut().zip(input.chunks_exact(4)) {
-            *slot = u32::from_le_bytes(ch.try_into().expect("chunks_exact(4)"));
+            slot.write(u32::from_le_bytes(ch.try_into().expect("chunks_exact(4)")));
         }
     }
 
@@ -269,7 +349,12 @@ mod x86 {
     /// `width ≤ 32` always fit in one 64-bit window. Values whose 8-byte
     /// window would overrun `input` (only possible near the end of a
     /// segment's last block) take a zero-padded buffered load instead.
-    pub(super) fn unpack_generic(input: &[u8], width: usize, dst: &mut [u32], from: usize) {
+    pub(super) fn unpack_generic(
+        input: &[u8],
+        width: usize,
+        dst: &mut [MaybeUninit<u32>],
+        from: usize,
+    ) {
         debug_assert!((1..=32).contains(&width));
         let byte_len = width * dst.len() / 8;
         debug_assert!(input.len() >= byte_len);
@@ -299,7 +384,7 @@ mod x86 {
                 tmp[..n].copy_from_slice(&input[byte..byte + n]);
                 u64::from_le_bytes(tmp)
             };
-            *slot = ((word >> (bit % 8)) & mask) as u32;
+            slot.write(((word >> (bit % 8)) & mask) as u32);
         }
     }
 
@@ -314,7 +399,11 @@ mod x86 {
     ///
     /// The CPU must support AVX2 (runtime-detected by the dispatcher).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn unpack_gather_avx2(input: &[u8], width: usize, dst: &mut [u32]) {
+    pub(super) unsafe fn unpack_gather_avx2(
+        input: &[u8],
+        width: usize,
+        dst: &mut [MaybeUninit<u32>],
+    ) {
         debug_assert!((1..=25).contains(&width));
         debug_assert_eq!(dst.len() % 8, 0);
         let mut offs = [0i32; 8];
@@ -351,6 +440,126 @@ mod x86 {
         if safe_groups < groups {
             unpack_generic(input, width, dst, safe_groups * 8);
         }
+    }
+
+    /// `LEFT_PACK[bits]` lists the set bits of `bits`, ascending: the
+    /// lane permutation that moves the flagged lanes of a vector to its
+    /// front (8 KiB).
+    static LEFT_PACK: [[u32; 8]; 256] = {
+        let mut table = [[0u32; 8]; 256];
+        let mut bits = 0;
+        while bits < 256 {
+            let (mut lane, mut out) = (0, 0);
+            while lane < 8 {
+                if bits >> lane & 1 == 1 {
+                    table[bits][out] = lane as u32;
+                    out += 1;
+                }
+                lane += 1;
+            }
+            bits += 1;
+        }
+        table
+    };
+
+    /// AVX2 tier of [`super::scan_tagged_gaps`]: an 8-lane segmented
+    /// inclusive scan. Within each 128-bit half two shift / and-not /
+    /// add steps sum every lane back to the nearest list start, a third
+    /// carries the low half's total into the high half, and lane 7 of
+    /// the previous vector is added to the lanes no start precedes.
+    /// The start tags' `movemask` selects a [`LEFT_PACK`] row that moves
+    /// the start positions to the front of one 8-lane store into
+    /// `offsets`; their `popcnt` advances the list cursor. The last
+    /// `ids.len() % 8` values take a scalar step each.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and POPCNT (runtime-detected by the
+    /// dispatcher).
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) unsafe fn scan_tagged_gaps_avx2(
+        ids: &mut [u32],
+        offsets: &mut [u32],
+    ) -> Option<u32> {
+        let n_lists = offsets.len() - 1;
+        let vec_len = ids.len() & !7;
+        let one = _mm256_set1_epi32(1);
+        let low_half = _mm256_setr_epi32(-1, -1, -1, -1, 0, 0, 0, 0);
+        let lane3 = _mm256_set1_epi32(3);
+        let lane7 = _mm256_set1_epi32(7);
+        let mut positions = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut carry = _mm256_setzero_si256();
+        let mut seen = _mm256_setzero_si256();
+        let mut list = 0usize;
+        for group in ids[..vec_len].chunks_exact_mut(8) {
+            // SAFETY: `group` is exactly 8 `u32`s; the load is unaligned.
+            let x = unsafe { _mm256_loadu_si256(group.as_ptr().cast()) };
+            let starts = _mm256_cmpeq_epi32(_mm256_and_si256(x, one), one);
+            let mut v = _mm256_srli_epi32::<1>(x);
+            // `m`: a list starts at or before this lane (within the
+            // lanes summed so far), so nothing further back is added.
+            let mut m = starts;
+            v = _mm256_add_epi32(v, _mm256_andnot_si256(m, _mm256_slli_si256::<4>(v)));
+            m = _mm256_or_si256(m, _mm256_slli_si256::<4>(m));
+            v = _mm256_add_epi32(v, _mm256_andnot_si256(m, _mm256_slli_si256::<8>(v)));
+            m = _mm256_or_si256(m, _mm256_slli_si256::<8>(m));
+            // Low half's total (lane 3) into the high half.
+            let across = _mm256_permutevar8x32_epi32(v, lane3);
+            v = _mm256_add_epi32(v, _mm256_andnot_si256(_mm256_or_si256(m, low_half), across));
+            let m_across = _mm256_andnot_si256(low_half, _mm256_permutevar8x32_epi32(m, lane3));
+            m = _mm256_or_si256(m, m_across);
+            v = _mm256_add_epi32(v, _mm256_andnot_si256(m, carry));
+            // SAFETY: `group` is exactly 8 writable `u32`s.
+            unsafe { _mm256_storeu_si256(group.as_mut_ptr().cast(), v) };
+            seen = _mm256_or_si256(seen, v);
+            carry = _mm256_permutevar8x32_epi32(v, lane7);
+
+            let bits = _mm256_movemask_ps(_mm256_castsi256_ps(starts)) as usize;
+            let count = bits.count_ones() as usize;
+            if list + count > n_lists {
+                return None; // more start tags than lists: refuse before the store
+            }
+            // SAFETY: `bits < 256` (eight mask bits) and every row holds
+            // 8 `u32`s.
+            let row = unsafe { _mm256_loadu_si256(LEFT_PACK[bits].as_ptr().cast()) };
+            let packed = _mm256_permutevar8x32_epi32(positions, row);
+            match offsets.get_mut(list..list + 8) {
+                // SAFETY: `slots` is exactly 8 writable `u32`s inside
+                // `offsets`; lanes past `count` are overwritten by later
+                // starts or by the closing boundary.
+                Some(slots) => unsafe { _mm256_storeu_si256(slots.as_mut_ptr().cast(), packed) },
+                // Fewer than 8 slots left: copy the `count` real lanes.
+                None => {
+                    let mut lanes = [0u32; 8];
+                    // SAFETY: `lanes` is exactly 8 writable `u32`s.
+                    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), packed) };
+                    offsets[list..list + count].copy_from_slice(&lanes[..count]);
+                }
+            }
+            list += count;
+            positions = _mm256_add_epi32(positions, _mm256_set1_epi32(8));
+        }
+
+        let mut lanes = [0u32; 8];
+        // SAFETY: `lanes` is exactly 8 writable `u32`s.
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), seen) };
+        let mut seen_bits = lanes.iter().fold(0, |all, &lane| all | lane);
+        let mut acc = _mm256_extract_epi32::<0>(carry) as u32;
+        for (pos, id) in ids.iter_mut().enumerate().skip(vec_len) {
+            let (start, gap) = (*id & 1, *id >> 1);
+            if start == 1 {
+                *offsets[..n_lists].get_mut(list)? = pos as u32;
+                list += 1;
+            }
+            acc = gap.wrapping_add(acc & start.wrapping_sub(1));
+            seen_bits |= acc;
+            *id = acc;
+        }
+        if list != n_lists {
+            return None;
+        }
+        offsets[n_lists] = ids.len() as u32;
+        Some(seen_bits)
     }
 
     /// In-place wrapping prefix sum with carry-in (the caller proved no
@@ -449,6 +658,72 @@ mod tests {
             let mut work = gaps.clone();
             assert!(!prefix_sum_checked_at(level, &mut work), "{}", level.name());
             assert_eq!(work, gaps, "refusal must not mutate ({})", level.name());
+        }
+    }
+
+    /// Tagged stream of the given lists (each non-empty, ascending).
+    fn tagged(lists: &[Vec<u32>]) -> Vec<u32> {
+        let mut out = Vec::new();
+        for list in lists {
+            out.push(list[0] << 1 | 1);
+            out.extend(list.windows(2).map(|w| (w[1] - w[0]) << 1));
+        }
+        out
+    }
+
+    /// `count` lists whose lengths cycle through `lens`.
+    fn lists_of(count: usize, lens: &[usize]) -> Vec<Vec<u32>> {
+        (0..count)
+            .map(|l| {
+                let first = (l * 37 % 101) as u32;
+                (0..lens[l % lens.len()]).map(|j| first + (j * (l % 5 + 1)) as u32).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tagged_gap_scan_rebuilds_lists_on_every_tier() {
+        // Singletons (a start in every lane), long runs (no start for
+        // whole vectors), mixes, and every tail length 0..8.
+        for lens in [&[1][..], &[2], &[40], &[1, 9, 2, 17, 3], &[8], &[7, 1]] {
+            for count in [0usize, 1, 2, 7, 8, 9, 31, 64] {
+                let lists = lists_of(count, lens);
+                let stream = tagged(&lists);
+                for &level in supported_levels() {
+                    let mut ids = stream.clone();
+                    let mut offsets = vec![u32::MAX; count + 1];
+                    let seen = scan_tagged_gaps(level, &mut ids, &mut offsets)
+                        .unwrap_or_else(|| panic!("{} {lens:?} x {count}", level.name()));
+                    assert_eq!(ids, lists.concat(), "{} {lens:?} x {count}", level.name());
+                    assert_eq!(seen, ids.iter().fold(0, |all, &id| all | id));
+                    let mut at = 0u32;
+                    for (l, list) in lists.iter().enumerate() {
+                        assert_eq!(offsets[l], at, "{} list {l}", level.name());
+                        at += list.len() as u32;
+                    }
+                    assert_eq!(offsets[count], at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tagged_gap_scan_refuses_a_wrong_list_count_inside_its_slice() {
+        const CANARY: u32 = 0xDEAD_BEEF;
+        let stream = tagged(&lists_of(40, &[1, 3, 1, 1, 12]));
+        for &level in supported_levels() {
+            // Fewer slots than start tags (down to none at all), and more.
+            for claimed in [0usize, 1, 7, 8, 39, 41, 48, 200] {
+                let mut ids = stream.clone();
+                let mut fenced = vec![CANARY; claimed + 1 + 16];
+                let verdict = scan_tagged_gaps(level, &mut ids, &mut fenced[..claimed + 1]);
+                assert_eq!(verdict, None, "{} claimed {claimed}", level.name());
+                assert!(
+                    fenced[claimed + 1..].iter().all(|&w| w == CANARY),
+                    "{} claimed {claimed}: wrote past offsets",
+                    level.name()
+                );
+            }
         }
     }
 }

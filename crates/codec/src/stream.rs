@@ -22,6 +22,7 @@
 use crate::bitpack::{self, BLOCK_LEN};
 use crate::simd::SimdLevel;
 use crate::{varint, Codec, CodecError};
+use std::mem::MaybeUninit;
 
 impl Codec {
     /// Append the stream encoding of `values` to `out`. The count is not
@@ -88,26 +89,36 @@ impl Codec {
         if input.len() < floor {
             return Err(CodecError::UnexpectedEof);
         }
-        let start = out.len();
-        out.resize(start + n, 0);
+        // Filled through the spare capacity, not zeroed first: each
+        // decoder below overwrites all `n` slots or fails.
+        out.reserve(n);
+        let dst = &mut out.spare_capacity_mut()[..n];
         let used = match self {
             Codec::Raw => {
-                for (slot, bytes) in out[start..].iter_mut().zip(input.chunks_exact(4)) {
-                    *slot = u32::from_le_bytes(bytes.try_into().expect("chunks_exact(4)"));
+                // `input` holds at least `floor = 4 n` bytes, so the
+                // zip ends with `dst`.
+                for (slot, bytes) in dst.iter_mut().zip(input.chunks_exact(4)) {
+                    slot.write(u32::from_le_bytes(bytes.try_into().expect("chunks_exact(4)")));
                 }
-                Ok(floor)
+                floor
             }
-            Codec::Packed => decode_packed(level, input, &mut out[start..]),
+            Codec::Packed => decode_packed(level, input, dst)?,
         };
-        if used.is_err() {
-            out.truncate(start);
-        }
-        used
+        // SAFETY: `reserve` made room for `n` more values, and the arm
+        // taken wrote every one of them: `Raw` by the zip above,
+        // `Packed` by `decode_packed` returning `Ok`.
+        unsafe { out.set_len(out.len() + n) };
+        Ok(used)
     }
 }
 
-/// Fill `dst` from a `Packed` stream; returns the bytes consumed.
-fn decode_packed(level: SimdLevel, input: &[u8], dst: &mut [u32]) -> Result<usize, CodecError> {
+/// Fill `dst` from a `Packed` stream; returns the bytes consumed. `Ok`
+/// means every slot of `dst` has been written.
+fn decode_packed(
+    level: SimdLevel,
+    input: &[u8],
+    dst: &mut [MaybeUninit<u32>],
+) -> Result<usize, CodecError> {
     let mut pos = 0usize;
     let mut frames = dst.chunks_exact_mut(BLOCK_LEN);
     for frame in frames.by_ref() {
@@ -117,7 +128,7 @@ fn decode_packed(level: SimdLevel, input: &[u8], dst: &mut [u32]) -> Result<usiz
     }
     for slot in frames.into_remainder() {
         let (v, used) = varint::read_u32(&input[pos..])?;
-        *slot = v;
+        slot.write(v);
         pos += used;
     }
     Ok(pos)

@@ -268,4 +268,44 @@ proptest! {
         prop_assert_eq!(fast_res.err(), slow_res.err());
         prop_assert_eq!(fast, slow);
     }
+
+    /// Every tier of the tagged-gap scan agrees with the scalar tier on
+    /// *arbitrary* words — any tag pattern, ids past 2^31, any claimed
+    /// list count: the same verdict, and on success the same ids,
+    /// offsets and or-of-ids. No tier writes outside the `offsets` it
+    /// was handed, whatever the tags say.
+    #[test]
+    fn tagged_gap_scan_matches_scalar_on_arbitrary_words(
+        words in proptest::collection::vec(any::<u32>(), 0..300),
+        small in proptest::collection::vec(0u32..64, 0..300),
+        claimed_delta in -9i64..10,
+    ) {
+        for stream in [words, small] {
+            let tags = stream.iter().filter(|&&w| w & 1 == 1).count() as i64;
+            // The true count most of the time, a wrong one otherwise.
+            let n_lists = (tags + claimed_delta.clamp(-1, 1) * (claimed_delta.abs() / 5))
+                .clamp(0, stream.len() as i64 + 8) as usize;
+            let mut oracle_ids = stream.clone();
+            let mut oracle_offsets = vec![0u32; n_lists + 1];
+            let oracle = simd::scan_tagged_gaps(
+                simd::SimdLevel::Scalar, &mut oracle_ids, &mut oracle_offsets,
+            );
+            prop_assert_eq!(oracle.is_some(), tags as usize == n_lists);
+            for &level in simd::supported_levels() {
+                const CANARY: u32 = 0xDEAD_BEEF;
+                let mut ids = stream.clone();
+                let mut fenced = vec![CANARY; n_lists + 1 + 16];
+                let got = simd::scan_tagged_gaps(level, &mut ids, &mut fenced[..n_lists + 1]);
+                prop_assert_eq!(got, oracle, "{} n_lists {}", level.name(), n_lists);
+                prop_assert!(
+                    fenced[n_lists + 1..].iter().all(|&w| w == CANARY),
+                    "{} wrote past offsets", level.name()
+                );
+                if got.is_some() {
+                    prop_assert_eq!(&ids, &oracle_ids, "{}", level.name());
+                    prop_assert_eq!(&fenced[..n_lists + 1], &oracle_offsets[..], "{}", level.name());
+                }
+            }
+        }
+    }
 }

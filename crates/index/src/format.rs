@@ -66,6 +66,7 @@
 //! the I/O lives in `kbtim-storage`.
 
 use crate::IndexError;
+use kbtim_codec::simd::SimdLevel;
 use kbtim_codec::{varint, Codec};
 use kbtim_graph::NodeId;
 use kbtim_topics::TopicId;
@@ -457,18 +458,35 @@ pub fn decode_il_csr(input: &[u8], codec: Codec) -> Result<IlCsr, IndexError> {
 /// first; steady-state decodes allocate nothing once the arenas are
 /// warm. Both streams unpack whole into their arenas and are finished
 /// in place: users by a prefix sum, ids and list offsets by one
-/// branch-free pass over the tagged gaps. On error the CSR is left
+/// segmented scan over the tagged gaps
+/// ([`kbtim_codec::simd::scan_tagged_gaps`]). On error the CSR is left
 /// reset.
 pub fn decode_il_csr_into(input: &[u8], codec: Codec, csr: &mut IlCsr) -> Result<(), IndexError> {
+    decode_il_csr_at(kbtim_codec::simd::active_level(), input, codec, csr)
+}
+
+/// [`decode_il_csr_into`] with the tagged-gap scan at an explicit
+/// kernel tier — how the tests hold every tier to the scalar one.
+fn decode_il_csr_at(
+    level: SimdLevel,
+    input: &[u8],
+    codec: Codec,
+    csr: &mut IlCsr,
+) -> Result<(), IndexError> {
     csr.reset();
-    let decoded = decode_il_streams(input, codec, csr);
+    let decoded = decode_il_streams(level, input, codec, csr);
     if decoded.is_err() {
         csr.reset();
     }
     decoded
 }
 
-fn decode_il_streams(input: &[u8], codec: Codec, csr: &mut IlCsr) -> Result<(), IndexError> {
+fn decode_il_streams(
+    level: SimdLevel,
+    input: &[u8],
+    codec: Codec,
+    csr: &mut IlCsr,
+) -> Result<(), IndexError> {
     let corrupt = |what: &str| Err(IndexError::Corrupt(format!("il block: {what}")));
     let mut cursor = Cursor::new(input);
     let n_lists = cursor.u32()? as usize;
@@ -491,28 +509,13 @@ fn decode_il_streams(input: &[u8], codec: Codec, csr: &mut IlCsr) -> Result<(), 
     if csr.ids.first().is_some_and(|tagged| tagged & 1 == 0) {
         return corrupt("first id does not start a list");
     }
-    let starts = csr.ids.iter().filter(|&&tagged| tagged & 1 == 1).count();
-    if starts != n_lists {
-        return corrupt("list-start tags disagree with the list count");
-    }
-
-    // One pass, no data-dependent branch: every id writes its position
-    // into the slot of the next list to start (a list start then moves
-    // on, so a slot keeps its own list's first position; the last slot
-    // is set below) and restarts or continues the running sum under a
-    // mask.
     csr.offsets.clear();
     csr.offsets.resize(n_lists + 1, 0);
-    let (mut list, mut acc, mut seen_bits) = (0usize, 0u32, 0u32);
-    for (pos, id) in csr.ids.iter_mut().enumerate() {
-        let (start, gap) = (*id & 1, *id >> 1);
-        csr.offsets[list] = pos as u32;
-        list += start as usize;
-        acc = gap.wrapping_add(acc & start.wrapping_sub(1));
-        seen_bits |= acc;
-        *id = acc;
-    }
-    csr.offsets[n_lists] = n_ids as u32;
+    let Some(seen_bits) =
+        kbtim_codec::simd::scan_tagged_gaps(level, &mut csr.ids, &mut csr.offsets)
+    else {
+        return corrupt("list-start tags disagree with the list count");
+    };
     // Gaps and ids are both below 2^31, so no step can wrap before the
     // first id at or above 2^31 has left its top bit in `seen_bits`.
     if seen_bits as u64 >= MAX_RR_SETS {
@@ -1131,6 +1134,97 @@ mod tests {
                 prop_assert!(well_formed(&csr));
                 let oracle = per_entry_oracle(&entries, codec);
                 prop_assert_eq!(decode_il_entries(&buf, codec).unwrap(), oracle);
+            }
+        }
+
+        /// Every kernel tier of the tagged-gap scan decodes a block to
+        /// the CSR the scalar pass decodes it to, and refuses a damaged
+        /// one with the scalar pass's error — kind and message — leaving
+        /// the CSR reset.
+        #[test]
+        fn il_scan_tiers_agree_with_the_scalar_pass(entries in il_entry_sets(), pick in any::<u32>()) {
+            let mut user_gaps: Vec<u32> = entries.iter().map(|&(user, _)| user).collect();
+            for i in (1..user_gaps.len()).rev() {
+                user_gaps[i] -= user_gaps[i - 1];
+            }
+            let tagged: Vec<u32> = entries
+                .iter()
+                .flat_map(|(_, list)| {
+                    let gaps = list.windows(2).map(|w| (w[1] - w[0]) << 1);
+                    std::iter::once(list[0] << 1 | 1).chain(gaps)
+                })
+                .collect();
+            let block = |n_lists: usize, users: &[u32], tagged: &[u32], codec: Codec| {
+                let mut buf = Vec::new();
+                varint::write_u32(n_lists as u32, &mut buf);
+                varint::write_u32(tagged.len() as u32, &mut buf);
+                codec.encode_stream(users.iter().copied(), &mut buf);
+                codec.encode_stream(tagged.iter().copied(), &mut buf);
+                buf
+            };
+            let n_lists = entries.len();
+            let at = |len: usize| pick as usize % len;
+            let first_gap = tagged.iter().position(|t| t & 1 == 0);
+
+            for codec in [Codec::Raw, Codec::Packed] {
+                let mut sound = Vec::new();
+                encode_il_entries(&entries, codec, &mut sound);
+                prop_assert_eq!(&block(n_lists, &user_gaps, &tagged, codec), &sound);
+
+                let mut cases = vec![("sound", sound.clone())];
+                let mut trailing = sound;
+                trailing.push(0);
+                cases.push(("trailing bytes", trailing));
+                if let Some(gap) = first_gap {
+                    let mut more = tagged.clone();
+                    more[gap] |= 1;
+                    cases.push(("more start tags", block(n_lists, &user_gaps, &more, codec)));
+                    // The gap's own list now starts at 2^31 - 1.
+                    let mut beyond = tagged.clone();
+                    let start = (0..gap).rfind(|&i| tagged[i] & 1 == 1).expect("a list start");
+                    beyond[start] = u32::MAX;
+                    cases.push(("id beyond 2^31", block(n_lists, &user_gaps, &beyond, codec)));
+                    // One more user than start tags.
+                    let mut users = user_gaps.clone();
+                    users.push(1);
+                    cases.push(("fewer start tags", block(n_lists + 1, &users, &tagged, codec)));
+                }
+                if n_lists >= 2 {
+                    let mut fewer = tagged.clone();
+                    let starts: Vec<usize> =
+                        (1..tagged.len()).filter(|&i| tagged[i] & 1 == 1).collect();
+                    fewer[starts[at(starts.len())]] &= !1;
+                    cases.push(("a start tag cleared", block(n_lists, &user_gaps, &fewer, codec)));
+                    let mut twice = user_gaps.clone();
+                    twice[1 + at(n_lists - 1)] = 0;
+                    cases.push(("zero user gap", block(n_lists, &twice, &tagged, codec)));
+                }
+                if n_lists >= 1 {
+                    let mut untagged = tagged.clone();
+                    untagged[0] &= !1;
+                    cases.push(("first id untagged", block(n_lists, &user_gaps, &untagged, codec)));
+                }
+
+                for (what, bytes) in cases {
+                    let mut oracle = IlCsr::default();
+                    let want = decode_il_csr_at(SimdLevel::Scalar, &bytes, codec, &mut oracle);
+                    prop_assert_eq!(want.is_ok(), what == "sound", "{}: {:?}", what, want);
+                    for &level in kbtim_codec::simd::supported_levels() {
+                        // A CSR that held something: errors must reset it.
+                        let mut csr = IlCsr::default();
+                        csr.ids.extend([9, 9]);
+                        csr.close_list(4);
+                        let got = decode_il_csr_at(level, &bytes, codec, &mut csr);
+                        prop_assert_eq!(
+                            format!("{got:?}"), format!("{want:?}"),
+                            "{} {:?} {}", what, codec, level.name()
+                        );
+                        prop_assert_eq!(&csr, &oracle, "{} {:?} {}", what, codec, level.name());
+                        if got.is_err() {
+                            prop_assert_eq!(&csr, &IlCsr::default());
+                        }
+                    }
+                }
             }
         }
     }

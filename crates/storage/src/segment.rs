@@ -25,6 +25,8 @@ use crate::IoStats;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+#[cfg(not(unix))]
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -139,7 +141,8 @@ pub(crate) fn injected_io(name: &str) -> StorageError {
 /// `panic` failpoint unwinding through a request thread) must not wedge
 /// every later reader — the guarded state is consistent between lock
 /// ops, so the data is safe to reuse.
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+#[cfg(not(unix))]
+fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -272,11 +275,13 @@ pub struct BlockInfo {
 
 /// Reads a segment file with positioned, counted, checksum-verified reads.
 ///
-/// The reader is internally synchronized; `&self` methods may be shared
-/// across threads.
+/// `&self` methods may be shared across threads: on Unix a read is one
+/// `pread(2)` that neither moves nor waits for a file cursor, so readers
+/// of one segment run side by side (elsewhere they take turns on a
+/// locked `seek` + `read`).
 #[derive(Debug)]
 pub struct SegmentReader {
-    file: Mutex<PositionedFile>,
+    file: PositionedFile,
     entries: Vec<BlockEntry>,
     stats: IoStats,
     path: PathBuf,
@@ -284,17 +289,39 @@ pub struct SegmentReader {
 
 #[derive(Debug)]
 struct PositionedFile {
+    #[cfg(unix)]
     file: File,
-    /// Where the last read ended, for seek accounting.
-    last_end: u64,
+    #[cfg(not(unix))]
+    file: Mutex<File>,
+    /// Where this handle's most recent read ended, for seek accounting.
+    /// Swapped once per read, after the bytes arrived: under concurrent
+    /// readers a "seek" is a read that did not start where the handle's
+    /// previous read — whichever thread made it — ended. `Relaxed`: the
+    /// value feeds one statistic and publishes no other data.
+    last_end: AtomicU64,
 }
 
 impl PositionedFile {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8], stats: &IoStats) -> Result<()> {
-        let seeked = offset != self.last_end;
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(buf)?;
-        self.last_end = offset + buf.len() as u64;
+    fn new(file: File) -> PositionedFile {
+        #[cfg(not(unix))]
+        let file = Mutex::new(file);
+        PositionedFile { file, last_end: AtomicU64::new(0) }
+    }
+
+    /// Fill `buf` from `offset` and book the read. `read_ops` /
+    /// `bytes_read` count exactly the reads that succeeded, whatever
+    /// the interleaving.
+    fn read_at(&self, offset: u64, buf: &mut [u8], stats: &IoStats) -> Result<()> {
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::read_exact_at(&self.file, buf, offset)?;
+        #[cfg(not(unix))]
+        {
+            let mut file = lock_recover(&self.file);
+            file.seek(SeekFrom::Start(offset))?;
+            file.read_exact(buf)?;
+        }
+        let end = offset + buf.len() as u64;
+        let seeked = self.last_end.swap(end, Ordering::Relaxed) != offset;
         stats.record_read(buf.len() as u64, seeked);
         Ok(())
     }
@@ -333,12 +360,7 @@ impl SegmentReader {
         }
         let entries = parse_directory(&dir, dir_offset)?;
 
-        Ok(SegmentReader {
-            file: Mutex::new(PositionedFile { file, last_end: 0 }),
-            entries,
-            stats,
-            path,
-        })
+        Ok(SegmentReader { file: PositionedFile::new(file), entries, stats, path })
     }
 
     /// Names and sizes of every block.
@@ -362,13 +384,14 @@ impl SegmentReader {
     /// to the block length), so steady-state readers allocate nothing.
     pub fn read_block_into(&self, name: &str, buf: &mut Vec<u8>) -> Result<()> {
         let entry = self.entry(name)?.clone();
-        buf.clear();
+        // Not cleared first: the read overwrites every byte, so only
+        // growth past the buffer's previous length is zero-filled.
         buf.resize(entry.len as usize, 0);
         with_read_retries(|| {
             if kbtim_fault::inject("storage.read") {
                 return Err(injected_io("storage.read"));
             }
-            lock_recover(&self.file).read_at(entry.offset, buf, &self.stats)
+            self.file.read_at(entry.offset, buf, &self.stats)
         })?;
         if kbtim_fault::inject("storage.crc") || crc32::checksum(buf) != entry.crc {
             return Err(StorageError::Corrupt(format!("checksum mismatch in block {name}")));
@@ -388,7 +411,7 @@ impl SegmentReader {
     }
 
     /// [`SegmentReader::read_range`] into a caller-owned buffer (resized
-    /// to `len`).
+    /// to `len`, see [`SegmentReader::read_block_into`]).
     pub fn read_range_into(
         &self,
         name: &str,
@@ -405,13 +428,12 @@ impl SegmentReader {
                 block_len: entry.len,
             });
         }
-        buf.clear();
         buf.resize(len as usize, 0);
         with_read_retries(|| {
             if kbtim_fault::inject("storage.read") {
                 return Err(injected_io("storage.read"));
             }
-            lock_recover(&self.file).read_at(entry.offset + offset, buf, &self.stats)
+            self.file.read_at(entry.offset + offset, buf, &self.stats)
         })?;
         Ok(())
     }
@@ -618,6 +640,48 @@ mod tests {
         reader.read_range("alpha", 4, 4).unwrap(); // continues where we left off
         reader.read_range("alpha", 0, 4).unwrap(); // jumps back: seek
         assert_eq!(stats.seeks(), 2);
+    }
+
+    #[test]
+    fn concurrent_readers_share_one_handle_and_the_totals_stay_exact() {
+        let dir = TempDir::new("seg").unwrap();
+        let path = dir.path().join("big.seg");
+        let blocks: Vec<(String, Vec<u8>)> = (0..4u8)
+            .map(|b| (format!("b{b}"), (0..50_000u32).map(|i| (i as u8) ^ b).collect()))
+            .collect();
+        let mut writer = SegmentWriter::create(&path).unwrap();
+        for (name, bytes) in &blocks {
+            writer.write_block(name, bytes).unwrap();
+        }
+        writer.finish().unwrap();
+
+        let stats = IoStats::new();
+        let reader = SegmentReader::open(&path, stats.clone()).unwrap();
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 25;
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (reader, blocks, start) = (&reader, &blocks, &start);
+                scope.spawn(move || {
+                    let mut buf = Vec::new();
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let (name, want) = &blocks[(t + round) % blocks.len()];
+                        reader.read_block_into(name, &mut buf).unwrap();
+                        assert_eq!(&buf, want, "thread {t} round {round}");
+                        reader.read_range_into(name, 10, 100, &mut buf).unwrap();
+                        assert_eq!(buf, want[10..110], "thread {t} round {round}");
+                    }
+                });
+            }
+        });
+        // Whatever the interleaving: every read is booked once, with
+        // its own length; a seek is at most one per read.
+        let reads = (THREADS * ROUNDS * 2) as u64;
+        assert_eq!(stats.read_ops(), reads);
+        assert_eq!(stats.bytes_read(), (THREADS * ROUNDS) as u64 * (50_000 + 100));
+        assert!(stats.seeks() <= reads);
     }
 
     #[test]

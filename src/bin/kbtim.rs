@@ -692,7 +692,7 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     eprintln!(
         "kbtim serve: {} index(es) [{}] (front-end {front_end}, serving {}, shards {}, \
          threads {}, batch {}, merge-cache {}, max-queue {}, deadline {}, \
-         max-line {}, mutable {})",
+         max-line {}, mutable {}, {})",
         router.len(),
         router.names().collect::<Vec<_>>().join(", "),
         engine.index().serving_mode(),
@@ -717,6 +717,7 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
             (Some(d), 0) => format!("gen {} (manual flush)", d.generation()),
             (Some(d), n) => format!("gen {} (flush watermark {n})", d.generation()),
         },
+        kernels_clause(),
     );
     let router = Arc::new(router);
 
@@ -806,6 +807,16 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     Ok(())
 }
 
+/// The kernels this process dispatches to — what the CPU offers, after
+/// the `KBTIM_SIMD` cap — as `serve`'s banner and `validate` print them.
+fn kernels_clause() -> String {
+    format!(
+        "kernels: crc32={} codec={}",
+        kbtim::storage::crc32::active_kernel().name(),
+        kbtim::codec::simd::active_level().name()
+    )
+}
+
 fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), String> {
     let dir = required(flags, "index")?;
     let mode = serving_mode(flags)?;
@@ -813,7 +824,7 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), String> {
     let report = index.validate().map_err(|e| e.to_string())?;
     println!(
         "ok: {} shard(s), {} keyword segments, {} RR sets, {} inverted entries, \
-         {} partitions (model {}, {:?}, segment generation {})",
+         {} partitions (model {}, {:?}, segment generation {}; {})",
         report.shards_checked,
         report.keywords_checked,
         report.rr_sets_checked,
@@ -822,6 +833,7 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), String> {
         index.meta().model_name,
         index.meta().variant,
         index.generation(),
+        kernels_clause(),
     );
     // `--data DIR` additionally validates the mutable tier: attach it
     // (replaying any journaled mutations), report its entry counts, and

@@ -343,6 +343,60 @@ fn lt_model_build_via_cli() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// `serve`'s banner and `validate` name the kernels the process chose:
+/// the best the CPU has, capped by `KBTIM_SIMD` — `scalar` takes the CRC
+/// to its table kernel too, `sse2` leaves carry-less multiply on.
+#[test]
+fn banner_and_validate_name_the_kernels() {
+    let root = temp_dir("kernels");
+    let data = root.join("data");
+    let index = root.join("index");
+    assert!(kbtim()
+        .args(["gen", "--family", "news", "--users", "300", "--topics", "4"])
+        .args(["--out", data.to_str().unwrap()])
+        .status()
+        .unwrap()
+        .success());
+    assert!(kbtim()
+        .args(["build", "--data", data.to_str().unwrap(), "--out", index.to_str().unwrap()])
+        .args(["--cap", "400", "--threads", "2"])
+        .status()
+        .unwrap()
+        .success());
+
+    let levels = kbtim::codec::simd::supported_levels();
+    let best = levels.last().unwrap().name();
+    #[cfg(target_arch = "x86_64")]
+    let clmul = std::arch::is_x86_feature_detected!("pclmulqdq");
+    #[cfg(not(target_arch = "x86_64"))]
+    let clmul = false;
+    let crc = if clmul { "clmul" } else { "table" };
+    let sse2 = if levels.len() > 1 { "sse2" } else { "scalar" };
+    for (cap, want) in [
+        (None, format!("kernels: crc32={crc} codec={best}")),
+        (Some("scalar"), "kernels: crc32=table codec=scalar".to_string()),
+        (Some("sse2"), format!("kernels: crc32={crc} codec={sse2}")),
+    ] {
+        let capped = |command: &str| {
+            let mut cmd = kbtim();
+            cmd.args([command, "--index", index.to_str().unwrap()]);
+            match cap {
+                Some(level) => cmd.env("KBTIM_SIMD", level),
+                None => cmd.env_remove("KBTIM_SIMD"),
+            };
+            cmd.stdin(std::process::Stdio::null()).output().unwrap()
+        };
+        let out = capped("validate");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success() && stdout.contains(&want), "{cap:?}: {stdout}");
+        // Stdin at EOF: the banner, then a clean drain.
+        let out = capped("serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success() && stderr.contains(&want), "{cap:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn bad_arguments_fail_cleanly() {
     // Unknown command.
