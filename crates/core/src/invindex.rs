@@ -16,19 +16,13 @@
 //! * [`InvertedIndex::from_sets`] — the Vec-of-Vec adapter used by the
 //!   public `greedy_max_cover` API and the test oracles (tolerates
 //!   duplicate members within a set, like the classic `invert`);
-//! * [`InvertedIndexBuilder`] — an explicit two-pass (count, then fill)
-//!   builder for producers that stream per-node lists from several
-//!   sources, e.g. the per-keyword scans of the disk-index query paths.
+//! * [`InvertedIndexBuilder`] — the explicit two-pass (count, then
+//!   fill) builder under both, for producers that stream per-node lists
+//!   from several sources.
 //!
 //! A finished [`InvertedIndex`] is immutable and safe for **multiple
 //! consumers**: all reads go through `&self`, so any number of greedy
-//! runs — concurrent or sequential — can share one instance. The
-//! serving tier's cross-request batch planner leans on both reuse
-//! axes: same-keyword-set requests run their own greedy over one
-//! shared merged instance (different `k`, same structure), and the
-//! arenas of a spent instance recycle into the next build via
-//! [`InvertedIndex::into_arenas`] / [`InvertedIndexBuilder::recycled`]
-//! (three arenas in, three out, zero steady-state allocation).
+//! runs — concurrent or sequential — can share one instance.
 
 use kbtim_graph::NodeId;
 use kbtim_propagation::RrBatch;
@@ -122,18 +116,6 @@ impl InvertedIndex {
     pub fn total_entries(&self) -> usize {
         self.set_ids.len()
     }
-
-    /// Exact heap footprint of the three arenas, in bytes.
-    pub fn arena_bytes(&self) -> u64 {
-        (self.set_ids.len() * 4 + self.offsets.len() * 4 + self.present.len() * 4) as u64
-    }
-
-    /// Tear the index down into its raw arenas so a later build can
-    /// reuse the allocations via [`InvertedIndexBuilder::recycled`].
-    /// Contents are unspecified; only the capacities matter.
-    pub fn into_arenas(self) -> Vec<Vec<u32>> {
-        vec![self.offsets, self.set_ids, self.present]
-    }
 }
 
 impl crate::maxcover::CoverInstance for InvertedIndex {
@@ -156,26 +138,12 @@ impl crate::maxcover::CoverInstance for InvertedIndex {
 /// each node will receive, then [`InvertedIndexBuilder::fill`].
 pub struct InvertedIndexBuilder {
     counts: Vec<u32>,
-    /// Recycled arenas waiting to back `offsets`/`set_ids` in the fill
-    /// pass (empty for a fresh builder).
-    spare: Vec<Vec<u32>>,
 }
 
 impl InvertedIndexBuilder {
     /// Builder over the dense node-id space `0..num_nodes`.
     pub fn new(num_nodes: u32) -> InvertedIndexBuilder {
-        InvertedIndexBuilder::recycled(num_nodes, Vec::new())
-    }
-
-    /// [`InvertedIndexBuilder::new`] reusing the arenas of a previously
-    /// finished index (see [`InvertedIndex::into_arenas`]). With three
-    /// recycled arenas the whole count→fill→finish cycle allocates
-    /// nothing in steady state: three arenas go in, three come out.
-    pub fn recycled(num_nodes: u32, mut arenas: Vec<Vec<u32>>) -> InvertedIndexBuilder {
-        let mut counts = arenas.pop().unwrap_or_default();
-        counts.clear();
-        counts.resize(num_nodes as usize, 0);
-        InvertedIndexBuilder { counts, spare: arenas }
+        InvertedIndexBuilder { counts: vec![0; num_nodes as usize] }
     }
 
     /// Announce `n` further entries for `node`.
@@ -186,11 +154,9 @@ impl InvertedIndexBuilder {
 
     /// Freeze the counts into CSR offsets and start the fill pass. The
     /// fill pass must push exactly the announced entries per node.
-    pub fn fill(mut self) -> InvertedIndexFiller {
+    pub fn fill(self) -> InvertedIndexFiller {
         let num_nodes = self.counts.len();
-        let mut offsets = self.spare.pop().unwrap_or_default();
-        offsets.clear();
-        offsets.reserve(num_nodes + 1);
+        let mut offsets = Vec::with_capacity(num_nodes + 1);
         offsets.push(0u32);
         let mut total = 0u64;
         for &c in &self.counts {
@@ -200,12 +166,7 @@ impl InvertedIndexBuilder {
         // The counts arena becomes the fill cursor in place.
         let mut cursor = self.counts;
         cursor.copy_from_slice(&offsets[..num_nodes]);
-        // One spare slot past the arena: where `push_prefix` parks the
-        // lanes it must not keep (dropped again by `finish`).
-        let mut set_ids = self.spare.pop().unwrap_or_default();
-        set_ids.clear();
-        set_ids.resize(total as usize + 1, 0);
-        InvertedIndexFiller { offsets, cursor, set_ids }
+        InvertedIndexFiller { offsets, cursor, set_ids: vec![0; total as usize] }
     }
 }
 
@@ -225,38 +186,6 @@ impl InvertedIndexFiller {
         *c += 1;
     }
 
-    /// Append every id of `ids` to `node`'s list.
-    pub fn push_list(&mut self, node: NodeId, ids: impl IntoIterator<Item = u32>) {
-        for id in ids {
-            self.push(node, id);
-        }
-    }
-
-    /// Append `lanes[..n]`, each plus `add` (wrapping), to `node`'s list
-    /// — the fixed-width entry for producers whose lists are mostly
-    /// shorter than `N`. All `N` lanes are stored, none is loaded or
-    /// looped over: the kept ones land in order at the node's cursor,
-    /// the rest in the filler's spare slot, so the cost does not depend
-    /// on `n` and there is no loop exit to mispredict.
-    #[inline]
-    pub fn push_prefix<const N: usize>(
-        &mut self,
-        node: NodeId,
-        lanes: &[u32; N],
-        n: usize,
-        add: u32,
-    ) {
-        debug_assert!(n <= N);
-        let spare = self.set_ids.len() - 1;
-        let cursor = &mut self.cursor[node as usize];
-        let at = *cursor as usize;
-        for (lane, &id) in lanes.iter().enumerate() {
-            let slot = if lane < n { at + lane } else { spare };
-            self.set_ids[slot] = id.wrapping_add(add);
-        }
-        *cursor += n as u32;
-    }
-
     /// Finish the build. Panics (debug) if any node received fewer
     /// entries than announced.
     pub fn finish(self) -> InvertedIndex {
@@ -264,13 +193,11 @@ impl InvertedIndexFiller {
             self.cursor.iter().enumerate().all(|(i, &c)| c == self.offsets[i + 1]),
             "fill pass did not match the counting pass"
         );
-        let InvertedIndexFiller { offsets, cursor, mut set_ids } = self;
-        set_ids.pop();
-        // The spent cursor arena is reborn as the present list, keeping
-        // the recycled cycle allocation-free. Compacted in place (the
-        // write index never passes the node being looked at) and
-        // without a branch: about half the nodes are present, in no
-        // predictable pattern.
+        let InvertedIndexFiller { offsets, cursor, set_ids } = self;
+        // The spent cursor arena is reborn as the present list,
+        // compacted in place (the write index never passes the node
+        // being looked at) and without a branch: about half the nodes
+        // are present, in no predictable pattern.
         let mut present = cursor;
         let mut kept = 0usize;
         for (v, bounds) in offsets.windows(2).enumerate() {
@@ -364,41 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn recycled_builder_matches_fresh_and_reuses_capacity() {
-        let sets: Vec<Vec<NodeId>> = vec![vec![1, 3, 5], vec![3], vec![0, 2, 5, 7]];
-        let fresh = InvertedIndex::from_sets(&sets);
-        let rebuild = |arenas: Vec<Vec<u32>>| -> InvertedIndex {
-            let mut b = InvertedIndexBuilder::recycled(8, arenas);
-            for set in &sets {
-                for &node in set {
-                    b.count(node, 1);
-                }
-            }
-            let mut f = b.fill();
-            for (i, set) in sets.iter().enumerate() {
-                for &node in set {
-                    f.push(node, i as u32);
-                }
-            }
-            f.finish()
-        };
-        // Two warm-up cycles let every arena reach the max role size
-        // (arenas rotate through counts/offsets/set_ids/present roles).
-        let warm = rebuild(rebuild(fresh.clone().into_arenas()).into_arenas());
-        assert_eq!(warm, fresh, "recycled build must be bit-identical");
-        // Steady state: a further cycle must reuse the warmed arenas
-        // without growing any of them.
-        let warm_arenas = warm.into_arenas();
-        let mut caps_in: Vec<usize> = warm_arenas.iter().map(Vec::capacity).collect();
-        let steady = rebuild(warm_arenas);
-        assert_eq!(steady, fresh);
-        let mut caps_out: Vec<usize> = steady.into_arenas().iter().map(Vec::capacity).collect();
-        caps_in.sort_unstable();
-        caps_out.sort_unstable();
-        assert_eq!(caps_out, caps_in, "steady-state rebuild must not grow any arena");
-    }
-
-    #[test]
     fn bitset_reset_reuses_words() {
         use crate::bitset::Bitset;
         let mut bits = Bitset::new(100);
@@ -414,42 +306,21 @@ mod tests {
     }
 
     #[test]
-    fn push_prefix_keeps_exactly_the_announced_lanes() {
-        // Node 1 receives from two sources; node 2's region sits right
-        // after it and must survive node 1's discarded lanes.
-        let mut b = InvertedIndexBuilder::new(4);
-        b.count(1, 1);
-        b.count(2, 2);
-        b.count(1, 3);
-        b.count(3, 0);
-        let mut f = b.fill();
-        f.push_prefix(1, &[5, 90, 91, 92], 1, 100);
-        f.push_prefix(2, &[7, 8, 93, 94], 2, 100);
-        f.push_prefix(1, &[1, 2, 3, 95], 3, 200);
-        f.push_prefix(3, &[96, 97, 98, 99], 0, u32::MAX);
-        let inv = f.finish();
-        assert_eq!(inv.list(1), &[105, 201, 202, 203]);
-        assert_eq!(inv.list(2), &[107, 108]);
-        assert_eq!(inv.present(), &[1, 2]);
-        assert_eq!(inv.total_entries(), 6, "the spare slot is not part of the index");
-    }
-
-    #[test]
     fn builder_streams_multiple_sources() {
-        // Two "keywords" contributing to overlapping users, pushed in
-        // source order — exactly the disk-index merge pattern.
+        // Two sources contributing to overlapping nodes, pushed in
+        // source order.
         let mut b = InvertedIndexBuilder::new(4);
         b.count(1, 2);
         b.count(3, 1);
         b.count(1, 1);
         let mut f = b.fill();
-        f.push_list(1, [0, 2]);
+        f.push(1, 0);
+        f.push(1, 2);
         f.push(3, 1);
         f.push(1, 5);
         let inv = f.finish();
         assert_eq!(inv.list(1), &[0, 2, 5]);
         assert_eq!(inv.list(3), &[1]);
         assert_eq!(inv.present(), &[1, 3]);
-        assert_eq!(inv.arena_bytes(), (4 * 4 + 5 * 4 + 2 * 4) as u64);
     }
 }

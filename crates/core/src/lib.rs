@@ -44,8 +44,7 @@ pub use bitset::Bitset;
 pub use engine::KbTimEngine;
 pub use invindex::{InvertedIndex, InvertedIndexBuilder, InvertedIndexFiller};
 pub use maxcover::{
-    greedy_max_cover, greedy_max_cover_batch, greedy_max_cover_inverted, greedy_max_cover_naive,
-    MaxCoverResult,
+    greedy_max_cover, greedy_max_cover_batch, greedy_max_cover_naive, MaxCoverResult,
 };
 pub use theta::SamplingConfig;
 pub use wris::{wris_query, WrisResult};

@@ -67,50 +67,18 @@ pub fn greedy_max_cover_batch(batch: &RrBatch, k: u32, pool: &ExecPool) -> MaxCo
 }
 
 /// Lazy greedy maximum coverage over a pre-inverted CSR instance with set
-/// indices in `0..num_sets`.
-///
-/// This is the entry point used by the disk indexes, whose inverted lists
-/// (`L_w`) are stored explicitly; [`greedy_max_cover`] delegates here, so
+/// indices in `0..num_sets`, with parallel marginal-gain recounts (see
+/// [`greedy_max_cover_over`], the loop itself): any thread count selects
+/// the same seed sequence. [`greedy_max_cover`] delegates here, so
 /// selection and tie-breaking are shared by construction.
-pub fn greedy_max_cover_inverted(
-    inverted: &InvertedIndex,
-    num_sets: u64,
-    k: u32,
-) -> MaxCoverResult {
-    greedy_max_cover_inverted_with(inverted, num_sets, k, &ExecPool::sequential())
-}
-
-/// [`greedy_max_cover_inverted`] with parallel marginal-gain recounts
-/// (see [`greedy_max_cover_over`], the loop itself): any thread count
-/// selects the same seed sequence.
 pub fn greedy_max_cover_inverted_with(
     inverted: &InvertedIndex,
     num_sets: u64,
     k: u32,
     pool: &ExecPool,
 ) -> MaxCoverResult {
-    greedy_max_cover_inverted_until(inverted, num_sets, k, pool, &|| false)
+    greedy_max_cover_over(inverted, num_sets, k, pool, &|| false, &mut CoverScratch::default())
         .expect("greedy with a never-firing stop cannot abort")
-}
-
-/// [`greedy_max_cover_inverted_with`] with a cooperative stop hook for
-/// the serving tier's per-request deadlines.
-///
-/// `should_stop` is polled once per loop round (each heap pop — at least
-/// once per selected seed); when it returns `true` the run aborts and
-/// `None` comes back, leaving no partial result to mistake for an
-/// answer. The hook must be cheap (a clock read) and pure — it cannot
-/// influence the selection itself, so every *completed* run is still
-/// bit-identical to [`greedy_max_cover_inverted_with`] for any thread
-/// count.
-pub fn greedy_max_cover_inverted_until(
-    inverted: &InvertedIndex,
-    num_sets: u64,
-    k: u32,
-    pool: &ExecPool,
-    should_stop: &(dyn Fn() -> bool + Sync),
-) -> Option<MaxCoverResult> {
-    greedy_max_cover_over(inverted, num_sets, k, pool, should_stop, &mut CoverScratch::default())
 }
 
 /// A maximum-coverage instance as the CELF loop sees it: the candidate
@@ -190,6 +158,13 @@ thread_local! {
 /// outside the heap outright (no tie to break against them), and among
 /// the nodes inside, acceptance and the `(gain desc, id asc)` order are
 /// those of a heap holding every node: the seed sequence is the same.
+///
+/// `should_stop` is the serving tier's deadline hook: polled once per
+/// loop round (each heap pop — at least once per selected seed); when
+/// it returns `true` the run aborts and `None` comes back, leaving no
+/// partial result to mistake for an answer. It must be cheap (a clock
+/// read) and pure — it cannot influence the selection, so every
+/// *completed* run is bit-identical for any thread count.
 pub fn greedy_max_cover_over<C: CoverInstance>(
     instance: &C,
     num_sets: u64,
@@ -203,6 +178,12 @@ pub fn greedy_max_cover_over<C: CoverInstance>(
 
 /// [`greedy_max_cover_over`] with the tier size as a parameter, so tests
 /// can cross tiers on small instances.
+///
+/// Out of line on purpose: once the disk index had a single caller of
+/// its instantiation, LLVM folded this loop into the function that
+/// counts the gains before it, and a cold request's CPU read ≈ 4 %
+/// worse on ten of ten pairs (docs/BENCHMARKS.md § PR 24).
+#[inline(never)]
 fn celf<C: CoverInstance>(
     instance: &C,
     num_sets: u64,
@@ -509,16 +490,17 @@ mod tests {
         let s = sets(&[&[1, 2], &[1], &[1, 3], &[4]]);
         let inverted = InvertedIndex::from_sets(&s);
         let pool = ExecPool::sequential();
+        let until = |stop: &(dyn Fn() -> bool + Sync)| {
+            greedy_max_cover_over(&inverted, 4, 3, &pool, stop, &mut CoverScratch::default())
+        };
         // An immediately-firing stop aborts before any seed.
-        assert!(greedy_max_cover_inverted_until(&inverted, 4, 3, &pool, &|| true).is_none());
+        assert!(until(&|| true).is_none());
         // A stop that fires after the first round aborts mid-run.
         let polls = std::sync::atomic::AtomicU32::new(0);
-        let late = greedy_max_cover_inverted_until(&inverted, 4, 3, &pool, &|| {
-            polls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= 1
-        });
+        let late = until(&|| polls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= 1);
         assert!(late.is_none());
         // A never-firing stop is exactly the plain run.
-        let done = greedy_max_cover_inverted_until(&inverted, 4, 3, &pool, &|| false).unwrap();
+        let done = until(&|| false).unwrap();
         assert_eq!(done, greedy_max_cover_inverted_with(&inverted, 4, 3, &pool));
     }
 

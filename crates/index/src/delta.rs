@@ -236,6 +236,10 @@ pub struct DeltaStats {
     pub num_edges: u64,
     /// Profile entries in the union.
     pub num_entries: u64,
+    /// Bytes of an unterminated final record this attach cut off
+    /// `delta.log` — the torn half of an append that was never
+    /// acknowledged (0: the journal ended on a record boundary).
+    pub journal_bytes_dropped: u64,
 }
 
 /// The mutable tier: one writer lane (mutex-serialized applies and
@@ -246,6 +250,8 @@ pub struct DeltaIndex {
     config: IndexBuildConfig,
     writer: Mutex<DeltaState>,
     snapshot: RwLock<Arc<DeltaSnapshot>>,
+    /// See [`DeltaStats::journal_bytes_dropped`].
+    journal_bytes_dropped: u64,
 }
 
 impl DeltaIndex {
@@ -311,13 +317,14 @@ impl DeltaIndex {
             generation: 0,
             unflushed: 0,
         };
-        let delta = DeltaIndex {
+        let mut delta = DeltaIndex {
             root: snapshot.base.root().to_path_buf(),
             config,
             writer: Mutex::new(state),
             snapshot: RwLock::new(Arc::new(snapshot)),
+            journal_bytes_dropped: 0,
         };
-        delta.replay_journal()?;
+        delta.journal_bytes_dropped = delta.replay_journal()?;
         Ok(delta)
     }
 
@@ -355,6 +362,7 @@ impl DeltaIndex {
             num_users: state.num_users,
             num_edges: state.edges.len() as u64,
             num_entries: state.entries.len() as u64,
+            journal_bytes_dropped: self.journal_bytes_dropped,
         }
     }
 
@@ -629,16 +637,17 @@ impl DeltaIndex {
     /// `edge\t12\t345` would parse), and the file is cut back to the
     /// last newline before anything appends — the next record would
     /// otherwise glue onto the torn half. A *terminated* line that does
-    /// not parse is still `Corrupt`.
-    fn replay_journal(&self) -> Result<(), IndexError> {
+    /// not parse is still `Corrupt`. Returns how many bytes were cut.
+    fn replay_journal(&self) -> Result<u64, IndexError> {
         let path = self.root.join(DELTA_JOURNAL_FILE);
         let contents = match std::fs::read_to_string(&path) {
             Ok(c) => c,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
             Err(e) => return Err(storage_io(e)),
         };
         let complete = contents.rfind('\n').map_or(0, |at| at + 1);
-        if complete < contents.len() {
+        let dropped = (contents.len() - complete) as u64;
+        if dropped > 0 {
             let file = std::fs::OpenOptions::new().write(true).open(&path).map_err(storage_io)?;
             file.set_len(complete as u64).map_err(storage_io)?;
         }
@@ -651,14 +660,13 @@ impl DeltaIndex {
                 IndexError::Corrupt(format!("delta.log line {}: unparseable {line:?}", i + 1))
             })?);
         }
-        if mutations.is_empty() {
-            return Ok(());
+        if !mutations.is_empty() {
+            let mut state = lock(&self.writer);
+            let dirty = apply_to_state(&mut state, &mutations);
+            state.unflushed += mutations.len() as u64;
+            self.publish(&state, dirty.as_ref())?;
         }
-        let mut state = lock(&self.writer);
-        let dirty = apply_to_state(&mut state, &mutations);
-        state.unflushed += mutations.len() as u64;
-        self.publish(&state, dirty.as_ref())?;
-        Ok(())
+        Ok(dropped)
     }
 }
 
@@ -1016,17 +1024,20 @@ mod tests {
         std::fs::write(&log, format!("{whole}edge\t1")).unwrap();
         let delta = attach().unwrap();
         assert_eq!(delta.unflushed(), 2);
+        assert_eq!(delta.stats().journal_bytes_dropped, "edge\t1".len() as u64);
         assert_eq!(std::fs::read_to_string(&log).unwrap(), whole, "cut back to the last newline");
         // The next record starts on its own line, so the next start
         // replays three mutations, not two and a glued-together wreck.
         delta.apply(&[Mutation::IngestEdge { from: 300, to: 9 }]).unwrap();
         drop(delta);
-        assert_eq!(attach().unwrap().unflushed(), 3);
+        let delta = attach().unwrap();
+        assert_eq!((delta.unflushed(), delta.stats().journal_bytes_dropped), (3, 0));
 
         // A torn half that happens to parse (`edge 1→3` cut from
         // `edge 1→345`) was never acknowledged either.
         std::fs::write(&log, "user\nedge\t1\t3").unwrap();
-        assert_eq!(attach().unwrap().unflushed(), 1);
+        let delta = attach().unwrap();
+        assert_eq!((delta.unflushed(), delta.stats().journal_bytes_dropped), (1, 8));
         assert_eq!(std::fs::read_to_string(&log).unwrap(), "user\n");
 
         // A whole line that does not parse is damage, not a torn tail.

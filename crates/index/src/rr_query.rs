@@ -20,13 +20,15 @@
 //! decoded lists and each keyword set's greedy *run*
 //! (`prefix_outcome`), never an instance.
 //!
-//! A **materialized** instance ([`KbtimIndex::merge_keywords`] →
-//! [`KbtimIndex::query_merged`]: the lists cut, remapped and scattered
-//! into a dense [`InvertedIndex`] that outlives the keyword arena) is a
-//! library form only, for a caller that stages the query itself and
-//! holds the instance across its own requests. Nothing on the serving
-//! path builds one. Both run the one CELF loop of
-//! [`kbtim_core::maxcover`] and answer bit-identically.
+//! The staged chain [`KbtimIndex::merge_keywords`] →
+//! [`KbtimIndex::query_merged`] → [`KbtimIndex::recycle_merged`] is the
+//! same in-place read, cut where a caller times it stage by stage: a
+//! [`MergedQuery`] is a keyword set's `φ_Q`, its Eqn-11 budget and a
+//! lease on the arena's lists, `query_merged` counts and runs the greedy
+//! over them, and nothing is merged anywhere. The four names keep their
+//! spelling because the benchmark package
+//! (`crates/bench/src/bin/bench/src/trace.rs`) links them and a product
+//! PR may not edit it.
 //!
 //! Keyword segments load and decode **in parallel** (one job per query
 //! keyword × index shard on the index's pool, keyword-major) and stay
@@ -41,16 +43,14 @@
 //! borrowed [`kbtim_storage::BlockSource`] views (or through pooled
 //! staging buffers on the file backend), each keyword's `L_w` decodes
 //! straight into a pooled [`format::IlCsr`] arena, and everything after
-//! it — the per-user gains, the greedy's bitset and heap, a materialized
-//! instance's arenas — leases from the scratch pool: no per-user
-//! allocation, no hash probes in the greedy loop, and ~zero allocation
-//! once the pool is warm.
+//! it — the per-user gains, the greedy's bitset and heap — leases from
+//! the scratch pool: no per-user allocation, no hash probes in the
+//! greedy loop, and ~zero allocation once the pool is warm.
 
 use crate::format::{self, IlCsr};
-use crate::scratch::{KeywordArena, QueryScratch, ScratchPool};
+use crate::scratch::{KeywordArena, KeywordLists, QueryScratch, ScratchPool};
 use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome, QueryStats};
-use kbtim_core::invindex::{InvertedIndex, InvertedIndexBuilder};
-use kbtim_core::maxcover::{greedy_max_cover_over, CoverInstance, MaxCoverResult};
+use kbtim_core::maxcover::{greedy_max_cover_over, CoverInstance};
 use kbtim_graph::NodeId;
 use kbtim_topics::{Query, TopicId};
 use std::borrow::Cow;
@@ -148,15 +148,13 @@ pub(crate) fn list_cuts<'a>(
     il.offsets.windows(2).map(|bounds| prefix[bounds[1] as usize] - prefix[bounds[0] as usize])
 }
 
-/// A request's coverage instance read in place off its keyword CSRs —
-/// what [`merge_csrs`] would materialize, without building it.
+/// A request's coverage instance read in place off its keyword CSRs.
 ///
 /// `gains[u]` is `Σ_w |{id ∈ L_w(u) : id < θ^Q_w}|` ([`count_gains`]);
 /// a user's sets are found when the greedy asks for them: a binary
 /// search for the user in each keyword's ascending `users`, the list
 /// cut at the share, the ids shifted to the keyword's base. The greedy
-/// recounts a few dozen users per request, where a materialized
-/// instance scatters every list of every keyword.
+/// recounts a few dozen users per request, so no list is ever copied.
 pub(crate) struct InPlaceCover<'a> {
     parts: &'a [CoverPart<'a>],
     gains: &'a [u32],
@@ -198,71 +196,6 @@ fn count_gains(
             gains[user as usize] += cut;
         }
     }
-}
-
-/// Inverted lists average two or three ids. Lists of at most this many
-/// are copied as one fixed-width group of lanes — same work whatever
-/// the length, so no loop exit to mispredict per list.
-const SHORT: usize = 4;
-
-/// The `SHORT` arena slots starting at list `j`, when the list fits in
-/// them (the trailing lanes belong to the lists that follow) and the
-/// arena does not end first.
-#[inline]
-fn short_lanes(il: &IlCsr, j: usize) -> Option<&[u32; SHORT]> {
-    let (start, end) = (il.offsets[j] as usize, il.offsets[j + 1] as usize);
-    if end - start > SHORT {
-        return None;
-    }
-    let lanes = il.ids.get(start..start + SHORT)?;
-    Some(lanes.try_into().expect("SHORT slots"))
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Instances [`merge_csrs`] materialized on this thread.
-    pub(crate) static MATERIALIZED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// The materialized coverage instance of `parts`: every list cut at its
-/// share and its ids moved to the keyword's base in the global id
-/// space (`θ^Q` must fit the instance's `u32` set ids), so per-user
-/// lists concatenate ascending. For the instance that outlives its
-/// keyword arena — the public [`KbtimIndex::merge_keywords`]; every
-/// served request reads [`InPlaceCover`] instead. One counting pass
-/// ([`list_cuts`]) and one fill pass replaying its cuts from a pooled
-/// buffer.
-pub(crate) fn merge_csrs(
-    num_users: u32,
-    parts: &[CoverPart<'_>],
-    pool: &ScratchPool,
-) -> InvertedIndex {
-    #[cfg(test)]
-    MATERIALIZED.with(|n| n.set(n.get() + 1));
-    let mut builder = InvertedIndexBuilder::recycled(num_users, pool.take_arenas());
-    let mut scratch = pool.guard();
-    let QueryScratch { cuts, prefix, .. } = &mut *scratch;
-    cuts.clear();
-    for part in parts {
-        cuts.reserve(part.il.len());
-        for (&user, cut) in part.il.users.iter().zip(list_cuts(part.il, part.share, prefix)) {
-            cuts.push(cut);
-            builder.count(user, cut);
-        }
-    }
-    let mut filler = builder.fill();
-    let mut cuts = cuts.iter();
-    for part in parts {
-        let (il, base) = (part.il, part.base as u32);
-        for (j, &cut) in (0..il.len()).zip(&mut cuts) {
-            match short_lanes(il, j) {
-                Some(lanes) => filler.push_prefix(il.users[j], lanes, cut as usize, base),
-                None => filler
-                    .push_list(il.users[j], il.list(j)[..cut as usize].iter().map(|&id| base + id)),
-            }
-        }
-    }
-    filler.finish()
 }
 
 impl KbtimIndex {
@@ -331,13 +264,11 @@ impl KbtimIndex {
     /// invariant holds for any caller. Per keyword × shard, one fan-out
     /// job (on the index-owned pool) reads and decodes the whole
     /// inverted list `L_w` into a pool-leased CSR; truncation to a
-    /// request's share happens when the lists are counted or merged,
-    /// read-only. All or nothing: one unreadable block fails the call
-    /// and no list of it survives. Any number of requests are then
-    /// served from the one arena — [`KbtimIndex::merge_keywords`] once
-    /// per distinct keyword set, [`KbtimIndex::query_merged`] once per
-    /// request; return the arena with [`KbtimIndex::recycle_keywords`]
-    /// when they are done.
+    /// request's share happens when the lists are counted, read-only.
+    /// All or nothing: one unreadable block fails the call and no list
+    /// of it survives. Any number of requests are then served from the
+    /// one arena; return it with [`KbtimIndex::recycle_keywords`] when
+    /// they are done.
     pub fn decode_keywords(&self, wants: &[(TopicId, u64)]) -> Result<KeywordArena, IndexError> {
         // The arena binary-searches its keywords, so the build order
         // must be strictly ascending — normalize rather than trust the
@@ -379,79 +310,74 @@ impl KbtimIndex {
     }
 
     /// Hand a finished window's arena back: lists nobody else holds
-    /// return their CSRs to the scratch pool; lists the engine's cache
-    /// or a delta snapshot still keeps just lose this holder.
+    /// return their CSRs to the scratch pool; lists the engine's cache,
+    /// a delta snapshot or a [`MergedQuery`] still keeps just lose this
+    /// holder.
     pub fn recycle_keywords(&self, arena: KeywordArena) {
-        for (_, mut lists) in arena.entries {
-            if let Some(csrs) = Arc::get_mut(&mut lists) {
-                csrs.iter_mut().for_each(|csr| self.scratch.put_csr(csr.take_arenas()));
-            }
+        arena.entries.into_iter().for_each(|(_, lists)| self.recycle_lists(lists));
+    }
+
+    fn recycle_lists(&self, mut lists: KeywordLists) {
+        if let Some(csrs) = Arc::get_mut(&mut lists) {
+            csrs.iter_mut().for_each(|csr| self.scratch.put_csr(csr.take_arenas()));
         }
     }
 
-    /// Build a keyword set's merged coverage instance from a shared
-    /// [`KeywordArena`] — the library's staged form; the serving path
-    /// never materializes (see the module docs).
+    /// Stage one of the library's staged chain: a keyword set's `φ_Q`
+    /// and Eqn-11 budget with a lease on each budgeted keyword's lists
+    /// in `arena` — checked as every request's are (a missing keyword,
+    /// a user outside the universe and the `engine.merge` failpoint fail
+    /// here), nothing copied.
     ///
-    /// The Eqn-11 budget, the per-keyword global id bases, and the
-    /// merged [`InvertedIndex`] are all functions of `query.topics()` —
-    /// `Q.k` only bounds the greedy loop — so requests sharing a
-    /// keyword set share one [`MergedQuery`] and differ only in their
-    /// [`KbtimIndex::query_merged`] call.
+    /// All of it is a function of `query.topics()` — `Q.k` only bounds
+    /// the greedy loop — so requests sharing a keyword set share one
+    /// [`MergedQuery`] and differ only in their
+    /// [`KbtimIndex::query_merged`] call. The lease keeps the lists
+    /// alive after `arena` is recycled.
     pub fn merge_keywords(
         &self,
         query: &Query,
         arena: &KeywordArena,
     ) -> Result<MergedQuery, IndexError> {
         let (phi_q, budget) = self.query_budget(query);
-        let num_users = self.meta().num_users;
-        let parts = budgeted_parts(num_users, &budget, arena)?;
-        let theta_q = theta_q_of(&parts);
-        if theta_q > u32::MAX as u64 {
-            return Err(IndexError::Corrupt(format!("θ^Q = {theta_q} is beyond u32 set ids")));
-        }
-        let inverted = merge_csrs(num_users, &parts, &self.scratch);
-        Ok(MergedQuery { phi_q, theta_q, inverted })
+        // For the checks alone: the parts are rebuilt per `query_merged`.
+        budgeted_parts(self.meta().num_users, &budget, arena)?;
+        let keywords = budget
+            .iter()
+            .map(|&(topic, share)| (Arc::clone(arena.lists_of(topic).expect("checked")), share))
+            .collect();
+        Ok(MergedQuery { phi_q, keywords })
     }
 
-    /// Run one request's own greedy over a shared [`MergedQuery`]
-    /// instance. Infallible: routing and merge errors surfaced earlier.
+    /// Stage two: answer one request in place over a [`MergedQuery`]'s
+    /// lists — the gains counted, then the greedy. Infallible: routing
+    /// and list errors surfaced in [`KbtimIndex::merge_keywords`].
     ///
-    /// `rr_sets_loaded` reports the θ^Q budget (the RR sets the merged
-    /// instance spans); `io` stays zero — the reads belong to whoever
-    /// decoded the arena.
+    /// `rr_sets_loaded` reports the θ^Q budget; `io` stays zero — the
+    /// reads belong to whoever decoded the arena.
     pub fn query_merged(&self, merged: &MergedQuery, k: u32) -> QueryOutcome {
-        let started = Instant::now();
-        if merged.theta_q == 0 {
-            return empty_outcome(started);
-        }
-        let cover = greedy_max_cover_over(
-            &merged.inverted,
-            merged.theta_q,
-            k,
-            self.pool(),
-            &|| false,
-            &mut self.scratch.guard().cover,
-        )
-        .expect("greedy with a never-firing stop cannot abort");
-        cover_outcome(cover, merged.theta_q, merged.phi_q, started)
+        let parts = cover_parts(merged.keywords.iter().map(|(lists, share)| (&lists[..], *share)));
+        let num_users = self.meta().num_users;
+        query_in_place(&parts, num_users, merged.phi_q, k, self.pool(), &self.scratch, &|| false)
+            .expect("greedy with a never-firing stop cannot abort")
     }
 
-    /// Return a finished [`MergedQuery`]'s arenas to the scratch pool.
+    /// Release a finished [`MergedQuery`]'s lease — before or after the
+    /// arena it was taken from; the last holder's release returns the
+    /// CSRs to the scratch pool.
     pub fn recycle_merged(&self, merged: MergedQuery) {
-        self.scratch.put_arenas(merged.inverted.into_arenas());
+        merged.keywords.into_iter().for_each(|(lists, _)| self.recycle_lists(lists));
     }
 }
 
-/// A keyword set's merged coverage instance, shared by every request
-/// over that set (see [`KbtimIndex::merge_keywords`]).
+/// A keyword set's staged request, shared by every request over that
+/// set (see [`KbtimIndex::merge_keywords`]).
 pub struct MergedQuery {
     /// Total tf-idf mass of the query's held keywords (`φ_Q`).
     phi_q: f64,
-    /// `θ^Q = Σ_w θ^Q_w` — the global id space of `inverted`.
-    theta_q: u64,
-    /// The merged, truncated, remapped coverage instance.
-    inverted: InvertedIndex,
+    /// Each budgeted keyword's lists with its share `θ^Q_w`, in keyword
+    /// order.
+    keywords: Vec<(KeywordLists, u64)>,
 }
 
 /// The `k`-seed answer over an instance, sliced from a deeper run
@@ -541,17 +467,8 @@ pub(crate) fn query_in_place(
     count_gains(parts, num_users, gains, prefix);
     let instance = InPlaceCover { parts, gains };
     let cover = greedy_max_cover_over(&instance, theta_q, k, exec, should_stop, cover)?;
-    Some(cover_outcome(cover, theta_q, phi_q, started))
-}
-
-fn cover_outcome(
-    cover: MaxCoverResult,
-    theta_q: u64,
-    phi_q: f64,
-    started: Instant,
-) -> QueryOutcome {
     let estimated_influence = cover.covered as f64 / theta_q as f64 * phi_q;
-    QueryOutcome {
+    Some(QueryOutcome {
         seeds: cover.seeds,
         marginal_gains: cover.marginal_gains,
         coverage: cover.covered,
@@ -562,7 +479,7 @@ fn cover_outcome(
             elapsed: started.elapsed(),
             ..QueryStats::default()
         },
-    }
+    })
 }
 
 pub(crate) fn empty_outcome(started: Instant) -> QueryOutcome {
@@ -578,12 +495,12 @@ pub(crate) fn empty_outcome(started: Instant) -> QueryOutcome {
 #[cfg(test)]
 mod tests {
     use crate::build::{IndexBuildConfig, IndexBuilder, ThetaMode};
+    use crate::delta::{DeltaIndex, Mutation};
     use crate::format::{IlCsr, IndexVariant};
-    use crate::scratch::ScratchPool;
-    use crate::KbtimIndex;
+    use crate::scratch::{KeywordArena, ScratchPool};
+    use crate::{IndexError, KbtimIndex, QueryOutcome};
     use kbtim_codec::Codec;
-    use kbtim_core::invindex::InvertedIndexBuilder;
-    use kbtim_core::maxcover::{greedy_max_cover_inverted, greedy_max_cover_naive};
+    use kbtim_core::maxcover::greedy_max_cover_naive;
     use kbtim_core::theta::SamplingConfig;
     use kbtim_core::wris::wris_query;
     use kbtim_datagen::{Dataset, DatasetConfig, DatasetFamily};
@@ -604,9 +521,8 @@ mod tests {
         build_sharded(data, dir, codec, 1);
     }
 
-    fn build_sharded(data: &Dataset, dir: &std::path::Path, codec: Codec, shards: usize) {
-        let model = IcModel::weighted_cascade(&data.graph);
-        let config = IndexBuildConfig {
+    fn config(codec: Codec, shards: usize) -> IndexBuildConfig {
+        IndexBuildConfig {
             sampling: SamplingConfig {
                 theta_cap: Some(3000),
                 opt_initial_samples: 128,
@@ -619,8 +535,12 @@ mod tests {
             threads: 4,
             seed: 3,
             shards,
-        };
-        IndexBuilder::new(&model, &data.profiles, config).build(dir).unwrap();
+        }
+    }
+
+    fn build_sharded(data: &Dataset, dir: &std::path::Path, codec: Codec, shards: usize) {
+        let model = IcModel::weighted_cascade(&data.graph);
+        IndexBuilder::new(&model, &data.profiles, config(codec, shards)).build(dir).unwrap();
     }
 
     #[test]
@@ -676,11 +596,10 @@ mod tests {
         assert_eq!(super::list_cuts(&IlCsr::default(), 5, &mut prefix).count(), 0);
     }
 
-    /// 1–6 keyword CSRs over 60 users: lists of 1..=12 ids (both sides
-    /// of the fixed-width switch, the last ones ending the arena) drawn
-    /// from 0..40, each with a share from 0 (and 1) to beyond every id;
-    /// most users absent from any one keyword.
-    fn merge_inputs() -> impl Strategy<Value = Vec<(IlCsr, u64)>> {
+    /// 1–6 keyword CSRs over 60 users: lists of 1..=12 ids drawn from
+    /// 0..40, each with a share from 0 (and 1) to beyond every id; most
+    /// users absent from any one keyword.
+    fn keyword_inputs() -> impl Strategy<Value = Vec<(IlCsr, u64)>> {
         let list = proptest::collection::vec(0u32..40, 1..13).prop_map(|mut ids| {
             ids.sort_unstable();
             ids.dedup();
@@ -744,64 +663,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-        /// The merge is the plain count / `push_list` construction, list
-        /// by list with a binary-searched cut — over each keyword as one
-        /// CSR, and over its S-way user-range split.
+        /// In place ≡ the naive greedy over the Vec-of-Vec instance, for
+        /// `k` from 0 to past exhaustion — each keyword one CSR, or one
+        /// per shard of an S-way user-range split (empty shards
+        /// included).
         #[test]
-        fn merge_matches_the_list_by_list_oracle(
-            keywords in merge_inputs(),
-            shards in shard_counts(),
-        ) {
-            // Shares past every id stand for "the whole list"; keep θ^Q small.
-            let keywords: Vec<(IlCsr, u64)> =
-                keywords.into_iter().map(|(il, share)| (il, share.min(64))).collect();
-            let mut builder = InvertedIndexBuilder::new(60);
-            let cut = |il: &IlCsr, j: usize, share: u64| {
-                il.list(j).partition_point(|&id| (id as u64) < share)
-            };
-            for (il, share) in &keywords {
-                for j in 0..il.len() {
-                    builder.count(il.users[j], cut(il, j, *share) as u32);
-                }
-            }
-            let mut filler = builder.fill();
-            let mut base = 0u64;
-            for (il, share) in &keywords {
-                for j in 0..il.len() {
-                    let kept = &il.list(j)[..cut(il, j, *share)];
-                    filler.push_list(il.users[j], kept.iter().map(|&id| (base + id as u64) as u32));
-                }
-                base += share;
-            }
-            let oracle = filler.finish();
-            let pool = ScratchPool::new();
-            let split: Vec<(Vec<IlCsr>, u64)> = keywords
-                .iter()
-                .map(|(il, share)| (split_by_user_range(il, shards), *share))
-                .collect();
-            let whole = super::cover_parts(
-                keywords.iter().map(|(il, share)| (std::slice::from_ref(il), *share)),
-            );
-            let sharded =
-                super::cover_parts(split.iter().map(|(csrs, share)| (&csrs[..], *share)));
-            prop_assert_eq!(sharded.len(), keywords.len() * shards as usize);
-            // Each twice: the second run builds in the first one's
-            // recycled arenas.
-            for parts in [&whole, &sharded, &whole, &sharded] {
-                prop_assert_eq!(super::theta_q_of(parts), base);
-                let merged = super::merge_csrs(60, parts, &pool);
-                prop_assert_eq!(&merged, &oracle);
-                pool.put_arenas(merged.into_arenas());
-            }
-        }
-
-        /// In place ≡ materialized ≡ the naive greedy over the
-        /// Vec-of-Vec instance, for `k` from 0 to past exhaustion — each
-        /// keyword one CSR, or one per shard of an S-way user-range
-        /// split (empty shards included).
-        #[test]
-        fn in_place_matches_materialized_and_the_vec_of_vec_oracle(
-            keywords in merge_inputs(),
+        fn in_place_matches_the_vec_of_vec_oracle(
+            keywords in keyword_inputs(),
             shards in shard_counts(),
             k in 0u32..80,
         ) {
@@ -818,9 +686,6 @@ mod tests {
                 super::cover_parts(split.iter().map(|(csrs, share)| (&csrs[..], *share)));
             let theta_q = super::theta_q_of(&whole);
             let oracle = greedy_max_cover_naive(&vec_of_vec_oracle(&keywords), k);
-            let merged = super::merge_csrs(60, &sharded, &pool);
-            let materialized = greedy_max_cover_inverted(&merged, theta_q, k);
-            prop_assert_eq!(&materialized, &oracle);
             // Each twice: the second run counts into the first one's
             // buffers.
             for parts in [&whole, &sharded, &whole, &sharded] {
@@ -834,22 +699,123 @@ mod tests {
         }
     }
 
+    /// One [`super::MergedQuery`] over topics {0, 1, 2}, reused down a
+    /// `k` ladder (to past exhaustion) bit for bit against `reference`,
+    /// in both release orders — the chain's own, and the benchmark
+    /// trace's, which recycles the arena first and answers from the
+    /// held instance afterwards. `pooled` of the CSRs `decode` files
+    /// came out of the scratch pool: the last release returns them all.
+    fn staged_ladder(
+        index: &KbtimIndex,
+        decode: impl Fn(&[(u32, u64)]) -> KeywordArena,
+        reference: impl Fn(&Query) -> QueryOutcome,
+        pooled: usize,
+        what: &str,
+    ) {
+        let query = |k| Query::new([0u32, 1, 2], k);
+        let (_, budget) = index.query_budget(&query(1));
+        // The reference decodes for itself: ask it before the pool is
+        // counted.
+        let ladder = [1, 3, 10, 40, 700].map(|k| (k, reference(&query(k))));
+        index.recycle_keywords(decode(&budget)); // warm the pool
+        let spare = || index.scratch.spare_csr_capacities().len();
+        let full = spare();
+        for arena_first in [false, true] {
+            let mut arena = Some(decode(&budget));
+            let merged = index.merge_keywords(&query(1), arena.as_ref().unwrap()).unwrap();
+            if arena_first {
+                index.recycle_keywords(arena.take().unwrap());
+            }
+            for (k, want) in &ladder {
+                let got = index.query_merged(&merged, *k);
+                assert_eq!(got.seeds, want.seeds, "{what}, k = {k}");
+                assert_eq!(got.marginal_gains, want.marginal_gains, "{what}, k = {k}");
+                assert_eq!(got.coverage, want.coverage, "{what}, k = {k}");
+                assert_eq!(got.estimated_influence.to_bits(), want.estimated_influence.to_bits());
+                assert_eq!(got.stats.rr_sets_loaded, want.stats.theta_q);
+            }
+            assert_eq!(spare(), full - pooled, "{what}: a holder is left");
+            index.recycle_merged(merged);
+            arena.into_iter().for_each(|arena| index.recycle_keywords(arena));
+            assert_eq!(spare(), full, "{what}: every decoded CSR is back in the pool");
+        }
+    }
+
+    #[test]
+    fn the_staged_chain_matches_the_reference_and_returns_every_list() {
+        // Arms a failpoint: the registry is process-global.
+        let _lease = kbtim_fault::exclusive();
+        let data = dataset();
+        for shards in [1, 4] {
+            let dir = TempDir::new("rrq-staged").unwrap();
+            build_sharded(&data, dir.path(), Codec::Packed, shards);
+            let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
+            staged_ladder(
+                &index,
+                |budget| index.decode_keywords(budget).unwrap(),
+                |query| index.query_rr(query).unwrap(),
+                3 * shards,
+                &format!("{shards} shard(s)"),
+            );
+        }
+
+        // The delta tier's union arena: keyword 0 is leased from the
+        // overlay (a weight re-set to itself re-samples it to the same
+        // lists and catalog row, so the base's budget is the union's),
+        // 1 and 2 are decoded from the base.
+        let dir = TempDir::new("rrq-staged-delta").unwrap();
+        build(&data, dir.path(), Codec::Packed);
+        let index = Arc::new(KbtimIndex::open(dir.path(), IoStats::new()).unwrap());
+        let config = config(Codec::Packed, 1);
+        let tier = DeltaIndex::attach(index.clone(), &data.graph, &data.profiles, config).unwrap();
+        let (user, weight) = (0..data.profiles.num_users())
+            .find_map(|user| {
+                let (topics, tfs) = data.profiles.user_vector(user);
+                topics.iter().position(|&t| t == 0).map(|at| (user, tfs[at]))
+            })
+            .expect("somebody holds topic 0");
+        tier.apply(&[Mutation::SetTopicWeight { user, topic: 0, weight }]).unwrap();
+        let snapshot = tier.snapshot();
+        assert_eq!(snapshot.overlay_keywords(), 1);
+        staged_ladder(
+            &index,
+            |budget| snapshot.decode_union(budget).unwrap(),
+            |query| snapshot.query(query).unwrap(),
+            2,
+            "delta union",
+        );
+
+        // What `merge_keywords` refuses: a keyword the arena lacks, a
+        // user outside the universe, the armed `engine.merge` failpoint.
+        let query = Query::new([0u32, 1, 2], 5);
+        let (_, budget) = index.query_budget(&query);
+        let mut arena = index.decode_keywords(&budget[..2]).unwrap();
+        let err = index.merge_keywords(&query, &arena).err().expect("keyword 2 is missing");
+        assert!(matches!(&err, IndexError::Corrupt(why) if why.contains("missing")), "{err}");
+        let mut stray = IlCsr::default();
+        stray.ids.push(0);
+        stray.close_list(index.meta().num_users);
+        arena.insert(2, Arc::new([stray]));
+        let err = index.merge_keywords(&query, &arena).err().expect("a user past the universe");
+        assert!(matches!(&err, IndexError::Corrupt(why) if why.contains("names user")), "{err}");
+        index.recycle_keywords(arena);
+        let arena = index.decode_keywords(&budget).unwrap();
+        kbtim_fault::arm("engine.merge", "1*err").unwrap();
+        let err = index.merge_keywords(&query, &arena).err().expect("armed");
+        assert!(matches!(err, IndexError::Injected("engine.merge")), "{err}");
+        index.recycle_keywords(arena);
+    }
+
+    /// `query_rr`, an engine's miss, its hits and a deepening all read
+    /// the one in-place instance: their answers are prefixes of one
+    /// another.
     #[test]
     fn serving_without_a_cache_builds_no_instance() {
         let data = dataset();
         let dir = TempDir::new("rrq-inplace").unwrap();
         build(&data, dir.path(), Codec::Packed);
         let index = Arc::new(KbtimIndex::open(dir.path(), IoStats::new()).unwrap());
-        let query = Query::new([0, 1, 2], 10);
-        let built = || super::MATERIALIZED.with(|n| n.get());
-        let before = built();
-
-        let direct = index.query_rr(&query).unwrap();
-        assert_eq!(built(), before, "query_rr materialized an instance");
-
-        // Nor with a cache: a miss, a hit and a deepening of one set
-        // (a window of one keyword set runs on this thread) are all
-        // served in place or off the cached run.
+        let direct = index.query_rr(&Query::new([0, 1, 2], 10)).unwrap();
         let engine = crate::QueryEngine::new(Arc::clone(&index)).with_merge_cache(4);
         for k in [10, 10, 4, 25] {
             let got = engine.query(&crate::EngineRequest::new([0, 1, 2], k)).unwrap();
@@ -857,19 +823,6 @@ mod tests {
             assert_eq!(got.seeds[..n], direct.seeds[..n], "k = {k}");
         }
         assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (2, 2));
-        assert_eq!(built(), before, "a cached serve materialized an instance");
-
-        // The library's staged form still does, once per `merge_keywords`.
-        let (_, budget) = index.query_budget(&query);
-        let arena = index.decode_keywords(&budget).unwrap();
-        let merged = index.merge_keywords(&query, &arena).unwrap();
-        let staged = index.query_merged(&merged, query.k());
-        index.recycle_merged(merged);
-        index.recycle_keywords(arena);
-        assert_eq!(built(), before + 1);
-        assert_eq!(staged.seeds, direct.seeds);
-        assert_eq!(staged.marginal_gains, direct.marginal_gains);
-        assert_eq!(staged.estimated_influence.to_bits(), direct.estimated_influence.to_bits());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The serving tier's steady state answers the same shapes of query over
 //! and over; before this pool every query re-allocated its byte staging
-//! buffers, per-keyword CSR arenas, the merged inverted index, and the
-//! covered bitset. `ScratchPool` keeps those allocations alive between
-//! queries so a warmed index allocates ~nothing per query.
+//! buffers, per-keyword CSR arenas, the per-user gains, and the covered
+//! bitset. `ScratchPool` keeps those allocations alive between queries
+//! so a warmed index allocates ~nothing per query.
 //!
 //! Why a lock-based pool and not `thread_local!`: scratch must flow
 //! across threads. [`kbtim_exec::ExecPool`] workers (persistent or
@@ -62,10 +62,11 @@ pub(crate) fn resident_bytes(lists: &[IlCsr]) -> u64 {
 /// decoded-keyword cache, a delta snapshot's overlay) files a clone of
 /// its `Arc` beside them, so a keyword is decoded at most once per
 /// index generation, not once per window. Consumers (the in-place
-/// count, or [`crate::KbtimIndex::merge_keywords`] once per keyword
-/// set) cut the shared CSRs against their own Eqn-11 budgets —
-/// read-only, so any number of requests, in any number of windows,
-/// consume one decode without copies.
+/// count of every request; [`crate::KbtimIndex::merge_keywords`] is the
+/// same consumer under the name the benchmark package links, holding
+/// its own clone of each `Arc`) cut the shared CSRs against their own
+/// Eqn-11 budgets — read-only, so any number of requests, in any
+/// number of windows, consume one decode without copies.
 ///
 /// Invariants: keywords are strictly ascending; a keyword's CSRs are in
 /// shard order and together hold its *complete* `L_w` (truncation is
@@ -100,10 +101,16 @@ impl KeywordArena {
         }
     }
 
-    /// The decoded CSRs of `topic` in shard order, if the arena holds it.
-    pub(crate) fn csrs_of(&self, topic: TopicId) -> Option<&[IlCsr]> {
+    /// The lists of `topic`, if the arena holds it — what a holder
+    /// that outlives the arena clones.
+    pub(crate) fn lists_of(&self, topic: TopicId) -> Option<&KeywordLists> {
         let at = self.entries.binary_search_by_key(&topic, |&(held, _)| held).ok()?;
         Some(&self.entries[at].1)
+    }
+
+    /// The decoded CSRs of `topic` in shard order, if the arena holds it.
+    pub(crate) fn csrs_of(&self, topic: TopicId) -> Option<&[IlCsr]> {
+        self.lists_of(topic).map(|lists| &lists[..])
     }
 }
 
@@ -153,9 +160,6 @@ pub struct QueryScratch {
     pub(crate) bytes: Vec<u8>,
     /// Inverted-list block decode target (one IRR partition at a time).
     pub(crate) il: IlCsr,
-    /// Per-list truncation points of a merge's counting pass, replayed
-    /// by its fill pass.
-    pub(crate) cuts: Vec<u32>,
     /// Running below-the-share count over one CSR's id arena (the
     /// counting pass's temp, `n_ids + 1` long).
     pub(crate) prefix: Vec<u32>,
@@ -176,17 +180,14 @@ pub struct QueryScratch {
     pub(crate) nra_fresh: Vec<NodeId>,
 }
 
-/// Shared pool of [`QueryScratch`] blocks plus recycled CSR/index
-/// arenas. One per opened index.
+/// Shared pool of [`QueryScratch`] blocks plus recycled keyword CSRs.
+/// One per opened index.
 #[derive(Default)]
 pub(crate) struct ScratchPool {
     scratch: Mutex<Vec<QueryScratch>>,
-    /// Spare per-keyword CSRs (the remapped/truncated lists each query
-    /// keyword produces).
+    /// Spare per-keyword CSRs (what a keyword × shard's `il` block
+    /// decodes into).
     csrs: Mutex<Vec<IlCsr>>,
-    /// Spare arena bundles for the merged `InvertedIndex`
-    /// (see `InvertedIndexBuilder::recycled`).
-    arenas: Mutex<Vec<Vec<Vec<u32>>>>,
 }
 
 impl ScratchPool {
@@ -227,21 +228,6 @@ impl ScratchPool {
     pub(crate) fn spare_csr_capacities(&self) -> Vec<usize> {
         let csrs = self.csrs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         csrs.iter().map(|csr| csr.ids.capacity()).collect()
-    }
-
-    /// Take a recycled arena bundle for `InvertedIndexBuilder::recycled`
-    /// (empty on a cold pool — the builder then allocates fresh).
-    pub(crate) fn take_arenas(&self) -> Vec<Vec<u32>> {
-        self.arenas
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Return a finished index's arenas for the next query.
-    pub(crate) fn put_arenas(&self, arenas: Vec<Vec<u32>>) {
-        self.arenas.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(arenas);
     }
 }
 
@@ -371,13 +357,5 @@ mod tests {
         assert!(bufs.slot_of.is_empty());
         assert!(bufs.partitions.is_empty());
         assert_eq!(bufs.arena.capacity(), arena_cap, "clear must keep capacities");
-    }
-
-    #[test]
-    fn arena_bundles_round_trip() {
-        let pool = ScratchPool::new();
-        assert!(pool.take_arenas().is_empty(), "cold pool hands out nothing");
-        pool.put_arenas(vec![vec![1, 2, 3], vec![4]]);
-        assert_eq!(pool.take_arenas().len(), 2);
     }
 }

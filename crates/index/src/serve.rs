@@ -1111,12 +1111,6 @@ mod tests {
         QueryEngine::new(build_index(dir).2)
     }
 
-    /// Instances `merge_csrs` built on this thread (a window of one
-    /// keyword set runs its group on the caller): serving builds none.
-    fn materialized() -> u64 {
-        rr_query::MATERIALIZED.with(|n| n.get())
-    }
-
     fn assert_same_answer(got: &QueryOutcome, want: &QueryOutcome, what: &str) {
         assert_eq!(got.seeds, want.seeds, "{what}");
         assert_eq!(got.marginal_gains, want.marginal_gains, "{what}");
@@ -1311,7 +1305,6 @@ mod tests {
             .with_merge_cache(4);
         assert_eq!(engine.merge_cache_capacity(), 4);
         let reqs = [EngineRequest::new([0, 1], 6).with_algo(Algo::Rr), EngineRequest::new([2], 4)];
-        let built_before = materialized();
         let ask = |k_more: u32| {
             for req in &reqs {
                 let hot = EngineRequest { k: req.k + k_more, ..req.clone() };
@@ -1324,13 +1317,11 @@ mod tests {
         // published. Rounds 1..: `k` varies below it (the run answers
         // every shallower `k`) — hits, the decode books stay flat — and
         // every answer matches the uncached serial oracle bit for bit.
-        // Nothing is ever materialized.
         let mut decoded = [0u64; 6];
         for round in 0..6u32 {
             ask(5 - round);
             decoded[round as usize] = engine.keywords_decoded();
             assert_eq!(engine.merge_cache_len(), 2);
-            assert_eq!(materialized(), built_before, "serving built an instance");
             if round == 0 {
                 assert!(engine.merge_cache_bytes() > 0, "the first miss publishes its run");
                 assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (0, 2));
@@ -1351,7 +1342,6 @@ mod tests {
         ask(9);
         assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (14, 4));
         assert_eq!((engine.merge_cache_len(), engine.merge_cache_evictions()), (2, 0));
-        assert_eq!(materialized(), built_before);
     }
 
     #[test]
@@ -1488,7 +1478,6 @@ mod tests {
         let b = EngineRequest::new([2, 3], 5).with_algo(Algo::Rr);
         let c = EngineRequest::new([4], 5).with_algo(Algo::Rr);
         let serial_a = engine.execute(&a).unwrap();
-        let built_before = materialized();
         let books = |engine: &QueryEngine| {
             (engine.merge_cache_len(), engine.merge_cache_evictions(), engine.merge_cache_bytes())
         };
@@ -1512,7 +1501,6 @@ mod tests {
         engine.query(&c).unwrap(); // {c} again a miss; {b} is the oldest
         assert_eq!(books(&engine), (2, 3, bytes_a + bytes_c));
         assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (2, 5));
-        assert_eq!(materialized(), built_before, "serving built an instance");
     }
 
     #[test]
@@ -1528,7 +1516,6 @@ mod tests {
             .with_delta(Arc::clone(&tier));
         let req = EngineRequest::new([0, 1], 6);
         let other = EngineRequest::new([2], 6);
-        let built_before = materialized();
 
         engine.query(&req).unwrap(); // published at generation 0
         engine.query(&other).unwrap();
@@ -1548,7 +1535,6 @@ mod tests {
         assert_same_answer(&hit, &want, "hit");
         assert_eq!(hit.stats.generation, Some(1));
         assert_eq!((engine.merge_cache_hits(), engine.merge_cache_misses()), (1, 3));
-        assert_eq!(materialized(), built_before, "serving built an instance");
     }
 
     #[test]
@@ -1556,7 +1542,6 @@ mod tests {
         let dir = TempDir::new("engine-canonical-topics").unwrap();
         let engine = build_engine(dir.path()).with_merge_cache(4);
         let want = engine.execute(&EngineRequest::new([0, 1], 6)).unwrap();
-        let built_before = materialized();
 
         // As the front end parses them: one identity, so one execution
         // and two coalesced onto it.
@@ -1590,7 +1575,6 @@ mod tests {
         );
         assert_eq!((engine.merge_cache_len(), engine.merge_cache_misses()), (1, 1));
         assert_eq!(engine.merge_cache_hits(), 1);
-        assert_eq!(materialized(), built_before, "serving built an instance");
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! kbtim stats    --graph FILE
 //! kbtim build    --data DIR --out DIR [--model ic|lt] [--codec raw|packed]
 //!                [--variant rr|irr] [--delta N] [--eps F] [--cap N] [--threads N]
-//!                [--shards S]
+//!                [--seed S] [--shards S]
 //! kbtim query    --index DIR --topics 1,2,3 --k 30 [--algo rr|irr|auto]
 //!                [--threads N] [--serving file|resident|mmap]
 //! kbtim ingest   --index DIR --data DIR [--file F] [--flush on|off]
-//!                [--eps F] [--cap N] [--seed S]
+//!                [--serving file|resident|mmap] [--eps F] [--cap N] [--seed S]
 //! kbtim serve    --index [NAME=]DIR [--index NAME=DIR ...] [--listen HOST:PORT]
 //!                [--front-end epoll|threads] [--max-conns N] [--backlog N]
 //!                [--workers N] [--outbox-cap BYTES]
@@ -117,11 +117,11 @@ USAGE:
   kbtim stats    --graph FILE
   kbtim build    --data DIR --out DIR [--model ic|lt] [--codec raw|packed]
                  [--variant rr|irr] [--delta N] [--eps F] [--cap N] [--threads N]
-                 [--shards S]
+                 [--seed S] [--shards S]
   kbtim query    --index DIR --topics 1,2,3 --k 30 [--algo rr|irr|auto]
                  [--threads N] [--serving file|resident|mmap]
   kbtim ingest   --index DIR --data DIR [--file F] [--flush on|off]
-                 [--eps F] [--cap N] [--seed S]
+                 [--serving file|resident|mmap] [--eps F] [--cap N] [--seed S]
   kbtim serve    --index [NAME=]DIR [--index NAME=DIR ...] [--listen HOST:PORT]
                  [--front-end epoll|threads] [--max-conns N] [--backlog N]
                  [--workers N] [--outbox-cap BYTES]
@@ -430,6 +430,15 @@ fn attach_delta(
         .map_err(|e| e.to_string())
 }
 
+/// What an attach that cut a torn tail off `delta.log` adds to the line
+/// reporting it (nothing when the journal ended on a record boundary).
+fn torn_tail_clause(stats: &kbtim::index::DeltaStats) -> String {
+    match stats.journal_bytes_dropped {
+        0 => String::new(),
+        n => format!("; dropped a torn journal tail of {n} byte(s)"),
+    }
+}
+
 fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
     use kbtim::index::PageCache;
     use kbtim::serve::{ServeOp, ServeRequest};
@@ -712,10 +721,17 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
             ms => format!("{ms}ms"),
         },
         max_line,
-        match (&delta, flush_watermark) {
-            (None, _) => "off".to_string(),
-            (Some(d), 0) => format!("gen {} (manual flush)", d.generation()),
-            (Some(d), n) => format!("gen {} (flush watermark {n})", d.generation()),
+        match &delta {
+            None => "off".to_string(),
+            Some(d) => format!(
+                "gen {} ({}{})",
+                d.generation(),
+                match flush_watermark {
+                    0 => "manual flush".to_string(),
+                    n => format!("flush watermark {n}"),
+                },
+                torn_tail_clause(&d.stats()),
+            ),
         },
         kernels_clause(),
     );
@@ -847,7 +863,7 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), String> {
         delta.verify().map_err(|e| format!("delta verification failed: {e}"))?;
         println!(
             "delta ok: unflushed={}, overlay keywords {}, union {} users / {} edges / \
-             {} profile entries (mutation generation {}, flushed generation {}); \
+             {} profile entries (mutation generation {}, flushed generation {}{}); \
              gen {} ≡ base ∪ delta verified structurally",
             stats.unflushed,
             stats.overlay_keywords,
@@ -856,8 +872,36 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), String> {
             stats.num_entries,
             stats.generation,
             stats.flushed_generation,
+            torn_tail_clause(&stats),
             stats.flushed_generation + 1,
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{known_flags, USAGE};
+    use std::collections::BTreeSet;
+
+    /// The `--flag`s on `command`'s `USAGE` line and the indented lines
+    /// that continue it.
+    fn usage_flags(command: &str) -> BTreeSet<&'static str> {
+        let mut lines =
+            USAGE.lines().skip_while(|l| !l.starts_with(&format!("  kbtim {command} ")));
+        let first = lines.next().unwrap_or_else(|| panic!("USAGE has no line for `{command}`"));
+        std::iter::once(first)
+            .chain(lines.take_while(|l| !l.starts_with("  kbtim ")))
+            .flat_map(|l| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect()
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_reads() {
+        for command in ["gen", "stats", "build", "query", "ingest", "serve", "validate"] {
+            let known: BTreeSet<&str> = known_flags(command).unwrap().iter().copied().collect();
+            assert_eq!(usage_flags(command), known, "`kbtim {command}`");
+        }
+    }
 }

@@ -397,6 +397,58 @@ fn banner_and_validate_name_the_kernels() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A `delta.log` whose last record was cut mid-append: the start that
+/// cuts it back says how many bytes it dropped — `validate --data` on
+/// its `delta ok` line, `serve --data` in the banner — and a start that
+/// finds the journal whole says nothing.
+#[test]
+fn a_torn_journal_tail_is_reported_by_the_start_that_cuts_it() {
+    let root = temp_dir("torn-tail");
+    let data = root.join("data");
+    let index = root.join("index");
+    assert!(kbtim()
+        .args(["gen", "--family", "news", "--users", "300", "--topics", "4"])
+        .args(["--seed", "9", "--out", data.to_str().unwrap()])
+        .status()
+        .unwrap()
+        .success());
+    assert!(kbtim()
+        .args(["build", "--data", data.to_str().unwrap(), "--out", index.to_str().unwrap()])
+        .args(["--cap", "400", "--threads", "2"])
+        .status()
+        .unwrap()
+        .success());
+    let log = index.join("delta.log");
+    let whole = format!("weight\t9\t0\t{}\nedge\t3\t7\n", 0.75f32.to_bits());
+    let attach = |command: &str| {
+        kbtim()
+            .args([command, "--index", index.to_str().unwrap(), "--data", data.to_str().unwrap()])
+            .args(["--cap", "400"])
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap()
+    };
+
+    std::fs::write(&log, format!("{whole}edge\t12")).unwrap();
+    let out = attach("validate");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("delta ok: unflushed=2"), "{stdout}");
+    assert!(stdout.contains("dropped a torn journal tail of 7 byte(s)"), "{stdout}");
+    assert_eq!(std::fs::read_to_string(&log).unwrap(), whole);
+    let out = attach("validate");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("delta ok: unflushed=2") && !stdout.contains("torn"), "{stdout}");
+
+    // Stdin at EOF: the banner, then a drain that flushes the journal.
+    std::fs::write(&log, format!("{whole}user")).unwrap();
+    let out = attach("serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("; dropped a torn journal tail of 4 byte(s))"), "{stderr}");
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn bad_arguments_fail_cleanly() {
     // Unknown command.

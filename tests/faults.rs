@@ -174,6 +174,32 @@ fn injected_engine_faults_surface_and_scratch_books_survive() {
     }
 }
 
+/// Every failpoint armed as a counting `noop`: a request's path crosses
+/// them (the books count evaluations and no fire) and no answer changes.
+#[test]
+fn counting_noops_on_every_failpoint_change_no_answer() {
+    let _section = armed_section();
+    let router = Router::single(open_engine(ServingMode::Resident));
+    let lines = [
+        r#"{"id":1,"topics":[0,1],"k":5,"algo":"rr"}"#,
+        r#"{"id":2,"topics":[0,1],"k":5,"algo":"irr"}"#,
+        r#"{"id":3,"topics":[1,2,3],"k":8}"#,
+    ];
+    let clean: Vec<String> =
+        lines.iter().map(|l| strip_elapsed(&handle_line(&router, l))).collect();
+    assert!(clean.iter().all(|r| r.contains("\"seeds\"")), "{clean:?}");
+
+    kbtim_fault::arm("*", "noop").unwrap();
+    for (line, want) in lines.iter().zip(&clean) {
+        assert_eq!(&strip_elapsed(&handle_line(&router, line)), want);
+    }
+    let books = kbtim_fault::evaluations();
+    let (evaluated, fired): (u64, u64) =
+        books.iter().fold((0, 0), |(e, f), (_, hits, fires)| (e + hits, f + fires));
+    assert!(evaluated >= lines.len() as u64, "no request crossed a failpoint: {books:?}");
+    assert_eq!(fired, 0, "{books:?}");
+}
+
 /// A keyword set whose greedy run is cached skips the lists and the
 /// greedy, not the checks: the `engine.greedy` failpoint fails a hit,
 /// and an expired deadline answers `deadline_exceeded` — never the
