@@ -37,8 +37,15 @@
 //!   greedy run: seeds are a pure function of the set and the
 //!   generation, so a set's first miss is served in place off the
 //!   window's arena and publishes the run; from then on a window asking
-//!   that set for no more seeds than the run holds skips the lists, the
-//!   count *and* the greedy — its answer is an O(k) slice of the run.
+//!   that set for no more seeds than the run holds skips the budget,
+//!   the lists, the count *and* the greedy — its answer is an O(k)
+//!   slice of the run.
+//! * **No window for a hit**: [`QueryEngine::answer_cached`] is that
+//!   slice for one request on the caller's thread — `kbtim serve`'s
+//!   admission chain calls it before anything is queued, so a repeat
+//!   wakes no worker. It books only what it answers; everything else
+//!   goes to a window, which probes again (a run may have been
+//!   published meanwhile).
 //! * **Determinism**: queries are read-only and scratch contents never
 //!   influence answers, so any interleaving of concurrent callers —
 //!   and any grouping of requests into windows — produces outcomes
@@ -53,7 +60,9 @@ use crate::rr_query;
 use crate::scratch::{self, KeywordArena, KeywordLists};
 use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome};
 use kbtim_topics::{Query, TopicId};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -187,17 +196,27 @@ struct LruEntry<V> {
     last_used: u64,
 }
 
-impl<K: std::hash::Hash + Eq + Clone, V> Lru<K, V> {
+impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     fn new() -> Lru<K, V> {
         Lru { entries: HashMap::new(), bytes: 0 }
     }
 
-    /// The value under `key`, its recency bumped to `tick`.
-    fn touch(&mut self, key: &K, tick: u64) -> Option<&V> {
+    /// The value under `key` — any borrowed form of it, so a probe by
+    /// `&[TopicId]` builds no `Vec` — its recency bumped to `tick`.
+    fn touch<Q: Hash + Eq + ?Sized>(&mut self, key: &Q, tick: u64) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
         self.entries.get_mut(key).map(|entry| {
             entry.last_used = tick;
             &entry.value
         })
+    }
+
+    /// Drop every entry.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.bytes = 0;
     }
 
     /// Drop every entry whose key fails `keep`.
@@ -242,6 +261,9 @@ impl<K: std::hash::Hash + Eq + Clone, V> Lru<K, V> {
 struct Run {
     /// The `k` the run was asked for.
     asked: u32,
+    /// The set's `φ_Q`, which scales a slice's coverage into its
+    /// influence estimate: a hit computes no Eqn-11 budget.
+    phi_q: f64,
     /// What the greedy returned for it. Only the seeds, the gains and
     /// `θ^Q` are read back; `elapsed` and `generation` belong to the
     /// request that ran it.
@@ -279,9 +301,10 @@ impl Run {
 ///   lease serves any request over that keyword for as long as the
 ///   fingerprint matches. This is the unit a *miss* reuses: a workload
 ///   has few keywords and many keyword sets.
-/// * **Keyword sets**, keyed by (segment generation ⊕ mutation
-///   generation, sorted keyword set): the deepest [`Run`] any window
-///   computed for the set, published by the miss that computed it. A
+/// * **Keyword sets**, keyed by the sorted keyword set under one live
+///   fingerprint (segment generation ⊕ mutation generation): the
+///   deepest [`Run`] any window computed for the set, published by the
+///   miss that computed it. A
 ///   probe that finds a covering run is a hit and does no work on the
 ///   lists at all; anything else — unseen, or seen too shallow — is a
 ///   miss, served in place at the window's deepest `k`, whose run then
@@ -304,10 +327,11 @@ struct MergeCache {
 }
 
 struct MergeCacheState {
-    /// Keyword sets: each one's deepest run.
-    sets: Lru<(u64, Vec<TopicId>), Arc<Run>>,
-    /// The fingerprint of the last run published: `sets` holds entries
-    /// of no other generation once a run of this one went in.
+    /// Keyword sets: each one's deepest run, all of the `live`
+    /// generation.
+    sets: Lru<Vec<TopicId>, Arc<Run>>,
+    /// The fingerprint of the last run published — the generation every
+    /// entry of `sets` belongs to.
     live: Option<u64>,
     /// Decoded keywords.
     keywords: Lru<(u64, TopicId), KeywordLists>,
@@ -333,19 +357,30 @@ impl MergeCache {
 
     /// The run that answers `k` seeds over a keyword set under a segment
     /// generation, its recency bumped (a run too shallow stays, and
-    /// stays fresh: the miss is about to deepen it). Books every probe
-    /// as a hit or a miss.
-    fn probe(&self, fingerprint: u64, topics: &[TopicId], k: u32) -> Option<Arc<Run>> {
+    /// stays fresh: the miss is about to deepen it). Books only a hit: a
+    /// miss is booked by the window that serves it ([`MergeCache::probe`]).
+    /// Allocation-free.
+    fn lookup(&self, fingerprint: u64, topics: &[TopicId], k: u32) -> Option<Arc<Run>> {
         let mut state = lock_recover(&self.state);
         state.tick += 1;
         let tick = state.tick;
-        let run = state
-            .sets
-            .touch(&(fingerprint, topics.to_vec()), tick)
-            .filter(|run| run.covers(k))
-            .cloned();
-        let book = if run.is_some() { &self.hits } else { &self.misses };
-        book.fetch_add(1, Ordering::Relaxed);
+        if state.live != Some(fingerprint) {
+            return None;
+        }
+        let run = state.sets.touch(topics, tick).filter(|run| run.covers(k)).cloned();
+        if run.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        run
+    }
+
+    /// [`MergeCache::lookup`], booking a miss too: the probe of a window,
+    /// which serves whatever it misses.
+    fn probe(&self, fingerprint: u64, topics: &[TopicId], k: u32) -> Option<Arc<Run>> {
+        let run = self.lookup(fingerprint, topics, k);
+        if run.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
         run
     }
 
@@ -359,15 +394,14 @@ impl MergeCache {
         state.tick += 1;
         let tick = state.tick;
         if state.live != Some(fingerprint) {
-            state.sets.retain(|&(held, _)| held == fingerprint);
+            state.sets.clear();
             state.live = Some(fingerprint);
         }
-        let key = (fingerprint, topics);
-        if state.sets.touch(&key, tick).is_some_and(|held| held.covers(run.asked)) {
+        if state.sets.touch(&topics, tick).is_some_and(|held| held.covers(run.asked)) {
             return;
         }
         let bytes = run.resident_bytes();
-        let evicted = state.sets.put(key, Arc::new(run), bytes, tick, self.capacity);
+        let evicted = state.sets.put(topics, Arc::new(run), bytes, tick, self.capacity);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
@@ -685,6 +719,69 @@ impl QueryEngine {
         self.run_batch(requests)
     }
 
+    /// Answer `req` on the calling thread if the prepared-query cache
+    /// holds a run of its keyword set at least `k` deep — the step of
+    /// `kbtim serve`'s admission chain that answers a repeat without a
+    /// window. `None` (nothing booked) leaves the request to a window:
+    /// cache off, set unseen at the current generation, run too
+    /// shallow, `topics` not in the canonical form [`EngineRequest::new`]
+    /// gives them, or `irr` on an RR index (the window refuses it).
+    ///
+    /// A hit already past `deadline` is refused with
+    /// [`IndexError::DeadlineExceeded`] before any failpoint, as
+    /// `kbtim serve` refuses an expired request before its window. Any
+    /// other hit runs what a window runs for one: the greedy stage's entry
+    /// (the `engine.greedy` failpoint, then `deadline`), then the
+    /// `k`-prefix of the run stamped with this call's generation and
+    /// clock — so the answer is bit-identical to [`QueryEngine::execute`],
+    /// and it counts in [`QueryEngine::executed`] and
+    /// [`QueryEngine::merge_cache_hits`], not in
+    /// [`QueryEngine::batches`]. A panic (an armed failpoint) unwinds to
+    /// the caller, as from a window.
+    pub fn answer_cached(
+        &self,
+        req: &EngineRequest,
+        deadline: Option<Instant>,
+    ) -> Option<EngineResult> {
+        let cache = self.merge_cache.as_ref()?;
+        // As in a window, `elapsed` covers the probe.
+        let started = Instant::now();
+        let snap = self.delta.as_ref().map(|d| d.snapshot());
+        if req.algo == Algo::Irr && !self.irr_available(snap.as_deref()) {
+            return None;
+        }
+        let run = cache.lookup(self.set_fingerprint(snap.as_deref()), &req.topics, req.k)?;
+        self.executed.fetch_add(1, Ordering::Relaxed);
+        let generation = snap.map(|s| s.generation());
+        // Expired before it is answered: refused as a window refuses it,
+        // ahead of any failpoint.
+        let ctx = QueryCtx { deadline };
+        Some(
+            ctx.check()
+                .and_then(|()| rr_query::enter_greedy(&ctx))
+                .map(|()| slice(&run.outcome, req.k, run.phi_q, generation, started))
+                .map_err(EngineError::from),
+        )
+    }
+
+    /// Whether `irr` requests can be served: the index — `snap`'s, with
+    /// a delta tier — is the IRR variant.
+    fn irr_available(&self, snap: Option<&DeltaSnapshot>) -> bool {
+        let variant = snap.map_or(self.index.meta().variant, |s| s.meta().variant);
+        matches!(variant, crate::format::IndexVariant::Irr { .. })
+    }
+
+    /// The keyword-set cache identity of what a window serves: the base
+    /// segment generation XOR the (mixed) delta generation — bumped by
+    /// every applied batch and every flush, so no run survives a
+    /// mutation.
+    fn set_fingerprint(&self, snap: Option<&DeltaSnapshot>) -> u64 {
+        match snap {
+            Some(s) => s.base().segment_fingerprint() ^ delta::splitmix64(s.generation()),
+            None => self.index.segment_fingerprint(),
+        }
+    }
+
     /// Execute one window: dedupe identical requests, decode the union
     /// of distinct keywords once, serve every request from the shared
     /// arena.
@@ -731,28 +828,29 @@ impl QueryEngine {
         // coverage instance depend on the topics alone, so
         // same-keyword-set requests (different `k`, different
         // algorithm) share one budget and one greedy run at the deepest
-        // `k` among them. The budget is computed once per group, right
-        // here, and threaded through to the count.
+        // `k` among them. The budget is computed once per group that
+        // misses the cache, and threaded through to the count.
         struct Group {
             members: Vec<usize>,
+            /// The keyword set, canonical (sorted, deduped) — what
+            /// requests group on, and the prepared-query cache key.
+            query: Query,
+            /// `φ_Q` and the Eqn-11 budget: the cached run's `φ_Q` on a
+            /// hit (which needs no budget), computed on a miss.
             phi_q: f64,
             budget: Vec<(TopicId, u64)>,
-            /// Canonical (sorted, deduped) keyword set — what requests
-            /// group on, and the prepared-query cache key.
-            key: Vec<TopicId>,
             /// The deepest `k` any member asks for.
             k_max: u32,
             /// A cached run at least that deep, probed before the union
-            /// decode: a hit removes the group from the decode, the
-            /// count *and* the greedy.
+            /// decode: a hit removes the group from the budget, the
+            /// decode, the count *and* the greedy.
             run: Option<Arc<Run>>,
             /// Widest member deadline (unbounded if any member is):
             /// the stop hook of the group's shared greedy run — if it
             /// fires, every member has expired.
             deadline: Option<Instant>,
         }
-        let variant = snap.as_ref().map_or(self.index.meta().variant, |s| s.meta().variant);
-        let irr_available = matches!(variant, crate::format::IndexVariant::Irr { .. });
+        let irr_available = self.irr_available(snap.as_deref());
         let mut results: Vec<Option<EngineResult>> = vec![None; unique.len()];
         let mut groups: Vec<Group> = Vec::new();
         for (at, req) in unique.iter().enumerate() {
@@ -764,7 +862,7 @@ impl QueryEngine {
                 continue;
             }
             let query = Query::new(req.topics.iter().copied(), req.k);
-            match groups.iter_mut().find(|g| g.key == query.topics()) {
+            match groups.iter_mut().find(|g| g.query.topics() == query.topics()) {
                 Some(group) => {
                     group.deadline = match (group.deadline, deadlines[at]) {
                         (None, _) | (_, None) => None,
@@ -773,34 +871,28 @@ impl QueryEngine {
                     group.k_max = group.k_max.max(req.k);
                     group.members.push(at);
                 }
-                None => {
-                    let (phi_q, budget) = match &snap {
-                        Some(s) => s.query_budget(&query),
-                        None => self.index.query_budget(&query),
-                    };
-                    groups.push(Group {
-                        members: vec![at],
-                        phi_q,
-                        budget,
-                        key: query.topics().to_vec(),
-                        k_max: req.k,
-                        run: None,
-                        deadline: deadlines[at],
-                    });
-                }
+                None => groups.push(Group {
+                    members: vec![at],
+                    query,
+                    phi_q: 0.0,
+                    budget: Vec::new(),
+                    k_max: req.k,
+                    run: None,
+                    deadline: deadlines[at],
+                }),
             }
         }
-        // Cache identity: the base segment generation XOR the (mixed)
-        // delta generation — bumped by every applied batch and every
-        // flush, so no run survives a mutation.
-        let fingerprint = match &snap {
-            Some(s) => s.base().segment_fingerprint() ^ delta::splitmix64(s.generation()),
-            None => self.index.segment_fingerprint(),
-        };
-        if let Some(cache) = &self.merge_cache {
-            for group in &mut groups {
-                group.run = cache.probe(fingerprint, &group.key, group.k_max);
-            }
+        let fingerprint = self.set_fingerprint(snap.as_deref());
+        for group in &mut groups {
+            group.run = self
+                .merge_cache
+                .as_ref()
+                .and_then(|cache| cache.probe(fingerprint, group.query.topics(), group.k_max));
+            (group.phi_q, group.budget) = match (&group.run, &snap) {
+                (Some(run), _) => (run.phi_q, Vec::new()),
+                (None, Some(s)) => s.query_budget(&group.query),
+                (None, None) => self.index.query_budget(&group.query),
+            };
         }
 
         // Union of budgeted keywords across all groups, each at the
@@ -836,7 +928,8 @@ impl QueryEngine {
             let full = match &group.run {
                 // A hit enters the greedy stage like any other request —
                 // its failpoint and the deadline check — and leaves with
-                // the cached run.
+                // the cached run, as at admission
+                // ([`QueryEngine::answer_cached`]).
                 Some(run) => match rr_query::enter_greedy(&group_ctx) {
                     Ok(()) => Arc::clone(&run.outcome),
                     Err(e) => return fail(e),
@@ -867,8 +960,12 @@ impl QueryEngine {
                     full.stats.elapsed = started.elapsed();
                     let full = Arc::new(full);
                     if let Some(cache) = &self.merge_cache {
-                        let run = Run { asked: group.k_max, outcome: Arc::clone(&full) };
-                        cache.publish(fingerprint, group.key.clone(), run);
+                        let run = Run {
+                            asked: group.k_max,
+                            phi_q: group.phi_q,
+                            outcome: Arc::clone(&full),
+                        };
+                        cache.publish(fingerprint, group.query.topics().to_vec(), run);
                     }
                     full
                 }
@@ -876,11 +973,9 @@ impl QueryEngine {
             if group.members.len() > 1 {
                 self.greedy_shared.fetch_add(group.members.len() as u64 - 1, Ordering::Relaxed);
             }
-            // Seeds are selected sequentially, so each member's answer
-            // is exactly the `k`-prefix of the deep run (see
-            // [`rr_query::prefix_outcome`]), stamped with this window's
-            // own clock and generation — never the run's. A lone member
-            // that just ran *is* the run.
+            // Each member's answer is the `k`-prefix of the deep run,
+            // stamped with this window's clock and generation
+            // ([`slice`]). A lone member that just ran *is* the run.
             group
                 .members
                 .iter()
@@ -889,11 +984,7 @@ impl QueryEngine {
                     let outcome = if group.run.is_none() && group.members.len() == 1 {
                         Arc::clone(&full)
                     } else {
-                        let mut outcome =
-                            rr_query::prefix_outcome(&full, unique[at].k, group.phi_q);
-                        outcome.stats.generation = generation;
-                        outcome.stats.elapsed = started.elapsed();
-                        Arc::new(outcome)
+                        slice(&full, unique[at].k, group.phi_q, generation, started)
                     };
                     (at, Ok(outcome))
                 })
@@ -1048,8 +1139,7 @@ impl QueryEngine {
         // from the keyword scan (the NRA itself is
         // `KbtimIndex::query_irr`): decode → count → tiered CELF in
         // place is the one disk pipeline, as in `run_batch`.
-        let variant = snap.as_ref().map_or(self.index.meta().variant, |s| s.meta().variant);
-        if req.algo == Algo::Irr && !matches!(variant, crate::format::IndexVariant::Irr { .. }) {
+        if req.algo == Algo::Irr && !self.irr_available(snap.as_deref()) {
             return Err(EngineError::from(IndexError::NotAnIrrIndex));
         }
         if let Some(snap) = snap {
@@ -1057,6 +1147,25 @@ impl QueryEngine {
         }
         Ok(Arc::new(self.index.query_rr_ctx(&query, ctx)?))
     }
+}
+
+/// The `k`-seed answer out of a keyword set's deeper run `full` —
+/// seeds are selected sequentially, so it is exactly the run's
+/// `k`-prefix ([`rr_query::prefix_outcome`]) — stamped with the
+/// answering generation and clock, never the run's. What a window and
+/// [`QueryEngine::answer_cached`] hand out for every request they do not
+/// run themselves.
+fn slice(
+    full: &QueryOutcome,
+    k: u32,
+    phi_q: f64,
+    generation: Option<u64>,
+    started: Instant,
+) -> Arc<QueryOutcome> {
+    let mut outcome = rr_query::prefix_outcome(full, k, phi_q);
+    outcome.stats.generation = generation;
+    outcome.stats.elapsed = started.elapsed();
+    Arc::new(outcome)
 }
 
 // The serving runtime's foundation: one index, one engine, any number of
@@ -1577,10 +1686,106 @@ mod tests {
         assert_eq!(engine.merge_cache_hits(), 1);
     }
 
+    /// `answer_cached` hands out what the serial reference computes, bit
+    /// for bit, at every depth a run covers — flat, on 4 shards and over
+    /// a delta tier — booking a hit and an execution but never a window;
+    /// an unseen set or a deeper `k` it leaves alone, booking nothing.
+    #[test]
+    fn answer_cached_matches_execute_at_every_depth_of_the_run() {
+        const DEPTH: u32 = 25;
+        let dir = TempDir::new("engine-answer-cached").unwrap();
+        let (data, config, flat) = build_index(dir.path());
+        let sharded_dir = TempDir::new("engine-answer-cached-sharded").unwrap();
+        let sharded_config = IndexBuildConfig { shards: 4, ..config };
+        IndexBuilder::new(&IcModel::weighted_cascade(&data.graph), &data.profiles, sharded_config)
+            .build(sharded_dir.path())
+            .unwrap();
+        let sharded = Arc::new(KbtimIndex::open(sharded_dir.path(), IoStats::new()).unwrap());
+        assert_eq!(sharded.num_shards(), 4);
+        let tier = Arc::new(
+            DeltaIndex::attach(Arc::clone(&flat), &data.graph, &data.profiles, config).unwrap(),
+        );
+        // Generation 1, so the label has something to carry.
+        tier.apply(&[crate::Mutation::IngestUser]).unwrap();
+        let engines = [
+            ("flat", QueryEngine::new(Arc::clone(&flat))),
+            ("4 shards", QueryEngine::new(sharded)),
+            ("delta", QueryEngine::new(flat).with_delta(tier)),
+        ];
+        let set = |k| EngineRequest::new([0, 1, 2], k).with_algo(Algo::Rr);
+        let books = |e: &QueryEngine| {
+            (e.merge_cache_hits(), e.merge_cache_misses(), e.executed(), e.batches())
+        };
+        for (what, engine) in engines {
+            let engine = engine.with_merge_cache(8);
+            assert!(engine.answer_cached(&set(DEPTH), None).is_none(), "{what}: unseen");
+            assert_eq!(books(&engine), (0, 0, 0, 0), "{what}: an unseen set booked");
+            let deep = engine.query(&set(DEPTH)).unwrap(); // the miss that publishes
+            assert_eq!(deep.seeds.len(), DEPTH as usize, "{what}: the fixture must not exhaust");
+            for k in 1..=DEPTH {
+                let want = engine.execute(&set(k)).unwrap();
+                let got = engine.answer_cached(&set(k), None).expect("a covering run").unwrap();
+                let what = format!("{what}, k {k}");
+                assert_same_answer(&got, &want, &what);
+                assert_eq!(
+                    (got.stats.theta_q, got.stats.rr_sets_loaded, got.stats.generation),
+                    (want.stats.theta_q, want.stats.rr_sets_loaded, want.stats.generation),
+                    "{what}"
+                );
+            }
+            let hits = DEPTH as u64;
+            assert_eq!(books(&engine), (hits, 1, 1 + hits, 1), "{what}: hits form no window");
+            for req in [set(DEPTH + 1), EngineRequest::new([3, 4], 5)] {
+                assert!(engine.answer_cached(&req, None).is_none(), "{what}: {req:?}");
+            }
+            assert_eq!(books(&engine), (hits, 1, 1 + hits, 1), "{what}: a miss was booked");
+        }
+    }
+
+    /// What a window refuses or must recompute, `answer_cached` leaves
+    /// to it without booking anything: `irr` on an RR index, a cache
+    /// that is off, and a set whose run predates a mutation.
+    #[test]
+    fn answer_cached_leaves_refusals_and_stale_runs_to_a_window() {
+        let books = |e: &QueryEngine| (e.merge_cache_hits(), e.merge_cache_misses(), e.executed());
+        let rr = EngineRequest::new([0, 1], 5).with_algo(Algo::Rr);
+        let irr = rr.clone().with_algo(Algo::Irr);
+
+        let rr_dir = TempDir::new("engine-answer-cached-rr").unwrap();
+        let engine =
+            QueryEngine::new(build_index_as(rr_dir.path(), IndexVariant::Rr).2).with_merge_cache(4);
+        engine.query(&rr).unwrap();
+        assert!(engine.answer_cached(&irr, None).is_none(), "irr on an RR index");
+        assert_eq!(books(&engine), (0, 1, 1));
+        assert!(engine.answer_cached(&rr, None).is_some(), "the set's run is there");
+        assert_eq!(books(&engine), (1, 1, 2));
+
+        let dir = TempDir::new("engine-answer-cached-stale").unwrap();
+        let (data, config, index) = build_index(dir.path());
+        let off = QueryEngine::new(Arc::clone(&index));
+        off.query(&rr).unwrap();
+        assert!(off.answer_cached(&rr, None).is_none(), "cache off");
+        assert_eq!(books(&off), (0, 0, 1));
+
+        let tier = Arc::new(
+            DeltaIndex::attach(Arc::clone(&index), &data.graph, &data.profiles, config).unwrap(),
+        );
+        let engine = QueryEngine::new(index).with_merge_cache(4).with_delta(Arc::clone(&tier));
+        engine.query(&rr).unwrap();
+        tier.apply(&[crate::Mutation::IngestUser]).unwrap();
+        assert!(engine.answer_cached(&rr, None).is_none(), "a run of generation 0");
+        assert_eq!(books(&engine), (0, 1, 1));
+        let want = engine.execute(&rr).unwrap();
+        assert_same_answer(&engine.query(&rr).unwrap(), &want, "the window recomputes it");
+        assert_same_answer(&engine.answer_cached(&rr, None).unwrap().unwrap(), &want, "then hits");
+        assert_eq!(books(&engine), (1, 2, 3));
+    }
+
     #[test]
     fn the_set_map_keeps_the_deeper_run_and_one_generation() {
         let run = |asked: u32, seeds: u32| Run {
             asked,
+            phi_q: 0.0,
             outcome: Arc::new(QueryOutcome {
                 seeds: (0..seeds).collect(),
                 marginal_gains: vec![1; seeds as usize],

@@ -3,7 +3,9 @@
 //! per-(connection × index) windows, runs each through
 //! [`execute_window`](super::execute_window), and hands the rendered
 //! responses to the transport's `deliver` hook. This is the one place a
-//! window of concurrent requests is formed.
+//! window of concurrent requests is formed. A request whose keyword
+//! set's cached run covers it never gets here: the admission chain
+//! answered it on the transport's own thread.
 //!
 //! Fairness: the queue keys work on `(connection, route)` and rotates a
 //! ring of keys, taking one request per key per pass. A client that

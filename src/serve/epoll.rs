@@ -36,7 +36,11 @@
 //! with this transport's per-connection bounds passed in; the books
 //! are the same [`ServeCtx`], so permits, deadlines, failpoint
 //! containment, and the drained stats line work unchanged across
-//! front ends.
+//! front ends. Whatever line the chain returns instead of an admitted
+//! request — a refusal, or the answer sliced from a cached greedy run —
+//! the loop queues on the connection's outbox itself: a cache hit
+//! wakes no worker and no eventfd, and may overtake the connection's
+//! earlier requests still with the workers.
 //!
 //! Connections are addressed by a **monotonic id**, never by fd: the
 //! kernel reuses fds the moment a connection closes, and a completion
@@ -472,9 +476,9 @@ mod linux {
         }
 
         /// One framed request line: admission happens here on the loop
-        /// thread (cheap, and refusals answer immediately), the
-        /// admitted request goes through the fair queue to a worker,
-        /// which writes the response.
+        /// thread (cheap, and refusals and cache hits answer
+        /// immediately), the admitted request goes through the fair
+        /// queue to a worker, which writes the response.
         fn process_line(&mut self, id: u64, line: FramedLine) {
             let Some(wire) = self.conns.get(&id).map(|conn| &conn.wire) else {
                 return;

@@ -40,14 +40,16 @@
 //! * `framer` — bounded line framing ([`read_bounded_line`] for
 //!   blocking readers, [`LineFramer`] for nonblocking chunks);
 //! * this module — requests, routing, admission/drain books
-//!   ([`ServeCtx`]), the one admission chain (`admit_line`), the one
-//!   "admitted requests in → rendered responses out" function
+//!   ([`ServeCtx`]), the one admission chain (`admit_line`, whose last
+//!   step answers a request its keyword set's cached greedy run covers
+//!   on the thread that read it, the way a refusal is answered), the
+//!   one "admitted requests in → rendered responses out" function
 //!   (`execute_window`), response rendering, and [`handle_line_ctx`]:
 //!   the two composed on the calling thread, a window of one;
 //! * `dispatch` — the one place a window is formed: admitted requests
 //!   fairly dequeued (per connection × index) by a fixed worker pool,
 //!   each window answered through `execute_window`. Every transport
-//!   feeds it;
+//!   feeds it what the admission chain did not answer;
 //! * [`threads`] — the portable blocking transports: one thread per
 //!   TCP connection, and the stdin/stdout stream;
 //! * [`epoll`] — the Linux epoll transport: one event-loop thread
@@ -75,6 +77,7 @@ pub use threads::{serve_stdio, serve_threads};
 
 use json::escape_into;
 use kbtim_index::{Algo, EngineRequest, IndexError, Mutation, QueryEngine, QueryOutcome};
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -475,6 +478,10 @@ pub struct ServeCtx {
     expired: AtomicU64,
     failed: AtomicU64,
     panicked: AtomicU64,
+    /// Queries answered by the admission chain's last step from a
+    /// cached run (whatever the answer: seeds or an error), never
+    /// queued. Each is booked in one of the books above as well.
+    answered_at_admission: AtomicU64,
 }
 
 impl ServeCtx {
@@ -491,6 +498,7 @@ impl ServeCtx {
             expired: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
+            answered_at_admission: AtomicU64::new(0),
         }
     }
 
@@ -569,12 +577,14 @@ impl ServeCtx {
     /// Final stats line for the operator log, rendered at drain.
     pub fn stats_line(&self) -> String {
         format!(
-            "served={} shed={} deadline_exceeded={} failed={} panicked={}",
+            "served={} shed={} deadline_exceeded={} failed={} panicked={} \
+             answered_at_admission={}",
             self.served.load(Ordering::SeqCst),
             self.shed.load(Ordering::SeqCst),
             self.expired.load(Ordering::SeqCst),
             self.failed.load(Ordering::SeqCst),
             self.panicked.load(Ordering::SeqCst),
+            self.answered_at_admission.load(Ordering::SeqCst),
         )
     }
 
@@ -607,6 +617,10 @@ impl ServeCtx {
     pub(crate) fn count_panicked(&self) {
         self.panicked.fetch_add(1, Ordering::SeqCst);
     }
+
+    fn count_answered_at_admission(&self) {
+        self.answered_at_admission.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 /// RAII admission slot: decrements the in-flight count on drop.
@@ -619,9 +633,12 @@ impl Drop for Permit {
     }
 }
 
+// Responses are written into their one `String` through `fmt::Write`,
+// whose `String` impl never fails — no temporary per number.
+
 fn push_id(out: &mut String, id: Option<u64>) {
     if let Some(id) = id {
-        out.push_str(&format!("\"id\":{id},"));
+        let _ = write!(out, "\"id\":{id},");
     }
 }
 
@@ -633,7 +650,7 @@ fn push_u32_array(out: &mut String, key: &str, items: impl Iterator<Item = u64>)
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&item.to_string());
+        let _ = write!(out, "{item}");
     }
     out.push(']');
 }
@@ -656,7 +673,8 @@ pub fn render_outcome(
     generation: Option<u64>,
     front_end: Option<&str>,
 ) -> String {
-    let mut out = String::with_capacity(128);
+    // The fixed fields plus room for a seed and a gain per seed.
+    let mut out = String::with_capacity(192 + 16 * outcome.seeds.len());
     out.push('{');
     push_id(&mut out, id);
     if let Some(index) = index {
@@ -664,26 +682,27 @@ pub fn render_outcome(
         escape_into(index, &mut out);
         out.push(',');
     }
-    out.push_str(&format!("\"algo\":\"{algo}\","));
+    let _ = write!(out, "\"algo\":\"{algo}\",");
     push_u32_array(&mut out, "seeds", outcome.seeds.iter().map(|&s| s as u64));
     out.push(',');
     push_u32_array(&mut out, "marginal_gains", outcome.marginal_gains.iter().copied());
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         ",\"coverage\":{},\"estimated_influence\":{:.6},\"theta_q\":{},\
          \"rr_sets_loaded\":{},\"shards\":{shards}",
         outcome.coverage,
         outcome.estimated_influence,
         outcome.stats.theta_q,
         outcome.stats.rr_sets_loaded,
-    ));
+    );
     if let Some(generation) = generation {
-        out.push_str(&format!(",\"generation\":{generation}"));
+        let _ = write!(out, ",\"generation\":{generation}");
     }
     if let Some(front_end) = front_end {
         out.push_str(",\"front_end\":");
         escape_into(front_end, &mut out);
     }
-    out.push_str(&format!(",\"elapsed_us\":{}}}", outcome.stats.elapsed.as_micros()));
+    let _ = write!(out, ",\"elapsed_us\":{}}}", outcome.stats.elapsed.as_micros());
     out
 }
 
@@ -708,7 +727,7 @@ pub fn render_mutation(
         escape_into(index, &mut out);
         out.push(',');
     }
-    out.push_str(&format!("\"op\":\"{op}\",\"generation\":{generation},\"unflushed\":{unflushed}"));
+    let _ = write!(out, "\"op\":\"{op}\",\"generation\":{generation},\"unflushed\":{unflushed}");
     if let Some(front_end) = front_end {
         out.push_str(",\"front_end\":");
         escape_into(front_end, &mut out);
@@ -773,7 +792,8 @@ pub(crate) struct Admitted {
 }
 
 /// The admission chain, from a framed line to either an admitted
-/// request or the rendered refusal to send back:
+/// request or the rendered line that already answers it — a refusal,
+/// or a cached run's answer — for the transport to send back:
 ///
 /// 1. parse (a malformed line costs no admission slot);
 /// 2. `shutting_down` if the context is draining;
@@ -784,7 +804,10 @@ pub(crate) struct Admitted {
 /// 4. `overloaded` if the in-flight count is at the bound;
 /// 5. route (`unknown_index`);
 /// 6. start the deadline clock — the request's `deadline_ms`, else the
-///    context default.
+///    context default;
+/// 7. answer a query whose keyword set has a cached run at least `k`
+///    deep right here, on the admitting thread
+///    ([`QueryEngine::answer_cached`]): no queue, no worker, no wake-up.
 pub(crate) fn admit_line(
     router: &Router,
     ctx: &ServeCtx,
@@ -823,7 +846,33 @@ pub(crate) fn admit_line(
         return Err(render_error(req.id, "unknown_index", &reason, fe));
     };
     let deadline = ctx.request_deadline(req.deadline_ms);
+    if let Some(answer) = answer_at_admission(router.engine_at(route), ctx, &req, deadline) {
+        return Err(answer);
+    }
     Ok(Admitted { route, req, deadline, _permit: permit })
+}
+
+/// Step 7 of [`admit_line`]: a query the engine's cached runs cover,
+/// answered, rendered and booked exactly as a window would — a panic
+/// (an armed failpoint) contained as `internal_error` on the admitting
+/// thread. `None` leaves the request to be queued.
+fn answer_at_admission(
+    engine: &QueryEngine,
+    ctx: &ServeCtx,
+    req: &ServeRequest,
+    deadline: Option<Instant>,
+) -> Option<String> {
+    if !matches!(req.op, ServeOp::Query) {
+        return None;
+    }
+    let result =
+        match catch_unwind(AssertUnwindSafe(|| engine.answer_cached(&req.request, deadline))) {
+            Ok(None) => return None,
+            Ok(Some(result)) => Some(result),
+            Err(_) => None,
+        };
+    ctx.count_answered_at_admission();
+    Some(render_result(engine, ctx, req, result))
 }
 
 /// The `shutting_down` refusal of a request that arrived (or was still
@@ -991,6 +1040,11 @@ mod tests {
         assert_eq!(req.request.topics, vec![0, 5]);
         assert_eq!(req.request.k, 8);
         assert_eq!(req.request.algo, Algo::Irr);
+
+        // `topics` is a set, canonical from the parse on: every spelling
+        // is one window group and one cache key, at admission too.
+        let req = ServeRequest::parse(r#"{"topics":[5,0,5],"k":8}"#).unwrap();
+        assert_eq!(req.request.topics, vec![0, 5]);
 
         // Defaults: k = 10, algo = auto, id and index omitted.
         let req = ServeRequest::parse(r#"{"topics":[2]}"#).unwrap();
@@ -1196,5 +1250,172 @@ mod tests {
         let engine = QueryEngine::new(Arc::clone(&index));
         let rendered = render_result(&engine, &ctx, &parsed, Some(engine.query(&parsed.request)));
         assert_eq!(label(&rendered), None, "{rendered}");
+    }
+
+    /// The renderer before it wrote through `fmt::Write` — `format!`
+    /// temporaries and a `to_string()` per number — kept as the oracle
+    /// of the bytes a response must keep.
+    fn render_outcome_with_temporaries(
+        id: Option<u64>,
+        index: Option<&str>,
+        algo: Algo,
+        outcome: &QueryOutcome,
+        shards: usize,
+        generation: Option<u64>,
+        front_end: Option<&str>,
+    ) -> String {
+        let push_u32_array = |out: &mut String, key: &str, items: Vec<u64>| {
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\":[");
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&item.to_string());
+            }
+            out.push(']');
+        };
+        let mut out = String::with_capacity(128);
+        out.push('{');
+        if let Some(id) = id {
+            out.push_str(&format!("\"id\":{id},"));
+        }
+        if let Some(index) = index {
+            out.push_str("\"index\":");
+            escape_into(index, &mut out);
+            out.push(',');
+        }
+        out.push_str(&format!("\"algo\":\"{algo}\","));
+        push_u32_array(&mut out, "seeds", outcome.seeds.iter().map(|&s| s as u64).collect());
+        out.push(',');
+        push_u32_array(&mut out, "marginal_gains", outcome.marginal_gains.clone());
+        out.push_str(&format!(
+            ",\"coverage\":{},\"estimated_influence\":{:.6},\"theta_q\":{},\
+             \"rr_sets_loaded\":{},\"shards\":{shards}",
+            outcome.coverage,
+            outcome.estimated_influence,
+            outcome.stats.theta_q,
+            outcome.stats.rr_sets_loaded,
+        ));
+        if let Some(generation) = generation {
+            out.push_str(&format!(",\"generation\":{generation}"));
+        }
+        if let Some(front_end) = front_end {
+            out.push_str(",\"front_end\":");
+            escape_into(front_end, &mut out);
+        }
+        out.push_str(&format!(",\"elapsed_us\":{}}}", outcome.stats.elapsed.as_micros()));
+        out
+    }
+
+    #[test]
+    fn render_outcome_writes_the_bytes_the_temporaries_wrote() {
+        let outcome = |k: u32, estimated_influence: f64| QueryOutcome {
+            seeds: (0..k).map(|i| i * 7_919 % 100_003 + u32::MAX / 2 * (i % 2)).collect(),
+            marginal_gains: (0..k as u64)
+                .map(|i| 1_000 / (i + 1) + u64::MAX / 2 * (i % 2))
+                .collect(),
+            coverage: 4_321,
+            estimated_influence,
+            stats: kbtim_index::QueryStats {
+                theta_q: 1_800,
+                rr_sets_loaded: 240,
+                elapsed: Duration::from_micros(913),
+                ..Default::default()
+            },
+        };
+        // `{:.6}` at its edges: rounding at the sixth digit both ways,
+        // signed zero, huge, and the non-finite spellings.
+        let floats =
+            [0.0, -0.0, 14.25, 1.0 / 3.0, 2.5e-7, 5e-7, 1.5e-6, 123_456_789.987_654_32, 1e300];
+        let floats = floats.into_iter().chain([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        let mut cases = 0;
+        for k in [0, 1, 25] {
+            for (algo, influence) in
+                [Algo::Rr, Algo::Irr, Algo::Auto].into_iter().cycle().zip(floats.clone())
+            {
+                let outcome = outcome(k, influence);
+                for id in [None, Some(0), Some(u64::MAX)] {
+                    for index in [None, Some("sports"), Some("a \"quoted\"\n\u{1}name")] {
+                        for generation in [None, Some(0), Some(u64::MAX)] {
+                            for front_end in [None, Some("epoll")] {
+                                let args = (id, index, algo, &outcome, 4, generation, front_end);
+                                assert_eq!(
+                                    render_outcome(
+                                        id, index, algo, &outcome, 4, generation, front_end
+                                    ),
+                                    render_outcome_with_temporaries(
+                                        id, index, algo, &outcome, 4, generation, front_end
+                                    ),
+                                    "{args:?}"
+                                );
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 3 * 12 * 3 * 3 * 3 * 2);
+    }
+
+    /// A serial stream through `handle_line_ctx` probes the keyword-set
+    /// cache once per request — at admission when a run covers it (then
+    /// it is answered there), else in the window that serves it — and
+    /// every answer is the uncached server's.
+    #[test]
+    fn every_request_is_probed_once_and_answered_as_without_a_cache() {
+        use crate::datagen::{DatasetConfig, DatasetFamily};
+        use crate::index::{IndexBuildConfig, IndexBuilder, KbtimIndex};
+        use crate::propagation::model::IcModel;
+        use crate::storage::{IoStats, TempDir};
+
+        let data =
+            DatasetConfig::family(DatasetFamily::News).num_users(200).num_topics(4).seed(5).build();
+        let dir = TempDir::new("serve-admission-books").unwrap();
+        IndexBuilder::new(
+            &IcModel::weighted_cascade(&data.graph),
+            &data.profiles,
+            IndexBuildConfig::default(),
+        )
+        .build(dir.path())
+        .unwrap();
+        let index = Arc::new(KbtimIndex::open(dir.path(), IoStats::new()).unwrap());
+        let engine = QueryEngine::new(Arc::clone(&index))
+            .with_batch_window(Some(Duration::from_micros(200)))
+            .with_merge_cache(8);
+        let cached = Router::single(Arc::new(engine));
+        let uncached = Router::single(Arc::new(QueryEngine::new(index)));
+        let ctx = ServeCtx::unlimited();
+
+        // `[2,1,0]` is spelled out of order: the parse makes it canonical,
+        // so its repeats are hits at admission like the others'.
+        const SETS: [&str; 4] = ["[0,1]", "[1,2]", "[3]", "[2,1,0]"];
+        const ALGOS: [&str; 3] = ["rr", "irr", "auto"];
+        let requests = 48;
+        for i in 0..requests {
+            let line = format!(
+                r#"{{"id":{i},"topics":{},"k":{},"algo":"{}"}}"#,
+                SETS[i * 7 % SETS.len()],
+                1 + i * 5 % 12,
+                ALGOS[i % ALGOS.len()]
+            );
+            let got = handle_line_ctx(&cached, &ctx, &line);
+            let want = handle_line(&uncached, &line);
+            let strip = |r: &str| r[..r.find(",\"elapsed_us\"").expect(r)].to_string();
+            assert_eq!(strip(&got), strip(&want), "{line}");
+        }
+        let engine = cached.engine_at(0);
+        let (hits, misses) = (engine.merge_cache_hits(), engine.merge_cache_misses());
+        assert_eq!(hits + misses, requests as u64, "one probe per request");
+        assert!(hits > 0 && misses > 0, "{hits} hits, {misses} misses");
+        // Serial: a run is published before the next line is admitted,
+        // so every hit is answered at admission and every miss is a
+        // window of its own.
+        assert_eq!(engine.batches(), misses);
+        let stats = ctx.stats_line();
+        assert!(stats.starts_with(&format!("served={requests} ")), "{stats}");
+        assert!(stats.ends_with(&format!(" answered_at_admission={hits}")), "{stats}");
     }
 }

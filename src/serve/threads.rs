@@ -3,7 +3,9 @@
 //! workspace builds on) and the stdin/stdout stream ([`serve_stdio`]).
 //!
 //! Both are the same per-stream loop: frame a line, admit it, submit
-//! it to the shared dispatcher, wait for the one reply, write it. A
+//! it to the shared dispatcher, wait for the one reply, write it — or
+//! write at once what the admission chain answered itself (a refusal,
+//! or a cached run's answer). A
 //! stream is strictly serial — a request line is read only after the
 //! previous response was written, so pipelining clients still *work*
 //! (the kernel buffers their burst) but get no concurrency within a

@@ -12,6 +12,10 @@
 //!    fault-free serial oracle (delays and retries may slow a query,
 //!    but can never change it).
 //!
+//! Each storm runs twice, cold and warmed (`assert_storm_path`), so the
+//! faults meet both the miss path through a window and the hit answered
+//! at admission.
+//!
 //! Deterministic by construction: the vendored proptest derives its
 //! case seed from the test name, and the failpoint registry draws from
 //! a seeded counter hash, so a failing run replays exactly. Each storm
@@ -137,6 +141,37 @@ fn answer_fields(response: &str) -> Vec<(String, Json)> {
         .collect()
 }
 
+/// The `answered_at_admission` book of `ctx`'s drain line.
+fn answered_at_admission(ctx: &ServeCtx) -> u64 {
+    let line = ctx.stats_line();
+    let (_, n) = line.rsplit_once(" answered_at_admission=").expect("the drain line books it");
+    n.parse().unwrap()
+}
+
+/// Each storm runs twice over one seed and one set of armed faults:
+///
+/// * **cold** — a cache of 4 over the six keyword sets, nothing warmed:
+///   requests miss and evicted sets miss again, so decode, storage,
+///   merge and (epoll) the dispatcher run under the faults;
+/// * **warmed** — a cache as large as the sets, each published
+///   fault-free first: every storm request is a hit answered at
+///   admission — on the client thread, or on the epoll loop itself —
+///   while `engine.greedy` errs or panics, and none reaches a window.
+///
+/// `misses` and `at_admission` are what the storm moved those books by.
+fn assert_storm_path(what: &str, warm: bool, misses: u64, at_admission: u64) {
+    let requests = (NUM_CLIENTS * REQUESTS_PER_CLIENT) as u64;
+    if warm {
+        assert_eq!(
+            (at_admission, misses),
+            (requests, 0),
+            "{what}: every warmed storm request is answered at admission, none misses"
+        );
+    } else {
+        assert!(misses > 0, "{what}: the cold storm must take the miss path");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, .. ProptestConfig::default() })]
 
@@ -148,15 +183,25 @@ proptest! {
     ) {
         let _storm = kbtim_fault::exclusive();
         let oracle = oracle();
-        for mode in all_modes() {
+        for (mode, warm) in all_modes().into_iter().flat_map(|m| [(m, false), (m, true)]) {
             // Build the engine fault-free (open paths have their own
             // dedicated tests); arm only once it serves.
             let index = KbtimIndex::open_with(index_dir().path(), IoStats::new(), mode).unwrap();
-            let engine = QueryEngine::new(Arc::new(index))
-                .with_batch_window(batching.then(|| Duration::from_micros(100)))
-                .with_merge_cache(4);
-            let router = Arc::new(Router::single(Arc::new(engine)));
+            let engine = Arc::new(
+                QueryEngine::new(Arc::new(index))
+                    .with_batch_window(batching.then(|| Duration::from_micros(100)))
+                    .with_merge_cache(if warm { LINES.len() } else { 4 }),
+            );
+            let router = Arc::new(Router::single(Arc::clone(&engine)));
             let ctx = Arc::new(ServeCtx::new(64, None));
+            let pass = if warm { "warmed" } else { "cold" };
+            if warm {
+                for &line in &LINES {
+                    let response = handle_line_ctx(&router, &ctx, line);
+                    prop_assert!(response.contains("\"seeds\""), "warm-up {line}: {response}");
+                }
+            }
+            let (misses, at_admission) = (engine.merge_cache_misses(), answered_at_admission(&ctx));
 
             kbtim_fault::set_seed(fault_seed);
             for pick in &picks {
@@ -187,7 +232,7 @@ proptest! {
             while finished.load(Ordering::SeqCst) < NUM_CLIENTS {
                 prop_assert!(
                     Instant::now() < deadline,
-                    "watchdog: {} of {NUM_CLIENTS} clients finished on {mode} \
+                    "watchdog: {} of {NUM_CLIENTS} clients finished on {mode}, {pass} \
                      (armed: {:?}, seed {fault_seed})",
                     finished.load(Ordering::SeqCst),
                     picks.iter().map(|p| MENU[p.index(MENU.len())]).collect::<Vec<_>>(),
@@ -202,6 +247,12 @@ proptest! {
                 responses.extend(got);
             }
             kbtim_fault::reset();
+            assert_storm_path(
+                &format!("{mode}, {pass}"),
+                warm,
+                engine.merge_cache_misses() - misses,
+                answered_at_admission(&ctx) - at_admission,
+            );
 
             let mut successes = 0usize;
             for (line, response) in &responses {
@@ -212,8 +263,8 @@ proptest! {
                     prop_assert_eq!(
                         &answer_fields(response),
                         &oracle[line],
-                        "{}: a successful answer under faults must be \
-                         bit-identical to the fault-free oracle", mode
+                        "{}, {}: a successful answer under faults must be \
+                         bit-identical to the fault-free oracle", mode, pass
                     );
                 } else {
                     let code = match json.unwrap().get("code") {
@@ -290,6 +341,40 @@ mod epoll_storm {
         fields.into_iter().filter(|(k, _)| !matches!(k.as_str(), "id" | "front_end")).collect()
     }
 
+    /// Every body once over a fresh connection, pipelined, with nothing
+    /// armed: each answer must be oracle-exact.
+    fn assert_clean_answers(
+        addr: std::net::SocketAddr,
+        oracle: &HashMap<&'static str, Vec<(String, Json)>>,
+        id_base: usize,
+        what: &str,
+    ) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(WATCHDOG)).unwrap();
+        let mut wire = String::new();
+        for (i, body) in BODIES.iter().enumerate() {
+            wire.push_str(&format!("{{\"id\":{},{body}}}\n", id_base + i));
+        }
+        stream.write_all(wire.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        for _ in 0..BODIES.len() {
+            line.clear();
+            assert_ne!(reader.read_line(&mut line).unwrap(), 0, "{what}: server closed early");
+            let response = line.trim();
+            let json = Json::parse(response).unwrap();
+            let Some(Json::Num(id)) = json.get("id") else {
+                panic!("{what}: response without echoed id: {response}");
+            };
+            let body = BODIES[*id as usize - id_base];
+            assert_eq!(
+                strip_identity(answer_fields(response)),
+                oracle[body],
+                "{what}: the epoll server must serve clean answers"
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 3, .. ProptestConfig::default() })]
 
@@ -300,138 +385,134 @@ mod epoll_storm {
             batching in any::<bool>(),
         ) {
             let _storm = kbtim_fault::exclusive();
-            let oracle = body_oracle();
+            for warm in [false, true] {
+                storm(&picks, fault_seed, batching, warm);
+            }
+        }
+    }
 
-            let index =
-                KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Mmap)
-                    .unwrap();
-            let engine = QueryEngine::new(Arc::new(index))
+    /// One storm over a fresh epoll server, cold or warmed (see
+    /// [`assert_storm_path`]).
+    fn storm(picks: &[proptest::sample::Index], fault_seed: u64, batching: bool, warm: bool) {
+        let oracle = body_oracle();
+
+        let index =
+            KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Mmap).unwrap();
+        let engine = Arc::new(
+            QueryEngine::new(Arc::new(index))
                 .with_batch_window(batching.then(|| Duration::from_micros(100)))
-                .with_merge_cache(4);
-            let router = Arc::new(Router::single(Arc::new(engine)));
-            let ctx = Arc::new(ServeCtx::new(64, None).with_front_end("epoll"));
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let server = {
-                let (router, ctx) = (Arc::clone(&router), Arc::clone(&ctx));
-                std::thread::spawn(move || {
-                    serve_epoll(listener, router, ctx, EpollConfig {
-                        workers: 2,
-                        ..EpollConfig::default()
-                    })
-                })
-            };
+                .with_merge_cache(if warm { BODIES.len() } else { 4 }),
+        );
+        let router = Arc::new(Router::single(Arc::clone(&engine)));
+        let ctx = Arc::new(ServeCtx::new(64, None).with_front_end("epoll"));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = {
+            let (router, ctx) = (Arc::clone(&router), Arc::clone(&ctx));
+            std::thread::spawn(move || {
+                serve_epoll(
+                    listener,
+                    router,
+                    ctx,
+                    EpollConfig { workers: 2, ..EpollConfig::default() },
+                )
+            })
+        };
 
-            kbtim_fault::set_seed(fault_seed);
-            for pick in &picks {
-                let (name, spec) = MENU[pick.index(MENU.len())];
-                kbtim_fault::arm(name, spec).unwrap();
-            }
+        let pass = if warm { "warmed" } else { "cold" };
+        if warm {
+            assert_clean_answers(addr, oracle, 90_000, "warm-up");
+        }
+        let (misses, at_admission) = (engine.merge_cache_misses(), answered_at_admission(&ctx));
+        kbtim_fault::set_seed(fault_seed);
+        for pick in picks {
+            let (name, spec) = MENU[pick.index(MENU.len())];
+            kbtim_fault::arm(name, spec).unwrap();
+        }
 
-            let mut clients = Vec::new();
-            for client in 0..NUM_CLIENTS {
-                clients.push(std::thread::spawn(move || {
-                    let mut stream = TcpStream::connect(addr).unwrap();
-                    // Per-read watchdog: a hang fails loudly instead of
-                    // pinning the suite.
-                    stream.set_read_timeout(Some(WATCHDOG)).unwrap();
-                    let mut want: HashMap<u64, &'static str> = HashMap::new();
-                    let mut wire = String::new();
-                    for r in 0..REQUESTS_PER_CLIENT {
-                        let id = client as u64 * 1000 + r as u64;
-                        let body = BODIES[(client + r * 3) % BODIES.len()];
-                        wire.push_str(&format!("{{\"id\":{id},{body}}}\n"));
-                        want.insert(id, body);
-                    }
-                    // The whole burst goes out before any response is
-                    // read: full pipelining under faults.
-                    stream.write_all(wire.as_bytes()).unwrap();
-                    let mut reader = BufReader::new(stream);
-                    let mut got = Vec::with_capacity(REQUESTS_PER_CLIENT);
-                    let mut line = String::new();
-                    for _ in 0..REQUESTS_PER_CLIENT {
-                        line.clear();
-                        assert_ne!(reader.read_line(&mut line).unwrap(), 0, "server closed early");
-                        let response = line.trim().to_string();
-                        let json = Json::parse(&response).expect("responses are protocol JSON");
-                        let Some(Json::Num(id)) = json.get("id") else {
-                            panic!("response without echoed id: {response}");
-                        };
-                        let body = want
-                            .remove(&(*id as u64))
-                            .expect("echoed id matches exactly one pending request");
-                        got.push((body, response));
-                    }
-                    assert!(want.is_empty(), "every request answered exactly once");
-                    got
-                }));
-            }
-
-            let mut responses = Vec::new();
-            for client in clients {
-                let got = client.join().expect("client threads never die");
-                prop_assert_eq!(got.len(), REQUESTS_PER_CLIENT);
-                responses.extend(got);
-            }
-            kbtim_fault::reset();
-
-            for (body, response) in &responses {
-                let json = Json::parse(response).unwrap();
-                prop_assert!(
-                    matches!(json.get("front_end"), Some(Json::Str(s)) if s == "epoll"),
-                    "every epoll response is tagged: {}", response
-                );
-                if response.contains("\"seeds\"") {
-                    prop_assert_eq!(
-                        &strip_identity(answer_fields(response)),
-                        &oracle[body],
-                        "a successful pipelined answer under faults must be \
-                         bit-identical to the fault-free oracle"
-                    );
-                } else {
-                    let code = match json.get("code") {
-                        Some(Json::Str(code)) => code.clone(),
-                        other => panic!("error without code: {other:?}"),
-                    };
-                    prop_assert!(
-                        DOCUMENTED_CODES.contains(&code.as_str()),
-                        "undocumented error code {}", code
-                    );
+        let mut clients = Vec::new();
+        for client in 0..NUM_CLIENTS {
+            clients.push(std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                // Per-read watchdog: a hang fails loudly instead of
+                // pinning the suite.
+                stream.set_read_timeout(Some(WATCHDOG)).unwrap();
+                let mut want: HashMap<u64, &'static str> = HashMap::new();
+                let mut wire = String::new();
+                for r in 0..REQUESTS_PER_CLIENT {
+                    let id = client as u64 * 1000 + r as u64;
+                    let body = BODIES[(client + r * 3) % BODIES.len()];
+                    wire.push_str(&format!("{{\"id\":{id},{body}}}\n"));
+                    want.insert(id, body);
                 }
-            }
+                // The whole burst goes out before any response is
+                // read: full pipelining under faults.
+                stream.write_all(wire.as_bytes()).unwrap();
+                let mut reader = BufReader::new(stream);
+                let mut got = Vec::with_capacity(REQUESTS_PER_CLIENT);
+                let mut line = String::new();
+                for _ in 0..REQUESTS_PER_CLIENT {
+                    line.clear();
+                    assert_ne!(reader.read_line(&mut line).unwrap(), 0, "server closed early");
+                    let response = line.trim().to_string();
+                    let json = Json::parse(&response).expect("responses are protocol JSON");
+                    let Some(Json::Num(id)) = json.get("id") else {
+                        panic!("response without echoed id: {response}");
+                    };
+                    let body = want
+                        .remove(&(*id as u64))
+                        .expect("echoed id matches exactly one pending request");
+                    got.push((body, response));
+                }
+                assert!(want.is_empty(), "every request answered exactly once");
+                got
+            }));
+        }
 
-            // The server outlives the storm: a fresh connection,
-            // disarmed, gets oracle-exact answers for every body.
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.set_read_timeout(Some(WATCHDOG)).unwrap();
-            let mut wire = String::new();
-            for (i, body) in BODIES.iter().enumerate() {
-                wire.push_str(&format!("{{\"id\":{},{body}}}\n", 90_000 + i));
-            }
-            stream.write_all(wire.as_bytes()).unwrap();
-            let mut reader = BufReader::new(stream);
-            let mut clean = 0;
-            let mut line = String::new();
-            for _ in 0..BODIES.len() {
-                line.clear();
-                assert_ne!(reader.read_line(&mut line).unwrap(), 0, "server closed early");
-                let response = line.trim();
-                let json = Json::parse(response).unwrap();
-                let Some(Json::Num(id)) = json.get("id") else {
-                    panic!("response without echoed id: {response}");
-                };
-                let body = BODIES[*id as usize - 90_000];
-                prop_assert_eq!(
+        let mut responses = Vec::new();
+        for client in clients {
+            let got = client.join().expect("client threads never die");
+            assert_eq!(got.len(), REQUESTS_PER_CLIENT);
+            responses.extend(got);
+        }
+        kbtim_fault::reset();
+        assert_storm_path(
+            &format!("epoll, {pass}"),
+            warm,
+            engine.merge_cache_misses() - misses,
+            answered_at_admission(&ctx) - at_admission,
+        );
+
+        for (body, response) in &responses {
+            let json = Json::parse(response).unwrap();
+            assert!(
+                matches!(json.get("front_end"), Some(Json::Str(s)) if s == "epoll"),
+                "every epoll response is tagged: {response}"
+            );
+            if response.contains("\"seeds\"") {
+                assert_eq!(
                     &strip_identity(answer_fields(response)),
                     &oracle[body],
-                    "the epoll server must serve clean answers after the storm"
+                    "{pass}: a successful pipelined answer under faults must be \
+                     bit-identical to the fault-free oracle"
                 );
-                clean += 1;
+            } else {
+                let code = match json.get("code") {
+                    Some(Json::Str(code)) => code.clone(),
+                    other => panic!("error without code: {other:?}"),
+                };
+                assert!(
+                    DOCUMENTED_CODES.contains(&code.as_str()),
+                    "undocumented error code {code}"
+                );
             }
-            prop_assert_eq!(clean, BODIES.len());
-
-            ctx.begin_shutdown();
-            server.join().expect("serve loop thread").expect("serve loop exits cleanly");
         }
+
+        // The server outlives the storm: a fresh connection,
+        // disarmed, gets oracle-exact answers for every body.
+        assert_clean_answers(addr, oracle, 91_000, "after the storm");
+
+        ctx.begin_shutdown();
+        server.join().expect("serve loop thread").expect("serve loop exits cleanly");
     }
 }

@@ -159,10 +159,14 @@ fn serve_answers_line_protocol_requests() {
     // The banner says what the number bounds, and the drain line carries
     // the cache's books: the stream is serial, so request 1 missed,
     // decoded both keywords and published its run; requests 2 and 6
-    // (same keyword set, same depth) are slices of that run.
+    // (same keyword set, same depth) are slices of that run, answered
+    // by the admission chain itself.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("(8 keyword sets + 8 decoded keywords)"), "{stderr}");
-    assert!(stderr.contains("panicked=0 set_hits=2 set_misses=1 set_bytes="), "{stderr}");
+    assert!(
+        stderr.contains("panicked=0 answered_at_admission=2 set_hits=2 set_misses=1 set_bytes="),
+        "{stderr}"
+    );
     assert!(stderr.contains(" keywords_decoded=2 keywords_resident=2 keyword_bytes="), "{stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
@@ -604,7 +608,8 @@ fn serve_overload_deadline_and_line_cap() {
     assert!(lines[1].contains("\"seeds\""), "contained, budget spent: {}", lines[1]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("drained (served=1 shed=0"), "{stderr}");
-    assert!(stderr.contains("panicked=1"), "{stderr}");
+    // No cache: nothing is answered at admission.
+    assert!(stderr.contains("panicked=1 answered_at_admission=0 "), "{stderr}");
 
     std::fs::remove_dir_all(&root).ok();
 }
@@ -683,6 +688,7 @@ fn serve_tcp_drains_gracefully_on_stdin_eof() {
     let mut rest = String::new();
     stderr.read_to_string(&mut rest).unwrap();
     assert!(rest.contains("drained (served=6"), "final stats after 6 requests: {rest}");
+    assert!(rest.contains(" answered_at_admission=0 "), "no cache, every request queued: {rest}");
 
     std::fs::remove_dir_all(&root).ok();
 }

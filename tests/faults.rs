@@ -17,6 +17,7 @@ use kbtim::propagation::model::IcModel;
 use kbtim::serve::{handle_line, handle_line_ctx, Json, Router, ServeCtx};
 use kbtim::storage::segment::{SegmentReader, SegmentWriter};
 use kbtim::storage::{BlockSource, IoStats, TempDir};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -240,6 +241,61 @@ fn a_cached_run_still_passes_the_failpoint_and_the_deadline() {
     // Neither failure touched the run: the next request is a hit again.
     same(&engine.query(&req).unwrap(), "after the failures");
     assert_eq!(books(&engine), (4, 1));
+}
+
+/// A warmed keyword set is answered by the admission chain, on the
+/// thread that read the line — which contains there what a window
+/// contains: a panicking hit answers `internal_error` and the next line
+/// is still answered, an erring one `engine_error`, an expired one
+/// `deadline_exceeded` — armed or not, as a window refuses an expired
+/// request before any failpoint — each booked exactly once and none
+/// queued.
+#[test]
+fn a_hit_answered_at_admission_contains_its_faults() {
+    let _section = armed_section();
+    let index =
+        KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Resident).unwrap();
+    let engine = Arc::new(QueryEngine::new(Arc::new(index)).with_merge_cache(4));
+    let router = Router::single(Arc::clone(&engine));
+    let ctx = ServeCtx::unlimited();
+    let line = r#"{"id":1,"topics":[0,1],"k":5}"#;
+    let baseline = strip_elapsed(&handle_line_ctx(&router, &ctx, line)); // publishes the run
+    assert!(baseline.contains("\"seeds\""), "{baseline}");
+    let books = |ctx: &ServeCtx| -> HashMap<String, u64> {
+        let line = ctx.stats_line();
+        line.split(' ')
+            .filter_map(|book| book.split_once('='))
+            .map(|(name, n)| (name.to_string(), n.parse().unwrap()))
+            .collect()
+    };
+    let expired = r#"{"id":1,"topics":[0,1],"k":5,"deadline_ms":0}"#;
+    // (armed spec, request, answer code, the book it moves)
+    let cases = [
+        (Some("1*panic"), line, "internal_error", "panicked"),
+        (Some("1*err"), line, "engine_error", "failed"),
+        (None, expired, "deadline_exceeded", "deadline_exceeded"),
+        (Some("1*panic"), expired, "deadline_exceeded", "deadline_exceeded"),
+        (Some("1*err"), expired, "deadline_exceeded", "deadline_exceeded"),
+    ];
+    for (spec, request, code, book) in cases {
+        if let Some(spec) = spec {
+            kbtim_fault::arm("engine.greedy", spec).unwrap();
+        }
+        let before = books(&ctx);
+        let (hits, batches) = (engine.merge_cache_hits(), engine.batches());
+        let response = handle_line_ctx(&router, &ctx, request);
+        assert!(response.contains(&format!("\"code\":\"{code}\"")), "{code}: {response}");
+        assert!(response.contains("\"id\":1"), "{response}");
+        for (name, n) in books(&ctx) {
+            let moved = u64::from(name == book || name == "answered_at_admission");
+            assert_eq!(n - before[&name], moved, "{code}: book {name}");
+        }
+        assert_eq!((engine.merge_cache_hits(), engine.batches()), (hits + 1, batches), "{code}");
+        // An expired request never reached the failpoint it armed.
+        kbtim_fault::disarm("engine.greedy");
+        // The loop — here, this thread — keeps answering from the run.
+        assert_eq!(strip_elapsed(&handle_line_ctx(&router, &ctx, line)), baseline, "after {code}");
+    }
 }
 
 #[test]

@@ -103,13 +103,15 @@ struct Server {
 }
 
 impl Server {
-    /// Start an in-process epoll server over the shared fixture.
-    fn start(batching: bool, cfg: EpollConfig) -> Server {
+    /// Start an in-process epoll server over the shared fixture, with
+    /// or without a prepared-query cache (`--merge-cache 8` or 0).
+    fn start(batching: bool, cache: bool, cfg: EpollConfig) -> Server {
         let index =
             KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Mmap).unwrap();
         let engine = Arc::new(
             QueryEngine::new(Arc::new(index))
-                .with_batch_window(batching.then(|| Duration::from_micros(100))),
+                .with_batch_window(batching.then(|| Duration::from_micros(100)))
+                .with_merge_cache(if cache { 8 } else { 0 }),
         );
         let router = Arc::new(Router::single(Arc::clone(&engine)));
         let ctx = Arc::new(ServeCtx::new(1024, None).with_front_end("epoll"));
@@ -177,15 +179,19 @@ proptest! {
 
     /// Several connections, each with many requests in flight, written
     /// in randomly torn chunks; every response matched by id and
-    /// bit-identical to the serial oracle, batching on or off.
+    /// bit-identical to the serial oracle, batching on or off. With the
+    /// cache on, a repeat is answered by the loop at admission while
+    /// the connection's earlier requests are still with the workers:
+    /// the two kinds of answer interleave on one connection.
     #[test]
     fn pipelined_responses_match_ids_and_oracle(
         per_conn in proptest::collection::vec(
             proptest::collection::vec(any::<usize>(), 1..24), 1..4),
         chunk in 1usize..64,
         batching in any::<bool>(),
+        cache in any::<bool>(),
     ) {
-        let server = Server::start(batching, EpollConfig {
+        let server = Server::start(batching, cache, EpollConfig {
             workers: 2,
             ..EpollConfig::default()
         });
@@ -213,6 +219,7 @@ fn thousands_of_idle_connections_do_not_starve_active_clients() {
     const IDLE: usize = 4096;
     let server = Server::start(
         true,
+        false,
         EpollConfig { max_conns: IDLE + 64, workers: 2, ..EpollConfig::default() },
     );
 
@@ -239,12 +246,28 @@ fn thousands_of_idle_connections_do_not_starve_active_clients() {
 /// as the client drains. Every request is still answered exactly once,
 /// by id, with either the oracle answer or an `overloaded` shed; if
 /// the `EPOLLIN` re-arm were broken the reads below would time out.
+/// Once more over a warmed cache, where the loop answers the burst
+/// itself and fills the outbox as it reads.
 #[test]
 fn outbox_cap_pauses_reads_and_resumes_as_client_drains() {
+    for cache in [false, true] {
+        outbox_cap_holds(cache);
+    }
+}
+
+fn outbox_cap_holds(cache: bool) {
     const N: usize = 2000; // burst comfortably larger than one 64 KiB read chunk
-    let server =
-        Server::start(false, EpollConfig { workers: 2, outbox_cap: 512, ..EpollConfig::default() });
+    let server = Server::start(
+        false,
+        cache,
+        EpollConfig { workers: 2, outbox_cap: 512, ..EpollConfig::default() },
+    );
     let oracle = oracle();
+    if cache {
+        // Each body once: every set's run is resident before the burst.
+        run_client(server.addr, &(0..BODIES.len()).collect::<Vec<_>>(), usize::MAX, 900_000);
+    }
+    let warmed = (server.ctx.served(), server.ctx.shed());
     let stream = TcpStream::connect(server.addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
 
@@ -287,9 +310,9 @@ fn outbox_cap_pauses_reads_and_resumes_as_client_drains() {
         }
     }
     writer.join().expect("writer thread");
-    let (served, shed) = (server.ctx.served(), server.ctx.shed());
+    let (served, shed) = (server.ctx.served() - warmed.0, server.ctx.shed() - warmed.1);
     server.shutdown();
-    assert_eq!(served + shed, N as u64, "every request served or shed exactly once");
+    assert_eq!(served + shed, N as u64, "cache {cache}: every request served or shed exactly once");
 }
 
 /// A pipelined burst the loop reads in one pass reaches the workers
@@ -297,11 +320,24 @@ fn outbox_cap_pauses_reads_and_resumes_as_client_drains() {
 /// over one by one, the first request woke the worker and ran alone.)
 #[test]
 fn a_burst_read_in_one_pass_is_one_window() {
-    let server = Server::start(true, EpollConfig { workers: 1, ..EpollConfig::default() });
+    let server = Server::start(true, false, EpollConfig { workers: 1, ..EpollConfig::default() });
     let picks: Vec<usize> = (0..8).collect();
     run_client(server.addr, &picks, usize::MAX, 700_000);
     assert_eq!(server.engine.batched_requests(), 8);
     assert_eq!(server.engine.batches(), 1, "one read, one hand-over, one window");
+    server.shutdown();
+}
+
+/// A burst over a keyword set whose run is cached never reaches a
+/// worker: the loop answers all eight at admission, so no window forms.
+#[test]
+fn a_burst_over_a_warmed_set_is_answered_by_the_loop() {
+    let server = Server::start(true, true, EpollConfig { workers: 1, ..EpollConfig::default() });
+    run_client(server.addr, &[0], usize::MAX, 600_000); // the miss that publishes
+    let (batches, hits) = (server.engine.batches(), server.engine.merge_cache_hits());
+    run_client(server.addr, &[0; 8], usize::MAX, 610_000);
+    assert_eq!(server.engine.batches(), batches, "a hit formed a window");
+    assert_eq!(server.engine.merge_cache_hits(), hits + 8);
     server.shutdown();
 }
 
@@ -310,7 +346,7 @@ fn a_burst_read_in_one_pass_is_one_window() {
 /// served/shed books add up.
 #[test]
 fn drain_answers_inflight_pipeline_before_exit() {
-    let server = Server::start(false, EpollConfig { workers: 1, ..EpollConfig::default() });
+    let server = Server::start(false, false, EpollConfig { workers: 1, ..EpollConfig::default() });
     let picks: Vec<usize> = (0..8).collect();
     run_client(server.addr, &picks, 9, 900_000);
     let served = server.ctx.served();

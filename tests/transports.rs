@@ -2,11 +2,12 @@
 //! thread-per-connection front end feeds the same dispatcher as the
 //! epoll loop (whose gate is `tests/pipeline.rs`), so requests from
 //! different connections share windows — and keyword decodes — on a
-//! bounded worker pool, and a drain answers what was queued.
+//! bounded worker pool, and a drain answers what was queued. A repeat
+//! whose keyword set's cached run covers it never reaches a window.
 //!
-//! Both tests wedge the one worker inside a window with an armed
-//! `engine.decode` delay, so that the other connections' requests are
-//! queued behind it when it finishes; the failpoint registry is
+//! The two window tests wedge the one worker inside a window with an
+//! armed `engine.decode` delay, so that the other connections' requests
+//! are queued behind it when it finishes; the failpoint registry is
 //! process-global, so each holds the exclusive `kbtim_fault` lease.
 
 use kbtim::core::theta::SamplingConfig;
@@ -95,7 +96,10 @@ struct Server {
 
 /// An in-process `threads` server with a single dispatcher worker.
 fn start() -> Server {
-    let engine = open_engine();
+    serve(open_engine())
+}
+
+fn serve(engine: Arc<QueryEngine>) -> Server {
     let router = Arc::new(Router::single(Arc::clone(&engine)));
     let ctx = Arc::new(ServeCtx::new(1024, None).with_front_end("threads"));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -170,6 +174,44 @@ fn threads_connections_share_windows_on_one_worker() {
     server.ctx.begin_shutdown();
     server.handle.join().expect("serve thread").expect("serve loop exits");
     assert_eq!((server.ctx.served(), server.ctx.inflight()), (CONNS as u64, 0));
+}
+
+/// A repeat whose keyword set has a cached run is answered by the
+/// connection's own thread at admission: the first request forms the
+/// one window, the second never reaches the dispatcher.
+#[test]
+fn threads_answer_a_repeat_without_a_window() {
+    let _lease = kbtim_fault::shared();
+    let engine = Arc::new(
+        KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::File)
+            .map(|index| QueryEngine::new(Arc::new(index)).with_merge_cache(4))
+            .unwrap(),
+    );
+    let server = serve(Arc::clone(&engine));
+    let stream = TcpStream::connect(server.addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut answers = Vec::new();
+    for id in 0..2 {
+        writeln!(writer, r#"{{"id":{id},{}}}"#, body(0)).unwrap();
+        let answered = read_line(&mut reader);
+        assert!(answered.contains(&format!("\"id\":{id},")), "{answered}");
+        answers.push(answer_fields(&answered));
+    }
+    assert_eq!(answers[0], answers[1], "the hit is the miss's answer");
+    assert_no_more(reader);
+    assert_eq!(
+        (engine.batches(), engine.merge_cache_hits(), engine.merge_cache_misses()),
+        (1, 1, 1)
+    );
+
+    server.ctx.begin_shutdown();
+    server.handle.join().expect("serve thread").expect("serve loop exits");
+    assert!(
+        server.ctx.stats_line().contains(" answered_at_admission=1"),
+        "{}",
+        server.ctx.stats_line()
+    );
 }
 
 #[test]
