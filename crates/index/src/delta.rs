@@ -440,7 +440,8 @@ impl DeltaIndex {
         }
 
         // Committed: reopen the fresh generation as the new base and
-        // republish with an empty overlay.
+        // republish with an empty overlay. It opens in the mode the old
+        // base serves from, so a base whose mappings degraded stays `file`.
         let new_base = KbtimIndex::open_shared(
             &self.root,
             prev.base.io_stats().clone(),

@@ -29,9 +29,9 @@
 //! paths share tie-breaking and produce identical seed sequences.
 //!
 //! All reads go through checksummed [`kbtim_storage`] segments served by
-//! a [`kbtim_storage::BlockSource`] — positioned file reads, a resident
-//! page arena, or an mmap mapping, selected per open via
-//! [`ServingMode`] — with counted I/O either way; every query returns a
+//! a [`kbtim_storage::BlockSource`] — positioned file reads or an mmap
+//! mapping, selected per open via [`ServingMode`] — with counted I/O
+//! either way; every query returns a
 //! [`QueryStats`] with the RR-sets-loaded and I/O numbers behind the
 //! paper's Figures 5–7 and Table 6 (zero-copy accesses count as
 //! `cache_hits`/`bytes_served`, never as reads). Per-query allocations
@@ -284,7 +284,7 @@ impl KbtimIndex {
         stats: IoStats,
         mode: ServingMode,
     ) -> Result<KbtimIndex, IndexError> {
-        KbtimIndex::open_inner(dir.as_ref(), stats, mode, None)
+        KbtimIndex::open_inner(dir.as_ref(), stats, mode, &kbtim_storage::PageCache::new())
     }
 
     /// [`KbtimIndex::open_with`] through a [`kbtim_storage::PageCache`]:
@@ -300,14 +300,14 @@ impl KbtimIndex {
         mode: ServingMode,
         cache: &kbtim_storage::PageCache,
     ) -> Result<KbtimIndex, IndexError> {
-        KbtimIndex::open_inner(dir.as_ref(), stats, mode, Some(cache))
+        KbtimIndex::open_inner(dir.as_ref(), stats, mode, cache)
     }
 
     fn open_inner(
         dir: &Path,
         stats: IoStats,
         mode: ServingMode,
-        cache: Option<&kbtim_storage::PageCache>,
+        cache: &kbtim_storage::PageCache,
     ) -> Result<KbtimIndex, IndexError> {
         let root = dir.to_path_buf();
         // Generation layout: a `CURRENT` file names the live `gen-<N>`
@@ -364,14 +364,17 @@ impl KbtimIndex {
                     sources.push(None);
                 } else {
                     let path = shard_dir.join(format::keyword_file_name(kw.topic));
-                    sources.push(Some(match cache {
-                        Some(cache) => BlockSource::open_shared(path, stats.clone(), mode, cache)?,
-                        None => BlockSource::open(path, stats.clone(), mode)?,
-                    }));
+                    sources.push(Some(BlockSource::open_shared(path, stats.clone(), mode, cache)?));
                 }
             }
             shards.push(Shard { lo, hi, sources });
         }
+        // A mapping that degraded opened as `file`: report what serves.
+        let degraded = shards
+            .iter()
+            .flat_map(|shard| shard.sources.iter().flatten())
+            .any(|source| source.mode() == ServingMode::File);
+        let mode = if degraded { ServingMode::File } else { mode };
         // Capture segment identity while opening — the same
         // (path, length, mtime) triple the storage PageCache keys loaded
         // pages by — so prepared-query caches can bind entries to the
@@ -453,13 +456,14 @@ impl KbtimIndex {
         self.shards.len()
     }
 
-    /// The serving backend this index was opened with.
+    /// The serving backend this index serves from: the one it was opened
+    /// with, or `File` when any keyword segment's mapping degraded.
     pub fn serving_mode(&self) -> ServingMode {
         self.mode
     }
 
     /// Segment bytes held resident by the serving tier (0 for the file
-    /// backend; the page arenas/mappings otherwise), across all shards.
+    /// backend; the mappings otherwise), across all shards.
     pub fn resident_bytes(&self) -> u64 {
         self.shards
             .iter()

@@ -3,37 +3,37 @@
 //! The paper charges every query for the bytes and positioned reads it
 //! performs (Table 6, Figures 5–7), which the positioned-file
 //! [`SegmentReader`] models faithfully — but a production serving tier
-//! wants the opposite trade: segments that are already resident should
-//! hand out **borrowed `&[u8]` views** of their pages instead of copying
-//! every block into a fresh allocation. [`BlockSource`] is that seam. It
-//! exposes the same named-block/range API as [`SegmentReader`] over three
-//! backends selected by [`ServingMode`]:
+//! wants the opposite trade: segments whose pages the kernel already
+//! caches should hand out **borrowed `&[u8]` views** of them instead of
+//! copying every block into a fresh allocation. [`BlockSource`] is that
+//! seam. It exposes the same named-block/range API as [`SegmentReader`]
+//! over two backends selected by [`ServingMode`]:
 //!
-//! * [`ServingMode::File`] — the existing positioned-read path: every
-//!   access copies into a buffer and is counted as read ops/bytes/seeks.
-//!   The faithful-measurement backend.
-//! * [`ServingMode::Resident`] — the segment is loaded **once** into a
-//!   shared page arena at open; block and range views borrow from it.
-//!   Accesses are counted as `cache_hits`/`bytes_served`, never as reads.
-//! * [`ServingMode::Mmap`] — like `Resident`, but the arena is a
-//!   read-only `mmap(2)` of the file (Linux; other platforms silently
-//!   fall back to `Resident`). Pages are shared with the kernel cache,
-//!   so a disk index and an in-memory serving copy cost the bytes once.
+//! * [`ServingMode::File`] — the positioned-read path: every access
+//!   copies into a buffer and is counted as read ops/bytes/seeks. The
+//!   faithful-measurement backend.
+//! * [`ServingMode::Mmap`] — a read-only `mmap(2)` of the file (Linux);
+//!   block and range views borrow from the mapping, and accesses are
+//!   counted as `cache_hits`/`bytes_served`, never as reads. Pages are
+//!   shared with the kernel cache, so a disk index and its serving copy
+//!   cost the bytes once. Where the mapping is unavailable (off Linux, or
+//!   a refused `mmap`) the open degrades to `File`.
 //!
 //! Integrity: the `File` backend verifies a block's CRC on every
-//! `read_block`, exactly as before. The zero-copy backends verify each
-//! block's CRC **once, on first access** (block *or* range — range reads
-//! are therefore checksummed here, which the file backend cannot do), and
-//! remember the verification in an atomic flag; a flipped byte anywhere
-//! in a block's payload is rejected on every backend before any caller
-//! decodes it.
+//! `read_block`. The `Mmap` backend verifies each block's CRC **once, on
+//! first access** (block *or* range — range reads are therefore
+//! checksummed here, which the file backend cannot do), and remembers the
+//! verification in an atomic flag; a flipped byte anywhere in a block's
+//! payload is rejected on both backends before any caller decodes it.
+//! Segments are published by rename ([`crate::segment::SegmentWriter`]),
+//! so a live mapping never sees its file rewritten under a verified flag.
 
 use crate::cache::PageCache;
+use crate::mmap::{MmapAdvice, MmapRegion};
 use crate::segment::{parse_segment_slice, BlockEntry, BlockInfo, SegmentReader};
 use crate::segment::{Result, StorageError};
 use crate::{crc32, IoStats};
 use std::fs::File;
-use std::io::Read;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,19 +45,16 @@ pub enum ServingMode {
     /// Positioned, counted, copying file reads (the measurement backend).
     #[default]
     File,
-    /// Whole segment loaded once into a heap page arena; zero-copy views.
-    Resident,
-    /// Read-only memory mapping (Linux); falls back to `Resident` where
-    /// the shim is unavailable.
+    /// Read-only memory mapping (Linux); degrades to `File` where the
+    /// mapping is unavailable.
     Mmap,
 }
 
 impl ServingMode {
-    /// Parse the CLI spelling (`file` / `resident` / `mmap`).
+    /// Parse the CLI spelling (`file` / `mmap`).
     pub fn parse(s: &str) -> Option<ServingMode> {
         match s {
             "file" => Some(ServingMode::File),
-            "resident" => Some(ServingMode::Resident),
             "mmap" => Some(ServingMode::Mmap),
             _ => None,
         }
@@ -67,7 +64,6 @@ impl ServingMode {
     pub fn name(&self) -> &'static str {
         match self {
             ServingMode::File => "file",
-            ServingMode::Resident => "resident",
             ServingMode::Mmap => "mmap",
         }
     }
@@ -80,7 +76,7 @@ impl std::fmt::Display for ServingMode {
 }
 
 /// A block or range view returned by [`BlockSource`]: borrowed straight
-/// from the page arena on zero-copy backends, owned on the file backend.
+/// from the mapping on the mmap backend, owned on the file backend.
 ///
 /// Dereferences to `[u8]`; decoders take `&[u8]` and never know which
 /// backend produced the bytes.
@@ -88,7 +84,7 @@ impl std::fmt::Display for ServingMode {
 pub enum BlockView<'a> {
     /// Bytes copied out of the file by a positioned read.
     Owned(Vec<u8>),
-    /// Bytes borrowed from the source's resident/mapped pages.
+    /// Bytes borrowed from the source's mapped pages.
     Borrowed(&'a [u8]),
 }
 
@@ -109,38 +105,18 @@ impl AsRef<[u8]> for BlockView<'_> {
     }
 }
 
-/// The pages a zero-copy segment serves from.
-enum Backing {
-    /// Segment bytes read once onto the heap.
-    Heap(Vec<u8>),
-    /// Read-only kernel mapping of the segment file.
-    #[cfg(target_os = "linux")]
-    Map(crate::mmap::MmapRegion),
-}
-
-impl Backing {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Backing::Heap(bytes) => bytes,
-            #[cfg(target_os = "linux")]
-            Backing::Map(region) => region.as_slice(),
-        }
-    }
-}
-
-/// The shareable core of a resident/mapped segment: one page arena, the
-/// parsed directory and the per-block first-access CRC verification
-/// flags.
+/// The shareable core of a mapped segment: one mapping, the parsed
+/// directory and the per-block first-access CRC verification flags.
 ///
 /// This is the unit a [`PageCache`] dedupes — N handles of one segment
-/// hold `Arc`s to a single `SegmentPages`, so the bytes (and the
+/// hold `Arc`s to a single `SegmentPages`, so the mapping (and the
 /// verification work) exist once per process while per-handle state
-/// ([`IoStats`], serving mode) stays with each [`BlockSource`]. Sharing
-/// the `verified` flags is sound because they describe the bytes, not
-/// the handle: a block verified through one handle *is* verified for
-/// every other handle of the same pages.
+/// ([`IoStats`]) stays with each [`BlockSource`]. Sharing the `verified`
+/// flags is sound because they describe the bytes, not the handle: a
+/// block verified through one handle *is* verified for every other
+/// handle of the same pages.
 pub(crate) struct SegmentPages {
-    backing: Backing,
+    region: MmapRegion,
     entries: Vec<BlockEntry>,
     /// `verified[i]` — block `i`'s payload CRC has been checked against
     /// the directory. Relaxed ordering suffices: re-verifying a block on
@@ -149,53 +125,28 @@ pub(crate) struct SegmentPages {
 }
 
 impl SegmentPages {
-    /// Load (or map) the whole segment at `path` for the given zero-copy
-    /// mode.
-    pub(crate) fn load(path: &Path, mode: ServingMode) -> Result<SegmentPages> {
+    /// Map the whole segment at `path`.
+    pub(crate) fn load(path: &Path) -> Result<SegmentPages> {
         if kbtim_fault::inject("storage.open") {
             return Err(crate::segment::injected_io("storage.open"));
         }
-        let backing = match mode {
-            ServingMode::Resident => {
-                let mut file = File::open(path)?;
-                let mut bytes = Vec::new();
-                file.read_to_end(&mut bytes)?;
-                Backing::Heap(bytes)
-            }
-            ServingMode::Mmap => {
-                if kbtim_fault::inject("storage.map") {
-                    return Err(crate::segment::injected_io("storage.map"));
-                }
-                #[cfg(target_os = "linux")]
-                {
-                    let file = File::open(path)?;
-                    let region = crate::mmap::MmapRegion::map(&file)?;
-                    // Queries will touch this mapping soon (start
-                    // readahead now) and then access blocks/ranges in
-                    // effectively random order (stop speculative
-                    // readahead afterwards). Both are best-effort hints.
-                    region.advise(crate::mmap::MmapAdvice::WillNeed);
-                    region.advise(crate::mmap::MmapAdvice::Random);
-                    Backing::Map(region)
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    let mut file = File::open(path)?;
-                    let mut bytes = Vec::new();
-                    file.read_to_end(&mut bytes)?;
-                    Backing::Heap(bytes)
-                }
-            }
-            ServingMode::File => unreachable!("file mode uses SegmentReader"),
-        };
-        let entries = parse_segment_slice(backing.as_slice())?;
+        if kbtim_fault::inject("storage.map") {
+            return Err(crate::segment::injected_io("storage.map"));
+        }
+        let region = MmapRegion::map(&File::open(path)?)?;
+        // Queries will touch this mapping soon (start readahead now) and
+        // then access blocks/ranges in effectively random order (stop
+        // speculative readahead afterwards). Both are best-effort hints.
+        region.advise(MmapAdvice::WillNeed);
+        region.advise(MmapAdvice::Random);
+        let entries = parse_segment_slice(region.as_slice())?;
         let verified = entries.iter().map(|_| AtomicBool::new(false)).collect();
-        Ok(SegmentPages { backing, entries, verified })
+        Ok(SegmentPages { region, entries, verified })
     }
 
-    /// Size of the resident arena / mapping in bytes.
+    /// Size of the mapping in bytes.
     pub(crate) fn len(&self) -> usize {
-        self.backing.as_slice().len()
+        self.region.as_slice().len()
     }
 
     fn entry_index(&self, name: &str) -> Result<usize> {
@@ -209,7 +160,7 @@ impl SegmentPages {
     fn verified_payload(&self, i: usize) -> Result<&[u8]> {
         let entry = &self.entries[i];
         let payload =
-            &self.backing.as_slice()[entry.offset as usize..(entry.offset + entry.len) as usize];
+            &self.region.as_slice()[entry.offset as usize..(entry.offset + entry.len) as usize];
         if !self.verified[i].load(Ordering::Relaxed) {
             if kbtim_fault::inject("storage.crc") || crc32::checksum(payload) != entry.crc {
                 return Err(StorageError::Corrupt(format!(
@@ -223,13 +174,12 @@ impl SegmentPages {
     }
 }
 
-/// One handle's view of a resident or mapped segment: shared pages plus
-/// the handle-private accounting.
+/// One handle's view of a mapped segment: shared pages plus the
+/// handle-private accounting.
 struct ZeroCopySegment {
     pages: Arc<SegmentPages>,
     stats: IoStats,
     path: PathBuf,
-    mode: ServingMode,
 }
 
 impl ZeroCopySegment {
@@ -273,52 +223,28 @@ enum SourceInner {
 }
 
 impl BlockSource {
-    /// Open `path` with the requested backend, loading a private copy of
-    /// the pages (zero-copy modes). See [`BlockSource::open_shared`] for
-    /// the deduplicating variant.
-    ///
-    /// `Mmap` falls back to `Resident` on non-Linux targets (the views
-    /// and counters are identical; only the page owner differs).
-    ///
-    /// A backend that fails to *open* with an I/O error degrades
-    /// gracefully instead of failing the caller: `Mmap` → `Resident` →
-    /// `File` (served bytes are identical on every backend, so the
-    /// answer cannot change — only the counters and residency do).
-    /// Structural errors ([`StorageError::Corrupt`]) never degrade: the
-    /// data is damaged the same way on every backend.
+    /// Open `path` with the requested backend and a private mapping. See
+    /// [`BlockSource::open_shared`] for the deduplicating variant.
     pub fn open(path: impl AsRef<Path>, stats: IoStats, mode: ServingMode) -> Result<BlockSource> {
-        let path = path.as_ref();
-        let mut mode = mode;
-        loop {
-            match Self::open_exact(path, stats.clone(), mode) {
-                Ok(source) => return Ok(source),
-                Err(e) => mode = degraded_mode(path, mode, e)?,
-            }
-        }
+        BlockSource::open_shared(path, stats, mode, &PageCache::new())
     }
 
-    fn open_exact(path: &Path, stats: IoStats, mode: ServingMode) -> Result<BlockSource> {
-        let inner = match mode {
-            ServingMode::File => SourceInner::File(SegmentReader::open(path, stats)?),
-            ServingMode::Resident | ServingMode::Mmap => SourceInner::ZeroCopy(ZeroCopySegment {
-                pages: Arc::new(SegmentPages::load(path, mode)?),
-                stats,
-                path: path.to_path_buf(),
-                mode,
-            }),
-        };
-        Ok(BlockSource { inner })
-    }
-
-    /// [`BlockSource::open`] through a [`PageCache`]: if the cache
-    /// already holds live pages for this segment (same file, same
-    /// zero-copy mode), this handle shares them instead of loading its
-    /// own copy — N open handles, one resident arena/mapping.
+    /// Open `path` with the requested backend through a [`PageCache`]:
+    /// if the cache already holds a live mapping of this segment, this
+    /// handle shares it instead of mapping its own — N open handles, one
+    /// mapping.
     ///
     /// Sharing is invisible in behavior: payload bytes, checksum
     /// outcomes and errors are identical, and `stats` still counts only
     /// *this* handle's accesses. `File` mode is never cached (it keeps
     /// nothing resident).
+    ///
+    /// A mapping that fails to *open* with an I/O error degrades
+    /// gracefully instead of failing the caller: `Mmap` → `File` (served
+    /// bytes are identical on both backends, so the answer cannot change
+    /// — only the counters and residency do). Structural errors
+    /// ([`StorageError::Corrupt`]) never degrade: the data is damaged the
+    /// same way on both backends.
     pub fn open_shared(
         path: impl AsRef<Path>,
         stats: IoStats,
@@ -326,39 +252,27 @@ impl BlockSource {
         cache: &PageCache,
     ) -> Result<BlockSource> {
         let path = path.as_ref();
-        let mut mode = mode;
-        loop {
-            let attempt = (|| {
-                let inner = match mode {
-                    ServingMode::File => {
-                        SourceInner::File(SegmentReader::open(path, stats.clone())?)
-                    }
-                    ServingMode::Resident | ServingMode::Mmap => {
-                        SourceInner::ZeroCopy(ZeroCopySegment {
-                            pages: cache.get_or_load(path, mode)?,
-                            stats: stats.clone(),
-                            path: path.to_path_buf(),
-                            mode,
-                        })
-                    }
-                };
-                Ok(BlockSource { inner })
-            })();
-            match attempt {
-                Ok(source) => return Ok(source),
-                Err(e) => mode = degraded_mode(path, mode, e)?,
+        if mode == ServingMode::Mmap {
+            match cache.get_or_load(path) {
+                Ok(pages) => {
+                    let path = path.to_path_buf();
+                    let inner = SourceInner::ZeroCopy(ZeroCopySegment { pages, stats, path });
+                    return Ok(BlockSource { inner });
+                }
+                Err(e) => degrade_to_file(path, e)?,
             }
         }
+        Ok(BlockSource::from_reader(SegmentReader::open(path, stats)?))
     }
 
-    /// Stable identity of the resident page arena this handle serves
-    /// from: the arena's base address, or 0 for the file backend. Two
-    /// handles deduped through one [`PageCache`] report the same value —
-    /// the observable form of "one resident copy".
+    /// Stable identity of the mapping this handle serves from: its base
+    /// address, or 0 for the file backend. Two handles deduped through
+    /// one [`PageCache`] report the same value — the observable form of
+    /// "one resident copy".
     pub fn pages_addr(&self) -> usize {
         match &self.inner {
             SourceInner::File(_) => 0,
-            SourceInner::ZeroCopy(z) => z.pages.backing.as_slice().as_ptr() as usize,
+            SourceInner::ZeroCopy(z) => z.pages.region.as_slice().as_ptr() as usize,
         }
     }
 
@@ -371,7 +285,7 @@ impl BlockSource {
     pub fn mode(&self) -> ServingMode {
         match &self.inner {
             SourceInner::File(_) => ServingMode::File,
-            SourceInner::ZeroCopy(z) => z.mode,
+            SourceInner::ZeroCopy(_) => ServingMode::Mmap,
         }
     }
 
@@ -483,17 +397,12 @@ impl BlockSource {
     }
 }
 
-/// The next backend in the degradation chain after `mode` failed to open
-/// with `error`, or the error itself when there is nothing to fall back
-/// to (or the failure is structural, not environmental).
-fn degraded_mode(path: &Path, mode: ServingMode, error: StorageError) -> Result<ServingMode> {
-    let next = match mode {
-        ServingMode::Mmap => ServingMode::Resident,
-        ServingMode::Resident => ServingMode::File,
-        ServingMode::File => return Err(error),
-    };
+/// Whether a mapping that failed to open with `error` falls back to the
+/// file backend: `Ok` (reported on stderr) to degrade, the error itself
+/// when the failure is structural, not environmental.
+fn degrade_to_file(path: &Path, error: StorageError) -> Result<()> {
     // Only environmental failures degrade. Structural damage (Corrupt)
-    // and a missing/unreadable file fail identically on every backend,
+    // and a missing/unreadable file fail identically on both backends,
     // so falling back would just retry the same failure.
     match &error {
         StorageError::Io(io)
@@ -504,16 +413,21 @@ fn degraded_mode(path: &Path, mode: ServingMode, error: StorageError) -> Result<
         _ => return Err(error),
     }
     eprintln!(
-        "kbtim-storage: {mode} backend failed to open {} ({error}); degrading to {next}",
+        "kbtim-storage: mmap backend failed to open {} ({error}); degrading to file",
         path.display()
     );
-    Ok(next)
+    Ok(())
 }
 
-/// Every mode that is expected to work on the current platform, for
-/// tests and benches that sweep backends.
-pub fn all_modes() -> [ServingMode; 3] {
-    [ServingMode::File, ServingMode::Resident, ServingMode::Mmap]
+/// Every mode that opens as itself on the current platform (`mmap`
+/// degrades to `file` off Linux), for tests and benches that sweep
+/// backends.
+pub fn all_modes() -> Vec<ServingMode> {
+    let mut modes = vec![ServingMode::File];
+    if cfg!(target_os = "linux") {
+        modes.push(ServingMode::Mmap);
+    }
+    modes
 }
 
 #[cfg(test)]
@@ -564,6 +478,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn file_mode_counts_reads_zero_copy_counts_hits() {
         let dir = TempDir::new("blocksrc-stats").unwrap();
         let path = dir.path().join("demo.seg");
@@ -577,16 +492,15 @@ mod tests {
         assert_eq!(stats.bytes_read(), 11 + 4);
         assert_eq!(stats.cache_hits(), 0);
 
-        for mode in [ServingMode::Resident, ServingMode::Mmap] {
-            let stats = IoStats::new();
-            let src = BlockSource::open(&path, stats.clone(), mode).unwrap();
-            src.read_block("alpha").unwrap();
-            src.read_range("beta", 0, 4).unwrap();
-            assert_eq!(stats.read_ops(), 0, "{mode}: zero-copy must not count reads");
-            assert_eq!(stats.bytes_read(), 0, "{mode}");
-            assert_eq!(stats.cache_hits(), 2, "{mode}");
-            assert_eq!(stats.bytes_served(), 11 + 4, "{mode}");
-        }
+        let mode = ServingMode::Mmap;
+        let stats = IoStats::new();
+        let src = BlockSource::open(&path, stats.clone(), mode).unwrap();
+        src.read_block("alpha").unwrap();
+        src.read_range("beta", 0, 4).unwrap();
+        assert_eq!(stats.read_ops(), 0, "{mode}: zero-copy must not count reads");
+        assert_eq!(stats.bytes_read(), 0, "{mode}");
+        assert_eq!(stats.cache_hits(), 2, "{mode}");
+        assert_eq!(stats.bytes_served(), 11 + 4, "{mode}");
     }
 
     #[test]
@@ -615,11 +529,12 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn verification_happens_once_then_serves() {
         let dir = TempDir::new("blocksrc-once").unwrap();
         let path = dir.path().join("demo.seg");
         write_demo(&path);
-        let src = BlockSource::open(&path, IoStats::new(), ServingMode::Resident).unwrap();
+        let src = BlockSource::open(&path, IoStats::new(), ServingMode::Mmap).unwrap();
         // Range before block: the first access verifies, later ones reuse.
         assert_eq!(&*src.read_range("alpha", 6, 5).unwrap(), b"world");
         assert_eq!(&*src.read_block("alpha").unwrap(), b"hello world");
@@ -627,6 +542,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn mode_and_resident_bytes_reported() {
         let dir = TempDir::new("blocksrc-mode").unwrap();
         let path = dir.path().join("demo.seg");
@@ -636,8 +552,8 @@ mod tests {
         assert_eq!(file.mode(), ServingMode::File);
         assert_eq!(file.resident_bytes(), 0);
         assert_eq!(file.file_len().unwrap(), file_len);
-        let res = BlockSource::open(&path, IoStats::new(), ServingMode::Resident).unwrap();
-        assert_eq!(res.mode(), ServingMode::Resident);
+        let res = BlockSource::open(&path, IoStats::new(), ServingMode::Mmap).unwrap();
+        assert_eq!(res.mode(), ServingMode::Mmap);
         assert_eq!(res.resident_bytes(), file_len);
         assert_eq!(res.file_len().unwrap(), file_len);
     }

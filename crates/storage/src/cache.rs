@@ -1,36 +1,34 @@
-//! Process-wide page cache: N open handles of one segment, one resident
-//! copy.
+//! Process-wide page cache: N open handles of one segment, one mapping.
 //!
-//! The zero-copy backends ([`ServingMode::Resident`] / \
-//! [`ServingMode::Mmap`]) keep a whole segment's pages alive per open
-//! [`crate::BlockSource`]. A serving process routinely opens the same
-//! index many times — one handle per client session, a disk index next
-//! to its in-memory serving copy, a validator next to a query engine —
-//! and without coordination each open would load its own arena.
+//! The zero-copy backend ([`crate::ServingMode::Mmap`]) keeps a whole
+//! segment mapped per open [`crate::BlockSource`]. A serving process
+//! routinely opens the same index many times — one handle per client
+//! session, a validator next to a query engine — and without
+//! coordination each open would map, parse and verify its own copy.
 //! [`PageCache`] is that coordination: a map from *segment identity*
-//! (canonical path + file length + mtime + zero-copy mode) to a
-//! [`Weak`] reference of the loaded segment pages.
+//! (canonical path + file length + mtime + footer tag) to a [`Weak`]
+//! reference of the mapped segment pages.
 //!
 //! * **Dedup**: [`crate::BlockSource::open_shared`] upgrades the weak
 //!   entry when the pages are still alive anywhere in the process, so
-//!   two handles share one arena (observable via
+//!   two handles share one mapping (observable via
 //!   [`crate::BlockSource::pages_addr`]).
 //! * **Lifetime**: the cache holds only `Weak`s — it never pins pages.
-//!   When the last handle drops, the arena is freed and the dead entry
-//!   is pruned on the next access.
+//!   When the last handle drops, the mapping is released and the dead
+//!   entry is pruned on the next access.
 //! * **Accuracy per handle**: [`crate::IoStats`] lives with the handle,
 //!   not the pages, so shared pages never blur per-handle accounting.
-//! * **Staleness**: the identity includes length and mtime, so a
-//!   segment rewritten in place loads fresh pages instead of serving the
-//!   old bytes (live handles of the old file keep their old pages, as
-//!   they must).
+//! * **Staleness**: the identity includes length, mtime and footer tag,
+//!   so a segment replaced at its path loads fresh pages instead of
+//!   serving the old bytes (live handles of the old file keep their old
+//!   pages, as they must: segments are published by rename, so the old
+//!   file lives on under its mappings).
 //!
 //! One process-wide instance is available via [`PageCache::global`];
 //! scoped caches can be constructed for tests or tenant isolation.
 
 use crate::block::SegmentPages;
 use crate::segment::Result;
-use crate::ServingMode;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
@@ -40,16 +38,13 @@ use std::time::SystemTime;
 /// file being replaced at the same path; the footer tag
 /// ([`crate::segment::footer_tag`]) guards against the rewrite those
 /// two miss — a same-second same-length replacement, which fast
-/// flush/compact cycles produce routinely; the mode keeps heap arenas
-/// and kernel mappings distinct (they are different objects even over
-/// the same bytes).
+/// flush/compact cycles produce routinely.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     path: PathBuf,
     len: u64,
     mtime: Option<SystemTime>,
     tag: u64,
-    mode: ServingMode,
 }
 
 /// One table entry: either live pages (weakly held) or a load in
@@ -99,7 +94,7 @@ impl LoadFlight {
     }
 }
 
-/// A process-wide (or scoped) dedup table for resident segment pages.
+/// A process-wide (or scoped) dedup table for mapped segment pages.
 ///
 /// Cheap to construct and safe to share by reference from any thread;
 /// all methods take `&self`.
@@ -126,23 +121,21 @@ impl PageCache {
         GLOBAL.get_or_init(PageCache::new)
     }
 
-    /// Shared pages for the segment at `path` in the given zero-copy
-    /// mode: the live copy if one exists, a fresh load otherwise.
+    /// Shared pages for the segment at `path`: the live mapping if one
+    /// exists, a fresh load otherwise.
     ///
     /// A miss's I/O happens *outside* the table lock: the loader leaves
     /// a [`LoadFlight`] in the slot, so racing opens of the same cold
     /// segment still do the I/O once while opens of *other* segments
     /// proceed unblocked (one process-wide cache must never serialize
     /// unrelated indexes behind one slow load).
-    pub(crate) fn get_or_load(&self, path: &Path, mode: ServingMode) -> Result<Arc<SegmentPages>> {
-        debug_assert!(mode != ServingMode::File, "file mode keeps nothing resident");
+    pub(crate) fn get_or_load(&self, path: &Path) -> Result<Arc<SegmentPages>> {
         let meta = std::fs::metadata(path)?;
         let key = CacheKey {
             path: std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf()),
             len: meta.len(),
             mtime: meta.modified().ok(),
             tag: crate::segment::footer_tag(path)?,
-            mode,
         };
         enum Action {
             Use(Arc<SegmentPages>),
@@ -176,7 +169,7 @@ impl PageCache {
                     // I/O error) or join a newer successful load.
                 }
                 Action::Load(flight) => {
-                    let loaded = SegmentPages::load(path, mode);
+                    let loaded = SegmentPages::load(path);
                     let mut table = self.inner.lock().expect("page cache poisoned");
                     return match loaded {
                         Ok(pages) => {
@@ -204,7 +197,7 @@ impl PageCache {
         table.len()
     }
 
-    /// Total bytes of live resident arenas/mappings, each counted once
+    /// Total bytes of live mappings, each counted once
     /// however many handles share it — the honest process footprint,
     /// where summing per-handle `resident_bytes` would double-count.
     pub fn resident_bytes(&self) -> u64 {
@@ -220,11 +213,12 @@ impl PageCache {
     }
 }
 
-#[cfg(test)]
+// Every test here shares or maps pages, which only Linux has.
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use crate::segment::SegmentWriter;
-    use crate::{BlockSource, IoStats, TempDir};
+    use crate::{BlockSource, IoStats, ServingMode, TempDir};
 
     fn write_demo(path: &Path) {
         let mut writer = SegmentWriter::create(path).unwrap();
@@ -241,10 +235,8 @@ mod tests {
         let file_len = std::fs::metadata(&path).unwrap().len();
         let cache = PageCache::new();
 
-        let a =
-            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Resident, &cache).unwrap();
-        let b =
-            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Resident, &cache).unwrap();
+        let a = BlockSource::open_shared(&path, IoStats::new(), ServingMode::Mmap, &cache).unwrap();
+        let b = BlockSource::open_shared(&path, IoStats::new(), ServingMode::Mmap, &cache).unwrap();
         assert_eq!(a.pages_addr(), b.pages_addr(), "both handles must serve one arena");
         assert_ne!(a.pages_addr(), 0);
         assert_eq!(cache.segments(), 1);
@@ -265,10 +257,10 @@ mod tests {
         let cache = PageCache::new();
         let stats_a = IoStats::new();
         let stats_b = IoStats::new();
-        let a = BlockSource::open_shared(&path, stats_a.clone(), ServingMode::Resident, &cache)
-            .unwrap();
-        let b = BlockSource::open_shared(&path, stats_b.clone(), ServingMode::Resident, &cache)
-            .unwrap();
+        let a =
+            BlockSource::open_shared(&path, stats_a.clone(), ServingMode::Mmap, &cache).unwrap();
+        let b =
+            BlockSource::open_shared(&path, stats_b.clone(), ServingMode::Mmap, &cache).unwrap();
         a.read_block("alpha").unwrap();
         a.read_range("beta", 0, 4).unwrap();
         b.read_block("beta").unwrap();
@@ -283,8 +275,8 @@ mod tests {
         let dir = TempDir::new("pagecache-unshared").unwrap();
         let path = dir.path().join("demo.seg");
         write_demo(&path);
-        let a = BlockSource::open(&path, IoStats::new(), ServingMode::Resident).unwrap();
-        let b = BlockSource::open(&path, IoStats::new(), ServingMode::Resident).unwrap();
+        let a = BlockSource::open(&path, IoStats::new(), ServingMode::Mmap).unwrap();
+        let b = BlockSource::open(&path, IoStats::new(), ServingMode::Mmap).unwrap();
         assert_ne!(a.pages_addr(), b.pages_addr(), "plain open keeps private pages");
     }
 
@@ -296,8 +288,7 @@ mod tests {
         let cache = PageCache::new();
         let first_addr = {
             let src =
-                BlockSource::open_shared(&path, IoStats::new(), ServingMode::Resident, &cache)
-                    .unwrap();
+                BlockSource::open_shared(&path, IoStats::new(), ServingMode::Mmap, &cache).unwrap();
             assert_eq!(cache.segments(), 1);
             src.pages_addr()
         };
@@ -306,7 +297,7 @@ mod tests {
         assert_eq!(cache.resident_bytes(), 0);
         // A later open loads fresh pages (possibly at a new address).
         let src =
-            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Resident, &cache).unwrap();
+            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Mmap, &cache).unwrap();
         assert_ne!(src.pages_addr(), 0);
         let _ = first_addr; // identity of freed pages is meaningless
         assert_eq!(cache.segments(), 1);
@@ -319,7 +310,7 @@ mod tests {
         write_demo(&path);
         let cache = PageCache::new();
         let old =
-            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Resident, &cache).unwrap();
+            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Mmap, &cache).unwrap();
         assert_eq!(&*old.read_block("alpha").unwrap(), b"hello world");
 
         // Replace the segment at the same path with different content
@@ -329,7 +320,7 @@ mod tests {
         writer.finish().unwrap();
 
         let new =
-            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Resident, &cache).unwrap();
+            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Mmap, &cache).unwrap();
         assert_eq!(&*new.read_block("alpha").unwrap(), b"replacement!!");
         // The old handle keeps its old (still-valid) pages.
         assert_eq!(&*old.read_block("alpha").unwrap(), b"hello world");
@@ -348,7 +339,7 @@ mod tests {
         let before = std::fs::metadata(&path).unwrap();
         let cache = PageCache::new();
         let old =
-            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Resident, &cache).unwrap();
+            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Mmap, &cache).unwrap();
         assert_eq!(&*old.read_block("alpha").unwrap(), b"hello world");
 
         // Same block names, same payload lengths, different bytes —
@@ -370,28 +361,11 @@ mod tests {
         );
 
         let new =
-            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Resident, &cache).unwrap();
+            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Mmap, &cache).unwrap();
         assert_eq!(&*new.read_block("alpha").unwrap(), b"jello world", "stale pages served");
         // The old handle keeps its old (still-valid) pages.
         assert_eq!(&*old.read_block("alpha").unwrap(), b"hello world");
         assert_ne!(old.pages_addr(), new.pages_addr());
-    }
-
-    #[test]
-    fn modes_cached_separately() {
-        let dir = TempDir::new("pagecache-modes").unwrap();
-        let path = dir.path().join("demo.seg");
-        write_demo(&path);
-        let cache = PageCache::new();
-        let res =
-            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Resident, &cache).unwrap();
-        let map =
-            BlockSource::open_shared(&path, IoStats::new(), ServingMode::Mmap, &cache).unwrap();
-        // A heap arena and a kernel mapping are distinct objects.
-        assert_ne!(res.pages_addr(), map.pages_addr());
-        assert_eq!(cache.segments(), 2);
-        // Same bytes through both, of course.
-        assert_eq!(&*res.read_block("beta").unwrap(), &*map.read_block("beta").unwrap());
     }
 
     #[test]
@@ -418,7 +392,7 @@ mod tests {
         let path = dir.path().join("bogus.seg");
         std::fs::write(&path, b"not a segment at all").unwrap();
         let cache = PageCache::new();
-        let err = BlockSource::open_shared(&path, IoStats::new(), ServingMode::Resident, &cache);
+        let err = BlockSource::open_shared(&path, IoStats::new(), ServingMode::Mmap, &cache);
         assert!(err.is_err(), "garbage must not parse");
         // No loading flight left behind: the table is empty and a valid
         // segment opens fine afterwards.
@@ -426,7 +400,7 @@ mod tests {
         let good = dir.path().join("good.seg");
         write_demo(&good);
         let src =
-            BlockSource::open_shared(&good, IoStats::new(), ServingMode::Resident, &cache).unwrap();
+            BlockSource::open_shared(&good, IoStats::new(), ServingMode::Mmap, &cache).unwrap();
         assert_eq!(&*src.read_block("alpha").unwrap(), b"hello world");
     }
 
@@ -447,7 +421,7 @@ mod tests {
                     let (cache, path, barrier) = (&cache, &path, &barrier);
                     scope.spawn(move || {
                         barrier.wait();
-                        BlockSource::open_shared(path, IoStats::new(), ServingMode::Resident, cache)
+                        BlockSource::open_shared(path, IoStats::new(), ServingMode::Mmap, cache)
                             .unwrap()
                     })
                 })

@@ -6,19 +6,19 @@
 //! small storage layer those measurements sit on:
 //!
 //! * [`IoStats`] — shared atomic counters for read ops, bytes and seeks,
-//!   plus zero-copy `cache_hits`/`bytes_served` for resident backends.
+//!   plus zero-copy `cache_hits`/`bytes_served` for the mapped backend.
 //! * [`crc32`] — checksums protecting every block (corruption is detected,
 //!   never silently decoded).
 //! * [`segment`] — an append-once segment-file format with a named-block
 //!   directory, written by [`segment::SegmentWriter`] and read back with
 //!   positioned, counted reads by [`segment::SegmentReader`].
 //! * [`block`] — the [`BlockSource`] serving tier: one block/range-view
-//!   API over three backends (positioned file reads, a resident page
-//!   arena, and an mmap mapping on Linux), so every query path reads
-//!   through the same abstraction regardless of where the bytes live.
+//!   API over two backends (positioned file reads, and an mmap mapping on
+//!   Linux), so every query path reads through the same abstraction
+//!   regardless of where the bytes live.
 //! * [`cache`] — the process-wide [`PageCache`]: N open handles of one
-//!   segment share a single resident arena/mapping
-//!   ([`BlockSource::open_shared`]), with per-handle [`IoStats`] intact.
+//!   segment share a single mapping ([`BlockSource::open_shared`]), with
+//!   per-handle [`IoStats`] intact.
 //! * [`TempDir`] — a scoped scratch directory for tests and benches.
 //!
 //! The format is deliberately simple (magic, version, blocks, directory,
@@ -33,6 +33,30 @@ pub mod crc32;
 #[cfg(target_os = "linux")]
 pub(crate) mod mmap;
 pub mod segment;
+
+/// Off Linux nothing is mapped: `map` refuses with `Unsupported` (the
+/// `mmap` backend degrades to `file`), so no region ever exists.
+#[cfg(not(target_os = "linux"))]
+pub(crate) mod mmap {
+    pub(crate) enum MmapAdvice {
+        Random,
+        WillNeed,
+    }
+
+    pub(crate) enum MmapRegion {}
+
+    impl MmapRegion {
+        pub(crate) fn map(_file: &std::fs::File) -> std::io::Result<MmapRegion> {
+            Err(std::io::Error::new(std::io::ErrorKind::Unsupported, "mmap is Linux-only"))
+        }
+
+        pub(crate) fn advise(&self, _advice: MmapAdvice) {}
+
+        pub(crate) fn as_slice(&self) -> &[u8] {
+            match *self {}
+        }
+    }
+}
 
 pub use block::{BlockSource, BlockView, ServingMode};
 pub use cache::PageCache;
@@ -84,8 +108,8 @@ impl IoStats {
         self.inner.bytes_written.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Record one zero-copy access of `bytes` bytes served from resident
-    /// or memory-mapped pages. These accesses perform no positioned read,
+    /// Record one zero-copy access of `bytes` bytes served from
+    /// memory-mapped pages. These accesses perform no positioned read,
     /// so they must not inflate `read_ops`/`bytes_read` — but silently
     /// reporting zero I/O would make backend comparisons dishonest, so
     /// they are counted separately.
@@ -124,7 +148,7 @@ impl IoStats {
         self.inner.cache_hits.load(Ordering::Relaxed)
     }
 
-    /// Total bytes served from resident/mapped pages without a read.
+    /// Total bytes served from mapped pages without a read.
     pub fn bytes_served(&self) -> u64 {
         self.inner.bytes_served.load(Ordering::Relaxed)
     }
@@ -167,7 +191,7 @@ pub struct IoSnapshot {
     pub write_ops: u64,
     /// Total bytes written.
     pub bytes_written: u64,
-    /// Number of zero-copy block/range accesses (resident/mmap backends).
+    /// Number of zero-copy block/range accesses (mmap backend).
     pub cache_hits: u64,
     /// Total bytes served zero-copy, without a positioned read.
     pub bytes_served: u64,

@@ -5,8 +5,9 @@
 //! bindings against the C library the binary already links. Only what
 //! [`crate::block::BlockSource`] requires is exposed: map a whole file
 //! read-only, view it as `&[u8]`, unmap on drop. Everything else (the
-//! directory parsing, checksums, counters) is shared with the resident
-//! backend and lives in safe code.
+//! directory parsing, checksums, counters) lives in safe code. Off Linux
+//! a stub takes this module's place whose `map` fails with
+//! `ErrorKind::Unsupported`, so every `mmap` open degrades to `file`.
 
 use std::fs::File;
 use std::os::raw::{c_int, c_void};
@@ -33,9 +34,8 @@ const MADV_WILLNEED: c_int = 3;
 /// Access-pattern hints forwarded to `madvise(2)`.
 ///
 /// Purely advisory: errors are swallowed (a kernel that ignores the hint
-/// serves the same bytes, just with default readahead), and on non-Linux
-/// targets this whole module is compiled out, so the hint is a no-op by
-/// construction — the same shim pattern as the mapping itself.
+/// serves the same bytes, just with default readahead), and off Linux
+/// no region exists to take one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MmapAdvice {
     /// Expect random block/range access: disable speculative readahead

@@ -155,10 +155,17 @@ pub(crate) struct BlockEntry {
 }
 
 /// Writes a segment file: header, then blocks, then directory + footer.
+///
+/// The bytes go to a sibling `<path>.tmp` that [`SegmentWriter::finish`]
+/// renames over `path`, so a segment is published whole and a file that
+/// readers hold open or mapped is replaced, never rewritten under them. A
+/// writer dropped before `finish` removes its temp file and leaves `path`
+/// as it was.
 #[derive(Debug)]
 pub struct SegmentWriter {
     file: BufWriter<File>,
     path: PathBuf,
+    tmp: PathBuf,
     position: u64,
     entries: Vec<BlockEntry>,
     open_block: Option<(String, u64, Crc32)>,
@@ -166,13 +173,18 @@ pub struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// Create (truncate) the segment at `path` and write the header.
+    /// Start the segment that `finish` publishes at `path`, and write the
+    /// header.
     pub fn create(path: impl AsRef<Path>) -> Result<SegmentWriter> {
         let path = path.as_ref().to_path_buf();
-        let file = File::create(&path)?;
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let file = File::create(&tmp)?;
         let mut writer = SegmentWriter {
             file: BufWriter::new(file),
             path,
+            tmp,
             position: 0,
             entries: Vec::new(),
             open_block: None,
@@ -230,7 +242,8 @@ impl SegmentWriter {
         self.position - start
     }
 
-    /// Write directory + footer and flush everything to disk.
+    /// Write directory + footer, flush, and rename the finished file over
+    /// the segment's path.
     ///
     /// Returns the total file size in bytes.
     pub fn finish(mut self) -> Result<u64> {
@@ -253,6 +266,7 @@ impl SegmentWriter {
         self.file.write_all(&dir_crc.to_le_bytes())?;
         self.file.write_all(MAGIC)?;
         self.file.flush()?;
+        std::fs::rename(&self.tmp, &self.path)?;
         self.finished = true;
         let total = dir_offset + dir.len() as u64 + FOOTER_LEN;
         Ok(total)
@@ -261,6 +275,14 @@ impl SegmentWriter {
     /// Path this writer is producing.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+}
+
+impl Drop for SegmentWriter {
+    fn drop(&mut self) {
+        if !self.finished {
+            let _ = std::fs::remove_file(&self.tmp);
+        }
     }
 }
 
@@ -516,7 +538,7 @@ pub fn footer_tag(path: impl AsRef<Path>) -> Result<u64> {
 }
 
 /// Validate the framing of a whole segment held in memory and return its
-/// directory. Shared by the resident and mmap backends of
+/// directory. Used by the mmap backend of
 /// [`crate::block::BlockSource`]; runs exactly the same [`check_header`]
 /// / [`check_footer`] / directory-CRC / [`parse_directory`] chain as
 /// [`SegmentReader::open`], so the two paths cannot drift.
@@ -767,6 +789,21 @@ mod tests {
         assert_eq!(writer.block_position(), 8);
         writer.end_block().unwrap();
         writer.finish().unwrap();
+    }
+
+    #[test]
+    fn unfinished_writer_leaves_the_old_file_and_no_temp() {
+        let dir = TempDir::new("seg").unwrap();
+        let path = dir.path().join("demo.seg");
+        write_demo(&path);
+        let before = std::fs::read(&path).unwrap();
+        let mut writer = SegmentWriter::create(&path).unwrap();
+        writer.write_block("alpha", b"never published").unwrap();
+        drop(writer);
+        assert_eq!(std::fs::read(&path).unwrap(), before, "old segment must be untouched");
+        let names: Vec<_> =
+            std::fs::read_dir(dir.path()).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["demo.seg"], "no temp file may remain");
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //!                [--variant rr|irr] [--delta N] [--eps F] [--cap N] [--threads N]
 //!                [--seed S] [--shards S]
 //! kbtim query    --index DIR --topics 1,2,3 --k 30 [--algo rr|irr|auto]
-//!                [--threads N] [--serving file|resident|mmap]
+//!                [--threads N] [--serving file|mmap]
 //! kbtim ingest   --index DIR --data DIR [--file F] [--flush on|off]
-//!                [--serving file|resident|mmap] [--eps F] [--cap N] [--seed S]
+//!                [--serving file|mmap] [--eps F] [--cap N] [--seed S]
 //! kbtim serve    --index [NAME=]DIR [--index NAME=DIR ...] [--listen HOST:PORT]
 //!                [--front-end epoll|threads] [--max-conns N] [--backlog N]
 //!                [--workers N] [--outbox-cap BYTES]
-//!                [--threads N] [--serving file|resident|mmap]
+//!                [--threads N] [--serving file|mmap]
 //!                [--batch USEC] [--merge-cache ENTRIES] [--max-queue N]
 //!                [--deadline-ms MS] [--max-line BYTES]
 //!                [--data DIR] [--flush-watermark N] [--eps F] [--cap N] [--seed S]
-//! kbtim validate --index DIR [--serving file|resident|mmap]
+//! kbtim validate --index DIR [--serving file|mmap]
 //!                [--data DIR] [--eps F] [--cap N] [--seed S]
 //! ```
 //!
@@ -119,17 +119,17 @@ USAGE:
                  [--variant rr|irr] [--delta N] [--eps F] [--cap N] [--threads N]
                  [--seed S] [--shards S]
   kbtim query    --index DIR --topics 1,2,3 --k 30 [--algo rr|irr|auto]
-                 [--threads N] [--serving file|resident|mmap]
+                 [--threads N] [--serving file|mmap]
   kbtim ingest   --index DIR --data DIR [--file F] [--flush on|off]
-                 [--serving file|resident|mmap] [--eps F] [--cap N] [--seed S]
+                 [--serving file|mmap] [--eps F] [--cap N] [--seed S]
   kbtim serve    --index [NAME=]DIR [--index NAME=DIR ...] [--listen HOST:PORT]
                  [--front-end epoll|threads] [--max-conns N] [--backlog N]
                  [--workers N] [--outbox-cap BYTES]
-                 [--threads N] [--serving file|resident|mmap]
+                 [--threads N] [--serving file|mmap]
                  [--batch USEC] [--merge-cache ENTRIES] [--max-queue N]
                  [--deadline-ms MS] [--max-line BYTES]
                  [--data DIR] [--flush-watermark N] [--eps F] [--cap N] [--seed S]
-  kbtim validate --index DIR [--serving file|resident|mmap]
+  kbtim validate --index DIR [--serving file|mmap]
                  [--data DIR] [--eps F] [--cap N] [--seed S]";
 
 /// The flags each command reads (`None`: not a command). Keep in step
@@ -334,10 +334,9 @@ fn cmd_build(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn serving_mode(flags: &HashMap<String, String>) -> Result<ServingMode, String> {
-    let raw = flags.get("serving").map(String::as_str).unwrap_or("file");
-    ServingMode::parse(raw)
-        .ok_or_else(|| format!("--serving must be file|resident|mmap, got {raw:?}"))
+fn serving_mode(flags: &HashMap<String, String>, default: &str) -> Result<ServingMode, String> {
+    let raw = flags.get("serving").map(String::as_str).unwrap_or(default);
+    ServingMode::parse(raw).ok_or_else(|| format!("--serving must be file|mmap, got {raw:?}"))
 }
 
 fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -349,7 +348,7 @@ fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
     let k: u32 = parse(flags, "k", 30)?;
     let algo = flags.get("algo").map(String::as_str).unwrap_or("irr");
     let threads: usize = parse(flags, "threads", 0)?;
-    let mode = serving_mode(flags)?;
+    let mode = serving_mode(flags, "file")?;
 
     let mut index = KbtimIndex::open_with(dir, IoStats::new(), mode).map_err(|e| e.to_string())?;
     // 0 (the default) = use the machine's available parallelism; the
@@ -447,7 +446,7 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let dir = required(flags, "index")?;
     let data = required(flags, "data")?;
-    let mode = serving_mode(flags)?;
+    let mode = serving_mode(flags, "file")?;
     let flush = match flags.get("flush").map(String::as_str).unwrap_or("on") {
         "on" => true,
         "off" => false,
@@ -575,10 +574,8 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
         return Err("missing --index".to_string());
     }
     // A serving tier wants resident pages by default: mmap shares them
-    // with the kernel cache (and falls back to `resident` off Linux).
-    let raw_mode = flags.get("serving").map(String::as_str).unwrap_or("mmap");
-    let mode = ServingMode::parse(raw_mode)
-        .ok_or_else(|| format!("--serving must be file|resident|mmap, got {raw_mode:?}"))?;
+    // with the kernel cache (and degrades to `file` off Linux).
+    let mode = serving_mode(flags, "mmap")?;
     // Per-query fan-out defaults to 1 under a server: client concurrency
     // is the parallelism, and inline queries keep latency predictable.
     // 0 = the machine's available parallelism, as elsewhere.
@@ -592,10 +589,11 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     // queued to share with.
     let batch_us: u64 = parse(flags, "batch", 200)?;
     let batch_window = (batch_us > 0).then(|| Duration::from_micros(batch_us));
-    // Prepared-query cache: keep up to ENTRIES merged keyword unions
-    // resident per engine, keyed by (keyword set, segment generation).
-    // 0 (the default) disables it; each entry pins the merged RR arena
-    // in memory, so the bound is entries, sized to the hot query set.
+    // Prepared-query cache: keep up to ENTRIES keyword sets' deepest
+    // greedy runs and up to ENTRIES decoded keywords' leased lists per
+    // engine, keyed by segment (and mutation) generation. 0 (the
+    // default) disables it; a run is a few hundred bytes, a keyword's
+    // lists its decoded `il`, so size it to the hot keywords.
     let merge_cache: usize = parse(flags, "merge-cache", 0)?;
     // Overload control: at most this many requests in flight at once;
     // excess requests are shed immediately with an `overloaded` error
@@ -835,7 +833,7 @@ fn kernels_clause() -> String {
 
 fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), String> {
     let dir = required(flags, "index")?;
-    let mode = serving_mode(flags)?;
+    let mode = serving_mode(flags, "file")?;
     let index = KbtimIndex::open_with(dir, IoStats::new(), mode).map_err(|e| e.to_string())?;
     let report = index.validate().map_err(|e| e.to_string())?;
     println!(

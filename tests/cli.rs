@@ -69,7 +69,7 @@ fn full_cli_workflow() {
     assert_eq!(rr_seeds, irr_seeds, "Theorem 3 via the CLI");
 
     // Every serving backend answers identically (and validates).
-    for serving in ["file", "resident", "mmap"] {
+    for serving in ["file", "mmap"] {
         let out = kbtim()
             .args(["query", "--index", index.to_str().unwrap()])
             .args(["--topics", "0,1", "--k", "8", "--algo", "rr", "--serving", serving])
@@ -471,13 +471,15 @@ fn bad_arguments_fail_cleanly() {
     // Query against a missing index.
     let out = kbtim().args(["query", "--index", "/nonexistent", "--topics", "0"]).output().unwrap();
     assert!(!out.status.success());
-    // Bad serving backend.
-    let out = kbtim()
-        .args(["query", "--index", "/nonexistent", "--topics", "0", "--serving", "floppy"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--serving"));
+    // Bad serving backend, and the retired `resident` one.
+    for serving in "floppy resident".split_whitespace() {
+        let out = kbtim()
+            .args(["query", "--index", "/nonexistent", "--topics", "0", "--serving", serving])
+            .output()
+            .unwrap();
+        assert!(!out.status.success());
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--serving must be file|mmap"));
+    }
     // A flag the command does not read — a typo, a removed option — is
     // refused before anything is opened: exit 2, the flag named.
     for (args, flag) in [

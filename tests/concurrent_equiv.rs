@@ -7,7 +7,7 @@
 //!
 //! 1. N threads firing interleaved rr / irr queries against one
 //!    shared `Arc<KbtimIndex>` produce answers bit-identical to the
-//!    serial order, across all three serving backends (scratch blocks
+//!    serial order, across both serving backends (scratch blocks
 //!    lease across threads; the persistent exec pool arbitrates or
 //!    degrades inline — neither may leak into results);
 //! 2. the [`QueryEngine`]'s request coalescing returns the same answer
@@ -19,7 +19,7 @@
 //! 4. the cross-request **batch planner** returns answers bit-identical
 //!    to serial single-query execution for any chunking of
 //!    overlapping-keyword requests into windows, submitted from
-//!    several client threads at once, across all three serving
+//!    several client threads at once, across both serving
 //!    backends — and its books prove the shared keyword decode actually
 //!    happened (each distinct keyword decoded once per window, not once
 //!    per request);
@@ -628,14 +628,15 @@ fn engine_coalesces_identical_requests_in_a_window() {
 }
 
 #[test]
+#[cfg(target_os = "linux")]
 fn page_cache_dedupes_across_whole_indexes() {
     let fx = fixture();
     let dir = fx._dir.path();
     let cache = PageCache::new();
     let stats_a = IoStats::new();
     let stats_b = IoStats::new();
-    let a = KbtimIndex::open_shared(dir, stats_a.clone(), ServingMode::Resident, &cache).unwrap();
-    let b = KbtimIndex::open_shared(dir, stats_b.clone(), ServingMode::Resident, &cache).unwrap();
+    let a = KbtimIndex::open_shared(dir, stats_a.clone(), ServingMode::Mmap, &cache).unwrap();
+    let b = KbtimIndex::open_shared(dir, stats_b.clone(), ServingMode::Mmap, &cache).unwrap();
 
     // Two open indexes, one resident copy of every keyword segment.
     assert_eq!(a.resident_bytes(), b.resident_bytes());

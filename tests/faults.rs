@@ -107,28 +107,42 @@ fn transient_read_bursts_are_masked_by_retries() {
 }
 
 #[test]
-fn open_degrades_mmap_to_resident_then_file() {
+fn open_degrades_mmap_to_file() {
     let _section = armed_section();
     let dir = TempDir::new("faults-degrade").unwrap();
     let path = write_segment(&dir);
 
-    // A failing mmap(2) setup degrades to the resident backend.
+    // A failing mmap(2) setup degrades to positioned file reads.
     kbtim_fault::arm("storage.map", "err").unwrap();
     let source = BlockSource::open(&path, IoStats::new(), ServingMode::Mmap).unwrap();
-    assert_eq!(source.mode(), ServingMode::Resident, "mmap failure → resident");
-    assert_eq!(&*source.read_block("a").unwrap(), &[1, 2, 3, 4]);
-
-    // Two page-load failures in a row walk the whole chain down to
-    // positioned file reads (whose own open is the third evaluation,
-    // past the budget).
-    kbtim_fault::arm("storage.open", "2*err").unwrap();
-    let source = BlockSource::open(&path, IoStats::new(), ServingMode::Mmap).unwrap();
-    assert_eq!(source.mode(), ServingMode::File, "mmap → resident → file");
+    assert_eq!(source.mode(), ServingMode::File, "mmap failure → file");
     assert_eq!(&*source.read_block("b").unwrap(), &[9; 100]);
 
     // With every open failing, the error finally surfaces.
     kbtim_fault::arm("storage.open", "err").unwrap();
     assert!(BlockSource::open(&path, IoStats::new(), ServingMode::Mmap).is_err());
+}
+
+/// A degraded index says so: with every mapping refused, an `mmap` open
+/// serves from `file`, reports `file`, keeps nothing resident, and
+/// answers exactly as the fault-free mapped index does.
+#[test]
+fn a_degraded_index_reports_the_mode_it_serves_from() {
+    let _section = armed_section();
+    let request =
+        kbtim::index::EngineRequest { topics: vec![0, 1], k: 5, algo: kbtim::index::Algo::Auto };
+    let clean = open_engine(ServingMode::Mmap);
+    let want = clean.query(&request).unwrap();
+
+    kbtim_fault::arm("storage.map", "err").unwrap();
+    let index =
+        KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Mmap).unwrap();
+    assert_eq!(index.serving_mode(), ServingMode::File);
+    assert_eq!(index.resident_bytes(), 0);
+    let got = QueryEngine::new(Arc::new(index)).query(&request).unwrap();
+    assert_eq!(got.seeds, want.seeds);
+    assert_eq!(got.marginal_gains, want.marginal_gains);
+    assert_eq!(got.coverage, want.coverage);
 }
 
 #[test]
@@ -156,7 +170,7 @@ fn corruption_is_fail_fast_and_never_degrades() {
 #[test]
 fn injected_engine_faults_surface_and_scratch_books_survive() {
     let _section = armed_section();
-    let engine = open_engine(ServingMode::Resident);
+    let engine = open_engine(ServingMode::Mmap);
     let req =
         kbtim::index::EngineRequest { topics: vec![0, 1], k: 5, algo: kbtim::index::Algo::Auto };
     let baseline = engine.query(&req).unwrap();
@@ -180,7 +194,7 @@ fn injected_engine_faults_surface_and_scratch_books_survive() {
 #[test]
 fn counting_noops_on_every_failpoint_change_no_answer() {
     let _section = armed_section();
-    let router = Router::single(open_engine(ServingMode::Resident));
+    let router = Router::single(open_engine(ServingMode::Mmap));
     let lines = [
         r#"{"id":1,"topics":[0,1],"k":5,"algo":"rr"}"#,
         r#"{"id":2,"topics":[0,1],"k":5,"algo":"irr"}"#,
@@ -209,7 +223,7 @@ fn counting_noops_on_every_failpoint_change_no_answer() {
 fn a_cached_run_still_passes_the_failpoint_and_the_deadline() {
     let _section = armed_section();
     let index =
-        KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Resident).unwrap();
+        KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Mmap).unwrap();
     let engine = QueryEngine::new(Arc::new(index)).with_merge_cache(4);
     let req =
         kbtim::index::EngineRequest { topics: vec![0, 1], k: 5, algo: kbtim::index::Algo::Auto };
@@ -254,7 +268,7 @@ fn a_cached_run_still_passes_the_failpoint_and_the_deadline() {
 fn a_hit_answered_at_admission_contains_its_faults() {
     let _section = armed_section();
     let index =
-        KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Resident).unwrap();
+        KbtimIndex::open_with(index_dir().path(), IoStats::new(), ServingMode::Mmap).unwrap();
     let engine = Arc::new(QueryEngine::new(Arc::new(index)).with_merge_cache(4));
     let router = Router::single(Arc::clone(&engine));
     let ctx = ServeCtx::unlimited();
@@ -301,7 +315,7 @@ fn a_hit_answered_at_admission_contains_its_faults() {
 #[test]
 fn panicking_query_is_contained_and_engine_survives() {
     let _section = armed_section();
-    let engine = open_engine(ServingMode::Resident);
+    let engine = open_engine(ServingMode::Mmap);
     let router = Router::single(Arc::clone(&engine));
     let ctx = ServeCtx::unlimited();
     let line = r#"{"id":1,"topics":[0,1],"k":5}"#;
@@ -348,7 +362,7 @@ fn dispatch_panic_is_contained_too() {
 #[test]
 fn every_documented_error_code_is_producible_and_round_trips() {
     let _section = armed_section();
-    let engine = open_engine(ServingMode::Resident);
+    let engine = open_engine(ServingMode::Mmap);
     let router = Router::single(engine);
 
     let unlimited = || ServeCtx::unlimited();

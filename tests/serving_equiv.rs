@@ -1,7 +1,7 @@
 //! Serving-tier equivalence gates for the zero-copy `BlockSource` path.
 //!
 //! The refactor's contract is absolute: which backend serves the bytes
-//! (positioned file reads, the resident page arena, or an mmap mapping)
+//! (positioned file reads or an mmap mapping)
 //! and how many worker threads decode them must be *unobservable* in
 //! query answers. These property tests pin that down:
 //!
@@ -306,7 +306,7 @@ fn zero_copy_backends_report_hits_not_reads() {
                 assert_eq!(rr.stats.io.cache_hits, 0);
                 assert_eq!(rr.stats.io.bytes_served, 0);
             }
-            ServingMode::Resident | ServingMode::Mmap => {
+            ServingMode::Mmap => {
                 assert_eq!(rr.stats.io.read_ops, 0, "{mode}: zero-copy must not count reads");
                 assert_eq!(rr.stats.io.bytes_read, 0, "{mode}");
                 assert!(rr.stats.io.cache_hits > 0, "{mode}: hits must be recorded");
