@@ -442,11 +442,10 @@ impl DeltaIndex {
         // Committed: reopen the fresh generation as the new base and
         // republish with an empty overlay. It opens in the mode the old
         // base serves from, so a base whose mappings degraded stays `file`.
-        let new_base = KbtimIndex::open_shared(
+        let new_base = KbtimIndex::open_with(
             &self.root,
             prev.base.io_stats().clone(),
             prev.base.serving_mode(),
-            kbtim_storage::PageCache::global(),
         )?
         .with_threads(prev.base.threads());
         let _ = std::fs::remove_file(self.root.join(DELTA_JOURNAL_FILE));

@@ -41,8 +41,7 @@
 //! The index is `Send + Sync` and built for *concurrent* serving: share
 //! it through an `Arc` (scratch blocks lease across client threads, the
 //! per-keyword fan-out runs on an index-owned persistent
-//! [`kbtim_exec::ExecPool`]), dedupe resident pages across opens with
-//! [`KbtimIndex::open_shared`], and front it with [`serve::QueryEngine`]
+//! [`kbtim_exec::ExecPool`]), and front it with [`serve::QueryEngine`]
 //! to coalesce identical in-flight requests. Answers are bit-identical
 //! to serial execution for any interleaving.
 
@@ -65,7 +64,7 @@ use std::time::Duration;
 pub use build::{BuildReport, IndexBuildConfig, IndexBuilder, KeywordBuildStats, ThetaMode};
 pub use delta::{DeltaIndex, DeltaSnapshot, DeltaStats, Mutation};
 pub use format::{IndexMeta, IndexVariant, KeywordMeta};
-pub use kbtim_storage::{PageCache, ServingMode};
+pub use kbtim_storage::ServingMode;
 pub use rr_query::MergedQuery;
 pub use scratch::{KeywordArena, QueryScratch};
 pub use serve::{Algo, EngineError, EngineRequest, EngineResult, QueryEngine};
@@ -76,6 +75,19 @@ pub use serve::{Algo, EngineError, EngineRequest, EngineResult, QueryEngine};
 pub const CURRENT_FILE: &str = "CURRENT";
 /// Directory-name prefix of one flushed segment generation.
 pub const GEN_DIR_PREFIX: &str = "gen-";
+
+/// Benchmark-only: kept because the benchmark package
+/// (`crates/bench/src/bin/bench/src/trace.rs`) links this name. It holds
+/// nothing; every open maps its own segments (see
+/// [`KbtimIndex::open_shared`]).
+pub struct PageCache;
+
+impl PageCache {
+    /// Benchmark-only: the one `PageCache`, which holds nothing.
+    pub fn global() -> &'static PageCache {
+        &PageCache
+    }
+}
 
 /// Errors from index construction and querying.
 #[derive(Debug)]
@@ -279,36 +291,27 @@ impl KbtimIndex {
     /// [`KbtimIndex::open`] with an explicit serving backend. Query
     /// answers are bit-identical for every mode; only where block bytes
     /// live (and which [`IoStats`] counters record accesses) changes.
+    /// On `Mmap` each open maps every keyword segment itself.
     pub fn open_with(
         dir: impl AsRef<Path>,
         stats: IoStats,
         mode: ServingMode,
     ) -> Result<KbtimIndex, IndexError> {
-        KbtimIndex::open_inner(dir.as_ref(), stats, mode, &kbtim_storage::PageCache::new())
+        KbtimIndex::open_inner(dir.as_ref(), stats, mode)
     }
 
-    /// [`KbtimIndex::open_with`] through a [`kbtim_storage::PageCache`]:
-    /// keyword segments whose pages are already resident anywhere in the
-    /// process (another open of this index, a serving engine, a
-    /// validator) are shared instead of re-loaded — N open indexes, one
-    /// copy of each segment. Answers and per-index [`IoStats`] are
-    /// unaffected; pass [`kbtim_storage::PageCache::global`] for the
-    /// process-wide cache.
+    /// Benchmark-only: [`KbtimIndex::open_with`] under the name the
+    /// benchmark package links. `_cache` holds nothing and is ignored.
     pub fn open_shared(
         dir: impl AsRef<Path>,
         stats: IoStats,
         mode: ServingMode,
-        cache: &kbtim_storage::PageCache,
+        _cache: &PageCache,
     ) -> Result<KbtimIndex, IndexError> {
-        KbtimIndex::open_inner(dir.as_ref(), stats, mode, cache)
+        KbtimIndex::open_with(dir, stats, mode)
     }
 
-    fn open_inner(
-        dir: &Path,
-        stats: IoStats,
-        mode: ServingMode,
-        cache: &kbtim_storage::PageCache,
-    ) -> Result<KbtimIndex, IndexError> {
+    fn open_inner(dir: &Path, stats: IoStats, mode: ServingMode) -> Result<KbtimIndex, IndexError> {
         let root = dir.to_path_buf();
         // Generation layout: a `CURRENT` file names the live `gen-<N>`
         // subdirectory (written atomically by the delta tier's flush).
@@ -364,7 +367,7 @@ impl KbtimIndex {
                     sources.push(None);
                 } else {
                     let path = shard_dir.join(format::keyword_file_name(kw.topic));
-                    sources.push(Some(BlockSource::open_shared(path, stats.clone(), mode, cache)?));
+                    sources.push(Some(BlockSource::open(path, stats.clone(), mode)?));
                 }
             }
             shards.push(Shard { lo, hi, sources });
@@ -375,12 +378,11 @@ impl KbtimIndex {
             .flat_map(|shard| shard.sources.iter().flatten())
             .any(|source| source.mode() == ServingMode::File);
         let mode = if degraded { ServingMode::File } else { mode };
-        // Capture segment identity while opening — the same
-        // (path, length, mtime) triple the storage PageCache keys loaded
-        // pages by — so prepared-query caches can bind entries to the
-        // exact segment generation this handle serves. Every shard's
-        // segment set folds in, so a single-shard reflush changes the
-        // fingerprint of the whole index.
+        // Capture segment identity while opening — each segment's path,
+        // length, mtime and footer tag — so prepared-query caches can
+        // bind entries to the exact segment generation this handle
+        // serves. Every shard's segment set folds in, so a single-shard
+        // reflush changes the fingerprint of the whole index.
         let fingerprint = {
             use std::hash::{Hash, Hasher};
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -422,11 +424,10 @@ impl KbtimIndex {
     }
 
     /// Identity of the keyword-segment generation this handle was opened
-    /// against: a hash over every segment's (shard, path, length, mtime)
-    /// at open time — the same (path, length, mtime) triple
-    /// [`kbtim_storage::PageCache`] keys loaded pages by, extended with
-    /// the shard index so **every shard's segment set** contributes. Two
-    /// opens of the same on-disk state agree; rebuilding any keyword
+    /// against: a hash over every segment's (shard, path, length, mtime,
+    /// [`footer_tag`](kbtim_storage::segment::footer_tag)) at open time,
+    /// so **every shard's segment set** contributes. Two opens of the
+    /// same on-disk state agree; rebuilding any keyword
     /// segment in any shard changes the value, so caches keyed by it
     /// (the serving tier's prepared-query cache) can never serve an
     /// entry across index generations — not even after a single-shard
@@ -463,7 +464,9 @@ impl KbtimIndex {
     }
 
     /// Segment bytes held resident by the serving tier (0 for the file
-    /// backend; the mappings otherwise), across all shards.
+    /// backend; the mappings otherwise), across all shards. Each open
+    /// counts its own mappings: two opens of one directory report the
+    /// bytes twice, though the kernel holds one copy of the pages.
     pub fn resident_bytes(&self) -> u64 {
         self.shards
             .iter()

@@ -311,9 +311,9 @@ impl Run {
 ///   replaces the shallower one. A one-shot set costs its key and a few
 ///   hundred bytes.
 ///
-/// The fingerprint in the keys ties invalidation to segment identity
-/// exactly as the storage [`kbtim_storage::PageCache`] ties loaded
-/// pages to it. Values are `Arc`'d: eviction drops the cache's
+/// The fingerprint in the keys ([`KbtimIndex::segment_fingerprint`])
+/// ties invalidation to segment identity: a rebuilt or reflushed
+/// segment changes it. Values are `Arc`'d: eviction drops the cache's
 /// reference while in-flight windows keep theirs, so capacity changes
 /// are always safe.
 struct MergeCache {

@@ -28,7 +28,6 @@
 //! Segments are published by rename ([`crate::segment::SegmentWriter`]),
 //! so a live mapping never sees its file rewritten under a verified flag.
 
-use crate::cache::PageCache;
 use crate::mmap::{MmapAdvice, MmapRegion};
 use crate::segment::{parse_segment_slice, BlockEntry, BlockInfo, SegmentReader};
 use crate::segment::{Result, StorageError};
@@ -37,7 +36,6 @@ use std::fs::File;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Which backend a [`BlockSource`] serves from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -105,17 +103,11 @@ impl AsRef<[u8]> for BlockView<'_> {
     }
 }
 
-/// The shareable core of a mapped segment: one mapping, the parsed
-/// directory and the per-block first-access CRC verification flags.
-///
-/// This is the unit a [`PageCache`] dedupes — N handles of one segment
-/// hold `Arc`s to a single `SegmentPages`, so the mapping (and the
-/// verification work) exist once per process while per-handle state
-/// ([`IoStats`]) stays with each [`BlockSource`]. Sharing the `verified`
-/// flags is sound because they describe the bytes, not the handle: a
-/// block verified through one handle *is* verified for every other
-/// handle of the same pages.
-pub(crate) struct SegmentPages {
+/// The core of a mapped segment: one mapping, the parsed directory and
+/// the per-block first-access CRC verification flags. Each mapped
+/// [`BlockSource`] owns its own; the kernel's page cache is what shares
+/// a file's pages between two mappings of it.
+struct SegmentPages {
     region: MmapRegion,
     entries: Vec<BlockEntry>,
     /// `verified[i]` — block `i`'s payload CRC has been checked against
@@ -126,7 +118,7 @@ pub(crate) struct SegmentPages {
 
 impl SegmentPages {
     /// Map the whole segment at `path`.
-    pub(crate) fn load(path: &Path) -> Result<SegmentPages> {
+    fn load(path: &Path) -> Result<SegmentPages> {
         if kbtim_fault::inject("storage.open") {
             return Err(crate::segment::injected_io("storage.open"));
         }
@@ -145,7 +137,7 @@ impl SegmentPages {
     }
 
     /// Size of the mapping in bytes.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.region.as_slice().len()
     }
 
@@ -174,10 +166,10 @@ impl SegmentPages {
     }
 }
 
-/// One handle's view of a mapped segment: shared pages plus the
+/// One handle's view of a mapped segment: its pages plus the
 /// handle-private accounting.
 struct ZeroCopySegment {
-    pages: Arc<SegmentPages>,
+    pages: SegmentPages,
     stats: IoStats,
     path: PathBuf,
 }
@@ -223,21 +215,9 @@ enum SourceInner {
 }
 
 impl BlockSource {
-    /// Open `path` with the requested backend and a private mapping. See
-    /// [`BlockSource::open_shared`] for the deduplicating variant.
-    pub fn open(path: impl AsRef<Path>, stats: IoStats, mode: ServingMode) -> Result<BlockSource> {
-        BlockSource::open_shared(path, stats, mode, &PageCache::new())
-    }
-
-    /// Open `path` with the requested backend through a [`PageCache`]:
-    /// if the cache already holds a live mapping of this segment, this
-    /// handle shares it instead of mapping its own — N open handles, one
-    /// mapping.
-    ///
-    /// Sharing is invisible in behavior: payload bytes, checksum
-    /// outcomes and errors are identical, and `stats` still counts only
-    /// *this* handle's accesses. `File` mode is never cached (it keeps
-    /// nothing resident).
+    /// Open `path` with the requested backend. `Mmap` maps the whole
+    /// segment into this handle; `stats` counts only this handle's
+    /// accesses.
     ///
     /// A mapping that fails to *open* with an I/O error degrades
     /// gracefully instead of failing the caller: `Mmap` → `File` (served
@@ -245,15 +225,10 @@ impl BlockSource {
     /// — only the counters and residency do). Structural errors
     /// ([`StorageError::Corrupt`]) never degrade: the data is damaged the
     /// same way on both backends.
-    pub fn open_shared(
-        path: impl AsRef<Path>,
-        stats: IoStats,
-        mode: ServingMode,
-        cache: &PageCache,
-    ) -> Result<BlockSource> {
+    pub fn open(path: impl AsRef<Path>, stats: IoStats, mode: ServingMode) -> Result<BlockSource> {
         let path = path.as_ref();
         if mode == ServingMode::Mmap {
-            match cache.get_or_load(path) {
+            match SegmentPages::load(path) {
                 Ok(pages) => {
                     let path = path.to_path_buf();
                     let inner = SourceInner::ZeroCopy(ZeroCopySegment { pages, stats, path });
@@ -265,19 +240,8 @@ impl BlockSource {
         Ok(BlockSource::from_reader(SegmentReader::open(path, stats)?))
     }
 
-    /// Stable identity of the mapping this handle serves from: its base
-    /// address, or 0 for the file backend. Two handles deduped through
-    /// one [`PageCache`] report the same value — the observable form of
-    /// "one resident copy".
-    pub fn pages_addr(&self) -> usize {
-        match &self.inner {
-            SourceInner::File(_) => 0,
-            SourceInner::ZeroCopy(z) => z.pages.region.as_slice().as_ptr() as usize,
-        }
-    }
-
     /// Wrap an already-open positioned reader as a `File`-mode source.
-    pub fn from_reader(reader: SegmentReader) -> BlockSource {
+    fn from_reader(reader: SegmentReader) -> BlockSource {
         BlockSource { inner: SourceInner::File(reader) }
     }
 
@@ -387,8 +351,8 @@ impl BlockSource {
     }
 
     /// Bytes of segment data this source keeps resident (0 for the file
-    /// backend; the arena/mapping size otherwise). Mmap pages are shared
-    /// with the kernel cache, so this is an upper bound there.
+    /// backend; the size of its own mapping otherwise). Mapped pages are
+    /// the kernel cache's, so this is an upper bound there.
     pub fn resident_bytes(&self) -> u64 {
         match &self.inner {
             SourceInner::File(_) => 0,
@@ -513,7 +477,17 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[16] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
+        // An unframed file fails at open, and never degrades to `file`.
+        let garbage = dir.path().join("garbage.seg");
+        std::fs::write(&garbage, b"not a segment at all").unwrap();
         for mode in all_modes() {
+            assert!(
+                matches!(
+                    BlockSource::open(&garbage, IoStats::new(), mode),
+                    Err(StorageError::Corrupt(_))
+                ),
+                "{mode}: garbage must not parse"
+            );
             let src = BlockSource::open(&path, IoStats::new(), mode).unwrap();
             assert!(
                 matches!(src.read_block("alpha").unwrap_err(), StorageError::Corrupt(_)),
@@ -539,6 +513,35 @@ mod tests {
         assert_eq!(&*src.read_range("alpha", 6, 5).unwrap(), b"world");
         assert_eq!(&*src.read_block("alpha").unwrap(), b"hello world");
         assert_eq!(src.stats().cache_hits(), 2);
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_live_mapping_keeps_its_bytes_when_the_path_is_republished() {
+        let dir = TempDir::new("blocksrc-republish").unwrap();
+        let path = dir.path().join("demo.seg");
+        write_demo(&path);
+        let before = std::fs::metadata(&path).unwrap().len();
+        let tag = crate::segment::footer_tag(&path).unwrap();
+        let old = BlockSource::open(&path, IoStats::new(), ServingMode::Mmap).unwrap();
+
+        // Same block names and payload lengths, different bytes: the
+        // republished file is as long as the one `old` maps.
+        let mut writer = SegmentWriter::create(&path).unwrap();
+        writer.write_block("alpha", b"jello world").unwrap();
+        writer.write_block("beta", b"9876543210").unwrap();
+        writer.write_block("empty", b"").unwrap();
+        writer.finish().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
+        // What the index fingerprint tells the two files apart by.
+        assert_ne!(crate::segment::footer_tag(&path).unwrap(), tag);
+
+        let new = BlockSource::open(&path, IoStats::new(), ServingMode::Mmap).unwrap();
+        assert_eq!(&*new.read_block("alpha").unwrap(), b"jello world");
+        // `old` reads its blocks for the first time only now, so each is
+        // CRC-verified here, against the directory `old` mapped.
+        assert_eq!(&*old.read_block("alpha").unwrap(), b"hello world");
+        assert_eq!(&*old.read_range("beta", 0, 4).unwrap(), b"0123");
     }
 
     #[test]

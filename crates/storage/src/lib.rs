@@ -15,10 +15,9 @@
 //! * [`block`] — the [`BlockSource`] serving tier: one block/range-view
 //!   API over two backends (positioned file reads, and an mmap mapping on
 //!   Linux), so every query path reads through the same abstraction
-//!   regardless of where the bytes live.
-//! * [`cache`] — the process-wide [`PageCache`]: N open handles of one
-//!   segment share a single mapping ([`BlockSource::open_shared`]), with
-//!   per-handle [`IoStats`] intact.
+//!   regardless of where the bytes live. Each mapped open owns its
+//!   mapping; the kernel's page cache is what shares a file's pages
+//!   between mappings.
 //! * [`TempDir`] — a scoped scratch directory for tests and benches.
 //!
 //! The format is deliberately simple (magic, version, blocks, directory,
@@ -28,7 +27,6 @@
 #![deny(missing_docs)]
 
 pub mod block;
-pub mod cache;
 pub mod crc32;
 #[cfg(target_os = "linux")]
 pub(crate) mod mmap;
@@ -59,7 +57,6 @@ pub(crate) mod mmap {
 }
 
 pub use block::{BlockSource, BlockView, ServingMode};
-pub use cache::PageCache;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

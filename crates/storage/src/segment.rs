@@ -522,8 +522,8 @@ fn check_footer(footer: &[u8], file_len: u64) -> Result<(u64, u64, u32)> {
 /// with different payload bytes produce different tags with CRC-grade
 /// probability even when file length and mtime collide — exactly the
 /// same-second same-length rewrite a fast flush/compact cycle produces.
-/// The [`crate::PageCache`] key and the index fingerprint both fold this
-/// in to close that staleness window. One 28-byte read, no payload I/O.
+/// The index fingerprint folds this in to close that staleness window.
+/// One 28-byte read, no payload I/O.
 pub fn footer_tag(path: impl AsRef<Path>) -> Result<u64> {
     let mut file = File::open(path.as_ref())?;
     let file_len = file.metadata()?.len();

@@ -43,8 +43,7 @@
 //! connections multiplexed onto a fixed worker pool, with per-connection
 //! request pipelining and `"id"`-matched responses. `--front-end
 //! threads` selects the portable thread-per-connection loop (the only
-//! option off Linux), all connections sharing one index through the
-//! process-wide page cache.
+//! option off Linux), all connections sharing one open index.
 
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
@@ -439,7 +438,6 @@ fn torn_tail_clause(stats: &kbtim::index::DeltaStats) -> String {
 }
 
 fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
-    use kbtim::index::PageCache;
     use kbtim::serve::{ServeOp, ServeRequest};
     use std::io::BufRead;
     use std::sync::Arc;
@@ -452,10 +450,8 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
         "off" => false,
         other => return Err(format!("--flush must be on|off, got {other:?}")),
     };
-    let index = Arc::new(
-        KbtimIndex::open_shared(dir, IoStats::new(), mode, PageCache::global())
-            .map_err(|e| e.to_string())?,
-    );
+    let index =
+        Arc::new(KbtimIndex::open_with(dir, IoStats::new(), mode).map_err(|e| e.to_string())?);
     let delta = attach_delta(flags, &index, data)?;
     let replayed = delta.unflushed();
 
@@ -541,7 +537,7 @@ fn stdin_is_pipe() -> bool {
 }
 
 fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Result<(), String> {
-    use kbtim::index::{PageCache, QueryEngine};
+    use kbtim::index::QueryEngine;
     use kbtim::serve::{
         serve_epoll, serve_stdio, serve_threads, term_signal, EpollConfig, Router, ServeCtx,
     };
@@ -672,13 +668,13 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     let ctx = Arc::new(ServeCtx::new(max_queue, default_deadline).with_front_end(front_end));
     term_signal::install();
 
-    // Open every index through the process-wide page cache: indexes
-    // sharing segment files (and any further open in this process —
-    // another serve loop, a validator) share the resident pages.
+    // One open, and one engine, per route. On `mmap` each open maps its
+    // own segments: two routes over one directory map it twice, and the
+    // kernel's page cache holds its pages once.
     let mut router = Router::new();
     let mut delta: Option<Arc<kbtim::index::DeltaIndex>> = None;
     for (name, dir) in &indexes {
-        let mut index = KbtimIndex::open_shared(dir, IoStats::new(), mode, PageCache::global())
+        let mut index = KbtimIndex::open_with(dir, IoStats::new(), mode)
             .map_err(|e| format!("index {name} ({dir}): {e}"))?;
         index.set_threads(if threads == 0 { None } else { Some(threads) });
         let index = Arc::new(index);

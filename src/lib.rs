@@ -56,11 +56,10 @@
 //! `Arc<KbtimIndex>` behind [`index::QueryEngine`] (identical in-flight
 //! requests coalesce to one execution; with a merge cache the decoded
 //! keyword lists it leases are the RAM-resident copy), open it with
-//! [`index::KbtimIndex::open_shared`] so resident segment pages dedupe
-//! through the process-wide [`storage::PageCache`], and speak the
-//! [`serve`] line-JSON protocol via `kbtim serve` (stdin/stdout or
-//! TCP). Concurrent answers are bit-identical to serial execution for
-//! any interleaving, backend and thread count.
+//! [`index::KbtimIndex::open_with`] on the backend of your choice, and
+//! speak the [`serve`] line-JSON protocol via `kbtim serve`
+//! (stdin/stdout or TCP). Concurrent answers are bit-identical to
+//! serial execution for any interleaving, backend and thread count.
 
 pub mod serve;
 

@@ -339,9 +339,7 @@ impl ServeRequest {
 }
 
 /// Multi-index routing: one serve process, many named indexes, one
-/// engine each — all behind the process-wide
-/// [`kbtim_index::PageCache`], so indexes sharing segment files share
-/// their resident pages.
+/// open and one engine each.
 ///
 /// The first registered index is the **default route**: requests
 /// without an `"index"` field go there, which keeps single-index

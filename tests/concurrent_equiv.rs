@@ -13,17 +13,14 @@
 //! 2. the [`QueryEngine`]'s request coalescing returns the same answer
 //!    to every duplicate of one request in a window, and its books
 //!    count exactly one execution per distinct request;
-//! 3. two indexes opened through one [`PageCache`] share a single
-//!    resident copy of every keyword segment while their per-index
-//!    [`IoStats`] stay separate;
-//! 4. the cross-request **batch planner** returns answers bit-identical
+//! 3. the cross-request **batch planner** returns answers bit-identical
 //!    to serial single-query execution for any chunking of
 //!    overlapping-keyword requests into windows, submitted from
 //!    several client threads at once, across both serving
 //!    backends — and its books prove the shared keyword decode actually
 //!    happened (each distinct keyword decoded once per window, not once
 //!    per request);
-//! 5. the **prepared-query cache** is unobservable in answers: with the
+//! 4. the **prepared-query cache** is unobservable in answers: with the
 //!    cache enabled, every interleaving and every round (cold and hot)
 //!    answers bit-identically to the uncached serial path, while the
 //!    hit/miss/eviction books balance. What it caches is a keyword
@@ -34,8 +31,8 @@
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
 use kbtim::index::{
-    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, PageCache,
-    QueryEngine, ServingMode, ThetaMode,
+    Algo, EngineRequest, IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, QueryEngine,
+    ServingMode, ThetaMode,
 };
 use kbtim::propagation::model::IcModel;
 use kbtim::storage::block::all_modes;
@@ -625,42 +622,6 @@ fn engine_coalesces_identical_requests_in_a_window() {
     }
     assert_eq!(engine.executed(), 2, "one execution per distinct request");
     assert_eq!(engine.coalesced(), issued as u64 - 2, "every duplicate is coalesced");
-}
-
-#[test]
-#[cfg(target_os = "linux")]
-fn page_cache_dedupes_across_whole_indexes() {
-    let fx = fixture();
-    let dir = fx._dir.path();
-    let cache = PageCache::new();
-    let stats_a = IoStats::new();
-    let stats_b = IoStats::new();
-    let a = KbtimIndex::open_shared(dir, stats_a.clone(), ServingMode::Mmap, &cache).unwrap();
-    let b = KbtimIndex::open_shared(dir, stats_b.clone(), ServingMode::Mmap, &cache).unwrap();
-
-    // Two open indexes, one resident copy of every keyword segment.
-    assert_eq!(a.resident_bytes(), b.resident_bytes());
-    assert_eq!(
-        cache.resident_bytes(),
-        a.resident_bytes(),
-        "the cache holds one copy, not one per index"
-    );
-    assert!(cache.segments() > 0);
-
-    // Queries agree with the serial oracle, and each handle's stats
-    // count only its own traffic.
-    let q = Query::new([0, 1, 2], 6);
-    let want = Answer::of(&fx.serial.query_rr(&q).unwrap());
-    assert_eq!(Answer::of(&a.query_rr(&q).unwrap()), want);
-    assert!(stats_a.cache_hits() > 0);
-    assert_eq!(stats_b.cache_hits(), 0, "B idle: shared pages must not blur B's stats");
-    assert_eq!(Answer::of(&b.query_irr(&q).unwrap()), want);
-    assert!(stats_b.cache_hits() > 0);
-
-    // Dropping both handles releases the pages; the cache pins nothing.
-    drop((a, b));
-    assert_eq!(cache.segments(), 0);
-    assert_eq!(cache.resident_bytes(), 0);
 }
 
 #[test]

@@ -190,7 +190,7 @@ fn sharded_layouts_validate_and_report_their_shard_count() {
 fn shard_fingerprints_differ_per_layout() {
     // Different shard counts are different segment generations: a
     // prepared-query cache keyed by the fingerprint must never alias
-    // them (satellite of the PageCache/fingerprint contract).
+    // them (the fingerprint contract).
     let _lease = kbtim_fault::shared();
     let fx = fixture();
     let mut fps = Vec::new();
