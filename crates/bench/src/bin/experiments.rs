@@ -6,8 +6,15 @@
 //! ```
 //!
 //! Experiments: `table2 fig4 table3 table4 table5 fig5 table6 table7 fig6
-//! fig7 table8`. Indexes are cached under `--root` (default
+//! fig7 table8 ablations`. Indexes are cached under `--root` (default
 //! `target/kbtim-exp`), so reruns only pay query time.
+//!
+//! `ablations` times the paper's design choices, each beside the equality
+//! that makes its timing a fair comparison: lazy vs naive greedy (a1,
+//! §5.2), the raw vs packed list codec (a2, Table 4's codec), the IRR
+//! partition size δ (a3, §5 fixes δ = 100), alias vs cumulative root
+//! sampling (a4) and RR-set sampling under IC vs LT (a5, §6.6). It exits
+//! 1 if any equality column reads `NO`.
 //!
 //! Reading the RR-vs-IRR comparisons (fig5–fig7, table6): *RR sets
 //! loaded* is the paper's quantity and is exact — `θ^Q` for RR, the
@@ -20,6 +27,8 @@
 use kbtim_bench::table::{fmt_bytes, fmt_duration, TextTable};
 use kbtim_bench::{ExpContext, ExpScale};
 use kbtim_codec::Codec;
+use kbtim_core::alias::{AliasTable, CumulativeSampler};
+use kbtim_core::maxcover::{greedy_max_cover, greedy_max_cover_naive};
 use kbtim_core::ris::ris_query;
 use kbtim_core::wris::wris_query;
 use kbtim_datagen::{Dataset, DatasetFamily};
@@ -27,18 +36,28 @@ use kbtim_graph::stats::{graph_stats, in_degree_histogram, log_binned_in_degrees
 use kbtim_index::{IndexVariant, KbtimIndex, ThetaMode};
 use kbtim_propagation::model::{IcModel, LtModel};
 use kbtim_propagation::spread::monte_carlo_targeted;
-use kbtim_propagation::TriggeringModel;
+use kbtim_propagation::{RrSampler, TriggeringModel};
 use kbtim_topics::Query;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // table7 precedes fig5/table6 so the shared Q.k sweep is computed once
 // *with* its Monte-Carlo spread columns and then reused.
 const ALL: &[&str] = &[
-    "table2", "fig4", "table3", "table4", "table5", "table7", "fig5", "table6", "fig6", "fig7",
+    "table2",
+    "fig4",
+    "table3",
+    "table4",
+    "table5",
+    "table7",
+    "fig5",
+    "table6",
+    "fig6",
+    "fig7",
     "table8",
+    "ablations",
 ];
 
 fn main() {
@@ -46,37 +65,26 @@ fn main() {
     let mut root = String::from("target/kbtim-exp");
     let mut only: Option<Vec<String>> = None;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value =
+            || args.next().unwrap_or_else(|| usage_error(&format!("{flag} needs a value")));
+        match flag.as_str() {
             "--scale" => {
-                i += 1;
-                scale = ExpScale::by_name(&args[i]).unwrap_or_else(|| {
-                    eprintln!("unknown scale {:?} (small|full)", args[i]);
-                    std::process::exit(2);
+                let name = value();
+                scale = ExpScale::by_name(&name).unwrap_or_else(|| {
+                    usage_error(&format!("unknown scale {name:?} (small|full)"))
                 });
             }
-            "--root" => {
-                i += 1;
-                root = args[i].clone();
-            }
-            "--only" => {
-                i += 1;
-                only = Some(args[i].split(',').map(str::to_string).collect());
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!("usage: experiments [--scale small|full] [--root DIR] [--only LIST]");
-                std::process::exit(2);
-            }
+            "--root" => root = value(),
+            "--only" => only = Some(value().split(',').map(str::to_string).collect()),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
-        i += 1;
     }
     let selected: Vec<&str> = match &only {
         Some(list) => {
-            for name in list {
-                assert!(ALL.contains(&name.as_str()), "unknown experiment {name}");
+            if let Some(name) = list.iter().find(|name| !ALL.contains(&name.as_str())) {
+                usage_error(&format!("unknown experiment {name:?}"));
             }
             ALL.iter().copied().filter(|e| list.iter().any(|s| s == e)).collect()
         }
@@ -100,10 +108,18 @@ fn main() {
             "fig6" => harness.fig6(),
             "fig7" => harness.fig7(),
             "table8" => harness.table8(),
+            "ablations" => harness.ablations(),
             _ => unreachable!(),
         }
     }
     println!("== done in {} ==", fmt_duration(started.elapsed()));
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!("usage: experiments [--scale small|full] [--root DIR] [--only NAME[,NAME...]]");
+    eprintln!("  NAME: {}", ALL.join("|"));
+    std::process::exit(2);
 }
 
 /// One row of the shared Q.k sweep (feeds Fig 5, Table 6 and Table 7).
@@ -685,4 +701,242 @@ impl Harness {
             t.print();
         }
     }
+
+    // ------------------------------------------------------------------
+    // Ablations: the paper's design choices, each timed beside the
+    // equality that makes the timing a fair comparison.
+    // ------------------------------------------------------------------
+    fn ablations(&mut self) {
+        let checks = [self.a1_greedy(), self.a2_codec(), self.a3_partition_size()];
+        self.a4_root_sampler();
+        self.a5_models();
+        if checks.contains(&false) {
+            eprintln!("ablations: an equality column reads NO, so its timing compares unlike work");
+            std::process::exit(1);
+        }
+    }
+
+    fn a1_greedy(&self) -> bool {
+        const K: u32 = 30;
+        println!("-- Ablation a1: lazy (CELF) vs naive greedy max-cover (§5.2; k = {K}, sets of 1-7 ids < 1000)");
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut t = TextTable::new(["#sets", "lazy", "naive", "naive / lazy", "same seeds"]);
+        let mut all_same = true;
+        for num_sets in [2_000usize, 10_000] {
+            let sets: Vec<Vec<u32>> = (0..num_sets)
+                .map(|_| {
+                    let len = rng.gen_range(1..8);
+                    let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..1_000)).collect();
+                    set.sort_unstable();
+                    set.dedup();
+                    set
+                })
+                .collect();
+            let lazy = time_per_call(|| greedy_max_cover(&sets, K));
+            let naive = time_per_call(|| greedy_max_cover_naive(&sets, K));
+            let same = greedy_max_cover(&sets, K) == greedy_max_cover_naive(&sets, K);
+            all_same &= same;
+            t.row([
+                num_sets.to_string(),
+                fmt_duration(lazy),
+                fmt_duration(naive),
+                format!("{:.1}x", naive.as_secs_f64() / lazy.as_secs_f64()),
+                yes_no(same),
+            ]);
+        }
+        t.print();
+        all_same
+    }
+
+    fn a2_codec(&self) -> bool {
+        const LEN: u32 = 100_000;
+        println!("-- Ablation a2: list codec, raw u32 vs delta + bit-packing (Table 4; {LEN} ids, gaps 1-16)");
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut id = 0u32;
+        let list: Vec<u32> = (0..LEN)
+            .map(|_| {
+                id += rng.gen_range(1..=16);
+                id
+            })
+            .collect();
+        let mut t =
+            TextTable::new(["codec", "encode Mu32/s", "decode Mu32/s", "B/u32", "round-trips"]);
+        let mut all_exact = true;
+        for (label, codec) in [("raw", Codec::Raw), ("packed", Codec::Packed)] {
+            let mut encoded = Vec::new();
+            codec.encode_sorted(&list, &mut encoded);
+            let mut decoded = Vec::new();
+            let exact = codec.decode_sorted(&encoded, &mut decoded).is_ok() && decoded == list;
+            all_exact &= exact;
+            let encode = time_per_call(|| {
+                let mut out = Vec::new();
+                codec.encode_sorted(&list, &mut out);
+                out
+            });
+            let decode = time_per_call(|| {
+                let mut out = Vec::new();
+                codec.decode_sorted(&encoded, &mut out).map(|_| out)
+            });
+            let rate = |d: Duration| format!("{:.0}", LEN as f64 / d.as_secs_f64() / 1e6);
+            t.row([
+                label.to_string(),
+                rate(encode),
+                rate(decode),
+                format!("{:.2}", encoded.len() as f64 / LEN as f64),
+                yes_no(exact),
+            ]);
+        }
+        t.print();
+        all_exact
+    }
+
+    fn a3_partition_size(&mut self) -> bool {
+        let size = self.default_size(DatasetFamily::News);
+        let ctx = self.ctx.clone();
+        let (keywords, k) = (ctx.scale.default_keywords, ctx.scale.default_k);
+        let data = self.dataset(DatasetFamily::News, size);
+        println!(
+            "-- Ablation a3: IRR partition size δ (§5 fixes δ = 100; {}, {keywords}-keyword queries, k = {k}; avg over {} queries)",
+            data.name, ctx.scale.queries_per_length
+        );
+        let queries = ctx.queries(data, keywords, k);
+        let mut t = TextTable::new([
+            "δ",
+            "IRR time",
+            "IRR loaded",
+            "IRR reads",
+            "RR time",
+            "RR loaded",
+            "same answer as RR",
+        ]);
+        let mut all_same = true;
+        for partition_size in [10u32, 100, 1_000] {
+            let variant = IndexVariant::Irr { partition_size };
+            let build = ctx.build_or_load(data, Codec::Packed, variant, ThetaMode::Compact, None);
+            let index = ctx.open(&build);
+            let (mut irr_time, mut rr_time) = (Duration::ZERO, Duration::ZERO);
+            let (mut irr_loaded, mut rr_loaded, mut irr_reads) = (0u64, 0u64, 0u64);
+            let mut same = true;
+            for q in &queries {
+                let irr = index.query_irr(q).expect("irr");
+                let rr = index.query_rr(q).expect("rr");
+                same &= irr.seeds == rr.seeds;
+                irr_time += irr.stats.elapsed;
+                rr_time += rr.stats.elapsed;
+                irr_loaded += irr.stats.rr_sets_loaded;
+                rr_loaded += rr.stats.rr_sets_loaded;
+                irr_reads += irr.stats.io.read_ops;
+            }
+            all_same &= same;
+            let n = queries.len() as u64;
+            t.row([
+                partition_size.to_string(),
+                fmt_duration(irr_time / n as u32),
+                (irr_loaded / n).to_string(),
+                (irr_reads / n).to_string(),
+                fmt_duration(rr_time / n as u32),
+                (rr_loaded / n).to_string(),
+                yes_no(same),
+            ]);
+        }
+        t.print();
+        all_same
+    }
+
+    fn a4_root_sampler(&self) {
+        const DRAWS: u32 = 1_000_000;
+        println!(
+            "-- Ablation a4: alias vs cumulative root sampling (weights U(0,1); gap = largest |observed - expected| share in {DRAWS} draws)"
+        );
+        let mut rng = SmallRng::seed_from_u64(13);
+        let mut t = TextTable::new([
+            "n",
+            "alias ns/draw",
+            "cumulative ns/draw",
+            "alias max gap",
+            "cumulative max gap",
+        ]);
+        for n in [1_000usize, 100_000] {
+            let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let total: f64 = weights.iter().sum();
+            let alias = AliasTable::new(&weights).expect("weights");
+            let cumulative = CumulativeSampler::new(&weights).expect("weights");
+            let measure = |sample: &dyn Fn(&mut SmallRng) -> usize| {
+                let mut rng = SmallRng::seed_from_u64(1);
+                let started = Instant::now();
+                let draws: Vec<usize> = (0..DRAWS).map(|_| sample(&mut rng)).collect();
+                let ns = started.elapsed().as_nanos() as f64 / DRAWS as f64;
+                let mut counts = vec![0u32; n];
+                for draw in draws {
+                    counts[draw] += 1;
+                }
+                let gap = counts
+                    .iter()
+                    .zip(&weights)
+                    .map(|(&c, &w)| (c as f64 / DRAWS as f64 - w / total).abs())
+                    .fold(0.0, f64::max);
+                (ns, gap)
+            };
+            let (alias_ns, alias_gap) = measure(&|rng| alias.sample(rng));
+            let (cumulative_ns, cumulative_gap) = measure(&|rng| cumulative.sample(rng));
+            t.row([
+                n.to_string(),
+                format!("{alias_ns:.1}"),
+                format!("{cumulative_ns:.1}"),
+                format!("{alias_gap:.1e}"),
+                format!("{cumulative_gap:.1e}"),
+            ]);
+        }
+        t.print();
+    }
+
+    fn a5_models(&mut self) {
+        const SETS: u32 = 20_000;
+        let size = self.default_size(DatasetFamily::Twitter);
+        let data = self.dataset(DatasetFamily::Twitter, size);
+        println!(
+            "-- Ablation a5: RR-set sampling under IC vs LT (§6.6; {}, {SETS} sets from uniform roots)",
+            data.name
+        );
+        let graph = &data.graph;
+        let ic = IcModel::weighted_cascade(graph);
+        let lt = LtModel::random_weights(graph, &mut SmallRng::seed_from_u64(3));
+        let mut t = TextTable::new(["model", "µs/set", "mean set size"]);
+        for (label, model) in [("IC", &ic as &dyn TriggeringModel), ("LT", &lt)] {
+            let mut sampler = RrSampler::new(graph.num_nodes());
+            let mut rng = SmallRng::seed_from_u64(7);
+            let mut out = Vec::new();
+            let mut members = 0u64;
+            let started = Instant::now();
+            for _ in 0..SETS {
+                let root = rng.gen_range(0..graph.num_nodes());
+                sampler.sample_into(model, root, &mut rng, &mut out);
+                members += out.len() as u64;
+            }
+            let us = started.elapsed().as_secs_f64() * 1e6 / SETS as f64;
+            t.row([
+                label.to_string(),
+                format!("{us:.2}"),
+                format!("{:.2}", members as f64 / SETS as f64),
+            ]);
+        }
+        t.print();
+    }
+}
+
+/// Mean wall time of one call of `f`: a warm-up call, then calls until
+/// 200 ms have passed (at least three).
+fn time_per_call<R>(mut f: impl FnMut() -> R) -> Duration {
+    std::hint::black_box(f());
+    let started = Instant::now();
+    let mut calls = 0u32;
+    while calls < 3 || started.elapsed() < Duration::from_millis(200) {
+        std::hint::black_box(f());
+        calls += 1;
+    }
+    started.elapsed() / calls
+}
+
+fn yes_no(same: bool) -> String {
+    if same { "yes" } else { "NO" }.to_string()
 }

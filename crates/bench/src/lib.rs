@@ -1,12 +1,9 @@
 //! Benchmark harness for the KB-TIM paper's evaluation (§6).
 //!
-//! Two consumers share this crate:
-//!
-//! * the `experiments` binary (`cargo run --release -p kbtim-bench --bin
-//!   experiments`) regenerates **every table and figure** of the paper as
-//!   text rows (its module doc lists the experiments);
-//! * the Criterion benches (`cargo bench`) time the hot paths and the
-//!   ablations on small fixtures.
+//! Its one consumer, the `experiments` binary (`cargo run --release -p
+//! kbtim-bench --bin experiments`), regenerates **every table and figure**
+//! of the paper, and the ablations of its design choices, as text rows
+//! (its module doc lists the experiments).
 //!
 //! Indexes are cached under a root directory keyed by dataset + build
 //! configuration, so query experiments do not pay repeated build costs

@@ -91,7 +91,7 @@ impl ExpScale {
         }
     }
 
-    /// Tiny preset for the Criterion micro-benches.
+    /// Tiny preset for the crate's unit tests; not selectable by name.
     pub fn bench() -> ExpScale {
         ExpScale {
             name: "bench",
@@ -118,7 +118,6 @@ impl ExpScale {
         match name {
             "small" => Some(ExpScale::small()),
             "full" => Some(ExpScale::full()),
-            "bench" => Some(ExpScale::bench()),
             _ => None,
         }
     }
@@ -141,7 +140,7 @@ mod tests {
 
     #[test]
     fn presets_resolve_by_name() {
-        for name in ["small", "full", "bench"] {
+        for name in ["small", "full"] {
             let scale = ExpScale::by_name(name).unwrap();
             assert_eq!(scale.name, name);
             assert!(!scale.news_sizes.is_empty());
