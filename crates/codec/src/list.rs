@@ -34,19 +34,11 @@ pub fn encode_raw(values: &[u32], out: &mut Vec<u8>) {
 
 /// Decode a list written by [`encode_raw`]; returns bytes consumed.
 pub fn decode_raw(input: &[u8], out: &mut Vec<u32>) -> Result<usize, CodecError> {
-    let (n, mut pos) = varint::read_u32(input)?;
-    let n = n as usize;
-    let need = n.checked_mul(4).ok_or(CodecError::UnexpectedEof)?;
-    if input.len() < pos + need {
-        return Err(CodecError::UnexpectedEof);
-    }
-    out.reserve(n);
-    for _ in 0..n {
-        let bytes: [u8; 4] = input[pos..pos + 4].try_into().expect("length checked");
-        out.push(u32::from_le_bytes(bytes));
-        pos += 4;
-    }
-    Ok(pos)
+    let (n, pos) = varint::read_u32(input)?;
+    let need = (n as usize).checked_mul(4).ok_or(CodecError::UnexpectedEof)?;
+    let words = input[pos..].get(..need).ok_or(CodecError::UnexpectedEof)?;
+    out.extend(words.chunks_exact(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])));
+    Ok(pos + need)
 }
 
 /// Encode a sorted list with delta + block bit-packing.

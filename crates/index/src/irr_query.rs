@@ -352,8 +352,10 @@ impl KbtimIndex {
                         }
                         continue;
                     }
-                    if complete && s >= total_kb {
-                        // New seed confirmed.
+                    if complete && s > total_kb {
+                        // New seed confirmed: a strict win, since an
+                        // unseen user may tie at `total_kb` with a
+                        // smaller id, and RR would take that user.
                         selected[v as usize] = true;
                         seeds.push(v);
                         marginal_gains.push(s);

@@ -1365,23 +1365,6 @@ mod tests {
     }
 
     #[test]
-    fn elapsed_counts_from_the_start_of_the_window() {
-        // Arms a failpoint: the registry is process-global.
-        let _lease = kbtim_fault::exclusive();
-        let dir = TempDir::new("engine-elapsed").unwrap();
-        let engine = build_engine(dir.path());
-        let req = EngineRequest::new([0, 1], 5).with_algo(Algo::Rr);
-        // The shared decode is the largest stage of a cold request; a
-        // response's `elapsed_us` must include it, as the per-request
-        // reference's does.
-        kbtim_fault::arm("engine.decode", "delay(20000)").unwrap();
-        let delay = Duration::from_millis(20);
-        assert!(engine.execute(&req).unwrap().stats.elapsed >= delay);
-        let got = engine.query_window(&[(req, None)]).remove(0).unwrap();
-        assert!(got.stats.elapsed >= delay, "elapsed {:?} omits the decode", got.stats.elapsed);
-    }
-
-    #[test]
     fn a_window_refuses_irr_on_an_rr_index_before_any_work() {
         let dir = TempDir::new("engine-irr-on-rr").unwrap();
         let engine = QueryEngine::new(build_index_as(dir.path(), IndexVariant::Rr).2);
@@ -1542,39 +1525,6 @@ mod tests {
         let spare = index.scratch.spare_csr_capacities().len();
         index.recycle_keywords(arena);
         assert_eq!(index.scratch.spare_csr_capacities().len(), spare + 1);
-    }
-
-    #[test]
-    fn a_failed_decode_publishes_nothing() {
-        // Arms a failpoint: the registry is process-global.
-        let _lease = kbtim_fault::exclusive();
-        let dir = TempDir::new("engine-keyword-fault").unwrap();
-        let engine = build_engine(dir.path()).with_merge_cache(4);
-        let req = EngineRequest::new([0, 1], 5).with_algo(Algo::Rr);
-        let want = engine.execute(&req).unwrap();
-
-        kbtim_fault::arm("engine.decode", "1*err").unwrap();
-        let err = engine.query(&req).unwrap_err();
-        assert!(matches!(err.index_error(), IndexError::Injected("engine.decode")), "{err}");
-        assert_eq!((engine.keyword_cache_len(), engine.keywords_decoded()), (0, 0));
-
-        assert_same_answer(&engine.query(&req).unwrap(), &want, "after the failed decode");
-        assert_eq!((engine.keyword_cache_len(), engine.keywords_decoded()), (2, 2));
-
-        // One unreadable keyword fails the union; the retried healthy
-        // group publishes its own lists, the failed group nothing.
-        std::fs::write(dir.path().join(crate::format::keyword_file_name(3)), b"x").unwrap();
-        let doomed = EngineRequest::new([2, 3], 4).with_algo(Algo::Rr);
-        let healthy = EngineRequest::new([1, 4], 4).with_algo(Algo::Rr);
-        let want = engine.execute(&healthy).unwrap();
-        let mut got = engine.query_window(&[(doomed, None), (healthy, None)]).into_iter();
-        assert!(got.next().unwrap().is_err());
-        assert_same_answer(&got.next().unwrap().unwrap(), &want, "healthy group");
-        assert_eq!(
-            (engine.keyword_cache_len(), engine.keywords_decoded()),
-            (3, 3),
-            "4 joined 0, 1"
-        );
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! kbtim ingest   --index DIR --data DIR [--file F] [--flush on|off]
 //!                [--serving file|mmap] [--eps F] [--cap N] [--seed S]
 //! kbtim serve    --index [NAME=]DIR [--index NAME=DIR ...] [--listen HOST:PORT]
-//!                [--front-end epoll|threads] [--max-conns N] [--backlog N]
-//!                [--workers N] [--outbox-cap BYTES]
+//!                [--max-conns N] [--backlog N] [--workers N] [--outbox-cap BYTES]
 //!                [--threads N] [--serving file|mmap]
 //!                [--batch USEC] [--merge-cache ENTRIES] [--max-queue N]
 //!                [--deadline-ms MS] [--max-line BYTES]
@@ -38,12 +37,11 @@
 //!
 //! `serve` turns the index into an always-on query service speaking
 //! line-delimited JSON (see [`kbtim::serve`]) over stdin/stdout, or over
-//! TCP with `--listen`. On Linux the default TCP front end is a
-//! hand-rolled epoll readiness loop (`--front-end epoll`): thousands of
-//! connections multiplexed onto a fixed worker pool, with per-connection
-//! request pipelining and `"id"`-matched responses. `--front-end
-//! threads` selects the portable thread-per-connection loop (the only
-//! option off Linux), all connections sharing one open index.
+//! TCP with `--listen`. The TCP front end is a hand-rolled epoll
+//! readiness loop: thousands of connections multiplexed onto a fixed
+//! worker pool, with per-connection request pipelining and
+//! `"id"`-matched responses. It needs Linux; stdin mode runs
+//! everywhere.
 
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
@@ -122,8 +120,7 @@ USAGE:
   kbtim ingest   --index DIR --data DIR [--file F] [--flush on|off]
                  [--serving file|mmap] [--eps F] [--cap N] [--seed S]
   kbtim serve    --index [NAME=]DIR [--index NAME=DIR ...] [--listen HOST:PORT]
-                 [--front-end epoll|threads] [--max-conns N] [--backlog N]
-                 [--workers N] [--outbox-cap BYTES]
+                 [--max-conns N] [--backlog N] [--workers N] [--outbox-cap BYTES]
                  [--threads N] [--serving file|mmap]
                  [--batch USEC] [--merge-cache ENTRIES] [--max-queue N]
                  [--deadline-ms MS] [--max-line BYTES]
@@ -146,7 +143,6 @@ fn known_flags(command: &str) -> Option<&'static [&'static str]> {
         "serve" => &[
             "index",
             "listen",
-            "front-end",
             "max-conns",
             "backlog",
             "workers",
@@ -538,9 +534,7 @@ fn stdin_is_pipe() -> bool {
 
 fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Result<(), String> {
     use kbtim::index::QueryEngine;
-    use kbtim::serve::{
-        serve_epoll, serve_stdio, serve_threads, term_signal, EpollConfig, Router, ServeCtx,
-    };
+    use kbtim::serve::{serve_epoll, serve_stdio, term_signal, EpollConfig, Router, ServeCtx};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -606,32 +600,13 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     if max_line == 0 {
         return Err("--max-line must be positive".to_string());
     }
-    // TCP front end: `epoll` (Linux default — one event loop, pipelined
-    // requests) or `threads` (portable, one thread per connection). Off
-    // Linux, `epoll` falls back to `threads` with a notice. Stdin mode
-    // is one more blocking stream. All feed the same dispatcher.
-    let fe_flag = flags.get("front-end").map(String::as_str);
-    if fe_flag.is_some() && !flags.contains_key("listen") {
-        return Err("--front-end requires --listen".to_string());
+    // One TCP front end, the epoll loop; stdin mode is the serial
+    // stream. Both feed the same dispatcher.
+    let front_end = if flags.contains_key("listen") { "epoll" } else { "stdin" };
+    if front_end == "epoll" && !cfg!(target_os = "linux") {
+        return Err("`serve --listen` needs Linux; stdin mode runs everywhere".to_string());
     }
-    let front_end: &'static str = match (flags.contains_key("listen"), fe_flag) {
-        (false, _) => "stdin",
-        (true, Some("threads")) => "threads",
-        (true, None | Some("epoll")) => {
-            if cfg!(target_os = "linux") {
-                "epoll"
-            } else {
-                if fe_flag.is_some() {
-                    eprintln!("kbtim serve: the epoll front end is Linux-only; using threads");
-                }
-                "threads"
-            }
-        }
-        (true, Some(other)) => {
-            return Err(format!("--front-end must be epoll|threads, got {other:?}"));
-        }
-    };
-    // Epoll front-end knobs (ignored by the other front ends).
+    // TCP front-end knobs (ignored in stdin mode).
     let max_conns: usize = parse(flags, "max-conns", 4096)?;
     if max_conns == 0 {
         return Err("--max-conns must be positive".to_string());
@@ -640,7 +615,7 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     if backlog <= 0 {
         return Err("--backlog must be positive".to_string());
     }
-    // Query-execution workers of the dispatcher (every front end);
+    // Query-execution workers of the dispatcher (both front ends);
     // 0 = the machine's available parallelism. Distinct from --threads,
     // which is the per-query fan-out *inside* the engine.
     let workers: usize = parse(flags, "workers", 0)?;
@@ -768,35 +743,17 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
             // or socket, where EOF is a deliberate signal. A daemon
             // with stdin on /dev/null no longer drains at startup.
             let watch_stdin = stdin_is_pipe();
-            let grace = Duration::from_secs(10);
-            match front_end {
-                "epoll" => {
-                    let cfg = EpollConfig {
-                        max_conns,
-                        backlog,
-                        workers,
-                        outbox_cap,
-                        max_line,
-                        grace,
-                        watch_stdin,
-                        ..EpollConfig::default()
-                    };
-                    serve_epoll(listener, Arc::clone(&router), Arc::clone(&ctx), cfg)
-                        .map_err(|e| e.to_string())?;
-                }
-                _ => {
-                    serve_threads(
-                        listener,
-                        Arc::clone(&router),
-                        Arc::clone(&ctx),
-                        max_line,
-                        workers,
-                        watch_stdin,
-                        grace,
-                    )
-                    .map_err(|e| e.to_string())?;
-                }
-            }
+            let cfg = EpollConfig {
+                max_conns,
+                backlog,
+                workers,
+                outbox_cap,
+                max_line,
+                watch_stdin,
+                ..EpollConfig::default()
+            };
+            serve_epoll(listener, Arc::clone(&router), Arc::clone(&ctx), cfg)
+                .map_err(|e| e.to_string())?;
         }
     }
 

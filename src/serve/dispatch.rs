@@ -17,7 +17,7 @@
 //! Windows follow the traffic, not the race between threads — nobody
 //! waits to fill one. A transport hands over what it admitted together
 //! in one [`Dispatcher::submit_all`] (epoll: one pass over its ready
-//! connections; a blocking stream: its one line), a worker takes at
+//! connections; stdin: its one line), a worker takes at
 //! most its share of the admitted work ([`window_share`]) — whatever
 //! queued while the workers were busy — and a window's answers go back
 //! in one `deliver` call. Without these a worker woken by the first
@@ -161,8 +161,8 @@ impl Dispatcher {
     /// parallelism). `deliver` receives each window's
     /// `(connection, response)` pairs together, on the worker that ran
     /// it — the epoll transport writes them to their sockets there and
-    /// tells its loop which connections it touched, the blocking
-    /// transports post to their streams' mailboxes.
+    /// tells its loop which connections it touched, stdin posts them to
+    /// the one channel its stream waits on.
     pub(crate) fn new(
         router: Arc<Router>,
         ctx: Arc<ServeCtx>,

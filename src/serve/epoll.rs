@@ -1,11 +1,11 @@
-//! The Linux epoll front end: one event-loop thread multiplexing every
+//! The TCP front end (Linux): one event-loop thread multiplexing every
 //! connection, pipelined requests fanned into a fixed worker pool.
 //!
 //! Layout of the machine:
 //!
 //! * **Event loop (this module)** — nonblocking accept, per-connection
 //!   nonblocking reads through an incremental [`LineFramer`](super::LineFramer)
-//!   (same cap/resync semantics as the blocking reader), response
+//!   (the framer stdin reads through too), response
 //!   outboxes with `EPOLLOUT` re-arm, and the drain state machine.
 //! * **Dispatch (`super::dispatch`)** — the stage every transport
 //!   shares: admitted requests enter a per-(connection × index) fair
@@ -102,8 +102,8 @@ impl Default for EpollConfig {
 
 /// Serve `listener` on the epoll event loop until drain, then return
 /// (the caller reports [`ServeCtx::stats_line`]). Linux only — other
-/// platforms get `ErrorKind::Unsupported`, and the CLI falls back to
-/// [`super::serve_threads`].
+/// platforms get `ErrorKind::Unsupported`; stdin mode
+/// ([`super::serve_stdio`]) runs everywhere.
 #[cfg(not(target_os = "linux"))]
 pub fn serve_epoll(
     _listener: TcpListener,
@@ -113,7 +113,7 @@ pub fn serve_epoll(
 ) -> io::Result<()> {
     Err(io::Error::new(
         io::ErrorKind::Unsupported,
-        "the epoll front end is Linux-only; use the threads front end",
+        "`serve --listen` needs Linux; stdin mode runs everywhere",
     ))
 }
 
@@ -397,9 +397,7 @@ mod linux {
         }
 
         /// Stdin readable: consume; EOF (or error) begins the drain.
-        /// This replaces the dedicated stdin-watcher thread the
-        /// thread-per-connection front end needs — here the latch is
-        /// just another fd on the loop.
+        /// The latch is just another fd on the loop, no watcher thread.
         fn stdin_ready(&mut self) {
             let mut sink = [0u8; 4096];
             match io::stdin().lock().read(&mut sink) {

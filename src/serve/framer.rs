@@ -1,77 +1,10 @@
-//! Line framing with a hard per-line byte cap, in two shapes sharing
-//! one semantics: [`read_bounded_line`] pulls from a blocking
-//! `BufRead` (the stdin and thread-per-connection loops), while
-//! [`LineFramer`] is fed whatever bytes a nonblocking read produced
-//! (the epoll loop). Either way an oversized line — including a
-//! hostile newline-free stream — costs at most the cap in buffering,
-//! is reported once, and the stream resyncs at the next newline.
-
-/// One line read from a bounded reader: see [`read_bounded_line`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum LineRead {
-    /// Clean end of stream (no partial line pending).
-    Eof,
-    /// One complete line, newline stripped (also returned for a final
-    /// unterminated line at EOF).
-    Line(String),
-    /// The line exceeded the cap. Its bytes were consumed up to and
-    /// including the next newline (or EOF), so the stream is resynced —
-    /// answer with `bad_request` and keep reading.
-    TooLong,
-}
-
-/// Read one `\n`-terminated line without ever buffering more than
-/// `max_len` bytes of it — the fix for the unbounded `BufRead::lines`
-/// loop a hostile client could feed gigabytes without a newline.
-/// Oversized lines are consumed (not buffered) through their
-/// terminating newline so the caller can shed one request and continue
-/// with the next. Invalid UTF-8 is replaced, to be rejected by the JSON
-/// parser downstream.
-pub fn read_bounded_line<R: std::io::BufRead>(
-    reader: &mut R,
-    max_len: usize,
-) -> std::io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut overflow = false;
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(if overflow {
-                LineRead::TooLong
-            } else if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line(finish_line(buf))
-            });
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if !overflow && buf.len() + pos > max_len {
-                    overflow = true;
-                    buf.clear();
-                } else if !overflow {
-                    buf.extend_from_slice(&chunk[..pos]);
-                }
-                reader.consume(pos + 1);
-                return Ok(if overflow {
-                    LineRead::TooLong
-                } else {
-                    LineRead::Line(finish_line(buf))
-                });
-            }
-            None => {
-                let len = chunk.len();
-                if !overflow && buf.len() + len > max_len {
-                    overflow = true;
-                    buf.clear();
-                } else if !overflow {
-                    buf.extend_from_slice(chunk);
-                }
-                reader.consume(len);
-            }
-        }
-    }
-}
+//! Line framing with a hard per-line byte cap: [`LineFramer`] is fed
+//! whatever bytes a read produced — a nonblocking socket read on the
+//! epoll loop, a blocking stdin read — and yields the lines they
+//! completed. An oversized line — including a hostile newline-free
+//! stream — costs at most the cap in buffering, is reported once, and
+//! the stream resyncs at the next newline. Invalid UTF-8 is replaced,
+//! to be rejected by the JSON parser downstream.
 
 fn finish_line(mut buf: Vec<u8>) -> String {
     if buf.last() == Some(&b'\r') {
@@ -91,11 +24,11 @@ pub enum FramedLine {
     TooLong,
 }
 
-/// Incremental line framer for nonblocking reads: push whatever bytes
-/// arrived, collect the complete lines they finished. Semantics match
-/// [`read_bounded_line`] exactly — same cap, same
-/// discard-through-newline resync, same lossy UTF-8 — which the
-/// equivalence proptest in `tests/protocol.rs` pins down.
+/// Incremental line framer: push whatever bytes arrived, collect the
+/// complete lines they finished. Where the bytes are torn does not
+/// matter — the proptest in `tests/protocol.rs` frames every stream
+/// torn at arbitrary cuts and in one push, and requires the same
+/// lines.
 #[derive(Debug)]
 pub struct LineFramer {
     buf: Vec<u8>,
@@ -137,8 +70,8 @@ impl LineFramer {
         }
     }
 
-    /// End of stream: the final unterminated line, if any. Mirrors
-    /// [`read_bounded_line`]'s EOF arm.
+    /// End of stream: the final unterminated line, if any (an
+    /// oversized one is one more `TooLong`).
     pub fn finish(&mut self) -> Option<FramedLine> {
         if self.overflow {
             self.overflow = false;

@@ -37,8 +37,8 @@
 //! The tree splits along the serving layers:
 //!
 //! * `json` — the JSON subset parser and escaper ([`Json`]);
-//! * `framer` — bounded line framing ([`read_bounded_line`] for
-//!   blocking readers, [`LineFramer`] for nonblocking chunks);
+//! * `framer` — bounded line framing ([`LineFramer`]: push whatever
+//!   bytes a read produced, collect the lines they completed);
 //! * this module — requests, routing, admission/drain books
 //!   ([`ServeCtx`]), the one admission chain (`admit_line`, whose last
 //!   step answers a request its keyword set's cached greedy run covers
@@ -50,12 +50,12 @@
 //!   fairly dequeued (per connection × index) by a fixed worker pool,
 //!   each window answered through `execute_window`. Every transport
 //!   feeds it what the admission chain did not answer;
-//! * [`threads`] — the portable blocking transports: one thread per
-//!   TCP connection, and the stdin/stdout stream;
-//! * [`epoll`] — the Linux epoll transport: one event-loop thread
+//! * [`epoll`] — the one TCP transport (Linux): one event-loop thread
 //!   multiplexing every connection nonblocking; workers write their
 //!   answers to the sockets themselves (`conn`) and kick the loop over
 //!   an eventfd (`sys`) for what is left to do;
+//! * `stdio` — the stdin/stdout stream ([`serve_stdio`]), blocking and
+//!   strictly serial, on every platform;
 //! * [`term_signal`] — the process-wide SIGTERM/SIGINT drain latch the
 //!   transports poll.
 
@@ -65,15 +65,15 @@ mod dispatch;
 pub mod epoll;
 mod framer;
 mod json;
+mod stdio;
 #[cfg(target_os = "linux")]
 mod sys;
 pub mod term_signal;
-pub mod threads;
 
 pub use epoll::{serve_epoll, EpollConfig};
-pub use framer::{read_bounded_line, FramedLine, LineFramer, LineRead};
+pub use framer::{FramedLine, LineFramer};
 pub use json::Json;
-pub use threads::{serve_stdio, serve_threads};
+pub use stdio::serve_stdio;
 
 use json::escape_into;
 use kbtim_index::{Algo, EngineRequest, IndexError, Mutation, QueryEngine, QueryOutcome};
@@ -467,7 +467,7 @@ pub struct ServeCtx {
     /// Default deadline applied when a request carries no
     /// `deadline_ms` field; `None` means unbounded.
     default_deadline: Option<Duration>,
-    /// Active front-end name (`"epoll"` / `"threads"` / `"stdin"`),
+    /// Active front-end name (`"epoll"` / `"stdin"`),
     /// reported in every response; `None` (the library default) omits
     /// the field.
     front_end: Option<&'static str>,
@@ -822,7 +822,12 @@ pub(crate) fn admit_line(
     };
     if ctx.is_shutting_down() {
         ctx.count_shed();
-        return Err(render_shutting_down(req.id, ctx));
+        return Err(render_error(
+            req.id,
+            "shutting_down",
+            "server is draining; request rejected",
+            fe,
+        ));
     }
     if let Some(reason) = conn_full() {
         ctx.count_shed();
@@ -871,12 +876,6 @@ fn answer_at_admission(
         };
     ctx.count_answered_at_admission();
     Some(render_result(engine, ctx, req, result))
-}
-
-/// The `shutting_down` refusal of a request that arrived (or was still
-/// queued) after the drain began.
-pub(crate) fn render_shutting_down(id: Option<u64>, ctx: &ServeCtx) -> String {
-    render_error(id, "shutting_down", "server is draining; request rejected", ctx.front_end())
 }
 
 /// Admitted requests in, rendered responses out — one per request, in

@@ -2,8 +2,8 @@
 //! no-deps discipline as `kbtim-storage`'s mmap shim: raw `extern "C"`
 //! declarations of exactly the calls used, constants copied from the
 //! kernel ABI, and RAII wrappers so a dropped loop never leaks a file
-//! descriptor. Linux-only; the portable fallback is the
-//! thread-per-connection front end in [`super::threads`].
+//! descriptor. Linux-only: off Linux `serve --listen` refuses to
+//! start, and stdin mode is what runs.
 
 use std::fs::File;
 use std::io::{self, Read, Write};

@@ -129,25 +129,32 @@ fn serve_answers_line_protocol_requests() {
     // Same queries through `kbtim serve` on stdin (batching forced on
     // so the planner path is exercised through the wire — stdin serving
     // defaults it off, see docs/PROTOCOL.md).
-    let mut child = kbtim()
-        .args(["serve", "--index", index.to_str().unwrap(), "--batch", "200"])
-        .args(["--merge-cache", "8"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
-    {
-        let stdin = child.stdin.as_mut().unwrap();
-        writeln!(stdin, r#"{{"id":1,"topics":[0,1],"k":5,"algo":"rr"}}"#).unwrap();
-        writeln!(stdin, r#"{{"id":2,"topics":[0,1],"k":5,"algo":"irr"}}"#).unwrap();
-        writeln!(stdin, r#"{{"id":3,"topics":[0,1],"k":5,"algo":"memory"}}"#).unwrap();
-        writeln!(stdin, r#"{{"id":4,"nonsense":true}}"#).unwrap();
-        writeln!(stdin, "this is not json").unwrap();
+    let serve = || {
+        let mut serve = kbtim();
+        serve
+            .args(["serve", "--index", index.to_str().unwrap(), "--batch", "200"])
+            .args(["--merge-cache", "8"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped());
+        serve
+    };
+    let requests = [
+        r#"{"id":1,"topics":[0,1],"k":5,"algo":"rr"}"#,
+        r#"{"id":2,"topics":[0,1],"k":5,"algo":"irr"}"#,
+        r#"{"id":3,"topics":[0,1],"k":5,"algo":"memory"}"#,
+        r#"{"id":4,"nonsense":true}"#,
+        "this is not json",
         // A repeat of request 1: its keyword set's greedy run is now
         // resident in the prepared-query cache, and the answer must be
         // unchanged.
-        writeln!(stdin, r#"{{"id":6,"topics":[0,1],"k":5,"algo":"rr"}}"#).unwrap();
+        r#"{"id":6,"topics":[0,1],"k":5,"algo":"rr"}"#,
+    ];
+    let mut child = serve().stdin(std::process::Stdio::piped()).spawn().unwrap();
+    {
+        let stdin = child.stdin.as_mut().unwrap();
+        for request in requests {
+            writeln!(stdin, "{request}").unwrap();
+        }
     } // stdin drops → EOF → clean exit
     let out = child.wait_with_output().unwrap();
     assert!(out.status.success(), "serve failed: {}", String::from_utf8_lossy(&out.stderr));
@@ -196,6 +203,19 @@ fn serve_answers_line_protocol_requests() {
     assert!(lines[3].contains("\"code\":\"unknown_field\""), "{}", lines[3]);
     assert!(lines[4].contains("\"error\""), "{}", lines[4]);
     assert!(lines[4].contains("\"code\":\"parse_error\""), "{}", lines[4]);
+
+    // `kbtim serve < requests`: stdin a regular file, which no
+    // readiness loop can watch. The same lines answer the same, in
+    // request order.
+    let file = root.join("requests.jsonl");
+    std::fs::write(&file, requests.map(|r| format!("{r}\n")).concat()).unwrap();
+    let from_file = serve().stdin(std::fs::File::open(&file).unwrap()).output().unwrap();
+    assert!(from_file.status.success(), "{}", String::from_utf8_lossy(&from_file.stderr));
+    let timeless = |out: &[u8]| -> Vec<String> {
+        let out = String::from_utf8_lossy(out);
+        out.lines().map(|l| l[..l.find(",\"elapsed_us\"").unwrap_or(l.len())].to_string()).collect()
+    };
+    assert_eq!(timeless(&from_file.stdout), timeless(&out.stdout));
 
     std::fs::remove_dir_all(&root).ok();
 }
@@ -485,6 +505,7 @@ fn bad_arguments_fail_cleanly() {
     for (args, flag) in [
         (["serve", "--index", "/nonexistent", "--merge-cahce", "64"], "--merge-cahce"),
         (["serve", "--index", "/nonexistent", "--memory", "on"], "--memory"),
+        (["serve", "--index", "/nonexistent", "--front-end", "epoll"], "--front-end"),
         (["query", "--index", "/nonexistent", "--bogus-flag", "7"], "--bogus-flag"),
     ] {
         let out = kbtim().args(args).output().unwrap();
@@ -695,11 +716,11 @@ fn serve_tcp_drains_gracefully_on_stdin_eof() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// `--front-end` selection over the real binary: both TCP front ends
-/// answer a pipelined burst with ids echoed (responses matched as a
-/// set — the epoll loop does not promise cross-id ordering), the
-/// banner names the active front end, every response carries it as a
-/// `front_end` field, and flag validation fails cleanly.
+/// The TCP front end over the real binary: it answers a pipelined
+/// burst with ids echoed (responses matched as a set — the epoll loop
+/// does not promise cross-id ordering), the banner names it, every
+/// response carries it as a `front_end` field, and flag validation
+/// fails cleanly.
 #[test]
 fn serve_front_end_selection_and_pipelining() {
     use std::io::{BufRead, BufReader, Read, Write};
@@ -720,81 +741,61 @@ fn serve_front_end_selection_and_pipelining() {
         .unwrap()
         .success());
 
-    let front_ends: &[&str] =
-        if cfg!(target_os = "linux") { &["epoll", "threads"] } else { &["threads"] };
-    for fe in front_ends {
-        let mut child = kbtim()
-            .args(["serve", "--index", index.to_str().unwrap(), "--listen", "127.0.0.1:0"])
-            .args(["--front-end", fe, "--max-conns", "64"])
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .unwrap();
-        let mut stderr = BufReader::new(child.stderr.take().unwrap());
-        let mut banner = String::new();
-        let addr = loop {
-            let mut line = String::new();
-            assert!(stderr.read_line(&mut line).unwrap() > 0, "server died before listening");
-            banner.push_str(&line);
-            if let Some(at) = line.find("listening on ") {
-                break line[at + "listening on ".len()..].trim().to_string();
-            }
-        };
-        assert!(
-            banner.contains(&format!("front-end {fe}")),
-            "banner names the front end: {banner}"
-        );
-
-        // One pipelined burst: every request written before any
-        // response is read.
-        let stream = std::net::TcpStream::connect(&addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        let ids: Vec<u64> = (10..16).collect();
-        for id in &ids {
-            writeln!(writer, r#"{{"id":{id},"topics":[0,1],"k":4}}"#).unwrap();
+    let fe = "epoll";
+    let mut child = kbtim()
+        .args(["serve", "--index", index.to_str().unwrap(), "--listen", "127.0.0.1:0"])
+        .args(["--max-conns", "64"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut banner = String::new();
+    let addr = loop {
+        let mut line = String::new();
+        assert!(stderr.read_line(&mut line).unwrap() > 0, "server died before listening");
+        banner.push_str(&line);
+        if let Some(at) = line.find("listening on ") {
+            break line[at + "listening on ".len()..].trim().to_string();
         }
-        let mut seen = Vec::new();
-        for _ in &ids {
-            let mut response = String::new();
-            assert!(reader.read_line(&mut response).unwrap() > 0, "server closed early");
-            assert!(response.contains("\"seeds\""), "{response}");
-            assert!(
-                response.contains(&format!("\"front_end\":\"{fe}\"")),
-                "responses report the active front end: {response}"
-            );
-            let at = response.find("\"id\":").expect("id echoed") + "\"id\":".len();
-            let digits: String = response[at..].chars().take_while(char::is_ascii_digit).collect();
-            seen.push(digits.parse::<u64>().unwrap());
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, ids, "every pipelined request answered exactly once by id");
+    };
+    assert!(banner.contains(&format!("front-end {fe}")), "banner names the front end: {banner}");
 
-        drop(writer);
-        drop(reader);
-        child.stdin.take();
-        let status = child.wait().unwrap();
-        assert!(status.success(), "front end {fe} must drain cleanly");
-        let mut rest = String::new();
-        stderr.read_to_string(&mut rest).unwrap();
-        assert!(rest.contains("drained (served=6"), "front end {fe} final stats: {rest}");
+    // One pipelined burst: every request written before any
+    // response is read.
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let ids: Vec<u64> = (10..16).collect();
+    for id in &ids {
+        writeln!(writer, r#"{{"id":{id},"topics":[0,1],"k":4}}"#).unwrap();
     }
+    let mut seen = Vec::new();
+    for _ in &ids {
+        let mut response = String::new();
+        assert!(reader.read_line(&mut response).unwrap() > 0, "server closed early");
+        assert!(response.contains("\"seeds\""), "{response}");
+        assert!(
+            response.contains(&format!("\"front_end\":\"{fe}\"")),
+            "responses report the active front end: {response}"
+        );
+        let at = response.find("\"id\":").expect("id echoed") + "\"id\":".len();
+        let digits: String = response[at..].chars().take_while(char::is_ascii_digit).collect();
+        seen.push(digits.parse::<u64>().unwrap());
+    }
+    seen.sort_unstable();
+    assert_eq!(seen, ids, "every pipelined request answered exactly once by id");
 
-    // Flag validation: --front-end without --listen, and a bad value.
-    let out = kbtim()
-        .args(["serve", "--index", index.to_str().unwrap(), "--front-end", "epoll"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--front-end requires --listen"));
-    let out = kbtim()
-        .args(["serve", "--index", index.to_str().unwrap()])
-        .args(["--listen", "127.0.0.1:0", "--front-end", "kqueue"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--front-end must be"));
+    drop(writer);
+    drop(reader);
+    child.stdin.take();
+    let status = child.wait().unwrap();
+    assert!(status.success(), "front end {fe} must drain cleanly");
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).unwrap();
+    assert!(rest.contains("drained (served=6"), "front end {fe} final stats: {rest}");
+
     // A zero outbox cap would shed every request with even one
     // response byte unflushed — reject the typo like the neighbors.
     let out = kbtim()

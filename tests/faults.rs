@@ -1,22 +1,28 @@
 //! Failure-surface tests driven by the `kbtim-fault` failpoint
 //! registry: transient-I/O retry masking, backend degradation on open,
-//! injected engine faults, panic containment, and the table of every
-//! wire error code in `docs/PROTOCOL.md`.
+//! injected engine faults (decode, merge, flush), panic containment,
+//! and the table of every wire error code in `docs/PROTOCOL.md`.
+//! Every test that arms lives in this directory: a library's unit
+//! tests share one process with each other, and none of them takes a
+//! lease (`tests/failpoint_leases.rs` keeps it so).
 //!
 //! The failpoint registry is process-global, so every test that arms a
 //! point holds the exclusive `kbtim_fault` lease for its whole body
 //! (reset on entry and exit, also when it panics), and the one test
 //! that arms only its child process holds the shared side.
 
+use kbtim::codec::Codec;
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
 use kbtim::index::{
-    IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, QueryEngine, ServingMode, ThetaMode,
+    Algo, DeltaIndex, EngineRequest, IndexBuildConfig, IndexBuilder, IndexError, IndexVariant,
+    KbtimIndex, Mutation, QueryEngine, QueryOutcome, ServingMode, ThetaMode,
 };
 use kbtim::propagation::model::IcModel;
 use kbtim::serve::{handle_line, handle_line_ctx, Json, Router, ServeCtx};
 use kbtim::storage::segment::{SegmentReader, SegmentWriter};
 use kbtim::storage::{BlockSource, IoStats, TempDir};
+use kbtim::topics::Query;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -568,4 +574,134 @@ fn drain_with_dirty_delta_flushes_or_reports() {
         }
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The fixture of the engine's own unit tests — six keywords, so one
+/// window can hold a healthy group beside a doomed one — built into
+/// `dir` for a test that corrupts it.
+fn build_engine(dir: &std::path::Path) -> QueryEngine {
+    let data =
+        DatasetConfig::family(DatasetFamily::News).num_users(400).num_topics(6).seed(91).build();
+    let model = IcModel::weighted_cascade(&data.graph);
+    let config = IndexBuildConfig {
+        sampling: SamplingConfig {
+            theta_cap: Some(1_000),
+            opt_initial_samples: 64,
+            opt_max_rounds: 5,
+            ..SamplingConfig::fast()
+        },
+        variant: IndexVariant::Irr { partition_size: 20 },
+        ..IndexBuildConfig::default()
+    };
+    IndexBuilder::new(&model, &data.profiles, config).build(dir).unwrap();
+    QueryEngine::new(Arc::new(KbtimIndex::open(dir, IoStats::new()).unwrap()))
+}
+
+fn assert_same_answer(got: &QueryOutcome, want: &QueryOutcome, what: &str) {
+    assert_eq!(got.seeds, want.seeds, "{what}");
+    assert_eq!(got.marginal_gains, want.marginal_gains, "{what}");
+    assert_eq!(got.coverage, want.coverage, "{what}");
+    assert_eq!(got.estimated_influence.to_bits(), want.estimated_influence.to_bits(), "{what}");
+}
+
+#[test]
+fn elapsed_counts_from_the_start_of_the_window() {
+    let _section = armed_section();
+    let dir = TempDir::new("engine-elapsed").unwrap();
+    let engine = build_engine(dir.path());
+    let req = EngineRequest::new([0, 1], 5).with_algo(Algo::Rr);
+    // The shared decode is the largest stage of a cold request; a
+    // response's `elapsed_us` must include it, as the per-request
+    // reference's does.
+    kbtim_fault::arm("engine.decode", "delay(20000)").unwrap();
+    let delay = Duration::from_millis(20);
+    assert!(engine.execute(&req).unwrap().stats.elapsed >= delay);
+    let got = engine.query_window(&[(req, None)]).remove(0).unwrap();
+    assert!(got.stats.elapsed >= delay, "elapsed {:?} omits the decode", got.stats.elapsed);
+}
+
+#[test]
+fn a_failed_decode_publishes_nothing() {
+    let _section = armed_section();
+    let dir = TempDir::new("engine-keyword-fault").unwrap();
+    let engine = build_engine(dir.path()).with_merge_cache(4);
+    let req = EngineRequest::new([0, 1], 5).with_algo(Algo::Rr);
+    let want = engine.execute(&req).unwrap();
+
+    kbtim_fault::arm("engine.decode", "1*err").unwrap();
+    let err = engine.query(&req).unwrap_err();
+    assert!(matches!(err.index_error(), IndexError::Injected("engine.decode")), "{err}");
+    assert_eq!((engine.keyword_cache_len(), engine.keywords_decoded()), (0, 0));
+
+    assert_same_answer(&engine.query(&req).unwrap(), &want, "after the failed decode");
+    assert_eq!((engine.keyword_cache_len(), engine.keywords_decoded()), (2, 2));
+
+    // One unreadable keyword fails the union; the retried healthy
+    // group publishes its own lists, the failed group nothing.
+    std::fs::write(dir.path().join(kbtim::index::format::keyword_file_name(3)), b"x").unwrap();
+    let doomed = EngineRequest::new([2, 3], 4).with_algo(Algo::Rr);
+    let healthy = EngineRequest::new([1, 4], 4).with_algo(Algo::Rr);
+    let want = engine.execute(&healthy).unwrap();
+    let mut got = engine.query_window(&[(doomed, None), (healthy, None)]).into_iter();
+    assert!(got.next().unwrap().is_err());
+    assert_same_answer(&got.next().unwrap().unwrap(), &want, "healthy group");
+    assert_eq!((engine.keyword_cache_len(), engine.keywords_decoded()), (3, 3), "4 joined 0, 1");
+}
+
+/// The staged chain's last refusal: `merge_keywords` under the armed
+/// `engine.merge` failpoint (its other refusals are checked beside the
+/// chain in `kbtim-index`).
+#[test]
+fn an_armed_merge_is_refused() {
+    let _section = armed_section();
+    let index = KbtimIndex::open(index_dir().path(), IoStats::new()).unwrap();
+    let query = Query::new([0u32, 1, 2], 5);
+    let (_, budget) = index.query_budget(&query);
+    let arena = index.decode_keywords(&budget).unwrap();
+    kbtim_fault::arm("engine.merge", "1*err").unwrap();
+    let err = index.merge_keywords(&query, &arena).err().expect("armed");
+    assert!(matches!(err, IndexError::Injected("engine.merge")), "{err}");
+    index.recycle_keywords(arena);
+}
+
+#[test]
+fn failed_flush_leaves_the_snapshot_untouched_and_retries_clean() {
+    let _section = armed_section();
+    let data =
+        DatasetConfig::family(DatasetFamily::News).num_users(300).num_topics(5).seed(17).build();
+    let config = IndexBuildConfig {
+        sampling: SamplingConfig { eps: 0.3, theta_cap: Some(500), ..SamplingConfig::fast() },
+        codec: Codec::Packed,
+        theta_mode: ThetaMode::Compact,
+        variant: IndexVariant::Irr { partition_size: 16 },
+        threads: 2,
+        seed: 7,
+        shards: 1,
+    };
+    let dir = TempDir::new("delta-flushfail").unwrap();
+    let model = IcModel::weighted_cascade(&data.graph);
+    IndexBuilder::new(&model, &data.profiles, config).build(dir.path()).unwrap();
+    let base = Arc::new(KbtimIndex::open(dir.path(), IoStats::new()).unwrap());
+    let delta = DeltaIndex::attach(base, &data.graph, &data.profiles, config).unwrap();
+    let query = Query::new([2u32, 4], 3);
+    delta.apply(&[Mutation::SetTopicWeight { user: 1, topic: 2, weight: 6.0 }]).unwrap();
+    let before = delta.snapshot().query(&query).unwrap();
+    let assert_same = |a: &QueryOutcome, b: &QueryOutcome| {
+        assert_same_answer(a, b, "flushed");
+        assert_eq!(a.stats.theta_q, b.stats.theta_q);
+    };
+
+    for point in ["flush.build", "flush.verify", "flush.commit"] {
+        kbtim_fault::arm(point, "err").unwrap();
+        let err = delta.flush().unwrap_err();
+        kbtim_fault::disarm(point);
+        assert!(matches!(err, IndexError::Injected(_)), "{point}: {err}");
+        let snap = delta.snapshot();
+        assert_eq!(snap.base().generation(), 0, "{point} must not commit");
+        assert_eq!(delta.unflushed(), 1, "{point} must not clear the journal");
+        assert_same(&snap.query(&query).unwrap(), &before);
+    }
+    // Clean retry succeeds from scratch.
+    assert_eq!(delta.flush().unwrap(), 1);
+    assert_same(&delta.snapshot().query(&query).unwrap(), &before);
 }

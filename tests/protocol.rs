@@ -1,12 +1,12 @@
 //! Wire-protocol robustness: the JSON subset parser must never panic
 //! on any byte sequence, nesting is depth-capped (a hostile `[[[[…`
 //! line must fail as a parse error, not a stack overflow), oversized
-//! request lines are shed and resynced by the bounded reader, and the
-//! new admission/deadline request plumbing parses as documented.
+//! request lines are shed and resynced by the line framer wherever its
+//! input is torn, and the admission/deadline request plumbing parses
+//! as documented.
 
-use kbtim::serve::{read_bounded_line, FramedLine, Json, LineFramer, LineRead, ServeRequest};
+use kbtim::serve::{FramedLine, Json, LineFramer, ServeRequest};
 use proptest::prelude::*;
-use std::io::BufReader;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
@@ -73,61 +73,62 @@ fn deadline_ms_field_parses_and_validates() {
     }
 }
 
+/// Frame `bytes` fed in `chunk`-byte pieces, end of stream included —
+/// the way a read loop hands a framer what each read produced.
+fn frame(bytes: &[u8], chunk: usize, cap: usize) -> Vec<FramedLine> {
+    let mut framer = LineFramer::new(cap);
+    let mut out = Vec::new();
+    for piece in bytes.chunks(chunk) {
+        framer.push(piece, &mut out);
+    }
+    out.extend(framer.finish());
+    out
+}
+
 #[test]
 fn bounded_reader_sheds_oversized_lines_and_resyncs() {
+    let line = |s: &str| FramedLine::Line(s.into());
     let giant = "x".repeat(300);
-    let input = format!("short line\n{giant}\nafter\nnine char\nnine char\n");
-    let mut reader = BufReader::with_capacity(16, input.as_bytes());
-
-    assert_eq!(read_bounded_line(&mut reader, 100).unwrap(), LineRead::Line("short line".into()));
+    let input = format!("short line\n{giant}\nafter\n");
     // The 300-byte line exceeds the cap: shed, stream resynced at the
     // next newline — the following request is intact.
-    assert_eq!(read_bounded_line(&mut reader, 100).unwrap(), LineRead::TooLong);
-    assert_eq!(read_bounded_line(&mut reader, 100).unwrap(), LineRead::Line("after".into()));
+    assert_eq!(
+        frame(input.as_bytes(), 16, 100),
+        vec![line("short line"), FramedLine::TooLong, line("after")]
+    );
     // A line of exactly the cap is allowed (the cap is inclusive), one
     // byte over is not.
-    assert_eq!(read_bounded_line(&mut reader, 9).unwrap(), LineRead::Line("nine char".into()));
-    assert_eq!(read_bounded_line(&mut reader, 8).unwrap(), LineRead::TooLong);
-    assert_eq!(read_bounded_line(&mut reader, 100).unwrap(), LineRead::Eof);
+    assert_eq!(frame(b"nine char\n", 16, 9), vec![line("nine char")]);
+    assert_eq!(frame(b"nine char\n", 16, 8), vec![FramedLine::TooLong]);
+    assert_eq!(frame(b"", 16, 100), vec![]);
 
     // CRLF is stripped; a final unterminated line still arrives.
-    let mut reader = BufReader::new("a\r\ntail".as_bytes());
-    assert_eq!(read_bounded_line(&mut reader, 100).unwrap(), LineRead::Line("a".into()));
-    assert_eq!(read_bounded_line(&mut reader, 100).unwrap(), LineRead::Line("tail".into()));
-    assert_eq!(read_bounded_line(&mut reader, 100).unwrap(), LineRead::Eof);
+    assert_eq!(frame(b"a\r\ntail", 16, 100), vec![line("a"), line("tail")]);
 
     // An oversized *unterminated* trailing chunk is also shed, without
     // ever buffering more than the cap.
-    let mut reader = BufReader::with_capacity(16, "yyyyyyyyyyyyyyyyyyyyyyyy".as_bytes());
-    assert_eq!(read_bounded_line(&mut reader, 8).unwrap(), LineRead::TooLong);
-    assert_eq!(read_bounded_line(&mut reader, 8).unwrap(), LineRead::Eof);
+    assert_eq!(frame(b"yyyyyyyyyyyyyyyyyyyyyyyy", 16, 8), vec![FramedLine::TooLong]);
 }
 
 proptest! {
-    /// The bounded reader agrees with `str::lines` whenever every line
-    /// fits the cap, for arbitrary chunking (tiny BufReader capacity).
+    /// The framer agrees with `str::lines` whenever every line fits the
+    /// cap, for arbitrary chunking (tiny pieces).
     #[test]
     fn bounded_reader_matches_lines_under_the_cap(
         lines in proptest::collection::vec("[a-z]{0,40}", 0..8),
     ) {
         let input = lines.iter().map(|l| format!("{l}\n")).collect::<String>();
-        let mut reader = BufReader::with_capacity(4, input.as_bytes());
-        for want in &lines {
-            assert_eq!(
-                read_bounded_line(&mut reader, 64).unwrap(),
-                LineRead::Line(want.clone()),
-            );
-        }
-        assert_eq!(read_bounded_line(&mut reader, 64).unwrap(), LineRead::Eof);
+        let want: Vec<FramedLine> = lines.iter().cloned().map(FramedLine::Line).collect();
+        prop_assert_eq!(frame(input.as_bytes(), 4, 64), want);
     }
 
-    /// The incremental framer (epoll front end) and the blocking
-    /// bounded reader (stdin / threads front ends) implement one
-    /// semantics: identical lines, identical `TooLong` sheds, identical
-    /// resync — for arbitrary byte streams (newlines, CRLF, invalid
-    /// UTF-8, oversized runs) under arbitrary tearing into chunks.
+    /// Where a stream is torn does not change how it frames: the same
+    /// bytes (newlines, CRLF, invalid UTF-8, oversized runs) torn at
+    /// arbitrary cuts give the same lines, the same `TooLong` sheds and
+    /// the same resync as one push — and one push frames as splitting
+    /// the bytes at every newline does.
     #[test]
-    fn framer_is_equivalent_to_the_bounded_reader(
+    fn torn_bytes_frame_as_one_push(
         raw in proptest::collection::vec(any::<u8>(), 0..200),
         cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..8),
         cap in 1usize..32,
@@ -137,33 +138,34 @@ proptest! {
         // line.
         const ALPHABET: &[u8] = b"aaaabbbb\n\n\n\r\r\xff{\x00";
         let bytes: Vec<u8> = raw.iter().map(|&b| ALPHABET[b as usize % ALPHABET.len()]).collect();
-        // Reader side: pull lines until EOF (tiny capacity exercises
-        // its own internal chunking independently of ours).
-        let mut reader = BufReader::with_capacity(3, &bytes[..]);
-        let mut from_reader = Vec::new();
-        loop {
-            match read_bounded_line(&mut reader, cap).unwrap() {
-                LineRead::Eof => break,
-                LineRead::Line(line) => from_reader.push(FramedLine::Line(line)),
-                LineRead::TooLong => from_reader.push(FramedLine::TooLong),
-            }
+        let whole = frame(&bytes, bytes.len().max(1), cap);
+        let mut split: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        if split.last().is_some_and(|tail| tail.is_empty()) {
+            split.pop();
         }
+        let oracle: Vec<FramedLine> = split
+            .into_iter()
+            .map(|line| match line {
+                line if line.len() > cap => FramedLine::TooLong,
+                line => FramedLine::Line(
+                    String::from_utf8_lossy(line.strip_suffix(b"\r").unwrap_or(line)).into_owned(),
+                ),
+            })
+            .collect();
+        prop_assert_eq!(&whole, &oracle);
 
-        // Framer side: the same bytes torn at arbitrary boundaries.
         let mut at: Vec<usize> = cuts.iter().map(|c| c.index(bytes.len() + 1)).collect();
         at.sort_unstable();
         at.dedup();
         let mut framer = LineFramer::new(cap);
-        let mut from_framer = Vec::new();
+        let mut torn = Vec::new();
         let mut prev = 0;
         for cut in at.into_iter().chain(std::iter::once(bytes.len())) {
-            framer.push(&bytes[prev..cut], &mut from_framer);
+            framer.push(&bytes[prev..cut], &mut torn);
             prev = cut;
         }
-        if let Some(last) = framer.finish() {
-            from_framer.push(last);
-        }
+        torn.extend(framer.finish());
 
-        prop_assert_eq!(from_reader, from_framer);
+        prop_assert_eq!(whole, torn);
     }
 }

@@ -1,14 +1,18 @@
-//! Every transport forms windows the same way: the blocking
-//! thread-per-connection front end feeds the same dispatcher as the
-//! epoll loop (whose gate is `tests/pipeline.rs`), so requests from
-//! different connections share windows — and keyword decodes — on a
-//! bounded worker pool, and a drain answers what was queued. A repeat
-//! whose keyword set's cached run covers it never reaches a window.
+//! Connections share windows: requests from different connections of
+//! the epoll front end meet in one dispatcher (whose pipelining gate is
+//! `tests/pipeline.rs`), so they share windows — and keyword decodes —
+//! on a bounded worker pool, and a drain answers what was queued. A
+//! repeat whose keyword set's cached run covers it never reaches a
+//! window.
 //!
 //! The two window tests wedge the one worker inside a window with an
 //! armed `engine.decode` delay, so that the other connections' requests
 //! are queued behind it when it finishes; the failpoint registry is
 //! process-global, so each holds the exclusive `kbtim_fault` lease.
+//!
+//! The tests keep the `threads_` names they had when a
+//! thread-per-connection front end served them, so their history
+//! reads as one test.
 
 use kbtim::core::theta::SamplingConfig;
 use kbtim::datagen::{DatasetConfig, DatasetFamily};
@@ -16,7 +20,7 @@ use kbtim::index::{
     IndexBuildConfig, IndexBuilder, IndexVariant, KbtimIndex, QueryEngine, ServingMode, ThetaMode,
 };
 use kbtim::propagation::model::IcModel;
-use kbtim::serve::{handle_line, serve_threads, Json, Router, ServeCtx};
+use kbtim::serve::{handle_line, serve_epoll, EpollConfig, Json, Router, ServeCtx};
 use kbtim::storage::{IoStats, TempDir};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -94,20 +98,20 @@ struct Server {
     handle: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
-/// An in-process `threads` server with a single dispatcher worker.
+/// An in-process epoll server with a single dispatcher worker.
 fn start() -> Server {
     serve(open_engine())
 }
 
 fn serve(engine: Arc<QueryEngine>) -> Server {
     let router = Arc::new(Router::single(Arc::clone(&engine)));
-    let ctx = Arc::new(ServeCtx::new(1024, None).with_front_end("threads"));
+    let ctx = Arc::new(ServeCtx::new(1024, None).with_front_end("epoll"));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let handle = {
         let ctx = Arc::clone(&ctx);
         std::thread::spawn(move || {
-            serve_threads(listener, router, ctx, 1 << 20, 1, false, Duration::from_secs(10))
+            serve_epoll(listener, router, ctx, EpollConfig { workers: 1, ..EpollConfig::default() })
         })
     };
     Server { addr, ctx, engine, handle }
@@ -151,13 +155,15 @@ fn threads_connections_share_windows_on_one_worker() {
                 // admission, then the query.
                 writeln!(writer, r#"{{"id":{},"nonsense":true}}"#, 2 * c).unwrap();
                 writeln!(writer, r#"{{"id":{},{}}}"#, 2 * c + 1, body(c)).unwrap();
-                // A stream is serial: responses come in request order.
+                // The refusal is answered at admission, before the
+                // query reaches a worker: responses come in request
+                // order.
                 let refused = read_line(&mut reader);
                 assert!(refused.contains(&format!("\"id\":{}", 2 * c)), "{refused}");
                 assert_eq!(code(&refused).as_deref(), Some("unknown_field"), "{refused}");
                 let answered = read_line(&mut reader);
                 assert!(answered.contains(&format!("\"id\":{},", 2 * c + 1)), "{answered}");
-                assert!(answered.contains("\"front_end\":\"threads\""), "{answered}");
+                assert!(answered.contains("\"front_end\":\"epoll\""), "{answered}");
                 assert_eq!(&answer_fields(&answered), want, "connection {c} diverged from serial");
                 assert_no_more(reader);
             });
@@ -177,8 +183,8 @@ fn threads_connections_share_windows_on_one_worker() {
 }
 
 /// A repeat whose keyword set has a cached run is answered by the
-/// connection's own thread at admission: the first request forms the
-/// one window, the second never reaches the dispatcher.
+/// event loop at admission: the first request forms the one window,
+/// the second never reaches the dispatcher.
 #[test]
 fn threads_answer_a_repeat_without_a_window() {
     let _lease = kbtim_fault::shared();
@@ -221,8 +227,8 @@ fn threads_drain_answers_what_was_queued() {
     let server = start();
 
     // Every connection sends one query; connection 0 a second line
-    // behind it, which its (serial) stream reads only after the first
-    // is answered — by then the drain has begun.
+    // behind it, admitted beside its first or refused once the drain
+    // has begun.
     let mut clients: Vec<(BufReader<TcpStream>, usize)> = (0..CONNS)
         .map(|c| {
             let mut stream = TcpStream::connect(server.addr).unwrap();
