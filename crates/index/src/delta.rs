@@ -197,12 +197,6 @@ impl DeltaSnapshot {
     /// decode. Bit-identical to a from-scratch flat build of the same
     /// logical content (the delta tier's core contract).
     pub fn query(&self, query: &Query) -> Result<QueryOutcome, IndexError> {
-        self.query_ctx(query, &QueryCtx::default())
-    }
-
-    /// [`DeltaSnapshot::query`] under an execution context (deadline
-    /// checks at the same stage boundaries as the base paths).
-    pub fn query_ctx(&self, query: &Query, ctx: &QueryCtx) -> Result<QueryOutcome, IndexError> {
         let started = Instant::now();
         let (phi_q, budget) = self.query_budget(query);
         let mut outcome = if budget.is_empty() {
@@ -210,7 +204,8 @@ impl DeltaSnapshot {
         } else {
             let arena = self.decode_union(&budget)?;
             let users = self.meta.num_users;
-            let result = self.base.query_arena_ctx(users, phi_q, &budget, &arena, query.k(), ctx);
+            let ctx = QueryCtx::default();
+            let result = self.base.query_arena_ctx(users, phi_q, &budget, &arena, query.k(), &ctx);
             self.base.recycle_keywords(arena);
             result?
         };

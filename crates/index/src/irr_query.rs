@@ -33,7 +33,7 @@
 use crate::format::{self, IlCsr, PartitionSpan};
 use crate::rr_query::{empty_outcome, list_cuts};
 use crate::scratch::{KwBufs, QueryScratch};
-use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome, QueryStats};
+use crate::{IndexError, KbtimIndex, QueryOutcome, QueryStats};
 use kbtim_codec::Codec;
 use kbtim_core::bitset::Bitset;
 use kbtim_core::maxcover::CoverScratch;
@@ -195,16 +195,9 @@ impl KwState<'_> {
 }
 
 impl KbtimIndex {
-    /// Answer `query` with Algorithm 4. Requires the IRR variant.
+    /// Answer `query` with Algorithm 4. Requires the IRR variant. The
+    /// `engine.decode` failpoint fires before any partition load.
     pub fn query_irr(&self, query: &Query) -> Result<QueryOutcome, IndexError> {
-        self.query_irr_ctx(query, &QueryCtx::default())
-    }
-
-    /// [`KbtimIndex::query_irr`] under an execution context: the
-    /// deadline (if any) is checked once per NRA round, aborting with
-    /// [`IndexError::DeadlineExceeded`] — never with partial seeds.
-    /// The `engine.decode` failpoint fires before any partition load.
-    pub fn query_irr_ctx(&self, query: &Query, ctx: &QueryCtx) -> Result<QueryOutcome, IndexError> {
         let format::IndexVariant::Irr { .. } = self.meta().variant else {
             return Err(IndexError::NotAnIrrIndex);
         };
@@ -217,7 +210,7 @@ impl KbtimIndex {
         // `partitions_loaded = 0`), which `tests/shard_equiv.rs` pins
         // against the single-shard oracle.
         if self.num_shards() > 1 {
-            return self.query_rr_ctx(query, ctx);
+            return self.query_rr(query);
         }
         let started = Instant::now();
         let io_before = self.io_stats().snapshot();
@@ -329,14 +322,7 @@ impl KbtimIndex {
             Ok(any)
         };
 
-        // Deadline expiry breaks (not returns) so the leased tables
-        // below still go back to the scratch pool before erroring.
-        let mut deadline_hit = false;
         while (seeds.len() as u32) < query.k() {
-            if ctx.expired() {
-                deadline_hit = true;
-                break;
-            }
             let total_kb: u64 = states.iter().map(|st| st.kb).sum();
             match pq.peek().copied() {
                 Some((s, Reverse(v))) if s > 0 => {
@@ -409,9 +395,6 @@ impl KbtimIndex {
         let mut heap_store = pq.into_vec();
         heap_store.clear();
         *nra_heap = heap_store;
-        if deadline_hit {
-            return Err(IndexError::DeadlineExceeded);
-        }
 
         let estimated_influence =
             if theta_q == 0 { 0.0 } else { coverage as f64 / theta_q as f64 * phi_q };

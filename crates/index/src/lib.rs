@@ -101,8 +101,9 @@ pub enum IndexError {
     /// The operation requires IRR partition blocks, but the index was
     /// built as a plain RR index.
     NotAnIrrIndex,
-    /// The query ran past its caller-supplied deadline ([`QueryCtx`])
-    /// and was aborted at a stage boundary — no partial answer exists.
+    /// The query ran past its caller-supplied deadline
+    /// ([`QueryEngine::query_deadline`]) and was aborted at a stage
+    /// boundary — no partial answer exists.
     DeadlineExceeded,
     /// A [`kbtim_fault`] failpoint fired at the named engine stage
     /// (fault-injection builds and chaos tests only; never occurs with
@@ -137,41 +138,33 @@ impl From<kbtim_codec::CodecError> for IndexError {
     }
 }
 
-/// Per-query execution context threaded through the `_ctx`-suffixed
-/// query paths: currently an optional absolute deadline.
+/// Per-query execution context of the serving path
+/// ([`QueryEngine::query_window`], [`QueryEngine::answer_cached`]):
+/// currently an optional absolute deadline.
 ///
 /// Deadlines are enforced at stage boundaries — after the keyword
-/// decode, once per greedy round, once per IRR NRA round — so an
-/// expired query aborts with [`IndexError::DeadlineExceeded`] instead
-/// of returning partial results. The default context is unbounded and
-/// is what the plain (`query_rr` / `query_irr`) paths use; checking it
-/// costs one `Option` test per round.
+/// decode and once per greedy round — so an expired query aborts with
+/// [`IndexError::DeadlineExceeded`] instead of returning partial
+/// results. The serial reference paths (`query_rr` / `query_irr` /
+/// [`DeltaSnapshot::query`] / [`QueryEngine::execute`]) run
+/// unbounded; checking the default context costs one `Option` test per
+/// round.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct QueryCtx {
+pub(crate) struct QueryCtx {
     /// Absolute wall-clock point after which the query must abort.
-    pub deadline: Option<std::time::Instant>,
+    pub(crate) deadline: Option<std::time::Instant>,
 }
 
 impl QueryCtx {
-    /// A context with no deadline (identical to `QueryCtx::default()`).
-    pub fn unbounded() -> QueryCtx {
-        QueryCtx::default()
-    }
-
-    /// A context that aborts query work once `deadline` passes.
-    pub fn with_deadline(deadline: std::time::Instant) -> QueryCtx {
-        QueryCtx { deadline: Some(deadline) }
-    }
-
     /// Whether the deadline (if any) has passed.
     #[inline]
-    pub fn expired(&self) -> bool {
+    pub(crate) fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| std::time::Instant::now() >= d)
     }
 
     /// Error out with [`IndexError::DeadlineExceeded`] if expired.
     #[inline]
-    pub fn check(&self) -> Result<(), IndexError> {
+    pub(crate) fn check(&self) -> Result<(), IndexError> {
         if self.expired() {
             Err(IndexError::DeadlineExceeded)
         } else {

@@ -200,17 +200,9 @@ fn count_gains(
 
 impl KbtimIndex {
     /// Answer `query` with Algorithm 2 (works on both index variants).
-    pub fn query_rr(&self, query: &Query) -> Result<QueryOutcome, IndexError> {
-        self.query_rr_ctx(query, &QueryCtx::default())
-    }
-
-    /// [`KbtimIndex::query_rr`] under an execution context: the
-    /// deadline (if any) is checked after the keyword decode and once
-    /// per greedy round, aborting with
-    /// [`IndexError::DeadlineExceeded`] — never with partial seeds.
     /// The `engine.decode` / `engine.merge` / `engine.greedy`
     /// failpoints fire at the matching stage boundaries.
-    pub fn query_rr_ctx(&self, query: &Query, ctx: &QueryCtx) -> Result<QueryOutcome, IndexError> {
+    pub fn query_rr(&self, query: &Query) -> Result<QueryOutcome, IndexError> {
         let started = Instant::now();
         let io_before = self.io_stats().snapshot();
         let (phi_q, budget) = self.query_budget(query);
@@ -218,8 +210,9 @@ impl KbtimIndex {
             return Ok(empty_outcome(started));
         }
         let arena = self.decode_keywords(&budget)?;
+        let users = self.meta().num_users;
         let result =
-            self.query_arena_ctx(self.meta().num_users, phi_q, &budget, &arena, query.k(), ctx);
+            self.query_arena_ctx(users, phi_q, &budget, &arena, query.k(), &QueryCtx::default());
         self.recycle_keywords(arena);
         let mut outcome = result?;
         outcome.stats.io = self.io_stats().snapshot().since(&io_before);
@@ -257,7 +250,7 @@ impl KbtimIndex {
     /// that budget per batch; what is decoded does not depend on them,
     /// which is what lets the lists outlive the request: the engine
     /// keeps them and leases them to later windows, see
-    /// [`crate::QueryEngine::set_merge_cache`] — this function itself
+    /// [`crate::QueryEngine::with_merge_cache`] — this function itself
     /// never looks at a cache, so the serial reference paths always
     /// decode from the bytes). Sorted, duplicate-free input is used
     /// as-is; anything else is normalized first, so the arena's lookup

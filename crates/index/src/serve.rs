@@ -27,7 +27,7 @@
 //!   sequentially and `k` only bounds the loop, so one max-`k` run
 //!   prefix-slices into every member's answer.
 //! * **Sharing across windows**: with a capacity configured
-//!   ([`QueryEngine::set_merge_cache`]) the engine keeps two units,
+//!   ([`QueryEngine::with_merge_cache`]) the engine keeps two units,
 //!   each in a capacity-bounded LRU keyed on the index's segment
 //!   generation ([`KbtimIndex::segment_fingerprint`]). *Decoded
 //!   keywords* are leased: a window's arena holds an `Arc` of the lists
@@ -457,7 +457,7 @@ pub struct QueryEngine {
     index: Arc<KbtimIndex>,
     delta: Option<Arc<DeltaIndex>>,
     /// The `--batch` setting, stored for the transport's window former
-    /// (see [`QueryEngine::set_batch_window`]).
+    /// (see [`QueryEngine::with_batch_window`]).
     batch_window: Option<Duration>,
     merge_cache: Option<MergeCache>,
     executed: AtomicU64,
@@ -540,17 +540,12 @@ impl QueryEngine {
     /// it executes the windows it is handed. `kbtim serve`'s dispatcher
     /// reads only whether one is set — `None` pins its windows to one
     /// request, any duration lets them grow with the queue.
-    pub fn set_batch_window(&mut self, window: Option<Duration>) {
-        self.batch_window = window;
-    }
-
-    /// Builder-style [`QueryEngine::set_batch_window`].
     pub fn with_batch_window(mut self, window: Option<Duration>) -> QueryEngine {
-        self.set_batch_window(window);
+        self.batch_window = window;
         self
     }
 
-    /// The stored window setting ([`QueryEngine::set_batch_window`]).
+    /// The stored window setting ([`QueryEngine::with_batch_window`]).
     pub fn batch_window(&self) -> Option<Duration> {
         self.batch_window
     }
@@ -583,13 +578,8 @@ impl QueryEngine {
     /// Cached values are shared read-only; answers stay bit-identical
     /// to uncached serving. [`QueryEngine::execute`] never reads or
     /// fills the cache.
-    pub fn set_merge_cache(&mut self, entries: usize) {
-        self.merge_cache = (entries > 0).then(|| MergeCache::new(entries));
-    }
-
-    /// Builder-style [`QueryEngine::set_merge_cache`].
     pub fn with_merge_cache(mut self, entries: usize) -> QueryEngine {
-        self.set_merge_cache(entries);
+        self.merge_cache = (entries > 0).then(|| MergeCache::new(entries));
         self
     }
 
@@ -788,7 +778,7 @@ impl QueryEngine {
     fn run_batch(&self, batch: &[(EngineRequest, Option<Instant>)]) -> Vec<EngineResult> {
         // Every answer's `elapsed` counts from here: the budget, the
         // cache probe and the shared decode are part of what a request
-        // waited for, as they are in `KbtimIndex::query_rr_ctx`.
+        // waited for, as they are in `KbtimIndex::query_rr`.
         let started = Instant::now();
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -854,7 +844,7 @@ impl QueryEngine {
         let mut results: Vec<Option<EngineResult>> = vec![None; unique.len()];
         let mut groups: Vec<Group> = Vec::new();
         for (at, req) in unique.iter().enumerate() {
-            // `Irr` keeps its variant check, made where `execute_ctx`
+            // `Irr` keeps its variant check, made where `execute`
             // makes it: before any work is done on the request's behalf.
             if req.algo == Algo::Irr && !irr_available {
                 self.executed.fetch_add(1, Ordering::Relaxed);
@@ -1121,13 +1111,6 @@ impl QueryEngine {
     /// windows against (a window of one compared with itself would
     /// prove nothing). Counts in no book.
     pub fn execute(&self, req: &EngineRequest) -> EngineResult {
-        self.execute_ctx(req, &QueryCtx::default())
-    }
-
-    /// [`QueryEngine::execute`] under an execution context (see
-    /// [`QueryCtx`]): the deadline is enforced at the index's stage
-    /// boundaries.
-    pub fn execute_ctx(&self, req: &EngineRequest, ctx: &QueryCtx) -> EngineResult {
         let query = Query::new(req.topics.iter().copied(), req.k);
         // A delta tier routes every algorithm through one pinned union
         // snapshot: the base handle captured at engine build goes stale
@@ -1143,9 +1126,9 @@ impl QueryEngine {
             return Err(EngineError::from(IndexError::NotAnIrrIndex));
         }
         if let Some(snap) = snap {
-            return Ok(Arc::new(snap.query_ctx(&query, ctx)?));
+            return Ok(Arc::new(snap.query(&query)?));
         }
-        Ok(Arc::new(self.index.query_rr_ctx(&query, ctx)?))
+        Ok(Arc::new(self.index.query_rr(&query)?))
     }
 }
 

@@ -76,8 +76,6 @@ struct IoStatsInner {
     read_ops: AtomicU64,
     bytes_read: AtomicU64,
     seeks: AtomicU64,
-    write_ops: AtomicU64,
-    bytes_written: AtomicU64,
     cache_hits: AtomicU64,
     bytes_served: AtomicU64,
 }
@@ -97,12 +95,6 @@ impl IoStats {
         if seeked {
             self.inner.seeks.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Record one write of `bytes` bytes.
-    pub fn record_write(&self, bytes: u64) {
-        self.inner.write_ops.fetch_add(1, Ordering::Relaxed);
-        self.inner.bytes_written.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Record one zero-copy access of `bytes` bytes served from
@@ -130,16 +122,6 @@ impl IoStats {
         self.inner.seeks.load(Ordering::Relaxed)
     }
 
-    /// Number of write calls.
-    pub fn write_ops(&self) -> u64 {
-        self.inner.write_ops.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes written.
-    pub fn bytes_written(&self) -> u64 {
-        self.inner.bytes_written.load(Ordering::Relaxed)
-    }
-
     /// Number of zero-copy block/range accesses.
     pub fn cache_hits(&self) -> u64 {
         self.inner.cache_hits.load(Ordering::Relaxed)
@@ -155,8 +137,6 @@ impl IoStats {
         self.inner.read_ops.store(0, Ordering::Relaxed);
         self.inner.bytes_read.store(0, Ordering::Relaxed);
         self.inner.seeks.store(0, Ordering::Relaxed);
-        self.inner.write_ops.store(0, Ordering::Relaxed);
-        self.inner.bytes_written.store(0, Ordering::Relaxed);
         self.inner.cache_hits.store(0, Ordering::Relaxed);
         self.inner.bytes_served.store(0, Ordering::Relaxed);
     }
@@ -167,8 +147,6 @@ impl IoStats {
             read_ops: self.read_ops(),
             bytes_read: self.bytes_read(),
             seeks: self.seeks(),
-            write_ops: self.write_ops(),
-            bytes_written: self.bytes_written(),
             cache_hits: self.cache_hits(),
             bytes_served: self.bytes_served(),
         }
@@ -184,10 +162,6 @@ pub struct IoSnapshot {
     pub bytes_read: u64,
     /// Number of non-sequential reads.
     pub seeks: u64,
-    /// Number of write calls.
-    pub write_ops: u64,
-    /// Total bytes written.
-    pub bytes_written: u64,
     /// Number of zero-copy block/range accesses (mmap backend).
     pub cache_hits: u64,
     /// Total bytes served zero-copy, without a positioned read.
@@ -201,8 +175,6 @@ impl IoSnapshot {
             read_ops: self.read_ops.saturating_sub(earlier.read_ops),
             bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
             seeks: self.seeks.saturating_sub(earlier.seeks),
-            write_ops: self.write_ops.saturating_sub(earlier.write_ops),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             bytes_served: self.bytes_served.saturating_sub(earlier.bytes_served),
         }
@@ -255,12 +227,9 @@ mod tests {
         let stats = IoStats::new();
         stats.record_read(100, false);
         stats.record_read(50, true);
-        stats.record_write(8);
         assert_eq!(stats.read_ops(), 2);
         assert_eq!(stats.bytes_read(), 150);
         assert_eq!(stats.seeks(), 1);
-        assert_eq!(stats.write_ops(), 1);
-        assert_eq!(stats.bytes_written(), 8);
     }
 
     #[test]

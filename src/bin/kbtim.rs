@@ -574,9 +574,8 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     // request; any other value lets a worker take its share of what is
     // queued (requests in a window share keyword decodes and greedy
     // runs). Nothing ever waits for a window to fill, so the number
-    // itself is otherwise unused, and one default serves every
-    // transport: a strictly serial stream never has a second request
-    // queued to share with.
+    // itself is otherwise unused. The stdin stream answers each request
+    // alone, on its reading thread, whatever the flag says.
     let batch_us: u64 = parse(flags, "batch", 200)?;
     let batch_window = (batch_us > 0).then(|| Duration::from_micros(batch_us));
     // Prepared-query cache: keep up to ENTRIES keyword sets' deepest
@@ -600,13 +599,19 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     if max_line == 0 {
         return Err("--max-line must be positive".to_string());
     }
-    // One TCP front end, the epoll loop; stdin mode is the serial
-    // stream. Both feed the same dispatcher.
+    // One TCP front end, the epoll loop and its dispatcher; stdin mode
+    // is the serial stream, answered on the thread that reads it.
     let front_end = if flags.contains_key("listen") { "epoll" } else { "stdin" };
     if front_end == "epoll" && !cfg!(target_os = "linux") {
         return Err("`serve --listen` needs Linux; stdin mode runs everywhere".to_string());
     }
-    // TCP front-end knobs (ignored in stdin mode).
+    // TCP front-end knobs: only the `--listen` branch reads them.
+    if front_end == "stdin" {
+        let tcp_only = ["max-conns", "backlog", "workers", "outbox-cap"];
+        if let Some(flag) = tcp_only.iter().find(|flag| flags.contains_key(**flag)) {
+            return Err(format!("--{flag} requires --listen"));
+        }
+    }
     let max_conns: usize = parse(flags, "max-conns", 4096)?;
     if max_conns == 0 {
         return Err("--max-conns must be positive".to_string());
@@ -615,8 +620,8 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     if backlog <= 0 {
         return Err("--backlog must be positive".to_string());
     }
-    // Query-execution workers of the dispatcher (both front ends);
-    // 0 = the machine's available parallelism. Distinct from --threads,
+    // Query-execution workers of the dispatcher; 0 = the machine's
+    // available parallelism. Distinct from --threads,
     // which is the per-query fan-out *inside* the engine.
     let workers: usize = parse(flags, "workers", 0)?;
     // Per-connection unread-response cap in bytes; beyond it the loop
@@ -729,8 +734,7 @@ fn cmd_serve(flags: &HashMap<String, String>, pairs: &[(String, String)]) -> Res
     };
 
     match flags.get("listen") {
-        None => serve_stdio(Arc::clone(&router), Arc::clone(&ctx), max_line, workers)
-            .map_err(|e| e.to_string())?,
+        None => serve_stdio(&router, &ctx, max_line).map_err(|e| e.to_string())?,
         Some(addr) => {
             let listener = std::net::TcpListener::bind(addr).map_err(|e| e.to_string())?;
             eprintln!(

@@ -1,11 +1,13 @@
-//! The serving tier's execution stage, shared by every transport:
-//! admitted requests enter a fair queue, a fixed worker pool dequeues
-//! per-(connection × index) windows, runs each through
+//! The execution stage of the TCP transport (Linux, beside `conn` and
+//! `sys`): admitted requests enter a fair queue, a fixed worker pool
+//! dequeues per-(connection × index) windows, runs each through
 //! [`execute_window`](super::execute_window), and hands the rendered
 //! responses to the transport's `deliver` hook. This is the one place a
 //! window of concurrent requests is formed. A request whose keyword
 //! set's cached run covers it never gets here: the admission chain
-//! answered it on the transport's own thread.
+//! answered it on the loop thread. The stdin stream has no second
+//! request to queue, so it answers on its reading thread instead
+//! ([`handle_line_ctx`](super::handle_line_ctx)).
 //!
 //! Fairness: the queue keys work on `(connection, route)` and rotates a
 //! ring of keys, taking one request per key per pass. A client that
@@ -15,12 +17,11 @@
 //! because its clients are chattier.
 //!
 //! Windows follow the traffic, not the race between threads — nobody
-//! waits to fill one. A transport hands over what it admitted together
-//! in one [`Dispatcher::submit_all`] (epoll: one pass over its ready
-//! connections; stdin: its one line), a worker takes at
-//! most its share of the admitted work ([`window_share`]) — whatever
-//! queued while the workers were busy — and a window's answers go back
-//! in one `deliver` call. Without these a worker woken by the first
+//! waits to fill one. The loop hands over what it admitted together in
+//! one [`Dispatcher::submit_all`] (one pass over its ready connections),
+//! a worker takes at most its share of the admitted work
+//! ([`window_share`]) — whatever queued while the workers were busy —
+//! and a window's answers go back in one `deliver` call. Without these a worker woken by the first
 //! request of a burst ran it alone while its peer took the other
 //! fifteen, or took all sixteen while its peer slept — which of the two
 //! depended on microseconds, and a window's decode is shared by its
@@ -150,7 +151,7 @@ struct Shared {
     ctx: Arc<ServeCtx>,
 }
 
-/// The worker pool bridging the transports and the engines.
+/// The worker pool bridging the TCP transport and the engines.
 pub(crate) struct Dispatcher {
     shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -161,8 +162,7 @@ impl Dispatcher {
     /// parallelism). `deliver` receives each window's
     /// `(connection, response)` pairs together, on the worker that ran
     /// it — the epoll transport writes them to their sockets there and
-    /// tells its loop which connections it touched, stdin posts them to
-    /// the one channel its stream waits on.
+    /// tells its loop which connections it touched.
     pub(crate) fn new(
         router: Arc<Router>,
         ctx: Arc<ServeCtx>,

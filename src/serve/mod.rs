@@ -46,21 +46,24 @@
 //!   one "admitted requests in → rendered responses out" function
 //!   (`execute_window`), response rendering, and [`handle_line_ctx`]:
 //!   the two composed on the calling thread, a window of one;
-//! * `dispatch` — the one place a window is formed: admitted requests
-//!   fairly dequeued (per connection × index) by a fixed worker pool,
-//!   each window answered through `execute_window`. Every transport
-//!   feeds it what the admission chain did not answer;
+//! * `dispatch` — the one place a window is formed (Linux, for the TCP
+//!   transport): admitted requests fairly dequeued (per connection ×
+//!   index) by a fixed worker pool (`--workers`), each window answered
+//!   through `execute_window`;
 //! * [`epoll`] — the one TCP transport (Linux): one event-loop thread
-//!   multiplexing every connection nonblocking; workers write their
+//!   multiplexing every connection nonblocking, feeding the dispatcher
+//!   what the admission chain did not answer; workers write their
 //!   answers to the sockets themselves (`conn`) and kick the loop over
 //!   an eventfd (`sys`) for what is left to do;
 //! * `stdio` — the stdin/stdout stream ([`serve_stdio`]), blocking and
-//!   strictly serial, on every platform;
+//!   strictly serial, on every platform: each line answered by
+//!   [`handle_line_ctx`] on the thread that read it, no dispatcher;
 //! * [`term_signal`] — the process-wide SIGTERM/SIGINT drain latch the
 //!   transports poll.
 
 #[cfg(target_os = "linux")]
 mod conn;
+#[cfg(target_os = "linux")]
 mod dispatch;
 pub mod epoll;
 mod framer;
@@ -534,11 +537,6 @@ impl ServeCtx {
         self.inflight.load(Ordering::SeqCst)
     }
 
-    /// The admission bound (`--max-queue`).
-    pub fn admission_bound(&self) -> usize {
-        self.max_inflight
-    }
-
     /// Try to admit one request; `None` means the queue is full and
     /// the caller must shed. The permit releases the slot on drop —
     /// wherever the request ends: answered, shed, dropped with a dead
@@ -764,8 +762,8 @@ pub fn handle_line(router: &Router, line: &str) -> String {
 
 /// [`handle_line`] with shared serving state: the admission chain
 /// (`admit_line`), then the admitted request executed on the calling
-/// thread as a window of one (`execute_window`) — what a transport does
-/// with a line, minus the queue in between.
+/// thread as a window of one (`execute_window`) — what the stdin stream
+/// does with every line, and TCP with a line minus the queue in between.
 pub fn handle_line_ctx(router: &Router, ctx: &ServeCtx, line: &str) -> String {
     match admit_line(router, ctx, line, || None) {
         Ok(admitted) => execute_window(router.engine_at(admitted.route), ctx, &[&admitted])
@@ -889,7 +887,7 @@ fn answer_at_admission(
 /// [`QueryEngine::query_window`]. This is the boundary that contains a
 /// panicking query: the whole window shares the execution, so every
 /// query in it gets the structured `internal_error` its connection
-/// expects, and the thread (worker or connection) survives.
+/// expects, and the thread (worker or stdin reader) survives.
 pub(crate) fn execute_window(
     engine: &QueryEngine,
     ctx: &ServeCtx,

@@ -3,35 +3,19 @@
 //! register a regular file, and `kbtim serve < requests` must work.
 //!
 //! Blocking reads go through the same [`LineFramer`] as every TCP
-//! connection (same cap, same resync). Each line is admitted, and what
-//! the admission chain did not answer itself (a refusal, or a cached
-//! run's answer) goes to the shared dispatcher; the stream waits for
-//! that one reply and writes it before it takes the next line. So
-//! responses come back in request order, and a window never holds more
-//! than this stream's one request.
+//! connection (same cap, same resync). Each line is answered on the
+//! reading thread by [`handle_line_ctx`] — the admission chain, then a
+//! window of one — and written before the next line is taken, so
+//! responses come back in request order. A stream that never holds a
+//! second request has nothing to queue and no window to share, so no
+//! dispatcher runs behind it.
 
-use super::dispatch::{Dispatcher, Pending};
-use super::{admit_line, render_error, term_signal, FramedLine, LineFramer, Router, ServeCtx};
+use super::{handle_line_ctx, render_error, term_signal, FramedLine, LineFramer, Router, ServeCtx};
 use std::io::{self, Read, Write};
-use std::sync::mpsc::channel;
-use std::sync::Arc;
 
 /// Serve stdin → stdout until EOF or SIGTERM/SIGINT (observed between
-/// requests), then drain. Queries run on `workers` dispatcher threads
-/// (`0` = the machine's available parallelism).
-pub fn serve_stdio(
-    router: Arc<Router>,
-    ctx: Arc<ServeCtx>,
-    max_line: usize,
-    workers: usize,
-) -> io::Result<()> {
-    let (reply, replies) = channel();
-    let dispatcher =
-        Dispatcher::new(Arc::clone(&router), Arc::clone(&ctx), workers, move |window| {
-            for (_, response) in window {
-                let _ = reply.send(response);
-            }
-        });
+/// requests), then drain.
+pub fn serve_stdio(router: &Router, ctx: &ServeCtx, max_line: usize) -> io::Result<()> {
     let mut framer = LineFramer::new(max_line);
     let (mut stdin, mut stdout) = (io::stdin().lock(), io::stdout().lock());
     let mut buf = vec![0u8; 64 * 1024];
@@ -68,16 +52,7 @@ pub fn serve_stdio(
                     if line.is_empty() {
                         continue;
                     }
-                    match admit_line(&router, &ctx, line, || None) {
-                        Ok(admitted) => {
-                            dispatcher.submit_all(&mut vec![Pending { conn: 0, admitted }]);
-                            match replies.recv() {
-                                Ok(response) => response,
-                                Err(_) => break 'read Ok(()),
-                            }
-                        }
-                        Err(refusal) => refusal,
-                    }
+                    handle_line_ctx(router, ctx, line)
                 }
             };
             if let Err(e) = writeln!(stdout, "{response}").and_then(|()| stdout.flush()) {
@@ -89,6 +64,5 @@ pub fn serve_stdio(
         }
     };
     ctx.begin_shutdown();
-    dispatcher.stop_and_join(ctx.inflight() == 0);
     served
 }

@@ -473,6 +473,142 @@ fn a_torn_journal_tail_is_reported_by_the_start_that_cuts_it() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A 300-user dataset, its index (`--cap 500`) and a file of three
+/// mutations — one of each `ingest` verb — under a fresh temp root:
+/// `(root, data, index, mutations)`.
+fn delta_fixture(name: &str) -> (PathBuf, PathBuf, PathBuf, PathBuf) {
+    let root = temp_dir(name);
+    let (data, index, mutations) = (root.join("data"), root.join("index"), root.join("muts"));
+    assert!(kbtim()
+        .args(["gen", "--family", "news", "--users", "300", "--topics", "4"])
+        .args(["--seed", "9", "--out", data.to_str().unwrap()])
+        .status()
+        .unwrap()
+        .success());
+    assert!(kbtim()
+        .args(["build", "--data", data.to_str().unwrap(), "--out", index.to_str().unwrap()])
+        .args(["--cap", "500"])
+        .status()
+        .unwrap()
+        .success());
+    std::fs::write(
+        &mutations,
+        concat!(
+            "{\"op\":\"ingest_user\"}\n",
+            "{\"op\":\"ingest_edge\",\"from\":300,\"to\":1}\n",
+            "{\"op\":\"set_topic_weight\",\"user\":5,\"topic\":1,\"weight\":0.5}\n",
+        ),
+    )
+    .unwrap();
+    (root, data, index, mutations)
+}
+
+/// `kbtim ingest` end to end: a flushed ingest writes the next segment
+/// generation, `validate --data` accepts it, and a query on the root
+/// answers as a fresh build of the compacted dataset; `--flush off`
+/// leaves the mutations journaled for the next attach, which replays
+/// and compacts them.
+#[test]
+fn ingest_compacts_to_the_next_generation() {
+    let (root, data, index, mutations) = delta_fixture("ingest");
+    let run = |args: &[&str]| {
+        let out = kbtim().args(args).stdin(std::process::Stdio::null()).output().unwrap();
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let (index_s, data_s) = (index.to_str().unwrap(), data.to_str().unwrap());
+    let ingest = ["ingest", "--index", index_s, "--data", data_s, "--cap", "500"];
+
+    let out = run(&[&ingest[..], &["--file", mutations.to_str().unwrap()]].concat());
+    assert!(out.contains("ingested 3 mutation(s)"), "{out}");
+    assert!(out.contains("flushed segment generation 1"), "{out}");
+    assert!(index.join("CURRENT").is_file() && index.join("gen-1").is_dir());
+
+    let out = run(&["validate", "--index", index_s, "--data", data_s, "--cap", "500"]);
+    assert!(out.contains("delta ok"), "{out}");
+
+    // The compacted generation answers as a from-scratch build of the
+    // dataset it carries.
+    let (fresh, gen1) = (root.join("fresh"), index.join("gen-1"));
+    let (fresh_s, gen1_s) = (fresh.to_str().unwrap(), gen1.to_str().unwrap());
+    run(&["build", "--data", gen1_s, "--out", fresh_s, "--cap", "500"]);
+    let answer = |dir: &str| {
+        let out = run(&["query", "--index", dir, "--algo", "rr", "--topics", "0,1", "--k", "5"]);
+        out.lines()
+            .filter(|l| l.starts_with("seeds:") || l.starts_with("marginal coverage:"))
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    let got = answer(index_s);
+    assert_eq!(got.len(), 2, "{got:?}");
+    assert_eq!(got, answer(fresh_s));
+
+    // Journaled only, then replayed by an ingest with nothing new.
+    let out =
+        run(&[&ingest[..], &["--file", mutations.to_str().unwrap(), "--flush", "off"]].concat());
+    assert!(out.contains("unflushed=3"), "{out}");
+    let out = run(&ingest);
+    assert!(out.contains("ingested 0 mutation(s) (3 replayed from the journal)"), "{out}");
+    assert!(out.contains("flushed segment generation 2"), "{out}");
+    let journal = std::fs::metadata(index.join("delta.log")).map_or(0, |m| m.len());
+    assert_eq!(journal, 0, "the replayed journal is compacted away");
+
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// `serve --flush-watermark N` on stdin: once N mutations are
+/// journaled the background job compacts them — a later query reads
+/// the flush's generation — and the drain finds nothing left to
+/// journal.
+#[test]
+fn serve_flushes_at_the_watermark() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (root, data, index, mutations) = delta_fixture("watermark");
+    let mut child = kbtim()
+        .args(["serve", "--index", index.to_str().unwrap(), "--data", data.to_str().unwrap()])
+        .args(["--cap", "500", "--flush-watermark", "2"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut roundtrip = |line: &str| {
+        writeln!(stdin, "{line}").unwrap();
+        let mut response = String::new();
+        assert!(stdout.read_line(&mut response).unwrap() > 0, "server died");
+        response
+    };
+    let muts = std::fs::read_to_string(&mutations).unwrap();
+    for line in muts.lines().take(2) {
+        let ack = roundtrip(line);
+        assert!(ack.contains("\"unflushed\""), "{ack}");
+    }
+    // Two applies, then the background flush: generation 3.
+    let started = std::time::Instant::now();
+    loop {
+        let response = roundtrip(r#"{"id":9,"topics":[0,1],"k":4,"algo":"rr"}"#);
+        assert!(response.contains("\"seeds\""), "{response}");
+        if response.contains("\"generation\":3") {
+            break;
+        }
+        assert!(started.elapsed() < std::time::Duration::from_secs(10), "no flush: {response}");
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("flush watermark 2"), "{stderr}");
+    let drain = stderr.lines().find(|l| l.contains("drained (")).expect("a drain line");
+    assert!(!drain.contains("unflushed="), "{drain}");
+    assert!(index.join("gen-1").is_dir());
+
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn bad_arguments_fail_cleanly() {
     // Unknown command.
@@ -513,6 +649,14 @@ fn bad_arguments_fail_cleanly() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         let want = format!("unknown flag {flag} for `{}`", args[0]);
         assert!(stderr.contains(&want) && stderr.contains("USAGE"), "{args:?}: {stderr}");
+    }
+    // The TCP front-end knobs are read only with `--listen`: refused
+    // off it, before anything is opened.
+    for flag in ["--max-conns", "--backlog", "--workers", "--outbox-cap"] {
+        let out = kbtim().args(["serve", "--index", "/nonexistent", flag, "4"]).output().unwrap();
+        assert!(!out.status.success(), "{flag}");
+        let want = format!("{flag} requires --listen");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(&want), "{flag}");
     }
 }
 
